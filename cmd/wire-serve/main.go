@@ -29,7 +29,7 @@
 // (recovering every session from its write-ahead journal), and requires each
 // decision stream byte-identical to a fault-free in-process twin:
 //
-//	wire-serve loadgen -chaos -sessions 12 -concurrency 2 -kill-after 150ms
+//	wire-serve loadgen -chaos -sessions 12 -concurrency 2 -kill-after 20
 //
 // Route mode runs the sharded control plane's stateless front end: it
 // consistent-hashes session IDs onto a static fleet of shard daemons
@@ -481,7 +481,7 @@ func runLoadgen(args []string) error {
 	verify := fs.Bool("verify", true, "re-run each session in-process and require identical results")
 	chaosMode := fs.Bool("chaos", false, "chaos certificate: in-process daemon + injected faults (ignores -server)")
 	chaosSeed := fs.Int64("chaos-seed", 1, "fault-schedule seed (chaos and cluster modes)")
-	killAfter := fs.Duration("kill-after", 0, "kill and journal-restart the daemon this long into the run (chaos mode; 0 = no kill)")
+	killAfter := fs.Int("kill-after", 0, "kill the daemon (chaos mode: and journal-restart it) or the -kill-shard victim once it has served this many plans, plus a seeded jitter (0 = chaos mode: no kill; -kill-shard: 10)")
 	shardCount := fs.Int("shards", 0, "cluster certificate: host this many in-process shards behind a router (ignores -server)")
 	killShard := fs.Bool("kill-shard", false, "cluster certificate: SIGKILL one shard mid-run and require journal-handoff failover")
 	rolling := fs.Bool("rolling-restart", false, "cluster certificate: drain, restart, and rejoin every shard in sequence under live traffic")
@@ -596,9 +596,9 @@ func runLoadgen(args []string) error {
 		// The cluster certificate hosts the shard fleet and router itself and
 		// verifies every session against an in-process twin.
 		cfg.Verify = true
-		kill := time.Duration(0)
+		kill := 0
 		if *killShard {
-			kill = 500 * time.Millisecond
+			kill = 10
 			if *killAfter > 0 {
 				kill = *killAfter
 			}
@@ -609,8 +609,7 @@ func runLoadgen(args []string) error {
 				fmt.Fprintf(os.Stderr, format+"\n", fargs...)
 			}},
 			Shards:         *shardCount,
-			KillAfter:      kill,
-			KillJitterMax:  200 * time.Millisecond,
+			KillAfterPlans: kill,
 			Seed:           *chaosSeed,
 			RollingRestart: *rolling,
 			ChurnEvents:    *churn,
@@ -633,7 +632,7 @@ func runLoadgen(args []string) error {
 			Server: service.Config{Logf: func(format string, fargs ...any) {
 				fmt.Fprintf(os.Stderr, format+"\n", fargs...)
 			}},
-			KillAfter: *killAfter,
+			KillAfterPlans: *killAfter,
 		})
 		if err != nil {
 			return err

@@ -1,8 +1,10 @@
 package audit
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -69,5 +71,65 @@ func TestRunRejectsEmptyConfig(t *testing.T) {
 	}
 	if _, err := Run(Config{Dirs: []string{filepath.Join(t.TempDir(), "missing")}}); err == nil {
 		t.Fatal("missing directory accepted")
+	}
+}
+
+// TestGoldenWAL reads the session log checked in beside the service package
+// (which asserts that its write path still produces it byte for byte) through
+// this package's own line-based decoder: the shared fixture is what keeps the
+// writer and the independent auditor agreed on the format without sharing
+// code.
+func TestGoldenWAL(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("..", "service", "testdata", "golden.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "golden-session-01.wal")
+	if err := os.WriteFile(path, golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rep := &Report{}
+	c, err := parseWAL(dir, path, rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Violations) != 0 {
+		t.Fatalf("golden WAL flagged: %+v", rep.Violations)
+	}
+	if c.session != "golden-session-01" || c.tenant != "acme" || c.fenced {
+		t.Errorf("session %q tenant %q fenced %v, want golden-session-01/acme/unfenced", c.session, c.tenant, c.fenced)
+	}
+	if len(c.plans) != 3 {
+		t.Fatalf("decoded %d plan record(s), want 3", len(c.plans))
+	}
+	// Instances in each snapshot x the 60 s interval, on a 300 s unit.
+	wantSpend := []float64{60, 120, 120}
+	for i, p := range c.plans {
+		if p.seq != int64(i+1) {
+			t.Errorf("plan %d has seq %d", i+1, p.seq)
+		}
+		if p.spend != wantSpend[i] || p.unitS != 300 {
+			t.Errorf("seq %d: spend %v instance-seconds on a %v s unit, want %v on 300", p.seq, p.spend, p.unitS, wantSpend[i])
+		}
+		if !strings.Contains(p.resp, `"session_id":"golden-session-01"`) || !strings.Contains(p.resp, fmt.Sprintf(`"seq":%d`, p.seq)) {
+			t.Errorf("seq %d: response bytes not recovered: %.80s", p.seq, p.resp)
+		}
+		if degraded := strings.Contains(p.resp, `"degraded":true`); degraded != (p.seq == 2) {
+			t.Errorf("seq %d: degraded = %v", p.seq, degraded)
+		}
+	}
+
+	full, err := Run(Config{Dirs: []string{dir}, TenantBudgets: map[string]float64{"acme": 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !full.Clean() || full.Sessions != 1 || full.WALs != 1 || full.Plans != 3 {
+		t.Fatalf("audit of the golden WAL: sessions=%d wals=%d plans=%d violations=%+v",
+			full.Sessions, full.WALs, full.Plans, full.Violations)
+	}
+	if spend := full.TenantSpend["acme"]; spend != 1 {
+		t.Errorf("acme spend %v units, want (60+120+120)/300 = 1", spend)
 	}
 }

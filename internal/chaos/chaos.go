@@ -189,18 +189,19 @@ func (p Plan) TaskCrashes(task int64, attempt int) bool {
 
 // ShardKillSchedule is the shard-kill fault stream of the sharded control
 // plane's certificate: among n session shards it selects the victim and a
-// kill-time jitter in (0, maxJitter]. Both are pure functions of the plan
-// seed with a fixed draw order (victim first, then jitter), so the same seed
-// fells the same shard at the same offset in every run — the property the
-// failover certificate pins its journal-handoff assertions on.
-func (p Plan) ShardKillSchedule(n int, maxJitter time.Duration) (victim int, jitter time.Duration) {
+// jitter in [0, maxJitter) on the number of plans the victim serves before it
+// is killed. Both are pure functions of the plan seed with a fixed draw order
+// (victim first, then jitter), so the same seed fells the same shard at the
+// same point of its work in every run, however fast the machine plans — the
+// property the failover certificate pins its journal-handoff assertions on.
+func (p Plan) ShardKillSchedule(n, maxJitter int) (victim, jitter int) {
 	if n <= 0 {
 		return 0, 0
 	}
 	rng := p.rng(streamShard, 0)
 	victim = int(rng.Int63n(int64(n)))
 	if maxJitter > 0 {
-		jitter = time.Duration((1 - rng.Float64()) * float64(maxJitter))
+		jitter = int(rng.Float64() * float64(maxJitter))
 	}
 	return victim, jitter
 }

@@ -38,12 +38,12 @@ type ShardCertConfig struct {
 	// temp dir, removed afterwards).
 	JournalRoot string
 
-	// KillAfter SIGKILLs one shard this long (plus a seeded jitter) into the
-	// run: its listener and every open connection die abruptly, no drain.
-	// Zero skips the kill.
-	KillAfter time.Duration
-	// KillJitterMax bounds the seeded jitter added to KillAfter.
-	KillJitterMax time.Duration
+	// KillAfterPlans SIGKILLs one shard once it hosts a session and has
+	// served this many plans plus a seeded jitter of up to as many again: its
+	// listener and every open connection die abruptly, no drain. Progress,
+	// not a timer, so the kill lands mid-run however fast planning is. Zero
+	// skips the kill.
+	KillAfterPlans int
 	// Seed feeds the chaos plan's shard-kill and churn schedules.
 	Seed int64
 
@@ -309,7 +309,7 @@ func waitShardsUp(ctx context.Context, rt *Router, want int, timeout time.Durati
 // loadgen through the router while injecting the configured faults, and
 // returns the loadgen report plus the router's counters. Fault modes:
 //
-//   - KillAfter: one abrupt shard kill mid-run; the certificate passes when
+//   - KillAfterPlans: one abrupt shard kill mid-run; the certificate passes when
 //     a failover completed and no session failed or mismatched its
 //     in-process twin.
 //   - RollingRestart: every shard in sequence is drained (graceful — its
@@ -495,11 +495,10 @@ func ShardCertify(ctx context.Context, cfg ShardCertConfig) (*ShardCertResult, e
 		go func() {
 			faultc <- churnDriver(rctx, cfg, rt, routerURL, shards, out, logf)
 		}()
-	case cfg.KillAfter > 0:
-		victim, jitter := chaos.Plan{Seed: cfg.Seed}.ShardKillSchedule(cfg.Shards, cfg.KillJitterMax)
-		timer := time.NewTimer(cfg.KillAfter + jitter)
-		armed := false
-		tick := time.NewTicker(5 * time.Millisecond)
+	case cfg.KillAfterPlans > 0:
+		victim, jitter := chaos.Plan{Seed: cfg.Seed}.ShardKillSchedule(cfg.Shards, cfg.KillAfterPlans)
+		killAt := int64(cfg.KillAfterPlans + jitter)
+		tick := time.NewTicker(2 * time.Millisecond)
 	killLoop:
 		for {
 			select {
@@ -508,34 +507,28 @@ func ShardCertify(ctx context.Context, cfg ShardCertConfig) (*ShardCertResult, e
 				out.LoadgenResult = res
 				break killLoop
 			case err := <-errc:
-				timer.Stop()
 				tick.Stop()
 				return nil, err
-			case <-timer.C:
-				armed = true
 			case <-tick.C:
-				// Kill only once the victim actually hosts a session: a kill
-				// landing on an empty shard exercises nothing (and on a slow
-				// -race run the fixed delay can outpace session placement).
-				if !armed {
-					continue
-				}
+				// Kill on the victim's own progress: it has served its seeded
+				// share of plans and hosts a session right now, so the run has
+				// work left that only a failover can finish. A timer instead
+				// races the loadgen, which a faster plan path wins.
 				cs := shards[victim]
 				cs.mu.Lock()
-				hosted := cs.srv.Store().Len()
+				served, hosted := cs.srv.Metrics().Served("plan"), cs.srv.Store().Len()
 				cs.mu.Unlock()
-				if hosted == 0 {
+				if served < killAt || hosted == 0 {
 					continue
 				}
 				sh, _ := cs.current()
 				out.Killed = true
 				out.Victim = sh.Name
-				logf("cluster cert: killing shard %s at %s (abrupt, no drain; %d session(s) aboard)", sh.Name, sh.URL, hosted)
+				logf("cluster cert: killing shard %s at %s (abrupt, no drain; %d plan(s) served, %d session(s) aboard)", sh.Name, sh.URL, served, hosted)
 				cs.stop()
 				break killLoop
 			}
 		}
-		timer.Stop()
 		tick.Stop()
 		faultc <- nil
 	default:

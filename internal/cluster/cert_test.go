@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"testing"
-	"time"
 
 	"repro/internal/cloud"
 	"repro/internal/dag"
@@ -24,7 +23,7 @@ func TestShardCertifyKill(t *testing.T) {
 	res, err := ShardCertify(context.Background(), ShardCertConfig{
 		Loadgen: service.LoadgenConfig{
 			Sessions:    18,
-			Concurrency: 3, // stretches the wall clock so the kill lands mid-run
+			Concurrency: 3, // most sessions still to come when the kill lands
 			Policy:      "wire",
 			Workflow: func(seed int64) *dag.Workflow {
 				return workloads.Linear(40+int(seed%5), 300)
@@ -39,10 +38,10 @@ func TestShardCertifyKill(t *testing.T) {
 			SeedBase: 900,
 			Verify:   true,
 		},
-		Shards:    3,
-		KillAfter: 150 * time.Millisecond,
-		Seed:      11,
-		Logf:      t.Logf,
+		Shards:         3,
+		KillAfterPlans: 10,
+		Seed:           11,
+		Logf:           t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/cloud"
 	"repro/internal/dagio"
@@ -88,7 +87,7 @@ func TestShardCertifyStream(t *testing.T) {
 	res, err := ShardCertify(context.Background(), ShardCertConfig{
 		Loadgen: service.LoadgenConfig{
 			Sessions:    15,
-			Concurrency: 3, // stretches the wall clock so the kill lands mid-run
+			Concurrency: 3, // most sessions still to come when the kill lands
 			Policy:      "wire",
 			Cloud: cloud.Config{
 				SlotsPerInstance: 2,
@@ -106,10 +105,10 @@ func TestShardCertifyStream(t *testing.T) {
 			TimeCompression:    3600,
 			StreamKeys:         []string{"tpch6-s", "tpch1-s", "pagerank-s"},
 		},
-		Shards:    3,
-		KillAfter: 60 * time.Millisecond,
-		Seed:      11,
-		Logf:      t.Logf,
+		Shards:         3,
+		KillAfterPlans: 2,
+		Seed:           11,
+		Logf:           t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

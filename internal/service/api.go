@@ -174,12 +174,21 @@ type ErrorBody struct {
 // stateDumper is satisfied by controllers exposing WIRE run state.
 type stateDumper interface{ State() core.StateDump }
 
-// bufPool recycles the scratch buffers of writeJSON and readJSON. Buffers
-// that grew past maxPooledBuf (a one-off giant state dump) are dropped rather
-// than pinned in the pool.
+// bufPool recycles the scratch buffers of writeJSON, readJSON and the plan
+// path (request body, encoded response, framed WAL record). One shared pool
+// rather than per-session buffers, so idle sessions pin nothing. Buffers that
+// grew past maxPooledBuf (a one-off giant state dump) are dropped rather than
+// pinned in the pool.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-const maxPooledBuf = 1 << 20
+// maxPooledBuf is sized from the largest buffers the catalogue makes the plan
+// path hold, measured on Genome-L (4005 tasks, 22 plans) by
+// TestPlanRecordFramingMatchesEncoder: the posted snapshot reaches 1.11 MB,
+// the response 0.40 MB and the framed WAL record 1.11 MB — over the former
+// 1 MiB ceiling, under which the record buffer was allocated afresh on every
+// late plan of a session. With reserve's eighth to spare they stay under
+// 1.25 MB; 2 MiB leaves room for workflows half as large again.
+const maxPooledBuf = 2 << 20
 
 func getBuf() *bytes.Buffer {
 	buf := bufPool.Get().(*bytes.Buffer)
@@ -190,6 +199,16 @@ func getBuf() *bytes.Buffer {
 func putBuf(buf *bytes.Buffer) {
 	if buf.Cap() <= maxPooledBuf {
 		bufPool.Put(buf)
+	}
+}
+
+// reserve makes an empty pooled buffer hold n bytes without growing. Where
+// bytes.Buffer.Grow at least doubles a buffer it has to replace, reserve
+// allocates n and an eighth: consecutive plans of a session need slightly
+// more each time, and a megabyte buffer doubled is over maxPooledBuf.
+func reserve(buf *bytes.Buffer, n int) {
+	if buf.Cap() < n {
+		*buf = *bytes.NewBuffer(make([]byte, 0, n+n/8))
 	}
 }
 
@@ -207,7 +226,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	buf := getBuf()
 	defer putBuf(buf)
 	if a, ok := v.(jsonAppender); ok {
-		b, err := a.AppendJSON(buf.Bytes())
+		b, err := a.AppendJSON(buf.AvailableBuffer())
 		if err != nil {
 			s.metrics.EncodeError()
 			s.writeError(w, http.StatusInternalServerError, "encode_failed", "encoding response: %v", err)
@@ -222,10 +241,15 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 		s.writeError(w, http.StatusInternalServerError, "encode_failed", "encoding response: %v", err)
 		return
 	}
+	writeBody(w, status, buf.Bytes())
+}
+
+// writeBody sends an already-encoded JSON body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(body)
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
@@ -250,20 +274,25 @@ func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 // readSnapshot is readJSON specialized to the plan body: it decodes through
 // monitor.UnmarshalSnapshot directly, skipping json.Unmarshal's separate
 // whole-input validation pass — snapshots are by far the largest and most
-// frequent bodies the daemon sees.
-func (s *Server) readSnapshot(w http.ResponseWriter, r *http.Request, snap *monitor.Snapshot) bool {
+// frequent bodies the daemon sees. It also returns the body's length, the
+// journal's size hint for the re-encoded snapshot.
+func (s *Server) readSnapshot(w http.ResponseWriter, r *http.Request, snap *monitor.Snapshot) (size int, ok bool) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	buf := getBuf()
 	defer putBuf(buf)
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		// ReadFrom wants bytes.MinRead to spare to see EOF.
+		reserve(buf, int(n)+bytes.MinRead)
+	}
 	if _, err := buf.ReadFrom(r.Body); err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad_request", "invalid JSON body: %v", err)
-		return false
+		return 0, false
 	}
 	if err := monitor.UnmarshalSnapshot(buf.Bytes(), snap); err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad_request", "invalid JSON body: %v", err)
-		return false
+		return 0, false
 	}
-	return true
+	return buf.Len(), true
 }
 
 func (s *Server) sessionInfo(sess *Session) SessionInfo {
@@ -452,7 +481,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	// requests for one session are serial anyway (the controller is), and
 	// the reused Tasks backing array saves the dominant per-plan allocation.
 	// Nothing downstream retains the snapshot past the request — planStep
-	// reads it, the journal marshals it synchronously in append.
+	// reads it, the journal frames it into the plan record before unlock.
 	sess.mu.Lock()
 	if sess.gone {
 		// The session was exported to (or fenced off by) another shard after
@@ -465,7 +494,8 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := sess.resetSnapScratch()
-	if !s.readSnapshot(w, r, snap) {
+	snapSize, ok := s.readSnapshot(w, r, snap)
+	if !ok {
 		sess.mu.Unlock()
 		return
 	}
@@ -520,35 +550,55 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		Degraded:    degraded,
 		Predictions: preds,
 	}
+	// Encode the response once, under sess.mu: the same bytes close the WAL
+	// record and, after unlock, are the HTTP body.
+	body := getBuf()
+	defer putBuf(body)
+	reserve(body, resp.encodedSizeHint())
+	respJSON, encErr := resp.AppendJSON(body.AvailableBuffer())
+	*body = *bytes.NewBuffer(respJSON)
 	// Journal before releasing the response: any decision a client can
-	// have observed must be re-derivable after a crash.
-	lean := *snap
-	lean.Workflow = nil
-	if jerr := sess.wal.append(walRecord{Type: "plan", Seq: assigned, Snapshot: &lean, Response: resp}); jerr != nil {
-		if errors.Is(jerr, errFenced) {
-			// A peer adopted this session at a higher epoch while we were
-			// planning: this process is stale for it. The decision MUST be
-			// withheld — the adopter's WAL copy cannot contain it, so
-			// releasing it would fork the session's decision stream. Stop
-			// serving the session; the client's retry lands on the adopter.
-			wal := sess.wal
-			sess.wal = nil
-			sess.gone = true
-			tenant := sess.Tenant
-			sess.mu.Unlock()
-			wal.close(false)
-			s.store.Detach(sess.ID)
-			if tenant != "" {
-				s.tenants.Release(tenant)
-			}
-			s.metrics.SessionFenced()
-			s.cfg.Logf("wire-serve: session %s fenced by a newer adoption; withholding plan seq %d", sess.ID, assigned)
-			w.Header().Set("Retry-After", "1")
-			s.writeError(w, http.StatusServiceUnavailable, CodeSessionFenced,
-				"session %s was adopted by another shard; retry", sess.ID)
-			return
+	// have observed must be re-derivable after a crash. A response that
+	// does not encode reaches neither the journal nor the client.
+	jerr := encErr
+	if encErr == nil {
+		lean := *snap
+		lean.Workflow = nil
+		jerr = sess.wal.appendPlan(assigned, &lean, respJSON, snapSize)
+	}
+	switch {
+	case jerr == nil:
+	case errors.Is(jerr, errFenced):
+		// A peer adopted this session at a higher epoch while we were
+		// planning: this process is stale for it. The decision MUST be
+		// withheld — the adopter's WAL copy cannot contain it, so
+		// releasing it would fork the session's decision stream. Stop
+		// serving the session; the client's retry lands on the adopter.
+		wal := sess.wal
+		sess.wal = nil
+		sess.gone = true
+		tenant := sess.Tenant
+		sess.mu.Unlock()
+		wal.close(false)
+		s.store.Detach(sess.ID)
+		if tenant != "" {
+			s.tenants.Release(tenant)
 		}
-		s.cfg.Logf("wire-serve: journal append failed for session %s: %v", sess.ID, jerr)
+		s.metrics.SessionFenced()
+		s.cfg.Logf("wire-serve: session %s fenced by a newer adoption; withholding plan seq %d", sess.ID, assigned)
+		w.Header().Set("Retry-After", "1")
+		s.writeError(w, http.StatusServiceUnavailable, CodeSessionFenced,
+			"session %s was adopted by another shard; retry", sess.ID)
+		return
+	case errors.Is(jerr, errJournalBroken):
+		// The file can no longer be kept a run of whole records; appending
+		// on would strand every later record behind the damage. The session
+		// degrades to memory-only, like one whose journal never opened.
+		s.cfg.Logf("wire-serve: journal detached from session %s at plan seq %d: %v", sess.ID, assigned, jerr)
+		sess.wal.close(false)
+		sess.wal = nil
+	default:
+		s.cfg.Logf("wire-serve: journal append failed for session %s at plan seq %d: %v", sess.ID, assigned, jerr)
 	}
 	sess.lastSeq, sess.lastResp = assigned, resp
 	ten, tenOK := observeTenancy(sess, snap)
@@ -559,7 +609,14 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if degraded {
 		s.metrics.PlanDegraded()
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	if encErr != nil {
+		s.metrics.EncodeError()
+		s.writeError(w, http.StatusInternalServerError, "encode_failed", "encoding response: %v", encErr)
+		return
+	}
+	// Trailing newline matches json.Encoder's framing.
+	body.WriteByte('\n')
+	writeBody(w, http.StatusOK, body.Bytes())
 }
 
 // planStep advances the session's controller by one interval, degrading to

@@ -1,10 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"repro/internal/monitor"
 )
 
 // benchLoadgenSessions is the fixed session count of one benchmark
@@ -58,4 +61,71 @@ func BenchmarkMetricsObserveParallel(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// recordedPlan is one plan interval's journal inputs, privately owned.
+type recordedPlan struct {
+	snap     *monitor.Snapshot
+	resp     *PlanResponse
+	snapSize int
+}
+
+// BenchmarkJournalAppendPlan measures what one plan spends on its response
+// encoding and WAL append — the ledger's service.journal and response-encode
+// rows — replaying a recorded catalogue stream into a real journal file under
+// each fsync mode. B/op and allocs/op show whether the pooled buffers hold.
+func BenchmarkJournalAppendPlan(b *testing.B) {
+	for _, key := range []string{"genome-s", "genome-l"} {
+		var plans []recordedPlan
+		recordPlans(b, key, 1, func(seq int64, lean *monitor.Snapshot, resp *PlanResponse) {
+			// The simulator reuses its snapshot; keep a deep copy.
+			body, err := monitor.AppendSnapshotJSON(nil, lean)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cp := new(monitor.Snapshot)
+			if err := monitor.UnmarshalSnapshot(body, cp); err != nil {
+				b.Fatal(err)
+			}
+			plans = append(plans, recordedPlan{snap: cp, resp: resp, snapSize: len(body)})
+		})
+		for _, mode := range []string{FsyncOff, FsyncPerInterval, FsyncRecord} {
+			b.Run(key+"/"+mode, func(b *testing.B) {
+				srv := New(Config{JournalDir: b.TempDir(), FsyncMode: mode})
+				path := srv.journalPath("bench")
+				var j *journal
+				reopen := func() {
+					j.close(true)
+					var err error
+					if j, err = srv.openJournalAt(path, 0); err != nil {
+						b.Fatal(err)
+					}
+				}
+				reopen()
+				defer func() { j.close(true) }()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					p := &plans[i%len(plans)]
+					if i > 0 && i%len(plans) == 0 {
+						// One session's worth written; start the next file.
+						b.StopTimer()
+						reopen()
+						b.StartTimer()
+					}
+					body := getBuf()
+					reserve(body, p.resp.encodedSizeHint())
+					respJSON, err := p.resp.AppendJSON(body.AvailableBuffer())
+					if err != nil {
+						b.Fatal(err)
+					}
+					*body = *bytes.NewBuffer(respJSON)
+					if err := j.appendPlan(p.resp.Seq, p.snap, respJSON, p.snapSize); err != nil {
+						b.Fatal(err)
+					}
+					putBuf(body)
+				}
+			})
+		}
+	}
 }

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"os"
 	"time"
+
+	"repro/internal/chaos"
 )
 
 // ChaosCertConfig drives ChaosCertify: the chaos certificate run behind
@@ -20,10 +22,13 @@ type ChaosCertConfig struct {
 	// JournalDir holds the per-session WALs (default: a fresh temp dir,
 	// removed afterwards).
 	JournalDir string
-	// KillAfter abruptly kills the daemon this long into the run — open
-	// connections die mid-flight, no drain — and restarts it from the
-	// journal after Downtime. Zero skips the kill.
-	KillAfter time.Duration
+	// KillAfterPlans abruptly kills the daemon once it hosts a session and
+	// has served this many plans plus a jitter of up to as many again, drawn
+	// from the Loadgen chaos plan's seed — open connections die mid-flight,
+	// no drain — and restarts it from the journal after Downtime. Progress,
+	// not a timer, so the kill lands mid-run however fast planning is. Zero
+	// skips the kill.
+	KillAfterPlans int
 	// Downtime is how long the daemon stays dead (default 100ms).
 	Downtime time.Duration
 }
@@ -88,27 +93,44 @@ func ChaosCertify(ctx context.Context, cfg ChaosCertConfig) (*ChaosCertResult, e
 	}()
 
 	out := &ChaosCertResult{}
-	if cfg.KillAfter > 0 {
-		select {
-		case res := <-resc:
-			// The run outpaced the kill; certify without it.
-			out.LoadgenResult = res
-		case err := <-errc:
-			_ = hs.Close()
-			return nil, err
-		case <-time.After(cfg.KillAfter):
-			logf("chaos cert: killing daemon at %s (abrupt, no drain)", addr)
-			_ = hs.Close() // kills open connections mid-flight
-			time.Sleep(cfg.Downtime)
-			ln2, err := relisten(addr)
-			if err != nil {
-				return nil, fmt.Errorf("chaos cert: rebind %s: %w", addr, err)
+	if cfg.KillAfterPlans > 0 {
+		var plan chaos.Plan
+		if cfg.Loadgen.Chaos != nil {
+			plan = *cfg.Loadgen.Chaos
+		}
+		_, jitter := plan.ShardKillSchedule(1, cfg.KillAfterPlans)
+		killAt := int64(cfg.KillAfterPlans + jitter)
+		tick := time.NewTicker(2 * time.Millisecond)
+		defer tick.Stop()
+	killLoop:
+		for {
+			select {
+			case res := <-resc:
+				// The run outpaced the kill; certify without it.
+				out.LoadgenResult = res
+				break killLoop
+			case err := <-errc:
+				_ = hs.Close()
+				return nil, err
+			case <-tick.C:
+				served := srv.Metrics().Served("plan")
+				if served < killAt || srv.Store().Len() == 0 {
+					continue
+				}
+				logf("chaos cert: killing daemon at %s after %d plan(s) (abrupt, no drain)", addr, served)
+				_ = hs.Close() // kills open connections mid-flight
+				time.Sleep(cfg.Downtime)
+				ln2, err := relisten(addr)
+				if err != nil {
+					return nil, fmt.Errorf("chaos cert: rebind %s: %w", addr, err)
+				}
+				srv = New(cfg.Server) // rebuilds the session store from WALs
+				hs = &http.Server{Handler: srv.Handler()}
+				go func() { _ = hs.Serve(ln2) }()
+				out.Killed = true
+				logf("chaos cert: daemon restarted with %d recovered session(s)", srv.Store().Len())
+				break killLoop
 			}
-			srv = New(cfg.Server) // rebuilds the session store from WALs
-			hs = &http.Server{Handler: srv.Handler()}
-			go func() { _ = hs.Serve(ln2) }()
-			out.Killed = true
-			logf("chaos cert: daemon restarted with %d recovered session(s)", srv.Store().Len())
 		}
 	}
 	if out.LoadgenResult == nil {

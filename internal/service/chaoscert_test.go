@@ -35,7 +35,7 @@ func TestChaosCertifyKillRestart(t *testing.T) {
 	res, err := ChaosCertify(context.Background(), ChaosCertConfig{
 		Loadgen: LoadgenConfig{
 			Sessions:    10,
-			Concurrency: 2, // stretches the wall clock so the kill lands mid-run
+			Concurrency: 2, // most sessions still to come when the kill lands
 			Policy:      "wire",
 			// 300s tasks make WIRE scale the pool up, so every session
 			// issues elastic launch orders for the cloud faults to hit.
@@ -48,8 +48,8 @@ func TestChaosCertifyKillRestart(t *testing.T) {
 			Chaos:    plan,
 			Verify:   true,
 		},
-		KillAfter: 150 * time.Millisecond,
-		Downtime:  50 * time.Millisecond,
+		KillAfterPlans: 20,
+		Downtime:       50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,11 @@ import (
 // MarshalJSON implements json.Marshaler, byte-identical to the stock
 // encoding of the same struct.
 func (r *PlanResponse) MarshalJSON() ([]byte, error) {
-	return r.AppendJSON(make([]byte, 0, 160+len(r.Predictions)*96))
+	return r.AppendJSON(make([]byte, 0, r.encodedSizeHint()))
+}
+
+func (r *PlanResponse) encodedSizeHint() int {
+	return 160 + len(r.Predictions)*96
 }
 
 // AppendJSON appends r encoded as JSON to dst, for callers with a reusable

@@ -1,0 +1,196 @@
+package service
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"flag"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"repro/internal/cloud"
+	"repro/internal/core"
+	"repro/internal/dag"
+	"repro/internal/dagio"
+	"repro/internal/monitor"
+	"repro/internal/sim"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.wal from the current write path")
+
+// goldenWAL is the checked-in session log — create, three plans, one of them
+// degraded — that pins the WAL format from both sides: this package's write
+// path must reproduce it byte for byte, and internal/audit's independent
+// decoder reads the same file (TestGoldenWAL there).
+const (
+	goldenWAL     = "testdata/golden.wal"
+	goldenSession = "golden-session-01"
+)
+
+// crashOnce is a WIRE controller that panics on its at-th plan, which the
+// session answers with a degraded decision.
+type crashOnce struct {
+	sim.Controller
+	at, calls int
+}
+
+func (c *crashOnce) Plan(snap *monitor.Snapshot) sim.Decision {
+	c.calls++
+	if c.calls == c.at {
+		panic("golden: synthetic controller crash")
+	}
+	return c.Controller.Plan(snap)
+}
+
+func (c *crashOnce) State() core.StateDump { return c.Controller.(stateDumper).State() }
+
+// goldenSnapshots is a short hand-made run of the fan workflow: everything
+// ready, the root running, the root done with the fan running.
+func goldenSnapshots(wf *dag.Workflow) []*monitor.Snapshot {
+	first := readySnapshot(wf)
+	for i := 1; i < len(first.Tasks); i++ {
+		first.Tasks[i].State = monitor.Blocked
+	}
+	second := *first
+	second.Now = 120
+	second.Tasks = append([]monitor.TaskRecord(nil), first.Tasks...)
+	second.Tasks[0].State, second.Tasks[0].StartedAt, second.Tasks[0].Elapsed = monitor.Running, 70, 50
+	second.Instances = []monitor.InstanceRecord{
+		{ID: 0, State: cloud.Active, Slots: 2, TimeToNextCharge: 180, Running: []dag.TaskID{0}},
+		{ID: 1, State: cloud.Pending, Slots: 2, RequestedAt: 60},
+	}
+	third := second
+	third.Now = 180
+	third.Tasks = append([]monitor.TaskRecord(nil), second.Tasks...)
+	third.Tasks[0] = monitor.TaskRecord{ID: 0, Stage: 0, State: monitor.Completed, InputSize: second.Tasks[0].InputSize,
+		StartedAt: 70, TransferObserved: true, TransferTime: 1.5, CompletedAt: 95.25, ExecTime: 23.75}
+	for i := 1; i <= 4; i++ {
+		third.Tasks[i].State, third.Tasks[i].ReadyAt = monitor.Ready, 95.25
+	}
+	third.Instances = []monitor.InstanceRecord{
+		{ID: 0, State: cloud.Active, Slots: 2, TimeToNextCharge: 120},
+		{ID: 1, State: cloud.Active, Slots: 2, RequestedAt: 60, ActiveAt: 120, TimeToNextCharge: 240},
+	}
+	third.RecentTransfers = []float64{1.5}
+	return []*monitor.Snapshot{first, &second, &third}
+}
+
+// writeGoldenSession drives the golden session through a daemon journaling
+// into dir and returns the WAL it wrote.
+func writeGoldenSession(t *testing.T, dir string) []byte {
+	t.Helper()
+	clock := func() time.Time { return time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC) }
+	srv := New(Config{JournalDir: dir, ShardMode: true, Clock: clock})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	wf := fanWorkflow()
+
+	create, err := json.Marshal(CreateSessionRequest{
+		Workflow:   dagio.Encode(wf),
+		Controller: &ControllerSpec{MinPool: 1},
+		Tenant:     "acme",
+		DeadlineS:  3600,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/sessions", bytes.NewReader(create))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(SessionIDHeader, goldenSession)
+	res, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusCreated {
+		t.Fatalf("create: HTTP %d", res.StatusCode)
+	}
+	sess, err := srv.Store().Get(goldenSession)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.mu.Lock()
+	sess.ctrl = &crashOnce{Controller: sess.ctrl, at: 2}
+	sess.mu.Unlock()
+
+	client := NewClient(ts.URL)
+	for i, snap := range goldenSnapshots(wf) {
+		resp, err := client.Plan(context.Background(), goldenSession, int64(i+1), snap)
+		if err != nil {
+			t.Fatalf("seq %d: %v", i+1, err)
+		}
+		if resp.Degraded != (i+1 == 2) {
+			t.Fatalf("seq %d: degraded = %v", i+1, resp.Degraded)
+		}
+	}
+	data, err := os.ReadFile(filepath.Join(dir, goldenSession+".wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestGoldenWAL holds the write path to the checked-in log, byte for byte,
+// holds the plan framer to each of its plan lines, and replays it.
+func TestGoldenWAL(t *testing.T) {
+	got := writeGoldenSession(t, t.TempDir())
+	if *updateGolden {
+		if err := os.WriteFile(goldenWAL, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(goldenWAL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the write path no longer produces %s (rerun with -update only if the format was meant to change)\ngot:  %s\nwant: %s",
+			goldenWAL, firstDiff(got, want), firstDiff(want, got))
+	}
+
+	lines := bytes.SplitAfter(want, []byte{'\n'})
+	if len(lines) != 5 || len(lines[4]) != 0 {
+		t.Fatalf("golden WAL has %d line(s), want create + 3 plans, newline-terminated", len(lines)-1)
+	}
+	var last *PlanResponse
+	for i, line := range lines[1:4] {
+		var rec walRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("plan line %d: %v", i+1, err)
+		}
+		respJSON, err := rec.Response.AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		framed, err := appendPlanRecord(nil, rec.Seq, rec.Snapshot, respJSON)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(framed, line) {
+			t.Errorf("plan line %d does not survive decode and re-framing\ngot:  %s\nwant: %s", i+1, firstDiff(framed, line), firstDiff(line, framed))
+		}
+		last = rec.Response
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, goldenSession+".wal"), want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, client := newTestServer(t, Config{JournalDir: dir})
+	if srv.Store().Len() != 1 {
+		t.Fatalf("replayed %d session(s) from the golden WAL, want 1", srv.Store().Len())
+	}
+	retried, err := client.Plan(context.Background(), goldenSession, 3, goldenSnapshots(fanWorkflow())[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if retried.Iteration != last.Iteration || !sameDecision(retried.Decision, last.Decision) || len(retried.Predictions) != len(last.Predictions) {
+		t.Errorf("replayed cache answers seq 3 with %+v, the log recorded %+v", retried, last)
+	}
+}

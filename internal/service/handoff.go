@@ -20,10 +20,10 @@ package service
 //
 // Fencing closes the double-serve race with a process that still holds the
 // source WAL (a shard wrongly declared dead, or a drained shard that was
-// restarted from a stale snapshot of the world): journal.append re-reads the
-// fence after every synced write, so a stale writer either appended before
-// the fence landed — in which case the copy includes the record and the
-// adopter replays it — or it observes the fence and withholds the decision.
+// restarted from a stale snapshot of the world): journal.appendBytes re-reads
+// the fence after every synced write, so a stale writer either appended
+// before the fence landed — in which case the copy includes the record and
+// the adopter replays it — or it observes the fence and withholds the decision.
 // A record can never be released to a client by the stale process and be
 // absent from the adopter's copy. Startup recovery skips fenced WALs, so a
 // restarted shard re-enters the cluster empty instead of resurrecting
@@ -45,7 +45,7 @@ import (
 	"strings"
 )
 
-// errFenced is returned by journal.append when a peer has claimed the
+// errFenced is returned by journal.appendBytes when a peer has claimed the
 // session's WAL at a higher epoch: this process is stale for the session and
 // must withhold the decision.
 var errFenced = errors.New("service: session journal fenced by a newer adoption")
@@ -302,7 +302,8 @@ func (s *Server) adoptWAL(src string, epoch int64, from string) (total, fresh in
 	// copy of this session is AHEAD of the migrated one, ours is the live
 	// lineage and the incoming file is a stale orphan — recover ours
 	// instead of overwriting it.
-	if dstSeq := walLastSeq(dst); dstSeq > walLastSeq(src) {
+	// (A missing or create-only local slot is never ahead; src is not read.)
+	if dstSeq := walLastSeq(dst); dstSeq > 0 && dstSeq > walLastSeq(src) {
 		s.cfg.Logf("wire-serve: adopt: session %s: local journal copy (seq %d) is ahead of the migrated one; recovering local, fencing the stale source", id, dstSeq)
 		if err := writeFence(src, epoch, from); err != nil {
 			s.cfg.Logf("wire-serve: adopt: session %s: fencing stale source: %v", id, err)
@@ -324,7 +325,7 @@ func (s *Server) adoptWAL(src string, epoch int64, from string) (total, fresh in
 		return 1, 1
 	}
 	// Fence FIRST, copy SECOND — the ordering the stale-writer check in
-	// journal.append relies on.
+	// journal.appendBytes relies on.
 	if err := writeFence(src, epoch, from); err != nil {
 		s.cfg.Logf("wire-serve: adopt: session %s: fencing: %v", id, err)
 		return 0, 0
@@ -356,7 +357,8 @@ func (s *Server) adoptWAL(src string, epoch int64, from string) (total, fresh in
 // walLastSeq scans a WAL and returns the highest plan sequence it records —
 // 0 for a create-only, missing, or unreadable file. Conservative on errors:
 // an unreadable migrated copy must never displace a live session, and a
-// missing local slot never blocks an adoption.
+// missing local slot never blocks an adoption. It decodes type and seq only:
+// the snapshots and responses are syntax-checked but never materialized.
 func walLastSeq(path string) int64 {
 	f, err := os.Open(path)
 	if err != nil {
@@ -366,7 +368,10 @@ func walLastSeq(path string) int64 {
 	dec := json.NewDecoder(f)
 	var last int64
 	for {
-		var rec walRecord
+		var rec struct {
+			Type string `json:"type"`
+			Seq  int64  `json:"seq"`
+		}
 		if err := dec.Decode(&rec); err != nil {
 			return last
 		}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/dagio"
+	"repro/internal/jsonlite"
 	"repro/internal/monitor"
 	"repro/internal/sim"
 )
@@ -26,6 +28,9 @@ import (
 // walRecord is one journal line. Type "create" opens the log and carries
 // everything needed to rebuild the controller; each "plan" carries the
 // snapshot that advanced it and the response that was (about to be) served.
+// Replay decodes both kinds into it, but only the create record is written by
+// marshalling it: plan records are framed by appendPlanRecord, which is held
+// to this struct's encoding byte for byte.
 type walRecord struct {
 	Type string `json:"type"`
 
@@ -59,13 +64,35 @@ const (
 	FsyncOff = "off"
 )
 
-// journal is one session's WAL handle. It has its own mutex: appends run
-// under the session mutex, but Close races with in-flight plans when a
-// session is deleted.
+// walFile is the part of *os.File the journal uses; tests substitute a file
+// whose writes fail or come up short.
+type walFile interface {
+	io.Writer
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
+// errJournalBroken is returned by journal.appendBytes when the WAL can no
+// longer be kept a clean sequence of whole records — a failed write could not
+// be truncated away, or two appends in a row failed. The caller detaches the
+// journal; the session carries on in memory only.
+var errJournalBroken = errors.New("service: session journal unusable")
+
+// journal is one session's WAL handle. The session mutex serializes its use:
+// appends run under it, and whoever closes the handle first detaches it from
+// the session under the same mutex (takeWAL), so a delete waits out an
+// in-flight plan.
 type journal struct {
 	path string
-	f    *os.File
-	enc  *json.Encoder
+	f    walFile
+	// size is the file's length after the last whole record: where the next
+	// record starts, and what a failed write is truncated back to.
+	size int64
+	// pending is the one record whose write failed (and was truncated away);
+	// the next append writes it first, so the log has no hole once the disk
+	// recovers.
+	pending []byte
 	// claimEpoch is the fencing epoch this WAL was opened (or adopted) at;
 	// a fence file bearing a strictly higher epoch means a peer has since
 	// claimed the session and this handle belongs to a stale process.
@@ -81,11 +108,40 @@ type journal struct {
 }
 
 func openJournal(path string) (*journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	return &journal{path: path, f: f, enc: json.NewEncoder(f), mode: FsyncRecord}, nil
+	size, err := endOnNewline(f)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &journal{path: path, f: f, size: size, mode: FsyncRecord}, nil
+}
+
+// endOnNewline returns the file's length, first terminating a last record
+// that lacks its newline: replay cuts a torn tail back to the end of the last
+// whole record, which is before that record's newline, and a crash can fall
+// between the two. The next record must still start its own line — the
+// auditor reads the log line by line.
+func endOnNewline(f *os.File) (size int64, err error) {
+	st, err := f.Stat()
+	if err != nil || st.Size() == 0 {
+		return 0, err
+	}
+	size = st.Size()
+	var last [1]byte
+	if _, err := f.ReadAt(last[:], size-1); err != nil {
+		return 0, err
+	}
+	if last[0] != '\n' {
+		if _, err := f.Write([]byte{'\n'}); err != nil {
+			return 0, err
+		}
+		size++
+	}
+	return size, nil
 }
 
 // openJournalAt opens a WAL carrying the server's fencing posture: the claim
@@ -117,20 +173,38 @@ func (j *journal) sync() error {
 	return j.f.Sync()
 }
 
-// append writes one record and syncs it to stable storage. In shard mode it
-// re-reads the session's fence file AFTER the sync: an adopter fences first
-// and copies the WAL second, so a stale writer that raced the handoff either
-// appended before the fence landed (the copy includes the record) or sees
-// the fence here and gets errFenced — in which case the caller must withhold
-// the decision, because the adopter's copy cannot contain it.
-func (j *journal) append(rec walRecord) error {
+// appendBytes is the journal's one write primitive: it writes rec — whole
+// records, each ending in '\n' — with a single Write and syncs it per the
+// fsync policy. In shard mode it re-reads the session's fence file AFTER the
+// sync: an adopter fences first and copies the WAL second, so a stale writer
+// that raced the handoff either appended before the fence landed (the copy
+// includes the record) or sees the fence here and gets errFenced — in which
+// case the caller must withhold the decision, because the adopter's copy
+// cannot contain it.
+//
+// A failed or short write is truncated away, so the file stays a sequence of
+// whole records and later appends are not stranded behind garbage that replay
+// would cut off together with everything after it. The record itself is kept
+// and written ahead of the next append. When that fails too, or the truncate
+// does, the error wraps errJournalBroken.
+func (j *journal) appendBytes(rec []byte) error {
 	if j == nil {
 		return nil
 	}
 	if j.checkFence && fencedPast(j.path, j.claimEpoch) {
 		return errFenced
 	}
-	if err := j.enc.Encode(rec); err != nil {
+	if len(j.pending) > 0 {
+		if err := j.write(j.pending); err != nil {
+			return fmt.Errorf("%w: second failed append in a row: %v", errJournalBroken, err)
+		}
+		j.pending = nil
+	}
+	if err := j.write(rec); err != nil {
+		if !errors.Is(err, errJournalBroken) {
+			// rec is the caller's pooled buffer; keep a copy.
+			j.pending = append([]byte(nil), rec...)
+		}
 		return err
 	}
 	if err := j.sync(); err != nil {
@@ -142,6 +216,72 @@ func (j *journal) append(rec walRecord) error {
 	return nil
 }
 
+// write issues the one Write of b and cuts a partial write back off the file.
+func (j *journal) write(b []byte) error {
+	n, err := j.f.Write(b)
+	if err == nil {
+		j.size += int64(n)
+		return nil
+	}
+	if terr := j.f.Truncate(j.size); terr != nil {
+		return fmt.Errorf("%w: write: %v; truncating back to offset %d: %v", errJournalBroken, err, j.size, terr)
+	}
+	return err
+}
+
+// appendCreate journals the record that opens a WAL.
+func (j *journal) appendCreate(rec walRecord) error {
+	b, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	return j.appendBytes(append(b, '\n'))
+}
+
+// appendPlan journals one plan interval: the record is framed in a pooled
+// buffer around respJSON, the response's encoding that also becomes the HTTP
+// body, so each plan is encoded once. snapSize is the posted snapshot's body
+// length, which the re-encoded snapshot equals for any client using this
+// repo's encoder; reserving the buffer from it keeps the frame from growing
+// by doubling past the pool ceiling.
+func (j *journal) appendPlan(seq int64, snap *monitor.Snapshot, respJSON []byte, snapSize int) error {
+	if j == nil {
+		return nil
+	}
+	buf := getBuf()
+	defer putBuf(buf)
+	reserve(buf, planRecordOverhead+snapSize+len(respJSON))
+	rec, err := appendPlanRecord(buf.AvailableBuffer(), seq, snap, respJSON)
+	*buf = *bytes.NewBuffer(rec)
+	if err != nil {
+		return err
+	}
+	return j.appendBytes(rec)
+}
+
+// planRecordOverhead bounds what appendPlanRecord adds around the snapshot
+// and the response.
+const planRecordOverhead = 128
+
+// appendPlanRecord appends one plan record line to dst, byte for byte what
+// json.Encoder.Encode(walRecord{Type: "plan", Seq: seq, Snapshot: snap,
+// Response: r}) writes when respJSON is r's encoding: that equality is the
+// WAL format contract (DESIGN.md) and what the differential and fuzz tests
+// pin. The create-only fields are omitempty and vanish; created_at is not,
+// so every plan record carries the zero time.
+func appendPlanRecord(dst []byte, seq int64, snap *monitor.Snapshot, respJSON []byte) ([]byte, error) {
+	dst = append(dst, `{"type":"plan","created_at":"0001-01-01T00:00:00Z"`...)
+	if seq != 0 {
+		dst = append(dst, `,"seq":`...)
+		dst = jsonlite.AppendInt(dst, seq)
+	}
+	dst = append(dst, `,"snapshot":`...)
+	dst, err := monitor.AppendSnapshotJSON(dst, snap)
+	dst = append(dst, `,"response":`...)
+	dst = append(dst, respJSON...)
+	return append(dst, '}', '\n'), err
+}
+
 // close closes the file, removing it when remove is set (deleted sessions
 // must not resurrect on restart). A kept file is synced first, so the
 // per-interval and off modes leave nothing in flight on a clean shutdown.
@@ -150,6 +290,11 @@ func (j *journal) close(remove bool) {
 		return
 	}
 	if !remove {
+		if len(j.pending) > 0 {
+			// Last chance for a record a failed write left behind; the fence
+			// checks apply as to any append.
+			_ = j.appendBytes(nil)
+		}
 		_ = j.f.Sync()
 	}
 	_ = j.f.Close()
@@ -188,7 +333,7 @@ func (s *Server) openSessionJournal(sess *Session, req *CreateSessionRequest) {
 		DeadlineS:  req.DeadlineS,
 		CreatedAt:  sess.CreatedAt(),
 	}
-	if err := j.append(rec); err != nil {
+	if err := j.appendCreate(rec); err != nil {
 		s.cfg.Logf("wire-serve: journal disabled for session %s: %v", sess.ID, err)
 		j.close(true)
 		return

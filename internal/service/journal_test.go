@@ -169,12 +169,21 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	if state.Plans != 2 {
 		t.Errorf("recovered %d intervals, want the 2 complete ones", state.Plans)
 	}
-	// Every surviving line is valid JSON: the torn tail is gone.
+	// The truncation point is the end of record 2, before its newline; the
+	// next record must start a line of its own all the same.
+	if _, err := c2.Plan(ctx, info.ID, 3, snap); err != nil {
+		t.Fatal(err)
+	}
+	// Every surviving line is one whole record: the torn tail is gone.
 	data, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, line := range splitLines(data) {
+	lines := splitLines(data)
+	if len(lines) != 4 {
+		t.Fatalf("%d lines after recovery and one more plan, want create + 3 plans", len(lines))
+	}
+	for i, line := range lines {
 		var rec walRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
 			t.Fatalf("line %d still torn after recovery: %v", i, err)

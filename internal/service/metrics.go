@@ -141,6 +141,12 @@ func (m *Metrics) Observe(endpoint string, d time.Duration, isError bool) {
 	em.mu.Unlock()
 }
 
+// Served returns how many requests an endpoint has answered. The kill
+// certificates trigger on plans served, not on a timer.
+func (m *Metrics) Served(endpoint string) int64 {
+	return m.endpoint(endpoint).count.Load()
+}
+
 // LatencySummary reports quantiles over a latency sample, in milliseconds.
 type LatencySummary struct {
 	Samples int     `json:"samples"`
