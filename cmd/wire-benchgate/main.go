@@ -29,9 +29,12 @@ import (
 )
 
 // defaultGate covers the plan-step hot path (BenchmarkTable1 runs the full
-// MAPE loop over the paper's Table I workloads) and the live dispatcher's
-// lease protocol benches.
-const defaultGate = "BenchmarkTable1,BenchmarkLeaseProtocol,BenchmarkRunStatus,BenchmarkJournalReplay"
+// MAPE loop over the paper's Table I workloads), the live dispatcher's lease
+// protocol benches, and the journal: live-run replay and the session WAL's
+// plan append under each fsync mode.
+const defaultGate = "BenchmarkTable1,BenchmarkLeaseProtocol,BenchmarkRunStatus,BenchmarkJournalReplay," +
+	"BenchmarkJournalAppendPlan/genome-s/off,BenchmarkJournalAppendPlan/genome-s/interval,BenchmarkJournalAppendPlan/genome-s/record," +
+	"BenchmarkJournalAppendPlan/genome-l/off,BenchmarkJournalAppendPlan/genome-l/interval,BenchmarkJournalAppendPlan/genome-l/record"
 
 func main() {
 	baseline := flag.String("baseline", "BENCH_baseline.json", "baseline document to gate against")

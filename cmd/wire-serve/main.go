@@ -146,7 +146,7 @@ func runServe(args []string) error {
 	grace := fs.Duration("grace", 10*time.Second, "shutdown drain bound for HTTP requests")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "shutdown drain bound for in-flight agent leases")
 	journal := fs.String("journal", "", "crash-recovery journal directory (empty = journaling off)")
-	fsyncMode := fs.String("journal-fsync", service.FsyncPerInterval, "WAL durability: record (fsync every append) | interval (at most once per -journal-fsync-interval) | off")
+	fsyncMode := fs.String("journal-fsync", service.FsyncPerInterval, "journal durability, session WALs and live-run journals alike: record (fsync every append) | interval (at most once per -journal-fsync-interval) | off")
 	fsyncInterval := fs.Duration("journal-fsync-interval", 100*time.Millisecond, "sync period for -journal-fsync interval")
 	liveRuns := fs.Int("live-max-runs", 8, "concurrent live execution runs (-1 = live plane off)")
 	shardMode := fs.Bool("shard", false, "session-shard mode: honor router-assigned session IDs and serve the /v1/admin handoff endpoints")

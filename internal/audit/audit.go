@@ -404,12 +404,7 @@ func auditLeases(rep *Report, files []string) error {
 	}
 	leases := map[int64]*leaseState{}
 	for _, path := range files {
-		f, err := os.Open(path)
-		if err != nil {
-			return fmt.Errorf("audit: %w", err)
-		}
-		recs, err := exec.ReadRecords(f)
-		f.Close()
+		recs, _, err := exec.ReadJournal(path)
 		if err != nil {
 			return fmt.Errorf("audit: %s: %w", path, err)
 		}

@@ -133,3 +133,45 @@ func TestGoldenWAL(t *testing.T) {
 		t.Errorf("acme spend %v units, want (60+120+120)/300 = 1", spend)
 	}
 }
+
+// TestGoldenLiveJournal reads the live-run journal checked in beside the exec
+// package (which asserts that its write path still produces it byte for byte)
+// through the lease check: the same arrangement TestGoldenWAL gives the
+// session schema.
+func TestGoldenLiveJournal(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("..", "exec", "testdata", "golden.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "live-golden.jsonl"), golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(Config{Dirs: []string{dir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean() || rep.LiveRecords != 15 {
+		t.Fatalf("audit of the golden live journal: %d record(s), violations %+v", rep.LiveRecords, rep.Violations)
+	}
+	// Leases 1 and 3 complete, 2 is superseded by its speculative duplicate,
+	// 4 is reclaimed, 5 is held when the log ends.
+	if want := (LeaseTotals{Granted: 5, Completed: 2, Reclaimed: 1, Superseded: 1, Outstanding: 1}); rep.Leases != want {
+		t.Fatalf("lease totals %+v, want %+v", rep.Leases, want)
+	}
+
+	// The same log with lease 1 granted twice must trip the check: the golden
+	// passes because the auditor reads it, not because it reads nothing.
+	lines := strings.SplitAfter(string(golden), "\n")
+	forged := strings.Join(append(lines[:6:6], append([]string{lines[5]}, lines[6:]...)...), "")
+	if err := os.WriteFile(filepath.Join(dir, "live-golden.jsonl"), []byte(forged), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err = Run(Config{Dirs: []string{dir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Violations) != 1 || rep.Violations[0].Check != "lease_identity" {
+		t.Fatalf("a doubled lease grant was reported as %+v", rep.Violations)
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/simtime"
+	"repro/internal/wal"
 )
 
 // Errors returned by the dispatcher's protocol methods.
@@ -316,7 +317,22 @@ func (d *Dispatcher) journalLocked(r Record) {
 	d.recSeq++
 	r.Seq = d.recSeq
 	r.WallMs = d.cfg.now().Sub(d.createdWall).Milliseconds()
-	d.cfg.Journal.Append(r)
+	err := d.cfg.Journal.Append(r)
+	if err == nil {
+		return
+	}
+	// Recovery rebuilds leases, retry budgets and billing from this file, so
+	// a record that did not reach it is reported, never dropped in silence.
+	d.counters.JournalErrors++
+	if d.counters.JournalErrors == 1 {
+		d.cfg.Logf("exec: journal append failed at record %d (%s): %v", r.Seq, r.Kind, err)
+	}
+	if errors.Is(err, wal.ErrBroken) {
+		// The file can no longer be kept a run of whole records; the run
+		// carries on in memory, like one whose journal never opened.
+		d.cfg.Logf("exec: journal detached at record %d: %v", r.Seq, err)
+		d.cfg.Journal = nil
+	}
 }
 
 // notifyLocked wakes every parked long-poll.

@@ -322,6 +322,11 @@ type Counters struct {
 	// AgentsBlacklisted counts health-score blacklist decisions (an agent
 	// re-blacklisted after cooldown counts again).
 	AgentsBlacklisted int64 `json:"blacklisted_agents"`
+
+	// JournalErrors counts journal appends that returned an error: records
+	// that reached the file late (the next append repairs a failed write) or,
+	// once the journal is detached as unusable, not at all.
+	JournalErrors int64 `json:"journal_errors"`
 }
 
 // Add accumulates another counter set (the registry aggregates across runs).
@@ -340,4 +345,5 @@ func (c *Counters) Add(o Counters) {
 	c.SpeculationsWon += o.SpeculationsWon
 	c.SpeculationsWasted += o.SpeculationsWasted
 	c.AgentsBlacklisted += o.AgentsBlacklisted
+	c.JournalErrors += o.JournalErrors
 }

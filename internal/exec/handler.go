@@ -18,6 +18,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/dagio"
 	"repro/internal/sim"
+	"repro/internal/wal"
 	"repro/internal/workloads"
 )
 
@@ -35,6 +36,10 @@ type RegistryConfig struct {
 	// JournalDir, when set, gives every run a JSONL agent-event journal at
 	// <dir>/live-<id>.jsonl.
 	JournalDir string
+	// Sync is the journals' fsync policy (the zero value syncs every record).
+	// Records are appended under the dispatcher lock, so under wal.SyncRecord
+	// that lock is held across one fsync per record.
+	Sync wal.Policy
 	// Logf, when set, receives operational log lines.
 	Logf func(format string, args ...any)
 }
@@ -307,7 +312,7 @@ func (g *Registry) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	var sink *FileSink
 	if g.cfg.JournalDir != "" {
-		sink, err = NewFileSink(filepath.Join(g.cfg.JournalDir, id+".jsonl"))
+		sink, err = NewFileSink(filepath.Join(g.cfg.JournalDir, id+".jsonl"), g.cfg.Sync)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "internal", "journal: %v", err)
 			return

@@ -1,15 +1,13 @@
 package exec
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"sync"
 
 	"repro/internal/dag"
 	"repro/internal/simtime"
+	"repro/internal/wal"
 )
 
 // Journal record kinds. One record is appended per agent/lease/instance
@@ -77,9 +75,11 @@ type Record struct {
 }
 
 // RecordSink receives journal records. Append is called under the dispatcher
-// lock and must not block for long or call back into the dispatcher.
+// lock and must not block for long or call back into the dispatcher. An error
+// means the record may not be in the journal; one wrapping wal.ErrBroken means
+// no later record can be either, and the dispatcher stops journaling.
 type RecordSink interface {
-	Append(Record)
+	Append(Record) error
 }
 
 // MemorySink accumulates records in memory (tests, replay verification).
@@ -89,10 +89,11 @@ type MemorySink struct {
 }
 
 // Append implements RecordSink.
-func (m *MemorySink) Append(r Record) {
+func (m *MemorySink) Append(r Record) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.recs = append(m.recs, r)
+	return nil
 }
 
 // Records returns a copy of the accumulated records.
@@ -104,110 +105,59 @@ func (m *MemorySink) Records() []Record {
 	return out
 }
 
-// FileSink appends records as JSON lines, one per record, flushed on every
-// append (the same write-ahead discipline as the service session journal).
+// FileSink is a run's journal file: one JSON line per record in a wal.Log,
+// which brings the single-write framing, the fsync policy, failed-write repair
+// and torn-tail recovery the session WAL has.
 type FileSink struct {
-	mu sync.Mutex
-	w  *bufio.Writer
-	f  *os.File
+	mu  sync.Mutex
+	log *wal.Log
 }
 
-// NewFileSink creates (or truncates) path.
-func NewFileSink(path string) (*FileSink, error) {
-	f, err := os.Create(path)
+// NewFileSink opens the journal at path for appending, creating it for a new
+// run. A recovered run's journal is first cut (wal.Cut) at the offset
+// ReadJournal reported: records appended behind a torn tail would be
+// unreadable — replay stops at the first undecodable line — and a second
+// crash would lose the whole recovered tail.
+func NewFileSink(path string, sync wal.Policy) (*FileSink, error) {
+	l, err := wal.Open(path, sync, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &FileSink{f: f, w: bufio.NewWriter(f)}, nil
+	return &FileSink{log: l}, nil
 }
 
-// OpenFileSink opens an existing journal for appending, first truncating any
-// torn trailing line (a partial write at crash). Without the truncation, new
-// records appended after the torn fragment would be unreadable — ReadRecords
-// stops at the first undecodable line — so a second crash would lose the
-// entire recovered tail.
-func OpenFileSink(path string) (*FileSink, error) {
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, err
-	}
-	valid := int64(0)
-	for off := 0; off < len(data); {
-		nl := off
-		for nl < len(data) && data[nl] != '\n' {
-			nl++
-		}
-		if nl == len(data) {
-			break // unterminated tail, torn by definition
-		}
-		line := data[off:nl]
-		if len(line) > 0 {
-			var rec Record
-			if err := json.Unmarshal(line, &rec); err != nil {
-				break
-			}
-		}
-		valid = int64(nl + 1)
-		off = nl + 1
-	}
-	if valid < int64(len(data)) {
-		if err := os.Truncate(path, valid); err != nil {
-			return nil, err
-		}
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &FileSink{f: f, w: bufio.NewWriter(f)}, nil
-}
-
-// Append implements RecordSink. Encoding errors are impossible for Record;
-// write errors are swallowed (journaling is best-effort observability, not a
-// correctness dependency of the live run).
-func (s *FileSink) Append(r Record) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// Append implements RecordSink.
+func (s *FileSink) Append(r Record) error {
 	b, err := json.Marshal(r)
 	if err != nil {
-		return
+		return err
 	}
-	s.w.Write(b)
-	s.w.WriteByte('\n')
-	s.w.Flush()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.log.Append(append(b, '\n'))
 }
 
-// Close flushes and closes the file.
+// Close syncs and closes the file.
 func (s *FileSink) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.w.Flush()
-	return s.f.Close()
+	return s.log.Close(true)
 }
 
-// ReadRecords decodes a JSONL journal stream. A torn trailing line (partial
-// write at crash) is ignored, matching the service journal's replay rules.
-func ReadRecords(r io.Reader) ([]Record, error) {
-	var out []Record
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+// ReadJournal decodes the journal file at path and reports the offset after
+// its last whole record, which is where recovery resumes it. It stops at
+// the first line that is not a whole record — a torn tail (partial write at
+// crash), or a corrupt record mid-file, which surfaces as a shorter journal.
+func ReadJournal(path string) (recs []Record, end int64, err error) {
+	end, _, err = wal.Replay(path, func(line []byte) error {
 		var rec Record
 		if err := json.Unmarshal(line, &rec); err != nil {
-			// Torn tail: stop here. A corrupt record mid-stream would
-			// also stop the replay, surfacing as a shorter journal.
-			break
+			return err
 		}
-		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return out, err
-	}
-	return out, nil
+		recs = append(recs, rec)
+		return nil
+	})
+	return recs, end, err
 }
 
 // AssignmentState is the task→agent assignment picture at one instant,

@@ -5,11 +5,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/wal"
 )
 
 func TestFileSinkRoundTripAndTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
-	sink, err := NewFileSink(path)
+	sink, err := NewFileSink(path, wal.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +21,9 @@ func TestFileSinkRoundTripAndTornTail(t *testing.T) {
 		{Seq: 3, Kind: RecLeaseGranted, Agent: "a1", Lease: int64Ptr(1), Task: intPtr(0)},
 	}
 	for _, r := range recs {
-		sink.Append(r)
+		if err := sink.Append(r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
@@ -33,12 +37,7 @@ func TestFileSinkRoundTripAndTornTail(t *testing.T) {
 	f.WriteString(`{"seq":4,"kind":"lease-comp`)
 	f.Close()
 
-	in, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer in.Close()
-	got, err := ReadRecords(in)
+	got, _, err := ReadJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -138,12 +137,7 @@ func TestLiveRunOverHTTP(t *testing.T) {
 	}
 
 	// The journal on disk replays to the dispatcher's final assignment state.
-	f, err := os.Open(filepath.Join(dir, info.ID+".jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	recs, err := ReadRecords(f)
+	recs, _, err := ReadJournal(filepath.Join(dir, info.ID+".jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package exec
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/sim"
 	"repro/internal/simtime"
+	"repro/internal/wal"
 )
 
 // This file is the dispatcher's crash-recovery path: a restarted wire-serve
@@ -44,7 +44,7 @@ func (g *Registry) Recover() (int, error) {
 	n := 0
 	for _, path := range paths {
 		id := strings.TrimSuffix(filepath.Base(path), ".jsonl")
-		recs, err := readJournalFile(path)
+		recs, end, err := ReadJournal(path)
 		if err != nil {
 			g.cfg.Logf("live %s: recovery: %v", id, err)
 			continue
@@ -60,7 +60,7 @@ func (g *Registry) Recover() (int, error) {
 			g.cfg.Logf("live %s: recovery skipped (duplicate or run limit)", id)
 			continue
 		}
-		d, sink, err := g.recoverOne(id, path, recs)
+		d, sink, err := g.recoverOne(id, path, recs, end)
 		if err != nil {
 			g.cfg.Logf("live %s: recovery failed: %v", id, err)
 			continue
@@ -74,15 +74,6 @@ func (g *Registry) Recover() (int, error) {
 			id, d.Workflow().Name, d.State(), len(recs))
 	}
 	return n, nil
-}
-
-func readJournalFile(path string) ([]Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadRecords(f)
 }
 
 // recoverable reports whether a journal describes an in-flight run: it must
@@ -100,7 +91,9 @@ func recoverable(recs []Record) bool {
 	return true
 }
 
-func (g *Registry) recoverOne(id, path string, recs []Record) (*Dispatcher, *FileSink, error) {
+// recoverOne rebuilds one run from recs, the records ReadJournal decoded from
+// path, and resumes its journal at end.
+func (g *Registry) recoverOne(id, path string, recs []Record, end int64) (*Dispatcher, *FileSink, error) {
 	var req CreateRunRequest
 	if err := json.Unmarshal(recs[0].Spec, &req); err != nil {
 		return nil, nil, fmt.Errorf("run spec: %w", err)
@@ -109,11 +102,13 @@ func (g *Registry) recoverOne(id, path string, recs []Record) (*Dispatcher, *Fil
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg.Spec = nil // the run-created record already exists; do not re-journal it
 	cfg.Logf = func(format string, args ...any) {
 		g.cfg.Logf("live %s: "+format, append([]any{id}, args...)...)
 	}
-	sink, err := OpenFileSink(path)
+	if err := wal.Cut(path, end); err != nil {
+		return nil, nil, err
+	}
+	sink, err := NewFileSink(path, g.cfg.Sync)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -140,7 +135,7 @@ func (g *Registry) recoverOne(id, path string, recs []Record) (*Dispatcher, *Fil
 func RecoverDispatcher(cfg Config, recs []Record) (*Dispatcher, error) {
 	sink := cfg.Journal
 	cfg.Journal = nil
-	cfg.Spec = nil
+	cfg.Spec = nil // the run-created record already exists; do not re-journal it
 	d, err := NewDispatcher(cfg)
 	if err != nil {
 		return nil, err

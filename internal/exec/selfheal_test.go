@@ -19,6 +19,7 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/dag"
 	"repro/internal/dagio"
+	"repro/internal/wal"
 )
 
 // TestRegisterReconnectSameName: a returning agent (same non-empty name) keeps
@@ -153,7 +154,7 @@ func TestPoisonTaskQuarantine(t *testing.T) {
 	}
 
 	// The journal records the quarantine at exactly the attempt budget.
-	recs, err := readJournalFile(filepath.Join(dir, info.ID+".jsonl"))
+	recs, _, err := ReadJournal(filepath.Join(dir, info.ID+".jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +427,7 @@ func TestDispatcherCrashRecovery(t *testing.T) {
 	// The recovered journal must still fold to a consistent assignment state,
 	// and the full decision stream — pre-crash prefix plus post-recovery
 	// decisions — must replay byte-identical through a fresh controller.
-	recs, err := readJournalFile(filepath.Join(dir2, info.ID+".jsonl"))
+	recs, _, err := ReadJournal(filepath.Join(dir2, info.ID+".jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -667,6 +668,7 @@ func TestSelfHealingMetricsKeys(t *testing.T) {
 		"speculations_won_total",
 		"speculations_wasted_total",
 		"blacklisted_agents",
+		"journal_errors",
 	} {
 		if !strings.Contains(string(b), `"`+key+`"`) {
 			t.Errorf("metrics dump missing %q: %s", key, b)
@@ -674,17 +676,20 @@ func TestSelfHealingMetricsKeys(t *testing.T) {
 	}
 }
 
-// TestOpenFileSinkTruncatesTornTail: reopening a journal that died mid-append
+// TestReopenedSinkTruncatesTornTail: reopening a journal that died mid-append
 // must drop the torn line and continue the sequence cleanly — the property
 // recovery relies on to share a file across daemon generations.
-func TestOpenFileSinkTruncatesTornTail(t *testing.T) {
+func TestReopenedSinkTruncatesTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "live-x.jsonl")
-	sink, err := NewFileSink(path)
+	sink, err := NewFileSink(path, wal.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink.Append(Record{Seq: 1, Kind: RecRunCreated, Detail: "wf"})
-	sink.Append(Record{Seq: 2, Kind: RecAgentRegistered, Agent: "a1"})
+	for _, r := range []Record{{Seq: 1, Kind: RecRunCreated, Detail: "wf"}, {Seq: 2, Kind: RecAgentRegistered, Agent: "a1"}} {
+		if err := sink.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -695,15 +700,24 @@ func TestOpenFileSinkTruncatesTornTail(t *testing.T) {
 	f.WriteString(`{"seq":3,"kind":"lease-gr`)
 	f.Close()
 
-	reopened, err := OpenFileSink(path)
+	_, end, err := ReadJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reopened.Append(Record{Seq: 3, Kind: RecRunStarted})
+	if err := wal.Cut(path, end); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := NewFileSink(path, wal.Policy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reopened.Append(Record{Seq: 3, Kind: RecRunStarted}); err != nil {
+		t.Fatal(err)
+	}
 	if err := reopened.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := readJournalFile(path)
+	recs, _, err := ReadJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,7 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/predict"
 	"repro/internal/sim"
+	"repro/internal/wal"
 	"repro/internal/workloads"
 )
 
@@ -590,7 +591,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusServiceUnavailable, CodeSessionFenced,
 			"session %s was adopted by another shard; retry", sess.ID)
 		return
-	case errors.Is(jerr, errJournalBroken):
+	case errors.Is(jerr, wal.ErrBroken):
 		// The file can no longer be kept a run of whole records; appending
 		// on would strand every later record behind the damage. The session
 		// degrades to memory-only, like one whose journal never opened.

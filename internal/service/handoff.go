@@ -20,8 +20,9 @@ package service
 //
 // Fencing closes the double-serve race with a process that still holds the
 // source WAL (a shard wrongly declared dead, or a drained shard that was
-// restarted from a stale snapshot of the world): journal.appendBytes re-reads
-// the fence after every synced write, so a stale writer either appended
+// restarted from a stale snapshot of the world): the journal's append guard
+// (journal.fenced, run by wal.Log.Append) re-reads the fence after every
+// synced write, so a stale writer either appended
 // before the fence landed — in which case the copy includes the record and
 // the adopter replays it — or it observes the fence and withholds the decision.
 // A record can never be released to a client by the stale process and be
@@ -43,12 +44,23 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"repro/internal/wal"
 )
 
-// errFenced is returned by journal.appendBytes when a peer has claimed the
+// errFenced is returned by a journal append when a peer has claimed the
 // session's WAL at a higher epoch: this process is stale for the session and
 // must withhold the decision.
 var errFenced = errors.New("service: session journal fenced by a newer adoption")
+
+// fenced is the guard wal.Log.Append runs before the write and after the
+// sync.
+func (j *journal) fenced() error {
+	if fencedPast(j.path, j.claimEpoch) {
+		return errFenced
+	}
+	return nil
+}
 
 // fenceRecord is the content of a <wal>.fence file.
 type fenceRecord struct {
@@ -94,27 +106,6 @@ func readFence(walPath string) (epoch int64, fenced bool) {
 func fencedPast(walPath string, claimEpoch int64) bool {
 	ep, fenced := readFence(walPath)
 	return fenced && ep > claimEpoch
-}
-
-// copyFile copies src to dst (truncating) and syncs dst.
-func copyFile(src, dst string) error {
-	b, err := os.ReadFile(src)
-	if err != nil {
-		return err
-	}
-	f, err := os.OpenFile(dst, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // sessionIDFromWAL extracts the session ID a WAL file name encodes, or ""
@@ -325,12 +316,12 @@ func (s *Server) adoptWAL(src string, epoch int64, from string) (total, fresh in
 		return 1, 1
 	}
 	// Fence FIRST, copy SECOND — the ordering the stale-writer check in
-	// journal.appendBytes relies on.
+	// journal.fenced relies on.
 	if err := writeFence(src, epoch, from); err != nil {
 		s.cfg.Logf("wire-serve: adopt: session %s: fencing: %v", id, err)
 		return 0, 0
 	}
-	if err := copyFile(src, dst); err != nil {
+	if err := wal.Copy(src, dst); err != nil {
 		s.cfg.Logf("wire-serve: adopt: session %s: copying WAL: %v", id, err)
 		return 0, 0
 	}
@@ -360,25 +351,22 @@ func (s *Server) adoptWAL(src string, epoch int64, from string) (total, fresh in
 // missing local slot never blocks an adoption. It decodes type and seq only:
 // the snapshots and responses are syntax-checked but never materialized.
 func walLastSeq(path string) int64 {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0
-	}
-	defer f.Close()
-	dec := json.NewDecoder(f)
 	var last int64
-	for {
+	// Whatever stops the scan, what it saw so far stands.
+	_, _, _ = wal.Replay(path, func(line []byte) error {
 		var rec struct {
 			Type string `json:"type"`
 			Seq  int64  `json:"seq"`
 		}
-		if err := dec.Decode(&rec); err != nil {
-			return last
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
 		}
 		if rec.Type == "plan" && rec.Seq > last {
 			last = rec.Seq
 		}
-	}
+		return nil
+	})
+	return last
 }
 
 // exportSession detaches one session for migration to a peer: it is removed

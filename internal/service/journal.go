@@ -14,6 +14,7 @@ import (
 	"repro/internal/jsonlite"
 	"repro/internal/monitor"
 	"repro/internal/sim"
+	"repro/internal/wal"
 )
 
 // The crash-recovery journal: with Config.JournalDir set, every session
@@ -49,184 +50,49 @@ type walRecord struct {
 	Response *PlanResponse     `json:"response,omitempty"`
 }
 
-// Fsync modes (Config.FsyncMode): when a WAL append reaches stable storage.
+// Fsync modes (Config.FsyncMode): when a journal append reaches stable
+// storage. They are internal/wal's policy modes under the names the flag and
+// the config have always used.
 const (
-	// FsyncRecord syncs every append before the decision is released: zero
-	// loss window, one fsync per plan.
-	FsyncRecord = "record"
-	// FsyncPerInterval syncs at most once per Config.FsyncInterval (plus on
-	// close): a bounded power-loss window, amortized fsync cost. In-process
-	// readers (the fenced-copy handoff, torn-tail recovery after SIGKILL)
-	// see unsynced writes, so only an OS crash can lose the tail — and a
-	// torn tail truncates to the last whole record on replay.
-	FsyncPerInterval = "interval"
-	// FsyncOff never syncs; the OS flushes when it pleases.
-	FsyncOff = "off"
+	FsyncRecord      = wal.SyncRecord
+	FsyncPerInterval = wal.SyncInterval
+	FsyncOff         = wal.SyncOff
 )
 
-// walFile is the part of *os.File the journal uses; tests substitute a file
-// whose writes fail or come up short.
-type walFile interface {
-	io.Writer
-	Sync() error
-	Truncate(size int64) error
-	Close() error
-}
-
-// errJournalBroken is returned by journal.appendBytes when the WAL can no
-// longer be kept a clean sequence of whole records — a failed write could not
-// be truncated away, or two appends in a row failed. The caller detaches the
-// journal; the session carries on in memory only.
-var errJournalBroken = errors.New("service: session journal unusable")
-
-// journal is one session's WAL handle. The session mutex serializes its use:
-// appends run under it, and whoever closes the handle first detaches it from
-// the session under the same mutex (takeWAL), so a delete waits out an
-// in-flight plan.
+// journal is one session's WAL handle: the log (internal/wal owns append,
+// fsync policy, failed-write repair and the torn-tail cut) plus what the
+// fence check needs. The session mutex serializes its use: appends run under
+// it, and whoever closes the handle first detaches it from the session under
+// the same mutex (takeWAL), so a delete waits out an in-flight plan.
 type journal struct {
+	*wal.Log
 	path string
-	f    walFile
-	// size is the file's length after the last whole record: where the next
-	// record starts, and what a failed write is truncated back to.
-	size int64
-	// pending is the one record whose write failed (and was truncated away);
-	// the next append writes it first, so the log has no hole once the disk
-	// recovers.
-	pending []byte
 	// claimEpoch is the fencing epoch this WAL was opened (or adopted) at;
 	// a fence file bearing a strictly higher epoch means a peer has since
 	// claimed the session and this handle belongs to a stale process.
 	claimEpoch int64
-	// checkFence enables the fence checks around append (shard mode only —
-	// a standalone daemon has no peers that could fence it).
-	checkFence bool
-	// mode and syncEvery implement the fsync policy; lastSync tracks the
-	// per-interval mode's last sync instant.
-	mode      string
-	syncEvery time.Duration
-	lastSync  time.Time
 }
 
-func openJournal(path string) (*journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	size, err := endOnNewline(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &journal{path: path, f: f, size: size, mode: FsyncRecord}, nil
-}
-
-// endOnNewline returns the file's length, first terminating a last record
-// that lacks its newline: replay cuts a torn tail back to the end of the last
-// whole record, which is before that record's newline, and a crash can fall
-// between the two. The next record must still start its own line — the
-// auditor reads the log line by line.
-func endOnNewline(f *os.File) (size int64, err error) {
-	st, err := f.Stat()
-	if err != nil || st.Size() == 0 {
-		return 0, err
-	}
-	size = st.Size()
-	var last [1]byte
-	if _, err := f.ReadAt(last[:], size-1); err != nil {
-		return 0, err
-	}
-	if last[0] != '\n' {
-		if _, err := f.Write([]byte{'\n'}); err != nil {
-			return 0, err
-		}
-		size++
-	}
-	return size, nil
-}
-
-// openJournalAt opens a WAL carrying the server's fencing posture: the claim
-// epoch the handle was established at, with fence checks on in shard mode.
+// openJournalAt opens a WAL carrying the server's fsync policy and fencing
+// posture: the claim epoch the handle was established at, with the fence
+// check guarding every append in shard mode only — a standalone daemon has no
+// peers that could fence it.
 func (s *Server) openJournalAt(path string, claimEpoch int64) (*journal, error) {
-	j, err := openJournal(path)
+	j := &journal{path: path, claimEpoch: claimEpoch}
+	var guard func() error
+	if s.cfg.ShardMode {
+		guard = j.fenced
+	}
+	l, err := wal.Open(path, s.fsyncPolicy(), guard)
 	if err != nil {
 		return nil, err
 	}
-	j.claimEpoch = claimEpoch
-	j.checkFence = s.cfg.ShardMode
-	j.mode = s.cfg.FsyncMode
-	j.syncEvery = s.cfg.FsyncInterval
+	j.Log = l
 	return j, nil
 }
 
-// sync applies the fsync policy after one append.
-func (j *journal) sync() error {
-	switch j.mode {
-	case FsyncOff:
-		return nil
-	case FsyncPerInterval:
-		now := time.Now()
-		if !j.lastSync.IsZero() && now.Sub(j.lastSync) < j.syncEvery {
-			return nil
-		}
-		j.lastSync = now
-	}
-	return j.f.Sync()
-}
-
-// appendBytes is the journal's one write primitive: it writes rec — whole
-// records, each ending in '\n' — with a single Write and syncs it per the
-// fsync policy. In shard mode it re-reads the session's fence file AFTER the
-// sync: an adopter fences first and copies the WAL second, so a stale writer
-// that raced the handoff either appended before the fence landed (the copy
-// includes the record) or sees the fence here and gets errFenced — in which
-// case the caller must withhold the decision, because the adopter's copy
-// cannot contain it.
-//
-// A failed or short write is truncated away, so the file stays a sequence of
-// whole records and later appends are not stranded behind garbage that replay
-// would cut off together with everything after it. The record itself is kept
-// and written ahead of the next append. When that fails too, or the truncate
-// does, the error wraps errJournalBroken.
-func (j *journal) appendBytes(rec []byte) error {
-	if j == nil {
-		return nil
-	}
-	if j.checkFence && fencedPast(j.path, j.claimEpoch) {
-		return errFenced
-	}
-	if len(j.pending) > 0 {
-		if err := j.write(j.pending); err != nil {
-			return fmt.Errorf("%w: second failed append in a row: %v", errJournalBroken, err)
-		}
-		j.pending = nil
-	}
-	if err := j.write(rec); err != nil {
-		if !errors.Is(err, errJournalBroken) {
-			// rec is the caller's pooled buffer; keep a copy.
-			j.pending = append([]byte(nil), rec...)
-		}
-		return err
-	}
-	if err := j.sync(); err != nil {
-		return err
-	}
-	if j.checkFence && fencedPast(j.path, j.claimEpoch) {
-		return errFenced
-	}
-	return nil
-}
-
-// write issues the one Write of b and cuts a partial write back off the file.
-func (j *journal) write(b []byte) error {
-	n, err := j.f.Write(b)
-	if err == nil {
-		j.size += int64(n)
-		return nil
-	}
-	if terr := j.f.Truncate(j.size); terr != nil {
-		return fmt.Errorf("%w: write: %v; truncating back to offset %d: %v", errJournalBroken, err, j.size, terr)
-	}
-	return err
+func (s *Server) fsyncPolicy() wal.Policy {
+	return wal.Policy{Mode: s.cfg.FsyncMode, Every: s.cfg.FsyncInterval}
 }
 
 // appendCreate journals the record that opens a WAL.
@@ -235,7 +101,7 @@ func (j *journal) appendCreate(rec walRecord) error {
 	if err != nil {
 		return err
 	}
-	return j.appendBytes(append(b, '\n'))
+	return j.Append(append(b, '\n'))
 }
 
 // appendPlan journals one plan interval: the record is framed in a pooled
@@ -256,7 +122,7 @@ func (j *journal) appendPlan(seq int64, snap *monitor.Snapshot, respJSON []byte,
 	if err != nil {
 		return err
 	}
-	return j.appendBytes(rec)
+	return j.Append(rec)
 }
 
 // planRecordOverhead bounds what appendPlanRecord adds around the snapshot
@@ -282,22 +148,13 @@ func appendPlanRecord(dst []byte, seq int64, snap *monitor.Snapshot, respJSON []
 	return append(dst, '}', '\n'), err
 }
 
-// close closes the file, removing it when remove is set (deleted sessions
-// must not resurrect on restart). A kept file is synced first, so the
-// per-interval and off modes leave nothing in flight on a clean shutdown.
+// close closes the log, removing the file when remove is set (deleted
+// sessions must not resurrect on restart).
 func (j *journal) close(remove bool) {
 	if j == nil {
 		return
 	}
-	if !remove {
-		if len(j.pending) > 0 {
-			// Last chance for a record a failed write left behind; the fence
-			// checks apply as to any append.
-			_ = j.appendBytes(nil)
-		}
-		_ = j.f.Sync()
-	}
-	_ = j.f.Close()
+	_ = j.Close(!remove) // nothing left to do for a log this process is done with
 	if remove {
 		_ = os.Remove(j.path)
 	}
@@ -395,63 +252,45 @@ func (s *Server) ReplayJournalDir(dir string) (total, fresh int, err error) {
 // inserted into the store at the end, so adoption while the daemon serves
 // traffic can never expose a half-replayed controller.
 func (s *Server) recoverSession(path string, claimEpoch int64) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-
-	dec := json.NewDecoder(f)
-	var create walRecord
-	if err := dec.Decode(&create); err != nil {
-		return fmt.Errorf("unreadable create record: %w", err)
-	}
-	if create.Type != "create" || create.ID == "" || create.Workflow == nil {
-		return fmt.Errorf("malformed create record")
-	}
-	wf, err := dagio.Decode(create.Workflow)
-	if err != nil {
-		return fmt.Errorf("workflow: %w", err)
-	}
-	ctrl, err := NewPolicyController(create.Policy, create.Controller)
-	if err != nil {
-		return err
-	}
-	createdAt := create.CreatedAt
-	if createdAt.IsZero() {
-		createdAt = s.now()
-	}
-	sess := s.store.NewDetached(create.ID, create.Policy, wf, ctrl, createdAt)
-	sess.Tenant = create.Tenant
-	sess.DeadlineS = create.DeadlineS
-
-	goodOffset := dec.InputOffset()
-	torn := false
-	for {
+	var sess *Session
+	end, torn, err := wal.Replay(path, func(line []byte) error {
 		var rec walRecord
-		if err := dec.Decode(&rec); err != nil {
-			if !errors.Is(err, io.EOF) {
-				torn = true
-				s.cfg.Logf("wire-serve: journal %s: torn record after offset %d: %v; truncating",
-					filepath.Base(path), goodOffset, err)
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
+		}
+		if sess == nil {
+			// The create record: rebuild the workflow and a fresh controller
+			// of the journaled policy.
+			if rec.Type != "create" || rec.ID == "" || rec.Workflow == nil {
+				return errors.New("malformed")
 			}
-			break
+			wf, err := dagio.Decode(rec.Workflow)
+			if err != nil {
+				return fmt.Errorf("workflow: %w", err)
+			}
+			ctrl, err := NewPolicyController(rec.Policy, rec.Controller)
+			if err != nil {
+				return err
+			}
+			if rec.CreatedAt.IsZero() {
+				rec.CreatedAt = s.now()
+			}
+			sess = s.store.NewDetached(rec.ID, rec.Policy, wf, ctrl, rec.CreatedAt)
+			sess.Tenant = rec.Tenant
+			sess.DeadlineS = rec.DeadlineS
+			return nil
 		}
-		if rec.Type != "plan" || rec.Snapshot == nil || rec.Response == nil {
-			goodOffset = dec.InputOffset()
-			continue
+		// Skipped: anything but a complete plan record, and a duplicate
+		// interval (two writers during a crash window, or a replayed retry) —
+		// first write wins, like the live seq cache.
+		if rec.Type != "plan" || rec.Snapshot == nil || rec.Response == nil || rec.Seq <= sess.lastSeq {
+			return nil
 		}
-		if rec.Seq <= sess.lastSeq {
-			// Duplicate interval (two writers during a crash window, or a
-			// replayed retry): first write wins, like the live seq cache.
-			goodOffset = dec.InputOffset()
-			continue
-		}
-		rec.Snapshot.Workflow = wf
-		dec2, degraded, _, perr := planStep(sess, rec.Snapshot)
+		rec.Snapshot.Workflow = sess.Workflow
+		dec, degraded, _, perr := planStep(sess, rec.Snapshot)
 		if perr != nil {
 			s.cfg.Logf("wire-serve: journal %s: replaying seq %d: %v", filepath.Base(path), rec.Seq, perr)
-		} else if degraded != rec.Response.Degraded || !sameDecision(dec2, rec.Response.Decision) {
+		} else if degraded != rec.Response.Degraded || !sameDecision(dec, rec.Response.Decision) {
 			s.cfg.Logf("wire-serve: journal %s: seq %d replay diverged from recorded decision; keeping record",
 				filepath.Base(path), rec.Seq)
 		}
@@ -459,10 +298,20 @@ func (s *Server) recoverSession(path string, claimEpoch int64) error {
 		sess.lastSeq = rec.Seq
 		sess.lastResp = rec.Response
 		sess.plans.Store(rec.Response.Iteration)
-		goodOffset = dec.InputOffset()
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	if torn {
-		if err := os.Truncate(path, goodOffset); err != nil {
+	if sess == nil {
+		if torn == nil {
+			torn = io.ErrUnexpectedEOF
+		}
+		return fmt.Errorf("create record: %w", torn)
+	}
+	if torn != nil {
+		s.cfg.Logf("wire-serve: journal %s: torn record after offset %d: %v; truncating", filepath.Base(path), end, torn)
+		if err := wal.Cut(path, end); err != nil {
 			return fmt.Errorf("truncate torn tail: %w", err)
 		}
 	}

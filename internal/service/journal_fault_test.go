@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,35 +16,8 @@ import (
 	"repro/internal/audit"
 	"repro/internal/dagio"
 	"repro/internal/monitor"
+	"repro/internal/wal/waltest"
 )
-
-// faultyFile wraps a journal's file and fails the next failWrites writes —
-// outright, or after putting half the bytes in the file (a short write).
-type faultyFile struct {
-	walFile
-	failWrites   int
-	short        bool
-	failTruncate bool
-}
-
-func (f *faultyFile) Write(p []byte) (int, error) {
-	if f.failWrites == 0 {
-		return f.walFile.Write(p)
-	}
-	f.failWrites--
-	n := 0
-	if f.short {
-		n, _ = f.walFile.Write(p[:len(p)/2])
-	}
-	return n, errors.New("injected: no space left on device")
-}
-
-func (f *faultyFile) Truncate(size int64) error {
-	if f.failTruncate {
-		return errors.New("injected: truncate refused")
-	}
-	return f.walFile.Truncate(size)
-}
 
 // logSink collects a server's log lines.
 type logSink struct {
@@ -129,7 +101,7 @@ func TestJournalFailedAppendKeepsLog(t *testing.T) {
 				t.Fatal(err)
 			}
 			sess.mu.Lock()
-			sess.wal.f = &faultyFile{walFile: sess.wal.f, failWrites: 1, short: short}
+			sess.wal.Wrap(waltest.Faulty{FailWrites: 1, Short: short}.Under())
 			sess.mu.Unlock()
 			plan(3) // its append fails; the decision is still served
 			if !logs.contains("journal append failed") {
@@ -180,14 +152,14 @@ func TestJournalFailedAppendKeepsLog(t *testing.T) {
 func TestJournalDetachedWhenUnrepairable(t *testing.T) {
 	cases := []struct {
 		name  string
-		fault faultyFile
+		fault waltest.Faulty
 		// detachedAt is the plan seq whose append finds the journal broken;
 		// survive is what replay finds in the log afterwards.
 		detachedAt int64
 		survive    string
 	}{
-		{"two failed appends in a row", faultyFile{failWrites: 2}, 4, "[1 2 3]"},
-		{"truncate fails", faultyFile{failWrites: 1, short: true, failTruncate: true}, 3, "[1 2]"},
+		{"two failed appends in a row", waltest.Faulty{FailWrites: 2}, 4, "[1 2 3]"},
+		{"truncate fails", waltest.Faulty{FailWrites: 1, Short: true, FailTruncate: true}, 3, "[1 2]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -207,10 +179,8 @@ func TestJournalDetachedWhenUnrepairable(t *testing.T) {
 			}
 			for seq := int64(1); seq <= 5; seq++ {
 				if seq == 3 {
-					fault := tc.fault
 					sess.mu.Lock()
-					fault.walFile = sess.wal.f
-					sess.wal.f = &fault
+					sess.wal.Wrap(tc.fault.Under())
 					sess.mu.Unlock()
 				}
 				if _, err := client.Plan(ctx, info.ID, seq, snap); err != nil {

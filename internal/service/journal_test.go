@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/dagio"
+	"repro/internal/exec"
 )
 
 // TestPlanSeqCacheExactlyOnce pins the idempotent-planning contract: a
@@ -237,72 +239,209 @@ func TestJournalRemovedOnDelete(t *testing.T) {
 	}
 }
 
-// TestJournalFsyncModes drives the same journaled workload under each WAL
-// durability mode and requires identical recovery semantics: every complete
-// interval replays, a torn tail is tolerated, and the offline auditor finds
-// nothing to flag. The modes differ only in when bytes reach stable storage
-// — in-process reads always see page-cache writes, so recovery and the
+// TestJournalFsyncModes crashes and reopens both journal schemas — a session
+// WAL and a live-run journal — under each durability mode and requires
+// identical recovery semantics: every complete record replays, a torn tail is
+// cut, appends resume on a fresh line, and the offline auditor finds nothing
+// to flag. The modes differ only in when bytes reach stable storage —
+// in-process reads always see page-cache writes, so recovery and the
 // fenced-handoff protocol must be mode-blind.
 func TestJournalFsyncModes(t *testing.T) {
 	for _, mode := range []string{FsyncRecord, FsyncPerInterval, FsyncOff} {
-		t.Run(mode, func(t *testing.T) {
-			dir := t.TempDir()
-			_, client := newTestServer(t, Config{
-				JournalDir:    dir,
-				FsyncMode:     mode,
-				FsyncInterval: 20 * time.Millisecond,
-			})
-			ctx := context.Background()
-			wf := smallWorkflow(3)
-			info, err := client.CreateSession(ctx, CreateSessionRequest{Workflow: dagio.Encode(wf)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			snap := readySnapshot(wf)
-			var last *PlanResponse
-			for seq := int64(1); seq <= 3; seq++ {
-				if last, err = client.Plan(ctx, info.ID, seq, snap); err != nil {
-					t.Fatalf("seq %d: %v", seq, err)
-				}
-			}
+		cfg := func(dir string) Config {
+			return Config{JournalDir: dir, FsyncMode: mode, FsyncInterval: 20 * time.Millisecond}
+		}
+		t.Run("session/"+mode, func(t *testing.T) { sessionCrashAndReopen(t, cfg) })
+		t.Run("live/"+mode, func(t *testing.T) { liveCrashAndReopen(t, cfg) })
+	}
+}
 
-			// Crash mid-append: a torn trailing record on top of the synced
-			// (or unsynced) complete ones.
-			walPath := filepath.Join(dir, info.ID+".wal")
-			f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.WriteString(`{"type":"plan","seq":4,"snapsho`); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
+// tearTail appends the first bytes of a record to a journal: the write a
+// crash cut short.
+func tearTail(t *testing.T, path, fragment string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteString(fragment); err != nil {
+		t.Fatal(err)
+	}
+}
 
-			srv2 := New(Config{JournalDir: dir, FsyncMode: mode})
-			if srv2.Store().Len() != 1 {
-				t.Fatalf("recovered %d sessions, want 1", srv2.Store().Len())
-			}
-			ts2 := httptest.NewServer(srv2.Handler())
-			defer ts2.Close()
-			c2 := NewClient(ts2.URL)
-			replayed, err := c2.Plan(ctx, info.ID, 3, snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if replayed.Iteration != last.Iteration || !sameDecision(replayed.Decision, last.Decision) {
-				t.Fatalf("recovered cache diverged under %s: %+v != %+v", mode, replayed, last)
-			}
+func sessionCrashAndReopen(t *testing.T, cfg func(dir string) Config) {
+	dir := t.TempDir()
+	_, client := newTestServer(t, cfg(dir))
+	ctx := context.Background()
+	wf := smallWorkflow(3)
+	info, err := client.CreateSession(ctx, CreateSessionRequest{Workflow: dagio.Encode(wf)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := readySnapshot(wf)
+	var last *PlanResponse
+	for seq := int64(1); seq <= 3; seq++ {
+		if last, err = client.Plan(ctx, info.ID, seq, snap); err != nil {
+			t.Fatalf("seq %d: %v", seq, err)
+		}
+	}
 
-			rep, err := audit.Run(audit.Config{Dirs: []string{dir}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rep.Clean() {
-				t.Fatalf("auditor flagged a crashed-but-consistent %s journal: %+v", mode, rep.Violations)
-			}
-			if rep.Sessions != 1 || rep.Plans != 3 {
-				t.Fatalf("audit saw %d session(s), %d plan(s), want 1/3", rep.Sessions, rep.Plans)
-			}
-		})
+	// Crash mid-append: a torn trailing record on top of the synced (or
+	// unsynced) complete ones.
+	walPath := filepath.Join(dir, info.ID+".wal")
+	tearTail(t, walPath, `{"type":"plan","seq":4,"snapsho`)
+
+	srv2, c2 := newTestServer(t, cfg(dir))
+	if srv2.Store().Len() != 1 {
+		t.Fatalf("recovered %d sessions, want 1", srv2.Store().Len())
+	}
+	replayed, err := c2.Plan(ctx, info.ID, 3, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replayed.Iteration != last.Iteration || !sameDecision(replayed.Decision, last.Decision) {
+		t.Fatalf("recovered cache diverged: %+v != %+v", replayed, last)
+	}
+	if _, err := c2.Plan(ctx, info.ID, 4, snap); err != nil {
+		t.Fatalf("planning on after the torn tail: %v", err)
+	}
+	if seqs, _ := walSeqs(t, walPath); fmt.Sprint(seqs) != "[1 2 3 4]" {
+		t.Fatalf("reopened WAL holds plan seqs %v, want [1 2 3 4]", seqs)
+	}
+
+	rep, err := audit.Run(audit.Config{Dirs: []string{dir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean() {
+		t.Fatalf("auditor flagged a crashed-but-consistent journal: %+v", rep.Violations)
+	}
+	if rep.Sessions != 1 || rep.Plans != 4 {
+		t.Fatalf("audit saw %d session(s), %d plan(s), want 1/4", rep.Sessions, rep.Plans)
+	}
+}
+
+// liveCrashAndReopen journals a live run through a daemon — one lease
+// completed, one outstanding — tears the journal's tail, and recovers it in a
+// second daemon: the lease table must come back as the journal folds
+// (ReplayAssignments), the outstanding lease must still be reportable under
+// its original identity, and the auditor's lease check must be clean.
+func liveCrashAndReopen(t *testing.T, cfg func(dir string) Config) {
+	dir1, dir2 := t.TempDir(), t.TempDir()
+	ctx := context.Background()
+	liveClient := func(dir string) (*Server, *exec.LiveClient) {
+		srv := New(cfg(dir))
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		return srv, exec.NewLiveClient(ts.URL, nil)
+	}
+	_, c1 := liveClient(dir1)
+	info, err := c1.CreateRun(ctx, &exec.CreateRunRequest{
+		Workflow:         dagio.Encode(smallWorkflow(3)), // 2 slots: the last task is leased when the first completes
+		SlotsPerInstance: 2,
+		LagTimeS:         0.001,
+		ChargingUnitS:    3600,
+		MaxInstances:     1,
+		Timescale:        1,
+		Start:            true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c1.DeleteRun(ctx, info.ID)
+	reg, err := c1.Register(ctx, info.ID, "w", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leases []exec.Lease
+	for deadline := time.Now().Add(10 * time.Second); len(leases) < 2; {
+		resp, err := c1.Poll(ctx, info.ID, reg.AgentID, 100*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leases = append(leases, resp.Leases...)
+		if time.Now().After(deadline) {
+			t.Fatalf("granted %d leases, want 2", len(leases))
+		}
+	}
+	if _, err := c1.Complete(ctx, info.ID, reg.AgentID, leases[0].ID, exec.CompleteReport{ExecS: 30, TransferS: 1}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Crash: the journal as it is on disk now, plus the write the crash cut
+	// short. (The first daemon stands in for a killed process: nothing it
+	// does from here on reaches the second one.)
+	name := info.ID + ".jsonl"
+	image, err := os.ReadFile(filepath.Join(dir1, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir2, name), image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tearTail(t, filepath.Join(dir2, name), `{"seq":99,"wall_ms":1,"now_s":1,"kind":"lease-comp`)
+	journaled, _, err := exec.ReadJournal(filepath.Join(dir2, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := exec.ReplayAssignments(journaled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// (The slot the completion freed may already hold a third lease.)
+	if _, held := want.Leased[leases[1].Task]; len(want.Completed) != 1 || !held {
+		t.Fatalf("crash image folds to %+v; want 1 task completed and task %d leased", want, leases[1].Task)
+	}
+
+	srv2, c2 := liveClient(dir2)
+	defer c2.DeleteRun(ctx, info.ID)
+	if m := srv2.Live().Metrics(); m.RunsRecovered != 1 || m.Counters.JournalErrors != 0 {
+		t.Fatalf("recovered %d run(s) with %d journal error(s), want 1 and 0", m.RunsRecovered, m.Counters.JournalErrors)
+	}
+	st, err := c2.RunStatus(ctx, info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.TasksCompleted != 1 || st.Counters.LeasesCompleted != 1 ||
+		st.Counters.LeasesGranted != int64(1+len(want.Leased)) {
+		t.Fatalf("recovered run: %d task(s) completed, counters %+v", st.TasksCompleted, st.Counters)
+	}
+	// The outstanding lease survived with its identity: its report is taken,
+	// not acked stale — and journaled behind the cut, on a line of its own.
+	ack, err := c2.Complete(ctx, info.ID, reg.AgentID, leases[1].ID, exec.CompleteReport{ExecS: 30, TransferS: 1})
+	if err != nil || ack.Stale {
+		t.Fatalf("reporting the lease that was outstanding at the crash: ack %+v, err %v", ack, err)
+	}
+	// Read strictly: the torn fragment is gone and every line is a record.
+	raw, err := os.ReadFile(filepath.Join(dir2, name))
+	if err != nil || len(raw) == 0 || raw[len(raw)-1] != '\n' {
+		t.Fatalf("reopened journal does not end on a record boundary (err %v)", err)
+	}
+	var after []exec.Record
+	for i, line := range splitLines(raw) {
+		var rec exec.Record
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("reopened journal line %d is not a whole record: %v", i+1, err)
+		}
+		after = append(after, rec)
+	}
+	got, err := exec.ReplayAssignments(after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Completed[leases[1].Task] = true
+	delete(want.Leased, leases[1].Task)
+	if !got.Equal(want) {
+		t.Fatalf("reopened journal folds to %+v, want %+v", got, want)
+	}
+
+	rep, err := audit.Run(audit.Config{Dirs: []string{dir2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// (The run is still ticking: the audit may see records behind after.)
+	if !rep.Clean() || rep.LiveRecords < len(after) {
+		t.Fatalf("audit of the recovered live journal: %d record(s) (want >= %d), violations %+v", rep.LiveRecords, len(after), rep.Violations)
 	}
 }

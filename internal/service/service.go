@@ -64,9 +64,10 @@ type Config struct {
 	// down (default 30s). HTTP connection draining alone would abandon
 	// agents mid-task; this flag is the lease-level counterpart.
 	DrainTimeout time.Duration
-	// FsyncMode controls when session WAL appends reach stable storage:
-	// FsyncRecord syncs every append, FsyncPerInterval syncs at most once
-	// per FsyncInterval (plus on close), FsyncOff never syncs (the OS
+	// FsyncMode controls when journal appends — session WALs and live-run
+	// journals alike — reach stable storage: FsyncRecord syncs every
+	// append, FsyncPerInterval syncs each journal at most once per
+	// FsyncInterval (plus on close), FsyncOff never syncs (the OS
 	// decides). Default FsyncPerInterval: the fenced-copy handoff protocol
 	// is unaffected (in-process reads see unsynced writes), only the
 	// power-loss window changes. An unknown value falls back to the default.
@@ -198,6 +199,7 @@ func New(cfg Config) *Server {
 			Factory:    LiveControllerFactory,
 			MaxRuns:    cfg.LiveMaxRuns,
 			JournalDir: s.cfg.JournalDir,
+			Sync:       s.fsyncPolicy(),
 			Logf:       cfg.Logf,
 		})
 		if err != nil {
