@@ -1,14 +1,16 @@
 // Command wire-benchgate is the benchmark regression gate: it parses
 // `go test -bench -benchmem` output, writes the measurements as a
 // BENCH_<n>.json trajectory document, and fails (exit 1) when a gated
-// benchmark regressed more than the tolerance against the checked-in
-// baseline.
+// benchmark regressed more than the tolerance against the newest checked-in
+// trajectory point: the BENCH_<n>.json with the highest n in the working
+// directory, unless -baseline names another document.
 //
 // Usage (how CI invokes it):
 //
-//	go test -run xxx -bench . -benchmem . ./internal/exec/ ./internal/service/ |
-//	    wire-benchgate -baseline BENCH_baseline.json -out BENCH_6.json
+//	go test -run xxx -bench . -benchmem . ./internal/exec/ ./internal/service/ ./internal/scenario/ |
+//	    wire-benchgate -out BENCH_ci.json
 //
+//	wire-benchgate -baseline BENCH_9.json ...   # gate against an older point
 //	wire-benchgate -in bench.txt ...   # read from a file instead of stdin
 //	wire-benchgate -gate Bench1,Bench2 -tolerance 0.10
 //
@@ -22,6 +24,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"time"
 
@@ -37,7 +41,7 @@ const defaultGate = "BenchmarkTable1,BenchmarkLeaseProtocol,BenchmarkRunStatus,B
 	"BenchmarkJournalAppendPlan/genome-l/off,BenchmarkJournalAppendPlan/genome-l/interval,BenchmarkJournalAppendPlan/genome-l/record"
 
 func main() {
-	baseline := flag.String("baseline", "BENCH_baseline.json", "baseline document to gate against")
+	baseline := flag.String("baseline", "", "baseline document to gate against (default: the highest-numbered BENCH_<n>.json in the working directory)")
 	out := flag.String("out", "", "write the parsed measurements as a BENCH_<n>.json document")
 	in := flag.String("in", "", "bench output file (default: stdin)")
 	gate := flag.String("gate", defaultGate, "comma-separated benchmarks to gate")
@@ -51,7 +55,37 @@ func main() {
 	}
 }
 
+// latestBenchDoc returns the BENCH_<n>.json in dir with the highest n,
+// compared as a number (14 > 9); documents without a numeric n
+// (BENCH_baseline.json, BENCH_ci.json) are not trajectory points.
+func latestBenchDoc(dir string) (string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return "", err
+	}
+	best, bestN := "", -1
+	for _, e := range entries {
+		num, ok := strings.CutPrefix(e.Name(), "BENCH_")
+		if num, ok = strings.CutSuffix(num, ".json"); !ok {
+			continue
+		}
+		if n, err := strconv.Atoi(num); err == nil && n > bestN {
+			best, bestN = e.Name(), n
+		}
+	}
+	if best == "" {
+		return "", fmt.Errorf("no BENCH_<n>.json trajectory document in %s to gate against; pass -baseline", dir)
+	}
+	return filepath.Join(dir, best), nil
+}
+
 func run(baseline, out, in, gate string, tol float64, desc string) error {
+	if baseline == "" {
+		var err error
+		if baseline, err = latestBenchDoc("."); err != nil {
+			return err
+		}
+	}
 	var src io.Reader = os.Stdin
 	if in != "" {
 		f, err := os.Open(in)
@@ -72,7 +106,7 @@ func run(baseline, out, in, gate string, tol float64, desc string) error {
 
 	if out != "" {
 		if desc == "" {
-			desc = "Benchmark trajectory document, written by wire-benchgate. Regenerate with: go test -run xxx -bench . -benchmem . ./internal/exec/ ./internal/service/ | wire-benchgate -out " + out
+			desc = "Benchmark trajectory document, written by wire-benchgate. Regenerate with: go test -run xxx -bench . -benchmem . ./internal/exec/ ./internal/service/ ./internal/scenario/ | wire-benchgate -out " + out
 		}
 		doc := stats.BenchDoc{
 			Description: desc,

@@ -6,9 +6,11 @@
 //	wire-serve -addr 127.0.0.1:8080 -max-sessions 1024 -ttl 30m
 //	wire-serve serve -addr 127.0.0.1:0     # ephemeral port, printed on stdout
 //
-// Loadgen mode drives N concurrent simulated workflows against a running
-// daemon, planning every MAPE iteration over HTTP, and reports throughput,
-// latency quantiles, and remote-vs-local verification:
+// Loadgen mode is the front end of the scenario runner (internal/scenario):
+// flags in, one scenario.Run, a report table and the runner's verdict out.
+// It drives N concurrent simulated workflows against a running daemon,
+// planning every MAPE iteration over HTTP, and reports throughput, latency
+// quantiles, and remote-vs-local verification:
 //
 //	wire-serve loadgen -server http://127.0.0.1:8080 -sessions 100 -workflow genome-s
 //
@@ -87,12 +89,10 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -108,6 +108,7 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/cluster"
 	"repro/internal/report"
+	"repro/internal/scenario"
 	"repro/internal/service"
 	"repro/internal/tenancy"
 )
@@ -235,10 +236,10 @@ func runServe(args []string) error {
 		if *selfName != "" {
 			logf("wire-serve: SIGTERM: draining shard %s out of the ring via %s", *selfName, *routerURL)
 			dctx, dcancel := context.WithTimeout(context.Background(), 2*time.Minute)
-			if body, err := postJSON(dctx, *routerURL+"/v1/admin/drain", map[string]string{"shard": *selfName}); err != nil {
+			if body, err := cluster.Drain(dctx, *routerURL, *selfName); err != nil {
 				logf("wire-serve: self-drain failed (shutting down anyway; the router will fail this shard over): %v", err)
 			} else {
-				logf("wire-serve: self-drain complete: %s", strings.TrimSpace(string(body)))
+				logf("wire-serve: self-drain complete: %s", body)
 			}
 			dcancel()
 		}
@@ -249,30 +250,6 @@ func runServe(args []string) error {
 	}
 	logf("wire-serve: shutdown complete")
 	return nil
-}
-
-// postJSON POSTs one JSON body and returns the response body, treating any
-// non-200 as an error.
-func postJSON(ctx context.Context, url string, body any) ([]byte, error) {
-	b, err := json.Marshal(body)
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(b))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	rb, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(rb)))
-	}
-	return rb, nil
 }
 
 // runAdmin drives the router's elastic membership endpoints: -drain moves a
@@ -294,24 +271,22 @@ func runAdmin(args []string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 	if *drain != "" {
-		body, err := postJSON(ctx, *router+"/v1/admin/drain", map[string]string{"shard": *drain})
+		body, err := cluster.Drain(ctx, *router, *drain)
 		if err != nil {
 			return fmt.Errorf("drain %s: %w", *drain, err)
 		}
-		fmt.Printf("wire-serve admin: drained: %s\n", strings.TrimSpace(string(body)))
+		fmt.Printf("wire-serve admin: drained: %s\n", body)
 		return nil
 	}
 	sh, err := cluster.ParseShard(*join)
 	if err != nil {
 		return err
 	}
-	body, err := postJSON(ctx, *router+"/v1/admin/join", map[string]string{
-		"name": sh.Name, "url": sh.URL, "journal_dir": sh.JournalDir,
-	})
+	body, err := cluster.Join(ctx, *router, sh)
 	if err != nil {
 		return fmt.Errorf("join %s: %w", sh.Name, err)
 	}
-	fmt.Printf("wire-serve admin: joined: %s\n", strings.TrimSpace(string(body)))
+	fmt.Printf("wire-serve admin: joined: %s\n", body)
 	return nil
 }
 
@@ -530,15 +505,13 @@ func runLoadgen(args []string) error {
 		}
 	}
 
-	var spec *service.ControllerSpec
-	if *deadline > 0 {
-		spec = &service.ControllerSpec{Deadline: deadline.Seconds()}
+	logf := func(format string, fargs ...any) {
+		fmt.Fprintf(os.Stderr, format+"\n", fargs...)
 	}
-	cfg := service.LoadgenConfig{
+	cfg := scenario.Config{
 		Sessions:    *sessions,
 		Concurrency: *concurrency,
 		Policy:      *policy,
-		Controller:  spec,
 		WorkflowKey: *workflow,
 		Cloud: cloud.Config{
 			SlotsPerInstance: *slots,
@@ -564,6 +537,15 @@ func runLoadgen(args []string) error {
 				}
 			}
 		},
+		Server:         service.Config{Logf: logf},
+		Seed:           *chaosSeed,
+		RollingRestart: *rolling,
+		ChurnEvents:    *churn,
+		Partition:      partSpec,
+		Logf:           logf,
+	}
+	if *deadline > 0 {
+		cfg.Controller = &service.ControllerSpec{Deadline: deadline.Seconds()}
 	}
 	if streamMode {
 		for _, k := range strings.Split(*streamKeys, ",") {
@@ -585,69 +567,37 @@ func runLoadgen(args []string) error {
 		}
 	}
 
-	var (
-		res   *service.LoadgenResult
-		cert  *service.ChaosCertResult
-		ccert *cluster.ShardCertResult
-		via   = *server
-		err   error
-	)
-	if *shardCount > 1 {
+	via := *server
+	clustered := *shardCount > 1
+	switch {
+	case clustered:
 		// The cluster certificate hosts the shard fleet and router itself and
 		// verifies every session against an in-process twin.
-		cfg.Verify = true
-		kill := 0
+		cfg.Shards, cfg.Verify = *shardCount, true
 		if *killShard {
-			kill = 10
+			cfg.KillAfterPlans = 10
 			if *killAfter > 0 {
-				kill = *killAfter
+				cfg.KillAfterPlans = *killAfter
 			}
 		}
-		ccert, err = cluster.ShardCertify(context.Background(), cluster.ShardCertConfig{
-			Loadgen: cfg,
-			Server: service.Config{Logf: func(format string, fargs ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", fargs...)
-			}},
-			Shards:         *shardCount,
-			KillAfterPlans: kill,
-			Seed:           *chaosSeed,
-			RollingRestart: *rolling,
-			ChurnEvents:    *churn,
-			Partition:      partSpec,
-			Logf: func(format string, fargs ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", fargs...)
-			},
-		})
-		if err != nil {
-			return err
-		}
-		res, via = ccert.LoadgenResult, fmt.Sprintf("in-process %d-shard cluster", *shardCount)
-	} else if *chaosMode {
+		via = fmt.Sprintf("in-process %d-shard cluster", *shardCount)
+	case *chaosMode:
 		// The certificate hosts its own daemon, injects the default fault
 		// plan into every session, and verifies against fault-free twins.
+		cfg.Shards, cfg.Verify = 1, true
 		cfg.Chaos = defaultChaosPlan(*chaosSeed, *lag)
-		cfg.Verify = true
-		cert, err = service.ChaosCertify(context.Background(), service.ChaosCertConfig{
-			Loadgen: cfg,
-			Server: service.Config{Logf: func(format string, fargs ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", fargs...)
-			}},
-			KillAfterPlans: *killAfter,
-		})
-		if err != nil {
-			return err
-		}
-		res, via = cert.LoadgenResult, "in-process chaos daemon"
-	} else {
+		cfg.KillAfterPlans = *killAfter
+		via = "in-process chaos daemon"
+	default:
 		var opts []service.ClientOption
 		if *withRetry {
 			opts = append(opts, service.WithRetry(service.DefaultChaosRetry()))
 		}
 		cfg.Client = service.NewClient(*server, opts...)
-		res, err = service.Loadgen(context.Background(), cfg)
-		if err != nil {
-			return err
-		}
+	}
+	res, err := scenario.Run(context.Background(), cfg)
+	if err != nil {
+		return err
 	}
 
 	load := fmt.Sprintf("%d×%s", res.Sessions, *workflow)
@@ -693,38 +643,38 @@ func runLoadgen(args []string) error {
 		c := res.CloudFaults
 		t.AddRow("cloud faults injected", fmt.Sprintf("%d of %d orders (%d lost, %d dup, %d doa, %d stragglers)",
 			c.Lost+c.Duplicated+c.DOA, c.Orders, c.Lost, c.Duplicated, c.DOA, c.Stragglers))
-		t.AddRow("daemon killed mid-run", cert.Killed)
-		t.AddRow("journal replays", cert.JournalReplays)
+		t.AddRow("daemon killed mid-run", res.Killed)
+		t.AddRow("journal replays", res.JournalReplays)
 	}
-	if ccert != nil {
-		if ccert.Killed {
-			t.AddRow("shard killed mid-run", ccert.Victim)
+	if clustered {
+		if res.Killed {
+			t.AddRow("shard killed mid-run", res.Victim)
 		} else {
 			t.AddRow("shard killed mid-run", false)
 		}
-		t.AddRow("failovers", ccert.Failovers)
-		t.AddRow("sessions handed off", ccert.HandoffSessions)
-		t.AddRow("shards up at end", ccert.ShardsUp)
-		t.AddRow("503s during recovery", ccert.Recovering503)
+		t.AddRow("failovers", res.Router.FailoversTotal)
+		t.AddRow("sessions handed off", res.Router.HandoffSessionsTotal)
+		t.AddRow("shards up at end", res.Router.ShardsUp)
+		t.AddRow("503s during recovery", res.Router.Recovering503Total)
 		if *rolling || *churn > 0 {
-			t.AddRow("drains", ccert.Drains)
-			t.AddRow("joins", ccert.Joins)
-			t.AddRow("sessions migrated", ccert.Migrated)
+			t.AddRow("drains", res.Router.DrainsTotal)
+			t.AddRow("joins", res.Router.JoinsTotal)
+			t.AddRow("sessions migrated", res.Router.MigratedSessionsTotal)
 		}
 		if *rolling {
-			t.AddRow("shards rolled", strings.Join(ccert.Restarted, ", "))
+			t.AddRow("shards rolled", strings.Join(res.Restarted, ", "))
 		}
 		if *churn > 0 {
-			t.AddRow("churn events applied", ccert.ChurnApplied)
+			t.AddRow("churn events applied", res.ChurnApplied)
 		}
 		if partSpec != nil {
-			t.AddRow("partitions applied", ccert.PartitionsApplied)
-			t.AddRow("partitions suspected", ccert.PartitionsSuspected)
-			t.AddRow("partitions healed", ccert.PartitionsHealed)
-			t.AddRow("503s while partitioned", ccert.Partitioned503)
-			if ccert.Audit != nil {
+			t.AddRow("partitions applied", res.PartitionsApplied)
+			t.AddRow("partitions suspected", res.Router.PartitionsSuspectedTotal)
+			t.AddRow("partitions healed", res.Router.PartitionsHealedTotal)
+			t.AddRow("503s while partitioned", res.Router.Partitioned503Total)
+			if res.Audit != nil {
 				t.AddRow("journal audit", fmt.Sprintf("%d session(s), %d WAL(s), %d violation(s)",
-					ccert.Audit.Sessions, ccert.Audit.WALs, len(ccert.Audit.Violations)))
+					res.Audit.Sessions, res.Audit.WALs, len(res.Audit.Violations)))
 			}
 		}
 	}
@@ -734,58 +684,16 @@ func runLoadgen(args []string) error {
 	for _, e := range res.Errors {
 		fmt.Fprintln(os.Stderr, "wire-serve loadgen:", e)
 	}
-	if res.Failed > 0 || res.Mismatched > 0 {
-		return fmt.Errorf("%d failed, %d mismatched of %d sessions", res.Failed, res.Mismatched, res.Sessions)
+	if err := res.Verdict(); err != nil {
+		return err
 	}
-	if *chaosMode {
-		fmt.Println("chaos certificate PASSED: decision streams byte-identical to fault-free twins")
-	}
-	if ccert != nil {
-		if *killShard {
-			if !ccert.Killed {
-				return fmt.Errorf("cluster certificate inconclusive: the run finished before the shard kill (raise -sessions or lower -kill-after)")
-			}
-			if ccert.Failovers == 0 {
-				return fmt.Errorf("cluster certificate failed: shard %s was killed but no failover happened", ccert.Victim)
-			}
-		}
-		if *rolling {
-			if len(ccert.Restarted) != *shardCount || ccert.Drains < int64(*shardCount) || ccert.Joins < int64(*shardCount) {
-				return fmt.Errorf("rolling-restart certificate failed: %d/%d shards rolled (%d drains, %d joins)",
-					len(ccert.Restarted), *shardCount, ccert.Drains, ccert.Joins)
-			}
-			if ccert.ShardsUp != *shardCount {
-				return fmt.Errorf("rolling-restart certificate failed: only %d/%d shards up at end", ccert.ShardsUp, *shardCount)
-			}
-		}
-		if *churn > 0 && ccert.ShardsUp != *shardCount {
-			return fmt.Errorf("churn certificate failed: only %d/%d shards up after healing", ccert.ShardsUp, *shardCount)
-		}
-		if partSpec != nil {
-			want := len(partSpec.Kinds)
-			if want == 0 {
-				if want = partSpec.Events; want <= 0 {
-					want = 3
-				}
-			}
-			if ccert.PartitionsApplied != want {
-				return fmt.Errorf("partition certificate inconclusive: %d of %d nemesis events applied (raise -sessions so the load outlasts the schedule)", ccert.PartitionsApplied, want)
-			}
-			if ccert.ShardsUp != *shardCount {
-				return fmt.Errorf("partition certificate failed: only %d/%d shards up after healing", ccert.ShardsUp, *shardCount)
-			}
-			if ccert.Audit == nil {
-				return fmt.Errorf("partition certificate failed: no journal audit ran")
-			}
-			if !ccert.Audit.Clean() {
-				b, _ := json.MarshalIndent(ccert.Audit.Violations, "", "  ")
-				fmt.Fprintln(os.Stderr, string(b))
-				return fmt.Errorf("partition certificate failed: journal audit found %d violation(s)", len(ccert.Audit.Violations))
-			}
-			fmt.Println("partition certificate PASSED: zero dropped sessions, fleet healed, journal audit clean")
-			return nil
-		}
+	switch {
+	case partSpec != nil:
+		fmt.Println("partition certificate PASSED: zero dropped sessions, fleet healed, journal audit clean")
+	case clustered:
 		fmt.Println("cluster certificate PASSED: zero dropped sessions, decision streams byte-identical to in-process twins")
+	case *chaosMode:
+		fmt.Println("chaos certificate PASSED: decision streams byte-identical to fault-free twins")
 	}
 	return nil
 }

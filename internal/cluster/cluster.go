@@ -29,7 +29,7 @@
 // retried across the failover is answered with the decision the dead shard
 // already released — Wire-Plan-Seq semantics hold fleet-wide.
 //
-// The certificate is ShardCertify (`wire-serve loadgen -shards N
+// The certificate lives in internal/scenario (`wire-serve loadgen -shards N
 // -kill-shard`): an N-shard in-process cluster under loadgen with a mid-run
 // shard kill must finish with zero dropped sessions and every decision
 // stream byte-identical to a fault-free in-process twin. The elastic plane

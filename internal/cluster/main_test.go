@@ -7,6 +7,6 @@ import (
 )
 
 // TestMain fails the binary if any cluster goroutine (heartbeat prober,
-// confirmation relay, failover or drain worker, cert-harness shard, ...)
+// confirmation relay, failover or drain worker, ...)
 // outlives a passing test run.
 func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -249,6 +251,43 @@ type joinRequest struct {
 	Name       string `json:"name"`
 	URL        string `json:"url"`
 	JournalDir string `json:"journal_dir"`
+}
+
+// Drain asks the router at routerURL to drain the named shard out of the ring
+// and returns the router's response body once the drain has committed.
+func Drain(ctx context.Context, routerURL, name string) ([]byte, error) {
+	return postAdmin(ctx, routerURL+"/v1/admin/drain", drainRequest{Shard: name})
+}
+
+// Join asks the router at routerURL to add (or re-add) a shard to the ring
+// and returns the router's response body once the join has committed.
+func Join(ctx context.Context, routerURL string, sh Shard) ([]byte, error) {
+	return postAdmin(ctx, routerURL+"/v1/admin/join", joinRequest{Name: sh.Name, URL: sh.URL, JournalDir: sh.JournalDir})
+}
+
+// postAdmin POSTs one JSON body to a router admin endpoint and returns the
+// response body, treating any non-200 as an error that carries it.
+func postAdmin(ctx context.Context, url string, body any) ([]byte, error) {
+	b, err := json.Marshal(body)
+	if err != nil {
+		return nil, err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(b))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	rb, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+	rb = bytes.TrimSpace(rb)
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("HTTP %d: %s", resp.StatusCode, rb)
+	}
+	return rb, nil
 }
 
 // handleDrain gracefully decommissions one shard: its sessions migrate to

@@ -5,10 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cloud"
 	"repro/internal/dagio"
 	"repro/internal/service"
-	"repro/internal/tenancy"
 )
 
 // TestRouterTenantFanout pins the router's tenant surface: POST broadcasts
@@ -70,62 +68,5 @@ func TestRouterTenantFanout(t *testing.T) {
 
 	if _, err := client.Tenant(ctx, "ghost"); err == nil || !strings.Contains(err.Error(), "not_found") {
 		t.Fatalf("unknown tenant error = %v, want not_found", err)
-	}
-}
-
-// TestShardCertifyStream runs the kill-shard cluster certificate under a
-// heterogeneous multi-tenant arrival stream instead of the classic fixed-N
-// loadgen: Poisson arrivals draw mixed workflows for three budget-capped
-// tenants, the router broadcasts the tenant specs, one shard dies abruptly
-// mid-run, and every arrival must still complete with a decision stream
-// byte-identical to its in-process twin (throttled creates are retried, so
-// the stream drops nothing).
-func TestShardCertifyStream(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster certificate is slow")
-	}
-	res, err := ShardCertify(context.Background(), ShardCertConfig{
-		Loadgen: service.LoadgenConfig{
-			Sessions:    15,
-			Concurrency: 3, // most sessions still to come when the kill lands
-			Policy:      "wire",
-			Cloud: cloud.Config{
-				SlotsPerInstance: 2,
-				LagTime:          180,
-				ChargingUnit:     900,
-				MaxInstances:     6,
-			},
-			Noise:              0.05,
-			SeedBase:           42,
-			Verify:             true,
-			Arrivals:           tenancy.Poisson,
-			Tenants:            3,
-			ArrivalRatePerHour: 60, // ~1 arrival/16ms at this compression: the stream outlives the kill
-			TenantMaxActive:    2,
-			TimeCompression:    3600,
-			StreamKeys:         []string{"tpch6-s", "tpch1-s", "pagerank-s"},
-		},
-		Shards:         3,
-		KillAfterPlans: 2,
-		Seed:           11,
-		Logf:           t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Killed {
-		t.Fatal("run outpaced the kill; the failover path was not exercised")
-	}
-	if res.Failed != 0 || res.Completed != res.Sessions {
-		t.Fatalf("completed %d / failed %d of %d: %v", res.Completed, res.Failed, res.Sessions, res.Errors)
-	}
-	if res.Mismatched != 0 {
-		t.Fatalf("%d decision streams diverged from in-process twins: %v", res.Mismatched, res.Errors)
-	}
-	if res.Failovers == 0 {
-		t.Fatalf("shard %s was killed but the router never failed it over", res.Victim)
-	}
-	if res.TenantSpendUnits <= 0 {
-		t.Errorf("tenant spend = %v units; the stream's sessions were never metered", res.TenantSpendUnits)
 	}
 }

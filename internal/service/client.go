@@ -106,6 +106,18 @@ type RetryPolicy struct {
 	MaxRetryAfter time.Duration
 }
 
+// DefaultChaosRetry is the retry policy for riding out injected faults, a
+// daemon restart, or a shard failover: persistent, with small delays to keep
+// runs fast.
+func DefaultChaosRetry() RetryPolicy {
+	return RetryPolicy{
+		MaxAttempts:       10,
+		BaseDelay:         20 * time.Millisecond,
+		MaxDelay:          500 * time.Millisecond,
+		PerAttemptTimeout: 15 * time.Second,
+	}
+}
+
 // defaultMaxRetryAfter bounds honored Retry-After hints when the policy does
 // not set its own cap.
 const defaultMaxRetryAfter = 15 * time.Second

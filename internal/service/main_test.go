@@ -7,5 +7,5 @@ import (
 )
 
 // TestMain fails the binary if any service goroutine (janitor, live-run
-// reclaimer, loadgen worker, ...) outlives a passing test run.
+// reclaimer, ...) outlives a passing test run.
 func TestMain(m *testing.M) { leakcheck.Main(m) }

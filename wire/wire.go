@@ -324,18 +324,9 @@ type (
 	// ClusterRouter is the stateless routing front end; run its heartbeat
 	// loop with Run and mount Handler on a listener.
 	ClusterRouter = cluster.Router
-	// ShardCertConfig drives the cluster certificate
-	// (`wire-serve loadgen -shards N -kill-shard`).
-	ShardCertConfig = cluster.ShardCertConfig
 )
 
 // NewClusterRouter builds a router over a static shard map.
 func NewClusterRouter(cfg ClusterRouterConfig) (*ClusterRouter, error) {
 	return cluster.NewRouter(cfg)
-}
-
-// ShardCertify hosts an N-shard cluster in-process, kills one shard mid-run,
-// and certifies zero dropped sessions with twin-identical decision streams.
-func ShardCertify(ctx context.Context, cfg ShardCertConfig) (*cluster.ShardCertResult, error) {
-	return cluster.ShardCertify(ctx, cfg)
 }
