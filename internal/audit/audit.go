@@ -19,6 +19,11 @@
 //   - seq_regression: a plan record's seq is at or below an earlier
 //     record's in the same WAL with different bytes — the log went back in
 //     time.
+//   - delta_base: a plan record whose snapshot is a delta (the task records
+//     that changed since the previous interval) needs the record of the
+//     interval before it earlier in the same WAL copy — replay folds a delta
+//     into the snapshot it has materialised so far, so a delta that runs
+//     ahead of its predecessor has nothing right to fold into.
 //   - seq_gap: the union of seqs across a session's copies must cover
 //     1..max with no holes — a hole is a decision a client observed that no
 //     surviving journal carries.
@@ -116,11 +121,14 @@ type walRec struct {
 	Response json.RawMessage `json:"response,omitempty"`
 }
 
-// snapBill is the subset of a plan snapshot the billing recomputation needs.
+// snapBill is the subset of a plan snapshot the auditor reads: what the
+// billing recomputation needs — a delta snapshot carries these in full, like
+// any other — and whether the snapshot is a delta at all.
 type snapBill struct {
 	Instances     []json.RawMessage `json:"instances"`
 	IntervalS     float64           `json:"interval_s"`
 	ChargingUnitS float64           `json:"charging_unit_s"`
+	Delta         bool              `json:"delta"`
 }
 
 // planRec is one parsed plan record.
@@ -266,18 +274,24 @@ func parseWAL(dir, path string, rep *Report) (*walCopy, error) {
 					Detail: fmt.Sprintf("seq %d appended after seq %d", rec.Seq, maxSeq),
 				})
 			}
+			pr := planRec{seq: rec.Seq, resp: resp}
+			var sb snapBill
+			if len(rec.Snapshot) > 0 && json.Unmarshal(rec.Snapshot, &sb) == nil {
+				pr.spend = float64(len(sb.Instances)) * sb.IntervalS
+				pr.unitS = sb.ChargingUnitS
+			}
+			// Replay takes intervals in rising order and skips what it has
+			// seen; a delta it would take must be the very next interval.
+			if sb.Delta && rec.Seq > maxSeq+1 {
+				rep.Violations = append(rep.Violations, Violation{
+					Check: "delta_base", Session: c.session, Tenant: c.tenant, Dir: dir,
+					Detail: fmt.Sprintf("seq %d is a delta but seq %d is not in the log before it: the snapshot it changes is not the one replay holds", rec.Seq, rec.Seq-1),
+				})
+			}
 			if rec.Seq > maxSeq {
 				maxSeq = rec.Seq
 			}
 			seen[rec.Seq] = resp
-			pr := planRec{seq: rec.Seq, resp: resp}
-			if len(rec.Snapshot) > 0 {
-				var sb snapBill
-				if json.Unmarshal(rec.Snapshot, &sb) == nil {
-					pr.spend = float64(len(sb.Instances)) * sb.IntervalS
-					pr.unitS = sb.ChargingUnitS
-				}
-			}
 			c.plans = append(c.plans, pr)
 			rep.Plans++
 		}

@@ -132,6 +132,21 @@ func TestGoldenWAL(t *testing.T) {
 	if spend := full.TenantSpend["acme"]; spend != 1 {
 		t.Errorf("acme spend %v units, want (60+120+120)/300 = 1", spend)
 	}
+
+	// Plans 2 and 3 are deltas. The same log without plan 2 must trip the
+	// base check on plan 3: the golden passes because the auditor reads the
+	// delta marker, not because it reads nothing.
+	lines := strings.SplitAfter(string(golden), "\n")
+	if err := os.WriteFile(path, []byte(lines[0]+lines[1]+lines[3]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	forged, err := Run(Config{Dirs: []string{dir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hasCheck(forged, "delta_base") || !hasCheck(forged, "seq_gap") {
+		t.Fatalf("a delta cut off from its base was reported as %+v", forged.Violations)
+	}
 }
 
 // TestGoldenLiveJournal reads the live-run journal checked in beside the exec

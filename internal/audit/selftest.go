@@ -55,6 +55,11 @@ func stPlan(seq int64, n int, marker string) string {
 		seq, strings.Join(insts, ","), seq*30, seq, n, marker)
 }
 
+// stDelta is stPlan with the snapshot in delta form: one changed task record.
+func stDelta(seq int64, n int, marker string) string {
+	return strings.Replace(stPlan(seq, n, marker), `"snapshot":{`, fmt.Sprintf(`"snapshot":{"delta":true,"tasks":[{"id":%d,"stage":0,"state":"running"}],`, seq), 1)
+}
+
 func stLive(dir string, lines ...string) error {
 	return os.WriteFile(filepath.Join(dir, "live-selftest.jsonl"), []byte(strings.Join(lines, "\n")+"\n"), 0o644)
 }
@@ -80,9 +85,9 @@ func cleanCorpus(a, b string) error {
 	if err := stWAL(b, "s-handed",
 		stCreate("s-handed", "acme"),
 		stPlan(1, 2, "v"),
-		stPlan(2, 2, "v"), // crash window: re-journaled byte-identical
-		stPlan(2, 2, "v"),
-		stPlan(3, 2, "v"),
+		stDelta(2, 2, "v"), // crash window: re-journaled byte-identical
+		stDelta(2, 2, "v"),
+		stDelta(3, 2, "v"),
 	); err != nil {
 		return err
 	}
@@ -128,6 +133,19 @@ func SelfTest() (*SelfTestResult, error) {
 					stCreate("s-solo", "acme"),
 					stPlan(1, 1, "v"),
 					stPlan(4, 1, "v"),
+				)
+			},
+		},
+		{
+			name: "delta without its base", check: "delta_base",
+			seed: func(b string) error {
+				// Every seq is there, so nothing else fires — but seq 3, a
+				// delta, was appended before the interval it changes.
+				return stWAL(b, "s-solo",
+					stCreate("s-solo", "acme"),
+					stPlan(1, 1, "v"),
+					stDelta(3, 1, "v"),
+					stPlan(2, 1, "v"),
 				)
 			},
 		},

@@ -67,6 +67,9 @@ func AppendSnapshotJSON(dst []byte, s *Snapshot) ([]byte, error) {
 		dst = append(dst, `,"max_instances":`...)
 		dst = appendInt(dst, int64(s.MaxInstances))
 	}
+	if s.Delta {
+		dst = append(dst, `,"delta":true`...)
+	}
 	dst = append(dst, `,"tasks":`...)
 	if s.Tasks == nil {
 		dst = append(dst, "null"...)
@@ -280,6 +283,8 @@ func parseSnapshot(p *jsonlite.Parser, s *Snapshot) error {
 			var n int64
 			n, err = p.Int()
 			s.MaxInstances = int(n)
+		case "delta":
+			s.Delta, err = p.Bool()
 		case "workflow":
 			// Workflow documents carry names and nested structure; use the
 			// stock codec on just this subtree.

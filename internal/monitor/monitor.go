@@ -160,11 +160,18 @@ type Snapshot struct {
 	SlotsPerInstance int              `json:"slots_per_instance"`
 	MaxInstances     int              `json:"max_instances,omitempty"`
 
+	// Delta marks the plan endpoint's incremental body: Tasks then holds
+	// whole records, ids strictly increasing, for exactly the tasks whose
+	// record differs from the previous interval's; every other field is
+	// carried in full as always (see delta.go). Controllers only ever see
+	// materialised snapshots, where it is false.
+	Delta bool `json:"delta,omitempty"`
+
 	// Workflow is the static DAG (structure, stages, input sizes). See
 	// the package comment for what controllers may read from it.
 	Workflow *dag.Workflow `json:"workflow,omitempty"`
 
-	// Tasks is indexed by dag.TaskID.
+	// Tasks is indexed by dag.TaskID (in a Delta body: the changed records).
 	Tasks []TaskRecord `json:"tasks"`
 
 	// Instances lists held (pending or active) instances.

@@ -1,17 +1,21 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/audit"
 	"repro/internal/chaos"
 	"repro/internal/cloud"
 	"repro/internal/cluster"
@@ -423,5 +427,72 @@ func TestFixedEqualsStreamAtT0(t *testing.T) {
 	streamed := run(Config{Stream: stream})
 	if !reflect.DeepEqual(fixed, streamed) {
 		t.Errorf("fixed fleet and stream-at-t0 diverged:\n fixed  %+v\n stream %+v", fixed, streamed)
+	}
+}
+
+// TestLoadgenStreamAuditBillsDeltaJournals is the billing side of the delta
+// plan protocol on the multi-tenant stream: after the first plan of a session
+// the journal holds only the task records that changed, yet the auditor's
+// recomputation of every tenant's spend from those journals must equal the
+// daemon's own ledger, which meters the materialised snapshots — a delta
+// carries clock, billing parameters and instances in full for exactly this.
+func TestLoadgenStreamAuditBillsDeltaJournals(t *testing.T) {
+	jdir := t.TempDir()
+	srv := service.New(service.Config{MaxSessions: 256, JournalDir: jdir})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	client := service.NewClient(ts.URL)
+	res, err := Run(context.Background(), Config{
+		Client:             client,
+		Sessions:           12,
+		Arrivals:           tenancy.Poisson,
+		Tenants:            3,
+		ArrivalRatePerHour: 600,
+		StreamKeys:         []string{"tpch1-l", "pagerank-s", "genome-s"},
+		TimeCompression:    36000,
+		Cloud:              testCloud,
+		SeedBase:           42,
+		Verify:             true,
+		RetainSessions:     true, // the WALs are the evidence
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requirePass(t, res)
+
+	rep, err := audit.Run(audit.Config{Dirs: []string{jdir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean() || rep.Sessions != 12 || int64(rep.Plans) != res.Plans {
+		t.Fatalf("audit: %d sessions, %d plans (the run made %d), violations %+v", rep.Sessions, rep.Plans, res.Plans, rep.Violations)
+	}
+	wals, err := filepath.Glob(filepath.Join(jdir, "*.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltas := 0
+	for _, path := range wals {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deltas += bytes.Count(data, []byte(`"max_instances":6,"delta":true,"tasks":[`))
+	}
+	if want := int(res.Plans) - len(wals); deltas != want {
+		t.Fatalf("journals hold %d delta plan records, want every plan but each session's first: %d", deltas, want)
+	}
+	tenants, err := client.Tenants(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tenants) != 3 || len(rep.TenantSpend) != 3 {
+		t.Fatalf("ledger has %d tenants, audit %d, want 3", len(tenants), len(rep.TenantSpend))
+	}
+	for _, info := range tenants {
+		if got := rep.TenantSpend[info.Name]; got <= 0 || math.Abs(got-info.SpendUnits) > 1e-9 {
+			t.Errorf("tenant %s: audit recomputes %v units from the journals, the daemon metered %v", info.Name, got, info.SpendUnits)
+		}
 	}
 }

@@ -176,7 +176,7 @@ type ErrorBody struct {
 type stateDumper interface{ State() core.StateDump }
 
 // bufPool recycles the scratch buffers of writeJSON, readJSON and the plan
-// path (request body, encoded response, framed WAL record). One shared pool
+// path (posted body, encoded response, framed WAL record). One shared pool
 // rather than per-session buffers, so idle sessions pin nothing. Buffers that
 // grew past maxPooledBuf (a one-off giant state dump) are dropped rather than
 // pinned in the pool.
@@ -184,11 +184,13 @@ var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // maxPooledBuf is sized from the largest buffers the catalogue makes the plan
 // path hold, measured on Genome-L (4005 tasks, 22 plans) by
-// TestPlanRecordFramingMatchesEncoder: the posted snapshot reaches 1.11 MB,
-// the response 0.40 MB and the framed WAL record 1.11 MB — over the former
-// 1 MiB ceiling, under which the record buffer was allocated afresh on every
-// late plan of a session. With reserve's eighth to spare they stay under
-// 1.25 MB; 2 MiB leaves room for workflows half as large again.
+// TestPlanRecordFramingMatchesEncoder: a snapshot posted in full — a session's
+// first plan, or a resync — reaches 1.11 MB and so does the WAL record framed
+// around it; the response reaches 0.40 MB. Delta bodies and their records are
+// several times smaller (mean 84 KB on the same stream), so it is the
+// full-snapshot path that sets the ceiling. With reserve's eighth to spare
+// those buffers stay under 1.25 MB; 2 MiB leaves room for workflows half as
+// large again.
 const maxPooledBuf = 2 << 20
 
 func getBuf() *bytes.Buffer {
@@ -205,8 +207,10 @@ func putBuf(buf *bytes.Buffer) {
 
 // reserve makes an empty pooled buffer hold n bytes without growing. Where
 // bytes.Buffer.Grow at least doubles a buffer it has to replace, reserve
-// allocates n and an eighth: consecutive plans of a session need slightly
-// more each time, and a megabyte buffer doubled is over maxPooledBuf.
+// allocates n and an eighth: the pool hands one buffer to bodies of very
+// different sizes (a delta, then some session's full snapshot), and a
+// megabyte buffer doubled is over maxPooledBuf, so it would be dropped and
+// reallocated on every such plan.
 func reserve(buf *bytes.Buffer, n int) {
 	if buf.Cap() < n {
 		*buf = *bytes.NewBuffer(make([]byte, 0, n+n/8))
@@ -272,28 +276,21 @@ func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// readSnapshot is readJSON specialized to the plan body: it decodes through
-// monitor.UnmarshalSnapshot directly, skipping json.Unmarshal's separate
-// whole-input validation pass — snapshots are by far the largest and most
-// frequent bodies the daemon sees. It also returns the body's length, the
-// journal's size hint for the re-encoded snapshot.
-func (s *Server) readSnapshot(w http.ResponseWriter, r *http.Request, snap *monitor.Snapshot) (size int, ok bool) {
+// readBody reads a plan request's body into buf, a pooled buffer the caller
+// owns. Snapshots are by far the largest and most frequent bodies the daemon
+// sees, so the buffer is reserved from Content-Length instead of grown by
+// doubling.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	buf := getBuf()
-	defer putBuf(buf)
 	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
 		// ReadFrom wants bytes.MinRead to spare to see EOF.
 		reserve(buf, int(n)+bytes.MinRead)
 	}
 	if _, err := buf.ReadFrom(r.Body); err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad_request", "invalid JSON body: %v", err)
-		return 0, false
+		return false
 	}
-	if err := monitor.UnmarshalSnapshot(buf.Bytes(), snap); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "invalid JSON body: %v", err)
-		return 0, false
-	}
-	return buf.Len(), true
+	return true
 }
 
 func (s *Server) sessionInfo(sess *Session) SessionInfo {
@@ -438,13 +435,15 @@ func (s *Server) getSession(w http.ResponseWriter, r *http.Request) *Session {
 }
 
 // validateSnapshot checks the parts of a posted snapshot the controllers
-// index into; everything else is the client's modelling choice.
+// index into; everything else is the client's modelling choice. A full body
+// carries one record per task, indexed by id; a delta's ids are checked
+// against its base by monitor.Snapshot.ApplyDelta.
 func validateSnapshot(snap *monitor.Snapshot, wf *dag.Workflow) error {
-	if len(snap.Tasks) != wf.NumTasks() {
+	if !snap.Delta && len(snap.Tasks) != wf.NumTasks() {
 		return fmt.Errorf("snapshot has %d task records, workflow has %d tasks", len(snap.Tasks), wf.NumTasks())
 	}
 	for i := range snap.Tasks {
-		if int(snap.Tasks[i].ID) != i {
+		if !snap.Delta && int(snap.Tasks[i].ID) != i {
 			return fmt.Errorf("task record %d has id %d; records must be indexed by task id", i, snap.Tasks[i].ID)
 		}
 		if st := int(snap.Tasks[i].Stage); st < 0 || st >= wf.NumStages() {
@@ -478,11 +477,15 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		}
 		seq = v
 	}
-	// Decode into the session's scratch snapshot under sess.mu: plan
+	raw := getBuf()
+	defer putBuf(raw)
+	if !s.readBody(w, r, raw) {
+		return
+	}
+	// Everything from here to the journal append runs under sess.mu: plan
 	// requests for one session are serial anyway (the controller is), and
-	// the reused Tasks backing array saves the dominant per-plan allocation.
-	// Nothing downstream retains the snapshot past the request — planStep
-	// reads it, the journal frames it into the plan record before unlock.
+	// nothing downstream retains the snapshot past the request — planStep
+	// reads it, the journal frames what was posted before unlock.
 	sess.mu.Lock()
 	if sess.gone {
 		// The session was exported to (or fenced off by) another shard after
@@ -494,33 +497,12 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			"session %s moved to another shard; retry", sess.ID)
 		return
 	}
-	snap := sess.resetSnapScratch()
-	snapSize, ok := s.readSnapshot(w, r, snap)
-	if !ok {
-		sess.mu.Unlock()
-		return
-	}
-	if snap.Workflow != nil && snap.Workflow.NumTasks() != sess.Workflow.NumTasks() {
-		n := snap.Workflow.NumTasks()
-		sess.mu.Unlock()
-		s.writeError(w, http.StatusBadRequest, "bad_request",
-			"snapshot workflow has %d tasks, session workflow has %d",
-			n, sess.Workflow.NumTasks())
-		return
-	}
-	// The session's DAG is authoritative; clients normally omit theirs.
-	snap.Workflow = sess.Workflow
-	if err := validateSnapshot(snap, sess.Workflow); err != nil {
-		sess.mu.Unlock()
-		s.writeError(w, http.StatusBadRequest, "bad_request", "snapshot: %v", err)
-		return
-	}
-
 	if seq > 0 {
-		// Exactly-once planning: a retry of the last interval is answered
-		// from the cache without advancing the controller; anything else
-		// out of order is a protocol violation the client must not paper
-		// over by replanning.
+		// Exactly-once planning, decided before the body is even decoded: a
+		// retry of the last interval is answered from the cache without
+		// advancing the controller or touching the materialised snapshot;
+		// anything else out of order is a protocol violation the client must
+		// not paper over by replanning.
 		if seq == sess.lastSeq && sess.lastResp != nil {
 			resp := *sess.lastResp
 			sess.mu.Unlock()
@@ -536,8 +518,42 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// Decode into the small scratch; the materialised snapshot only changes
+	// once the body has passed every check below.
+	in := sess.resetBodyScratch()
+	if err := monitor.UnmarshalSnapshot(raw.Bytes(), in); err != nil {
+		sess.mu.Unlock()
+		s.writeError(w, http.StatusBadRequest, "bad_request", "invalid JSON body: %v", err)
+		return
+	}
+	if in.Workflow != nil && in.Workflow.NumTasks() != sess.Workflow.NumTasks() {
+		n := in.Workflow.NumTasks()
+		sess.mu.Unlock()
+		s.writeError(w, http.StatusBadRequest, "bad_request",
+			"snapshot workflow has %d tasks, session workflow has %d",
+			n, sess.Workflow.NumTasks())
+		return
+	}
+	if in.Delta && (seq == 0 || !sess.baseOK) {
+		// A delta is only meaningful against the snapshot of seq-1, which an
+		// unsequenced request cannot name and a session that has not planned
+		// (or whose last body failed to plan) does not hold.
+		sess.mu.Unlock()
+		s.writeError(w, http.StatusConflict, CodeBaseMismatch,
+			"delta snapshot has no base here; post the interval as a full snapshot")
+		return
+	}
+	posted, err := sess.materialise(in)
+	if err != nil {
+		sess.mu.Unlock()
+		s.writeError(w, http.StatusBadRequest, "bad_request", "snapshot: %v", err)
+		return
+	}
+	snap := &sess.snapScratch
 	dec, degraded, preds, err := planStep(sess, snap)
 	if err != nil {
+		// snapScratch now holds a snapshot lastSeq does not name.
+		sess.baseOK = false
 		sess.mu.Unlock()
 		s.writeError(w, http.StatusUnprocessableEntity, "plan_failed", "%v", err)
 		return
@@ -563,9 +579,9 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	// does not encode reaches neither the journal nor the client.
 	jerr := encErr
 	if encErr == nil {
-		lean := *snap
+		lean := *posted
 		lean.Workflow = nil
-		jerr = sess.wal.appendPlan(assigned, &lean, respJSON, snapSize)
+		jerr = sess.wal.appendPlan(assigned, &lean, respJSON, raw.Len())
 	}
 	switch {
 	case jerr == nil:
@@ -601,7 +617,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.cfg.Logf("wire-serve: journal append failed for session %s at plan seq %d: %v", sess.ID, assigned, jerr)
 	}
-	sess.lastSeq, sess.lastResp = assigned, resp
+	sess.lastSeq, sess.lastResp, sess.baseOK = assigned, resp, true
 	ten, tenOK := observeTenancy(sess, snap)
 	sess.mu.Unlock()
 	if tenOK {

@@ -52,6 +52,13 @@ const CodeSessionFenced = "session_fenced"
 // the tenant's sessions finish; clients should back off and retry.
 const CodeTenantThrottled = "tenant_throttled"
 
+// CodeBaseMismatch is the error code a daemon returns (as a 409) when a plan
+// body in delta form (monitor.Snapshot.Delta) cannot be applied: the session
+// does not hold the snapshot of seq-1 it would be folded into, or the request
+// carried no sequence number. Nothing was planned; the client re-posts the
+// same seq as a full snapshot, which is always accepted.
+const CodeBaseMismatch = "base_mismatch"
+
 // CodeShardPartitioned is the error code a cluster router returns (as a 503
 // with Retry-After) while the shard owning the requested session is
 // unreachable from the router but confirmed alive through a peer: a network
@@ -193,6 +200,21 @@ type Client struct {
 
 	jmu    sync.Mutex
 	jitter *rand.Rand
+
+	// bases holds, per session this client plans for, a private copy of the
+	// task records of the last snapshot the daemon acknowledged — what the
+	// next Plan is diffed against. An entry is taken out of the map for the
+	// length of a Plan call and put back on the way out.
+	bmu   sync.Mutex
+	bases map[string]*planBase
+}
+
+// planBase is one session's last acknowledged interval.
+type planBase struct {
+	seq   int64
+	tasks []monitor.TaskRecord
+	// changed is the delta's record list, reused from plan to plan.
+	changed []monitor.TaskRecord
 }
 
 // NewClient returns a client for a daemon base URL such as
@@ -202,6 +224,7 @@ func NewClient(base string, opts ...ClientOption) *Client {
 		base:    strings.TrimRight(base, "/"),
 		timeout: 60 * time.Second,
 		retry:   RetryPolicy{MaxAttempts: 1},
+		bases:   make(map[string]*planBase),
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -405,14 +428,72 @@ func (c *Client) CreateSession(ctx context.Context, req CreateSessionRequest) (*
 // legacy server-side sequencing, under which a retry after a lost response
 // would plan a fresh interval. The snapshot's Workflow is stripped before
 // sending — the session's DAG is authoritative on the server.
+//
+// What travels is the delta against the previous interval whenever this
+// client holds it: Plan keeps a private copy of the task records the daemon
+// last acknowledged for the session and, when that is interval seq-1, posts
+// only the records that differ (monitor.Snapshot.Delta). Anything else — the
+// first plan, a fresh Client mid-session, a gap — posts the snapshot in full,
+// which the daemon always accepts. The copy advances only on a 2xx for seq,
+// so a retry re-sends the same body, and it is private, so the caller may
+// reuse snap as soon as Plan returns. It is dropped by DeleteSession, by a
+// 404 and once the snapshot shows every task completed.
 func (c *Client) Plan(ctx context.Context, id string, seq int64, snap *monitor.Snapshot) (*PlanResponse, error) {
 	lean := *snap
 	lean.Workflow = nil
+	path := "/v1/sessions/" + id + "/plan"
+	base := c.takeBase(id)
+	if base == nil {
+		base = &planBase{}
+	}
+	sent := &lean
+	if seq > 1 && base.seq == seq-1 && len(base.tasks) == len(snap.Tasks) {
+		base.changed = monitor.AppendChanged(base.changed[:0], base.tasks, snap.Tasks)
+		delta := lean
+		delta.Delta, delta.Tasks = true, base.changed
+		sent = &delta
+	}
 	var resp PlanResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/sessions/"+id+"/plan", seq, &lean, &resp); err != nil {
+	err := c.do(ctx, http.MethodPost, path, seq, sent, &resp)
+	var ae *APIError
+	if sent.Delta && errors.As(err, &ae) && ae.Code == CodeBaseMismatch {
+		// The daemon does not hold seq-1 (it says so before planning
+		// anything): the copy is worthless, the interval goes in full.
+		base.seq, sent = 0, &lean
+		err = c.do(ctx, http.MethodPost, path, seq, sent, &resp)
+	}
+	if err != nil {
+		if base.seq > 0 && !(errors.As(err, &ae) && ae.StatusCode == http.StatusNotFound) {
+			c.putBase(id, base) // still the last acknowledged interval
+		}
 		return nil, err
 	}
+	if seq > 0 && !snap.Done() {
+		if sent.Delta {
+			for i := range sent.Tasks {
+				base.tasks[sent.Tasks[i].ID] = sent.Tasks[i]
+			}
+		} else {
+			base.tasks = append(base.tasks[:0], snap.Tasks...)
+		}
+		base.seq = seq
+		c.putBase(id, base)
+	}
 	return &resp, nil
+}
+
+func (c *Client) takeBase(id string) *planBase {
+	c.bmu.Lock()
+	defer c.bmu.Unlock()
+	b := c.bases[id]
+	delete(c.bases, id)
+	return b
+}
+
+func (c *Client) putBase(id string, b *planBase) {
+	c.bmu.Lock()
+	c.bases[id] = b
+	c.bmu.Unlock()
 }
 
 // State fetches the session's run state.
@@ -424,8 +505,10 @@ func (c *Client) State(ctx context.Context, id string) (*SessionStateResponse, e
 	return &resp, nil
 }
 
-// DeleteSession drops the session.
+// DeleteSession drops the session, and with it the client's copy of its last
+// acknowledged snapshot.
 func (c *Client) DeleteSession(ctx context.Context, id string) error {
+	c.takeBase(id)
 	return c.do(ctx, http.MethodDelete, "/v1/sessions/"+id, 0, nil, nil)
 }
 

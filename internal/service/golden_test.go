@@ -22,12 +22,16 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.wal from the current write path")
 
-// goldenWAL is the checked-in session log — create, three plans, one of them
-// degraded — that pins the WAL format from both sides: this package's write
-// path must reproduce it byte for byte, and internal/audit's independent
-// decoder reads the same file (TestGoldenWAL there).
+// goldenWAL is the checked-in session log — create, one full plan, two delta
+// plans, the second plan degraded — that pins the WAL format from both sides:
+// this package's write path must reproduce it byte for byte, and
+// internal/audit's independent decoder reads the same file (TestGoldenWAL
+// there). goldenV1WAL is the same session as the commit before the delta
+// protocol wrote it, every plan a full snapshot: nothing writes that file any
+// more, but journals like it are on disks and must replay.
 const (
 	goldenWAL     = "testdata/golden.wal"
+	goldenV1WAL   = "testdata/golden_v1.wal"
 	goldenSession = "golden-session-01"
 )
 
@@ -154,7 +158,26 @@ func TestGoldenWAL(t *testing.T) {
 			goldenWAL, firstDiff(got, want), firstDiff(want, got))
 	}
 
-	lines := bytes.SplitAfter(want, []byte{'\n'})
+	replayGolden(t, want, []bool{false, true, true})
+}
+
+// TestGoldenV1Replays holds replay to the all-full journal the parent commit
+// wrote for the golden session.
+func TestGoldenV1Replays(t *testing.T) {
+	v1, err := os.ReadFile(goldenV1WAL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayGolden(t, v1, []bool{false, false, false})
+}
+
+// replayGolden holds the plan framer to each plan line of a golden log —
+// whose snapshots must be deltas exactly where wantDelta says — and recovers a
+// daemon from it: the replayed cache must answer the last interval as the log
+// recorded it, and the next interval must plan.
+func replayGolden(t *testing.T, golden []byte, wantDelta []bool) {
+	t.Helper()
+	lines := bytes.SplitAfter(golden, []byte{'\n'})
 	if len(lines) != 5 || len(lines[4]) != 0 {
 		t.Fatalf("golden WAL has %d line(s), want create + 3 plans, newline-terminated", len(lines)-1)
 	}
@@ -163,6 +186,9 @@ func TestGoldenWAL(t *testing.T) {
 		var rec walRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
 			t.Fatalf("plan line %d: %v", i+1, err)
+		}
+		if rec.Snapshot.Delta != wantDelta[i] {
+			t.Errorf("plan line %d: delta = %v, want %v", i+1, rec.Snapshot.Delta, wantDelta[i])
 		}
 		respJSON, err := rec.Response.AppendJSON(nil)
 		if err != nil {
@@ -179,18 +205,32 @@ func TestGoldenWAL(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, goldenSession+".wal"), want, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, goldenSession+".wal"), golden, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	srv, client := newTestServer(t, Config{JournalDir: dir})
 	if srv.Store().Len() != 1 {
 		t.Fatalf("replayed %d session(s) from the golden WAL, want 1", srv.Store().Len())
 	}
-	retried, err := client.Plan(context.Background(), goldenSession, 3, goldenSnapshots(fanWorkflow())[2])
+	snaps := goldenSnapshots(fanWorkflow())
+	retried, err := client.Plan(context.Background(), goldenSession, 3, snaps[2])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if retried.Iteration != last.Iteration || !sameDecision(retried.Decision, last.Decision) || len(retried.Predictions) != len(last.Predictions) {
 		t.Errorf("replayed cache answers seq 3 with %+v, the log recorded %+v", retried, last)
+	}
+	// The client now holds seq 3, so seq 4 travels as a delta against the
+	// snapshot replay materialised.
+	fourth := *snaps[2]
+	fourth.Now = 240
+	fourth.Tasks = append([]monitor.TaskRecord(nil), snaps[2].Tasks...)
+	fourth.Tasks[1].State, fourth.Tasks[1].StartedAt = monitor.Running, 200
+	next, err := client.Plan(context.Background(), goldenSession, 4, &fourth)
+	if err != nil {
+		t.Fatalf("seq 4 after replay: %v", err)
+	}
+	if next.Seq != 4 || next.Degraded {
+		t.Errorf("seq 4 after replay: %+v", next)
 	}
 }

@@ -45,6 +45,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"repro/internal/parallel"
 	"repro/internal/wal"
 )
 
@@ -134,17 +135,18 @@ func (s *Server) AdoptJournalDir(dir string, epoch int64, from string) (total, f
 	if err != nil {
 		return 0, 0, err
 	}
-	claimed := make(map[string]bool)
+	var srcs []string
 	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".wal" {
-			continue
+		if !e.IsDir() && filepath.Ext(e.Name()) == ".wal" {
+			srcs = append(srcs, filepath.Join(dir, e.Name()))
 		}
-		src := filepath.Join(dir, e.Name())
-		n, f := s.adoptWAL(src, epoch, from)
-		total += n
-		fresh += f
-		if n > 0 {
-			claimed[strings.TrimSuffix(e.Name(), ".wal")] = true
+	}
+	claimed := make(map[string]bool)
+	for i, c := range s.adoptWALs(srcs, epoch, from) {
+		total += c.total
+		fresh += c.fresh
+		if c.total > 0 {
+			claimed[strings.TrimSuffix(filepath.Base(srcs[i]), ".wal")] = true
 		}
 	}
 	// A WAL consumed by an earlier attempt of this same handoff leaves only
@@ -173,13 +175,13 @@ func (s *Server) AdoptJournalDir(dir string, epoch int64, from string) (total, f
 // path: paths come from a donor's export response). Counting follows
 // AdoptJournalDir.
 func (s *Server) AdoptJournalFiles(paths []string, epoch int64, from string) (total, fresh int) {
-	for _, p := range paths {
-		n, f := s.adoptWAL(p, epoch, from)
-		total += n
-		fresh += f
-		if n == 0 {
+	for i, c := range s.adoptWALs(paths, epoch, from) {
+		total += c.total
+		fresh += c.fresh
+		if c.total == 0 {
 			// Retried handoff whose earlier attempt already consumed the
 			// file: hosted here means ours to count.
+			p := paths[i]
 			if id := sessionIDFromWAL(p); id != "" {
 				if _, statErr := os.Stat(p); statErr != nil {
 					if _, getErr := s.store.Get(id); getErr == nil {
@@ -190,6 +192,38 @@ func (s *Server) AdoptJournalFiles(paths []string, epoch int64, from string) (to
 		}
 	}
 	return total, fresh
+}
+
+// adoptCount is adoptWAL's verdict on one WAL.
+type adoptCount struct{ total, fresh int }
+
+// adoptWALs claims every WAL in paths and returns the verdicts in input
+// order. Sessions are independent — each claim fences, copies and replays its
+// own files and only meets the others in the store — so the claims run on the
+// bounded pool: a failover's time to serve is the adopter re-reading journals,
+// and that parallelises by session. Paths naming the same session (one file
+// name in several directories) would race for one local slot; they are claimed
+// by one worker, in input order, as a serial walk would.
+func (s *Server) adoptWALs(paths []string, epoch int64, from string) []adoptCount {
+	out := make([]adoptCount, len(paths))
+	var groups [][]int
+	byName := make(map[string]int)
+	for i, p := range paths {
+		g, ok := byName[filepath.Base(p)]
+		if !ok {
+			g = len(groups)
+			byName[filepath.Base(p)] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	_ = parallel.ForEach(len(groups), parallel.Config{}, func(g int) error { // adoptWAL logs what it skips; nothing fails the walk
+		for _, i := range groups[g] {
+			out[i].total, out[i].fresh = s.adoptWAL(paths[i], epoch, from)
+		}
+		return nil
+	})
+	return out
 }
 
 // adoptWAL claims one session WAL via the fenced-copy protocol. It returns

@@ -7,7 +7,10 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/dagio"
@@ -212,5 +215,168 @@ func TestFencedAppendWithholdsDecision(t *testing.T) {
 	a2 := New(Config{ShardMode: true, JournalDir: dirA})
 	if got := a2.Store().Len(); got != 0 {
 		t.Fatalf("restart on a fenced journal dir resurrected %d sessions", got)
+	}
+}
+
+// adoptOutcome is what an adoption leaves behind, for comparing two.
+type adoptOutcome struct {
+	total, fresh int
+	sessions     map[string]adoptedSession
+	fences       map[string]string // source WAL name → fence body
+	copies       map[string]string // adopter's journal file name → bytes
+}
+
+type adoptedSession struct {
+	tenant   string
+	lastSeq  int64
+	lastResp *PlanResponse
+	state    any
+}
+
+// TestAdoptManyWALsMatchesSerial is the certificate of adopting on the pool:
+// 24 WALs of uneven length — as a directory, and as a file list that names
+// every file twice — claimed through AdoptJournalDir / AdoptJournalFiles and
+// claimed one at a time by a plain loop must leave the same counts, the same
+// sessions with the same controller state and exactly-once cache, the same
+// fence files on the source and the same journal copies on the adopter. Under
+// -race it is the concurrency certificate of the claim path.
+func TestAdoptManyWALsMatchesSerial(t *testing.T) {
+	const n = 24
+	donor := newJournaledShard(t)
+	wf := fanWorkflow()
+	snaps := goldenSnapshots(wf)
+	for _, s := range snaps {
+		s.Workflow = nil
+	}
+	for i := 0; i < n; i++ {
+		id := "adoptee-" + string(rune('a'+i))
+		req := CreateSessionRequest{Workflow: dagio.Encode(wf), Controller: &ControllerSpec{MinPool: 1 + i%3}}
+		if i%2 == 0 {
+			req.Tenant = "tenant-" + string(rune('a'+i%4))
+		}
+		donor.create(t, id, req)
+		for k := 0; k <= i%len(snaps); k++ {
+			posted := snaps[k]
+			if k > 0 {
+				posted = deltaOf(snaps[k-1], snaps[k])
+			}
+			if status, body := donor.postSnapshot(t, id, int64(k+1), posted); status != http.StatusOK {
+				t.Fatalf("%s seq %d: HTTP %d %s", id, k+1, status, body)
+			}
+		}
+	}
+	names, err := filepath.Glob(filepath.Join(donor.dir, "*.wal"))
+	if err != nil || len(names) != n {
+		t.Fatalf("donor wrote %d WALs (err %v), want %d", len(names), err, n)
+	}
+
+	// source gives each adopter its own copy of the donor's directory: a claim
+	// fences the files it takes.
+	source := func() (dir string, paths []string) {
+		dir = t.TempDir()
+		for _, src := range names {
+			data, err := os.ReadFile(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := filepath.Join(dir, filepath.Base(src))
+			if err := os.WriteFile(dst, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			paths = append(paths, dst)
+		}
+		return dir, paths
+	}
+	readDir := func(dir, suffix string) map[string]string {
+		out := map[string]string{}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if strings.HasSuffix(e.Name(), suffix) {
+				data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[e.Name()] = string(data)
+			}
+		}
+		return out
+	}
+	outcome := func(adopt func(s *Server, dir string, paths []string) (total, fresh int)) adoptOutcome {
+		src, paths := source()
+		s := New(Config{ShardMode: true, JournalDir: t.TempDir()})
+		out := adoptOutcome{sessions: map[string]adoptedSession{}}
+		out.total, out.fresh = adopt(s, src, paths)
+		for _, id := range s.Store().IDs() {
+			sess, err := s.Store().Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess.mu.Lock()
+			out.sessions[id] = adoptedSession{tenant: sess.Tenant, lastSeq: sess.lastSeq, lastResp: sess.lastResp,
+				state: sess.ctrl.(stateDumper).State()}
+			sess.mu.Unlock()
+		}
+		out.fences = readDir(src, ".fence")
+		out.copies = readDir(s.cfg.JournalDir, ".wal")
+		return out
+	}
+	// twice names every file two times in a row, so that on the pool the two
+	// claims of one session would start together.
+	twice := func(paths []string) []string {
+		var out []string
+		for _, p := range paths {
+			out = append(out, p, p)
+		}
+		return out
+	}
+	serially := func(list func([]string) []string) func(s *Server, _ string, paths []string) (total, fresh int) {
+		return func(s *Server, _ string, paths []string) (total, fresh int) {
+			for _, p := range list(paths) {
+				n, f := s.adoptWAL(p, 7, "donor")
+				total, fresh = total+n, fresh+f
+			}
+			return total, fresh
+		}
+	}
+	once := func(paths []string) []string { return paths }
+
+	for _, tc := range []struct {
+		name           string
+		wantTotal      int
+		pooled, serial func(s *Server, dir string, paths []string) (total, fresh int)
+	}{
+		{"directory", n, func(s *Server, dir string, _ []string) (int, int) {
+			total, fresh, err := s.AdoptJournalDir(dir, 7, "donor")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return total, fresh
+		}, serially(once)},
+		{"files, each named twice", 2 * n, func(s *Server, _ string, paths []string) (int, int) {
+			return s.AdoptJournalFiles(twice(paths), 7, "donor")
+		}, serially(twice)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, want := outcome(tc.pooled), outcome(tc.serial)
+			if want.total != tc.wantTotal || want.fresh != n || len(want.sessions) != n || len(want.fences) != n || len(want.copies) != n {
+				t.Fatalf("the serial walk adopted %d (%d fresh): %d sessions, %d fences, %d copies; want %d (%d fresh) and %d of each",
+					want.total, want.fresh, len(want.sessions), len(want.fences), len(want.copies), tc.wantTotal, n, n)
+			}
+			if got.total != want.total || got.fresh != want.fresh {
+				t.Errorf("adopted %d (%d fresh), the serial walk %d (%d fresh)", got.total, got.fresh, want.total, want.fresh)
+			}
+			if !reflect.DeepEqual(got.sessions, want.sessions) {
+				t.Errorf("the store holds different sessions than after the serial walk (%d and %d)", len(got.sessions), len(want.sessions))
+			}
+			if !reflect.DeepEqual(got.fences, want.fences) {
+				t.Errorf("fence files differ from the serial walk's: %v\nand\n%v", got.fences, want.fences)
+			}
+			if !reflect.DeepEqual(got.copies, want.copies) {
+				t.Errorf("the adopter's journal copies differ from the serial walk's")
+			}
+		})
 	}
 }

@@ -28,7 +28,9 @@ import (
 
 // walRecord is one journal line. Type "create" opens the log and carries
 // everything needed to rebuild the controller; each "plan" carries the
-// snapshot that advanced it and the response that was (about to be) served.
+// snapshot as it was posted — in full, or as the delta against the interval
+// before (monitor.Snapshot.Delta) — and the response that was (about to be)
+// served.
 // Replay decodes both kinds into it, but only the create record is written by
 // marshalling it: plan records are framed by appendPlanRecord, which is held
 // to this struct's encoding byte for byte.
@@ -242,17 +244,33 @@ func (s *Server) ReplayJournalDir(dir string) (total, fresh int, err error) {
 	return total, fresh, nil
 }
 
-// recoverSession replays one WAL: it rebuilds the controller from the create
-// record, replays every journaled snapshot through it in sequence order
-// (skipping duplicate sequence numbers — a crash mid-append can leave the
-// same interval twice), restores the exactly-once cache from the last
-// record, and re-attaches the journal for appends at claimEpoch (the fencing
-// epoch this server's claim on the WAL was established at). A torn trailing
-// record is truncated away. The session is replayed fully detached and only
-// inserted into the store at the end, so adoption while the daemon serves
-// traffic can never expose a half-replayed controller.
+// recoverSession replays one WAL and counts the ones that cannot be: a
+// session the daemon accepted and can no longer serve is an operator's
+// business even when the rest of the directory recovers.
 func (s *Server) recoverSession(path string, claimEpoch int64) error {
+	err := s.replaySession(path, claimEpoch)
+	if err != nil && !errors.Is(err, ErrDuplicateID) {
+		s.metrics.JournalReplayFailed()
+	}
+	return err
+}
+
+// replaySession rebuilds the controller from the create record, replays
+// every journaled interval through it in sequence order (skipping duplicate
+// sequence numbers — a crash mid-append can leave the same interval twice),
+// restores the exactly-once cache from the last record, and re-attaches the
+// journal for appends at claimEpoch (the fencing epoch this server's claim on
+// the WAL was established at). Each plan record's snapshot is what was posted:
+// it is materialised onto the session's snapshot exactly as handlePlan did
+// before the controller sees it, so a delta record must directly follow the
+// record it is a delta against — one that does not fails the whole recovery
+// rather than be folded into a stale base. A torn trailing record is
+// truncated away. The session is replayed fully detached and only inserted
+// into the store at the end, so adoption while the daemon serves traffic can
+// never expose a half-replayed controller.
+func (s *Server) replaySession(path string, claimEpoch int64) error {
 	var sess *Session
+	var broken error // a whole record that must not be replayed: not a torn tail
 	end, torn, err := wal.Replay(path, func(line []byte) error {
 		var rec walRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
@@ -286,8 +304,15 @@ func (s *Server) recoverSession(path string, claimEpoch int64) error {
 		if rec.Type != "plan" || rec.Snapshot == nil || rec.Response == nil || rec.Seq <= sess.lastSeq {
 			return nil
 		}
-		rec.Snapshot.Workflow = sess.Workflow
-		dec, degraded, _, perr := planStep(sess, rec.Snapshot)
+		if rec.Snapshot.Delta && (!sess.baseOK || rec.Seq != sess.lastSeq+1) {
+			broken = fmt.Errorf("plan seq %d is a delta but the log's previous interval is %d", rec.Seq, sess.lastSeq)
+			return broken
+		}
+		if _, err := sess.materialise(rec.Snapshot); err != nil {
+			broken = fmt.Errorf("plan seq %d: %w", rec.Seq, err)
+			return broken
+		}
+		dec, degraded, _, perr := planStep(sess, &sess.snapScratch)
 		if perr != nil {
 			s.cfg.Logf("wire-serve: journal %s: replaying seq %d: %v", filepath.Base(path), rec.Seq, perr)
 		} else if degraded != rec.Response.Degraded || !sameDecision(dec, rec.Response.Decision) {
@@ -297,11 +322,15 @@ func (s *Server) recoverSession(path string, claimEpoch int64) error {
 		// The recorded response is authoritative: it is what the client saw.
 		sess.lastSeq = rec.Seq
 		sess.lastResp = rec.Response
+		sess.baseOK = true
 		sess.plans.Store(rec.Response.Iteration)
 		return nil
 	})
 	if err != nil {
 		return err
+	}
+	if broken != nil {
+		return broken
 	}
 	if sess == nil {
 		if torn == nil {

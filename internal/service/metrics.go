@@ -29,6 +29,7 @@ type Metrics struct {
 	planRetries      atomic.Int64
 	degradedPlans    atomic.Int64
 	journalReplays   atomic.Int64
+	replayFailures   atomic.Int64
 	sessionsAdopted  atomic.Int64
 	sessionsExported atomic.Int64
 	fencedRejects    atomic.Int64
@@ -87,6 +88,11 @@ func (m *Metrics) PlanDegraded() { m.degradedPlans.Add(1) }
 // JournalReplayed counts sessions rebuilt from their write-ahead logs at
 // startup.
 func (m *Metrics) JournalReplayed() { m.journalReplays.Add(1) }
+
+// JournalReplayFailed counts write-ahead logs that could not be replayed into
+// a session (at startup or on adoption): unreadable, malformed, or holding a
+// delta record without the interval it is a delta against.
+func (m *Metrics) JournalReplayFailed() { m.replayFailures.Add(1) }
 
 // SessionsAdopted counts sessions resurrected from a dead peer's journal
 // directory via the cluster handoff endpoint.
@@ -198,6 +204,9 @@ type FaultToleranceCounters struct {
 	DegradedPlansTotal int64 `json:"degraded_plans_total"`
 	// JournalReplaysTotal counts sessions rebuilt from WALs at startup.
 	JournalReplaysTotal int64 `json:"journal_replays_total"`
+	// JournalReplayFailuresTotal counts WALs that could not be replayed into
+	// a session; each one is a session this daemon does not serve.
+	JournalReplayFailuresTotal int64 `json:"journal_replay_failures_total,omitempty"`
 	// SessionsAdoptedTotal counts sessions resurrected from a dead peer's
 	// journal directory via the cluster handoff endpoint.
 	SessionsAdoptedTotal int64 `json:"sessions_adopted_total,omitempty"`
@@ -267,12 +276,13 @@ func (m *Metrics) dump(now time.Time, activeSessions int, raw bool) MetricsDump 
 			Rejected: m.sessionsRejected.Load(),
 		},
 		FaultTolerance: FaultToleranceCounters{
-			RetriesTotal:          m.planRetries.Load(),
-			DegradedPlansTotal:    m.degradedPlans.Load(),
-			JournalReplaysTotal:   m.journalReplays.Load(),
-			SessionsAdoptedTotal:  m.sessionsAdopted.Load(),
-			SessionsExportedTotal: m.sessionsExported.Load(),
-			FencedRejectsTotal:    m.fencedRejects.Load(),
+			RetriesTotal:               m.planRetries.Load(),
+			DegradedPlansTotal:         m.degradedPlans.Load(),
+			JournalReplaysTotal:        m.journalReplays.Load(),
+			JournalReplayFailuresTotal: m.replayFailures.Load(),
+			SessionsAdoptedTotal:       m.sessionsAdopted.Load(),
+			SessionsExportedTotal:      m.sessionsExported.Load(),
+			FencedRejectsTotal:         m.fencedRejects.Load(),
 		},
 		EncodeErrorsTotal: m.encodeErrors.Load(),
 	}
@@ -312,6 +322,7 @@ func (d *MetricsDump) Merge(o MetricsDump) {
 	d.FaultTolerance.RetriesTotal += o.FaultTolerance.RetriesTotal
 	d.FaultTolerance.DegradedPlansTotal += o.FaultTolerance.DegradedPlansTotal
 	d.FaultTolerance.JournalReplaysTotal += o.FaultTolerance.JournalReplaysTotal
+	d.FaultTolerance.JournalReplayFailuresTotal += o.FaultTolerance.JournalReplayFailuresTotal
 	d.FaultTolerance.SessionsAdoptedTotal += o.FaultTolerance.SessionsAdoptedTotal
 	d.FaultTolerance.SessionsExportedTotal += o.FaultTolerance.SessionsExportedTotal
 	d.FaultTolerance.FencedRejectsTotal += o.FaultTolerance.FencedRejectsTotal

@@ -64,9 +64,15 @@ type Session struct {
 	// reference must answer 503 instead of releasing a decision this
 	// shard can no longer journal authoritatively.
 	gone bool
-	// snapScratch is the plan handler's decode target; reusing it keeps
-	// the per-plan task-record array out of the allocator. Guarded by mu.
+	// snapScratch is the materialised snapshot of interval lastSeq — what the
+	// controller last planned from and what the next delta body is folded
+	// into — whenever baseOK is set. bodyScratch is the plan handler's decode
+	// target: a delta's few records, or a full body that swaps in as the new
+	// snapScratch once it validates. Reusing both keeps the per-plan
+	// task-record arrays out of the allocator. Guarded by mu.
 	snapScratch monitor.Snapshot
+	bodyScratch monitor.Snapshot
+	baseOK      bool
 
 	createdAt time.Time
 	// lastUsed is unix nanoseconds, written on every API touch; atomic so
@@ -83,17 +89,40 @@ func (s *Session) Controller(fn func(ctrl sim.Controller) error) error {
 	return fn(s.ctrl)
 }
 
-// resetSnapScratch returns the session's scratch snapshot zeroed for a fresh
-// decode. The Tasks backing array is kept (zeroed to full capacity first, so
-// json.Unmarshal's element reuse can never leak a previous interval's record
-// fields into one the new body leaves partial); everything else starts nil
-// because those fields are small and may hold inner slices of their own.
-// The caller must hold s.mu.
-func (s *Session) resetSnapScratch() *monitor.Snapshot {
-	tasks := s.snapScratch.Tasks[:cap(s.snapScratch.Tasks)]
+// resetBodyScratch returns the session's decode scratch zeroed for a fresh
+// body. The Tasks backing array is kept (zeroed to full capacity first, so the
+// decoder's element reuse can never leak an earlier body's record fields into
+// one the new body leaves partial); everything else starts nil because those
+// fields are small, may hold inner slices of their own, and are handed to
+// snapScratch by reference when the body is a delta. The caller must hold
+// s.mu.
+func (s *Session) resetBodyScratch() *monitor.Snapshot {
+	tasks := s.bodyScratch.Tasks[:cap(s.bodyScratch.Tasks)]
 	clear(tasks)
-	s.snapScratch = monitor.Snapshot{Tasks: tasks[:0]}
-	return &s.snapScratch
+	s.bodyScratch = monitor.Snapshot{Tasks: tasks[:0]}
+	return &s.bodyScratch
+}
+
+// materialise validates a decoded plan body against the session's workflow
+// and makes it the session's snapshot: a delta is folded into snapScratch, a
+// full body trades places with it (body is left holding the old one's
+// arrays). It returns the snapshot as posted — what the journal frames. A
+// rejected body leaves snapScratch exactly as it was. Whether snapScratch is
+// the delta's base is the caller's check (baseOK). The caller must hold s.mu.
+func (s *Session) materialise(body *monitor.Snapshot) (posted *monitor.Snapshot, err error) {
+	if err := validateSnapshot(body, s.Workflow); err != nil {
+		return nil, err
+	}
+	if body.Delta {
+		if err := s.snapScratch.ApplyDelta(body); err != nil {
+			return nil, err
+		}
+		return body, nil
+	}
+	s.snapScratch, *body = *body, s.snapScratch
+	// The session's DAG is authoritative; clients normally omit theirs.
+	s.snapScratch.Workflow = s.Workflow
+	return &s.snapScratch, nil
 }
 
 // setWAL attaches the session's journal.
