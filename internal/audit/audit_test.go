@@ -166,18 +166,34 @@ func TestGoldenLiveJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Clean() || rep.LiveRecords != 15 {
+	if !rep.Clean() || rep.LiveRecords != 16 {
 		t.Fatalf("audit of the golden live journal: %d record(s), violations %+v", rep.LiveRecords, rep.Violations)
 	}
 	// Leases 1 and 3 complete, 2 is superseded by its speculative duplicate,
 	// 4 is reclaimed, 5 is held when the log ends.
-	if want := (LeaseTotals{Granted: 5, Completed: 2, Reclaimed: 1, Superseded: 1, Outstanding: 1}); rep.Leases != want {
+	want := LeaseTotals{Granted: 5, Completed: 2, Reclaimed: 1, Superseded: 1, Outstanding: 1}
+	if rep.Leases != want {
 		t.Fatalf("lease totals %+v, want %+v", rep.Leases, want)
+	}
+	// The last line is lease 5's lease-transfer record, a kind the lease check
+	// does not know: the verdict is the one the log gets without it.
+	lines := strings.SplitAfter(string(golden), "\n")
+	if !strings.Contains(lines[15], `"kind":"lease-transfer"`) {
+		t.Fatalf("line 16 of the golden live journal is %s", lines[15])
+	}
+	if err := os.WriteFile(filepath.Join(dir, "live-golden.jsonl"), []byte(strings.Join(lines[:15], "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err = Run(Config{Dirs: []string{dir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean() || rep.LiveRecords != 15 || rep.Leases != want {
+		t.Fatalf("without the lease-transfer line: %d record(s), totals %+v, violations %+v", rep.LiveRecords, rep.Leases, rep.Violations)
 	}
 
 	// The same log with lease 1 granted twice must trip the check: the golden
 	// passes because the auditor reads it, not because it reads nothing.
-	lines := strings.SplitAfter(string(golden), "\n")
 	forged := strings.Join(append(lines[:6:6], append([]string{lines[5]}, lines[6:]...)...), "")
 	if err := os.WriteFile(filepath.Join(dir, "live-golden.jsonl"), []byte(forged), 0o644); err != nil {
 		t.Fatal(err)

@@ -188,7 +188,7 @@ var ErrSiteFull = errors.New("cloud: site capacity reached")
 // Launch requests a new instance at time now. The instance becomes usable at
 // now + LagTime. It returns ErrSiteFull when the cap would be exceeded.
 func (s *Site) Launch(now simtime.Time) (*Instance, error) {
-	if s.cfg.MaxInstances > 0 && s.held >= s.cfg.MaxInstances {
+	if s.Full() {
 		return nil, ErrSiteFull
 	}
 	in := &Instance{
@@ -264,6 +264,12 @@ func (s *Site) Terminate(in *Instance, at simtime.Time) error {
 // Instances returns every instance ever launched, in launch order. Callers
 // must treat the slice as read-only.
 func (s *Site) Instances() []*Instance { return s.instances }
+
+// Full reports whether the site cap is reached: Launch would return
+// ErrSiteFull.
+func (s *Site) Full() bool {
+	return s.cfg.MaxInstances > 0 && s.held >= s.cfg.MaxInstances
+}
 
 // Held returns the number of instances currently held (pending + active):
 // the committed pool size m the steering policy compares against.

@@ -45,9 +45,12 @@ const (
 
 // lease is one granted task execution.
 type lease struct {
-	id        int64
-	task      dag.TaskID
-	agent     *agentState
+	id    int64
+	task  dag.TaskID
+	agent *agentState
+	// inst is the instance the agent was bound to at the grant — where the
+	// lease's occupancy is credited even after the agent has failed off it.
+	inst      *instRec
 	state     leaseState
 	grantedAt simtime.Time
 	deadline  time.Time
@@ -100,10 +103,14 @@ func (a *agentState) capacity() int {
 
 // instRec is one logical cloud instance and its agent binding.
 type instRec struct {
-	inst     *cloud.Instance
-	agent    *agentState // nil while unbound
-	draining bool
-	termTime *time.Timer
+	inst  *cloud.Instance
+	agent *agentState // nil while unbound
+	// draining and releaseAt are a controller release order not yet carried
+	// out: no new leases, release at that instant (a charging boundary, or
+	// the decision's own instant).
+	draining  bool
+	releaseAt simtime.Time
+	termTime  *time.Timer
 }
 
 // taskState mirrors the simulator's per-task bookkeeping, fed by measured
@@ -174,8 +181,11 @@ type LiveResult struct {
 // events reach the configured threshold at the configured ratio is
 // blacklisted — no new leases — until the cooldown elapses.
 type agentHealth struct {
-	completions      int64
-	failures         int64
+	completions int64
+	failures    int64
+	// benched records that the worker was ever blacklisted; the window it
+	// serves is wall-clock state, reopened in full after a recovery.
+	benched          bool
 	blacklistedUntil time.Time
 }
 
@@ -208,9 +218,15 @@ type Dispatcher struct {
 	// controller sees, deciding when a running lease counts as a straggler.
 	pred *predict.Predictor
 
-	agentSeq  int
-	leaseSeq  int64
+	agentSeq int
+	leaseSeq int64
+	// recSeq, lastMs and lastNow are the journal's high-water marks, startMs
+	// the run-started record's wall offset: where a recovered run picks its
+	// sequence, its wall origin and its simulated clock back up.
 	recSeq    int64
+	lastMs    int64
+	startMs   int64
+	lastNow   simtime.Time
 	completed int
 	restarts  int
 	failures  int
@@ -268,15 +284,9 @@ func NewDispatcher(cfg Config) (*Dispatcher, error) {
 		d.pred = predict.New(predict.Config{})
 	}
 	if cfg.Journal != nil && len(cfg.Spec) > 0 {
-		d.journalLocked(Record{Kind: RecRunCreated, Detail: cfg.Workflow.Name, Spec: cfg.Spec})
+		d.commitLocked(Record{Kind: RecRunCreated, Detail: cfg.Workflow.Name, Spec: cfg.Spec})
 	}
-	for _, t := range d.wf.Tasks {
-		d.tasks[t.ID].waiting = len(t.Deps)
-		d.tasks[t.ID].state = monitor.Blocked
-	}
-	for _, id := range d.wf.Roots() {
-		d.markReadyLocked(id, 0)
-	}
+	d.initTasks()
 	return d, nil
 }
 
@@ -310,13 +320,28 @@ func (d *Dispatcher) emitLocked(ev sim.Event) {
 	}
 }
 
+// commitLocked is the one way a live call changes journaled state: stamp the
+// record, fold it into the run with apply, append it to the journal. The
+// caller has already decided what happens (which agent, which task, which
+// instant) and afterwards adds what no record carries: timers, wake-ups, log
+// lines, observer events. A record apply rejects means the decision was made
+// against state the dispatcher does not hold — a bug; the run fails, nothing
+// is journaled, and commitLocked reports false.
+func (d *Dispatcher) commitLocked(r Record) bool {
+	r.Seq = d.recSeq + 1
+	r.WallMs = d.cfg.now().Sub(d.createdWall).Milliseconds()
+	if err := d.apply(r); err != nil {
+		d.failLocked(fmt.Errorf("exec: %s record %d: %w", r.Kind, r.Seq, err))
+		return false
+	}
+	d.journalLocked(r)
+	return true
+}
+
 func (d *Dispatcher) journalLocked(r Record) {
 	if d.cfg.Journal == nil {
 		return
 	}
-	d.recSeq++
-	r.Seq = d.recSeq
-	r.WallMs = d.cfg.now().Sub(d.createdWall).Milliseconds()
 	err := d.cfg.Journal.Append(r)
 	if err == nil {
 		return
@@ -354,13 +379,12 @@ func (d *Dispatcher) Start() error {
 	case Done, Failed:
 		return ErrRunOver
 	}
-	d.state = Running
 	d.clock.Start()
 	d.startWall = d.cfg.now()
-	d.journalLocked(Record{Kind: RecRunStarted, Detail: d.wf.Name})
+	d.commitLocked(Record{Kind: RecRunStarted, Detail: d.wf.Name})
 
 	for i := 0; i < d.cfg.InitialInstances; i++ {
-		if _, err := d.launchLocked(0); err != nil {
+		if err := d.launchLocked(0); err != nil {
 			d.failLocked(fmt.Errorf("exec: initial pool: %w", err))
 			return d.runErr
 		}
@@ -368,13 +392,16 @@ func (d *Dispatcher) Start() error {
 	d.bindAgentsLocked()
 
 	d.tickSeq = 1
-	d.tickTimer = time.AfterFunc(d.clock.WallUntil(simtime.Time(d.tickSeq)*simtime.Time(d.cfg.Interval)), d.onTick)
-	reap := d.cfg.HeartbeatTTL / 2
-	if reap < 50*time.Millisecond {
-		reap = 50 * time.Millisecond
-	}
-	d.reapTimer = time.AfterFunc(reap, d.onReap)
-	d.wallTimer = time.AfterFunc(d.cfg.MaxWall, func() {
+	d.armRunTimersLocked(d.cfg.MaxWall)
+	return nil
+}
+
+// armRunTimersLocked arms the control tick at tickSeq, the heartbeat reaper,
+// and the wall horizon, horizon from now.
+func (d *Dispatcher) armRunTimersLocked(horizon time.Duration) {
+	d.armTickLocked()
+	d.armReapLocked()
+	d.wallTimer = time.AfterFunc(horizon, func() {
 		d.mu.Lock()
 		defer d.mu.Unlock()
 		if d.state != Running {
@@ -383,29 +410,41 @@ func (d *Dispatcher) Start() error {
 		d.failLocked(fmt.Errorf("exec: run exceeded wall horizon %v with %d/%d tasks done",
 			d.cfg.MaxWall, d.completed, d.wf.NumTasks()))
 	})
-	return nil
+}
+
+func (d *Dispatcher) armTickLocked() {
+	d.tickTimer = time.AfterFunc(d.clock.WallUntil(simtime.Time(d.tickSeq)*simtime.Time(d.cfg.Interval)), d.onTick)
+}
+
+func (d *Dispatcher) armReapLocked() {
+	reap := d.cfg.HeartbeatTTL / 2
+	if reap < 50*time.Millisecond {
+		reap = 50 * time.Millisecond
+	}
+	d.reapTimer = time.AfterFunc(reap, d.onReap)
 }
 
 // launchLocked orders one instance at simulated time now and arms its
 // activation and DOA timers.
-func (d *Dispatcher) launchLocked(now simtime.Time) (*instRec, error) {
-	in, err := d.site.Launch(now)
-	if err != nil {
-		return nil, err
+func (d *Dispatcher) launchLocked(now simtime.Time) error {
+	if d.site.Full() {
+		return cloud.ErrSiteFull
 	}
-	ir := &instRec{inst: in}
-	d.insts[in.ID] = ir
-	d.launches++
-	if held := d.site.Held(); held > d.peakPool {
-		d.peakPool = held
+	id := cloud.InstanceID(len(d.site.Instances()))
+	if !d.commitLocked(Record{Kind: RecInstanceLaunch, NowS: now, Instance: intPtr(int(id))}) {
+		return d.runErr
 	}
-	d.emitLocked(sim.Event{Time: now, Kind: sim.EvInstanceLaunch, Task: -1, Instance: in.ID})
-	d.journalLocked(Record{Kind: RecInstanceLaunch, NowS: now, Instance: intPtr(int(in.ID))})
+	d.emitLocked(sim.Event{Time: now, Kind: sim.EvInstanceLaunch, Task: -1, Instance: id})
+	d.armActivationLocked(d.insts[id])
+	return nil
+}
 
-	id := in.ID
-	time.AfterFunc(d.clock.WallUntil(in.ActiveAt), func() { d.onActivation(id) })
-	time.AfterFunc(d.clock.WallUntil(in.ActiveAt+d.cfg.DOAGrace), func() { d.onDOACheck(id) })
-	return ir, nil
+// armActivationLocked arms a pending instance's activation and DOA timers
+// (WallUntil clamps an instant already past to fire at once).
+func (d *Dispatcher) armActivationLocked(ir *instRec) {
+	id := ir.inst.ID
+	time.AfterFunc(d.clock.WallUntil(ir.inst.ActiveAt), func() { d.onActivation(id) })
+	time.AfterFunc(d.clock.WallUntil(ir.inst.ActiveAt+d.cfg.DOAGrace), func() { d.onDOACheck(id) })
 }
 
 // onActivation fires at an instance's nominal activation time: if an agent
@@ -430,12 +469,9 @@ func (d *Dispatcher) activateLocked(ir *instRec) {
 	if simtime.Before(now, ir.inst.ActiveAt) {
 		now = ir.inst.ActiveAt // timer fired a hair early
 	}
-	if err := d.site.Activate(ir.inst, now); err != nil {
-		d.failLocked(err)
-		return
+	if d.commitLocked(Record{Kind: RecInstanceActive, NowS: now, Instance: intPtr(int(ir.inst.ID)), Agent: ir.agent.id}) {
+		d.emitLocked(sim.Event{Time: now, Kind: sim.EvInstanceActive, Task: -1, Instance: ir.inst.ID})
 	}
-	d.emitLocked(sim.Event{Time: now, Kind: sim.EvInstanceActive, Task: -1, Instance: ir.inst.ID})
-	d.journalLocked(Record{Kind: RecInstanceActive, NowS: now, Instance: intPtr(int(ir.inst.ID)), Agent: ir.agent.id})
 }
 
 // onDOACheck fires one grace window after nominal activation: a launch that
@@ -452,15 +488,8 @@ func (d *Dispatcher) onDOACheck(id cloud.InstanceID) {
 		return
 	}
 	now := d.clock.Now()
-	d.counters.DOAWriteoffs++
-	d.emitLocked(sim.Event{Time: now, Kind: sim.EvInstanceDOA, Task: -1, Instance: id})
-	d.journalLocked(Record{Kind: RecInstanceDOA, NowS: now, Instance: intPtr(int(id))})
-	if ir.agent != nil { // bound but still pending: impossible unless racing activation; park the agent
-		ir.agent.inst = nil
-		ir.agent = nil
-	}
-	if err := d.site.Terminate(ir.inst, now); err != nil {
-		d.failLocked(err)
+	if d.commitLocked(Record{Kind: RecInstanceDOA, NowS: now, Instance: intPtr(int(id))}) {
+		d.emitLocked(sim.Event{Time: now, Kind: sim.EvInstanceDOA, Task: -1, Instance: id})
 	}
 }
 
@@ -483,10 +512,10 @@ func (d *Dispatcher) bindAgentsLocked() {
 		if a == nil {
 			return
 		}
-		a.inst = ir
-		ir.agent = a
 		now := d.clock.Now()
-		d.journalLocked(Record{Kind: RecAgentBound, NowS: now, Agent: a.id, Instance: intPtr(id)})
+		if !d.commitLocked(Record{Kind: RecAgentBound, NowS: now, Agent: a.id, Instance: intPtr(id)}) {
+			return
+		}
 		if ir.inst.State == cloud.Pending && simtime.AtOrAfter(now, ir.inst.ActiveAt) {
 			d.activateLocked(ir)
 		}
@@ -530,7 +559,8 @@ func (d *Dispatcher) Register(name string, slots int) (RegisterResponse, error) 
 			if a.name != name || a.gone {
 				continue
 			}
-			a.slots = slots
+			d.commitLocked(Record{Kind: RecAgentReconnected, NowS: d.clock.Now(),
+				Agent: a.id, Slots: slots, Detail: name})
 			a.lastSeen = d.cfg.now()
 			redelivered := 0
 			for _, l := range a.leases {
@@ -539,8 +569,6 @@ func (d *Dispatcher) Register(name string, slots int) (RegisterResponse, error) 
 					redelivered++
 				}
 			}
-			d.journalLocked(Record{Kind: RecAgentReconnected, NowS: d.clock.Now(),
-				Agent: a.id, Slots: slots, Detail: name})
 			d.cfg.Logf("exec: agent %s (%s) reconnected, %d leases reissued", a.id, name, redelivered)
 			if d.state == Running {
 				d.bindAgentsLocked()
@@ -550,33 +578,19 @@ func (d *Dispatcher) Register(name string, slots int) (RegisterResponse, error) 
 			return RegisterResponse{AgentID: a.id, HeartbeatTTLMs: d.cfg.HeartbeatTTL.Milliseconds()}, nil
 		}
 	}
-	d.agentSeq++
-	id := fmt.Sprintf("a%d", d.agentSeq)
+	id := fmt.Sprintf("a%d", d.agentSeq+1)
 	if name == "" {
 		name = id
 	}
-	a := &agentState{
-		id:       id,
-		name:     name,
-		slots:    slots,
-		lastSeen: d.cfg.now(),
-		leases:   make(map[int64]*lease),
+	if !d.commitLocked(Record{Kind: RecAgentRegistered, NowS: d.clock.Now(), Agent: id, Slots: slots, Detail: name}) {
+		return RegisterResponse{}, d.runErr
 	}
-	d.agents[id] = a
-	d.counters.AgentsRegistered++
-	d.journalLocked(Record{Kind: RecAgentRegistered, NowS: d.clock.Now(), Agent: id, Slots: slots, Detail: name})
+	d.agents[id].lastSeen = d.cfg.now()
 	if d.state == Running {
 		d.bindAgentsLocked()
 		d.dispatchLocked()
 	}
 	return RegisterResponse{AgentID: id, HeartbeatTTLMs: d.cfg.HeartbeatTTL.Milliseconds()}, nil
-}
-
-func (d *Dispatcher) markReadyLocked(id dag.TaskID, now simtime.Time) {
-	ts := &d.tasks[id]
-	ts.state = monitor.Ready
-	ts.readyAt = now
-	d.queue.Push(id, d.wf.Task(id).Stage, now)
 }
 
 // dispatchLocked grants ready tasks to free capacity on active, non-draining
@@ -587,13 +601,16 @@ func (d *Dispatcher) dispatchLocked() {
 		return
 	}
 	now := d.clock.Now()
-	for d.queue.Len() > 0 {
+	for d.state == Running {
+		it, ok := d.queue.Peek()
+		if !ok {
+			return
+		}
 		a := d.pickAgentLocked(now)
 		if a == nil {
 			return
 		}
-		it, _ := d.queue.Pop()
-		d.grantLocked(it, a, now)
+		d.grantLocked(it.Task, a, now)
 	}
 }
 
@@ -628,42 +645,25 @@ func (d *Dispatcher) pickAgentExcludingLocked(now simtime.Time, exclude *agentSt
 	return best
 }
 
-// grantLocked creates a lease for one ready task on an agent. The lease
-// deadline bounds the agent's wall-clock occupancy: the expected scaled
-// duration times LeaseFactor, plus slack.
-func (d *Dispatcher) grantLocked(it sched.Item, a *agentState, now simtime.Time) {
-	t := d.wf.Task(it.Task)
-	d.leaseSeq++
+// grantLocked leases the ready queue's next task to an agent.
+func (d *Dispatcher) grantLocked(task dag.TaskID, a *agentState, now simtime.Time) {
+	id := d.leaseSeq + 1
+	if !d.commitLocked(Record{Kind: RecLeaseGranted, NowS: now, Agent: a.id,
+		Lease: int64Ptr(id), Task: intPtr(int(task)), Instance: intPtr(int(a.inst.inst.ID))}) {
+		return
+	}
+	d.emitLocked(sim.Event{Time: now, Kind: sim.EvTaskStart, Task: task, Instance: a.inst.inst.ID})
+	d.armLeaseLocked(d.leases[id])
+}
+
+// armLeaseLocked gives an active lease a fresh wall-clock deadline, which
+// bounds the agent's occupancy: the expected scaled duration times
+// LeaseFactor, plus slack.
+func (d *Dispatcher) armLeaseLocked(l *lease) {
+	t := d.wf.Task(l.task)
 	expected := d.clock.WallDuration(t.ExecTime + t.TransferTime)
 	ttl := time.Duration(float64(expected)*d.cfg.LeaseFactor) + d.cfg.LeaseSlack
-	ts := &d.tasks[it.Task]
-	l := &lease{
-		id:        d.leaseSeq,
-		task:      it.Task,
-		agent:     a,
-		grantedAt: now,
-		deadline:  d.cfg.now().Add(ttl),
-		attempt:   ts.failedAttempts + 1,
-	}
-	a.leases[l.id] = l
-	d.leases[l.id] = l
-	d.counters.LeasesGranted++
-
-	ts.state = monitor.Running
-	ts.priority = it.Priority
-	ts.startedAt = now
-	ts.agent = a.id
-	ts.instance = a.inst.inst.ID
-	ts.leaseID = l.id
-	ts.specLease = 0
-	ts.pendingRequeue = false
-	ts.transferObserved = false
-	ts.transferTime = 0
-
-	d.emitLocked(sim.Event{Time: now, Kind: sim.EvTaskStart, Task: it.Task, Instance: a.inst.inst.ID})
-	d.journalLocked(Record{Kind: RecLeaseGranted, NowS: now, Agent: a.id,
-		Lease: int64Ptr(l.id), Task: intPtr(int(it.Task)), Instance: intPtr(int(a.inst.inst.ID))})
-
+	l.deadline = d.cfg.now().Add(ttl)
 	id := l.id
 	l.timer = time.AfterFunc(ttl, func() { d.onLeaseExpired(id) })
 }
@@ -688,16 +688,6 @@ func (d *Dispatcher) leaseSpecLocked(l *lease) Lease {
 	}
 }
 
-// healthFor returns (creating if needed) the named agent's health record.
-func (d *Dispatcher) healthFor(name string) *agentHealth {
-	h := d.health[name]
-	if h == nil {
-		h = &agentHealth{}
-		d.health[name] = h
-	}
-	return h
-}
-
 // blacklistedLocked reports whether the named agent is inside a blacklist
 // cooldown window. Reactivation is lazy: once the window passes, the agent is
 // simply eligible again (its counters were reset at blacklist time, so it
@@ -707,29 +697,25 @@ func (d *Dispatcher) blacklistedLocked(name string, wall time.Time) bool {
 	return h != nil && wall.Before(h.blacklistedUntil)
 }
 
-// recordAgentFailureLocked debits n failure events against the named agent
-// and blacklists it when the failure ratio crosses the configured threshold.
-func (d *Dispatcher) recordAgentFailureLocked(name string, n int64, now simtime.Time) {
-	if n <= 0 {
-		return
-	}
+// checkBlacklistLocked blacklists the named worker when the failures debited
+// to it (by the records of a failed agent or a failed attempt) have crossed
+// the configured threshold and ratio.
+func (d *Dispatcher) checkBlacklistLocked(name string, now simtime.Time) {
 	h := d.healthFor(name)
-	h.failures += n
 	wall := d.cfg.now()
-	if wall.Before(h.blacklistedUntil) {
-		return // already serving a cooldown
+	if d.state != Running || wall.Before(h.blacklistedUntil) {
+		return // the retirement ended the run, or a cooldown is being served
 	}
 	total := h.completions + h.failures
 	if h.failures < int64(d.cfg.HealthMinEvents) || float64(h.failures)/float64(total) < d.cfg.HealthFailureRatio {
 		return
 	}
 	detail := fmt.Sprintf("failures=%d completions=%d cooldown=%v", h.failures, h.completions, d.cfg.HealthCooldown)
+	if !d.commitLocked(Record{Kind: RecAgentBlacklisted, NowS: now, Agent: name, Detail: detail}) {
+		return
+	}
 	h.blacklistedUntil = wall.Add(d.cfg.HealthCooldown)
-	h.failures = 0
-	h.completions = 0
-	d.counters.AgentsBlacklisted++
 	d.emitLocked(sim.Event{Time: now, Kind: sim.EvAgentBlacklisted, Task: -1, Instance: -1})
-	d.journalLocked(Record{Kind: RecAgentBlacklisted, NowS: now, Agent: name, Detail: detail})
 	d.cfg.Logf("exec: agent %q blacklisted: %s", name, detail)
 }
 
@@ -803,15 +789,13 @@ func (d *Dispatcher) ReportTransfer(agentID string, leaseID int64, rep TransferR
 		d.counters.StaleReports++
 		return Ack{Stale: true}, nil
 	}
-	ts := &d.tasks[l.task]
-	if l.id != ts.leaseID {
+	if l.id != d.tasks[l.task].leaseID {
 		// Speculative duplicate: accepted, but the task's transfer record
 		// follows the primary copy only.
 		return Ack{}, nil
 	}
-	ts.transferObserved = true
-	ts.transferTime = rep.TransferS
-	ts.transferObservedAt = d.clock.Now()
+	d.commitLocked(Record{Kind: RecLeaseTransfer, NowS: d.clock.Now(), Agent: a.id,
+		Lease: int64Ptr(l.id), TransferS: rep.TransferS})
 	return Ack{}, nil
 }
 
@@ -841,7 +825,6 @@ func (d *Dispatcher) Complete(agentID string, leaseID int64, rep CompleteReport)
 		return Ack{Stale: true}, nil
 	}
 	now := d.clock.Now()
-	ts := &d.tasks[l.task]
 
 	if rep.Failed {
 		// Failed attempt: the lease is consumed and the agent's health
@@ -849,12 +832,8 @@ func (d *Dispatcher) Complete(agentID string, leaseID int64, rep CompleteReport)
 		// this copy is merely superseded; otherwise it is reclaimed
 		// against its attempt budget and requeued with backoff.
 		d.cfg.Logf("exec: lease %d (task %d) failed on agent %s: %s", l.id, l.task, a.id, rep.Error)
-		d.recordAgentFailureLocked(a.name, 1, now)
-		if other := d.otherActiveLocked(ts, l); other != nil {
-			d.supersedeLocked(l, now)
-		} else {
-			d.reclaimLocked(l, now, true, "task-failed")
-		}
+		d.retireLocked(l, now, true, reasonTaskFailed)
+		d.checkBlacklistLocked(a.name, now)
 		d.dispatchLocked()
 		d.notifyLocked()
 		return Ack{}, nil
@@ -862,45 +841,15 @@ func (d *Dispatcher) Complete(agentID string, leaseID int64, rep CompleteReport)
 
 	// First completion wins: retire the losing duplicate before recording
 	// the winner, so the task's lease of record is the one that finished.
-	if other := d.otherActiveLocked(ts, l); other != nil {
-		d.supersedeLocked(other, now)
+	if other := d.otherActiveLocked(&d.tasks[l.task], l); other != nil {
+		d.supersedeLocked(other, now, "")
 	}
-	l.state = leaseCompleted
-	if l.timer != nil {
-		l.timer.Stop()
+	if !d.commitLocked(Record{Kind: RecLeaseCompleted, NowS: now, Agent: a.id,
+		Lease: int64Ptr(l.id), Task: intPtr(int(l.task)), ExecS: rep.ExecS, TransferS: rep.TransferS}) {
+		return Ack{}, nil
 	}
-	delete(a.leases, l.id)
-	d.counters.LeasesCompleted++
-	if l.spec {
-		d.counters.SpeculationsWon++
-	}
-	d.healthFor(a.name).completions++
-
-	ts.state = monitor.Completed
-	ts.completedAt = now
-	ts.execTime = rep.ExecS
-	ts.transferTime = rep.TransferS
-	ts.agent = a.id
-	ts.instance = a.inst.inst.ID
-	ts.leaseID = l.id
-	ts.specLease = 0
-	if !ts.transferObserved {
-		ts.transferObserved = true
-		ts.transferObservedAt = now
-	}
-	a.inst.inst.BusySlotSeconds += rep.ExecS + rep.TransferS
-	d.completed++
-	d.emitLocked(sim.Event{Time: now, Kind: sim.EvTaskComplete, Task: l.task, Instance: a.inst.inst.ID})
-	d.journalLocked(Record{Kind: RecLeaseCompleted, NowS: now, Agent: a.id,
-		Lease: int64Ptr(l.id), Task: intPtr(int(l.task)), ExecS: rep.ExecS, TransferS: rep.TransferS})
-
-	for _, s := range d.wf.Task(l.task).Succs {
-		ss := &d.tasks[s]
-		ss.waiting--
-		if ss.waiting == 0 {
-			d.markReadyLocked(s, now)
-		}
-	}
+	stopTimer(l.timer)
+	d.emitLocked(sim.Event{Time: now, Kind: sim.EvTaskComplete, Task: l.task, Instance: l.inst.inst.ID})
 	if d.finishableLocked() {
 		d.finishLocked(now)
 		return Ack{}, nil
@@ -968,11 +917,7 @@ func (d *Dispatcher) onReap() {
 		d.cfg.Logf("exec: agent %s heartbeat lapsed", a.id)
 		d.failAgentLocked(a, "heartbeat-lost")
 	}
-	reap := d.cfg.HeartbeatTTL / 2
-	if reap < 50*time.Millisecond {
-		reap = 50 * time.Millisecond
-	}
-	d.reapTimer = time.AfterFunc(reap, d.onReap)
+	d.armReapLocked()
 }
 
 // failAgentLocked removes a crashed or partitioned agent: every active lease
@@ -983,41 +928,24 @@ func (d *Dispatcher) failAgentLocked(a *agentState, reason string) {
 	if a.gone {
 		return
 	}
-	a.gone = true
-	d.counters.AgentsFailed++
 	now := d.clock.Now()
-	d.journalLocked(Record{Kind: RecAgentFailed, NowS: now, Agent: a.id, Detail: reason})
-
 	ir := a.inst
-	var debits int64 = 1 // the lapse/expiry itself
-	for _, l := range sortedLeases(a.leases) {
-		if l.state != leaseActive {
-			continue
-		}
-		debits++
-		ts := &d.tasks[l.task]
-		if other := d.otherActiveLocked(ts, l); other != nil {
-			// A healthy duplicate survives elsewhere: this copy is
-			// superseded, not reclaimed — the task is not requeued.
-			d.supersedeLocked(l, now)
-		} else {
-			d.reclaimLocked(l, now, true, reason)
-		}
+	// The record debits the agent's health: the lapse itself plus one per
+	// lease it held.
+	if !d.commitLocked(Record{Kind: RecAgentFailed, NowS: now, Agent: a.id, Detail: reason}) {
+		return
 	}
-	a.leases = make(map[int64]*lease)
-	a.inst = nil
-	d.recordAgentFailureLocked(a.name, debits, now)
-
+	for _, l := range sortedLeases(a.leases) {
+		d.retireLocked(l, now, true, reason)
+	}
+	d.checkBlacklistLocked(a.name, now)
 	if ir != nil {
-		ir.agent = nil
-		d.failures++
 		d.emitLocked(sim.Event{Time: now, Kind: sim.EvInstanceFailed, Task: -1, Instance: ir.inst.ID})
 		d.terminateInstLocked(ir, now)
 		// A parked agent may take over the vacated logical capacity only
 		// via a fresh controller launch; the instance is gone, as in the
 		// simulator.
 	}
-	delete(d.agents, a.id)
 	d.dispatchLocked()
 	d.notifyLocked()
 }
@@ -1031,78 +959,65 @@ func sortedLeases(m map[int64]*lease) []*lease {
 	return out
 }
 
-// reclaimLocked retires a leased task's last active lease. The lease moves to
-// the terminal reclaimed state first, so a duplicate expiry/failure path or a
-// late agent report cannot requeue it twice. failure marks an attempt burned
-// against the task's budget: the requeue is then delayed with exponential
-// backoff, and a task at its MaxTaskAttempts budget is quarantined instead of
-// requeued. Non-failure reclaims (controller releases) requeue immediately
-// and stay off the budget.
+// retireLocked ends an active lease that will not complete: superseded when
+// a healthy duplicate of the task survives elsewhere (the task is not
+// requeued), else reclaimed. Only a failed attempt marks a supersession, so
+// that the record debits the reporting agent as the reclaim would have.
+func (d *Dispatcher) retireLocked(l *lease, now simtime.Time, failure bool, reason string) {
+	switch {
+	case d.otherActiveLocked(&d.tasks[l.task], l) == nil:
+		d.reclaimLocked(l, now, failure, reason)
+	case reason == reasonTaskFailed:
+		d.supersedeLocked(l, now, reason)
+	default:
+		d.supersedeLocked(l, now, "")
+	}
+}
+
+// reclaimLocked retires a leased task's last active lease. The lease reaches
+// the terminal reclaimed state with the record, so a duplicate expiry/failure
+// path or a late agent report cannot requeue it twice. failure marks an
+// attempt burned against the task's budget: the requeue is then delayed with
+// exponential backoff, and a task at its MaxTaskAttempts budget is
+// quarantined instead of requeued. Non-failure reclaims (controller releases)
+// requeue immediately and stay off the budget.
 func (d *Dispatcher) reclaimLocked(l *lease, now simtime.Time, failure bool, reason string) {
-	l.state = leaseReclaimed
-	if l.timer != nil {
-		l.timer.Stop()
-	}
-	delete(l.agent.leases, l.id)
-	d.counters.LeasesReclaimed++
-	ts := &d.tasks[l.task]
-	if l.agent.inst != nil {
-		l.agent.inst.inst.BusySlotSeconds += now - l.grantedAt
-	}
-	ts.restarts++
-	d.restarts++
+	attempts := d.tasks[l.task].failedAttempts
 	if failure {
-		ts.failedAttempts++
+		attempts++
 	}
-	ts.state = monitor.Ready
-	ts.readyAt = now
-	ts.agent = ""
-	ts.leaseID = 0
-	ts.specLease = 0
-	ts.transferObserved = false
-	ts.transferTime = 0
-	var instID cloud.InstanceID = -1
-	if l.agent.inst != nil {
-		instID = l.agent.inst.inst.ID
+	if !d.commitLocked(Record{Kind: RecLeaseReclaimed, NowS: now, Agent: l.agent.id,
+		Lease: int64Ptr(l.id), Task: intPtr(int(l.task)), Attempt: attempts, Detail: reason}) {
+		return
 	}
-	d.emitLocked(sim.Event{Time: now, Kind: sim.EvTaskKilled, Task: l.task, Instance: instID})
-	d.journalLocked(Record{Kind: RecLeaseReclaimed, NowS: now, Agent: l.agent.id,
-		Lease: int64Ptr(l.id), Task: intPtr(int(l.task)), Attempt: ts.failedAttempts, Detail: reason})
+	stopTimer(l.timer)
+	d.emitLocked(sim.Event{Time: now, Kind: sim.EvTaskKilled, Task: l.task, Instance: l.inst.inst.ID})
 
-	if failure && d.cfg.MaxTaskAttempts > 0 && ts.failedAttempts >= d.cfg.MaxTaskAttempts {
+	switch {
+	case !failure:
+		d.requeueLocked(l.task, now)
+	case d.cfg.MaxTaskAttempts > 0 && attempts >= d.cfg.MaxTaskAttempts:
 		d.quarantineLocked(l.task, now)
-		return
+	default:
+		// Exponential backoff before the task re-enters the ready queue:
+		// RequeueBase·2^(attempts-1), capped at 5 s of wall clock, so a
+		// poison task cannot hammer the pool between failures.
+		delay := d.cfg.RequeueBase
+		for i := 1; i < attempts && delay < 5*time.Second; i++ {
+			delay *= 2
+		}
+		if delay > 5*time.Second {
+			delay = 5 * time.Second
+		}
+		id := l.task
+		d.tasks[id].requeueTimer = time.AfterFunc(delay, func() { d.onRequeue(id) })
 	}
-	if failure {
-		d.scheduleRequeueLocked(l.task, ts)
-		return
-	}
-	d.requeueLocked(l.task, now)
 }
 
-// requeueLocked returns a reclaimed task to the ready queue, journaling the
-// re-entry so crash recovery replays the exact queue order.
+// requeueLocked returns a reclaimed task to the ready queue; the record keeps
+// the queue's order reproducible.
 func (d *Dispatcher) requeueLocked(id dag.TaskID, now simtime.Time) {
-	ts := &d.tasks[id]
-	ts.pendingRequeue = false
-	ts.readyAt = now
-	d.queue.Requeue(id, d.wf.Task(id).Stage, now, ts.priority)
-	d.journalLocked(Record{Kind: RecTaskRequeued, NowS: now, Task: intPtr(int(id)), Attempt: ts.failedAttempts})
-}
-
-// scheduleRequeueLocked arms the exponential-backoff delay before a failed
-// task re-enters the ready queue: RequeueBase·2^(attempts-1), capped at 5 s
-// of wall clock, so a poison task cannot hammer the pool between failures.
-func (d *Dispatcher) scheduleRequeueLocked(id dag.TaskID, ts *taskState) {
-	delay := d.cfg.RequeueBase
-	for i := 1; i < ts.failedAttempts && delay < 5*time.Second; i++ {
-		delay *= 2
-	}
-	if delay > 5*time.Second {
-		delay = 5 * time.Second
-	}
-	ts.pendingRequeue = true
-	ts.requeueTimer = time.AfterFunc(delay, func() { d.onRequeue(id) })
+	d.commitLocked(Record{Kind: RecTaskRequeued, NowS: now, Task: intPtr(int(id)), Attempt: d.tasks[id].failedAttempts})
 }
 
 func (d *Dispatcher) onRequeue(id dag.TaskID) {
@@ -1124,37 +1039,14 @@ func (d *Dispatcher) onRequeue(id dag.TaskID) {
 // never be scheduled again, its transitive successors become unreachable,
 // and the run finishes Done-but-degraded once the remaining tasks complete.
 func (d *Dispatcher) quarantineLocked(id dag.TaskID, now simtime.Time) {
-	ts := &d.tasks[id]
-	ts.state = monitor.Quarantined
-	ts.pendingRequeue = false
-	d.counters.QuarantinedTasks++
+	attempts := d.tasks[id].failedAttempts
+	if !d.commitLocked(Record{Kind: RecTaskQuarantined, NowS: now, Task: intPtr(int(id)), Attempt: attempts}) {
+		return
+	}
 	d.emitLocked(sim.Event{Time: now, Kind: sim.EvTaskQuarantined, Task: id, Instance: -1})
-	d.journalLocked(Record{Kind: RecTaskQuarantined, NowS: now, Task: intPtr(int(id)), Attempt: ts.failedAttempts})
-	d.cfg.Logf("exec: task %d quarantined after %d failed attempts", id, ts.failedAttempts)
-	d.recomputeUnreachLocked()
+	d.cfg.Logf("exec: task %d quarantined after %d failed attempts", id, attempts)
 	if d.finishableLocked() {
 		d.finishLocked(now)
-	}
-}
-
-// recomputeUnreachLocked rebuilds the unreachable set: quarantined tasks plus
-// every transitive successor (blocked forever behind the quarantine).
-func (d *Dispatcher) recomputeUnreachLocked() {
-	d.unreach = make(map[dag.TaskID]bool)
-	var visit func(id dag.TaskID)
-	visit = func(id dag.TaskID) {
-		if d.unreach[id] {
-			return
-		}
-		d.unreach[id] = true
-		for _, s := range d.wf.Task(id).Succs {
-			visit(s)
-		}
-	}
-	for i := range d.tasks {
-		if d.tasks[i].state == monitor.Quarantined {
-			visit(dag.TaskID(i))
-		}
 	}
 }
 
@@ -1163,40 +1055,11 @@ func (d *Dispatcher) recomputeUnreachLocked() {
 // healthy duplicate survived. The task is NOT requeued — it still runs or
 // already finished on the other copy — so supersession keeps the lease
 // identity without touching the queue.
-func (d *Dispatcher) supersedeLocked(l *lease, now simtime.Time) {
-	l.state = leaseSuperseded
-	if l.timer != nil {
-		l.timer.Stop()
+func (d *Dispatcher) supersedeLocked(l *lease, now simtime.Time, detail string) {
+	if d.commitLocked(Record{Kind: RecLeaseSuperseded, NowS: now, Agent: l.agent.id,
+		Lease: int64Ptr(l.id), Task: intPtr(int(l.task)), Detail: detail}) {
+		stopTimer(l.timer)
 	}
-	delete(l.agent.leases, l.id)
-	if l.agent.inst != nil {
-		l.agent.inst.inst.BusySlotSeconds += now - l.grantedAt
-	}
-	d.counters.LeasesSuperseded++
-	if l.spec {
-		d.counters.SpeculationsWasted++
-	}
-	ts := &d.tasks[l.task]
-	if ts.specLease == l.id {
-		ts.specLease = 0
-	} else if ts.leaseID == l.id {
-		// The primary lost: promote the surviving duplicate to primary.
-		if surv, ok := d.leases[ts.specLease]; ok && surv.state == leaseActive {
-			ts.leaseID = surv.id
-			ts.specLease = 0
-			ts.agent = surv.agent.id
-			if surv.agent.inst != nil {
-				ts.instance = surv.agent.inst.inst.ID
-			}
-			ts.startedAt = surv.grantedAt
-			ts.transferObserved = false
-			ts.transferTime = 0
-		} else {
-			ts.specLease = 0
-		}
-	}
-	d.journalLocked(Record{Kind: RecLeaseSuperseded, NowS: now, Agent: l.agent.id,
-		Lease: int64Ptr(l.id), Task: intPtr(int(l.task))})
 }
 
 // terminateInstLocked ends a logical instance (billing stops; pending
@@ -1205,16 +1068,9 @@ func (d *Dispatcher) terminateInstLocked(ir *instRec, now simtime.Time) {
 	if ir.inst.State == cloud.Terminated {
 		return
 	}
-	at := now
-	if ir.inst.State == cloud.Active && simtime.Before(at, ir.inst.ActiveAt) {
-		at = ir.inst.ActiveAt
+	if d.commitLocked(Record{Kind: RecInstanceEnd, NowS: now, Instance: intPtr(int(ir.inst.ID))}) {
+		d.emitLocked(sim.Event{Time: now, Kind: sim.EvInstanceTerminated, Task: -1, Instance: ir.inst.ID})
 	}
-	if err := d.site.Terminate(ir.inst, at); err != nil {
-		d.failLocked(err)
-		return
-	}
-	d.emitLocked(sim.Event{Time: now, Kind: sim.EvInstanceTerminated, Task: -1, Instance: ir.inst.ID})
-	d.journalLocked(Record{Kind: RecInstanceEnd, NowS: now, Instance: intPtr(int(ir.inst.ID))})
 }
 
 // releaseLocked executes a controller release order at time now: running
@@ -1225,22 +1081,11 @@ func (d *Dispatcher) releaseLocked(ir *instRec, now simtime.Time) {
 	if ir.inst.State == cloud.Terminated {
 		return
 	}
-	a := ir.agent
-	if a != nil {
+	if a := ir.agent; a != nil {
 		for _, l := range sortedLeases(a.leases) {
-			if l.state != leaseActive {
-				continue
-			}
-			if other := d.otherActiveLocked(&d.tasks[l.task], l); other != nil {
-				d.supersedeLocked(l, now)
-			} else {
-				d.reclaimLocked(l, now, false, "instance-released")
-			}
+			d.retireLocked(l, now, false, "instance-released")
 		}
-		a.leases = make(map[int64]*lease)
-		a.inst = nil
-		ir.agent = nil
-		d.journalLocked(Record{Kind: RecAgentParked, NowS: now, Agent: a.id})
+		d.commitLocked(Record{Kind: RecAgentParked, NowS: now, Agent: a.id})
 	}
 	d.terminateInstLocked(ir, now)
 	d.bindAgentsLocked()
@@ -1258,7 +1103,7 @@ func (d *Dispatcher) onTick() {
 		return
 	}
 	d.tickSeq++
-	d.tickTimer = time.AfterFunc(d.clock.WallUntil(simtime.Time(d.tickSeq)*simtime.Time(d.cfg.Interval)), d.onTick)
+	d.armTickLocked()
 
 	now := d.clock.Now()
 	snap := d.snapshotLocked(now)
@@ -1267,29 +1112,27 @@ func (d *Dispatcher) onTick() {
 		d.failLocked(err)
 		return
 	}
-	d.lastTick = now
 
 	dec := d.planLocked(snap)
+	if d.state != Running {
+		return // the controller panicked
+	}
 	decJSON, err := json.Marshal(dec)
 	if err != nil {
 		d.failLocked(err)
 		return
 	}
-	d.decisions++
-	d.records = append(d.records, PlanRecord{
-		Seq:      d.decisions,
-		NowS:     float64(now),
-		Snapshot: snapJSON,
-		Decision: decJSON,
-	})
+	// The full snapshot/decision pair rides in the record: it is the run's
+	// plan stream, which a restarted daemon must still serve for the
+	// TwinVerify parity certificate. The record also marks the instances the
+	// decision releases as draining.
+	if !d.commitLocked(Record{Kind: RecDecision, NowS: now,
+		Detail:   fmt.Sprintf("launch=%d releases=%d", dec.Launch, len(dec.Releases)),
+		Snapshot: snapJSON, Decision: decJSON}) {
+		return
+	}
 	d.emitLocked(sim.Event{Time: now, Kind: sim.EvDecision, Task: -1, Instance: -1,
 		Launch: dec.Launch, Released: len(dec.Releases)})
-	// The full snapshot/decision pair rides in the journal so a restarted
-	// daemon can serve the complete plan stream — the TwinVerify parity
-	// certificate must survive the crash.
-	d.journalLocked(Record{Kind: RecDecision, NowS: now,
-		Detail:   fmt.Sprintf("launch=%d releases=%d", dec.Launch, len(dec.Releases)),
-		Snapshot: snapJSON, Decision: decJSON})
 
 	if err := d.applyLocked(dec, now); err != nil {
 		d.failLocked(err)
@@ -1334,31 +1177,15 @@ func (d *Dispatcher) speculateLocked(snap *monitor.Snapshot, now simtime.Time) {
 		if a == nil {
 			continue // no healthy second agent; retry next tick
 		}
-		t := d.wf.Task(id)
-		d.leaseSeq++
-		expected := d.clock.WallDuration(t.ExecTime + t.TransferTime)
-		ttl := time.Duration(float64(expected)*d.cfg.LeaseFactor) + d.cfg.LeaseSlack
-		l := &lease{
-			id:        d.leaseSeq,
-			task:      id,
-			agent:     a,
-			grantedAt: now,
-			deadline:  d.cfg.now().Add(ttl),
-			spec:      true,
-			attempt:   primary.attempt,
+		lid := d.leaseSeq + 1
+		if !d.commitLocked(Record{Kind: RecLeaseSpeculated, NowS: now, Agent: a.id,
+			Lease: int64Ptr(lid), Task: intPtr(int(id)), Instance: intPtr(int(a.inst.inst.ID)), Attempt: primary.attempt}) {
+			return
 		}
-		a.leases[l.id] = l
-		d.leases[l.id] = l
-		ts.specLease = l.id
-		d.counters.LeasesGranted++
-		d.counters.SpeculationsLaunched++
 		d.emitLocked(sim.Event{Time: now, Kind: sim.EvTaskSpeculated, Task: id, Instance: a.inst.inst.ID})
-		d.journalLocked(Record{Kind: RecLeaseSpeculated, NowS: now, Agent: a.id,
-			Lease: int64Ptr(l.id), Task: intPtr(int(id)), Instance: intPtr(int(a.inst.inst.ID)), Attempt: l.attempt})
 		d.cfg.Logf("exec: speculating task %d (elapsed %.1fs > %.1f×%.1fs) on agent %s",
 			id, now-ts.startedAt, d.cfg.SpeculationFactor, est, a.id)
-		lid := l.id
-		l.timer = time.AfterFunc(ttl, func() { d.onLeaseExpired(lid) })
+		d.armLeaseLocked(d.leases[lid])
 		d.notifyLocked()
 	}
 }
@@ -1382,7 +1209,7 @@ func (d *Dispatcher) applyLocked(dec sim.Decision, now simtime.Time) error {
 		return fmt.Errorf("exec: controller %s requested negative launch %d", d.cfg.Controller.Name(), dec.Launch)
 	}
 	for i := 0; i < dec.Launch; i++ {
-		if _, err := d.launchLocked(now); err != nil {
+		if err := d.launchLocked(now); err != nil {
 			if err == cloud.ErrSiteFull {
 				break // best effort at the cap
 			}
@@ -1398,29 +1225,30 @@ func (d *Dispatcher) applyLocked(dec sim.Decision, now simtime.Time) error {
 		if ir.inst.State == cloud.Terminated {
 			return fmt.Errorf("exec: controller %s released terminated instance %d", d.cfg.Controller.Name(), ro.Instance)
 		}
-		if ir.draining {
-			continue
+		if ir.termTime == nil { // not already waiting out an earlier order
+			d.armReleaseLocked(ir, now)
 		}
-		ir.draining = true
-		at := now
-		if ro.AtBoundary && ir.inst.State == cloud.Active {
-			at = ir.inst.NextChargeBoundary(now)
-		}
-		if simtime.AtOrBefore(at, now) {
-			d.releaseLocked(ir, now)
-			continue
-		}
-		rec := ir
-		ir.termTime = time.AfterFunc(d.clock.WallUntil(at), func() {
-			d.mu.Lock()
-			defer d.mu.Unlock()
-			if d.state != Running {
-				return
-			}
-			d.releaseLocked(rec, d.clock.Now())
-		})
 	}
 	return nil
+}
+
+// armReleaseLocked carries out a draining instance's release order: at once
+// when its instant has come, on a timer when it lies ahead.
+func (d *Dispatcher) armReleaseLocked(ir *instRec, now simtime.Time) {
+	if simtime.AtOrBefore(ir.releaseAt, now) {
+		d.releaseLocked(ir, now)
+		return
+	}
+	id := ir.inst.ID
+	ir.termTime = time.AfterFunc(d.clock.WallUntil(ir.releaseAt), func() { d.onRelease(id) })
+}
+
+func (d *Dispatcher) onRelease(id cloud.InstanceID) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.state == Running {
+		d.releaseLocked(d.insts[id], d.clock.Now())
+	}
 }
 
 // snapshotLocked assembles the monitoring view from live agent telemetry —
@@ -1501,11 +1329,9 @@ func (d *Dispatcher) snapshotLocked(now simtime.Time) *monitor.Snapshot {
 // metrics freeze, and the lease identity is audited (any lease neither
 // completed nor reclaimed counts as lost — the invariant CI asserts is zero).
 func (d *Dispatcher) finishLocked(now simtime.Time) {
-	d.state = Done
-	d.doneAt = now
 	d.stopTimersLocked()
-	for _, ir := range d.insts {
-		d.terminateInstLocked(ir, now)
+	for _, in := range d.site.Instances() {
+		d.terminateInstLocked(d.insts[in.ID], now)
 	}
 	outstanding := d.counters.LeasesGranted - d.counters.LeasesCompleted -
 		d.counters.LeasesReclaimed - d.counters.LeasesSuperseded
@@ -1534,7 +1360,7 @@ func (d *Dispatcher) finishLocked(now simtime.Time) {
 		d.result.QuarantinedTasks = int(d.counters.QuarantinedTasks)
 		d.result.UnreachableTasks = len(d.unreach) - d.result.QuarantinedTasks
 	}
-	d.journalLocked(Record{Kind: RecRunDone, NowS: now,
+	d.commitLocked(Record{Kind: RecRunDone, NowS: now,
 		Detail: fmt.Sprintf("makespan=%.1fs units=%d", now, d.result.UnitsCharged)})
 	d.cfg.Logf("exec: run done: makespan %.1f sim-s, %d units, %d decisions, wall %v",
 		now, d.result.UnitsCharged, d.decisions, d.cfg.now().Sub(d.startWall).Round(time.Millisecond))
@@ -1549,45 +1375,37 @@ func (d *Dispatcher) failLocked(err error) {
 	if d.state == Done || d.state == Failed {
 		return
 	}
-	d.state = Failed
 	d.runErr = err
-	d.doneAt = d.clock.Now()
 	d.stopTimersLocked()
 	outstanding := d.counters.LeasesGranted - d.counters.LeasesCompleted -
 		d.counters.LeasesReclaimed - d.counters.LeasesSuperseded
 	if outstanding > 0 {
 		d.counters.LeasesLost = outstanding
 	}
-	d.journalLocked(Record{Kind: RecRunFailed, NowS: d.doneAt, Detail: err.Error()})
+	d.commitLocked(Record{Kind: RecRunFailed, NowS: d.clock.Now(), Detail: err.Error()})
 	d.cfg.Logf("exec: run failed: %v", err)
 	close(d.done)
 	d.notifyLocked()
 }
 
 func (d *Dispatcher) stopTimersLocked() {
-	if d.tickTimer != nil {
-		d.tickTimer.Stop()
-	}
-	if d.reapTimer != nil {
-		d.reapTimer.Stop()
-	}
-	if d.wallTimer != nil {
-		d.wallTimer.Stop()
-	}
+	stopTimer(d.tickTimer)
+	stopTimer(d.reapTimer)
+	stopTimer(d.wallTimer)
 	for _, l := range d.leases {
-		if l.timer != nil {
-			l.timer.Stop()
-		}
+		stopTimer(l.timer)
 	}
 	for _, ir := range d.insts {
-		if ir.termTime != nil {
-			ir.termTime.Stop()
-		}
+		stopTimer(ir.termTime)
 	}
 	for i := range d.tasks {
-		if t := d.tasks[i].requeueTimer; t != nil {
-			t.Stop()
-		}
+		stopTimer(d.tasks[i].requeueTimer)
+	}
+}
+
+func stopTimer(t *time.Timer) {
+	if t != nil {
+		t.Stop()
 	}
 }
 

@@ -209,12 +209,15 @@ func TestLeaseReclaimExactlyOnce(t *testing.T) {
 	if replayed.LiveAgents[regA.AgentID] || !replayed.LiveAgents[regB.AgentID] {
 		t.Fatalf("live agents after replay: %+v", replayed.LiveAgents)
 	}
+	assertReplayParity(t, d, sink.Records)
 }
 
 // TestDOAWriteoff: a launch order no agent binds within the grace window is
 // written off dead-on-arrival and canceled unbilled.
 func TestDOAWriteoff(t *testing.T) {
+	sink := &MemorySink{}
 	d, err := NewDispatcher(Config{
+		Journal:    sink,
 		Workflow:   flatWorkflow(1, 100),
 		Controller: holdController{},
 		Cloud: cloud.Config{
@@ -240,6 +243,7 @@ func TestDOAWriteoff(t *testing.T) {
 	if st := d.Status(); st.AgentsRequired != 0 {
 		t.Fatalf("written-off instance still held: %+v", st)
 	}
+	assertReplayParity(t, d, sink.Records)
 }
 
 func TestDispatcherConfigValidation(t *testing.T) {

@@ -23,8 +23,11 @@
 //     the in-process tests.
 //   - Registry + Handler: the HTTP surface wire-serve mounts under
 //     /v1/live/.
-//   - Journal + ReplayAssignments: an append-only record of every agent
-//     event, replayable to the exact task→agent assignment state.
+//   - Journal + apply: an append-only record of every transition. The
+//     run's state is the fold of Dispatcher.apply over it, for the live
+//     calls (commitLocked) and for crash recovery alike; ReplayAssignments
+//     is the independent fold to the task→agent assignment state that the
+//     tests compare both against.
 //   - TwinVerify: the live-vs-sim parity certificate — a fresh controller
 //     fed the run's recorded snapshots must reproduce the decision stream
 //     byte for byte.

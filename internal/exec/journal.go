@@ -12,7 +12,8 @@ import (
 
 // Journal record kinds. One record is appended per agent/lease/instance
 // lifecycle transition, in dispatcher-lock order, so the journal is a total
-// order over everything that happened to the run's assignment state.
+// order over everything that happened to the run, and the run's state is the
+// fold of Dispatcher.apply over it.
 const (
 	RecRunCreated       = "run-created"
 	RecRunStarted       = "run-started"
@@ -31,6 +32,7 @@ const (
 	RecInstanceDOA      = "instance-doa"
 	RecLeaseGranted     = "lease-granted"
 	RecLeaseSpeculated  = "lease-speculated"
+	RecLeaseTransfer    = "lease-transfer"
 	RecLeaseCompleted   = "lease-completed"
 	RecLeaseReclaimed   = "lease-reclaimed"
 	RecLeaseSuperseded  = "lease-superseded"
@@ -58,9 +60,10 @@ type Record struct {
 	// and task-quarantined records, so recovery restores retry budgets.
 	Attempt int `json:"attempt,omitempty"`
 
-	// ExecS/TransferS carry the measured times on lease-completed records:
-	// recovery replays them into the snapshot state so the rebuilt
-	// predictor and billing match the original run exactly.
+	// ExecS/TransferS carry the measured times on lease-completed records,
+	// TransferS alone the mid-task observation on lease-transfer records:
+	// they feed the monitoring snapshots and the billing, so a recovered run
+	// plans from the same telemetry the crashed one held.
 	ExecS     simtime.Duration `json:"exec_s,omitempty"`
 	TransferS simtime.Duration `json:"transfer_s,omitempty"`
 
@@ -75,9 +78,10 @@ type Record struct {
 }
 
 // RecordSink receives journal records. Append is called under the dispatcher
-// lock and must not block for long or call back into the dispatcher. An error
-// means the record may not be in the journal; one wrapping wal.ErrBroken means
-// no later record can be either, and the dispatcher stops journaling.
+// lock, after the record has been applied to the run, and must not block for
+// long or call back into the dispatcher. An error means the record may not be
+// in the journal; one wrapping wal.ErrBroken means no later record can be
+// either, and the dispatcher stops journaling.
 type RecordSink interface {
 	Append(Record) error
 }

@@ -27,10 +27,12 @@ import (
 // lets both a restarted worker and a journal-recovered daemon preserve lease
 // identity across the outage.
 func TestRegisterReconnectSameName(t *testing.T) {
+	sink := &MemorySink{}
 	d, err := NewDispatcher(Config{
 		Workflow:   flatWorkflow(2, 10),
 		Controller: holdController{},
 		Cloud:      cloud.Config{SlotsPerInstance: 2, LagTime: 1, ChargingUnit: 10, MaxInstances: 1},
+		Journal:    sink,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,6 +60,7 @@ func TestRegisterReconnectSameName(t *testing.T) {
 	if r3.AgentID == r1.AgentID {
 		t.Fatal("distinct name reused an identity")
 	}
+	assertReplayParity(t, d, sink.Records)
 }
 
 // poisonDoc is a flat stage where the first task is the designated poison
@@ -170,6 +173,10 @@ func TestPoisonTaskQuarantine(t *testing.T) {
 	if quarantined.Task == nil || *quarantined.Task != int(poison) || quarantined.Attempt != 3 {
 		t.Fatalf("quarantine record %+v, want task %d at attempt 3", quarantined, poison)
 	}
+	reg.mu.Lock()
+	d := reg.runs[info.ID].d
+	reg.mu.Unlock()
+	assertReplayParity(t, d, func() []Record { return recs })
 }
 
 // TestStragglerSpeculation is the slow-agent chaos certificate: a turtle agent
@@ -179,7 +186,9 @@ func TestPoisonTaskQuarantine(t *testing.T) {
 // turtle's primaries must be superseded — with the turtle's eventual late
 // report acked stale.
 func TestStragglerSpeculation(t *testing.T) {
+	sink := &MemorySink{}
 	d, err := NewDispatcher(Config{
+		Journal:    sink,
 		Workflow:   flatWorkflow(6, 30),
 		Controller: keepPool{2},
 		Cloud: cloud.Config{
@@ -286,6 +295,7 @@ func TestStragglerSpeculation(t *testing.T) {
 	if !ack.Stale {
 		t.Fatal("late report on superseded lease not acked stale")
 	}
+	assertReplayParity(t, d, sink.Records)
 }
 
 // slowDoc is a fanout workflow slow enough (at 200x) that a mid-run daemon
@@ -527,7 +537,9 @@ func TestDeleteVsCompleteRace(t *testing.T) {
 // agent is drained of new leases by name; after the cooldown it is quietly
 // reactivated and finishes the run.
 func TestAgentBlacklistAndCooldown(t *testing.T) {
+	sink := &MemorySink{}
 	d, err := NewDispatcher(Config{
+		Journal:    sink,
 		Workflow:   flatWorkflow(2, 5),
 		Controller: keepPool{1},
 		Cloud: cloud.Config{
@@ -605,6 +617,7 @@ func TestAgentBlacklistAndCooldown(t *testing.T) {
 	if st := d.Status(); len(st.Agents) != 1 || st.Agents[0].Blacklisted {
 		t.Fatalf("agent still blacklisted after cooldown: %+v", st.Agents)
 	}
+	assertReplayParity(t, d, sink.Records)
 }
 
 // TestAgentTypedRegisterError: terminal registration rejections surface as

@@ -33,7 +33,8 @@ const goldenJournal = "testdata/golden.jsonl"
 
 // goldenRecords tells a short, consistent story: task 0 completes; task 1
 // straggles, a speculative duplicate wins and the original is superseded;
-// task 2 is reclaimed once and is leased again when the log ends.
+// task 2 is reclaimed once, is leased again and has reported its input
+// transfer when the log ends.
 func goldenRecords(t *testing.T) []Record {
 	t.Helper()
 	spec, err := json.Marshal(&CreateRunRequest{
@@ -71,6 +72,7 @@ func goldenRecords(t *testing.T) []Record {
 		{Kind: RecLeaseReclaimed, Agent: "a2", Lease: int64Ptr(4), Attempt: 1, Detail: "lease expired"},
 		{Kind: RecDecision, Snapshot: snapshot, Decision: decision},
 		{Kind: RecLeaseGranted, Agent: "a1", Lease: int64Ptr(5), Task: intPtr(2)},
+		{Kind: RecLeaseTransfer, Agent: "a1", Lease: int64Ptr(5), TransferS: 0.75},
 	}
 	for i := range recs {
 		recs[i].Seq = int64(i + 1)
@@ -153,8 +155,11 @@ func journalingDispatcher(t *testing.T, n int) (d *Dispatcher, sink *FileSink, p
 		Controller: holdController{},
 		Cloud:      cloud.Config{SlotsPerInstance: n, LagTime: 0.001, ChargingUnit: 3600, MaxInstances: 1},
 		Timescale:  1,
-		Journal:    sink,
-		Logf:       logs.logf,
+		// The default grace is one interval, 1 ms here: on a slow box the DOA
+		// timer can beat the activation timer and write off the only instance.
+		DOAGrace: 60,
+		Journal:  sink,
+		Logf:     logs.logf,
 	})
 	if err != nil {
 		t.Fatal(err)
