@@ -59,13 +59,13 @@ func (rt *Router) Counters() RouterCounters {
 	epoch := rt.members.epoch
 	rt.members.mu.Unlock()
 	return RouterCounters{
-		ShardsUp:              rt.members.shardsUp(),
-		FailoversTotal:        rt.members.failovers.Load(),
-		HandoffSessionsTotal:  rt.members.handoffSessions.Load(),
-		DrainsTotal:           rt.members.drains.Load(),
-		JoinsTotal:            rt.members.joins.Load(),
-		MigratedSessionsTotal: rt.members.migrated.Load(),
-		Epoch:                 epoch,
+		ShardsUp:                 rt.members.shardsUp(),
+		FailoversTotal:           rt.members.failovers.Load(),
+		HandoffSessionsTotal:     rt.members.handoffSessions.Load(),
+		DrainsTotal:              rt.members.drains.Load(),
+		JoinsTotal:               rt.members.joins.Load(),
+		MigratedSessionsTotal:    rt.members.migrated.Load(),
+		Epoch:                    epoch,
 		ProxiedTotal:             rt.proxied.Load(),
 		ProxyErrorsTotal:         rt.proxyErrors.Load(),
 		Recovering503Total:       rt.recovering503.Load(),

@@ -58,21 +58,24 @@ type Controller struct {
 	// proj carries the lookahead projection state across the session's MAPE
 	// intervals (incremental wait-counts, memoized estimates, simulation
 	// buffers); see lookahead.Projector for the invalidation rules.
-	proj     lookahead.Projector
-	preStart map[dag.TaskID]Prediction
-	lastLoad *lookahead.Load
-	iters    int
+	proj lookahead.Projector
+	// preStart is the prediction log, indexed by task id: each task's last
+	// estimate from before it started. Policy == predict.PolicyNone marks a
+	// task never annotated (EstimateExec answers a pending task with one of
+	// the real policies).
+	preStart []Prediction
+	// wavefront is the part of the log the last Plan wrote: one entry per
+	// task pending in that snapshot, in task-id order.
+	wavefront []Prediction
+	lastLoad  *lookahead.Load
+	iters     int
 }
 
 var _ sim.Controller = (*Controller)(nil)
 
 // New returns a WIRE controller.
 func New(cfg Config) *Controller {
-	return &Controller{
-		cfg:      cfg,
-		pred:     predict.New(cfg.Predictor),
-		preStart: make(map[dag.TaskID]Prediction),
-	}
+	return &Controller{cfg: cfg, pred: predict.New(cfg.Predictor)}
 }
 
 // Name implements sim.Controller.
@@ -91,11 +94,18 @@ func (c *Controller) LastLoad() *lookahead.Load { return c.lastLoad }
 // made before the task started — the inputs to the Figure 4 accuracy study.
 func (c *Controller) PreStartPredictions() map[dag.TaskID]Prediction {
 	out := make(map[dag.TaskID]Prediction, len(c.preStart))
-	for k, v := range c.preStart {
-		out[k] = v
+	for i := range c.preStart {
+		if pr := &c.preStart[i]; pr.Policy != predict.PolicyNone {
+			out[pr.Task] = *pr
+		}
 	}
 	return out
 }
+
+// Wavefront returns the predictions the last Plan made: one per task that had
+// not started in its snapshot, in task-id order. The slice is the
+// controller's own buffer, valid until the next Plan.
+func (c *Controller) Wavefront() []Prediction { return c.wavefront }
 
 // Plan implements sim.Controller: one MAPE iteration.
 func (c *Controller) Plan(snap *monitor.Snapshot) sim.Decision {
@@ -108,19 +118,25 @@ func (c *Controller) Plan(snap *monitor.Snapshot) sim.Decision {
 	// Annotate the run state: record the current estimate for every task
 	// that has not started yet, so each task keeps the last prediction
 	// that preceded its dispatch.
+	if n := len(snap.Tasks); len(c.preStart) < n {
+		c.preStart = append(c.preStart, make([]Prediction, n-len(c.preStart))...)
+	}
+	c.wavefront = c.wavefront[:0]
 	for i := range snap.Tasks {
 		rec := &snap.Tasks[i]
 		if rec.State != monitor.Blocked && rec.State != monitor.Ready {
 			continue
 		}
 		exec, pol := c.pred.EstimateExec(snap, rec.ID)
-		c.preStart[rec.ID] = Prediction{
+		pr := Prediction{
 			Time:          snap.Now,
 			Task:          rec.ID,
 			Stage:         rec.Stage,
 			EstimatedExec: exec,
 			Policy:        pol,
 		}
+		c.preStart[rec.ID] = pr
+		c.wavefront = append(c.wavefront, pr)
 	}
 
 	// Plan: project the upcoming load one interval ahead and size the

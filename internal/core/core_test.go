@@ -3,13 +3,17 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/internal/baseline"
 	"repro/internal/cloud"
 	"repro/internal/dag"
+	"repro/internal/dist"
+	"repro/internal/monitor"
 	"repro/internal/predict"
 	"repro/internal/sim"
+	"repro/internal/workloads"
 )
 
 // wideWF builds a split -> wide -> merge workflow: one 20s root, n 100s
@@ -273,5 +277,71 @@ func TestStateDump(t *testing.T) {
 	}
 	if back.Iterations != dump.Iterations || len(back.Predictions) != len(dump.Predictions) {
 		t.Fatal("round trip changed state")
+	}
+}
+
+// mapLogged wraps a WIRE controller and keeps the prediction log the way the
+// controller itself did before the log became a slice: a map written, after
+// every Plan, with the predictor's estimate for each pending task. It also
+// holds each Plan's Wavefront to the pending part of that map.
+type mapLogged struct {
+	t *testing.T
+	*Controller
+	log map[dag.TaskID]Prediction
+}
+
+func (m *mapLogged) Plan(snap *monitor.Snapshot) sim.Decision {
+	dec := m.Controller.Plan(snap)
+	var pending []Prediction
+	for i := range snap.Tasks {
+		rec := &snap.Tasks[i]
+		if rec.State != monitor.Blocked && rec.State != monitor.Ready {
+			continue
+		}
+		exec, pol := m.Predictor().EstimateExec(snap, rec.ID)
+		pr := Prediction{Time: snap.Now, Task: rec.ID, Stage: rec.Stage, EstimatedExec: exec, Policy: pol}
+		m.log[rec.ID] = pr
+		pending = append(pending, pr)
+	}
+	if got := m.Wavefront(); !reflect.DeepEqual(append([]Prediction(nil), got...), pending) {
+		m.t.Fatalf("at %v: Wavefront has %d prediction(s), the snapshot %d pending task(s), or they differ", snap.Now, len(got), len(pending))
+	}
+	return dec
+}
+
+// TestPredictionLogMatchesMapVersion runs every Table I workflow and holds
+// PreStartPredictions, State and Wavefront to a map-kept log: the same
+// entries, and State's list ascending by task id with no sort to make it so.
+func TestPredictionLogMatchesMapVersion(t *testing.T) {
+	for _, key := range workloads.Keys() {
+		run, _ := workloads.ByKey(key)
+		wf := run.Generate(1)
+		m := &mapLogged{t: t, Controller: New(Config{}), log: map[dag.TaskID]Prediction{}}
+		cfg := sim.Config{
+			Cloud: cloud.Config{SlotsPerInstance: 4, LagTime: 180, ChargingUnit: 900, MaxInstances: 12},
+			Seed:  1, Interference: dist.NewLognormalFromMean(1, 0.05),
+		}
+		if _, err := sim.Run(wf, m, cfg); err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		if len(m.log) == 0 {
+			t.Fatalf("%s: nothing was predicted", key)
+		}
+		if got := m.PreStartPredictions(); !reflect.DeepEqual(got, m.log) {
+			t.Errorf("%s: PreStartPredictions has %d entries, the map-kept log %d, or they differ", key, len(got), len(m.log))
+		}
+		preds := m.State().Predictions
+		if len(preds) != len(m.log) {
+			t.Fatalf("%s: State lists %d prediction(s), the map-kept log has %d", key, len(preds), len(m.log))
+		}
+		for i, p := range preds {
+			if i > 0 && p.Task <= preds[i-1].Task {
+				t.Fatalf("%s: State().Predictions not ascending at %d", key, i)
+			}
+			want := m.log[p.Task]
+			if (p != PredictionState{Task: want.Task, Stage: want.Stage, Estimated: want.EstimatedExec, Policy: want.Policy.String(), At: want.Time}) {
+				t.Fatalf("%s: State lists task %d as %+v, the map-kept log has %+v", key, p.Task, p, want)
+			}
+		}
 	}
 }

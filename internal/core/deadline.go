@@ -59,6 +59,10 @@ func (d *DeadlineController) Deadline() simtime.Time { return d.cfg.Deadline }
 // models, last projected load) of the underlying controller.
 func (d *DeadlineController) State() StateDump { return d.base.State() }
 
+// Wavefront is the underlying controller's. The deadline policy sizes the
+// pool from remaining occupancy and never annotates tasks, so it is empty.
+func (d *DeadlineController) Wavefront() []Prediction { return d.base.Wavefront() }
+
 // Plan implements sim.Controller.
 func (d *DeadlineController) Plan(snap *monitor.Snapshot) sim.Decision {
 	d.base.iters++

@@ -3,9 +3,9 @@ package core
 import (
 	"encoding/json"
 	"io"
-	"sort"
 
 	"repro/internal/dag"
+	"repro/internal/predict"
 	"repro/internal/simtime"
 )
 
@@ -65,7 +65,12 @@ func (c *Controller) State() StateDump {
 		}
 		dump.Stages = append(dump.Stages, StageState{Stage: sid, A0: a0, A1: a1, Scale: scale})
 	}
-	for _, pr := range c.preStart {
+	// The log is indexed by task id, so it is already in StateDump's order.
+	for i := range c.preStart {
+		pr := &c.preStart[i]
+		if pr.Policy == predict.PolicyNone {
+			continue
+		}
 		dump.Predictions = append(dump.Predictions, PredictionState{
 			Task:      pr.Task,
 			Stage:     pr.Stage,
@@ -74,9 +79,6 @@ func (c *Controller) State() StateDump {
 			At:        pr.Time,
 		})
 	}
-	sort.Slice(dump.Predictions, func(i, j int) bool {
-		return dump.Predictions[i].Task < dump.Predictions[j].Task
-	})
 	if c.lastLoad != nil {
 		dump.Upcoming = &UpcomingState{
 			At:             c.lastLoad.At,

@@ -114,7 +114,7 @@ func (b *Builder) Build() (*Workflow, error) {
 			t.Succs = nil // match the omitted-field shape of decoded workflows
 			continue
 		}
-		t.Succs = slab[off:off : off+c]
+		t.Succs = slab[off : off : off+c]
 		off += c
 	}
 	for _, t := range b.tasks {

@@ -16,7 +16,7 @@ import (
 // holdController never changes the pool: tests drive the lifecycle manually.
 type holdController struct{}
 
-func (holdController) Name() string                       { return "hold" }
+func (holdController) Name() string                        { return "hold" }
 func (holdController) Plan(*monitor.Snapshot) sim.Decision { return sim.Decision{} }
 
 // keepPool relaunches instances so the held pool stays at n — the minimal

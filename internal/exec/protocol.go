@@ -91,12 +91,12 @@ type AgentStatus struct {
 // RunStatusResponse is the GET /v1/live/runs/{id} body.
 type RunStatusResponse struct {
 	RunInfo
-	NowS           simtime.Time `json:"now_s"`
-	AgentsRequired int          `json:"agents_required"`
+	NowS           simtime.Time  `json:"now_s"`
+	AgentsRequired int           `json:"agents_required"`
 	Agents         []AgentStatus `json:"agents,omitempty"`
-	TasksCompleted int          `json:"tasks_completed"`
-	Decisions      int          `json:"decisions"`
-	Counters       Counters     `json:"counters"`
+	TasksCompleted int           `json:"tasks_completed"`
+	Decisions      int           `json:"decisions"`
+	Counters       Counters      `json:"counters"`
 	// Result is the final run summary, present once State is done. It
 	// reuses the simulator's result type so live and simulated runs are
 	// reported identically.

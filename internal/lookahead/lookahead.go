@@ -107,4 +107,3 @@ func Project(snap *monitor.Snapshot, est Estimator) *Load {
 	var p Projector
 	return p.Project(snap, est)
 }
-

@@ -134,8 +134,9 @@ type SessionInfo struct {
 
 // PlanResponse is the POST /v1/sessions/{id}/plan response: the decision for
 // the next interval plus the controller's current pre-start predictions for
-// the tasks that have not started yet (the Figure 1 wavefront). Predictions
-// are only present for policies with online prediction (wire, deadline).
+// the tasks that have not started yet (the Figure 1 wavefront), one record per
+// distinct estimate (PredictionGroup; ExpandPredictions lists them per task).
+// Predictions are only present for the wire policy: it alone annotates tasks.
 type PlanResponse struct {
 	SessionID string `json:"session_id"`
 	Iteration int64  `json:"iteration"`
@@ -145,8 +146,8 @@ type PlanResponse struct {
 	Decision sim.Decision `json:"decision"`
 	// Degraded marks a decision produced by the session's
 	// reactive-conserving fallback after the controller panicked.
-	Degraded    bool                   `json:"degraded,omitempty"`
-	Predictions []core.PredictionState `json:"predictions,omitempty"`
+	Degraded    bool              `json:"degraded,omitempty"`
+	Predictions []PredictionGroup `json:"predictions,omitempty"`
 }
 
 // SessionStateResponse is the GET /v1/sessions/{id}/state response.
@@ -175,6 +176,10 @@ type ErrorBody struct {
 // stateDumper is satisfied by controllers exposing WIRE run state.
 type stateDumper interface{ State() core.StateDump }
 
+// wavefronter is satisfied by controllers that annotate pending tasks: what
+// the last Plan predicted, in task-id order, valid until the next Plan.
+type wavefronter interface{ Wavefront() []core.Prediction }
+
 // bufPool recycles the scratch buffers of writeJSON, readJSON and the plan
 // path (posted body, encoded response, framed WAL record). One shared pool
 // rather than per-session buffers, so idle sessions pin nothing. Buffers that
@@ -186,9 +191,9 @@ var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // path hold, measured on Genome-L (4005 tasks, 22 plans) by
 // TestPlanRecordFramingMatchesEncoder: a snapshot posted in full — a session's
 // first plan, or a resync — reaches 1.11 MB and so does the WAL record framed
-// around it; the response reaches 0.40 MB. Delta bodies and their records are
-// several times smaller (mean 84 KB on the same stream), so it is the
-// full-snapshot path that sets the ceiling. With reserve's eighth to spare
+// around it; the response, whose wavefront is grouped by estimate, stays under
+// 25 KB. Delta bodies and their records are several times smaller, so it is
+// the full-snapshot path that sets the ceiling. With reserve's eighth to spare
 // those buffers stay under 1.25 MB; 2 MiB leaves room for workflows half as
 // large again.
 const maxPooledBuf = 2 << 20
@@ -217,29 +222,13 @@ func reserve(buf *bytes.Buffer, n int) {
 	}
 }
 
-// jsonAppender is implemented by response types with a hand-rolled encoder
-// (PlanResponse); writeJSON uses it to append straight into the pooled
-// buffer, skipping the json.Encoder machinery entirely.
-type jsonAppender interface {
-	AppendJSON(dst []byte) ([]byte, error)
-}
-
 // writeJSON encodes v into a pooled buffer before touching the response, so
 // an encoding failure is reported as a proper 500 instead of a truncated
 // 200 with a committed status line.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	buf := getBuf()
 	defer putBuf(buf)
-	if a, ok := v.(jsonAppender); ok {
-		b, err := a.AppendJSON(buf.AvailableBuffer())
-		if err != nil {
-			s.metrics.EncodeError()
-			s.writeError(w, http.StatusInternalServerError, "encode_failed", "encoding response: %v", err)
-			return
-		}
-		// Trailing newline matches json.Encoder's framing.
-		*buf = *bytes.NewBuffer(append(b, '\n'))
-	} else if err := json.NewEncoder(buf).Encode(v); err != nil {
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		// No recursion risk: ErrorBody is two plain strings and cannot
 		// fail to encode.
 		s.metrics.EncodeError()
@@ -503,11 +492,15 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		// advancing the controller or touching the materialised snapshot;
 		// anything else out of order is a protocol violation the client must
 		// not paper over by replanning.
-		if seq == sess.lastSeq && sess.lastResp != nil {
-			resp := *sess.lastResp
+		if seq == sess.lastSeq && len(sess.lastBody) > 0 {
+			// The next plan rewrites lastBody in place, so the bytes are
+			// copied out before the lock goes.
+			cached := getBuf()
+			defer putBuf(cached)
+			cached.Write(sess.lastBody)
 			sess.mu.Unlock()
 			s.metrics.PlanRetried()
-			s.writeJSON(w, http.StatusOK, &resp)
+			writeBody(w, http.StatusOK, cached.Bytes())
 			return
 		}
 		if seq != sess.lastSeq+1 {
@@ -550,7 +543,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := &sess.snapScratch
-	dec, degraded, preds, err := planStep(sess, snap)
+	dec, degraded, err := planStep(sess, snap)
 	if err != nil {
 		// snapScratch now holds a snapshot lastSeq does not name.
 		sess.baseOK = false
@@ -560,15 +553,19 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	assigned := sess.lastSeq + 1
 	resp := &PlanResponse{
-		SessionID:   sess.ID,
-		Iteration:   sess.plans.Add(1),
-		Seq:         assigned,
-		Decision:    dec,
-		Degraded:    degraded,
-		Predictions: preds,
+		SessionID: sess.ID,
+		Iteration: sess.plans.Add(1),
+		Seq:       assigned,
+		Decision:  dec,
+		Degraded:  degraded,
+	}
+	if wc, ok := sess.ctrl.(wavefronter); ok && !degraded {
+		resp.Predictions = sess.grouper.fold(wc.Wavefront())
 	}
 	// Encode the response once, under sess.mu: the same bytes close the WAL
-	// record and, after unlock, are the HTTP body.
+	// record, become the session's retry cache and, after unlock, are the HTTP
+	// body. The groups live in session scratch the next plan reuses, so the
+	// struct does not outlive this encode.
 	body := getBuf()
 	defer putBuf(body)
 	reserve(body, resp.encodedSizeHint())
@@ -617,7 +614,14 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.cfg.Logf("wire-serve: journal append failed for session %s at plan seq %d: %v", sess.ID, assigned, jerr)
 	}
-	sess.lastSeq, sess.lastResp, sess.baseOK = assigned, resp, true
+	// Trailing newline matches json.Encoder's framing. A response that did
+	// not encode leaves the cache empty: there is nothing to retry it with.
+	sess.lastBody = sess.lastBody[:0]
+	if encErr == nil {
+		body.WriteByte('\n')
+		sess.lastBody = append(sess.lastBody, body.Bytes()...)
+	}
+	sess.lastSeq, sess.baseOK = assigned, true
 	ten, tenOK := observeTenancy(sess, snap)
 	sess.mu.Unlock()
 	if tenOK {
@@ -631,8 +635,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, "encode_failed", "encoding response: %v", encErr)
 		return
 	}
-	// Trailing newline matches json.Encoder's framing.
-	body.WriteByte('\n')
 	writeBody(w, http.StatusOK, body.Bytes())
 }
 
@@ -641,42 +643,24 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 // client feeding inconsistent snapshots gets conservative decisions, not
 // failed intervals (and certainly not a crashed daemon). The caller must
 // hold sess.mu.
-func planStep(sess *Session, snap *monitor.Snapshot) (dec sim.Decision, degraded bool, preds []core.PredictionState, err error) {
+func planStep(sess *Session, snap *monitor.Snapshot) (dec sim.Decision, degraded bool, err error) {
 	plan := func(ctrl sim.Controller) (d sim.Decision, panicked any) {
 		defer func() { panicked = recover() }()
 		return ctrl.Plan(snap), nil
 	}
 	dec, panicked := plan(sess.ctrl)
 	if panicked == nil {
-		if sd, ok := sess.ctrl.(stateDumper); ok {
-			preds = pendingPredictions(sd.State(), snap)
-		}
-		return dec, false, preds, nil
+		return dec, false, nil
 	}
 	if sess.fallback == nil {
 		sess.fallback = &baseline.ReactiveConserving{}
 	}
 	dec, fallbackPanic := plan(sess.fallback)
 	if fallbackPanic != nil {
-		return sim.Decision{}, true, nil,
+		return sim.Decision{}, true,
 			fmt.Errorf("controller rejected snapshot: %v (fallback also failed: %v)", panicked, fallbackPanic)
 	}
-	return dec, true, nil, nil
-}
-
-// pendingPredictions filters the full prediction log down to the wavefront:
-// tasks that had not started as of the posted snapshot.
-func pendingPredictions(dump core.StateDump, snap *monitor.Snapshot) []core.PredictionState {
-	var out []core.PredictionState
-	for _, p := range dump.Predictions {
-		if int(p.Task) >= len(snap.Tasks) {
-			continue
-		}
-		if st := snap.Tasks[p.Task].State; st == monitor.Blocked || st == monitor.Ready {
-			out = append(out, p)
-		}
-	}
-	return out
+	return dec, true, nil
 }
 
 func (s *Server) handleSessionState(w http.ResponseWriter, r *http.Request) {

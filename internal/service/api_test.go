@@ -17,6 +17,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/monitor"
 	"repro/internal/sim"
+	"repro/internal/workloads"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
@@ -253,12 +254,31 @@ func TestCreateSessionValidation(t *testing.T) {
 	if _, err := client.CreateSession(context.Background(), CreateSessionRequest{WorkflowKey: "genome-s", WorkflowSeed: 5}); err != nil {
 		t.Errorf("catalogue create: %v", err)
 	}
-	if _, err := client.CreateSession(context.Background(), CreateSessionRequest{
+	info, err := client.CreateSession(context.Background(), CreateSessionRequest{
 		WorkflowKey: "genome-s",
 		Policy:      "deadline",
 		Controller:  &ControllerSpec{Deadline: 7200},
-	}); err != nil {
-		t.Errorf("deadline create: %v", err)
+	})
+	if err != nil {
+		t.Fatalf("deadline create: %v", err)
+	}
+	// The deadline policy sizes the pool from remaining occupancy and never
+	// annotates tasks: its responses carry no predictions and its state an
+	// empty log. Only wire has a wavefront.
+	run, _ := workloads.ByKey("genome-s")
+	resp, err := client.Plan(context.Background(), info.ID, 1, readySnapshot(run.Generate(1)))
+	if err != nil {
+		t.Fatalf("deadline plan: %v", err)
+	}
+	if resp.Predictions != nil {
+		t.Errorf("deadline plan carries %d prediction group(s), want none", len(resp.Predictions))
+	}
+	state, err := client.State(context.Background(), info.ID)
+	if err != nil {
+		t.Fatalf("deadline state: %v", err)
+	}
+	if state.Controller == nil || len(state.Controller.Predictions) != 0 {
+		t.Errorf("deadline state: controller %+v, want a dump with an empty prediction log", state.Controller)
 	}
 }
 

@@ -2,7 +2,6 @@ package service
 
 import (
 	"repro/internal/cloud"
-	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/jsonlite"
 	"repro/internal/sim"
@@ -11,10 +10,11 @@ import (
 
 // Hand-rolled codec for PlanResponse, the plan endpoint's response body —
 // the other half of the per-interval wire round trip (the request half is
-// monitor.Snapshot's codec). Predictions carry one entry per not-yet-started
-// task, so on big workflows this body is as large as the snapshot and the
-// reflect round trip just as dominant. Byte-identical to encoding/json; see
-// internal/jsonlite.
+// monitor.Snapshot's codec). The same bytes are the HTTP body, the tail of the
+// WAL plan record and the session's retry cache, so they are produced once
+// per plan and decoded once per plan by every client and by replay; the
+// wavefront inside is a handful of stage-shaped groups whose bulk is bare task
+// ids. Byte-identical to encoding/json; see internal/jsonlite.
 
 // MarshalJSON implements json.Marshaler, byte-identical to the stock
 // encoding of the same struct.
@@ -22,8 +22,15 @@ func (r *PlanResponse) MarshalJSON() ([]byte, error) {
 	return r.AppendJSON(make([]byte, 0, r.encodedSizeHint()))
 }
 
+// encodedSizeHint bounds the encoding from above for catalogue-sized
+// responses: a group's fixed fields stay under 128 bytes, a task id and its
+// comma under 8.
 func (r *PlanResponse) encodedSizeHint() int {
-	return 160 + len(r.Predictions)*96
+	n := 160
+	for i := range r.Predictions {
+		n += 128 + 8*len(r.Predictions[i].Tasks)
+	}
+	return n
 }
 
 // AppendJSON appends r encoded as JSON to dst, for callers with a reusable
@@ -60,28 +67,37 @@ func (r *PlanResponse) AppendJSON(dst []byte) ([]byte, error) {
 	if len(r.Predictions) > 0 {
 		dst = append(dst, `,"predictions":[`...)
 		for i := range r.Predictions {
-			p := &r.Predictions[i]
+			g := &r.Predictions[i]
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = append(dst, `{"task":`...)
-			dst = jsonlite.AppendInt(dst, int64(p.Task))
-			dst = append(dst, `,"stage":`...)
-			dst = jsonlite.AppendInt(dst, int64(p.Stage))
+			dst = append(dst, `{"stage":`...)
+			dst = jsonlite.AppendInt(dst, int64(g.Stage))
 			dst = append(dst, `,"estimated_exec_s":`...)
 			var ferr error
-			dst, ferr = jsonlite.AppendFloat(dst, float64(p.Estimated))
+			dst, ferr = jsonlite.AppendFloat(dst, float64(g.Estimated))
 			if err == nil {
 				err = ferr
 			}
 			dst = append(dst, `,"policy":`...)
-			dst = jsonlite.AppendString(dst, p.Policy)
+			dst = jsonlite.AppendString(dst, g.Policy)
 			dst = append(dst, `,"at_s":`...)
-			dst, ferr = jsonlite.AppendFloat(dst, float64(p.At))
+			dst, ferr = jsonlite.AppendFloat(dst, float64(g.At))
 			if err == nil {
 				err = ferr
 			}
-			dst = append(dst, '}')
+			if g.Tasks == nil {
+				dst = append(dst, `,"tasks":null}`...)
+				continue
+			}
+			dst = append(dst, `,"tasks":[`...)
+			for j, id := range g.Tasks {
+				if j > 0 {
+					dst = append(dst, ',')
+				}
+				dst = jsonlite.AppendInt(dst, int64(id))
+			}
+			dst = append(dst, ']', '}')
 		}
 		dst = append(dst, ']')
 	}
@@ -180,47 +196,68 @@ func parseReleaseOrder(p *jsonlite.Parser, r *sim.ReleaseOrder) error {
 	})
 }
 
-func parsePredictions(p *jsonlite.Parser, dst []core.PredictionState) ([]core.PredictionState, error) {
+func parsePredictions(p *jsonlite.Parser, dst []PredictionGroup) ([]PredictionGroup, error) {
 	out := dst[:0]
 	isArray, err := p.Array(func() error {
 		if len(out) < cap(out) {
 			out = out[:len(out)+1]
 		} else {
-			out = append(out, core.PredictionState{})
+			out = append(out, PredictionGroup{})
 		}
-		return parsePrediction(p, &out[len(out)-1])
+		return parsePredictionGroup(p, &out[len(out)-1])
 	})
 	if !isArray && err == nil {
 		return nil, nil
 	}
 	if out == nil && isArray {
-		out = []core.PredictionState{}
+		out = []PredictionGroup{}
 	}
 	return out, err
 }
 
-func parsePrediction(p *jsonlite.Parser, ps *core.PredictionState) error {
+// parsePredictionGroup decodes one group. Journals and daemons from before
+// the wavefront was grouped carry one object per task with "task":n where
+// this format has "tasks":[…]; such an object reads as a group of that one
+// task, so old records replay and old responses decode through this parser
+// (forward-only: nothing writes that shape any more).
+func parsePredictionGroup(p *jsonlite.Parser, g *PredictionGroup) error {
+	*g = PredictionGroup{Tasks: g.Tasks[:0]}
 	return p.Object(func(key []byte) error {
 		var err error
 		switch string(key) {
-		case "task":
-			var n int64
-			n, err = p.Int()
-			ps.Task = dag.TaskID(n)
 		case "stage":
 			var n int64
 			n, err = p.Int()
-			ps.Stage = dag.StageID(n)
+			g.Stage = dag.StageID(n)
 		case "estimated_exec_s":
 			var f float64
 			f, err = p.Float()
-			ps.Estimated = simtime.Duration(f)
+			g.Estimated = simtime.Duration(f)
 		case "policy":
-			ps.Policy, err = p.String()
+			g.Policy, err = p.String()
 		case "at_s":
 			var f float64
 			f, err = p.Float()
-			ps.At = simtime.Time(f)
+			g.At = simtime.Time(f)
+		case "tasks":
+			ids := g.Tasks[:0]
+			isArray := false
+			isArray, err = p.Array(func() error {
+				n, err := p.Int()
+				ids = append(ids, dag.TaskID(n))
+				return err
+			})
+			switch {
+			case !isArray:
+				ids = nil
+			case ids == nil:
+				ids = []dag.TaskID{}
+			}
+			g.Tasks = ids
+		case "task":
+			var n int64
+			n, err = p.Int()
+			g.Tasks = append(g.Tasks[:0], dag.TaskID(n))
 		default:
 			_, err = p.SkipValue()
 		}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -26,12 +27,15 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.wal from 
 // plans, the second plan degraded — that pins the WAL format from both sides:
 // this package's write path must reproduce it byte for byte, and
 // internal/audit's independent decoder reads the same file (TestGoldenWAL
-// there). goldenV1WAL is the same session as the commit before the delta
-// protocol wrote it, every plan a full snapshot: nothing writes that file any
-// more, but journals like it are on disks and must replay.
+// there). The other two are the same session as earlier builds wrote it —
+// goldenV1WAL before the delta protocol, every plan a full snapshot;
+// goldenV2WAL with deltas but before the wavefront was grouped, one prediction
+// record per pending task in each response. Nothing writes those files any
+// more, but journals like them are on disks and must replay.
 const (
 	goldenWAL     = "testdata/golden.wal"
 	goldenV1WAL   = "testdata/golden_v1.wal"
+	goldenV2WAL   = "testdata/golden_v2.wal"
 	goldenSession = "golden-session-01"
 )
 
@@ -51,6 +55,8 @@ func (c *crashOnce) Plan(snap *monitor.Snapshot) sim.Decision {
 }
 
 func (c *crashOnce) State() core.StateDump { return c.Controller.(stateDumper).State() }
+
+func (c *crashOnce) Wavefront() []core.Prediction { return c.Controller.(wavefronter).Wavefront() }
 
 // goldenSnapshots is a short hand-made run of the fan workflow: everything
 // ready, the root running, the root done with the fan running.
@@ -158,24 +164,36 @@ func TestGoldenWAL(t *testing.T) {
 			goldenWAL, firstDiff(got, want), firstDiff(want, got))
 	}
 
-	replayGolden(t, want, []bool{false, true, true})
+	replayGolden(t, want, []bool{false, true, true}, true)
 }
 
-// TestGoldenV1Replays holds replay to the all-full journal the parent commit
-// wrote for the golden session.
+// TestGoldenV1Replays and TestGoldenV2Replays hold replay to the journals
+// earlier builds wrote for the golden session. Those are read-only formats:
+// their responses list predictions per task, which decodes as one-task groups
+// and re-encodes in the grouped shape, so unlike golden.wal they are not
+// required to survive decode and re-framing byte for byte.
 func TestGoldenV1Replays(t *testing.T) {
 	v1, err := os.ReadFile(goldenV1WAL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayGolden(t, v1, []bool{false, false, false})
+	replayGolden(t, v1, []bool{false, false, false}, false)
 }
 
-// replayGolden holds the plan framer to each plan line of a golden log —
-// whose snapshots must be deltas exactly where wantDelta says — and recovers a
-// daemon from it: the replayed cache must answer the last interval as the log
-// recorded it, and the next interval must plan.
-func replayGolden(t *testing.T, golden []byte, wantDelta []bool) {
+func TestGoldenV2Replays(t *testing.T) {
+	v2, err := os.ReadFile(goldenV2WAL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayGolden(t, v2, []bool{false, true, true}, false)
+}
+
+// replayGolden decodes each plan line of a golden log — whose snapshots must
+// be deltas exactly where wantDelta says, and which, when reframes is set,
+// the plan framer must reproduce from the decoded record — and recovers a
+// daemon from it: the replayed cache must answer the last interval with the
+// very bytes the log recorded, and the next interval must plan.
+func replayGolden(t *testing.T, golden []byte, wantDelta []bool, reframes bool) {
 	t.Helper()
 	lines := bytes.SplitAfter(golden, []byte{'\n'})
 	if len(lines) != 5 || len(lines[4]) != 0 {
@@ -198,7 +216,7 @@ func replayGolden(t *testing.T, golden []byte, wantDelta []bool) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(framed, line) {
+		if reframes && !bytes.Equal(framed, line) {
 			t.Errorf("plan line %d does not survive decode and re-framing\ngot:  %s\nwant: %s", i+1, firstDiff(framed, line), firstDiff(line, framed))
 		}
 		last = rec.Response
@@ -208,17 +226,25 @@ func replayGolden(t *testing.T, golden []byte, wantDelta []bool) {
 	if err := os.WriteFile(filepath.Join(dir, goldenSession+".wal"), golden, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	srv, client := newTestServer(t, Config{JournalDir: dir})
+	srv, base := newTestServer(t, Config{JournalDir: dir})
 	if srv.Store().Len() != 1 {
 		t.Fatalf("replayed %d session(s) from the golden WAL, want 1", srv.Store().Len())
 	}
+	tap := &bodyTap{}
+	client := NewClient(base.BaseURL(), WithTransport(tap))
 	snaps := goldenSnapshots(fanWorkflow())
 	retried, err := client.Plan(context.Background(), goldenSession, 3, snaps[2])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if retried.Iteration != last.Iteration || !sameDecision(retried.Decision, last.Decision) || len(retried.Predictions) != len(last.Predictions) {
+	if retried.Iteration != last.Iteration || !sameDecision(retried.Decision, last.Decision) ||
+		!reflect.DeepEqual(ExpandPredictions(retried.Predictions), ExpandPredictions(last.Predictions)) {
 		t.Errorf("replayed cache answers seq 3 with %+v, the log recorded %+v", retried, last)
+	}
+	// "Verbatim" is literal: the retry is served the journaled bytes.
+	journaled, _ := walResponses(t, golden)
+	if want := append(bytes.Clone(journaled[2]), '\n'); !bytes.Equal(tap.last, want) {
+		t.Errorf("the retried seq 3 body is not the journaled response\nbody: %s\nwal:  %s", firstDiff(tap.last, want), firstDiff(want, tap.last))
 	}
 	// The client now holds seq 3, so seq 4 travels as a delta against the
 	// snapshot replay materialised.

@@ -229,7 +229,7 @@ type adoptOutcome struct {
 type adoptedSession struct {
 	tenant   string
 	lastSeq  int64
-	lastResp *PlanResponse
+	lastBody string
 	state    any
 }
 
@@ -315,7 +315,7 @@ func TestAdoptManyWALsMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			sess.mu.Lock()
-			out.sessions[id] = adoptedSession{tenant: sess.Tenant, lastSeq: sess.lastSeq, lastResp: sess.lastResp,
+			out.sessions[id] = adoptedSession{tenant: sess.Tenant, lastSeq: sess.lastSeq, lastBody: string(sess.lastBody),
 				state: sess.ctrl.(stateDumper).State()}
 			sess.mu.Unlock()
 		}

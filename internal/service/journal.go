@@ -271,8 +271,14 @@ func (s *Server) recoverSession(path string, claimEpoch int64) error {
 func (s *Server) replaySession(path string, claimEpoch int64) error {
 	var sess *Session
 	var broken error // a whole record that must not be replayed: not a torn tail
+	var resp PlanResponse
 	end, torn, err := wal.Replay(path, func(line []byte) error {
-		var rec walRecord
+		// The response is kept as the bytes the client was sent; the shallower
+		// field shadows walRecord's.
+		var rec struct {
+			walRecord
+			Response json.RawMessage `json:"response"`
+		}
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return err
 		}
@@ -301,8 +307,14 @@ func (s *Server) replaySession(path string, claimEpoch int64) error {
 		// Skipped: anything but a complete plan record, and a duplicate
 		// interval (two writers during a crash window, or a replayed retry) —
 		// first write wins, like the live seq cache.
-		if rec.Type != "plan" || rec.Snapshot == nil || rec.Response == nil || rec.Seq <= sess.lastSeq {
+		if rec.Type != "plan" || rec.Snapshot == nil || len(rec.Response) == 0 || string(rec.Response) == "null" || rec.Seq <= sess.lastSeq {
 			return nil
+		}
+		// Decoded for the divergence check and the iteration count; the
+		// scratch keeps its slices from record to record.
+		resp = PlanResponse{Decision: sim.Decision{Releases: resp.Decision.Releases[:0]}, Predictions: resp.Predictions[:0]}
+		if err := unmarshalPlanResponse(rec.Response, &resp); err != nil {
+			return err
 		}
 		if rec.Snapshot.Delta && (!sess.baseOK || rec.Seq != sess.lastSeq+1) {
 			broken = fmt.Errorf("plan seq %d is a delta but the log's previous interval is %d", rec.Seq, sess.lastSeq)
@@ -312,18 +324,18 @@ func (s *Server) replaySession(path string, claimEpoch int64) error {
 			broken = fmt.Errorf("plan seq %d: %w", rec.Seq, err)
 			return broken
 		}
-		dec, degraded, _, perr := planStep(sess, &sess.snapScratch)
+		dec, degraded, perr := planStep(sess, &sess.snapScratch)
 		if perr != nil {
 			s.cfg.Logf("wire-serve: journal %s: replaying seq %d: %v", filepath.Base(path), rec.Seq, perr)
-		} else if degraded != rec.Response.Degraded || !sameDecision(dec, rec.Response.Decision) {
+		} else if degraded != resp.Degraded || !sameDecision(dec, resp.Decision) {
 			s.cfg.Logf("wire-serve: journal %s: seq %d replay diverged from recorded decision; keeping record",
 				filepath.Base(path), rec.Seq)
 		}
 		// The recorded response is authoritative: it is what the client saw.
 		sess.lastSeq = rec.Seq
-		sess.lastResp = rec.Response
+		sess.lastBody = append(append(sess.lastBody[:0], rec.Response...), '\n')
 		sess.baseOK = true
-		sess.plans.Store(rec.Response.Iteration)
+		sess.plans.Store(resp.Iteration)
 		return nil
 	})
 	if err != nil {

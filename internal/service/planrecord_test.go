@@ -17,6 +17,7 @@ import (
 	"repro/internal/dagio"
 	"repro/internal/dist"
 	"repro/internal/monitor"
+	"repro/internal/predict"
 	"repro/internal/sim"
 	"repro/internal/simtime"
 	"repro/internal/workloads"
@@ -76,10 +77,13 @@ type planRecorder struct {
 func (p *planRecorder) Name() string { return "plan-recorder" }
 
 func (p *planRecorder) Plan(snap *monitor.Snapshot) sim.Decision {
-	dec, degraded, preds, err := planStep(p.sess, snap)
+	dec, degraded, err := planStep(p.sess, snap)
 	if err != nil {
 		panic(err)
 	}
+	// A grouper of its own per plan: callers keep the responses.
+	var g wavefrontGrouper
+	preds := g.fold(p.sess.ctrl.(wavefronter).Wavefront())
 	p.sess.lastSeq++
 	lean := *snap
 	lean.Workflow = nil
@@ -92,6 +96,12 @@ func (p *planRecorder) Plan(snap *monitor.Snapshot) sim.Decision {
 		Predictions: preds,
 	})
 	return dec
+}
+
+// paperSite is the simulation the recorded streams run on: the paper's site.
+func paperSite(seed int64) sim.Config {
+	site := cloud.Config{SlotsPerInstance: 4, LagTime: 180, ChargingUnit: 900, MaxInstances: 12}
+	return sim.Config{Cloud: site, Seed: seed, Interference: dist.NewLognormalFromMean(1, 0.05)}
 }
 
 // recordPlans simulates one catalogue run on the paper's site under WIRE and
@@ -109,9 +119,7 @@ func recordPlans(t testing.TB, key string, seed int64, fn func(seq int64, lean *
 		t.Fatal(err)
 	}
 	rec := &planRecorder{sess: &Session{ID: "rec-" + key, Policy: "wire", Workflow: wf, ctrl: ctrl}, fn: fn}
-	site := cloud.Config{SlotsPerInstance: 4, LagTime: 180, ChargingUnit: 900, MaxInstances: 12}
-	cfg := sim.Config{Cloud: site, Seed: seed, Interference: dist.NewLognormalFromMean(1, 0.05)}
-	if _, err := sim.Run(wf, rec, cfg); err != nil {
+	if _, err := sim.Run(wf, rec, paperSite(seed)); err != nil {
 		t.Fatalf("recording %s/%d: %v", key, seed, err)
 	}
 }
@@ -172,8 +180,8 @@ func edgeSnapshot() *monitor.Snapshot {
 // TestPlanRecordFramingEdgeShapes runs the differential check over the shapes
 // the recorded streams do not reach.
 func TestPlanRecordFramingEdgeShapes(t *testing.T) {
-	pred := func(policy string, est, at float64) core.PredictionState {
-		return core.PredictionState{Task: 2, Stage: 1, Estimated: simtime.Duration(est), Policy: policy, At: simtime.Time(at)}
+	pred := func(policy string, est, at float64) PredictionGroup {
+		return PredictionGroup{Stage: 1, Estimated: simtime.Duration(est), Policy: policy, At: simtime.Time(at), Tasks: []dag.TaskID{2, 3}}
 	}
 	noInstances := edgeSnapshot()
 	noInstances.Instances = nil
@@ -198,7 +206,9 @@ func TestPlanRecordFramingEdgeShapes(t *testing.T) {
 		{"degraded", 3, edgeSnapshot(), &PlanResponse{SessionID: "abc", Iteration: 3, Seq: 3, Degraded: true}},
 		{"nil predictions and releases", 1, edgeSnapshot(), &PlanResponse{SessionID: "abc", Seq: 1}},
 		{"empty predictions and releases", 1, edgeSnapshot(), &PlanResponse{SessionID: "abc", Seq: 1,
-			Decision: sim.Decision{Releases: []sim.ReleaseOrder{}}, Predictions: []core.PredictionState{}}},
+			Decision: sim.Decision{Releases: []sim.ReleaseOrder{}}, Predictions: []PredictionGroup{}}},
+		{"groups with nil and empty task lists", 1, edgeSnapshot(), &PlanResponse{SessionID: "abc", Seq: 1,
+			Predictions: []PredictionGroup{{Stage: 1, Policy: "p"}, {Stage: 2, Policy: "p", Tasks: []dag.TaskID{}}}}},
 		{"releases", 2, edgeSnapshot(), &PlanResponse{SessionID: "abc", Seq: 2, Decision: sim.Decision{Launch: -1,
 			Releases: []sim.ReleaseOrder{{Instance: 4}, {Instance: 9, AtBoundary: true}}}}},
 		{"no instances", 2, noInstances, &PlanResponse{SessionID: "abc", Seq: 2}},
@@ -210,15 +220,15 @@ func TestPlanRecordFramingEdgeShapes(t *testing.T) {
 		{"strings needing JSON and HTML escapes", 4, edgeSnapshot(), &PlanResponse{
 			SessionID: "<a href=\"x\">&\\  \x00\x1f\t\n é \xff\xfe",
 			Seq:       4,
-			Predictions: []core.PredictionState{
+			Predictions: []PredictionGroup{
 				pred("policy-2 <median> & \"quoted\"", 12.5, 360),
 				pred(" line\\sep\r\n", 1e-9, 1e22),
 				pred("", 0, 0),
 			}}},
 		{"non-finite estimate", 5, edgeSnapshot(), &PlanResponse{SessionID: "abc", Seq: 5,
-			Predictions: []core.PredictionState{pred("p", math.NaN(), 1)}}},
+			Predictions: []PredictionGroup{pred("p", math.NaN(), 1)}}},
 		{"infinite at", 5, edgeSnapshot(), &PlanResponse{SessionID: "abc", Seq: 5,
-			Predictions: []core.PredictionState{pred("p", 1, math.Inf(-1))}}},
+			Predictions: []PredictionGroup{pred("p", 1, math.Inf(-1))}}},
 		{"non-finite snapshot float", 6, nanSnap, &PlanResponse{SessionID: "abc", Seq: 6}},
 		{"unknown task state", 6, badState, &PlanResponse{SessionID: "abc", Seq: 6}},
 	}
@@ -253,13 +263,21 @@ func FuzzPlanRecordFraming(f *testing.F) {
 				sim.ReleaseOrder{Instance: cloud.InstanceID(i * launch), AtBoundary: i%2 == 1})
 		}
 		for i := 0; i < int(nPreds%8); i++ {
-			resp.Predictions = append(resp.Predictions, core.PredictionState{
-				Task: dag.TaskID(i), Stage: dag.StageID(int(nPreds) - i), Policy: policy[:len(policy)*i/8],
+			g := PredictionGroup{
+				Stage: dag.StageID(int(nPreds) - i), Policy: policy[:len(policy)*i/8],
 				Estimated: simtime.Duration(est * float64(i+1)), At: simtime.Time(at),
-			})
+			}
+			// Task lists of every length from nil and empty up.
+			if n := (int(nPreds) + i) % 5; n > 0 {
+				g.Tasks = make([]dag.TaskID, n-1)
+				for j := range g.Tasks {
+					g.Tasks[j] = dag.TaskID(i*8 + j)
+				}
+			}
+			resp.Predictions = append(resp.Predictions, g)
 		}
 		if nPreds == 8 {
-			resp.Predictions = []core.PredictionState{}
+			resp.Predictions = []PredictionGroup{}
 		}
 		snap := &monitor.Snapshot{Now: simtime.Time(now), Interval: simtime.Duration(at), ChargingUnit: 900,
 			LagTime: simtime.Duration(est), SlotsPerInstance: launch, MaxInstances: int(nInstances) / 3}
@@ -278,17 +296,47 @@ func FuzzPlanRecordFraming(f *testing.F) {
 			snap.RecentTransfers = append(snap.RecentTransfers, est)
 		}
 		requireSameFraming(t, seq, snap, resp)
+		requireOldShapeDecodes(t, resp)
 	})
 }
 
-// nanController is a controller whose prediction log carries a NaN, the one
-// thing a PlanResponse cannot encode.
+// requireOldShapeDecodes writes resp the way builds before the grouped
+// wavefront did — one prediction record per task — and requires that body to
+// decode to the wavefront the grouped body decodes to.
+func requireOldShapeDecodes(t testing.TB, resp *PlanResponse) {
+	t.Helper()
+	grouped, err := resp.AppendJSON(nil)
+	if err != nil {
+		return
+	}
+	perTask, err := json.Marshal(legacyPlanResponse{SessionID: resp.SessionID, Iteration: resp.Iteration, Seq: resp.Seq,
+		Decision: resp.Decision, Degraded: resp.Degraded, Predictions: ExpandPredictions(resp.Predictions)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fromGrouped, fromPerTask PlanResponse
+	if err := fromGrouped.UnmarshalJSON(grouped); err != nil {
+		t.Fatalf("grouped body does not decode: %v: %s", err, grouped)
+	}
+	if err := fromPerTask.UnmarshalJSON(perTask); err != nil {
+		t.Fatalf("per-task body does not decode: %v: %s", err, perTask)
+	}
+	if got, want := ExpandPredictions(fromPerTask.Predictions), ExpandPredictions(fromGrouped.Predictions); !samePredictions(got, want) {
+		t.Fatalf("the per-task body decodes to a different wavefront than the grouped one\nper-task: %+v\ngrouped:  %+v", got, want)
+	}
+	if fromPerTask.Seq != fromGrouped.Seq || fromPerTask.Degraded != fromGrouped.Degraded || !sameDecision(fromPerTask.Decision, fromGrouped.Decision) {
+		t.Fatalf("the per-task body decodes to a different envelope than the grouped one")
+	}
+}
+
+// nanController is a controller whose wavefront carries a NaN, the one thing
+// a PlanResponse cannot encode.
 type nanController struct{}
 
 func (nanController) Name() string                        { return "nan" }
 func (nanController) Plan(*monitor.Snapshot) sim.Decision { return sim.Decision{Launch: 1} }
-func (nanController) State() core.StateDump {
-	return core.StateDump{Predictions: []core.PredictionState{{Task: 0, Estimated: simtime.Duration(math.NaN()), Policy: "p"}}}
+func (nanController) Wavefront() []core.Prediction {
+	return []core.Prediction{{Task: 0, EstimatedExec: math.NaN(), Policy: predict.PolicyOGD}}
 }
 
 // TestPlanUnencodableResponse pins what a response that cannot be encoded

@@ -51,10 +51,16 @@ type Session struct {
 	// mutable run state).
 	mu   sync.Mutex
 	ctrl sim.Controller
-	// lastSeq/lastResp are the exactly-once plan cache: a retried request
-	// bearing lastSeq is answered with lastResp instead of re-planning.
+	// lastSeq/lastBody are the exactly-once plan cache: a retried request
+	// bearing lastSeq is answered with lastBody — the response body as it was
+	// first sent and journaled, newline included — instead of re-planning.
+	// Empty when that response could not be encoded (the retry is then a
+	// seq_conflict like any other seq that is not the next).
 	lastSeq  int64
-	lastResp *PlanResponse
+	lastBody []byte
+	// grouper is the scratch the plan handler folds the controller's
+	// wavefront into; its groups are encoded before mu is released.
+	grouper wavefrontGrouper
 	// fallback answers plan requests when ctrl panics (lazily built).
 	fallback sim.Controller
 	// wal is the session's crash-recovery journal (nil when disabled).
