@@ -55,7 +55,6 @@ type lease struct {
 	grantedAt simtime.Time
 	deadline  time.Time
 	delivered bool
-	timer     *time.Timer
 	// spec marks a speculative straggler duplicate; attempt is the task's
 	// execution attempt number carried on the wire for chaos determinism.
 	spec    bool
@@ -110,7 +109,6 @@ type instRec struct {
 	// the decision's own instant).
 	draining  bool
 	releaseAt simtime.Time
-	termTime  *time.Timer
 }
 
 // taskState mirrors the simulator's per-task bookkeeping, fed by measured
@@ -141,9 +139,9 @@ type taskState struct {
 	// against Config.MaxTaskAttempts.
 	failedAttempts int
 	// pendingRequeue is set between a failed attempt and the task's
-	// backoff-delayed return to the ready queue.
+	// backoff-delayed return to the ready queue, which is due at requeueAt.
 	pendingRequeue bool
-	requeueTimer   *time.Timer
+	requeueAt      time.Time
 }
 
 // LiveResult summarizes a finished live run with the simulator's metrics
@@ -191,8 +189,9 @@ type agentHealth struct {
 
 // Dispatcher owns one live workflow run: the ready queue, the lease table,
 // the agent registry, the billing site on the scaled wall clock, and the
-// MAPE control loop. All state is guarded by one mutex; wall-clock timers
-// re-check state under the lock, so late or duplicate firings are harmless.
+// MAPE control loop. All state is guarded by one mutex. Every timed
+// transition is a due instant stored on the state it belongs to, and one wake
+// timer fires them all (wakeLocked), so a late or duplicate firing is harmless.
 type Dispatcher struct {
 	cfg   Config
 	wf    *dag.Workflow
@@ -244,10 +243,14 @@ type Dispatcher struct {
 	startWall   time.Time
 	doneAt      simtime.Time
 
-	tickTimer *time.Timer
-	reapTimer *time.Timer
-	wallTimer *time.Timer
-	done      chan struct{}
+	// horizon is the wall instant the run fails at, nextReap the next
+	// heartbeat sweep. wakeAt is the instant the wake timer is armed for and
+	// stopWake cancels it (nil when none is armed).
+	horizon  time.Time
+	nextReap time.Time
+	wakeAt   time.Time
+	stopWake func() bool
+	done     chan struct{}
 }
 
 // NewDispatcher builds a run in the Created state: agents may register, the
@@ -392,40 +395,163 @@ func (d *Dispatcher) Start() error {
 	d.bindAgentsLocked()
 
 	d.tickSeq = 1
-	d.armRunTimersLocked(d.cfg.MaxWall)
+	d.horizon = d.startWall.Add(d.cfg.MaxWall)
+	d.nextReap = d.startWall.Add(d.reapEvery())
+	d.wakeLocked()
 	return nil
 }
 
-// armRunTimersLocked arms the control tick at tickSeq, the heartbeat reaper,
-// and the wall horizon, horizon from now.
-func (d *Dispatcher) armRunTimersLocked(horizon time.Duration) {
-	d.armTickLocked()
-	d.armReapLocked()
-	d.wallTimer = time.AfterFunc(horizon, func() {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		if d.state != Running {
-			return
-		}
+// reapEvery is the heartbeat reaper's cadence.
+func (d *Dispatcher) reapEvery() time.Duration {
+	return max(d.cfg.HeartbeatTTL/2, 50*time.Millisecond)
+}
+
+// tickAt is the simulated instant the next control tick is due.
+func (d *Dispatcher) tickAt() simtime.Time {
+	return simtime.Time(d.tickSeq) * simtime.Time(d.cfg.Interval)
+}
+
+// simDue reports whether a simulated instant has come.
+func (d *Dispatcher) simDue(at simtime.Time) bool { return d.clock.WallUntil(at) == 0 }
+
+// wakeLocked is the only code that fires the run's timed transitions. Each
+// is a due instant on the state it belongs to. Everything due fires in one
+// fixed order, each kind by ascending id, and the wake timer is then armed
+// for the earliest instant that remains:
+//
+//  1. the wall horizon (horizon);
+//  2. control ticks (tickSeq × Interval), caught up one at a time;
+//  3. activations (ActiveAt of a bound pending instance), then DOA
+//     write-offs (ActiveAt + DOAGrace of a pending instance no agent bound);
+//  4. releases (releaseAt of a draining instance);
+//  5. lease expiries (lease.deadline);
+//  6. backoff requeues (taskState.requeueAt);
+//  7. the heartbeat reaper (nextReap).
+func (d *Dispatcher) wakeLocked() {
+	if d.state != Running {
+		return
+	}
+	if !d.cfg.now().Before(d.horizon) {
 		d.failLocked(fmt.Errorf("exec: run exceeded wall horizon %v with %d/%d tasks done",
 			d.cfg.MaxWall, d.completed, d.wf.NumTasks()))
+		return
+	}
+	for d.state == Running && d.simDue(d.tickAt()) {
+		d.tickLocked()
+	}
+	// Activations, then DOA write-offs: a write-off is for a launch that
+	// never bound an agent, and a bound one has just activated. A draining
+	// instance is due to be released instead.
+	insts := d.site.Instances()
+	awaiting := func(in *cloud.Instance, bound bool) bool {
+		ir := d.insts[in.ID]
+		return d.state == Running && in.State == cloud.Pending && !ir.draining && (ir.agent != nil) == bound
+	}
+	for _, in := range insts {
+		if awaiting(in, true) && d.simDue(in.ActiveAt) {
+			d.activateLocked(d.insts[in.ID])
+			d.dispatchLocked()
+			d.notifyLocked()
+		}
+	}
+	for _, in := range insts {
+		if awaiting(in, false) && d.simDue(in.ActiveAt+d.cfg.DOAGrace) {
+			now := d.clock.Now()
+			if d.commitLocked(Record{Kind: RecInstanceDOA, NowS: now, Instance: intPtr(int(in.ID))}) {
+				d.emitLocked(sim.Event{Time: now, Kind: sim.EvInstanceDOA, Task: -1, Instance: in.ID})
+			}
+		}
+	}
+	for _, in := range insts {
+		if ir := d.insts[in.ID]; d.state == Running && ir.draining && d.simDue(ir.releaseAt) {
+			d.releaseLocked(ir, d.clock.Now())
+		}
+	}
+	wall := d.cfg.now()
+	for _, l := range sortedLeases(d.leases) {
+		// An agent that still holds an expired lease is declared failed and
+		// everything it leased is reclaimed.
+		if d.state == Running && l.state == leaseActive && !wall.Before(l.deadline) {
+			d.cfg.Logf("exec: lease %d (task %d) expired on agent %s", l.id, l.task, l.agent.id)
+			d.failAgentLocked(l.agent, "lease-expired")
+		}
+	}
+	for i := range d.tasks {
+		if ts := &d.tasks[i]; d.state == Running && ts.pendingRequeue && ts.state == monitor.Ready && !wall.Before(ts.requeueAt) {
+			d.requeueLocked(dag.TaskID(i), d.clock.Now())
+			d.dispatchLocked()
+			d.notifyLocked()
+		}
+	}
+	if d.state == Running && !wall.Before(d.nextReap) {
+		d.reapLocked()
+		d.nextReap = d.cfg.now().Add(d.reapEvery())
+	}
+	if d.state == Running {
+		d.armWakeLocked(d.nextDueLocked())
+	}
+}
+
+// nextDueLocked returns the wall time until the earliest instant wakeLocked
+// would fire.
+func (d *Dispatcher) nextDueLocked() time.Duration {
+	wall := d.cfg.now()
+	next := d.horizon.Sub(wall)
+	soon := func(in time.Duration) { next = min(next, in) }
+	soon(d.clock.WallUntil(d.tickAt()))
+	for _, ir := range d.insts {
+		switch {
+		case ir.inst.State == cloud.Terminated:
+		case ir.draining:
+			soon(d.clock.WallUntil(ir.releaseAt))
+		case ir.inst.State == cloud.Pending && ir.agent != nil:
+			soon(d.clock.WallUntil(ir.inst.ActiveAt))
+		case ir.inst.State == cloud.Pending:
+			soon(d.clock.WallUntil(ir.inst.ActiveAt + d.cfg.DOAGrace))
+		}
+	}
+	for _, l := range d.leases {
+		if l.state == leaseActive {
+			soon(l.deadline.Sub(wall))
+		}
+	}
+	for i := range d.tasks {
+		if ts := &d.tasks[i]; ts.pendingRequeue && ts.state == monitor.Ready {
+			soon(ts.requeueAt.Sub(wall))
+		}
+	}
+	soon(d.nextReap.Sub(wall))
+	return max(next, 0)
+}
+
+// armWakeLocked (re)arms the one wake timer to fire in the given time.
+func (d *Dispatcher) armWakeLocked(in time.Duration) {
+	d.stopWakeLocked()
+	d.wakeAt = d.cfg.now().Add(in)
+	d.stopWake = d.cfg.after(in, func() {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		d.wakeLocked()
 	})
 }
 
-func (d *Dispatcher) armTickLocked() {
-	d.tickTimer = time.AfterFunc(d.clock.WallUntil(simtime.Time(d.tickSeq)*simtime.Time(d.cfg.Interval)), d.onTick)
-}
-
-func (d *Dispatcher) armReapLocked() {
-	reap := d.cfg.HeartbeatTTL / 2
-	if reap < 50*time.Millisecond {
-		reap = 50 * time.Millisecond
+func (d *Dispatcher) stopWakeLocked() {
+	if d.stopWake != nil {
+		d.stopWake()
+		d.stopWake = nil
 	}
-	d.reapTimer = time.AfterFunc(reap, d.onReap)
 }
 
-// launchLocked orders one instance at simulated time now and arms its
-// activation and DOA timers.
+// dueInLocked makes the wake timer fire no later than in from now: a live
+// call outside a wake has just set a due instant.
+func (d *Dispatcher) dueInLocked(in time.Duration) {
+	if d.state == Running && (d.stopWake == nil || d.cfg.now().Add(in).Before(d.wakeAt)) {
+		d.armWakeLocked(in)
+	}
+}
+
+// launchLocked orders one instance at simulated time now. Its activation (or
+// DOA write-off) instant is its ActiveAt.
 func (d *Dispatcher) launchLocked(now simtime.Time) error {
 	if d.site.Full() {
 		return cloud.ErrSiteFull
@@ -435,68 +561,25 @@ func (d *Dispatcher) launchLocked(now simtime.Time) error {
 		return d.runErr
 	}
 	d.emitLocked(sim.Event{Time: now, Kind: sim.EvInstanceLaunch, Task: -1, Instance: id})
-	d.armActivationLocked(d.insts[id])
 	return nil
 }
 
-// armActivationLocked arms a pending instance's activation and DOA timers
-// (WallUntil clamps an instant already past to fire at once).
-func (d *Dispatcher) armActivationLocked(ir *instRec) {
-	id := ir.inst.ID
-	time.AfterFunc(d.clock.WallUntil(ir.inst.ActiveAt), func() { d.onActivation(id) })
-	time.AfterFunc(d.clock.WallUntil(ir.inst.ActiveAt+d.cfg.DOAGrace), func() { d.onDOACheck(id) })
-}
-
-// onActivation fires at an instance's nominal activation time: if an agent
-// is bound, the instance goes active and leases start flowing.
-func (d *Dispatcher) onActivation(id cloud.InstanceID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.state != Running {
-		return
-	}
-	ir, ok := d.insts[id]
-	if !ok || ir.inst.State != cloud.Pending || ir.agent == nil {
-		return // unbound: the DOA timer decides its fate
-	}
-	d.activateLocked(ir)
-	d.dispatchLocked()
-	d.notifyLocked()
-}
-
+// activateLocked makes a bound pending instance active: leases may flow.
 func (d *Dispatcher) activateLocked(ir *instRec) {
 	now := d.clock.Now()
 	if simtime.Before(now, ir.inst.ActiveAt) {
-		now = ir.inst.ActiveAt // timer fired a hair early
+		now = ir.inst.ActiveAt // the wake fired a hair early
 	}
 	if d.commitLocked(Record{Kind: RecInstanceActive, NowS: now, Instance: intPtr(int(ir.inst.ID)), Agent: ir.agent.id}) {
 		d.emitLocked(sim.Event{Time: now, Kind: sim.EvInstanceActive, Task: -1, Instance: ir.inst.ID})
 	}
 }
 
-// onDOACheck fires one grace window after nominal activation: a launch that
-// never bound an agent is written off dead-on-arrival and canceled unbilled,
-// exactly like the simulator's DOA fault path.
-func (d *Dispatcher) onDOACheck(id cloud.InstanceID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.state != Running {
-		return
-	}
-	ir, ok := d.insts[id]
-	if !ok || ir.inst.State != cloud.Pending {
-		return
-	}
-	now := d.clock.Now()
-	if d.commitLocked(Record{Kind: RecInstanceDOA, NowS: now, Instance: intPtr(int(id))}) {
-		d.emitLocked(sim.Event{Time: now, Kind: sim.EvInstanceDOA, Task: -1, Instance: id})
-	}
-}
-
 // bindAgentsLocked pairs unbound, non-terminated instances with parked
 // agents, lowest instance ID first, in registration order. A binding past
 // the nominal activation time activates immediately (the agent was late to
-// the party but the lag has elapsed).
+// the party but the lag has elapsed); an earlier one is due to activate at
+// that time.
 func (d *Dispatcher) bindAgentsLocked() {
 	ids := make([]int, 0, len(d.insts))
 	for id := range d.insts {
@@ -516,8 +599,12 @@ func (d *Dispatcher) bindAgentsLocked() {
 		if !d.commitLocked(Record{Kind: RecAgentBound, NowS: now, Agent: a.id, Instance: intPtr(id)}) {
 			return
 		}
-		if ir.inst.State == cloud.Pending && simtime.AtOrAfter(now, ir.inst.ActiveAt) {
+		switch {
+		case ir.inst.State != cloud.Pending:
+		case simtime.AtOrAfter(now, ir.inst.ActiveAt):
 			d.activateLocked(ir)
+		default:
+			d.dueInLocked(d.clock.WallUntil(ir.inst.ActiveAt))
 		}
 	}
 }
@@ -653,19 +740,18 @@ func (d *Dispatcher) grantLocked(task dag.TaskID, a *agentState, now simtime.Tim
 		return
 	}
 	d.emitLocked(sim.Event{Time: now, Kind: sim.EvTaskStart, Task: task, Instance: a.inst.inst.ID})
-	d.armLeaseLocked(d.leases[id])
+	d.leaseDeadlineLocked(d.leases[id])
 }
 
-// armLeaseLocked gives an active lease a fresh wall-clock deadline, which
-// bounds the agent's occupancy: the expected scaled duration times
+// leaseDeadlineLocked gives an active lease a fresh wall-clock deadline,
+// which bounds the agent's occupancy: the expected scaled duration times
 // LeaseFactor, plus slack.
-func (d *Dispatcher) armLeaseLocked(l *lease) {
+func (d *Dispatcher) leaseDeadlineLocked(l *lease) {
 	t := d.wf.Task(l.task)
 	expected := d.clock.WallDuration(t.ExecTime + t.TransferTime)
 	ttl := time.Duration(float64(expected)*d.cfg.LeaseFactor) + d.cfg.LeaseSlack
 	l.deadline = d.cfg.now().Add(ttl)
-	id := l.id
-	l.timer = time.AfterFunc(ttl, func() { d.onLeaseExpired(id) })
+	d.dueInLocked(ttl)
 }
 
 // leaseSpecLocked builds the wire lease for delivery.
@@ -682,7 +768,7 @@ func (d *Dispatcher) leaseSpecLocked(l *lease) Lease {
 			Timescale: d.cfg.Timescale,
 			BusyFrac:  d.cfg.BusyFrac,
 		},
-		DeadlineMs:  time.Until(l.deadline).Milliseconds(),
+		DeadlineMs:  l.deadline.Sub(d.cfg.now()).Milliseconds(),
 		Attempt:     l.attempt,
 		Speculative: l.spec,
 	}
@@ -720,13 +806,14 @@ func (d *Dispatcher) checkBlacklistLocked(name string, now simtime.Time) {
 }
 
 // Poll is the agent's heartbeat and lease pickup. It long-polls up to wait
-// when the agent has no undelivered leases.
+// when the agent has no undelivered leases. The wait is a real timer: it
+// paces the caller, not the run, so it never reads the run's clock.
 func (d *Dispatcher) Poll(ctx context.Context, agentID string, wait time.Duration) (PollResponse, error) {
 	const maxWait = 30 * time.Second
-	if wait > maxWait {
-		wait = maxWait
-	}
-	deadline := d.cfg.now().Add(wait)
+	wait = min(wait, maxWait)
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	expired := wait <= 10*time.Millisecond
 	for {
 		d.mu.Lock()
 		a, ok := d.agents[agentID]
@@ -743,7 +830,7 @@ func (d *Dispatcher) Poll(ctx context.Context, agentID string, wait time.Duratio
 			}
 		}
 		sort.Slice(resp.Leases, func(i, j int) bool { return resp.Leases[i].ID < resp.Leases[j].ID })
-		if len(resp.Leases) > 0 || resp.Done || d.cfg.now().Add(10*time.Millisecond).After(deadline) {
+		if len(resp.Leases) > 0 || resp.Done || expired {
 			d.mu.Unlock()
 			return resp, nil
 		}
@@ -751,16 +838,13 @@ func (d *Dispatcher) Poll(ctx context.Context, agentID string, wait time.Duratio
 		d.waiters = append(d.waiters, ch)
 		d.mu.Unlock()
 
-		t := time.NewTimer(time.Until(deadline))
 		select {
 		case <-ctx.Done():
-			t.Stop()
 			return PollResponse{}, ctx.Err()
-		case <-t.C:
+		case <-timer.C:
+			expired = true
 		case <-ch:
-			t.Stop()
 		case <-d.done:
-			t.Stop()
 		}
 	}
 }
@@ -848,7 +932,6 @@ func (d *Dispatcher) Complete(agentID string, leaseID int64, rep CompleteReport)
 		Lease: int64Ptr(l.id), Task: intPtr(int(l.task)), ExecS: rep.ExecS, TransferS: rep.TransferS}) {
 		return Ack{}, nil
 	}
-	stopTimer(l.timer)
 	d.emitLocked(sim.Event{Time: now, Kind: sim.EvTaskComplete, Task: l.task, Instance: l.inst.inst.ID})
 	if d.finishableLocked() {
 		d.finishLocked(now)
@@ -882,29 +965,8 @@ func (d *Dispatcher) finishableLocked() bool {
 	return d.completed+len(d.unreach) == d.wf.NumTasks()
 }
 
-// onLeaseExpired fires at a lease's wall deadline: an agent that still holds
-// it is declared failed and everything it leased is reclaimed.
-func (d *Dispatcher) onLeaseExpired(id int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.state != Running {
-		return
-	}
-	l, ok := d.leases[id]
-	if !ok || l.state != leaseActive {
-		return
-	}
-	d.cfg.Logf("exec: lease %d (task %d) expired on agent %s", l.id, l.task, l.agent.id)
-	d.failAgentLocked(l.agent, "lease-expired")
-}
-
-// onReap periodically declares agents dead whose heartbeat lapsed.
-func (d *Dispatcher) onReap() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.state != Running {
-		return
-	}
+// reapLocked declares agents dead whose heartbeat lapsed.
+func (d *Dispatcher) reapLocked() {
 	cutoff := d.cfg.now().Add(-d.cfg.HeartbeatTTL)
 	var stale []*agentState
 	for _, a := range d.agents {
@@ -917,7 +979,6 @@ func (d *Dispatcher) onReap() {
 		d.cfg.Logf("exec: agent %s heartbeat lapsed", a.id)
 		d.failAgentLocked(a, "heartbeat-lost")
 	}
-	d.armReapLocked()
 }
 
 // failAgentLocked removes a crashed or partitioned agent: every active lease
@@ -990,7 +1051,6 @@ func (d *Dispatcher) reclaimLocked(l *lease, now simtime.Time, failure bool, rea
 		Lease: int64Ptr(l.id), Task: intPtr(int(l.task)), Attempt: attempts, Detail: reason}) {
 		return
 	}
-	stopTimer(l.timer)
 	d.emitLocked(sim.Event{Time: now, Kind: sim.EvTaskKilled, Task: l.task, Instance: l.inst.inst.ID})
 
 	switch {
@@ -1009,8 +1069,8 @@ func (d *Dispatcher) reclaimLocked(l *lease, now simtime.Time, failure bool, rea
 		if delay > 5*time.Second {
 			delay = 5 * time.Second
 		}
-		id := l.task
-		d.tasks[id].requeueTimer = time.AfterFunc(delay, func() { d.onRequeue(id) })
+		d.tasks[l.task].requeueAt = d.cfg.now().Add(delay)
+		d.dueInLocked(delay)
 	}
 }
 
@@ -1018,21 +1078,6 @@ func (d *Dispatcher) reclaimLocked(l *lease, now simtime.Time, failure bool, rea
 // the queue's order reproducible.
 func (d *Dispatcher) requeueLocked(id dag.TaskID, now simtime.Time) {
 	d.commitLocked(Record{Kind: RecTaskRequeued, NowS: now, Task: intPtr(int(id)), Attempt: d.tasks[id].failedAttempts})
-}
-
-func (d *Dispatcher) onRequeue(id dag.TaskID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.state != Running {
-		return
-	}
-	ts := &d.tasks[id]
-	if !ts.pendingRequeue || ts.state != monitor.Ready {
-		return
-	}
-	d.requeueLocked(id, d.clock.Now())
-	d.dispatchLocked()
-	d.notifyLocked()
 }
 
 // quarantineLocked retires a poison task after its attempt budget: it will
@@ -1056,10 +1101,8 @@ func (d *Dispatcher) quarantineLocked(id dag.TaskID, now simtime.Time) {
 // already finished on the other copy — so supersession keeps the lease
 // identity without touching the queue.
 func (d *Dispatcher) supersedeLocked(l *lease, now simtime.Time, detail string) {
-	if d.commitLocked(Record{Kind: RecLeaseSuperseded, NowS: now, Agent: l.agent.id,
-		Lease: int64Ptr(l.id), Task: intPtr(int(l.task)), Detail: detail}) {
-		stopTimer(l.timer)
-	}
+	d.commitLocked(Record{Kind: RecLeaseSuperseded, NowS: now, Agent: l.agent.id,
+		Lease: int64Ptr(l.id), Task: intPtr(int(l.task)), Detail: detail})
 }
 
 // terminateInstLocked ends a logical instance (billing stops; pending
@@ -1093,17 +1136,11 @@ func (d *Dispatcher) releaseLocked(ir *instRec, now simtime.Time) {
 	d.notifyLocked()
 }
 
-// onTick runs one MAPE iteration: assemble the snapshot from live state,
+// tickLocked runs one MAPE iteration: assemble the snapshot from live state,
 // consult the controller, record the pair for the parity twin, apply the
 // decision with lag semantics.
-func (d *Dispatcher) onTick() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.state != Running {
-		return
-	}
+func (d *Dispatcher) tickLocked() {
 	d.tickSeq++
-	d.armTickLocked()
 
 	now := d.clock.Now()
 	snap := d.snapshotLocked(now)
@@ -1185,7 +1222,7 @@ func (d *Dispatcher) speculateLocked(snap *monitor.Snapshot, now simtime.Time) {
 		d.emitLocked(sim.Event{Time: now, Kind: sim.EvTaskSpeculated, Task: id, Instance: a.inst.inst.ID})
 		d.cfg.Logf("exec: speculating task %d (elapsed %.1fs > %.1f×%.1fs) on agent %s",
 			id, now-ts.startedAt, d.cfg.SpeculationFactor, est, a.id)
-		d.armLeaseLocked(d.leases[lid])
+		d.leaseDeadlineLocked(d.leases[lid])
 		d.notifyLocked()
 	}
 }
@@ -1225,30 +1262,13 @@ func (d *Dispatcher) applyLocked(dec sim.Decision, now simtime.Time) error {
 		if ir.inst.State == cloud.Terminated {
 			return fmt.Errorf("exec: controller %s released terminated instance %d", d.cfg.Controller.Name(), ro.Instance)
 		}
-		if ir.termTime == nil { // not already waiting out an earlier order
-			d.armReleaseLocked(ir, now)
+		// An order due now is carried out at once; a later one (a charging
+		// boundary) is the instance's releaseAt, which the wake serves.
+		if simtime.AtOrBefore(ir.releaseAt, now) {
+			d.releaseLocked(ir, now)
 		}
 	}
 	return nil
-}
-
-// armReleaseLocked carries out a draining instance's release order: at once
-// when its instant has come, on a timer when it lies ahead.
-func (d *Dispatcher) armReleaseLocked(ir *instRec, now simtime.Time) {
-	if simtime.AtOrBefore(ir.releaseAt, now) {
-		d.releaseLocked(ir, now)
-		return
-	}
-	id := ir.inst.ID
-	ir.termTime = time.AfterFunc(d.clock.WallUntil(ir.releaseAt), func() { d.onRelease(id) })
-}
-
-func (d *Dispatcher) onRelease(id cloud.InstanceID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.state == Running {
-		d.releaseLocked(d.insts[id], d.clock.Now())
-	}
 }
 
 // snapshotLocked assembles the monitoring view from live agent telemetry —
@@ -1329,7 +1349,7 @@ func (d *Dispatcher) snapshotLocked(now simtime.Time) *monitor.Snapshot {
 // metrics freeze, and the lease identity is audited (any lease neither
 // completed nor reclaimed counts as lost — the invariant CI asserts is zero).
 func (d *Dispatcher) finishLocked(now simtime.Time) {
-	d.stopTimersLocked()
+	d.stopWakeLocked()
 	for _, in := range d.site.Instances() {
 		d.terminateInstLocked(d.insts[in.ID], now)
 	}
@@ -1376,7 +1396,7 @@ func (d *Dispatcher) failLocked(err error) {
 		return
 	}
 	d.runErr = err
-	d.stopTimersLocked()
+	d.stopWakeLocked()
 	outstanding := d.counters.LeasesGranted - d.counters.LeasesCompleted -
 		d.counters.LeasesReclaimed - d.counters.LeasesSuperseded
 	if outstanding > 0 {
@@ -1386,27 +1406,6 @@ func (d *Dispatcher) failLocked(err error) {
 	d.cfg.Logf("exec: run failed: %v", err)
 	close(d.done)
 	d.notifyLocked()
-}
-
-func (d *Dispatcher) stopTimersLocked() {
-	stopTimer(d.tickTimer)
-	stopTimer(d.reapTimer)
-	stopTimer(d.wallTimer)
-	for _, l := range d.leases {
-		stopTimer(l.timer)
-	}
-	for _, ir := range d.insts {
-		stopTimer(ir.termTime)
-	}
-	for i := range d.tasks {
-		stopTimer(d.tasks[i].requeueTimer)
-	}
-}
-
-func stopTimer(t *time.Timer) {
-	if t != nil {
-		t.Stop()
-	}
 }
 
 // Abort fails a run from the outside (DELETE endpoint, driver teardown).

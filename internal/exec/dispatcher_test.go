@@ -3,7 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 
@@ -41,7 +41,9 @@ func flatWorkflow(n int, exec float64) *dag.Workflow {
 	return b.MustBuild()
 }
 
-// waitFor polls cond until it holds or the deadline passes.
+// waitFor polls cond until it holds or the deadline passes. Tests that own
+// their dispatcher move a fakeClock instead (wakeAt); waitFor is for runs
+// behind the HTTP surface and real agent processes.
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(d)
@@ -54,35 +56,29 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 }
 
 // TestLeaseReclaimExactlyOnce is the agent-kill chaos certificate at unit
-// scale: an agent leases every task, goes silent mid-task (a crash from the
-// dispatcher's view), its heartbeat lapses, and both leases must be reclaimed
-// exactly once, re-granted to a replacement agent, and completed — with the
-// journal replay reproducing the dispatcher's exact assignment state. Run
-// under -race this also exercises the lock discipline across the reap timer,
-// the control tick, and the agent-facing API.
+// scale, on virtual time: an agent leases every task, goes silent mid-task (a
+// crash from the dispatcher's view), its heartbeat lapses, and both leases
+// must be reclaimed exactly once, re-granted to a replacement agent, and
+// completed — with the journal replay reproducing the dispatcher's exact
+// assignment state.
 func TestLeaseReclaimExactlyOnce(t *testing.T) {
 	sink := &MemorySink{}
-	var evMu sync.Mutex
 	var events []sim.Event
-	cfg := Config{
+	cfg, clk := fakeClockConfig(Config{
 		Workflow:   flatWorkflow(2, 10000), // tasks never finish on their own
 		Controller: keepPool{1},
 		Cloud: cloud.Config{
 			SlotsPerInstance: 2,
-			LagTime:          0.001,
+			LagTime:          1,
 			ChargingUnit:     10,
 			MaxInstances:     4,
 		},
-		Interval:     0.05, // ticks every 50 ms of wall clock
+		Interval:     1,
 		Timescale:    1,
-		HeartbeatTTL: 400 * time.Millisecond,
+		HeartbeatTTL: 4 * time.Second, // swept every 2 s
 		Journal:      sink,
-		Observer: func(ev sim.Event) {
-			evMu.Lock()
-			events = append(events, ev)
-			evMu.Unlock()
-		},
-	}
+		Observer:     func(ev sim.Event) { events = append(events, ev) },
+	})
 	d, err := NewDispatcher(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -97,66 +93,68 @@ func TestLeaseReclaimExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Agent A leases both tasks, then goes silent.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	var held []Lease
-	for len(held) < 2 {
-		resp, err := d.Poll(ctx, regA.AgentID, 200*time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		held = append(held, resp.Leases...)
+	// Instance 0 activates and agent A leases both tasks, then goes silent.
+	wakeAt(d, clk, 1)
+	ctx := context.Background()
+	resp, err := d.Poll(ctx, regA.AgentID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Leases) != 2 {
+		t.Fatalf("agent A holds %d leases, want 2", len(resp.Leases))
 	}
 
-	// The heartbeat TTL lapses: A is declared failed, its instance surfaces
-	// as instance-failed, and both leases are reclaimed exactly once.
-	waitFor(t, 5*time.Second, "agent failure", func() bool {
-		return d.Counters().AgentsFailed == 1
-	})
-	if c := d.Counters(); c.LeasesReclaimed != 2 || c.LeasesGranted != 2 {
+	// Still inside the heartbeat TTL at the sweep of t=4: nothing happens.
+	wakeAt(d, clk, 4)
+	if c := d.Counters(); c.AgentsFailed != 0 {
+		t.Fatalf("agent failed inside its heartbeat TTL: %+v", c)
+	}
+	// The sweep of t=6 finds A silent since t=1: it is declared failed, its
+	// instance surfaces as instance-failed, and both leases are reclaimed
+	// exactly once.
+	wakeAt(d, clk, 6)
+	if c := d.Counters(); c.AgentsFailed != 1 || c.LeasesReclaimed != 2 || c.LeasesGranted != 2 {
 		t.Fatalf("after failure: %+v", c)
 	}
 
 	// A's late completion report must be acked stale, not re-applied.
-	if _, err := d.Complete(regA.AgentID, held[0].ID, CompleteReport{ExecS: 1}); err != ErrUnknownAgent {
+	if _, err := d.Complete(regA.AgentID, resp.Leases[0].ID, CompleteReport{ExecS: 1}); err != ErrUnknownAgent {
 		t.Fatalf("late report from failed agent: err = %v, want ErrUnknownAgent", err)
 	}
 
-	// A replacement worker registers; keepPool admits it onto a fresh
-	// instance and the reclaimed tasks are re-granted.
+	// A replacement worker registers; keepPool launches a fresh instance at
+	// the tick of t=7, the reclaimed tasks come back from their backoff, and
+	// they are re-granted when it activates at t=8.
 	regB, err := d.Register("replacement", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var firstDone bool
-	for d.State() == Running {
-		resp, err := d.Poll(ctx, regB.AgentID, 50*time.Millisecond)
+	wakeAt(d, clk, 7)
+	wakeAt(d, clk, 8)
+	resp, err = d.Poll(ctx, regB.AgentID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Leases) != 2 {
+		t.Fatalf("replacement holds %d leases, want 2", len(resp.Leases))
+	}
+	for i, l := range resp.Leases {
+		ack, err := d.Complete(regB.AgentID, l.ID, CompleteReport{ExecS: 10000, TransferS: 0, InputMB: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, l := range resp.Leases {
-			ack, err := d.Complete(regB.AgentID, l.ID, CompleteReport{ExecS: 10000, TransferS: 0, InputMB: 1})
+		if ack.Stale {
+			t.Fatalf("fresh completion of lease %d acked stale", l.ID)
+		}
+		if i == 0 {
+			// Duplicate report: must be acknowledged stale exactly once.
+			dup, err := d.Complete(regB.AgentID, l.ID, CompleteReport{ExecS: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ack.Stale {
-				t.Fatalf("fresh completion of lease %d acked stale", l.ID)
+			if !dup.Stale {
+				t.Fatal("duplicate completion not acked stale")
 			}
-			if !firstDone {
-				firstDone = true
-				// Duplicate report: must be acknowledged stale exactly once.
-				dup, err := d.Complete(regB.AgentID, l.ID, CompleteReport{ExecS: 1})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !dup.Stale {
-					t.Fatal("duplicate completion not acked stale")
-				}
-			}
-		}
-		if resp.Done {
-			break
 		}
 	}
 
@@ -179,7 +177,6 @@ func TestLeaseReclaimExactlyOnce(t *testing.T) {
 	}
 
 	// The failure surfaced in the simulator's event vocabulary.
-	evMu.Lock()
 	var failed, killed int
 	for _, ev := range events {
 		switch ev.Kind {
@@ -189,7 +186,6 @@ func TestLeaseReclaimExactlyOnce(t *testing.T) {
 			killed++
 		}
 	}
-	evMu.Unlock()
 	if failed != 1 || killed != 2 {
 		t.Fatalf("events: %d instance-failed, %d task-killed; want 1/2", failed, killed)
 	}
@@ -212,24 +208,27 @@ func TestLeaseReclaimExactlyOnce(t *testing.T) {
 	assertReplayParity(t, d, sink.Records)
 }
 
+// doaConfig is a one-instance run whose instance is due to activate at t=10
+// and to be written off at t=10.5 if no agent is bound; no tick comes before
+// t=100.
+func doaConfig(sink RecordSink) (Config, *fakeClock) {
+	return fakeClockConfig(Config{
+		Journal:    sink,
+		Workflow:   flatWorkflow(1, 100),
+		Controller: holdController{},
+		Cloud:      cloud.Config{SlotsPerInstance: 2, LagTime: 10, ChargingUnit: 60, MaxInstances: 2},
+		Interval:   100,
+		Timescale:  1,
+		DOAGrace:   0.5,
+	})
+}
+
 // TestDOAWriteoff: a launch order no agent binds within the grace window is
 // written off dead-on-arrival and canceled unbilled.
 func TestDOAWriteoff(t *testing.T) {
 	sink := &MemorySink{}
-	d, err := NewDispatcher(Config{
-		Journal:    sink,
-		Workflow:   flatWorkflow(1, 100),
-		Controller: holdController{},
-		Cloud: cloud.Config{
-			SlotsPerInstance: 2,
-			LagTime:          0.02,
-			ChargingUnit:     10,
-			MaxInstances:     2,
-		},
-		Interval:  10, // no control tick during the test
-		Timescale: 1,
-		DOAGrace:  0.03,
-	})
+	cfg, clk := doaConfig(sink)
+	d, err := NewDispatcher(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,13 +236,115 @@ func TestDOAWriteoff(t *testing.T) {
 	if err := d.Start(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, "DOA write-off", func() bool {
-		return d.Counters().DOAWriteoffs == 1
-	})
+	wakeAt(d, clk, 10.4)
+	if c := d.Counters(); c.DOAWriteoffs != 0 {
+		t.Fatalf("written off inside the grace window: %+v", c)
+	}
+	wakeAt(d, clk, 10.5)
+	if c := d.Counters(); c.DOAWriteoffs != 1 {
+		t.Fatalf("not written off at the end of the grace window: %+v", c)
+	}
 	if st := d.Status(); st.AgentsRequired != 0 {
 		t.Fatalf("written-off instance still held: %+v", st)
 	}
 	assertReplayParity(t, d, sink.Records)
+}
+
+// TestDOANeverWritesOffABoundInstance: a write-off is for a launch that never
+// bound an agent. With the default grace of one interval, an instance bound
+// before its activation instant (t=10) goes active even when the wake that
+// finds it comes after its DOA instant (t=11) too.
+func TestDOANeverWritesOffABoundInstance(t *testing.T) {
+	sink := &MemorySink{}
+	cfg, clk := doaConfig(sink)
+	cfg.DOAGrace, cfg.Interval, cfg.HeartbeatTTL = 0, 1, time.Hour
+	d, err := NewDispatcher(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Abort("test cleanup")
+	reg, err := d.Register("w", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start(); err != nil { // binds w to instance 0, due at t=10
+		t.Fatal(err)
+	}
+	wakeAt(d, clk, 11)
+	if c := d.Counters(); c.DOAWriteoffs != 0 || c.LeasesGranted != 1 {
+		t.Fatalf("bound instance written off or idle: %+v", c)
+	}
+	if st := d.Status(); len(st.Agents) != 1 || st.Agents[0].ID != reg.AgentID || st.Agents[0].Status != "active" {
+		t.Fatalf("agent not active on its instance: %+v", st.Agents)
+	}
+	assertReplayParity(t, d, sink.Records)
+}
+
+// TestWallHorizon: a run still going at its wall horizon fails there.
+func TestWallHorizon(t *testing.T) {
+	sink := &MemorySink{}
+	cfg, clk := fakeClockConfig(Config{
+		Journal:    sink,
+		Workflow:   flatWorkflow(1, 100),
+		Controller: holdController{},
+		Cloud:      cloud.Config{SlotsPerInstance: 1, LagTime: 1, ChargingUnit: 10, MaxInstances: 1},
+		Interval:   1000,
+		Timescale:  1,
+		DOAGrace:   1000,
+		MaxWall:    time.Minute,
+	})
+	d, err := NewDispatcher(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	wakeAt(d, clk, 59.9)
+	if st := d.State(); st != Running {
+		t.Fatalf("run %v before its horizon: %v", st, d.Err())
+	}
+	wakeAt(d, clk, 60)
+	if st, err := d.State(), d.Err(); st != Failed || err == nil || !strings.Contains(err.Error(), "wall horizon") {
+		t.Fatalf("run %v at its horizon: %v", st, err)
+	}
+	if _, err := d.Register("late", 1); err != ErrRunOver {
+		t.Fatalf("Register after the horizon: %v, want ErrRunOver", err)
+	}
+	assertReplayParity(t, d, sink.Records)
+}
+
+// TestPollWaitsOnRealTime: a long poll is paced by a real timer of the wait,
+// whatever the run's clock says — under a clock that never moves it returns
+// after the wait instead of spinning until its context ends.
+func TestPollWaitsOnRealTime(t *testing.T) {
+	cfg, _ := fakeClockConfig(Config{
+		Workflow:   flatWorkflow(1, 1),
+		Controller: holdController{},
+		Cloud:      cloud.Config{SlotsPerInstance: 1, LagTime: 1, ChargingUnit: 10, MaxInstances: 1},
+	})
+	d, err := NewDispatcher(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Abort("test cleanup")
+	reg, err := d.Register("w", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	resp, err := d.Poll(ctx, reg.AgentID, 200*time.Millisecond)
+	if err != nil {
+		t.Fatalf("poll: %v after %v", err, time.Since(start))
+	}
+	if took := time.Since(start); took < 200*time.Millisecond || took > time.Second {
+		t.Fatalf("a 200 ms poll took %v", took)
+	}
+	if len(resp.Leases) != 0 || resp.Done {
+		t.Fatalf("poll of an unstarted run: %+v", resp)
+	}
 }
 
 func TestDispatcherConfigValidation(t *testing.T) {

@@ -14,7 +14,8 @@
 //
 //   - Dispatcher: run state, ready queue (internal/sched), lease table,
 //     agent registry, control loop. Everything the simulator does with
-//     events, the dispatcher does with wall-clock timers.
+//     events, the dispatcher does with due instants on its state, fired in
+//     a fixed order by one wall-clock wake timer.
 //   - Emulator: the busy/sleep hybrid task emulator agents run per lease,
 //     scaled by a timescale factor so tests finish in seconds while billing
 //     stays in paper units.
@@ -201,8 +202,10 @@ type Config struct {
 	// Logf, when set, receives operational log lines.
 	Logf func(format string, args ...any)
 
-	// now overrides the wall clock (tests).
-	now func() time.Time
+	// now and after stand in for the wall clock and for the one wake timer a
+	// run arms on it (tests; the defaults are the real clock and a real timer).
+	now   func() time.Time
+	after func(time.Duration, func()) (stop func() bool)
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -279,6 +282,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.now == nil {
 		c.now = time.Now
+	}
+	if c.after == nil {
+		c.after = func(d time.Duration, f func()) func() bool { return time.AfterFunc(d, f).Stop }
 	}
 	return c, nil
 }

@@ -25,8 +25,8 @@ import (
 // same thing at every step and for every prefix of its journal.
 
 // stateDump renders the run's journaled state, one field group per line, in a
-// fixed order. Wall-clock state (timers, lastSeen, lease deadlines, delivered,
-// blacklist windows) and the two counters no record carries are left out.
+// fixed order. Wall-clock state (requeue instants, lastSeen, lease deadlines,
+// delivered, blacklist windows) and the two counters no record carries are left out.
 // Callers hold d.mu.
 func stateDump(d *Dispatcher) string {
 	var b strings.Builder
@@ -39,7 +39,7 @@ func stateDump(d *Dispatcher) string {
 	fmt.Fprintf(&b, "counters %+v\n", c)
 	for i := range d.tasks {
 		ts := d.tasks[i]
-		ts.requeueTimer = nil
+		ts.requeueAt = time.Time{}
 		fmt.Fprintf(&b, "task %d %+v unreachable=%v\n", i, ts, d.unreach[dag.TaskID(i)])
 	}
 	for _, l := range sortedLeases(d.leases) {
@@ -135,7 +135,8 @@ func assertReplayParity(t *testing.T, d *Dispatcher, records func() []Record) {
 	}
 }
 
-// fakeClock is a wall clock the scripted run moves by hand.
+// fakeClock is a wall clock a test moves by hand. Its wake timer never fires
+// on its own: the test sets the clock and wakes the run (wakeAt).
 type fakeClock struct {
 	mu   sync.Mutex
 	base time.Time
@@ -156,6 +157,23 @@ func (c *fakeClock) set(s float64) {
 	c.at = time.Duration(s * float64(time.Second))
 }
 
+func (c *fakeClock) after(time.Duration, func()) func() bool { return func() bool { return true } }
+
+// fakeClockConfig puts cfg on a fresh fake clock.
+func fakeClockConfig(cfg Config) (Config, *fakeClock) {
+	clk := &fakeClock{base: time.Unix(1_700_000_000, 0)}
+	cfg.now, cfg.after = clk.now, clk.after
+	return cfg, clk
+}
+
+// wakeAt moves the clock to s seconds and fires whatever is due then.
+func wakeAt(d *Dispatcher, clk *fakeClock, s float64) {
+	clk.set(s)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.wakeLocked()
+}
+
 // scriptController plays a fixed list of decisions, one per tick, then holds.
 type scriptController struct {
 	script []sim.Decision
@@ -171,9 +189,9 @@ func (c *scriptController) Plan(*monitor.Snapshot) sim.Decision {
 	return sim.Decision{}
 }
 
-// scriptedConfig is the scripted run's configuration. Every wall-clock period
-// is far longer than the test, so no timer fires on its own: the script calls
-// the timer callbacks itself, at the instants it sets on the clock.
+// scriptedConfig is the scripted run's configuration, on clk. RequeueBase
+// makes the two backoffs due at t=31 and t=806, and the lease slack keeps
+// every lease inside its deadline.
 func scriptedConfig(clk *fakeClock, journal RecordSink) Config {
 	return Config{
 		Workflow: flatWorkflow(6, 100),
@@ -187,11 +205,13 @@ func scriptedConfig(clk *fakeClock, journal RecordSink) Config {
 		Interval:        30,
 		Timescale:       1,
 		HeartbeatTTL:    10 * time.Minute,
-		RequeueBase:     time.Hour,
+		LeaseSlack:      time.Hour,
+		RequeueBase:     6 * time.Second,
 		MaxTaskAttempts: 3,
 		Journal:         journal,
 		Spec:            []byte(`{}`),
 		now:             clk.now,
+		after:           clk.after,
 	}
 }
 
@@ -205,8 +225,9 @@ type scriptStep struct {
 // transfer reports, a failed attempt with its backoff requeue, a reconnect, a
 // launch, a boundary release that reclaims two leases, a launch written off
 // dead on arrival, a worker whose heartbeat lapses holding a lease, and the
-// finish. It returns the finished dispatcher, its journal, and the state after
-// every call.
+// finish. Each timed transition is fired by a wake at the instant its step
+// sets on the clock. It returns the finished dispatcher, its journal, and the
+// state after every call.
 func runScript(t *testing.T) (*Dispatcher, *MemorySink, []scriptStep) {
 	t.Helper()
 	clk := &fakeClock{base: time.Unix(1_700_000_000, 0)}
@@ -247,32 +268,37 @@ func runScript(t *testing.T) (*Dispatcher, *MemorySink, []scriptStep) {
 		}
 	}
 	done := CompleteReport{ExecS: 20.3, TransferS: 1.2, InputMB: 1}
-	timer := func(fire func()) func() error { return func() error { fire(); return nil } }
+	wake := func() error {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		d.wakeLocked()
+		return nil
+	}
 
 	step(0, "register w1", register("w1"))
 	step(0, "register w2", register("w2"))
 	step(0, "start", d.Start)
-	step(10, "instance 0 activates: leases 1, 2", timer(func() { d.onActivation(0) }))
+	step(10, "instance 0 activates: leases 1, 2", wake)
 	step(11.2, "transfer on lease 1", transfer("a1", 1, 1.2))
 	step(21.5, "lease 1 completes: lease 3", complete("a1", 1, done))
 	step(22, "transfer on running lease 2", transfer("a1", 2, 0.8))
 	step(25, "lease 2 fails: lease 4", complete("a1", 2, CompleteReport{Failed: true, Error: "boom"}))
-	step(30, "tick 1 launches instance 1", timer(d.onTick))
-	step(31, "backoff over: task 1 requeued", timer(func() { d.onRequeue(1) }))
-	step(40, "instance 1 activates: leases 5, 6", timer(func() { d.onActivation(1) }))
+	step(30, "tick 1 launches instance 1", wake)
+	step(31, "backoff over: task 1 requeued", wake)
+	step(40, "instance 1 activates: leases 5, 6", wake)
 	step(41, "transfer on lease 5", transfer("a2", 5, 0.5))
 	step(50, "w1 reconnects", register("w1"))
-	step(60, "tick 2 releases instance 1 at its boundary", timer(d.onTick))
+	step(60, "tick 2 releases instance 1 at its boundary", wake)
 	step(70, "lease 3 completes: lease 7", complete("a1", 3, done))
-	step(90, "tick 3 holds", timer(d.onTick))
-	step(100, "boundary: instance 1 released, leases 5, 6 reclaimed", timer(func() { d.onRelease(1) }))
+	step(90, "tick 3 holds", wake)
+	step(100, "boundary: instance 1 released, leases 5, 6 reclaimed", wake)
 	step(105, "lease 4 completes: lease 8", complete("a1", 4, done))
-	step(120, "tick 4 launches instances 2, 3", timer(d.onTick))
-	step(130, "instance 2 activates: lease 9", timer(func() { d.onActivation(2) }))
-	step(160, "instance 3 dead on arrival", timer(func() { d.onDOACheck(3) }))
+	step(120, "tick 4 launches instances 2, 3", wake)
+	step(130, "instance 2 activates: lease 9", wake)
+	step(160, "tick 5 holds; instance 3 dead on arrival", wake)
 	step(800, "w1 heartbeats", func() error { _, err := d.Poll(context.Background(), "a1", 0); return err })
-	step(800, "w2's heartbeat lapsed holding lease 9", timer(d.onReap))
-	step(810, "backoff over: task 4 requeued", timer(func() { d.onRequeue(4) }))
+	step(800, "ticks 6-26 hold; w2's heartbeat lapsed holding lease 9", wake)
+	step(810, "tick 27 holds; backoff over: task 4 requeued", wake)
 	step(820, "lease 7 completes: lease 10", complete("a1", 7, done))
 	step(830, "lease 8 completes", complete("a1", 8, done))
 	step(840, "lease 10 completes: run done", complete("a1", 10, done))
@@ -381,10 +407,20 @@ func streamLine(r Record) string {
 // TestScriptedRecordStream: routing every transition through apply reordered
 // and dropped nothing. Apart from the two additions made with it — the
 // lease-transfer records, and the task-failed detail on a lease-superseded
-// record — the scripted run writes the record stream its parent commit wrote.
+// record — the scripted run writes the record stream its parent commit wrote,
+// plus one difference the due-instant wake made: that script fired timer
+// callbacks by hand and skipped the control ticks due in between, which a
+// wake catches up. Those ticks hold the pool, so each writes an empty decision.
 func TestScriptedRecordStream(t *testing.T) {
 	_, sink, _ := runScript(t)
+	raw, err := os.ReadFile(scriptedStream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	const caughtUp = `decision agent="" lease=- task=- instance=- attempt=0 detail="launch=0 releases=0"`
 	var got []string
+	skipped := 0
 	for _, r := range sink.Records() {
 		if r.Kind == RecLeaseTransfer {
 			continue
@@ -392,13 +428,85 @@ func TestScriptedRecordStream(t *testing.T) {
 		if r.Kind == RecLeaseSuperseded && r.Detail == reasonTaskFailed {
 			r.Detail = ""
 		}
-		got = append(got, streamLine(r))
+		line := streamLine(r)
+		if line == caughtUp && (len(got) >= len(want) || want[len(got)] != line) {
+			skipped++
+			continue
+		}
+		got = append(got, line)
 	}
-	raw, err := os.ReadFile(scriptedStream)
+	if diff := firstDiff(strings.Join(got, "\n"), strings.Join(want, "\n")); diff != "" {
+		t.Fatalf("the scripted run no longer writes the recorded stream: %s", diff)
+	}
+	// Tick 5 at t=150 (woken at 160), ticks 6-26 (t=180..780, woken at 800)
+	// and tick 27 (t=810).
+	if skipped != 23 {
+		t.Fatalf("%d caught-up ticks, want 23", skipped)
+	}
+}
+
+// TestResumeReleasesBeforeActivating: a tick and an activation fall due in
+// one wake, the tick comes first, and its decision releases the instance
+// still pending. A crash between that decision and the release's records
+// leaves a draining pending instance past its activation instant: recovery
+// must release it, not activate it (and start billing it) first.
+func TestResumeReleasesBeforeActivating(t *testing.T) {
+	sink := &MemorySink{}
+	cfg, clk := fakeClockConfig(Config{
+		Workflow: flatWorkflow(2, 100),
+		Controller: &scriptController{script: []sim.Decision{
+			{Launch: 1},
+			{Releases: []sim.ReleaseOrder{{Instance: 1}}},
+		}},
+		Cloud:     cloud.Config{SlotsPerInstance: 1, LagTime: 30, ChargingUnit: 60, MaxInstances: 2},
+		Interval:  30,
+		Timescale: 1,
+		Journal:   sink,
+		Spec:      []byte(`{}`),
+	})
+	d, err := NewDispatcher(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diff := firstDiff(strings.Join(got, "\n")+"\n", string(raw)); diff != "" {
-		t.Fatalf("the scripted run no longer writes the recorded stream: %s", diff)
+	defer d.Abort("test cleanup")
+	for _, name := range []string{"w1", "w2"} {
+		if _, err := d.Register(name, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	wakeAt(d, clk, 30) // tick 1 launches instance 1, due to activate at 60
+	wakeAt(d, clk, 60) // tick 2 releases it first
+	recs := sink.Records()
+	cut := -1
+	for i, r := range recs {
+		if r.Kind == RecDecision && strings.Contains(r.Detail, "releases=1") {
+			cut = i + 1
+		}
+	}
+	if cut < 0 || recs[cut].Kind != RecAgentParked {
+		t.Fatalf("the release order is not followed by its release: %v", recs[cut:])
+	}
+
+	journal := &MemorySink{recs: append([]Record(nil), recs[:cut]...)}
+	rcfg, _ := fakeClockConfig(cfg)
+	rcfg.Journal = journal
+	rcfg.Controller = &scriptController{script: cfg.Controller.(*scriptController).script}
+	r, err := RecoverDispatcher(rcfg, recs[:cut])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Abort("test cleanup")
+	for _, rec := range journal.Records()[cut:] {
+		if rec.Kind == RecInstanceActive && *rec.Instance == 1 {
+			t.Fatalf("recovery activated the instance it was releasing: %v", journal.Records()[cut:])
+		}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if in := r.site.Instances()[1]; in.State != cloud.Terminated {
+		t.Fatalf("instance 1 is %v after recovery, want released", in.State)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/cloud"
-	"repro/internal/dag"
 	"repro/internal/monitor"
 	"repro/internal/wal"
 )
@@ -22,9 +21,10 @@ import (
 // function the live calls used (Dispatcher.apply), so the ready queue, the
 // lease table, the agent registry, the billing site, and the recorded
 // decision stream come back as the crashed process held them. Whatever the
-// journal cannot carry — wall-clock state in flight at the crash — resume
-// re-arms conservatively: outstanding leases get fresh full-TTL deadlines,
-// backoff requeues fire at once, release orders still due are rescheduled.
+// journal cannot carry — the wall-clock due instants in flight at the crash —
+// resume sets conservatively: outstanding leases get fresh full-TTL
+// deadlines, backoff requeues are due at once, and one wake fires whatever
+// the journaled instants (activations, releases) make due.
 
 // Recover scans the registry's journal directory for runs that were in flight
 // when the daemon died and resurrects each one under its original run ID.
@@ -176,8 +176,9 @@ func foldJournal(cfg Config, recs []Record) (*Dispatcher, error) {
 }
 
 // resume sets a folded run going again: the clock continues at the last
-// recorded simulated instant, every timer the crash destroyed is re-armed,
-// and a transition the crash cut between two of its records is finished.
+// recorded simulated instant, the wall-clock due instants the crash lost are
+// set afresh, and a transition the crash cut between two of its records is
+// finished.
 func (d *Dispatcher) resume(replayed int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -219,36 +220,24 @@ func (d *Dispatcher) resume(replayed int) {
 			d.retireLocked(l, now, true, "agent-failed")
 		default:
 			l.delivered = true
-			d.armLeaseLocked(l)
+			d.leaseDeadlineLocked(l)
 		}
 	}
 	for _, in := range d.site.Instances() {
-		ir := d.insts[in.ID]
-		switch {
-		case in.State == cloud.Terminated:
-		case in.State == cloud.Active && ir.agent == nil:
+		if ir := d.insts[in.ID]; in.State == cloud.Active && ir.agent == nil {
 			// Its agent failed or was parked and the crash beat the
 			// instance-terminated record.
 			d.terminateInstLocked(ir, now)
-		case ir.draining:
-			d.armReleaseLocked(ir, now)
-		case in.State == cloud.Pending:
-			d.armActivationLocked(ir)
 		}
 	}
 	// Failed attempts that were waiting out a backoff delay at the crash
-	// requeue immediately — the downtime more than covered the delay.
+	// requeue at once — the downtime more than covered the delay.
 	for i := range d.tasks {
-		ts := &d.tasks[i]
-		if ts.pendingRequeue && ts.state == monitor.Ready {
-			d.requeueLocked(dag.TaskID(i), now)
-		}
+		d.tasks[i].requeueAt = wallNow
 	}
 	d.tickSeq = int(float64(now)/float64(d.cfg.Interval)) + 1
-	remaining := d.cfg.MaxWall - wallNow.Sub(d.startWall)
-	if remaining < 5*time.Second {
-		remaining = 5 * time.Second
-	}
-	d.armRunTimersLocked(remaining)
+	d.horizon = wallNow.Add(max(d.cfg.MaxWall-wallNow.Sub(d.startWall), 5*time.Second))
+	d.nextReap = wallNow.Add(d.reapEvery())
+	d.wakeLocked()
 	d.dispatchLocked()
 }

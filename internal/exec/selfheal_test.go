@@ -535,26 +535,28 @@ func TestDeleteVsCompleteRace(t *testing.T) {
 
 // TestAgentBlacklistAndCooldown: enough failures trip the health score and the
 // agent is drained of new leases by name; after the cooldown it is quietly
-// reactivated and finishes the run.
+// reactivated and finishes the run. On virtual time: the cooldown ends at
+// t=4, one tick after the failed tasks return from their backoff.
 func TestAgentBlacklistAndCooldown(t *testing.T) {
 	sink := &MemorySink{}
-	d, err := NewDispatcher(Config{
+	cfg, clk := fakeClockConfig(Config{
 		Journal:    sink,
 		Workflow:   flatWorkflow(2, 5),
 		Controller: keepPool{1},
 		Cloud: cloud.Config{
 			SlotsPerInstance: 2,
-			LagTime:          0.001,
+			LagTime:          1,
 			ChargingUnit:     10,
 			MaxInstances:     2,
 		},
-		Interval:           0.05,
+		Interval:           1,
 		Timescale:          1,
-		RequeueBase:        5 * time.Millisecond,
+		RequeueBase:        time.Second,
 		HealthMinEvents:    2,
 		HealthFailureRatio: 0.5,
-		HealthCooldown:     300 * time.Millisecond,
+		HealthCooldown:     3 * time.Second,
 	})
+	d, err := NewDispatcher(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,44 +569,49 @@ func TestAgentBlacklistAndCooldown(t *testing.T) {
 	if err := d.Start(); err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-
-	var held []Lease
-	for len(held) < 2 {
-		resp, err := d.Poll(ctx, reg.AgentID, 100*time.Millisecond)
+	ctx := context.Background()
+	poll := func() []Lease {
+		t.Helper()
+		resp, err := d.Poll(ctx, reg.AgentID, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		held = append(held, resp.Leases...)
+		return resp.Leases
+	}
+
+	wakeAt(d, clk, 1)
+	held := poll()
+	if len(held) != 2 {
+		t.Fatalf("agent holds %d leases, want 2", len(held))
 	}
 	for _, l := range held {
 		if _, err := d.Complete(reg.AgentID, l.ID, CompleteReport{Failed: true, Error: "boom"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 5*time.Second, "blacklist decision", func() bool {
-		return d.Counters().AgentsBlacklisted == 1
-	})
+	if c := d.Counters(); c.AgentsBlacklisted != 1 {
+		t.Fatalf("no blacklist decision: %+v", c)
+	}
 	st := d.Status()
 	if len(st.Agents) != 1 || !st.Agents[0].Blacklisted {
 		t.Fatalf("agent not reported blacklisted: %+v", st.Agents)
 	}
 
-	// Cooldown elapses; the requeued tasks flow back to the reactivated agent
-	// and the run completes clean.
-	for d.State() == Running && ctx.Err() == nil {
-		resp, err := d.Poll(ctx, reg.AgentID, 100*time.Millisecond)
-		if err != nil {
+	// The tasks are requeued at t=2, but nothing flows to the benched agent.
+	wakeAt(d, clk, 2)
+	if c := d.Counters(); c.LeasesGranted != 2 || d.queue.Len() != 2 {
+		t.Fatalf("tasks not waiting out the cooldown in the queue (%d queued): %+v", d.queue.Len(), c)
+	}
+	// Cooldown elapses; the next tick hands the requeued tasks back to the
+	// reactivated agent and the run completes clean.
+	wakeAt(d, clk, 4)
+	held = poll()
+	if len(held) != 2 {
+		t.Fatalf("reactivated agent holds %d leases, want 2", len(held))
+	}
+	for _, l := range held {
+		if _, err := d.Complete(reg.AgentID, l.ID, CompleteReport{ExecS: 5, InputMB: 1}); err != nil {
 			t.Fatal(err)
-		}
-		for _, l := range resp.Leases {
-			if _, err := d.Complete(reg.AgentID, l.ID, CompleteReport{ExecS: 5, InputMB: 1}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if resp.Done {
-			break
 		}
 	}
 	res, err := d.Wait(ctx)
@@ -636,8 +643,8 @@ func TestAgentTypedRegisterError(t *testing.T) {
 		t.Fatalf("unknown run: err = %v, want RegisterError{not_found}", err)
 	}
 
-	// A run that already failed (1 ms wall horizon) rejects registration as
-	// run_over.
+	// A run that already failed rejects registration as run_over. (Failing
+	// at the wall horizon is TestWallHorizon's, on virtual time.)
 	client := NewLiveClient(ts.URL, nil)
 	info, err := client.CreateRun(ctx, &CreateRunRequest{
 		Workflow:         fanoutDoc(),
@@ -646,19 +653,14 @@ func TestAgentTypedRegisterError(t *testing.T) {
 		ChargingUnitS:    30,
 		MaxInstances:     2,
 		Timescale:        200,
-		MaxWallMs:        1,
 		Start:            true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 10*time.Second, "wall-horizon failure", func() bool {
-		st, err := client.RunStatus(ctx, info.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st.State == Failed
-	})
+	reg.mu.Lock()
+	reg.runs[info.ID].d.Abort("failed for the test")
+	reg.mu.Unlock()
 	err = RunAgent(ctx, AgentConfig{BaseURL: ts.URL, RunID: info.ID, Name: "late", Slots: 1})
 	if !errors.As(err, &rerr) || rerr.Code != "run_over" {
 		t.Fatalf("finished run: err = %v, want RegisterError{run_over}", err)

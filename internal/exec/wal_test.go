@@ -155,11 +155,8 @@ func journalingDispatcher(t *testing.T, n int) (d *Dispatcher, sink *FileSink, p
 		Controller: holdController{},
 		Cloud:      cloud.Config{SlotsPerInstance: n, LagTime: 0.001, ChargingUnit: 3600, MaxInstances: 1},
 		Timescale:  1,
-		// The default grace is one interval, 1 ms here: on a slow box the DOA
-		// timer can beat the activation timer and write off the only instance.
-		DOAGrace: 60,
-		Journal:  sink,
-		Logf:     logs.logf,
+		Journal:    sink,
+		Logf:       logs.logf,
 	})
 	if err != nil {
 		t.Fatal(err)
