@@ -246,8 +246,8 @@ type staticCtrl struct{}
 func (staticCtrl) Name() string                        { return "bench-static" }
 func (staticCtrl) Plan(*monitor.Snapshot) sim.Decision { return sim.Decision{} }
 
-// snapGrabber wraps a controller and keeps every snapshot it sees, so
-// benchmarks can replay a realistic mid-run monitoring state.
+// snapGrabber wraps a controller and keeps a copy of every snapshot it sees,
+// so benchmarks can replay a realistic mid-run monitoring state.
 type snapGrabber struct {
 	inner sim.Controller
 	snaps []*monitor.Snapshot
@@ -256,7 +256,7 @@ type snapGrabber struct {
 func (g *snapGrabber) Name() string { return g.inner.Name() }
 
 func (g *snapGrabber) Plan(s *monitor.Snapshot) sim.Decision {
-	g.snaps = append(g.snaps, s)
+	g.snaps = append(g.snaps, s.Clone())
 	return g.inner.Plan(s)
 }
 

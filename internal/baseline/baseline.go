@@ -86,9 +86,25 @@ func (PureReactive) Plan(snap *monitor.Snapshot) sim.Decision {
 // only — no DAG lookahead, no per-stage models — and feeds it to the
 // resource-steering policy. Each active task's occupancy is estimated at
 // the global median of completed occupancies (falling back to the MAPE
-// interval before any completion).
+// interval before any completion). The median is kept across Plans: each
+// Plan folds in only the occupancies of the tasks completed since the last.
 type ReactiveConserving struct {
-	completedOcc []float64
+	// seen holds, per task, the completion the median holds.
+	seen      []seenOcc
+	completed stats.OrderStats
+
+	// Scratch of one Plan.
+	batch     []float64
+	remaining []float64
+
+	resets int // folds started again from empty on non-monotonic input
+}
+
+// seenOcc is what the kept median holds of one task: whether it had
+// completed, and with which occupancy.
+type seenOcc struct {
+	done bool
+	occ  float64
 }
 
 var _ sim.Controller = (*ReactiveConserving)(nil)
@@ -98,21 +114,63 @@ func (*ReactiveConserving) Name() string { return "reactive-conserving" }
 
 // Plan implements sim.Controller.
 func (rc *ReactiveConserving) Plan(snap *monitor.Snapshot) sim.Decision {
-	rc.completedOcc = rc.completedOcc[:0]
-	for i := range snap.Tasks {
-		rec := &snap.Tasks[i]
-		if rec.State == monitor.Completed {
-			rc.completedOcc = append(rc.completedOcc, rec.Occupancy())
-		}
+	if len(rc.seen) != len(snap.Tasks) {
+		rc.reset(len(snap.Tasks))
 	}
-	est, ok := stats.Median(rc.completedOcc)
+	if !rc.fold(snap) {
+		// The snapshot does not extend what the median holds: fold it again
+		// from empty, through the same pass.
+		rc.reset(len(snap.Tasks))
+		rc.fold(snap)
+	}
+	est, ok := rc.completed.Median()
 	if !ok {
 		est = snap.Interval
 	}
+	return rc.planAt(snap, est)
+}
 
+// fold merges the occupancies of the tasks completed since the last Plan into
+// the kept median. It reports false, leaving the fold half done for the
+// caller to reset, when a completed record left Completed or its occupancy
+// changed.
+func (rc *ReactiveConserving) fold(snap *monitor.Snapshot) bool {
+	rc.batch = rc.batch[:0]
+	for i := range snap.Tasks {
+		rec := &snap.Tasks[i]
+		seen := &rc.seen[i]
+		switch {
+		case seen.done:
+			if rec.State != monitor.Completed || rec.Occupancy() != seen.occ {
+				rc.resets++
+				return false
+			}
+		case rec.State == monitor.Completed:
+			*seen = seenOcc{done: true, occ: rec.Occupancy()}
+			rc.batch = append(rc.batch, seen.occ)
+		}
+	}
+	rc.completed.Merge(rc.batch...)
+	return true
+}
+
+// reset empties the kept median for a run of n tasks.
+func (rc *ReactiveConserving) reset(n int) {
+	if cap(rc.seen) < n {
+		rc.seen = make([]seenOcc, n)
+	} else {
+		rc.seen = rc.seen[:n]
+		clear(rc.seen)
+	}
+	rc.completed.Reset()
+}
+
+// planAt steers the pool for the current ready and running tasks, each
+// estimated at occupancy est.
+func (rc *ReactiveConserving) planAt(snap *monitor.Snapshot, est float64) sim.Decision {
 	// Upcoming load = the current ready/running tasks at their estimated
 	// remaining occupancy; nothing beyond the observable present.
-	var remaining []float64
+	remaining := rc.remaining[:0]
 	for i := range snap.Tasks {
 		rec := &snap.Tasks[i]
 		switch rec.State {
@@ -126,6 +184,7 @@ func (rc *ReactiveConserving) Plan(snap *monitor.Snapshot) sim.Decision {
 			remaining = append(remaining, rem)
 		}
 	}
+	rc.remaining = remaining
 
 	cands := make([]steer.Candidate, 0, len(snap.Instances))
 	for _, in := range snap.NonDrainingInstances() {

@@ -12,6 +12,8 @@
 package core
 
 import (
+	"unsafe"
+
 	"repro/internal/dag"
 	"repro/internal/lookahead"
 	"repro/internal/monitor"
@@ -90,16 +92,19 @@ func (c *Controller) Iterations() int { return c.iters }
 // LastLoad returns the most recent projected upcoming load (diagnostics).
 func (c *Controller) LastLoad() *lookahead.Load { return c.lastLoad }
 
-// PreStartPredictions returns, per task, the last execution-time prediction
-// made before the task started — the inputs to the Figure 4 accuracy study.
-func (c *Controller) PreStartPredictions() map[dag.TaskID]Prediction {
-	out := make(map[dag.TaskID]Prediction, len(c.preStart))
-	for i := range c.preStart {
-		if pr := &c.preStart[i]; pr.Policy != predict.PolicyNone {
-			out[pr.Task] = *pr
-		}
-	}
-	return out
+// PreStartPredictions returns the prediction log, indexed by task id: each
+// task's last execution-time prediction made before it started — the inputs
+// to the Figure 4 accuracy study. Policy predict.PolicyNone marks a task never
+// annotated, and the log is empty before the first Plan. The slice is the
+// controller's own, valid until the next Plan.
+func (c *Controller) PreStartPredictions() []Prediction { return c.preStart }
+
+// StateBytes approximates the run state the controller retains between
+// iterations: the prediction log, the last wavefront and the predictor's
+// aggregates and per-task bookkeeping. The lookahead's projection buffers are
+// not counted.
+func (c *Controller) StateBytes() int {
+	return (cap(c.preStart)+cap(c.wavefront))*int(unsafe.Sizeof(Prediction{})) + c.pred.StateBytes()
 }
 
 // Wavefront returns the predictions the last Plan made: one per task that had

@@ -102,8 +102,8 @@ func TestWirePredictionLogPopulated(t *testing.T) {
 	accurate := 0
 	p4 := 0
 	for _, tr := range res.TaskRuns {
-		pr, ok := preds[tr.Task]
-		if !ok || wf.Task(tr.Task).Stage != 1 {
+		pr := preds[tr.Task]
+		if pr.Policy == predict.PolicyNone || wf.Task(tr.Task).Stage != 1 {
 			continue
 		}
 		if pr.Policy == predict.PolicyGroupMedian {
@@ -327,8 +327,14 @@ func TestPredictionLogMatchesMapVersion(t *testing.T) {
 		if len(m.log) == 0 {
 			t.Fatalf("%s: nothing was predicted", key)
 		}
-		if got := m.PreStartPredictions(); !reflect.DeepEqual(got, m.log) {
-			t.Errorf("%s: PreStartPredictions has %d entries, the map-kept log %d, or they differ", key, len(got), len(m.log))
+		got := m.PreStartPredictions()
+		if len(got) != wf.NumTasks() {
+			t.Fatalf("%s: PreStartPredictions has %d entries for %d tasks", key, len(got), wf.NumTasks())
+		}
+		for id, pr := range got {
+			if want, ok := m.log[dag.TaskID(id)]; pr != want || ok != (pr.Policy != predict.PolicyNone) {
+				t.Errorf("%s: PreStartPredictions has task %d as %+v, the map-kept log %+v (kept %v)", key, id, pr, want, ok)
+			}
 		}
 		preds := m.State().Predictions
 		if len(preds) != len(m.log) {

@@ -136,11 +136,10 @@ func estimateError(policy string, wf *dag.Workflow, res *sim.Result, hist *basel
 	} else {
 		preds := wired.PreStartPredictions()
 		for _, tr := range res.TaskRuns {
-			pr, ok := preds[tr.Task]
-			if !ok || pr.Policy < 3 {
+			if int(tr.Task) >= len(preds) || preds[tr.Task].Policy < 3 {
 				continue // only completed-data policies are comparable
 			}
-			d := pr.EstimatedExec - tr.ObservedExec
+			d := preds[tr.Task].EstimatedExec - tr.ObservedExec
 			if d < 0 {
 				d = -d
 			}

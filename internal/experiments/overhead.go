@@ -23,8 +23,9 @@ type OverheadRow struct {
 	Wall     time.Duration    // total time inside Plan
 	Iters    int
 	Fraction float64 // Wall / AggExec
-	// StateBytes approximates the controller's retained state: the
-	// per-task prediction wavefront plus per-stage model coefficients.
+	// StateBytes approximates the controller's retained state (see
+	// core.Controller.StateBytes): the prediction log and the predictor's
+	// per-stage aggregates and per-task bookkeeping.
 	StateBytes int
 }
 
@@ -59,11 +60,6 @@ func OverheadExperiment(cfg Config) ([]OverheadRow, error) {
 		if agg > 0 {
 			frac = res.ControllerWall.Seconds() / agg
 		}
-		// Prediction wavefront entries dominate retained state;
-		// each holds a Prediction (~48 B) plus map overhead
-		// (~48 B), and each stage keeps two OGD coefficients,
-		// a scale, and cached medians (~64 B).
-		state := len(ctrl.PreStartPredictions())*96 + wf.NumStages()*64
 		return OverheadRow{
 			RunKey:     s.run.Key,
 			Display:    s.run.Display,
@@ -72,7 +68,7 @@ func OverheadExperiment(cfg Config) ([]OverheadRow, error) {
 			Wall:       res.ControllerWall,
 			Iters:      ctrl.Iterations(),
 			Fraction:   frac,
-			StateBytes: state,
+			StateBytes: ctrl.StateBytes(),
 		}, nil
 	})
 }

@@ -203,7 +203,7 @@ func TestLookaheadProperty(t *testing.T) {
 	}
 }
 
-// grabber keeps the snapshot from the want-th control tick.
+// grabber keeps a copy of the snapshot from the want-th control tick.
 type grabber struct {
 	inner sim.Controller
 	want  int
@@ -216,7 +216,7 @@ func (g *grabber) Name() string { return g.inner.Name() }
 func (g *grabber) Plan(s *monitor.Snapshot) sim.Decision {
 	g.n++
 	if g.n == g.want {
-		g.snap = s
+		g.snap = s.Clone()
 	}
 	return g.inner.Plan(s)
 }

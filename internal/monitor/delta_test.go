@@ -9,13 +9,6 @@ import (
 	"repro/internal/monitor"
 )
 
-func cloneTasks(s *monitor.Snapshot) *monitor.Snapshot {
-	cp := *s
-	cp.Tasks = make([]monitor.TaskRecord, len(s.Tasks))
-	copy(cp.Tasks, s.Tasks)
-	return &cp
-}
-
 // TestDeltaRoundTrip holds AppendChanged and ApplyDelta to each other on
 // random snapshot pairs: the delta names exactly the records that differ, in
 // index order, folding it into the old snapshot gives the new one, and folding
@@ -24,8 +17,10 @@ func TestDeltaRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		prev, cur := randSnapshot(rng), randSnapshot(rng)
+		// cur takes prev's length, and its nil-ness, which Clone keeps.
 		drawn := cur.Tasks
-		cur.Tasks = make([]monitor.TaskRecord, len(prev.Tasks))
+		cur.Tasks = prev.Clone().Tasks
+		clear(cur.Tasks)
 		copy(cur.Tasks, drawn)
 		for i := range cur.Tasks {
 			cur.Tasks[i].ID = dag.TaskID(i)
@@ -51,7 +46,7 @@ func TestDeltaRoundTrip(t *testing.T) {
 			t.Fatalf("seed %d: delta has %d records, %d changed", seed, len(delta.Tasks), next)
 		}
 
-		base := cloneTasks(prev)
+		base := prev.Clone()
 		for round := 1; round <= 2; round++ {
 			if err := base.ApplyDelta(&delta); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
@@ -79,7 +74,7 @@ func TestApplyDeltaRejectsWithoutWriting(t *testing.T) {
 		"out of order":    {rec(0), rec(4), rec(2)},
 		"far past an int": {rec(1), rec(1 << 40)},
 	} {
-		before := cloneTasks(base)
+		before := base.Clone()
 		err := base.ApplyDelta(&monitor.Snapshot{Delta: true, Now: 120, Interval: 30, Tasks: tasks})
 		if err == nil {
 			t.Errorf("%s: accepted", name)

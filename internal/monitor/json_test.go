@@ -13,8 +13,8 @@ import (
 	"repro/internal/sim"
 )
 
-// capture records every snapshot a controller receives, so the round-trip
-// test exercises the exact structures the simulator publishes.
+// capture records a copy of every snapshot a controller receives, so the
+// round-trip test exercises the exact structures the simulator publishes.
 type capture struct {
 	inner sim.Controller
 	snaps []*monitor.Snapshot
@@ -23,7 +23,7 @@ type capture struct {
 func (c *capture) Name() string { return c.inner.Name() }
 
 func (c *capture) Plan(s *monitor.Snapshot) sim.Decision {
-	c.snaps = append(c.snaps, s)
+	c.snaps = append(c.snaps, s.Clone())
 	return c.inner.Plan(s)
 }
 

@@ -14,6 +14,7 @@ package monitor
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cloud"
 	"repro/internal/dag"
@@ -185,6 +186,20 @@ type Snapshot struct {
 
 // Task returns the record for the given task.
 func (s *Snapshot) Task(id dag.TaskID) *TaskRecord { return &s.Tasks[id] }
+
+// Clone returns a deep copy of s sharing only the immutable Workflow. A
+// controller that keeps a snapshot past Plan keeps a clone: the simulator
+// refills one snapshot in place at every tick.
+func (s *Snapshot) Clone() *Snapshot {
+	cp := *s
+	cp.Tasks = slices.Clone(s.Tasks)
+	cp.Instances = slices.Clone(s.Instances)
+	for i := range cp.Instances {
+		cp.Instances[i].Running = slices.Clone(cp.Instances[i].Running)
+	}
+	cp.RecentTransfers = slices.Clone(s.RecentTransfers)
+	return &cp
+}
 
 // StageRecords returns the records of all tasks in a stage, in stage task
 // order.

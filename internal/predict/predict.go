@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"unsafe"
 
 	"repro/internal/dag"
 	"repro/internal/monitor"
@@ -107,11 +108,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// sizeGroup is a set of completed peer tasks sharing an input size.
+// sizeGroup is a set of completed peer tasks sharing an input size: its
+// founder's, the first completion in stage task order that matched no group
+// founded before it.
 type sizeGroup struct {
-	size   float64
-	execs  []float64
-	median float64
+	size    float64
+	founder int // stage position of the founding completion
+	execs   stats.OrderStats
+	median  float64
 }
 
 // ogdModel is the per-stage linear model of Algorithm 1: t = a0 + a1·d',
@@ -143,7 +147,8 @@ func (m *ogdModel) step(points []sizeGroup, lr float64) {
 		return
 	}
 	g0, g1 := 0.0, 0.0
-	for _, p := range points {
+	for i := range points {
+		p := &points[i]
 		d := p.size / m.scale
 		err := p.median - (m.a1*d + m.a0)
 		g0 += -2 / n * err
@@ -153,12 +158,15 @@ func (m *ogdModel) step(points []sizeGroup, lr float64) {
 	m.a1 -= lr * g1
 }
 
-// stageState caches the per-stage aggregates recomputed at every Update.
+// stageState is one stage's aggregates, carried from Update to Update: each
+// interval folds only the stage's new completions into the kept order
+// statistics and size groups.
 type stageState struct {
-	runningElapsed []float64
-	completedExecs []float64
-	groups         []sizeGroup
-	model          ogdModel
+	// seen holds, per stage position, the completion the aggregates hold.
+	seen      []seenTask
+	completed stats.OrderStats // execution times of the completed tasks
+	groups    []sizeGroup      // in founder order
+	model     ogdModel
 
 	runMedian      float64
 	completeMedian float64
@@ -176,12 +184,38 @@ type stageState struct {
 	// previous Update, in group order — order matters because Policy 4
 	// matches the first equivalent group.
 	prevGroups []groupKey
+
+	// Scratch of one Update.
+	running stats.OrderStats // elapsed times of the running tasks
+	elapsed []float64
+	fresh   []int     // stage positions completed since the last Update
+	batch   []float64 // their execution times
+}
+
+// seenTask is what a stage's aggregates hold of one task: whether it had
+// completed, and with which execution time and input size.
+type seenTask struct {
+	done       bool
+	exec, size float64
 }
 
 // groupKey is the estimate-relevant fingerprint of one size group.
 type groupKey struct {
 	size   float64
 	median float64
+}
+
+// reset empties the aggregates folded for a stage of n tasks. The model and
+// the epochs carry over, exactly as a rebuild of the aggregates leaves them.
+func (ss *stageState) reset(n int) {
+	if cap(ss.seen) < n {
+		ss.seen = make([]seenTask, n)
+	} else {
+		ss.seen = ss.seen[:n]
+		clear(ss.seen)
+	}
+	ss.completed.Reset()
+	ss.groups = ss.groups[:0]
 }
 
 // Predictor holds the online models for one workflow run.
@@ -197,6 +231,10 @@ type Predictor struct {
 	// adds the transfer estimate to every answer.
 	transferEpoch uint64
 	updates       int
+	// resets counts stages folded again from empty, by cause: a completion
+	// that would found a size group ahead of an existing one, or a completed
+	// record that changed or left Completed.
+	resets struct{ order, monotonic int }
 }
 
 // New returns a predictor with the given configuration.
@@ -212,25 +250,13 @@ func New(cfg Config) *Predictor {
 // Updates returns the number of snapshots consumed.
 func (p *Predictor) Updates() int { return p.updates }
 
-// Update ingests one monitoring snapshot: refreshes the per-stage
-// aggregates and advances every stage's OGD model one step (Algorithm 1).
-// Call exactly once per MAPE iteration, before asking for estimates.
+// Update ingests one monitoring snapshot: folds each stage's new completions
+// into its aggregates and advances every stage's OGD model one step
+// (Algorithm 1). Call exactly once per MAPE iteration, before asking for
+// estimates.
 func (p *Predictor) Update(snap *monitor.Snapshot) {
 	p.updates++
-
-	// Transfer estimate: median of the transfers observed in the last
-	// interval (the memoryless model of §III-B1), smoothed by a moving
-	// median across intervals.
-	if med, ok := stats.Median(snap.RecentTransfers); ok {
-		p.transferMed.Push(med)
-		if m, ok := p.transferMed.Median(); ok {
-			if m != p.lastTransfer || !p.hasTransfer {
-				p.transferEpoch++
-			}
-			p.lastTransfer = m
-			p.hasTransfer = true
-		}
-	}
+	p.updateTransfer(snap)
 
 	for _, st := range snap.Workflow.Stages {
 		ss := p.stages[st.ID]
@@ -241,32 +267,23 @@ func (p *Predictor) Update(snap *monitor.Snapshot) {
 		prevHasRunning, prevHasCompleted := ss.hasRunning, ss.hasCompleted
 		prevRunMedian, prevCompleteMedian := ss.runMedian, ss.completeMedian
 		prevModel := ss.model
-		ss.runningElapsed = ss.runningElapsed[:0]
-		ss.completedExecs = ss.completedExecs[:0]
-		ss.groups = ss.groups[:0]
 
-		maxSize := ss.model.scale
-		for _, tid := range st.Tasks {
-			rec := snap.Task(tid)
-			switch rec.State {
-			case monitor.Running:
-				ss.runningElapsed = append(ss.runningElapsed, rec.Elapsed)
-			case monitor.Completed:
-				ss.completedExecs = append(ss.completedExecs, rec.ExecTime)
-				p.addToGroup(ss, rec.InputSize, rec.ExecTime)
-			}
-			if rec.InputSize > maxSize {
-				maxSize = rec.InputSize
-			}
+		if len(ss.seen) != len(st.Tasks) {
+			ss.reset(len(st.Tasks))
 		}
-		ss.hasRunning = len(ss.runningElapsed) > 0
-		ss.hasCompleted = len(ss.completedExecs) > 0
-		ss.runMedian, _ = stats.Median(ss.runningElapsed)
-		ss.completeMedian, _ = stats.Median(ss.completedExecs)
-
-		for i := range ss.groups {
-			ss.groups[i].median, _ = stats.Median(ss.groups[i].execs)
+		maxSize, ok := p.fold(ss, st.Tasks, snap)
+		if !ok {
+			// The snapshot does not extend what the stage holds: fold it
+			// again from empty, through the same pass.
+			ss.reset(len(st.Tasks))
+			maxSize, _ = p.fold(ss, st.Tasks, snap)
 		}
+		ss.running.Reset()
+		ss.running.Merge(ss.elapsed...)
+		ss.hasRunning = ss.running.Len() > 0
+		ss.hasCompleted = ss.completed.Len() > 0
+		ss.runMedian, _ = ss.running.Median()
+		ss.completeMedian, _ = ss.completed.Median()
 
 		if ss.hasCompleted {
 			if maxSize <= 0 {
@@ -308,6 +325,111 @@ func (p *Predictor) Update(snap *monitor.Snapshot) {
 	}
 }
 
+// updateTransfer refreshes the transfer estimate: the median of the transfers
+// observed in the last interval (the memoryless model of §III-B1), smoothed
+// by a moving median across intervals.
+func (p *Predictor) updateTransfer(snap *monitor.Snapshot) {
+	if med, ok := stats.Median(snap.RecentTransfers); ok {
+		p.transferMed.Push(med)
+		if m, ok := p.transferMed.Median(); ok {
+			if m != p.lastTransfer || !p.hasTransfer {
+				p.transferEpoch++
+			}
+			p.lastTransfer = m
+			p.hasTransfer = true
+		}
+	}
+}
+
+// fold brings a stage's aggregates up to date with its records in snap: one
+// compare pass against what ss holds, which also collects the running tasks'
+// elapsed times and the largest input size (at least the model's scale), then
+// the new completions merged in stage order. It reports false, leaving ss
+// half-folded for the caller to reset, when the records do not extend what
+// ss holds: a completed record changed or left Completed, or a completion
+// would found a size group ahead of an existing one.
+func (p *Predictor) fold(ss *stageState, tasks []dag.TaskID, snap *monitor.Snapshot) (maxSize float64, ok bool) {
+	ss.elapsed = ss.elapsed[:0]
+	ss.fresh = ss.fresh[:0]
+	maxSize = ss.model.scale
+	for i, tid := range tasks {
+		rec := snap.Task(tid)
+		seen := &ss.seen[i]
+		switch {
+		case seen.done:
+			if rec.State != monitor.Completed || rec.ExecTime != seen.exec || rec.InputSize != seen.size {
+				p.resets.monotonic++
+				return 0, false
+			}
+		case rec.State == monitor.Completed:
+			*seen = seenTask{done: true, exec: rec.ExecTime, size: rec.InputSize}
+			ss.fresh = append(ss.fresh, i)
+		case rec.State == monitor.Running:
+			ss.elapsed = append(ss.elapsed, rec.Elapsed)
+		}
+		if rec.InputSize > maxSize {
+			maxSize = rec.InputSize
+		}
+	}
+
+	// A completion joins the first group its size is equivalent to when that
+	// group was founded before it in stage order, and otherwise founds one.
+	// Founding a group ahead of an existing one would reorder the groups
+	// (the order Algorithm 1 sums in) and, sizesEquivalent not being
+	// transitive, could take later completions from the groups they joined:
+	// only a fold from empty may do that.
+	ss.batch = ss.batch[:0]
+	for _, pos := range ss.fresh {
+		seen := ss.seen[pos]
+		g := p.groupOf(ss, seen.size)
+		if g < 0 || ss.groups[g].founder > pos {
+			if n := len(ss.groups); n > 0 && ss.groups[n-1].founder > pos {
+				p.resets.order++
+				return 0, false
+			}
+			ss.groups = append(ss.groups, sizeGroup{size: seen.size, founder: pos})
+			g = len(ss.groups) - 1
+		}
+		grp := &ss.groups[g]
+		grp.execs.Merge(seen.exec)
+		grp.median, _ = grp.execs.Median()
+		ss.batch = append(ss.batch, seen.exec)
+	}
+	ss.completed.Merge(ss.batch...)
+	return maxSize, true
+}
+
+// StateBytes approximates the memory the predictor keeps between Updates:
+// per stage, the per-task bookkeeping, the kept order statistics, the size
+// groups and the buffers one Update reuses.
+func (p *Predictor) StateBytes() int {
+	const f64 = 8
+	n := 0
+	for _, ss := range p.stages {
+		n += int(unsafe.Sizeof(*ss))
+		n += cap(ss.seen) * int(unsafe.Sizeof(seenTask{}))
+		n += (ss.completed.Len() + ss.running.Len() + cap(ss.elapsed) + cap(ss.batch)) * f64
+		n += cap(ss.fresh) * int(unsafe.Sizeof(int(0)))
+		n += cap(ss.groups) * int(unsafe.Sizeof(sizeGroup{}))
+		for i := range ss.groups {
+			n += ss.groups[i].execs.Len() * f64
+		}
+		n += cap(ss.prevGroups) * int(unsafe.Sizeof(groupKey{}))
+	}
+	return n
+}
+
+// groupOf returns the index of the first size group whose size is equivalent
+// to size (Policy 4's match), or -1.
+func (p *Predictor) groupOf(ss *stageState, size float64) int {
+	for i := range ss.groups {
+		if sizesEquivalent(ss.groups[i].size, size, p.cfg.SizeTolerance) {
+			return i
+		}
+	}
+	return -1
+}
+
 // EstimateEpochs returns the stage's cache-invalidation epochs: agg covers
 // every input to its estimates except the OGD coefficients (aggregates,
 // size groups, priors, the shared transfer estimate), model covers the
@@ -323,17 +445,6 @@ func (p *Predictor) EstimateEpochs(stage dag.StageID) (agg, model uint64) {
 	}
 	// Both terms only ever grow, so the sum changes whenever either does.
 	return ss.aggEpoch + p.transferEpoch, ss.modelEpoch
-}
-
-func (p *Predictor) addToGroup(ss *stageState, size, exec float64) {
-	for i := range ss.groups {
-		g := &ss.groups[i]
-		if sizesEquivalent(g.size, size, p.cfg.SizeTolerance) {
-			g.execs = append(g.execs, exec)
-			return
-		}
-	}
-	ss.groups = append(ss.groups, sizeGroup{size: size, execs: []float64{exec}})
 }
 
 func sizesEquivalent(a, b, tol float64) bool {
@@ -379,11 +490,9 @@ func (p *Predictor) EstimateExec(snap *monitor.Snapshot, id dag.TaskID) (float64
 		return ss.completeMedian, PolicyCompletedMedian
 	}
 	// Ready or Running: the input size is known.
-	for i := range ss.groups {
-		if sizesEquivalent(ss.groups[i].size, rec.InputSize, p.cfg.SizeTolerance) {
-			// Policy 4: equivalent completed group.
-			return ss.groups[i].median, PolicyGroupMedian
-		}
+	if g := p.groupOf(ss, rec.InputSize); g >= 0 {
+		// Policy 4: equivalent completed group.
+		return ss.groups[g].median, PolicyGroupMedian
 	}
 	// Policy 5: new input size — OGD model.
 	return ss.model.predict(rec.InputSize), PolicyOGD

@@ -30,22 +30,11 @@ type recordedStream struct {
 	want  []*PlanResponse
 }
 
-func cloneSnapshot(s *monitor.Snapshot) *monitor.Snapshot {
-	cp := *s
-	cp.Tasks = append([]monitor.TaskRecord(nil), s.Tasks...)
-	cp.Instances = append([]monitor.InstanceRecord(nil), s.Instances...)
-	for i := range cp.Instances {
-		cp.Instances[i].Running = append([]dag.TaskID(nil), cp.Instances[i].Running...)
-	}
-	cp.RecentTransfers = append([]float64(nil), s.RecentTransfers...)
-	return &cp
-}
-
 func recordStream(t testing.TB, key string, seed int64) *recordedStream {
 	t.Helper()
 	rs := &recordedStream{key: key, seed: seed}
 	recordPlans(t, key, seed, func(_ int64, lean *monitor.Snapshot, resp *PlanResponse) {
-		rs.snaps = append(rs.snaps, cloneSnapshot(lean))
+		rs.snaps = append(rs.snaps, lean.Clone())
 		rs.want = append(rs.want, resp)
 	})
 	return rs
@@ -185,7 +174,7 @@ func TestDeltaEqualsFullOnEveryCatalogueStream(t *testing.T) {
 				posted := snap
 				if i > 0 {
 					posted = deltaOf(rs.snaps[i-1], snap)
-					base := cloneSnapshot(rs.snaps[i-1])
+					base := rs.snaps[i-1].Clone()
 					if err := base.ApplyDelta(posted); err != nil {
 						t.Fatalf("seq %d: %v", seq, err)
 					}
@@ -264,7 +253,7 @@ func captureState(t testing.TB, d *journaledShard, sess *Session) sessionState {
 	t.Helper()
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	st := sessionState{snap: cloneSnapshot(&sess.snapScratch), lastSeq: sess.lastSeq, baseOK: sess.baseOK, plans: sess.plans.Load()}
+	st := sessionState{snap: sess.snapScratch.Clone(), lastSeq: sess.lastSeq, baseOK: sess.baseOK, plans: sess.plans.Load()}
 	if d.dir != "" {
 		st.wal = d.wal(t, sess.ID)
 	}
@@ -300,7 +289,7 @@ func TestRejectedPlanLeavesBaseUntouched(t *testing.T) {
 		t.Fatalf("the third interval changes %d records, the walk needs 2", len(third.Tasks))
 	}
 	fullThird := func(fn func(s *monitor.Snapshot)) []byte {
-		s := cloneSnapshot(rs.snaps[2])
+		s := rs.snaps[2].Clone()
 		fn(s)
 		return encode(s)
 	}
@@ -594,7 +583,7 @@ func TestClientDeltaProtocol(t *testing.T) {
 
 		r = setup(t)
 		plan(t, r, r.c, 0)
-		done := cloneSnapshot(rs.snaps[1])
+		done := rs.snaps[1].Clone()
 		for i := range done.Tasks {
 			done.Tasks[i].State = monitor.Completed
 		}
@@ -609,7 +598,7 @@ func TestClientDeltaProtocol(t *testing.T) {
 	t.Run("failed plan keeps the acknowledged copy", func(t *testing.T) {
 		r := setup(t)
 		plan(t, r, r.c, 0)
-		bad := cloneSnapshot(rs.snaps[1])
+		bad := rs.snaps[1].Clone()
 		bad.Interval = 0
 		if _, err := r.c.Plan(ctx, r.id, 2, bad); err == nil {
 			t.Fatal("a snapshot with a zero interval was planned")

@@ -27,7 +27,10 @@ type Controller interface {
 	// Name identifies the policy in reports.
 	Name() string
 	// Plan inspects the snapshot and returns pool-change orders that the
-	// simulator applies with the cloud's lag semantics.
+	// simulator applies with the cloud's lag semantics. The snapshot is
+	// valid only for the duration of the call: the simulator refills the
+	// same one, slices included, at every tick, so a controller that keeps
+	// it must keep a copy (monitor.Snapshot.Clone).
 	Plan(snap *monitor.Snapshot) Decision
 }
 
@@ -307,6 +310,10 @@ type run struct {
 
 	res      *Result
 	nextTick *event.Event
+
+	// snap is the snapshot every control tick refills and shows the
+	// controller (see Controller for its lifetime).
+	snap monitor.Snapshot
 }
 
 type taskState struct {
@@ -719,7 +726,7 @@ func (r *run) controlTick(_ *event.Engine, now simtime.Time) {
 	iv := r.cfg.interval()
 	r.nextTick = r.eng.At(now+iv, event.PriControl, "control", r.controlTick)
 
-	snap := r.Snapshot(now)
+	snap := r.observe(now)
 	r.lastTick = now
 
 	wallStart := time.Now()
@@ -799,28 +806,30 @@ func (r *run) apply(dec Decision, now simtime.Time) error {
 	return nil
 }
 
-// Snapshot builds the monitoring view at time now. Exported for controller
-// unit tests; the simulator calls it on every control tick.
-func (r *run) Snapshot(now simtime.Time) *monitor.Snapshot {
-	snap := &monitor.Snapshot{
-		Now:              now,
-		Interval:         r.cfg.interval(),
-		ChargingUnit:     r.cfg.Cloud.ChargingUnit,
-		LagTime:          r.cfg.Cloud.LagTime,
-		SlotsPerInstance: r.cfg.Cloud.SlotsPerInstance,
-		MaxInstances:     r.cfg.Cloud.MaxInstances,
-		Workflow:         r.wf,
-		Tasks:            make([]monitor.TaskRecord, r.wf.NumTasks()),
+// observe refills the run's snapshot with the monitoring view at time now,
+// reusing its task records, instance records and their running lists. An
+// empty list is published nil, as a freshly built snapshot had it.
+func (r *run) observe(now simtime.Time) *monitor.Snapshot {
+	snap := &r.snap
+	snap.Now = now
+	snap.Interval = r.cfg.interval()
+	snap.ChargingUnit = r.cfg.Cloud.ChargingUnit
+	snap.LagTime = r.cfg.Cloud.LagTime
+	snap.SlotsPerInstance = r.cfg.Cloud.SlotsPerInstance
+	snap.MaxInstances = r.cfg.Cloud.MaxInstances
+	snap.Workflow = r.wf
+	if len(snap.Tasks) != r.wf.NumTasks() {
+		snap.Tasks = make([]monitor.TaskRecord, r.wf.NumTasks())
 	}
+	snap.RecentTransfers = snap.RecentTransfers[:0]
 	for _, t := range r.wf.Tasks {
 		ts := &r.tasks[t.ID]
-		rec := monitor.TaskRecord{
-			ID:        t.ID,
-			Stage:     t.Stage,
-			State:     ts.state,
-			InputSize: t.InputSize,
-			ReadyAt:   ts.readyAt,
-		}
+		// Zeroed and filled in place: a record built in a temporary costs a
+		// copy of the whole record per task per tick.
+		rec := &snap.Tasks[t.ID]
+		*rec = monitor.TaskRecord{}
+		rec.ID, rec.Stage, rec.State = t.ID, t.Stage, ts.state
+		rec.InputSize, rec.ReadyAt = t.InputSize, ts.readyAt
 		switch ts.state {
 		case monitor.Running:
 			rec.StartedAt = ts.startedAt
@@ -840,7 +849,6 @@ func (r *run) Snapshot(now simtime.Time) *monitor.Snapshot {
 			rec.TransferObserved = true
 			rec.TransferTime = ts.actualTransfer
 		}
-		snap.Tasks[t.ID] = rec
 
 		// Transfers whose completion fell inside the last interval.
 		if ts.state == monitor.Running || ts.state == monitor.Completed {
@@ -850,25 +858,37 @@ func (r *run) Snapshot(now simtime.Time) *monitor.Snapshot {
 			}
 		}
 	}
+	held := snap.Instances[:0]
 	for _, in := range r.site.Instances() {
 		if in.State == cloud.Terminated {
 			continue
 		}
 		is := r.instances[in.ID]
-		rec := monitor.InstanceRecord{
+		var running []dag.TaskID
+		if k := len(held); k < cap(held) {
+			running = held[:k+1][k].Running[:0]
+		}
+		for id := range is.running {
+			running = append(running, id)
+		}
+		if len(running) == 0 {
+			running = nil
+		}
+		sortTaskIDs(running)
+		held = append(held, monitor.InstanceRecord{
 			ID:               in.ID,
 			State:            in.State,
 			Slots:            in.Slots,
 			RequestedAt:      in.RequestedAt,
 			ActiveAt:         in.ActiveAt,
 			TimeToNextCharge: in.TimeToNextCharge(now),
+			Running:          running,
 			Draining:         is.draining,
-		}
-		for id := range is.running {
-			rec.Running = append(rec.Running, id)
-		}
-		sortTaskIDs(rec.Running)
-		snap.Instances = append(snap.Instances, rec)
+		})
+	}
+	snap.Instances = held
+	if len(snap.RecentTransfers) == 0 {
+		snap.RecentTransfers = nil
 	}
 	return snap
 }

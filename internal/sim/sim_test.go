@@ -17,7 +17,8 @@ type holdController struct{}
 func (holdController) Name() string                    { return "hold" }
 func (holdController) Plan(*monitor.Snapshot) Decision { return Decision{} }
 
-// scriptController replays a fixed list of decisions, one per tick.
+// scriptController replays a fixed list of decisions, one per tick, and
+// keeps a copy of every snapshot it is shown.
 type scriptController struct {
 	decisions []Decision
 	i         int
@@ -26,7 +27,7 @@ type scriptController struct {
 
 func (s *scriptController) Name() string { return "script" }
 func (s *scriptController) Plan(snap *monitor.Snapshot) Decision {
-	s.snaps = append(s.snaps, snap)
+	s.snaps = append(s.snaps, snap.Clone())
 	if s.i < len(s.decisions) {
 		d := s.decisions[s.i]
 		s.i++

@@ -20,10 +20,16 @@ func Median(vals []float64) (m float64, ok bool) {
 	}
 	s := append([]float64(nil), vals...)
 	sort.Float64s(s)
+	return medianOfSorted(s), true
+}
+
+// medianOfSorted is Median of an already sorted, non-empty slice.
+func medianOfSorted(s []float64) float64 {
+	n := len(s)
 	if n%2 == 1 {
-		return s[n/2], true
+		return s[n/2]
 	}
-	return (s[n/2-1] + s[n/2]) / 2, true
+	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // Mean returns the arithmetic mean, or ok=false for empty input.
