@@ -9,10 +9,7 @@
 // directly — it only sees what the monitoring API exposes.
 package dag
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // TaskID identifies a task within one workflow; IDs are dense indices into
 // Workflow.Tasks.
@@ -266,43 +263,54 @@ func (w *Workflow) Validate() error {
 			return fmt.Errorf("dag: task %d appears in %d stage lists", id, n)
 		}
 	}
-	// Succs must be the exact inverse of Deps. Compare the two edge
-	// multisets as packed (from, to) keys sorted once — no per-task maps or
-	// slice copies, which dominated validation cost on wide fan-in graphs.
-	succCount := make([]int32, len(w.Tasks))
+	// Succs must be the exact inverse of Deps, as edge multisets. Bucket the
+	// Deps edges by predecessor with a counting sort, then compare each
+	// task's bucket with its Succs through one tally in O(tasks + edges).
+	n := len(w.Tasks)
 	edges := 0
 	for _, t := range w.Tasks {
 		edges += len(t.Deps)
+	}
+	scratch := make([]int32, 3*n+edges)
+	succCount, start, tally, bucket := scratch[:n], scratch[n:2*n], scratch[2*n:3*n], scratch[3*n:]
+	for _, t := range w.Tasks {
 		for _, d := range t.Deps {
 			succCount[d]++
 		}
 	}
+	end := int32(0)
 	for _, t := range w.Tasks {
 		if len(t.Succs) != int(succCount[t.ID]) {
 			return fmt.Errorf("dag: task %d has %d succs, want %d", t.ID, len(t.Succs), succCount[t.ID])
 		}
 		for _, s := range t.Succs {
-			if int(s) < 0 || int(s) >= len(w.Tasks) {
+			if int(s) < 0 || int(s) >= n {
 				return fmt.Errorf("dag: task %d lists missing succ %d", t.ID, s)
 			}
 		}
+		end += succCount[t.ID]
+		start[t.ID] = end
 	}
-	want := make([]int64, 0, 2*edges)
-	got := want[edges : edges : 2*edges]
-	want = want[0:0:edges]
+	// Filling each bucket from its end leaves start[i] at bucket i's first
+	// slot.
 	for _, t := range w.Tasks {
 		for _, d := range t.Deps {
-			want = append(want, int64(d)<<32|int64(t.ID))
-		}
-		for _, s := range t.Succs {
-			got = append(got, int64(t.ID)<<32|int64(s))
+			start[d]--
+			bucket[start[d]] = int32(t.ID)
 		}
 	}
-	slices.Sort(want)
-	slices.Sort(got)
-	for i := range want {
-		if want[i] != got[i] {
-			return fmt.Errorf("dag: task %d succs mismatch", want[i]>>32)
+	// The counts already agree, so a bucket matches its Succs exactly when
+	// no tally entry goes negative, and a matching bucket leaves the tally
+	// all zero for the next task. Tasks are checked in ID order, so the
+	// first mismatch is the lowest task whose edges differ.
+	for _, t := range w.Tasks {
+		for _, s := range t.Succs {
+			tally[s]++
+		}
+		for _, s := range bucket[start[t.ID] : start[t.ID]+succCount[t.ID]] {
+			if tally[s]--; tally[s] < 0 {
+				return fmt.Errorf("dag: task %d succs mismatch", t.ID)
+			}
 		}
 	}
 	// Acyclicity: topological order must cover all tasks.

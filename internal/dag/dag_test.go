@@ -1,7 +1,9 @@
 package dag
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -253,5 +255,181 @@ func TestRandomDAGsValidateAndTopo(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// sortedSuccsCheck is the Succs check Validate made before it bucketed edges
+// by predecessor: it compares the Deps and Succs edge multisets as packed
+// (from, to) keys sorted once. It is the reference the linear-time check is
+// held to.
+func sortedSuccsCheck(w *Workflow) error {
+	succCount := make([]int32, len(w.Tasks))
+	edges := 0
+	for _, t := range w.Tasks {
+		edges += len(t.Deps)
+		for _, d := range t.Deps {
+			succCount[d]++
+		}
+	}
+	for _, t := range w.Tasks {
+		if len(t.Succs) != int(succCount[t.ID]) {
+			return fmt.Errorf("dag: task %d has %d succs, want %d", t.ID, len(t.Succs), succCount[t.ID])
+		}
+		for _, s := range t.Succs {
+			if int(s) < 0 || int(s) >= len(w.Tasks) {
+				return fmt.Errorf("dag: task %d lists missing succ %d", t.ID, s)
+			}
+		}
+	}
+	want := make([]int64, 0, 2*edges)
+	got := want[edges : edges : 2*edges]
+	want = want[0:0:edges]
+	for _, t := range w.Tasks {
+		for _, d := range t.Deps {
+			want = append(want, int64(d)<<32|int64(t.ID))
+		}
+		for _, s := range t.Succs {
+			got = append(got, int64(t.ID)<<32|int64(s))
+		}
+	}
+	slices.Sort(want)
+	slices.Sort(got)
+	for i := range want {
+		if want[i] != got[i] {
+			return fmt.Errorf("dag: task %d succs mismatch", want[i]>>32)
+		}
+	}
+	return nil
+}
+
+// withSuccs returns the tasks that have at least one successor.
+func withSuccs(w *Workflow) []*Task {
+	var out []*Task
+	for _, t := range w.Tasks {
+		if len(t.Succs) > 0 {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// retarget points one random succ of t at a different task.
+func retarget(rng *rand.Rand, w *Workflow, t *Task) {
+	t.Succs = slices.Clone(t.Succs)
+	k := rng.Intn(len(t.Succs))
+	t.Succs[k] = TaskID((int(t.Succs[k]) + 1 + rng.Intn(len(w.Tasks)-1)) % len(w.Tasks))
+}
+
+// succsMutations edit a valid workflow's edge lists. Each reports whether it
+// applied (a workflow without edges has nothing to drop, say) and whether
+// the result is still valid.
+var succsMutations = []struct {
+	name  string
+	apply func(rng *rand.Rand, w *Workflow) (applied, valid bool)
+}{
+	{"unchanged", func(*rand.Rand, *Workflow) (bool, bool) { return true, true }},
+	{"dropped succ", func(rng *rand.Rand, w *Workflow) (bool, bool) {
+		ts := withSuccs(w)
+		if len(ts) == 0 {
+			return false, false
+		}
+		t := ts[rng.Intn(len(ts))]
+		k := rng.Intn(len(t.Succs))
+		t.Succs = slices.Delete(slices.Clone(t.Succs), k, k+1)
+		return true, false
+	}},
+	{"duplicated succ", func(rng *rand.Rand, w *Workflow) (bool, bool) {
+		ts := withSuccs(w)
+		if len(ts) == 0 {
+			return false, false
+		}
+		t := ts[rng.Intn(len(ts))]
+		t.Succs = append(slices.Clone(t.Succs), t.Succs[rng.Intn(len(t.Succs))])
+		return true, false
+	}},
+	{"retargeted succ", func(rng *rand.Rand, w *Workflow) (bool, bool) {
+		ts := withSuccs(w)
+		if len(ts) == 0 {
+			return false, false
+		}
+		retarget(rng, w, ts[rng.Intn(len(ts))])
+		return true, false
+	}},
+	{"retargeted succs in two tasks", func(rng *rand.Rand, w *Workflow) (bool, bool) {
+		ts := withSuccs(w)
+		if len(ts) < 2 {
+			return false, false
+		}
+		rng.Shuffle(len(ts), func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
+		retarget(rng, w, ts[0])
+		retarget(rng, w, ts[1])
+		return true, false
+	}},
+	{"permuted succs", func(rng *rand.Rand, w *Workflow) (bool, bool) {
+		ts := withSuccs(w)
+		if len(ts) == 0 {
+			return false, false
+		}
+		t := ts[rng.Intn(len(ts))]
+		t.Succs = slices.Clone(t.Succs)
+		rng.Shuffle(len(t.Succs), func(i, j int) { t.Succs[i], t.Succs[j] = t.Succs[j], t.Succs[i] })
+		return true, true
+	}},
+	{"dependency listed twice", func(rng *rand.Rand, w *Workflow) (bool, bool) {
+		t := w.Tasks[rng.Intn(len(w.Tasks))]
+		if len(t.Deps) == 0 {
+			return false, false
+		}
+		t.Deps = append(slices.Clone(t.Deps), t.Deps[rng.Intn(len(t.Deps))])
+		return true, false
+	}},
+	{"multi-edge listed both ways", func(rng *rand.Rand, w *Workflow) (bool, bool) {
+		t := w.Tasks[rng.Intn(len(w.Tasks))]
+		if len(t.Deps) == 0 {
+			return false, false
+		}
+		d := t.Deps[rng.Intn(len(t.Deps))]
+		t.Deps = append(slices.Clone(t.Deps), d)
+		w.Tasks[d].Succs = append(slices.Clone(w.Tasks[d].Succs), t.ID)
+		return true, true
+	}},
+	{"out-of-range succ", func(rng *rand.Rand, w *Workflow) (bool, bool) {
+		ts := withSuccs(w)
+		if len(ts) == 0 {
+			return false, false
+		}
+		t := ts[rng.Intn(len(ts))]
+		t.Succs = slices.Clone(t.Succs)
+		t.Succs[rng.Intn(len(t.Succs))] = []TaskID{-1, TaskID(len(w.Tasks))}[rng.Intn(2)]
+		return true, false
+	}},
+}
+
+// TestValidateMatchesSortedCheck drives Validate and the sort-based
+// reference over random layered DAGs and edge-list mutations of them: both
+// must accept and reject the same workflows with the same error text.
+func TestValidateMatchesSortedCheck(t *testing.T) {
+	for _, m := range succsMutations {
+		t.Run(m.name, func(t *testing.T) {
+			applied := 0
+			for seed := int64(0); seed < 400; seed++ {
+				w := randomLayered(seed)
+				ok, valid := m.apply(rand.New(rand.NewSource(seed)), w)
+				if !ok {
+					continue
+				}
+				applied++
+				got, want := w.Validate(), sortedSuccsCheck(w)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("seed %d: Validate = %v, sorted check = %v", seed, got, want)
+				}
+				if (got == nil) != valid {
+					t.Fatalf("seed %d: Validate = %v, want valid=%t", seed, got, valid)
+				}
+			}
+			if applied < 100 {
+				t.Fatalf("mutation applied to only %d of 400 workflows", applied)
+			}
+		})
 	}
 }

@@ -2,15 +2,16 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/dag"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/simtime"
-	"repro/internal/workloads"
 )
 
 // PolicyNames lists the four resource-management settings of §IV-C3 in
@@ -50,58 +51,105 @@ type CostResult struct {
 
 // CostExperiment runs the grid: every catalogued run × the four policies ×
 // the configured charging units × Reps repetitions (experiments E5/E6).
-// Cells execute on the shared worker pool — each is an independent, seeded
-// simulation, so the result is deterministic and ordered regardless of
-// scheduling and worker count.
+//
+// Every simulated run is one item on the shared worker pool, ordered
+// run → rep → (unit, policy), so the runs that share a (run, rep) dataset
+// instance are adjacent. The first of them to start generates the instance
+// and the last to finish drops it; since the pool takes items in order, at
+// most Workers+1 instances are alive at once. A finished run keeps only what
+// its cell's summary reads. Each run is an independent, seeded simulation,
+// so the result is deterministic and ordered regardless of scheduling and
+// worker count.
 func CostExperiment(cfg Config) (*CostResult, error) {
-	type cellSpec struct {
-		run    workloads.Run
-		policy string
-		unit   simtime.Duration
+	runs := catalogueRuns(cfg)
+	nPol := len(PolicyNames)
+	perInstance := len(cfg.Units) * nPol
+	instances := make([]instance, len(runs)*cfg.Reps)
+	for i := range instances {
+		instances[i].left = perInstance
 	}
-	var specs []cellSpec
-	for _, run := range catalogueRuns(cfg) {
-		for _, unit := range cfg.Units {
-			for _, policy := range PolicyNames {
-				specs = append(specs, cellSpec{run: run, policy: policy, unit: unit})
-			}
+	results := make([]sim.Result, len(instances)*perInstance)
+	err := parallel.ForEach(len(results), cfg.pool(), func(i int) error {
+		k, j := i/perInstance, i%perInstance
+		run, rep := runs[k/cfg.Reps], int64(k%cfg.Reps)
+		policy, unit := PolicyNames[j%nPol], cfg.Units[j/nPol]
+		inst := &instances[k]
+		wf := inst.acquire(func() *dag.Workflow { return run.Generate(workloadSeed(cfg.Seed, run.Key, rep)) })
+		defer inst.release()
+		res, err := runOnce(cfg, wf, run.Key, policy, unit, rep)
+		if err != nil {
+			return fmt.Errorf("experiments: %s/%s/u=%v rep %d: %w", run.Key, policy, unit, rep, err)
 		}
-	}
-
-	cells, err := parallel.Map(len(specs), cfg.pool(), func(i int) (CostCell, error) {
-		s := specs[i]
-		var results []*sim.Result
-		for rep := 0; rep < cfg.Reps; rep++ {
-			res, err := runOnce(cfg, s.run, s.policy, s.unit, int64(rep))
-			if err != nil {
-				return CostCell{}, fmt.Errorf("experiments: %s/%s/u=%v rep %d: %w", s.run.Key, s.policy, s.unit, rep, err)
-			}
-			results = append(results, res)
+		results[i] = sim.Result{
+			Policy:         res.Policy,
+			Makespan:       res.Makespan,
+			UnitsCharged:   res.UnitsCharged,
+			Utilization:    res.Utilization,
+			Restarts:       res.Restarts,
+			ControllerWall: res.ControllerWall,
 		}
-		return CostCell{
-			RunKey:  s.run.Key,
-			Display: s.run.Display,
-			Policy:  s.policy,
-			Unit:    s.unit,
-			Summary: metrics.SummarizeRuns(results, s.unit),
-		}, nil
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+
+	cells := make([]CostCell, 0, len(runs)*perInstance)
+	reps := make([]*sim.Result, cfg.Reps)
+	for r, run := range runs {
+		for j := 0; j < perInstance; j++ {
+			for rep := range reps {
+				reps[rep] = &results[(r*cfg.Reps+rep)*perInstance+j]
+			}
+			unit := cfg.Units[j/nPol]
+			cells = append(cells, CostCell{
+				RunKey:  run.Key,
+				Display: run.Display,
+				Policy:  PolicyNames[j%nPol],
+				Unit:    unit,
+				Summary: metrics.SummarizeRuns(reps, unit),
+			})
+		}
+	}
 	return &CostResult{Cells: cells}, nil
 }
 
-// runOnce executes one repetition of one setting. The workload seed is
-// shared across policies and units (paired comparison on one dataset
-// instance); the simulator seed is fully per-cell.
-func runOnce(cfg Config, run workloads.Run, policy string, unit simtime.Duration, rep int64) (*sim.Result, error) {
-	wf := run.Generate(workloadSeed(cfg.Seed, run.Key, rep))
+// instance is one (run, rep) dataset instance, shared read-only by the runs
+// of every (unit, policy); left counts the runs not yet finished with it.
+type instance struct {
+	mu   sync.Mutex
+	wf   *dag.Workflow
+	left int
+}
+
+// acquire returns the instance, generating it on first use.
+func (in *instance) acquire(generate func() *dag.Workflow) *dag.Workflow {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if in.wf == nil {
+		in.wf = generate()
+	}
+	return in.wf
+}
+
+// release drops the instance once its last run is done with it.
+func (in *instance) release() {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if in.left--; in.left == 0 {
+		in.wf = nil
+	}
+}
+
+// runOnce executes one repetition of one setting on its dataset instance.
+// The instance is shared across policies and units (paired comparison on
+// one dataset instance); the simulator seed is fully per-run.
+func runOnce(cfg Config, wf *dag.Workflow, runKey, policy string, unit simtime.Duration, rep int64) (*sim.Result, error) {
 	ctrl, err := newController(policy)
 	if err != nil {
 		return nil, err
 	}
-	simCfg := cfg.simConfig(unit, simSeed(cfg.Seed, run.Key, policy, unit, rep))
+	simCfg := cfg.simConfig(unit, simSeed(cfg.Seed, runKey, policy, unit, rep))
 	if policy == "full-site" {
 		simCfg.InitialInstances = cfg.MaxInstances
 	}

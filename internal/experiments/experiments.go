@@ -59,9 +59,11 @@ type Config struct {
 	// (0 or negative = GOMAXPROCS). Identical seeds yield identical
 	// results at any worker count.
 	Workers int
-	// Progress, when non-nil, is called after each completed grid cell
-	// with the running done count and the grid total. It may be invoked
-	// concurrently from several workers.
+	// Progress, when non-nil, is called after each completed work item of
+	// a driver's grid with the running done count and the grid total. For
+	// the Figure 5/6 grid an item is one simulated run (one rep of one
+	// policy and unit). It may be invoked concurrently from several
+	// workers.
 	Progress func(done, total int)
 }
 
