@@ -5,7 +5,10 @@
 // sequence numbers, lease identity, and tenant spend accounting. The checks
 // deliberately re-parse the JSONL independently of the service package's
 // replay path: an auditor that shares the production decoder inherits its
-// blind spots.
+// blind spots. The one exception is a plan's snapshot, the body as the client
+// posted it: it is read with monitor's codec, the parser the daemon planned
+// on, because a second reading of the same bytes (encoding/json folds key
+// case) would bill values the daemon never saw.
 //
 // The invariants, by check name as they appear in the violation report:
 //
@@ -55,6 +58,7 @@ import (
 	"strings"
 
 	"repro/internal/exec"
+	"repro/internal/monitor"
 )
 
 // Config selects what to audit.
@@ -119,16 +123,6 @@ type walRec struct {
 	Seq      int64           `json:"seq,omitempty"`
 	Snapshot json.RawMessage `json:"snapshot,omitempty"`
 	Response json.RawMessage `json:"response,omitempty"`
-}
-
-// snapBill is the subset of a plan snapshot the auditor reads: what the
-// billing recomputation needs — a delta snapshot carries these in full, like
-// any other — and whether the snapshot is a delta at all.
-type snapBill struct {
-	Instances     []json.RawMessage `json:"instances"`
-	IntervalS     float64           `json:"interval_s"`
-	ChargingUnitS float64           `json:"charging_unit_s"`
-	Delta         bool              `json:"delta"`
 }
 
 // planRec is one parsed plan record.
@@ -275,14 +269,16 @@ func parseWAL(dir, path string, rep *Report) (*walCopy, error) {
 				})
 			}
 			pr := planRec{seq: rec.Seq, resp: resp}
-			var sb snapBill
-			if len(rec.Snapshot) > 0 && json.Unmarshal(rec.Snapshot, &sb) == nil {
-				pr.spend = float64(len(sb.Instances)) * sb.IntervalS
-				pr.unitS = sb.ChargingUnitS
+			// Billing reads the instances and interval — a delta snapshot
+			// carries these in full, like any other — and the unit.
+			var snap monitor.Snapshot
+			if len(rec.Snapshot) > 0 && monitor.UnmarshalSnapshot(rec.Snapshot, &snap) == nil {
+				pr.spend = float64(len(snap.Instances)) * snap.Interval
+				pr.unitS = snap.ChargingUnit
 			}
 			// Replay takes intervals in rising order and skips what it has
 			// seen; a delta it would take must be the very next interval.
-			if sb.Delta && rec.Seq > maxSeq+1 {
+			if snap.Delta && rec.Seq > maxSeq+1 {
 				rep.Violations = append(rep.Violations, Violation{
 					Check: "delta_base", Session: c.session, Tenant: c.tenant, Dir: dir,
 					Detail: fmt.Sprintf("seq %d is a delta but seq %d is not in the log before it: the snapshot it changes is not the one replay holds", rec.Seq, rec.Seq-1),

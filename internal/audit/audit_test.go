@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -61,6 +62,43 @@ func TestCleanCorpusReport(t *testing.T) {
 	spend := rep.TenantSpend["acme"]
 	if spend <= 0 || spend > 1 {
 		t.Errorf("acme spend %.4f units, want small positive", spend)
+	}
+}
+
+// TestSnapshotKeysMatchExactly audits a journal whose plan bodies repeat the
+// billed keys and the delta marker in other letter case, as a posted body may.
+// The daemon's codec matches keys exactly and planned on the lower-case ones,
+// so the audit must equal that of the same journal without the extra keys:
+// the same spend, and no delta_base for a full body written "Delta":true.
+func TestSnapshotKeysMatchExactly(t *testing.T) {
+	oddKeys := strings.NewReplacer(`},"response"`, `,"Delta":true,"Instances":[],"INTERVAL_S":1e-9},"response"`)
+	dir := t.TempDir()
+	audited := func(odd bool) *Report {
+		// Seq 3 is journaled before seq 2: a delta there would have no base.
+		lines := []string{stCreate("s-cased", "acme"), stPlan(1, 2, "v"), stPlan(3, 4, "v"), stPlan(2, 3, "v")}
+		if odd {
+			for i := 1; i < len(lines); i++ {
+				lines[i] = oddKeys.Replace(lines[i])
+			}
+		}
+		if err := stWAL(dir, "s-cased", lines...); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Run(Config{Dirs: []string{dir}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	odd, canon := audited(true), audited(false)
+	if hasCheck(odd, "delta_base") {
+		t.Fatalf("a full body with a case-folded delta marker was audited as a delta: %+v", odd.Violations)
+	}
+	if got, want := odd.TenantSpend["acme"], canon.TenantSpend["acme"]; got != want || want != (2+4+3)*30.0/3600 {
+		t.Fatalf("acme spend %v units, want %v, the spend of the bodies' exact keys", got, want)
+	}
+	if !reflect.DeepEqual(odd.Violations, canon.Violations) {
+		t.Fatalf("violations %+v, want the canonical journal's %+v", odd.Violations, canon.Violations)
 	}
 }
 

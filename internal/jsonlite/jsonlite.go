@@ -8,9 +8,11 @@
 // The encoders are byte-identical to encoding/json — same float formatting,
 // same string escaping (including HTML escaping), same omitempty shapes —
 // so journals and golden streams cannot tell which codec produced them. The
-// Parser implements the grammar and the decode semantics hand-written
-// unmarshalers need: merge-into-existing values, last duplicate key wins,
-// and slice capacity reuse are the caller's job; the parser only scans.
+// Parser accepts exactly JSON — what json.Valid accepts, nesting limit
+// included — so a body it parsed can be stored and re-read by any JSON
+// reader. It scans; the decode semantics hand-written unmarshalers need
+// (merge-into-existing values, last duplicate key wins, slice capacity reuse)
+// are the caller's job.
 package jsonlite
 
 import (
@@ -26,7 +28,15 @@ import (
 type Parser struct {
 	Data []byte
 	Pos  int
+	// Depth is the number of objects and arrays open at Pos. A parser whose
+	// value will be embedded in a larger document may start at the enclosing
+	// depth, so what it accepts stays within MaxDepth there as well.
+	Depth int
 }
+
+// MaxDepth is encoding/json's nesting limit: a document with more objects and
+// arrays open at once is not valid to it.
+const MaxDepth = 10000
 
 // Errorf returns a decode error annotated with the current offset.
 func (p *Parser) Errorf(format string, args ...any) error {
@@ -70,9 +80,10 @@ func (p *Parser) AtEnd() bool {
 	return p.Pos == len(p.Data)
 }
 
-// Key parses an object key and returns its unescaped bytes. Keys without
-// escapes — every key this repo writes — are returned as a sub-slice of the
-// input; escaped keys take the slow path through encoding/json.
+// Key parses a string — an object key or a string value — and returns its
+// unescaped bytes. Strings without escapes — every key this repo writes — are
+// returned as a sub-slice of the input; escaped ones take the slow path
+// through encoding/json, which also checks the escapes.
 func (p *Parser) Key() ([]byte, error) {
 	start := p.Pos
 	if err := p.Expect('"'); err != nil {
@@ -99,10 +110,13 @@ func (p *Parser) Key() ([]byte, error) {
 			escaped = true
 			p.Pos += 2
 		default:
+			if p.Data[p.Pos] < 0x20 {
+				return nil, p.Errorf("control character in string")
+			}
 			p.Pos++
 		}
 	}
-	return nil, p.Errorf("unterminated object key")
+	return nil, p.Errorf("unterminated string")
 }
 
 // String parses a JSON string value.
@@ -111,82 +125,40 @@ func (p *Parser) String() (string, error) {
 	return string(raw), err
 }
 
-// SkipValue scans past one JSON value of any shape and returns its span
-// (for delegating a subtree to another decoder).
+// SkipValue scans past one JSON value of any shape and returns its span (for
+// delegating a subtree to another decoder). It is a recursive descent over the
+// same scanners the hand-written decoders use, so it accepts exactly what
+// encoding/json accepts.
 func (p *Parser) SkipValue() ([]byte, error) {
 	p.WS()
 	start := p.Pos
-	depth := 0
-	for p.Pos < len(p.Data) {
-		switch c := p.Data[p.Pos]; c {
-		case '{', '[':
-			depth++
-			p.Pos++
-		case '}', ']':
-			depth--
-			p.Pos++
-			if depth <= 0 {
-				if depth < 0 {
-					return nil, p.Errorf("unbalanced %q", c)
-				}
-				return p.Data[start:p.Pos], nil
-			}
-		case '"':
-			p.Pos++
-			for p.Pos < len(p.Data) && p.Data[p.Pos] != '"' {
-				if p.Data[p.Pos] == '\\' {
-					p.Pos++
-				}
-				p.Pos++
-			}
-			if p.Pos >= len(p.Data) {
-				return nil, p.Errorf("unterminated string")
-			}
-			p.Pos++
-			if depth == 0 {
-				return p.Data[start:p.Pos], nil
-			}
-		case ',', ':', ' ', '\t', '\n', '\r':
-			if depth == 0 {
-				return nil, p.Errorf("expected a value")
-			}
-			p.Pos++
-		default:
-			// A number or literal: scan its token.
-			tokStart := p.Pos
-			for p.Pos < len(p.Data) {
-				switch p.Data[p.Pos] {
-				case ',', '}', ']', ' ', '\t', '\n', '\r':
-					goto tokenEnd
-				}
-				p.Pos++
-			}
-		tokenEnd:
-			if tok := p.Data[tokStart:p.Pos]; !validToken(tok) {
-				p.Pos = tokStart
-				return nil, p.Errorf("invalid token %q", tok)
-			}
-			if depth == 0 {
-				return p.Data[start:p.Pos], nil
-			}
+	var err error
+	switch p.Peek() {
+	case '{':
+		err = p.Object(func([]byte) error {
+			_, err := p.SkipValue()
+			return err
+		})
+	case '[':
+		_, err = p.Array(func() error {
+			_, err := p.SkipValue()
+			return err
+		})
+	case '"':
+		_, err = p.Key()
+	case 't', 'f':
+		_, err = p.Bool()
+	case 'n':
+		if !p.Null() {
+			err = p.Errorf("expected a value")
 		}
+	default:
+		_, err = p.NumberToken()
 	}
-	return nil, p.Errorf("unterminated value")
-}
-
-// validToken reports whether a bare token is a legal JSON literal: one of
-// the three keywords or a strict-grammar number. SkipValue rejects anything
-// else ("tru", "01", ...) like encoding/json would.
-func validToken(tok []byte) bool {
-	switch string(tok) {
-	case "null", "true", "false":
-		return true
+	if err != nil {
+		return nil, err
 	}
-	sub := Parser{Data: tok}
-	if _, err := sub.NumberToken(); err != nil {
-		return false
-	}
-	return sub.Pos == len(tok)
+	return p.Data[start:p.Pos], nil
 }
 
 // NumberToken scans one JSON number (strict grammar) and returns its text.
@@ -300,11 +272,11 @@ func (p *Parser) Object(fn func(key []byte) error) error {
 	if p.Null() {
 		return nil
 	}
-	if err := p.Expect('{'); err != nil {
+	if err := p.open('{'); err != nil {
 		return err
 	}
 	if p.Peek() == '}' {
-		p.Pos++
+		p.close()
 		return nil
 	}
 	for {
@@ -322,7 +294,7 @@ func (p *Parser) Object(fn func(key []byte) error) error {
 		case ',':
 			p.Pos++
 		case '}':
-			p.Pos++
+			p.close()
 			return nil
 		default:
 			return p.Errorf("expected ',' or '}' in object")
@@ -337,11 +309,11 @@ func (p *Parser) Array(elem func() error) (bool, error) {
 	if p.Null() {
 		return false, nil
 	}
-	if err := p.Expect('['); err != nil {
+	if err := p.open('['); err != nil {
 		return false, err
 	}
 	if p.Peek() == ']' {
-		p.Pos++
+		p.close()
 		return true, nil
 	}
 	for {
@@ -352,12 +324,29 @@ func (p *Parser) Array(elem func() error) (bool, error) {
 		case ',':
 			p.Pos++
 		case ']':
-			p.Pos++
+			p.close()
 			return true, nil
 		default:
 			return true, p.Errorf("expected ',' or ']' in array")
 		}
 	}
+}
+
+// open consumes the bracket that opens an object or array, one level deeper.
+func (p *Parser) open(c byte) error {
+	if err := p.Expect(c); err != nil {
+		return err
+	}
+	if p.Depth++; p.Depth > MaxDepth {
+		return p.Errorf("exceeded max nesting depth %d", MaxDepth)
+	}
+	return nil
+}
+
+// close consumes the bracket that closes the innermost open object or array.
+func (p *Parser) close() {
+	p.Pos++
+	p.Depth--
 }
 
 // AppendFloat appends f formatted exactly as encoding/json formats floats:

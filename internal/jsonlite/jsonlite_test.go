@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -81,10 +82,64 @@ func TestSkipValueSpans(t *testing.T) {
 			t.Fatalf("%q: trailing input not consumed by AtEnd", src)
 		}
 	}
-	for _, bad := range []string{``, `[1`, `{"a":`, `"unterminated`, `tru`, `01`} {
+	for _, bad := range notJSON {
 		p := Parser{Data: []byte(bad)}
 		if _, err := p.SkipValue(); err == nil && p.AtEnd() {
 			t.Fatalf("%q: SkipValue accepted malformed input", bad)
 		}
 	}
+}
+
+// notJSON are inputs encoding/json refuses that a bracket-counting scanner
+// does not: mismatched brackets, missing colons and commas inside nested
+// values, control bytes in keys and strings, bad escapes and literals.
+var notJSON = []string{
+	``, `[1`, `{"a":`, `"unterminated`, `tru`, `01`,
+	`{"x":[1},"interval_s":60}`, `{"x":{"a" 1},"interval_s":60}`, `[1 2]`, `{"a":1 "b":2}`,
+	"{\"x\x01\":1}", "{\"x\":\"a\x01b\"}", "\"tab\tin string\"", `"\x"`, `"\u12"`,
+	`[1,]`, `{"a":1,}`, `{,}`, `nul`, `-`, `1.`, `.5`, `+1`, `[}`, `{]`,
+}
+
+// nested returns a value n arrays deep.
+func nested(n int) string { return strings.Repeat("[", n) + strings.Repeat("]", n) }
+
+// TestSkipValueNestingLimit pins encoding/json's nesting limit, and that a
+// parser started inside an enclosing document counts its levels.
+func TestSkipValueNestingLimit(t *testing.T) {
+	for _, tc := range []struct {
+		depth, start int
+		ok           bool
+	}{{MaxDepth, 0, true}, {MaxDepth + 1, 0, false}, {MaxDepth - 1, 1, true}, {MaxDepth, 1, false}} {
+		src := []byte(nested(tc.depth))
+		p := Parser{Data: src, Depth: tc.start}
+		_, err := p.SkipValue()
+		if (err == nil) != tc.ok || json.Valid(src) != (tc.depth <= MaxDepth) {
+			t.Errorf("depth %d from %d: SkipValue error %v, json.Valid %v", tc.depth, tc.start, err, json.Valid(src))
+		}
+		if err == nil && p.Depth != tc.start {
+			t.Errorf("depth %d from %d: parser left at depth %d", tc.depth, tc.start, p.Depth)
+		}
+	}
+}
+
+// FuzzSkipValue holds the scanner to encoding/json: on any input, SkipValue
+// followed by AtEnd succeeds exactly when json.Valid accepts it.
+func FuzzSkipValue(f *testing.F) {
+	for _, s := range notJSON {
+		f.Add([]byte(s))
+	}
+	for _, s := range []string{
+		`null`, `{"k":{"n":[null,true,false]},"x":"{"}`, `-0.5e-3`, "\"bad\xffutf8\xfe\"", "\"del\x7f\"",
+		`{"\u0069d":1,"a\"b":"\n\t\/\ud800"}`, nested(MaxDepth), nested(MaxDepth + 1),
+		`{"a":` + nested(MaxDepth-1) + `}`, `{"a":` + nested(MaxDepth) + `}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := Parser{Data: data}
+		_, err := p.SkipValue()
+		if got, want := err == nil && p.AtEnd(), json.Valid(data); got != want {
+			t.Fatalf("%q: SkipValue+AtEnd = %v (err %v), json.Valid = %v", data, got, err, want)
+		}
+	})
 }

@@ -46,7 +46,7 @@ func (s *Snapshot) encodedSizeHint() int {
 
 // AppendSnapshotJSON appends s encoded as JSON to dst and returns the
 // extended buffer, allowing callers with a reusable buffer (the service
-// client, the plan journal) to encode with zero garbage.
+// client) to encode with zero garbage.
 func AppendSnapshotJSON(dst []byte, s *Snapshot) ([]byte, error) {
 	if s.Workflow != nil {
 		b, err := json.Marshal((*snapshotNoMethods)(s))
@@ -243,9 +243,12 @@ func (s *Snapshot) UnmarshalJSON(data []byte) error {
 // must zero it first (fields the new body omits are otherwise stale).
 //
 // Calling it directly — instead of routing through json.Unmarshal — also
-// skips the stock machinery's separate whole-input validation pass.
+// skips the stock machinery's separate whole-input validation pass. What it
+// accepts is JSON, nested at least one level below encoding/json's limit: a
+// plan journal stores the body as posted, one level down in its record, and
+// that record must stay valid JSON too.
 func UnmarshalSnapshot(data []byte, s *Snapshot) error {
-	p := jsonlite.Parser{Data: data}
+	p := jsonlite.Parser{Data: data, Depth: 1}
 	if err := parseSnapshot(&p, s); err != nil {
 		return err
 	}

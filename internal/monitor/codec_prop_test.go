@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cloud"
 	"repro/internal/dag"
+	"repro/internal/jsonlite"
 	"repro/internal/monitor"
 	"repro/internal/simtime"
 )
@@ -154,6 +156,7 @@ func TestSnapshotDecodeOddJSON(t *testing.T) {
 		`{"tasks":[{"id":1}`,
 		`{"now_s":1}trailing`,
 	}
+	cases = append(cases, notJSONBodies...)
 	for i, src := range cases {
 		var viaCustom monitor.Snapshot
 		errCustom := monitor.UnmarshalSnapshot([]byte(src), &viaCustom)
@@ -199,4 +202,43 @@ func TestSnapshotDecodeMerges(t *testing.T) {
 	if !reflect.DeepEqual(viaCustom, monitor.Snapshot(viaStock)) {
 		t.Fatalf("merge mismatch\ncustom: %#v\nstock:  %#v", viaCustom, viaStock)
 	}
+}
+
+// notJSONBodies are snapshots made invalid in ways a bracket-counting scanner
+// lets through: mismatched brackets, a missing colon inside a nested value,
+// and control bytes in a key and in a string.
+var notJSONBodies = []string{
+	`{"x":[1},"interval_s":60}`,
+	`{"x":{"a" 1},"interval_s":60}`,
+	"{\"x\x01\":1,\"interval_s\":60}",
+	"{\"x\":\"a\x01b\",\"interval_s\":60}",
+	`{"tasks":[{"id":1,"state":"running"]},"interval_s":60}`,
+}
+
+// FuzzUnmarshalSnapshotIsJSON holds the plan body parser to the property the
+// journal relies on: whatever it accepts is JSON, and stays JSON one level
+// down in an enclosing record.
+func FuzzUnmarshalSnapshotIsJSON(f *testing.F) {
+	nested := func(n int) string { return strings.Repeat("[", n) + strings.Repeat("]", n) }
+	for _, s := range append(notJSONBodies,
+		`{"interval_s":60,"tasks":[{"id":0,"stage":0,"state":2}]}`,
+		"{\"note\":\"bad\xffutf8\",\"del\x7f\":1}",
+		`{"\u0069nterval_s":60,"tasks":[{"\u0069d":0,"state":"ready"}]}`,
+		`{"x":`+nested(jsonlite.MaxDepth-2)+`}`, `{"x":`+nested(jsonlite.MaxDepth-1)+`}`,
+		`{"x":`+nested(jsonlite.MaxDepth)+`}`,
+	) {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s monitor.Snapshot
+		if err := monitor.UnmarshalSnapshot(data, &s); err != nil {
+			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("%q: accepted, but it is not JSON", data)
+		}
+		if rec := append(append([]byte(`{"snapshot":`), data...), '}'); !json.Valid(rec) {
+			t.Fatalf("%q: accepted, but a record framed around it is not JSON", data)
+		}
+	})
 }

@@ -536,8 +536,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			"delta snapshot has no base here; post the interval as a full snapshot")
 		return
 	}
-	posted, err := sess.materialise(in)
-	if err != nil {
+	if err := sess.materialise(in); err != nil {
 		sess.mu.Unlock()
 		s.writeError(w, http.StatusBadRequest, "bad_request", "snapshot: %v", err)
 		return
@@ -573,12 +572,11 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	*body = *bytes.NewBuffer(respJSON)
 	// Journal before releasing the response: any decision a client can
 	// have observed must be re-derivable after a crash. A response that
-	// does not encode reaches neither the journal nor the client.
+	// does not encode reaches neither the journal nor the client. The record
+	// holds the body as posted: the parser accepted it, so it is JSON.
 	jerr := encErr
 	if encErr == nil {
-		lean := *posted
-		lean.Workflow = nil
-		jerr = sess.wal.appendPlan(assigned, &lean, respJSON, raw.Len())
+		jerr = sess.wal.appendPlan(assigned, raw.Bytes(), respJSON)
 	}
 	switch {
 	case jerr == nil:

@@ -23,32 +23,34 @@ func BenchmarkMetricsObserveParallel(b *testing.B) {
 	})
 }
 
-// recordedPlan is one plan interval's journal inputs, privately owned.
+// recordedPlan is one plan interval's journal inputs, privately owned: the
+// body a service.Client posts for it and the response.
 type recordedPlan struct {
-	snap     *monitor.Snapshot
-	resp     *PlanResponse
-	snapSize int
+	body []byte
+	resp *PlanResponse
 }
 
 // BenchmarkJournalAppendPlan measures what one plan spends on its response
 // encoding and WAL append — the ledger's service.journal and response-encode
 // rows — replaying a recorded catalogue stream into a real journal file under
-// each fsync mode. B/op and allocs/op show whether the pooled buffers hold.
+// each fsync mode. The snapshot bytes are what handlePlan journals, the bodies
+// the client posts: the first interval in full, every later one as its delta.
+// B/op and allocs/op show whether the pooled buffers hold.
 func BenchmarkJournalAppendPlan(b *testing.B) {
 	for _, key := range []string{"genome-s", "genome-l"} {
-		var plans []recordedPlan
-		recordPlans(b, key, 1, func(seq int64, lean *monitor.Snapshot, resp *PlanResponse) {
-			// The simulator reuses its snapshot; keep a deep copy.
-			body, err := monitor.AppendSnapshotJSON(nil, lean)
+		rs := recordStream(b, key, 1)
+		plans := make([]recordedPlan, len(rs.snaps))
+		for i, snap := range rs.snaps {
+			posted := snap
+			if i > 0 {
+				posted = deltaOf(rs.snaps[i-1], snap)
+			}
+			body, err := monitor.AppendSnapshotJSON(nil, posted)
 			if err != nil {
 				b.Fatal(err)
 			}
-			cp := new(monitor.Snapshot)
-			if err := monitor.UnmarshalSnapshot(body, cp); err != nil {
-				b.Fatal(err)
-			}
-			plans = append(plans, recordedPlan{snap: cp, resp: resp, snapSize: len(body)})
-		})
+			plans[i] = recordedPlan{body: body, resp: rs.want[i]}
+		}
 		for _, mode := range []string{FsyncOff, FsyncPerInterval, FsyncRecord} {
 			b.Run(key+"/"+mode, func(b *testing.B) {
 				srv := New(Config{JournalDir: b.TempDir(), FsyncMode: mode})
@@ -80,7 +82,7 @@ func BenchmarkJournalAppendPlan(b *testing.B) {
 						b.Fatal(err)
 					}
 					*body = *bytes.NewBuffer(respJSON)
-					if err := j.appendPlan(p.resp.Seq, p.snap, respJSON, p.snapSize); err != nil {
+					if err := j.appendPlan(p.resp.Seq, p.body, respJSON); err != nil {
 						b.Fatal(err)
 					}
 					putBuf(body)

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dag"
 	"repro/internal/dagio"
@@ -53,17 +54,18 @@ func deltaOf(prev, cur *monitor.Snapshot) *monitor.Snapshot {
 }
 
 // journaledShard is a shard-mode daemon driven through its handler, no
-// sockets: shard mode so a test can name the session.
+// sockets: shard mode so a test can name the session. Its clock never moves,
+// so two daemons' state dumps can be compared byte for byte.
 type journaledShard struct {
 	srv *Server
 	h   http.Handler
 	dir string
 }
 
-func newJournaledShard(t testing.TB) *journaledShard {
+func newJournaledShard(t testing.TB, dir string) *journaledShard {
 	t.Helper()
-	dir := t.TempDir()
-	srv := New(Config{ShardMode: true, JournalDir: dir})
+	clock := func() time.Time { return time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC) }
+	srv := New(Config{ShardMode: true, JournalDir: dir, Clock: clock})
 	return &journaledShard{srv: srv, h: srv.Handler(), dir: dir}
 }
 
@@ -73,6 +75,11 @@ func (d *journaledShard) create(t testing.TB, id string, req CreateSessionReques
 	if err != nil {
 		t.Fatal(err)
 	}
+	return d.createRaw(t, id, body)
+}
+
+func (d *journaledShard) createRaw(t testing.TB, id string, body []byte) *Session {
+	t.Helper()
 	r := httptest.NewRequest(http.MethodPost, "/v1/sessions", bytes.NewReader(body))
 	r.Header.Set(SessionIDHeader, id)
 	w := httptest.NewRecorder()
@@ -166,7 +173,7 @@ func TestDeltaEqualsFullOnEveryCatalogueStream(t *testing.T) {
 		t.Run(key, func(t *testing.T) {
 			rs := recordStream(t, key, 1)
 			id := "stream-" + key
-			full, delta := newJournaledShard(t), newJournaledShard(t)
+			full, delta := newJournaledShard(t, t.TempDir()), newJournaledShard(t, t.TempDir())
 			full.create(t, id, rs.createRequest())
 			dsess := delta.create(t, id, rs.createRequest())
 			for i, snap := range rs.snaps {
@@ -294,6 +301,9 @@ func TestRejectedPlanLeavesBaseUntouched(t *testing.T) {
 		return encode(s)
 	}
 	valid := encode(third)
+	// notJSON splices members into valid that only a scanner which counts
+	// brackets instead of matching them would let through.
+	notJSON := func(members string) []byte { return append([]byte("{"+members), valid[1:]...) }
 
 	cases := []struct {
 		name   string
@@ -305,6 +315,10 @@ func TestRejectedPlanLeavesBaseUntouched(t *testing.T) {
 		{"not JSON", 3, []byte(`{"now_s":`), http.StatusBadRequest, "bad_request"},
 		{"JSON cut off inside the records", 3, valid[:bytes.Index(valid, []byte(`"tasks":[{`))+60], http.StatusBadRequest, "bad_request"},
 		{"trailing garbage", 3, append(append([]byte(nil), valid...), "{}"...), http.StatusBadRequest, "bad_request"},
+		{"not JSON: brackets that do not match", 3, notJSON(`"x":[1},`), http.StatusBadRequest, "bad_request"},
+		{"not JSON: a nested member without its colon", 3, notJSON(`"x":{"a" 1},`), http.StatusBadRequest, "bad_request"},
+		{"not JSON: a control byte in a key", 3, notJSON("\"x\x01\":1,"), http.StatusBadRequest, "bad_request"},
+		{"not JSON: a control byte in a string", 3, notJSON("\"x\":\"a\x01b\","), http.StatusBadRequest, "bad_request"},
 		{"delta ids out of order", 3, mutate(func(d *monitor.Snapshot) { d.Tasks[0], d.Tasks[1] = d.Tasks[1], d.Tasks[0] }), http.StatusBadRequest, "bad_request"},
 		{"delta id repeated", 3, mutate(func(d *monitor.Snapshot) { d.Tasks[1].ID = d.Tasks[0].ID }), http.StatusBadRequest, "bad_request"},
 		{"delta id past the workflow", 3, mutate(func(d *monitor.Snapshot) { d.Tasks[len(d.Tasks)-1].ID = dag.TaskID(nTasks) }), http.StatusBadRequest, "bad_request"},
@@ -322,7 +336,7 @@ func TestRejectedPlanLeavesBaseUntouched(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d := newJournaledShard(t)
+			d := newJournaledShard(t, t.TempDir())
 			sess := d.create(t, "walk", rs.createRequest())
 			var second []byte
 			for i := 0; i < 2; i++ {
@@ -666,6 +680,9 @@ func FuzzDeltaApply(f *testing.F) {
 	f.Add([]byte(`{"delta":true,"interval_s":60,"charging_unit_s":300,"slots_per_instance":2,"tasks":[{"id":-1,"stage":0,"state":4}],"instances":[{"id":0,"state":"active","slots":2,"running":[99]}]}`))
 	f.Add([]byte(`{"delta":true,"tasks":null,"tasks":[{"id":1}],"interval_s":1e300,"charging_unit_s":1,"slots_per_instance":1}`))
 	f.Add(bytes.Replace(third, []byte(`"delta":true,`), nil, 1))
+	for _, members := range []string{`"x":[1},`, `"x":{"a" 1},`, "\"x\x01\":1,", "\"x\":\"a\x01b\","} {
+		f.Add(append([]byte("{"+members), third[1:]...))
+	}
 
 	// No journal and no live plane: nothing runs but the request, so the
 	// fuzzer's coverage signal is the input's own.

@@ -208,11 +208,7 @@ func replayGolden(t *testing.T, golden []byte, wantDelta []bool, reframes bool) 
 		if rec.Snapshot.Delta != wantDelta[i] {
 			t.Errorf("plan line %d: delta = %v, want %v", i+1, rec.Snapshot.Delta, wantDelta[i])
 		}
-		respJSON, err := rec.Response.AppendJSON(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		framed, err := appendPlanRecord(nil, rec.Seq, rec.Snapshot, respJSON)
+		framed, err := framedPlanRecord(rec.Seq, rec.Snapshot, rec.Response)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -242,7 +242,7 @@ type adoptedSession struct {
 // -race it is the concurrency certificate of the claim path.
 func TestAdoptManyWALsMatchesSerial(t *testing.T) {
 	const n = 24
-	donor := newJournaledShard(t)
+	donor := newJournaledShard(t, t.TempDir())
 	wf := fanWorkflow()
 	snaps := goldenSnapshots(wf)
 	for _, s := range snaps {

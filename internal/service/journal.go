@@ -32,8 +32,8 @@ import (
 // before (monitor.Snapshot.Delta) — and the response that was (about to be)
 // served.
 // Replay decodes both kinds into it, but only the create record is written by
-// marshalling it: plan records are framed by appendPlanRecord, which is held
-// to this struct's encoding byte for byte.
+// marshalling it: plan records are framed by appendPlanRecord around the body
+// as posted — for a Go client's body, this struct's encoding byte for byte.
 type walRecord struct {
 	Type string `json:"type"`
 
@@ -107,23 +107,19 @@ func (j *journal) appendCreate(rec walRecord) error {
 }
 
 // appendPlan journals one plan interval: the record is framed in a pooled
-// buffer around respJSON, the response's encoding that also becomes the HTTP
-// body, so each plan is encoded once. snapSize is the posted snapshot's body
-// length, which the re-encoded snapshot equals for any client using this
-// repo's encoder; reserving the buffer from it keeps the frame from growing
-// by doubling past the pool ceiling.
-func (j *journal) appendPlan(seq int64, snap *monitor.Snapshot, respJSON []byte, snapSize int) error {
+// buffer around snapJSON, the request body as posted, and respJSON, the
+// response's encoding that also becomes the HTTP body, so nothing on the plan
+// path is encoded twice. Reserving the buffer from both lengths keeps the
+// frame from growing by doubling past the pool ceiling.
+func (j *journal) appendPlan(seq int64, snapJSON, respJSON []byte) error {
 	if j == nil {
 		return nil
 	}
 	buf := getBuf()
 	defer putBuf(buf)
-	reserve(buf, planRecordOverhead+snapSize+len(respJSON))
-	rec, err := appendPlanRecord(buf.AvailableBuffer(), seq, snap, respJSON)
+	reserve(buf, planRecordOverhead+len(snapJSON)+len(respJSON))
+	rec := appendPlanRecord(buf.AvailableBuffer(), seq, snapJSON, respJSON)
 	*buf = *bytes.NewBuffer(rec)
-	if err != nil {
-		return err
-	}
 	return j.Append(rec)
 }
 
@@ -131,23 +127,31 @@ func (j *journal) appendPlan(seq int64, snap *monitor.Snapshot, respJSON []byte,
 // and the response.
 const planRecordOverhead = 128
 
-// appendPlanRecord appends one plan record line to dst, byte for byte what
+// appendPlanRecord appends one plan record line to dst around snapJSON, a body
+// the parser accepted, and respJSON, a response's encoding. A newline in the
+// body can only be JSON whitespace; it is written as a space to keep the
+// record one line. For monitor.AppendSnapshotJSON's encoding of snap — what
+// every Go client posts — the line is byte for byte what
 // json.Encoder.Encode(walRecord{Type: "plan", Seq: seq, Snapshot: snap,
-// Response: r}) writes when respJSON is r's encoding: that equality is the
-// WAL format contract (DESIGN.md) and what the differential and fuzz tests
-// pin. The create-only fields are omitempty and vanish; created_at is not,
-// so every plan record carries the zero time.
-func appendPlanRecord(dst []byte, seq int64, snap *monitor.Snapshot, respJSON []byte) ([]byte, error) {
+// Response: r}) writes: that equality is the WAL format contract (DESIGN.md)
+// and what the differential and fuzz tests pin. Create-only fields are
+// omitempty and vanish; created_at is not, so plan records carry the zero time.
+func appendPlanRecord(dst []byte, seq int64, snapJSON, respJSON []byte) []byte {
 	dst = append(dst, `{"type":"plan","created_at":"0001-01-01T00:00:00Z"`...)
 	if seq != 0 {
 		dst = append(dst, `,"seq":`...)
 		dst = jsonlite.AppendInt(dst, seq)
 	}
 	dst = append(dst, `,"snapshot":`...)
-	dst, err := monitor.AppendSnapshotJSON(dst, snap)
+	dst = append(dst, snapJSON...)
+	body := dst[len(dst)-len(snapJSON):]
+	for i := bytes.IndexByte(body, '\n'); i >= 0; i = bytes.IndexByte(body, '\n') {
+		body[i] = ' '
+		body = body[i+1:]
+	}
 	dst = append(dst, `,"response":`...)
 	dst = append(dst, respJSON...)
-	return append(dst, '}', '\n'), err
+	return append(dst, '}', '\n')
 }
 
 // close closes the log, removing the file when remove is set (deleted
@@ -320,7 +324,7 @@ func (s *Server) replaySession(path string, claimEpoch int64) error {
 			broken = fmt.Errorf("plan seq %d is a delta but the log's previous interval is %d", rec.Seq, sess.lastSeq)
 			return broken
 		}
-		if _, err := sess.materialise(rec.Snapshot); err != nil {
+		if err := sess.materialise(rec.Snapshot); err != nil {
 			broken = fmt.Errorf("plan seq %d: %w", rec.Seq, err)
 			return broken
 		}

@@ -31,14 +31,19 @@ func referencePlanRecord(seq int64, snap *monitor.Snapshot, resp *PlanResponse) 
 	return buf.Bytes(), err
 }
 
-// framedPlanRecord encodes the way handlePlan does: the response once, then
-// the record framed around those bytes.
+// framedPlanRecord encodes the way a Go client and handlePlan do between
+// them: the snapshot as the client posts it, the response once, then the
+// record framed around those bytes.
 func framedPlanRecord(seq int64, snap *monitor.Snapshot, resp *PlanResponse) ([]byte, error) {
+	snapJSON, err := monitor.AppendSnapshotJSON(nil, snap)
+	if err != nil {
+		return nil, err
+	}
 	respJSON, err := resp.AppendJSON(nil)
 	if err != nil {
 		return nil, err
 	}
-	return appendPlanRecord(nil, seq, snap, respJSON)
+	return appendPlanRecord(nil, seq, snapJSON, respJSON), nil
 }
 
 // requireSameFraming holds the framer to the reference on one record: the
@@ -138,7 +143,7 @@ func TestPlanRecordFramingMatchesEncoder(t *testing.T) {
 			plans++
 			snapJSON, _ := monitor.AppendSnapshotJSON(nil, lean)
 			respJSON, _ := resp.AppendJSON(nil)
-			rec, _ := appendPlanRecord(nil, seq, lean, respJSON)
+			rec := appendPlanRecord(nil, seq, snapJSON, respJSON)
 			keySnap, keyResp, keyRec = max(keySnap, len(snapJSON)), max(keyResp, len(respJSON)), max(keyRec, len(rec))
 			if over := len(rec) - len(snapJSON) - len(respJSON); over > planRecordOverhead {
 				t.Fatalf("%s seq %d: framing adds %d bytes, planRecordOverhead is %d", key, seq, over, planRecordOverhead)

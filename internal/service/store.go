@@ -112,23 +112,20 @@ func (s *Session) resetBodyScratch() *monitor.Snapshot {
 // materialise validates a decoded plan body against the session's workflow
 // and makes it the session's snapshot: a delta is folded into snapScratch, a
 // full body trades places with it (body is left holding the old one's
-// arrays). It returns the snapshot as posted — what the journal frames. A
-// rejected body leaves snapScratch exactly as it was. Whether snapScratch is
-// the delta's base is the caller's check (baseOK). The caller must hold s.mu.
-func (s *Session) materialise(body *monitor.Snapshot) (posted *monitor.Snapshot, err error) {
+// arrays). A rejected body leaves snapScratch exactly as it was. Whether
+// snapScratch is the delta's base is the caller's check (baseOK). The caller
+// must hold s.mu.
+func (s *Session) materialise(body *monitor.Snapshot) error {
 	if err := validateSnapshot(body, s.Workflow); err != nil {
-		return nil, err
+		return err
 	}
 	if body.Delta {
-		if err := s.snapScratch.ApplyDelta(body); err != nil {
-			return nil, err
-		}
-		return body, nil
+		return s.snapScratch.ApplyDelta(body)
 	}
 	s.snapScratch, *body = *body, s.snapScratch
 	// The session's DAG is authoritative; clients normally omit theirs.
 	s.snapScratch.Workflow = s.Workflow
-	return &s.snapScratch, nil
+	return nil
 }
 
 // setWAL attaches the session's journal.
