@@ -1,0 +1,74 @@
+package main
+
+import (
+	"errors"
+	"flag"
+	"os"
+	"regexp"
+	"testing"
+)
+
+// maxFlags is the binary's whole flag surface. A new flag needs a caller — a
+// CI step, a README command or a test — and a reason to raise this.
+const maxFlags = 34
+
+// TestEveryFlagHasAReadmeCaller builds every subcommand's flag set and fails
+// on a flag README.md never names: a flag nobody sets is an option nobody
+// tests, so an unused one must not come back unnoticed.
+func TestEveryFlagHasAReadmeCaller(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, fs := range []*flag.FlagSet{
+		newServeFlags().FlagSet,
+		newRouteFlags().FlagSet,
+		newAdminFlags().FlagSet,
+		newAuditFlags().FlagSet,
+		newLoadgenFlags().FlagSet,
+	} {
+		fs.VisitAll(func(fl *flag.Flag) {
+			n++
+			named := regexp.MustCompile(`(^|[^\w-])-` + regexp.QuoteMeta(fl.Name) + `($|[^\w-])`)
+			if !named.Match(readme) {
+				t.Errorf("%s: flag -%s appears nowhere in README.md", fs.Name(), fl.Name)
+			}
+		})
+	}
+	if n > maxFlags {
+		t.Errorf("%d flags across the subcommands, want at most %d", n, maxFlags)
+	}
+}
+
+// TestStrayWordsAreUsageErrors pins the command-line guard. A mistyped
+// subcommand once fell back to serve, and since flag parsing stops at the
+// first word that is not a flag, `wire-serve lodgen -server …` started a
+// daemon on the default address. Every case here must fail before anything
+// listens or dials.
+func TestStrayWordsAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"lodgen", "-server", "http://127.0.0.1:1", "-sessions", "5"},
+		{"-addr", "127.0.0.1:0", "loadgen"},
+		{"serve", "-addr", "127.0.0.1:0", "extra"},
+		{"route", "-addr", "127.0.0.1:0", "extra"},
+		{"admin", "-drain", "s1", "extra"},
+		{"loadgen", "-server", "http://127.0.0.1:1", "extra", "-sessions", "5"},
+		// Flags that left the binary with the in-process certificates.
+		{"loadgen", "-chaos"},
+		{"loadgen", "-shards", "3"},
+		{"audit", "-selftest"},
+	} {
+		if err := run(args); !errors.Is(err, errUsage) {
+			t.Errorf("wire-serve %q: got %v, want a usage error", args, err)
+		}
+	}
+}
+
+// TestAuditTakesPositionalDirs: audit is the one subcommand with positional
+// arguments, the journal directories.
+func TestAuditTakesPositionalDirs(t *testing.T) {
+	if err := run([]string{"audit", t.TempDir(), t.TempDir()}); err != nil {
+		t.Fatalf("audit over two empty journal dirs: %v", err)
+	}
+}

@@ -9,8 +9,8 @@
 //   - Transport wraps an http.RoundTripper and injects request drops,
 //     synthesized 5xx responses, post-delivery connection resets (the
 //     request WAS processed; the response is lost), and delays. It is what
-//     wire-serve's chaos loadgen puts between the retrying client and the
-//     daemon.
+//     the scenario runner's chaos certificate puts between the retrying
+//     client and the daemon.
 //   - CloudFaults implements sim.FaultInjector: lost and duplicated launch
 //     orders, dead-on-arrival instances, and straggler activation delays,
 //     layered on internal/sim's existing MTBF crash path.

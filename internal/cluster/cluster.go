@@ -29,20 +29,18 @@
 // retried across the failover is answered with the decision the dead shard
 // already released — Wire-Plan-Seq semantics hold fleet-wide.
 //
-// The certificate lives in internal/scenario (`wire-serve loadgen -shards N
-// -kill-shard`): an N-shard in-process cluster under loadgen with a mid-run
-// shard kill must finish with zero dropped sessions and every decision
-// stream byte-identical to a fault-free in-process twin. The elastic plane
-// adds two harder runs: `-rolling-restart` drains, restarts, and rejoins
-// every shard in sequence under live traffic, and `-churn N` applies a
-// seeded random schedule of kill/drain/join events (internal/chaos) — both
-// with the same zero-drop, byte-identical bar.
+// The certificates are internal/scenario's TestShardCertify* tests: an
+// N-shard in-process cluster under load with a mid-run shard kill must finish
+// with zero dropped sessions and every decision stream byte-identical to a
+// fault-free in-process twin. The elastic plane adds two harder runs:
+// TestShardCertifyRollingRestart drains, restarts, and rejoins every shard in
+// sequence under live traffic, and TestShardCertifyChurn applies a seeded
+// random schedule of kill/drain/join events (internal/chaos) — both with the
+// same zero-drop, byte-identical bar.
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 )
 
@@ -68,19 +66,6 @@ func ParseShard(s string) (Shard, error) {
 		URL:        strings.TrimRight(parts[1], "/"),
 		JournalDir: parts[2],
 	}, nil
-}
-
-// LoadShardMap reads a static shard map: a JSON array of Shard objects.
-func LoadShardMap(path string) ([]Shard, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: shard map: %w", err)
-	}
-	var shards []Shard
-	if err := json.Unmarshal(b, &shards); err != nil {
-		return nil, fmt.Errorf("cluster: shard map %s: %w", path, err)
-	}
-	return shards, nil
 }
 
 // ValidateShards checks a shard map for emptiness and duplicates.

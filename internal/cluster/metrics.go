@@ -121,6 +121,14 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		ep.RawMs = nil
 		agg.Endpoints[name] = ep
 	}
+	// A tenant with sessions on several shards is one active tenant: count the
+	// fleet-wide rows, which Merge cannot do from per-shard counts.
+	agg.Tenancy.TenantsActive = 0
+	for _, info := range mergeTenantLists(rt.fetchTenantLists(r)) {
+		if info.ActiveSessions > 0 {
+			agg.Tenancy.TenantsActive++
+		}
+	}
 
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(ClusterMetricsDump{

@@ -62,26 +62,31 @@ func (rt *Router) handleTenantCreate(w http.ResponseWriter, r *http.Request) {
 // handleTenantList fans out GET /v1/tenants to every up shard and merges the
 // rows by name, summing the counters.
 func (rt *Router) handleTenantList(w http.ResponseWriter, r *http.Request) {
-	dumps := rt.fetchTenantLists(r)
+	out := service.TenantListResponse{Tenants: mergeTenantLists(rt.fetchTenantLists(r))}
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(out)
+}
+
+// mergeTenantLists folds the shards' tenant lists into one fleet-wide row per
+// tenant, sorted by name.
+func mergeTenantLists(lists [][]service.TenantInfo) []service.TenantInfo {
 	byName := map[string]*service.TenantInfo{}
-	for _, list := range dumps {
+	for _, list := range lists {
 		for i := range list {
 			info := list[i]
 			if have := byName[info.Name]; have != nil {
 				mergeTenantInto(have, &info)
 			} else {
-				cp := info
-				byName[info.Name] = &cp
+				byName[info.Name] = &info
 			}
 		}
 	}
-	out := service.TenantListResponse{Tenants: make([]service.TenantInfo, 0, len(byName))}
+	out := make([]service.TenantInfo, 0, len(byName))
 	for _, info := range byName {
-		out.Tenants = append(out.Tenants, *info)
+		out = append(out, *info)
 	}
-	sort.Slice(out.Tenants, func(i, j int) bool { return out.Tenants[i].Name < out.Tenants[j].Name })
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }
 
 // handleTenantGet fans out GET /v1/tenants/{name}; every shard missing the

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
 	"strings"
 	"testing"
 
@@ -68,5 +70,37 @@ func TestRouterTenantFanout(t *testing.T) {
 
 	if _, err := client.Tenant(ctx, "ghost"); err == nil || !strings.Contains(err.Error(), "not_found") {
 		t.Fatalf("unknown tenant error = %v, want not_found", err)
+	}
+}
+
+// TestRouterMetricsCountTenantsOnce: a tenant active on two shards is one
+// active tenant on the router's /metrics, not one per shard.
+func TestRouterMetricsCountTenantsOnce(t *testing.T) {
+	_, rts, fleet := startFleet(t, 2, RouterConfig{})
+	wf := dagio.Encode(smallWorkflow(3))
+	for _, f := range fleet {
+		if _, err := service.NewClient(f.ts.URL).CreateSession(context.Background(), service.CreateSessionRequest{
+			Workflow: wf, Policy: "wire", Tenant: "t0",
+		}); err != nil {
+			t.Fatalf("create session on %s: %v", f.shard.Name, err)
+		}
+		if info, ok := f.srv.Tenants().Tenant("t0"); !ok || info.ActiveSessions != 1 {
+			t.Fatalf("shard %s: t0 = %+v (ok=%v), want one active session", f.shard.Name, info, ok)
+		}
+	}
+	resp, err := http.Get(rts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var dump ClusterMetricsDump
+	if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
+		t.Fatal(err)
+	}
+	if got := dump.Cluster.Tenancy.TenantsActive; got != 1 {
+		t.Fatalf("router tenants_active = %d, want 1 (one tenant, active on two shards)", got)
+	}
+	if got := dump.Cluster.Tenancy.ArrivalsTotal; got != 2 {
+		t.Fatalf("router arrivals_total = %d, want 2 (counters still sum)", got)
 	}
 }

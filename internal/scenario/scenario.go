@@ -2,8 +2,11 @@
 // of simulated workflow sessions against wire-serve — an external daemon, or
 // an in-process fleet it hosts and injects faults into — re-runs every session
 // against an in-process twin, and states the verdict. It is the harness behind
-// `wire-serve loadgen` and every certificate (chaos, cluster kill, rolling
-// restart, churn, partition); nothing in the serving packages depends on it.
+// `wire-serve loadgen`, which drives an external daemon or router, and behind
+// every certificate, each a test here: `go test -race ./internal/scenario -run
+// '^TestX$'` for TestChaosCertifyKillRestart, TestShardCertifyKill,
+// TestShardCertifyRollingRestart, TestShardCertifyChurn and
+// TestShardCertifyPartition. Nothing in the serving packages depends on it.
 //
 // Four things live here and nowhere else:
 //

@@ -309,7 +309,9 @@ func (m *Metrics) dump(now time.Time, activeSessions int, raw bool) MetricsDump 
 // endpoint raw latency windows concatenate and are re-summarized, and uptime
 // takes the maximum. The cluster router uses it to present one logical
 // /metrics document over a shard fleet. The Live block is not merged (the
-// live execution plane is not routed through the cluster front end).
+// live execution plane is not routed through the cluster front end), nor is
+// Tenancy.TenantsActive: a distinct count does not sum across daemons that
+// share tenants, so the caller derives it from the merged tenant rows.
 func (d *MetricsDump) Merge(o MetricsDump) {
 	if o.UptimeS > d.UptimeS {
 		d.UptimeS = o.UptimeS
@@ -326,7 +328,6 @@ func (d *MetricsDump) Merge(o MetricsDump) {
 	d.FaultTolerance.SessionsAdoptedTotal += o.FaultTolerance.SessionsAdoptedTotal
 	d.FaultTolerance.SessionsExportedTotal += o.FaultTolerance.SessionsExportedTotal
 	d.FaultTolerance.FencedRejectsTotal += o.FaultTolerance.FencedRejectsTotal
-	d.Tenancy.TenantsActive += o.Tenancy.TenantsActive
 	d.Tenancy.ArrivalsTotal += o.Tenancy.ArrivalsTotal
 	d.Tenancy.AdmissionsThrottledTotal += o.Tenancy.AdmissionsThrottledTotal
 	d.Tenancy.BudgetSpendRate += o.Tenancy.BudgetSpendRate
