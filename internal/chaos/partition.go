@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
-	"strings"
 	"sync"
 	"time"
 )
@@ -135,46 +134,14 @@ func (p Plan) partitionSchedule(kinds []PartitionKind, n, events int, minGap, ma
 	return out
 }
 
-// PartitionSpec is a parsed -partition nemesis spec.
+// PartitionSpec is a nemesis spec: an explicit sequence of partition kinds, or
+// a count of events whose kinds are drawn from the seed.
 type PartitionSpec struct {
-	// Kinds is the explicit event sequence ("split,oneway,slow"); nil when
-	// the spec asked for fully seeded kinds.
+	// Kinds is the explicit event sequence, one event per kind in order; nil
+	// when the kinds are drawn from the seed.
 	Kinds []PartitionKind
-	// Events is the seeded event count ("seeded:N"); ignored when Kinds is
-	// set.
+	// Events is the seeded event count; ignored when Kinds is set.
 	Events int
-}
-
-// ParsePartitionSpec parses a nemesis spec. Grammar:
-//
-//	seeded:N              N events, kinds drawn from the seed
-//	split,oneway,slow     one event per named kind, in order
-func ParsePartitionSpec(s string) (*PartitionSpec, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, fmt.Errorf("chaos: empty partition spec")
-	}
-	if rest, ok := strings.CutPrefix(s, "seeded:"); ok {
-		n := 0
-		if _, err := fmt.Sscanf(rest, "%d", &n); err != nil || n <= 0 || fmt.Sprintf("%d", n) != rest {
-			return nil, fmt.Errorf("chaos: partition spec %q: want seeded:<positive count>", s)
-		}
-		return &PartitionSpec{Events: n}, nil
-	}
-	var kinds []PartitionKind
-	for _, part := range strings.Split(s, ",") {
-		switch strings.TrimSpace(part) {
-		case "split":
-			kinds = append(kinds, PartitionSplit)
-		case "oneway":
-			kinds = append(kinds, PartitionOneWay)
-		case "slow":
-			kinds = append(kinds, PartitionSlow)
-		default:
-			return nil, fmt.Errorf("chaos: partition spec %q: unknown kind %q (want split, oneway, slow, or seeded:N)", s, part)
-		}
-	}
-	return &PartitionSpec{Kinds: kinds}, nil
 }
 
 // LinkError is the injected transport error of a cut link.

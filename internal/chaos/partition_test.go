@@ -80,29 +80,6 @@ func TestPartitionScheduleDeterministic(t *testing.T) {
 	}
 }
 
-// TestParsePartitionSpec pins the nemesis spec grammar.
-func TestParsePartitionSpec(t *testing.T) {
-	spec, err := ParsePartitionSpec("split,oneway,slow")
-	if err != nil {
-		t.Fatalf("explicit spec: %v", err)
-	}
-	if want := []PartitionKind{PartitionSplit, PartitionOneWay, PartitionSlow}; !reflect.DeepEqual(spec.Kinds, want) {
-		t.Errorf("kinds %v, want %v", spec.Kinds, want)
-	}
-	spec, err = ParsePartitionSpec("seeded:4")
-	if err != nil {
-		t.Fatalf("seeded spec: %v", err)
-	}
-	if spec.Kinds != nil || spec.Events != 4 {
-		t.Errorf("seeded:4 parsed to %+v", spec)
-	}
-	for _, bad := range []string{"", "seeded:0", "seeded:x", "seeded:1x", "split,downhill"} {
-		if _, err := ParsePartitionSpec(bad); err == nil {
-			t.Errorf("spec %q parsed", bad)
-		}
-	}
-}
-
 // drive sends n requests from each named sender to the target and returns the
 // marshaled fault log — the byte-level witness the determinism contract pins.
 func drive(t *testing.T, n *Network, senders []string, target string, reqs int) []byte {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"strconv"
 	"testing"
 )
@@ -19,7 +18,7 @@ func ringShards(n int) []string {
 // per-shard mean. The bound is what the router's placement quality rests on;
 // tightening vnodes below the default is what would break it.
 func TestRingBalance(t *testing.T) {
-	for _, n := range []int{2, 3, 5, 8} {
+	for _, n := range []int{2, 3, 5, 8, 16} {
 		r, err := NewRing(ringShards(n), DefaultVNodes)
 		if err != nil {
 			t.Fatal(err)
@@ -123,20 +122,5 @@ func TestRingErrors(t *testing.T) {
 	}
 	if _, err := NewRing([]string{"a", "a"}, 8); err == nil {
 		t.Error("duplicate shard accepted")
-	}
-}
-
-func BenchmarkRingOwner(b *testing.B) {
-	r, err := NewRing(ringShards(16), DefaultVNodes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	keys := make([]string, 1024)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("bench-session-%d", i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.Owner(keys[i&1023])
 	}
 }

@@ -78,6 +78,18 @@ func TestReplayAssignmentsFoldsLifecycle(t *testing.T) {
 	if !st.Equal(want) {
 		t.Fatalf("replayed state %+v, want %+v", st, want)
 	}
+
+	// The re-granted lease completes: the task counts once, under the new
+	// lease, and its reclaim stays on record.
+	st, err = ReplayAssignments(append(recs, Record{Kind: RecLeaseCompleted, Lease: int64Ptr(3)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	delete(want.Leased, 1)
+	want.Completed[1] = true
+	if !st.Equal(want) {
+		t.Fatalf("replayed state after completion %+v, want %+v", st, want)
+	}
 }
 
 func TestReplayAssignmentsRejectsDanglingLease(t *testing.T) {

@@ -63,7 +63,7 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 
 func TestPredictionDeterministicAcrossWorkerCounts(t *testing.T) {
 	cfg := tiny()
-	cfg.RunKeys = []string{"tpch6-s", "pagerank-s"}
+	cfg.RunKeys = []string{"genome-s", "tpch6-s", "pagerank-s"}
 	cfg.Reps, cfg.Orders = 2, 2
 	run := func(workers int) []PredictionRun {
 		c := cfg

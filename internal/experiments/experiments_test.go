@@ -132,10 +132,16 @@ func TestLinearSweepAndReport(t *testing.T) {
 	if !strings.Contains(sb.String(), "R > U") {
 		t.Fatal("report title wrong")
 	}
+	// Figure 3 also sweeps a wide stage at a coarse unit: n = 100, U/R = 100.
+	cfg.LinearNs = []int{10, 100}
+	cfg.LinearRatios = []float64{2, 10, 100}
 	var sb3 strings.Builder
 	pts3, err := LinearSweep(cfg, RLessEqualU)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(pts3) != len(cfg.LinearNs)*len(cfg.LinearRatios) {
+		t.Fatalf("fig3 points = %d", len(pts3))
 	}
 	if err := LinearReport(pts3).Render(&sb3); err != nil {
 		t.Fatal(err)

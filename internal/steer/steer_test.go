@@ -73,6 +73,17 @@ func TestResizePoolMultiSlot(t *testing.T) {
 	if got := ResizePool(load, 60, 2, 0.2); got != 1 {
 		t.Fatalf("p = %d, want 1", got)
 	}
+	// A Genome-L-sized load, 4005 tasks of 1-60 s, on 4-slot instances and
+	// 15 min units: at least one instance, at most total/u plus the tail.
+	load = make([]float64, 4005)
+	total := 0.0
+	for i := range load {
+		load[i] = float64(1 + i%60)
+		total += load[i]
+	}
+	if got := ResizePool(load, 900, 4, 0.2); got < 1 || got > int(total/900)+1 {
+		t.Fatalf("p = %d for %d tasks, total %v s", got, len(load), total)
+	}
 }
 
 func TestResizePoolZeroRemainders(t *testing.T) {
