@@ -14,10 +14,9 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/cloud"
-	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/simtime"
 	"repro/internal/trace"
@@ -41,18 +40,9 @@ func main() {
 	}
 	wf := run.Generate(*seed)
 
-	var ctrl sim.Controller
-	switch *policy {
-	case "wire":
-		ctrl = core.New(core.Config{})
-	case "full-site":
-		ctrl = baseline.Static{}
-	case "pure-reactive":
-		ctrl = baseline.PureReactive{}
-	case "reactive-conserving":
-		ctrl = &baseline.ReactiveConserving{}
-	default:
-		fmt.Fprintf(os.Stderr, "wire-trace: unknown policy %q\n", *policy)
+	ctrl, err := service.NewPolicyController(*policy, nil)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "wire-trace:", err)
 		os.Exit(1)
 	}
 

@@ -16,13 +16,12 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/cloud"
-	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/dax"
 	"repro/internal/dist"
 	"repro/internal/report"
+	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/simtime"
 	"repro/internal/workloads"
@@ -68,17 +67,12 @@ func main() {
 				Seed:         *seed,
 				Interference: dist.NewLognormalFromMean(1, 0.05),
 			}
-			var ctrl sim.Controller
-			switch policy {
-			case "full-site":
-				ctrl = baseline.Static{}
+			ctrl, err := service.NewPolicyController(policy, nil)
+			if err != nil {
+				fail(err)
+			}
+			if policy == "full-site" {
 				cfg.InitialInstances = *maxInst
-			case "pure-reactive":
-				ctrl = baseline.PureReactive{}
-			case "reactive-conserving":
-				ctrl = &baseline.ReactiveConserving{}
-			case "wire":
-				ctrl = core.New(core.Config{})
 			}
 			res, err := sim.Run(wf, ctrl, cfg)
 			if err != nil {

@@ -29,6 +29,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/dist"
 	"repro/internal/sim"
 	"repro/internal/simtime"
 )
@@ -139,41 +140,10 @@ const (
 	streamChurn     = "chaos/churn"
 )
 
-// splitmix64 is the SplitMix64 finalizer (Steele et al.): an invertible mix
-// whose outputs pass BigCrush, so nearby (seed, stream) inputs land far
-// apart. Same construction as internal/experiments' seed derivation.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func strPart(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// rng derives the private generator of one (plan, stream label, stream id).
-func (p Plan) rng(label string, stream int64) *rand.Rand {
-	h := splitmix64(uint64(p.Seed))
-	h = splitmix64(h ^ strPart(label))
-	h = splitmix64(h ^ uint64(stream))
-	return rand.New(rand.NewSource(int64(h &^ (1 << 63))))
-}
-
-// rng2 derives the generator of one (plan, label, a, b) — two-dimensional
-// streams like (task, attempt), chained through the same splitmix64 mix.
-func (p Plan) rng2(label string, a, b int64) *rand.Rand {
-	h := splitmix64(uint64(p.Seed))
-	h = splitmix64(h ^ strPart(label))
-	h = splitmix64(h ^ uint64(a))
-	h = splitmix64(h ^ uint64(b))
-	return rand.New(rand.NewSource(int64(h &^ (1 << 63))))
+// rng derives the private generator of one (plan, stream label, stream
+// coordinates) — a stream id, or two-dimensional ones like (task, attempt).
+func (p Plan) rng(label string, coords ...uint64) *rand.Rand {
+	return rand.New(rand.NewSource(dist.DeriveSeed(p.Seed, label, coords...)))
 }
 
 // TaskCrashes reports whether attempt (1-based) of the given task crashes
@@ -184,7 +154,7 @@ func (p Plan) TaskCrashes(task int64, attempt int) bool {
 	if p.TaskCrash <= 0 {
 		return false
 	}
-	return p.rng2(streamTask, task, int64(attempt)).Float64() < p.TaskCrash
+	return p.rng(streamTask, uint64(task), uint64(attempt)).Float64() < p.TaskCrash
 }
 
 // ShardKillSchedule is the shard-kill fault stream of the sharded control
@@ -290,7 +260,7 @@ func (p Plan) AgentSlowdown(stream int64) float64 {
 	if p.SlowAgent <= 0 {
 		return 1
 	}
-	if p.rng(streamAgent, stream).Float64() < p.SlowAgent {
+	if p.rng(streamAgent, uint64(stream)).Float64() < p.SlowAgent {
 		return p.SlowFactor
 	}
 	return 1
@@ -370,7 +340,7 @@ func (d *netDecider) next() NetFault {
 // Schedule returns the first n entries of stream's network fault schedule —
 // exactly what a Transport for the same (plan, stream) will inject.
 func (p Plan) Schedule(stream int64, n int) []NetFault {
-	d := &netDecider{plan: p, rng: p.rng(streamNetwork, stream)}
+	d := &netDecider{plan: p, rng: p.rng(streamNetwork, uint64(stream))}
 	out := make([]NetFault, n)
 	for i := range out {
 		out[i] = d.next()
@@ -395,8 +365,8 @@ type cloudDecider struct {
 func newCloudDecider(p Plan, stream int64) *cloudDecider {
 	return &cloudDecider{
 		plan:     p,
-		fateRng:  p.rng(streamCloud, stream),
-		stragRng: p.rng(streamStraggler, stream),
+		fateRng:  p.rng(streamCloud, uint64(stream)),
+		stragRng: p.rng(streamStraggler, uint64(stream)),
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"net/url"
 	"sync"
 	"time"
+
+	"repro/internal/dist"
 )
 
 // The partition nemesis: seeded schedules of network partitions (symmetric
@@ -261,13 +263,6 @@ func (n *Network) Slow(from, to string, maxDelay time.Duration, prob float64) {
 	n.mu.Unlock()
 }
 
-// HealLink clears the rule on one directed link.
-func (n *Network) HealLink(from, to string) {
-	n.mu.Lock()
-	delete(n.rules, linkKey{from, to})
-	n.mu.Unlock()
-}
-
 // Heal clears every rule: the network is whole again. Per-link draw streams
 // are preserved, so a later rule on the same link continues its schedule.
 func (n *Network) Heal() {
@@ -296,11 +291,7 @@ func (n *Network) decider(k linkKey) *rand.Rand {
 	if rng, ok := n.deciders[k]; ok {
 		return rng
 	}
-	h := splitmix64(uint64(n.plan.Seed))
-	h = splitmix64(h ^ strPart(streamLink))
-	h = splitmix64(h ^ strPart(k.from))
-	h = splitmix64(h ^ strPart(k.to))
-	rng := rand.New(rand.NewSource(int64(h &^ (1 << 63))))
+	rng := n.plan.rng(streamLink, dist.Label(k.from), dist.Label(k.to))
 	n.deciders[k] = rng
 	return rng
 }

@@ -74,7 +74,7 @@ func (p Plan) Transport(stream int64, next http.RoundTripper) *Transport {
 	return &Transport{
 		plan:    p,
 		next:    next,
-		decider: &netDecider{plan: p, rng: p.rng(streamNetwork, stream)},
+		decider: &netDecider{plan: p, rng: p.rng(streamNetwork, uint64(stream))},
 	}
 }
 

@@ -29,10 +29,8 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"path/filepath"
 	"strings"
@@ -144,59 +142,6 @@ func (ms *membership) setMigrating(ids []string, on bool) {
 	ms.mu.Unlock()
 }
 
-// listSessions asks one shard which sessions it hosts.
-func (ms *membership) listSessions(ctx context.Context, sh Shard) ([]string, error) {
-	lctx, cancel := context.WithTimeout(ctx, ms.cfg.AdoptTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(lctx, http.MethodGet, sh.URL+"/v1/admin/sessions", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := ms.cfg.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("list sessions: HTTP %d: %s", resp.StatusCode, b)
-	}
-	var lr service.SessionListResponse
-	if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
-		return nil, err
-	}
-	return lr.Sessions, nil
-}
-
-// export asks the donor to detach the sessions and hand over their WALs.
-func (ms *membership) export(ctx context.Context, donor Shard, ids []string, epoch int64) (*service.ExportResponse, error) {
-	body, err := json.Marshal(service.ExportRequest{SessionIDs: ids, Epoch: epoch})
-	if err != nil {
-		return nil, err
-	}
-	ectx, cancel := context.WithTimeout(ctx, ms.cfg.AdoptTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ectx, http.MethodPost, donor.URL+"/v1/admin/export", strings.NewReader(string(body)))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := ms.cfg.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("export: HTTP %d: %s", resp.StatusCode, b)
-	}
-	var er service.ExportResponse
-	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
-		return nil, err
-	}
-	return &er, nil
-}
-
 // errMigrateRolledBack marks a stalled migration whose un-adopted sessions
 // were successfully re-adopted by the donor itself: the cluster is exactly
 // as before the move and the op can safely revert its state flip.
@@ -214,12 +159,14 @@ const migrateStallRounds = 40
 // round) target until every file lands, the migration stalls, or ctx ends.
 // Sessions the donor no longer hosts just leave the migrating set — the
 // existing routing answers for them. Returns how many sessions moved.
-func (ms *membership) migrate(ctx context.Context, donor Shard, ids []string, fv *finalView, epoch int64) (int, error) {
+func (ms *membership) migrate(ctx context.Context, donor peer, ids []string, fv *finalView, epoch int64) (int, error) {
 	if len(ids) == 0 {
 		return 0, nil
 	}
 	ms.setMigrating(ids, true)
-	exp, err := ms.export(ctx, donor, ids, epoch)
+	exp, err := withTimeout(ctx, ms.cfg.AdoptTimeout, func(ctx context.Context) (*service.ExportResponse, error) {
+		return donor.api.Export(ctx, service.ExportRequest{SessionIDs: ids, Epoch: epoch})
+	})
 	if err != nil {
 		ms.setMigrating(ids, false)
 		return 0, fmt.Errorf("export from %s: %w", donor.Name, err)
@@ -425,7 +372,7 @@ func (ms *membership) drain(ctx context.Context, name string) (*DrainResult, err
 	m.state = memberDraining
 	ms.epoch++
 	epoch := ms.epoch
-	donor := m.shard
+	donor := m.peer()
 	names := make([]string, 0, len(ms.ringNames))
 	for _, n2 := range ms.ringNames {
 		if n2 != name {
@@ -453,7 +400,7 @@ func (ms *membership) drain(ctx context.Context, name string) (*DrainResult, err
 	}
 	fv := &finalView{ring: ring2, states: map[string]memberState{name: memberLeft}, adopters: rp}
 
-	ids, err := ms.listSessions(ctx, donor)
+	ids, err := withTimeout(ctx, ms.cfg.AdoptTimeout, donor.api.ListSessions)
 	if err != nil {
 		revert()
 		return nil, opErrorf(http.StatusBadGateway, "drain %s: listing sessions: %v", name, err)
@@ -518,8 +465,18 @@ func (ms *membership) join(ctx context.Context, sh Shard) (*JoinResult, error) {
 	ms.opActive.Store(true)
 	defer ms.opActive.Store(false)
 
-	// The newcomer must be reachable before anything moves toward it.
-	if err := ms.checkHealth(ctx, sh); err != nil {
+	// The newcomer must be reachable before anything moves toward it. A
+	// member rejoining at its recorded URL keeps its client.
+	ms.mu.Lock()
+	var api *service.Client
+	if m := ms.members[sh.Name]; m != nil && m.shard.URL == sh.URL {
+		api = m.api
+	}
+	ms.mu.Unlock()
+	if api == nil {
+		api = ms.newAPI(sh.URL)
+	}
+	if _, err := withTimeout(ctx, ms.cfg.HeartbeatTimeout, api.Ready); err != nil {
 		return nil, opErrorf(http.StatusBadGateway, "join %s: shard not healthy: %v", sh.Name, err)
 	}
 
@@ -551,11 +508,11 @@ func (ms *membership) join(ctx context.Context, sh Shard) (*JoinResult, error) {
 	var prevState memberState
 	switch {
 	case existing == nil:
-		ms.members[sh.Name] = &member{shard: sh, state: memberJoining}
+		ms.members[sh.Name] = &member{shard: sh, api: api, state: memberJoining}
 		ms.order = append(ms.order, sh.Name)
 	case existing.state == memberLeft || existing.state == memberFailed:
 		prevState = existing.state
-		existing.shard = sh
+		existing.shard, existing.api = sh, api
 		existing.state = memberJoining
 		existing.misses = 0
 		// A failed member's adopter pointer survives until commit: its
@@ -568,7 +525,7 @@ func (ms *membership) join(ctx context.Context, sh Shard) (*JoinResult, error) {
 		// never committed) the ring without it. Joining it again is pure
 		// repair — the same minimal-migration path puts it back on the ring.
 		prevState = existing.state
-		existing.shard = sh
+		existing.shard, existing.api = sh, api
 		existing.state = memberJoining
 		existing.misses = 0
 		rejoined = true
@@ -579,7 +536,7 @@ func (ms *membership) join(ctx context.Context, sh Shard) (*JoinResult, error) {
 		// process rejoining by name is the only way back; the member's
 		// failover goroutine observes the state change and stands down.
 		prevState = existing.state
-		existing.shard = sh
+		existing.shard, existing.api = sh, api
 		existing.state = memberJoining
 		existing.misses = 0
 		rejoined = true
@@ -640,20 +597,20 @@ func (ms *membership) join(ctx context.Context, sh Shard) (*JoinResult, error) {
 	// Every serving member is a potential donor; which sessions move is
 	// decided per session against the final view.
 	ms.mu.Lock()
-	donors := make([]Shard, 0, len(ms.order))
+	donors := make([]peer, 0, len(ms.order))
 	for _, n2 := range ms.order {
 		if n2 == sh.Name {
 			continue
 		}
 		if m := ms.members[n2]; m != nil && m.state.serving() {
-			donors = append(donors, m.shard)
+			donors = append(donors, m.peer())
 		}
 	}
 	ms.mu.Unlock()
 
 	moved := 0
 	for _, d := range donors {
-		ids, err := ms.listSessions(ctx, d)
+		ids, err := withTimeout(ctx, ms.cfg.AdoptTimeout, d.api.ListSessions)
 		if err != nil {
 			// A donor dying mid-join is the failover path's problem; its
 			// sessions will resurface on an adopter and the repair pass (or
@@ -716,16 +673,16 @@ func (ms *membership) repair(ctx context.Context, epoch int64) (int, error) {
 	total := 0
 	for pass := 0; pass < 5; pass++ {
 		ms.mu.Lock()
-		hosts := make([]Shard, 0, len(ms.order))
+		hosts := make([]peer, 0, len(ms.order))
 		for _, name := range ms.order {
 			if m := ms.members[name]; m != nil && m.state.serving() {
-				hosts = append(hosts, m.shard)
+				hosts = append(hosts, m.peer())
 			}
 		}
 		ms.mu.Unlock()
 		strays := 0
 		for _, h := range hosts {
-			ids, err := ms.listSessions(ctx, h)
+			ids, err := withTimeout(ctx, ms.cfg.AdoptTimeout, h.api.ListSessions)
 			if err != nil {
 				ms.cfg.Logf("wire-serve route: repair: listing %s: %v; skipping", h.Name, err)
 				continue
@@ -782,26 +739,4 @@ func (ms *membership) anyUpLocked() bool {
 		}
 	}
 	return false
-}
-
-// checkHealth probes one shard's /readyz once: only a ready shard counts —
-// a draining or replaying one must not be revived or join-committed yet.
-func (ms *membership) checkHealth(ctx context.Context, sh Shard) error {
-	hctx, cancel := context.WithTimeout(ctx, ms.cfg.HeartbeatTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(hctx, http.MethodGet, sh.URL+"/readyz", nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set(service.RouterIdentityHeader, "1")
-	resp, err := ms.cfg.Client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("readyz: HTTP %d", resp.StatusCode)
-	}
-	return nil
 }

@@ -1,16 +1,15 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/parallel"
 	"repro/internal/service"
 )
 
@@ -75,7 +74,10 @@ func (s memberState) serving() bool {
 }
 
 type member struct {
-	shard  Shard
+	shard Shard
+	// api speaks the shard API at shard.URL. It is built with the member and
+	// rebuilt only when a join moves the member to a new URL.
+	api    *service.Client
 	state  memberState
 	misses int
 	// adopter points at the member now serving this member's sessions after
@@ -90,6 +92,39 @@ type member struct {
 	// confirming guards against stacking peer-confirmation probes: one
 	// in-flight confirmDown per member at a time.
 	confirming bool
+}
+
+// peer is one member's shard and API client, copied out under ms.mu so the
+// call can run without it.
+type peer struct {
+	Shard
+	api *service.Client
+}
+
+func (m *member) peer() peer { return peer{m.shard, m.api} }
+
+// newAPI builds the client the router speaks the shard API through: on the
+// router's tagging transport, with the service client's default of one
+// attempt per call, so a lost probe is a miss rather than a retry.
+func (ms *membership) newAPI(url string) *service.Client {
+	return service.NewClient(url, service.WithHTTPClient(ms.cfg.Client))
+}
+
+// withTimeout runs one shard API call under its own deadline.
+func withTimeout[T any](ctx context.Context, d time.Duration, fn func(context.Context) (T, error)) (T, error) {
+	ctx, cancel := context.WithTimeout(ctx, d)
+	defer cancel()
+	return fn(ctx)
+}
+
+// fanOut calls fn on every client concurrently, each under the heartbeat
+// timeout, and returns the results in client order; a failed call leaves its
+// slot zero. One worker per shard: a slow shard must not queue another.
+func fanOut[T any](ctx context.Context, d time.Duration, clients []*service.Client, fn func(*service.Client, context.Context) (T, error)) []T {
+	return parallel.Collect(len(clients), parallel.Config{Workers: len(clients)}, func(i int) T {
+		v, _ := withTimeout(ctx, d, func(ctx context.Context) (T, error) { return fn(clients[i], ctx) })
+		return v
+	})
 }
 
 // membership is the router's shard liveness table, failover engine, and —
@@ -157,7 +192,7 @@ func newMembership(cfg RouterConfig, ring *Ring, names []string) *membership {
 	}
 	for _, sh := range cfg.Shards {
 		ms.order = append(ms.order, sh.Name)
-		ms.members[sh.Name] = &member{shard: sh}
+		ms.members[sh.Name] = &member{shard: sh, api: ms.newAPI(sh.URL)}
 	}
 	return ms
 }
@@ -299,23 +334,17 @@ func (ms *membership) opCtx() context.Context {
 // earns an automatic rejoin after FailThreshold consecutive answers.
 func (ms *membership) probeAll(ctx context.Context) {
 	ms.mu.Lock()
-	targets := make([]Shard, 0, len(ms.order))
+	targets := make([]peer, 0, len(ms.order))
 	for _, name := range ms.order {
 		if m := ms.members[name]; m.state.serving() || m.state == memberFailed || m.state == memberPartitioned {
-			targets = append(targets, m.shard)
+			targets = append(targets, m.peer())
 		}
 	}
 	ms.mu.Unlock()
-
-	var wg sync.WaitGroup
-	for _, sh := range targets {
-		wg.Add(1)
-		go func(sh Shard) {
-			defer wg.Done()
-			ms.probe(ctx, sh)
-		}(sh)
-	}
-	wg.Wait()
+	_ = parallel.ForEach(len(targets), parallel.Config{Workers: len(targets)}, func(i int) error {
+		ms.probe(ctx, targets[i])
+		return nil
+	})
 }
 
 // probe heartbeats one shard's readiness endpoint. /readyz rather than
@@ -323,29 +352,16 @@ func (ms *membership) probeAll(ctx context.Context) {
 // alive-but-not-ready (noteBusy) — it neither accrues death misses nor earns
 // comeback credit, so a replaying shard is never routed to nor rejoined
 // early. Only a transport error or a non-ready non-503 answer is a miss.
-func (ms *membership) probe(ctx context.Context, sh Shard) {
-	pctx, cancel := context.WithTimeout(ctx, ms.cfg.HeartbeatTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, sh.URL+"/readyz", nil)
-	if err != nil {
-		ms.noteFailure(sh.Name)
-		return
-	}
-	req.Header.Set(service.RouterIdentityHeader, "1")
-	resp, err := ms.cfg.Client.Do(req)
-	if err != nil {
-		ms.noteFailure(sh.Name)
-		return
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		ms.noteSuccess(sh.Name)
-	case http.StatusServiceUnavailable:
-		ms.noteBusy(sh.Name)
+func (ms *membership) probe(ctx context.Context, p peer) {
+	_, err := withTimeout(ctx, ms.cfg.HeartbeatTimeout, p.api.Ready)
+	var ae *service.APIError
+	switch {
+	case err == nil:
+		ms.noteSuccess(p.Name)
+	case errors.As(err, &ae) && ae.StatusCode == http.StatusServiceUnavailable:
+		ms.noteBusy(p.Name)
 	default:
-		ms.noteFailure(sh.Name)
+		ms.noteFailure(p.Name)
 	}
 }
 
@@ -507,44 +523,22 @@ func (ms *membership) peerConfirm(ctx context.Context, suspect string) bool {
 		ms.mu.Unlock()
 		return false
 	}
-	target := sm.shard.URL + "/readyz"
-	peers := make([]string, 0, len(ms.order))
+	target := sm.shard.URL
+	peers := make([]*service.Client, 0, len(ms.order))
 	for _, n := range ms.order {
 		if n == suspect {
 			continue
 		}
 		if m := ms.members[n]; m != nil && m.state == memberUp {
-			peers = append(peers, m.shard.URL)
+			peers = append(peers, m.api)
 		}
 	}
 	ms.mu.Unlock()
-	body, err := json.Marshal(service.ProbeRequest{URL: target})
-	if err != nil {
-		return false
-	}
-	for _, peer := range peers {
-		pctx, cancel := context.WithTimeout(ctx, ms.cfg.HeartbeatTimeout)
-		req, err := http.NewRequestWithContext(pctx, http.MethodPost, peer+"/v1/admin/probe", bytes.NewReader(body))
-		if err != nil {
-			cancel()
-			continue
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(service.RouterIdentityHeader, "1")
-		resp, err := ms.cfg.Client.Do(req)
-		if err != nil {
-			cancel()
-			continue
-		}
-		var pr service.ProbeResponse
-		derr := json.NewDecoder(resp.Body).Decode(&pr)
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		cancel()
-		if derr != nil || resp.StatusCode != http.StatusOK {
-			continue
-		}
-		if pr.Reachable {
+	for _, api := range peers {
+		pr, err := withTimeout(ctx, ms.cfg.HeartbeatTimeout, func(ctx context.Context) (*service.ProbeResponse, error) {
+			return api.RelayProbe(ctx, target)
+		})
+		if err == nil && pr.Reachable {
 			return true
 		}
 	}
@@ -666,9 +660,9 @@ func (ms *membership) reviveIfHealthy(ctx context.Context, dead string) bool {
 		ms.mu.Unlock()
 		return false
 	}
-	sh := m.shard
+	api := m.api
 	ms.mu.Unlock()
-	if err := ms.checkHealth(ctx, sh); err != nil {
+	if _, err := withTimeout(ctx, ms.cfg.HeartbeatTimeout, api.Ready); err != nil {
 		return false
 	}
 	ms.mu.Lock()
@@ -682,8 +676,8 @@ func (ms *membership) reviveIfHealthy(ctx context.Context, dead string) bool {
 	return false
 }
 
-// adopt POSTs a handoff to the adopter's admin endpoint and returns how
-// many sessions it now hosts of the offered set.
+// adopt hands journals to the adopter and returns how many sessions it now
+// hosts of the offered set.
 func (ms *membership) adopt(ctx context.Context, adopter string, areq service.AdoptRequest) (int, error) {
 	ms.mu.Lock()
 	m := ms.members[adopter]
@@ -691,31 +685,12 @@ func (ms *membership) adopt(ctx context.Context, adopter string, areq service.Ad
 		ms.mu.Unlock()
 		return 0, fmt.Errorf("adopt: unknown shard %q", adopter)
 	}
-	url := m.shard.URL
+	api := m.api
 	ms.mu.Unlock()
-	body, err := json.Marshal(areq)
+	ar, err := withTimeout(ctx, ms.cfg.AdoptTimeout, func(ctx context.Context) (*service.AdoptResponse, error) {
+		return api.Adopt(ctx, areq)
+	})
 	if err != nil {
-		return 0, err
-	}
-	actx, cancel := context.WithTimeout(ctx, ms.cfg.AdoptTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, url+"/v1/admin/adopt", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(service.RouterIdentityHeader, "1")
-	resp, err := ms.cfg.Client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return 0, fmt.Errorf("adopt: HTTP %d: %s", resp.StatusCode, b)
-	}
-	var ar service.AdoptResponse
-	if err := json.NewDecoder(resp.Body).Decode(&ar); err != nil {
 		return 0, err
 	}
 	return ar.Sessions, nil
@@ -756,14 +731,14 @@ func (ms *membership) status() map[string]ShardStatus {
 	return out
 }
 
-// upShards snapshots the serving members' shards (metrics aggregation).
-func (ms *membership) upShards() []Shard {
+// upClients snapshots the serving members' API clients (fan-outs).
+func (ms *membership) upClients() []*service.Client {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	out := make([]Shard, 0, len(ms.order))
+	out := make([]*service.Client, 0, len(ms.order))
 	for _, name := range ms.order {
 		if m := ms.members[name]; m.state.serving() {
-			out = append(out, m.shard)
+			out = append(out, m.api)
 		}
 	}
 	return out

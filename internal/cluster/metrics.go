@@ -1,11 +1,8 @@
 package cluster
 
 import (
-	"context"
 	"encoding/json"
-	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/service"
@@ -84,25 +81,14 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleMetrics aggregates the fleet: it fetches every live shard's
-// /metrics?raw=1 (raw latency windows, so quantiles are recomputed over the
+// handleMetrics aggregates the fleet: it fetches every live shard's raw
+// metrics (latency windows included, so quantiles are recomputed over the
 // merged samples rather than averaged across shards), sums the counters, and
 // wraps the result with the router's own counters and the membership table.
 // A shard that fails to answer is skipped — the membership table shows which
 // rows are missing from the aggregate.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	shards := rt.members.upShards()
-	dumps := make([]*service.MetricsDump, len(shards))
-	var wg sync.WaitGroup
-	for i, sh := range shards {
-		wg.Add(1)
-		go func(i int, sh Shard) {
-			defer wg.Done()
-			dumps[i] = rt.fetchShardMetrics(r.Context(), sh)
-		}(i, sh)
-	}
-	wg.Wait()
-
+	dumps := fanOut(r.Context(), rt.cfg.HeartbeatTimeout, rt.members.upClients(), (*service.Client).RawMetrics)
 	var agg service.MetricsDump
 	first := true
 	for _, d := range dumps {
@@ -124,7 +110,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// A tenant with sessions on several shards is one active tenant: count the
 	// fleet-wide rows, which Merge cannot do from per-shard counts.
 	agg.Tenancy.TenantsActive = 0
-	for _, info := range mergeTenantLists(rt.fetchTenantLists(r)) {
+	for _, info := range mergeTenantLists(rt.tenantLists(r)) {
 		if info.ActiveSessions > 0 {
 			agg.Tenancy.TenantsActive++
 		}
@@ -136,27 +122,4 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Shards:  rt.members.status(),
 		Cluster: agg,
 	})
-}
-
-func (rt *Router) fetchShardMetrics(ctx context.Context, sh Shard) *service.MetricsDump {
-	fctx, cancel := context.WithTimeout(ctx, rt.cfg.HeartbeatTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(fctx, http.MethodGet, sh.URL+"/metrics?raw=1", nil)
-	if err != nil {
-		return nil
-	}
-	resp, err := rt.cfg.Client.Do(req)
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	var d service.MetricsDump
-	if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
-		return nil
-	}
-	return &d
 }

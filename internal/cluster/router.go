@@ -37,8 +37,10 @@ type RouterConfig struct {
 	// replay of a big shard takes real time (default 60s).
 	AdoptTimeout time.Duration
 
-	// Client issues proxied requests, heartbeats, and handoffs (default: a
-	// pooled transport sized for the fleet).
+	// Client carries every request the router sends a shard: proxied
+	// traffic, heartbeats, handoffs and fan-outs (default: a pooled
+	// transport sized for the fleet). The router stamps each one with
+	// service.RouterIdentityHeader on its way through.
 	Client *http.Client
 	// Clock overrides the wall clock (tests).
 	Clock func() time.Time
@@ -102,6 +104,13 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
+	next := cfg.Client.Transport
+	if next == nil {
+		next = http.DefaultTransport
+	}
+	tagged := *cfg.Client
+	tagged.Transport = routerTransport{next}
+	cfg.Client = &tagged
 	names := make([]string, len(cfg.Shards))
 	for i, sh := range cfg.Shards {
 		names[i] = sh.Name
@@ -333,6 +342,23 @@ func (rt *Router) writeOpError(w http.ResponseWriter, err error) {
 	rt.writeError(w, http.StatusInternalServerError, "topology_op_failed", "%v", err)
 }
 
+// routerTag is the RouterIdentityHeader value, shared by every request.
+var routerTag = []string{"1"}
+
+// routerTransport is the one place the router marks what it sends a shard:
+// every request through RouterConfig.Client, proxied or built by a
+// service.Client, leaves with RouterIdentityHeader set. It stamps the header
+// in place rather than cloning the request — each request reaching it was
+// built by the router for this one send (proxy copies the inbound header;
+// the service client builds a fresh request per attempt) — so the proxied
+// plan path pays no allocation for the tag.
+type routerTransport struct{ next http.RoundTripper }
+
+func (t routerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	req.Header[service.RouterIdentityHeader] = routerTag
+	return t.next.RoundTrip(req)
+}
+
 // hopHeaders are not forwarded in either direction.
 var hopHeaders = []string{"Connection", "Keep-Alive", "Proxy-Connection", "Te", "Trailer", "Transfer-Encoding", "Upgrade"}
 
@@ -354,7 +380,6 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, shard Shard, ass
 	for _, h := range hopHeaders {
 		req.Header.Del(h)
 	}
-	req.Header.Set(service.RouterIdentityHeader, "1")
 	if assignID != "" {
 		req.Header.Set(service.SessionIDHeader, assignID)
 	}

@@ -1,13 +1,11 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"sort"
-	"sync"
 
 	"repro/internal/service"
 )
@@ -25,32 +23,20 @@ import (
 // spec (its gate stays unlimited) — the same soft-state contract as a shard
 // restart, where specs are re-registered by the operator or loadgen.
 func (rt *Router) handleTenantCreate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<16))
-	if err != nil {
-		rt.writeError(w, http.StatusBadRequest, "bad_request", "read body: %v", err)
-		return
-	}
 	var spec service.TenantSpec
-	if err := json.Unmarshal(body, &spec); err != nil || spec.Name == "" {
+	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&spec); err != nil || spec.Name == "" {
 		rt.writeError(w, http.StatusBadRequest, "bad_request", `tenant wants {"name", ...}`)
 		return
 	}
-	shards := rt.members.upShards()
-	if len(shards) == 0 {
+	clients := rt.members.upClients()
+	if len(clients) == 0 {
 		rt.writeError(w, http.StatusServiceUnavailable, "no_shards", "no live shards")
 		return
 	}
-	oks := make([]*service.TenantInfo, len(shards))
-	var wg sync.WaitGroup
-	for i, sh := range shards {
-		wg.Add(1)
-		go func(i int, sh Shard) {
-			defer wg.Done()
-			oks[i] = rt.postShardTenant(r, sh, body)
-		}(i, sh)
-	}
-	wg.Wait()
-	merged := mergeTenantInfos(oks)
+	merged := mergeTenantInfos(fanOut(r.Context(), rt.cfg.HeartbeatTimeout, clients,
+		func(c *service.Client, ctx context.Context) (*service.TenantInfo, error) {
+			return c.CreateTenant(ctx, spec)
+		}))
 	if merged == nil {
 		rt.writeError(w, http.StatusBadGateway, "broadcast_failed", "no shard accepted the tenant spec")
 		return
@@ -62,7 +48,7 @@ func (rt *Router) handleTenantCreate(w http.ResponseWriter, r *http.Request) {
 // handleTenantList fans out GET /v1/tenants to every up shard and merges the
 // rows by name, summing the counters.
 func (rt *Router) handleTenantList(w http.ResponseWriter, r *http.Request) {
-	out := service.TenantListResponse{Tenants: mergeTenantLists(rt.fetchTenantLists(r))}
+	out := service.TenantListResponse{Tenants: mergeTenantLists(rt.tenantLists(r))}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(out)
 }
@@ -93,18 +79,8 @@ func mergeTenantLists(lists [][]service.TenantInfo) []service.TenantInfo {
 // tenant yields 404, anything else merges into one fleet-wide row.
 func (rt *Router) handleTenantGet(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	shards := rt.members.upShards()
-	infos := make([]*service.TenantInfo, len(shards))
-	var wg sync.WaitGroup
-	for i, sh := range shards {
-		wg.Add(1)
-		go func(i int, sh Shard) {
-			defer wg.Done()
-			infos[i] = rt.getShardTenant(r, sh, "/v1/tenants/"+name)
-		}(i, sh)
-	}
-	wg.Wait()
-	merged := mergeTenantInfos(infos)
+	merged := mergeTenantInfos(fanOut(r.Context(), rt.cfg.HeartbeatTimeout, rt.members.upClients(),
+		func(c *service.Client, ctx context.Context) (*service.TenantInfo, error) { return c.Tenant(ctx, name) }))
 	if merged == nil {
 		rt.writeError(w, http.StatusNotFound, "not_found", "tenant %q not found", name)
 		return
@@ -113,66 +89,9 @@ func (rt *Router) handleTenantGet(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(merged)
 }
 
-func (rt *Router) fetchTenantLists(r *http.Request) [][]service.TenantInfo {
-	shards := rt.members.upShards()
-	dumps := make([][]service.TenantInfo, len(shards))
-	var wg sync.WaitGroup
-	for i, sh := range shards {
-		wg.Add(1)
-		go func(i int, sh Shard) {
-			defer wg.Done()
-			var resp service.TenantListResponse
-			if rt.shardJSON(r, sh, http.MethodGet, "/v1/tenants", nil, &resp) {
-				dumps[i] = resp.Tenants
-			}
-		}(i, sh)
-	}
-	wg.Wait()
-	return dumps
-}
-
-func (rt *Router) postShardTenant(r *http.Request, sh Shard, body []byte) *service.TenantInfo {
-	var info service.TenantInfo
-	if !rt.shardJSON(r, sh, http.MethodPost, "/v1/tenants", body, &info) {
-		return nil
-	}
-	return &info
-}
-
-func (rt *Router) getShardTenant(r *http.Request, sh Shard, path string) *service.TenantInfo {
-	var info service.TenantInfo
-	if !rt.shardJSON(r, sh, http.MethodGet, path, nil, &info) {
-		return nil
-	}
-	return &info
-}
-
-// shardJSON issues one JSON request against a shard under the heartbeat
-// timeout and decodes a 2xx response into out; any failure reports false.
-func (rt *Router) shardJSON(r *http.Request, sh Shard, method, path string, body []byte, out any) bool {
-	fctx, cancel := context.WithTimeout(r.Context(), rt.cfg.HeartbeatTimeout)
-	defer cancel()
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(fctx, method, sh.URL+path, rd)
-	if err != nil {
-		return false
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := rt.cfg.Client.Do(req)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return false
-	}
-	return json.NewDecoder(resp.Body).Decode(out) == nil
+// tenantLists fetches every up shard's tenant list.
+func (rt *Router) tenantLists(r *http.Request) [][]service.TenantInfo {
+	return fanOut(r.Context(), rt.cfg.HeartbeatTimeout, rt.members.upClients(), (*service.Client).Tenants)
 }
 
 // mergeTenantInfos folds per-shard rows for one tenant into a fleet-wide

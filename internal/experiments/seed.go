@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 
+	"repro/internal/dist"
 	"repro/internal/simtime"
 )
 
@@ -29,58 +30,26 @@ const (
 	streamOrder    = "order"
 )
 
-// splitmix64 is the finalizer of the SplitMix64 generator (Steele et al.,
-// "Fast Splittable Pseudorandom Number Generators"): an invertible mix
-// whose outputs pass BigCrush, so nearby inputs land far apart.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// strPart hashes a label (FNV-1a 64) into a mixable word.
-func strPart(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // unitPart folds a charging unit; units are exact small floats, so the bit
 // pattern is a stable identity.
 func unitPart(u simtime.Duration) uint64 {
 	return math.Float64bits(u)
 }
 
-// deriveSeed chains the base seed, a stream label, and the cell coordinates
-// through one splitmix round per part, returning a non-negative seed for
-// math/rand.
-func deriveSeed(base int64, stream string, parts ...uint64) int64 {
-	h := splitmix64(uint64(base))
-	h = splitmix64(h ^ strPart(stream))
-	for _, p := range parts {
-		h = splitmix64(h ^ p)
-	}
-	return int64(h &^ (1 << 63))
-}
-
 // workloadSeed generates the dataset instance of one (run, rep) cell. It
 // deliberately omits policy and unit: all policies of a rep compete on the
 // identical workload (the paper's paired design).
 func workloadSeed(base int64, runKey string, rep int64) int64 {
-	return deriveSeed(base, streamWorkload, strPart(runKey), uint64(rep))
+	return dist.DeriveSeed(base, streamWorkload, dist.Label(runKey), uint64(rep))
 }
 
 // simSeed drives the execution simulator (interference sampling) of one
 // fully qualified grid cell.
 func simSeed(base int64, runKey, policy string, unit simtime.Duration, rep int64) int64 {
-	return deriveSeed(base, streamSim, strPart(runKey), strPart(policy), unitPart(unit), uint64(rep))
+	return dist.DeriveSeed(base, streamSim, dist.Label(runKey), dist.Label(policy), unitPart(unit), uint64(rep))
 }
 
 // orderSeed shuffles one random task order of the Figure 4 replay.
 func orderSeed(base int64, runKey string, rep, ord int64) int64 {
-	return deriveSeed(base, streamOrder, strPart(runKey), uint64(rep), uint64(ord))
+	return dist.DeriveSeed(base, streamOrder, dist.Label(runKey), uint64(rep), uint64(ord))
 }

@@ -67,9 +67,9 @@ const CodeBaseMismatch = "base_mismatch"
 // escalates to a failover, either way resolving the route.
 const CodeShardPartitioned = "shard_partitioned"
 
-// RouterIdentityHeader marks requests originating from a cluster router
-// (probes, proxied traffic, handoffs). Fault-injection harnesses key on it
-// to realize one-way partitions against a real-process shard: inbound
+// RouterIdentityHeader marks every router→shard request: proxied traffic,
+// probes, handoffs and fan-outs alike. Fault-injection harnesses key on it to
+// realize one-way partitions against a real-process shard: inbound
 // router-tagged requests are dropped while untagged peer relay probes still
 // land, so the shard looks dead to the router yet alive to its peers.
 const RouterIdentityHeader = "Wire-Router"
@@ -413,13 +413,18 @@ func (c *Client) attempt(ctx context.Context, method, path string, seq int64, bo
 	return false, nil
 }
 
-// CreateSession creates a controller session.
-func (c *Client) CreateSession(ctx context.Context, req CreateSessionRequest) (*SessionInfo, error) {
-	var info SessionInfo
-	if err := c.do(ctx, http.MethodPost, "/v1/sessions", 0, req, &info); err != nil {
+// call sends one request through do and decodes a 2xx response as a T.
+func call[T any](ctx context.Context, c *Client, method, path string, in any) (*T, error) {
+	var out T
+	if err := c.do(ctx, method, path, 0, in, &out); err != nil {
 		return nil, err
 	}
-	return &info, nil
+	return &out, nil
+}
+
+// CreateSession creates a controller session.
+func (c *Client) CreateSession(ctx context.Context, req CreateSessionRequest) (*SessionInfo, error) {
+	return call[SessionInfo](ctx, c, http.MethodPost, "/v1/sessions", req)
 }
 
 // Plan posts one monitoring snapshot and returns the decision. seq is the
@@ -498,11 +503,7 @@ func (c *Client) putBase(id string, b *planBase) {
 
 // State fetches the session's run state.
 func (c *Client) State(ctx context.Context, id string) (*SessionStateResponse, error) {
-	var resp SessionStateResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/sessions/"+id+"/state", 0, nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return call[SessionStateResponse](ctx, c, http.MethodGet, "/v1/sessions/"+id+"/state", nil)
 }
 
 // DeleteSession drops the session, and with it the client's copy of its last
@@ -514,35 +515,35 @@ func (c *Client) DeleteSession(ctx context.Context, id string) error {
 
 // Health fetches the liveness document.
 func (c *Client) Health(ctx context.Context) (*HealthResponse, error) {
-	var resp HealthResponse
-	if err := c.do(ctx, http.MethodGet, "/healthz", 0, nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return call[HealthResponse](ctx, c, http.MethodGet, "/healthz", nil)
+}
+
+// Ready fetches the readiness document. A draining daemon, or a shard still
+// replaying an adoption, answers 503, returned as an *APIError.
+func (c *Client) Ready(ctx context.Context) (*HealthResponse, error) {
+	return call[HealthResponse](ctx, c, http.MethodGet, "/readyz", nil)
 }
 
 // MetricsDump fetches the daemon's metrics document.
 func (c *Client) MetricsDump(ctx context.Context) (*MetricsDump, error) {
-	var resp MetricsDump
-	if err := c.do(ctx, http.MethodGet, "/metrics", 0, nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return call[MetricsDump](ctx, c, http.MethodGet, "/metrics", nil)
+}
+
+// RawMetrics fetches the metrics document with each endpoint's raw latency
+// window, so a caller merging several daemons recomputes true quantiles.
+func (c *Client) RawMetrics(ctx context.Context) (*MetricsDump, error) {
+	return call[MetricsDump](ctx, c, http.MethodGet, "/metrics?raw=1", nil)
 }
 
 // CreateTenant creates or updates a tenant's budget and session cap.
 func (c *Client) CreateTenant(ctx context.Context, spec TenantSpec) (*TenantInfo, error) {
-	var info TenantInfo
-	if err := c.do(ctx, http.MethodPost, "/v1/tenants", 0, spec, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
+	return call[TenantInfo](ctx, c, http.MethodPost, "/v1/tenants", spec)
 }
 
 // Tenants lists every tenant the daemon has seen.
 func (c *Client) Tenants(ctx context.Context) ([]TenantInfo, error) {
-	var resp TenantListResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/tenants", 0, nil, &resp); err != nil {
+	resp, err := call[TenantListResponse](ctx, c, http.MethodGet, "/v1/tenants", nil)
+	if err != nil {
 		return nil, err
 	}
 	return resp.Tenants, nil
@@ -550,11 +551,36 @@ func (c *Client) Tenants(ctx context.Context) ([]TenantInfo, error) {
 
 // Tenant fetches one tenant's state.
 func (c *Client) Tenant(ctx context.Context, name string) (*TenantInfo, error) {
-	var info TenantInfo
-	if err := c.do(ctx, http.MethodGet, "/v1/tenants/"+name, 0, nil, &info); err != nil {
+	return call[TenantInfo](ctx, c, http.MethodGet, "/v1/tenants/"+name, nil)
+}
+
+// The shard admin API: what a cluster router asks a daemon in ShardMode.
+
+// ListSessions lists the IDs of the sessions the shard hosts.
+func (c *Client) ListSessions(ctx context.Context) ([]string, error) {
+	resp, err := call[SessionListResponse](ctx, c, http.MethodGet, "/v1/admin/sessions", nil)
+	if err != nil {
 		return nil, err
 	}
-	return &info, nil
+	return resp.Sessions, nil
+}
+
+// Export detaches sessions from the shard and returns their WAL paths for an
+// Adopt elsewhere.
+func (c *Client) Export(ctx context.Context, req ExportRequest) (*ExportResponse, error) {
+	return call[ExportResponse](ctx, c, http.MethodPost, "/v1/admin/export", req)
+}
+
+// Adopt hands the shard journal directories or exported WALs to claim and
+// replay.
+func (c *Client) Adopt(ctx context.Context, req AdoptRequest) (*AdoptResponse, error) {
+	return call[AdoptResponse](ctx, c, http.MethodPost, "/v1/admin/adopt", req)
+}
+
+// RelayProbe asks the shard to fetch another daemon's /readyz, at base, over
+// the shard's own network path and report whether it answered at all.
+func (c *Client) RelayProbe(ctx context.Context, base string) (*ProbeResponse, error) {
+	return call[ProbeResponse](ctx, c, http.MethodPost, "/v1/admin/probe", ProbeRequest{URL: strings.TrimRight(base, "/") + "/readyz"})
 }
 
 // RemoteController adapts one daemon session to sim.Controller, so the

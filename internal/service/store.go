@@ -335,14 +335,9 @@ func (st *Store) Len() int {
 	return len(st.sessions)
 }
 
-// EvictIdle removes every session idle for longer than ttl and returns how
-// many were evicted. A non-positive ttl disables eviction.
-func (st *Store) EvictIdle(ttl time.Duration) int {
-	return len(st.EvictIdleSessions(ttl))
-}
-
-// EvictIdleSessions is EvictIdle returning the evicted sessions themselves,
-// so the caller can release their tenant slots.
+// EvictIdleSessions removes every session idle for longer than ttl and
+// returns them, so the caller can release their tenant slots. A non-positive
+// ttl disables eviction.
 func (st *Store) EvictIdleSessions(ttl time.Duration) []*Session {
 	if ttl <= 0 {
 		return nil

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/dist"
 	"repro/internal/simtime"
 	"repro/internal/workloads"
 )
@@ -137,7 +138,7 @@ func Generate(cfg StreamConfig) (*Stream, error) {
 			continue
 		}
 		tenant := fmt.Sprintf("t%d", t)
-		rng := rand.New(rand.NewSource(deriveSeed(cfg.Seed, "arrivals", strPart(cfg.Process), uint64(t))))
+		rng := rand.New(rand.NewSource(dist.DeriveSeed(cfg.Seed, "arrivals", dist.Label(cfg.Process), uint64(t))))
 		times := arrivalTimes(rng, cfg, n)
 		for _, at := range times {
 			run := runs[rng.Intn(len(runs))]

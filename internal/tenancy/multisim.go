@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/monitor"
 	"repro/internal/sim"
 	"repro/internal/simtime"
@@ -242,7 +243,7 @@ func RunStream(stream *Stream, cfg MultiConfig) (*MultiResult, error) {
 		simCfg := sim.Config{
 			Cloud:    cloudCfg,
 			Interval: cfg.Interval,
-			Seed:     deriveSeed(cfg.SimSeed, "multisim", uint64(arr.Index)),
+			Seed:     dist.DeriveSeed(cfg.SimSeed, "multisim", uint64(arr.Index)),
 			Observer: func(ev sim.Event) {
 				h.acct.Observe(ev)
 				if cfg.Observer != nil {

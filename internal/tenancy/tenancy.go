@@ -119,40 +119,6 @@ func sortArrivals(arrivals []Arrival) {
 	}
 }
 
-// Seed derivation: the same splitmix64 chaining as internal/experiments —
-// every (seed, process, tenant) coordinate folds through one mix round, so
-// tenant substreams never collide and are independent of worker scheduling.
-
-// splitmix64 is the finalizer of the SplitMix64 generator: an invertible
-// mix whose outputs pass BigCrush, so nearby inputs land far apart.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// strPart hashes a label (FNV-1a 64) into a mixable word.
-func strPart(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// deriveSeed chains the base seed, a stream label, and coordinates through
-// one splitmix round per part, returning a non-negative seed for math/rand.
-func deriveSeed(base int64, stream string, parts ...uint64) int64 {
-	h := splitmix64(uint64(base))
-	h = splitmix64(h ^ strPart(stream))
-	for _, p := range parts {
-		h = splitmix64(h ^ p)
-	}
-	return int64(h &^ (1 << 63))
-}
-
 // NominalSpanS estimates a run's makespan on a fixed pool of instances×slots
 // slots from the catalog spec alone (stage means, no skew): each stage takes
 // ceil(width/slots) waves of its mean exec plus one transfer. Deadline draws
