@@ -3,29 +3,33 @@ package cluster
 // Elastic membership operations: graceful drain, join-time rebalancing, and
 // rejoin-by-name.
 //
-// Both operations share one shape:
+// Every topology change is one operation, runOp, in six steps:
 //
-//  1. Under the table lock: validate, flip the subject's state (up→draining
-//     or →joining), and issue a fresh fencing epoch.
-//  2. Compute the FINAL view — the ring as it will be after the op, plus
-//     any adopter re-points a drain forces — without installing it yet.
-//  3. List donor sessions (the draining shard's, or — for a join — every
-//     serving member's) and keep only those whose final-view resolution
-//     differs from where they are now: the minimally-remapped set.
-//  4. Move each batch: mark migrating (requests 503 + retry), export from
-//     the donor (detach + close WAL), adopt on the target (fenced copy +
-//     replay), then record a routing override so the session is servable
-//     immediately, before the ring swap.
-//  5. Commit under the lock: install the final ring and states, and compact
-//     overrides the new ring resolution now agrees with.
-//  6. Repair: re-list every serving member and migrate any stray the racing
-//     window let through (creates placed under the old ring, failover
-//     adoptions landing mid-op), until a pass finds none.
+//  1. Admit: one op at a time (a concurrent request gets 409), then the op's
+//     own check under the table lock. A member a failed drain left draining,
+//     or a failed join left joining at the same URL, is admitted again: that
+//     is the retry.
+//  2. Move the subject to its transitional state (draining, joining) and take
+//     a fresh fencing epoch, on a retry too.
+//  3. Build the FINAL view: the ring as it will be after the op, the member
+//     that is leaving it and the adopter re-points the op will commit.
+//  4. Rebalance: list each donor (the drain subject; for a join, every other
+//     serving member) and move the sessions that must move: mark them
+//     migrating (requests 503 + retry), export from the donor (detach + close
+//     WAL), adopt on the final-view target (fenced copy + replay), and record
+//     a routing override so each is servable before the ring swap.
+//  5. Commit under the lock: the subject's final state, the final ring and
+//     re-points; compact overrides the new ring now agrees with.
+//  6. Repair: rebalance every serving member against the current table to
+//     move any stray the racing window let through (creates placed under the
+//     old ring, failover adoptions landing mid-op), until a pass finds none.
 //
-// An op that fails mid-flight (donor died, router shutting down) leaves a
-// consistent, retryable cluster: moved sessions answer at their targets via
-// overrides, unmoved ones via the old ring — and a donor that died keeps
-// its exported WALs on disk where the death-failover path will find them.
+// An op that fails in step 4 (donor died, export lost, router shutting down)
+// leaves a consistent cluster: moved sessions answer at their targets via
+// overrides, unmoved ones via the old ring — and a donor that died keeps its
+// exported WALs on disk where the death-failover path will find them. The
+// op's revert rule decides whether the subject goes back; otherwise it stays
+// transitional until the request is run again.
 
 import (
 	"context"
@@ -33,7 +37,9 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/service"
@@ -67,66 +73,14 @@ type JoinResult struct {
 }
 
 // finalView is the membership overlay an in-flight elastic operation
-// resolves migration targets against: the post-op ring plus the state and
-// adopter changes the op will commit. Liveness stays live — an overlay can
-// promote a joining member to up, but a member the prober has since
-// declared dead resolves through its (overlaid) adopter chain, not the
-// overlay's optimism.
+// resolves migration targets against (see followLocked): the post-op ring,
+// the member the op takes off it, and the adopter re-points it will commit.
 type finalView struct {
-	ring     *Ring
-	states   map[string]memberState
+	ring *Ring
+	// leaving is a drain's subject: targets must avoid it even while it
+	// still serves.
+	leaving  string
 	adopters map[string]string
-}
-
-// finalTargetLocked resolves where id must live under the final view,
-// requiring the terminal member to be serving RIGHT NOW (it is about to be
-// asked to adopt). ok=false means the chain currently ends somewhere that
-// cannot accept an adoption yet (recovering); the migration loop re-resolves
-// and retries. A nil view resolves under the current table (repair pass).
-func (ms *membership) finalTargetLocked(fv *finalView, id string) (Shard, bool) {
-	var name string
-	switch {
-	case fv != nil:
-		name = fv.ring.Owner(id)
-	default:
-		var ok bool
-		if name, ok = ms.overrides[id]; !ok {
-			name = ms.ring.Owner(id)
-		}
-	}
-	for hops := 0; hops <= len(ms.order)+1; hops++ {
-		m := ms.members[name]
-		if m == nil {
-			return Shard{}, false
-		}
-		st := m.state
-		ad := m.adopter
-		if fv != nil {
-			if ov, ok := fv.states[name]; ok {
-				switch {
-				case ov == memberLeft:
-					// The drain subject: targets must avoid it even while
-					// it still serves.
-					st = memberLeft
-				case ov == memberUp && st == memberJoining:
-					// The join subject: adoptable while actually alive.
-					st = memberUp
-				}
-			}
-			if ov, ok := fv.adopters[name]; ok {
-				ad = ov
-			}
-		}
-		switch {
-		case st.serving():
-			return m.shard, true
-		case st == memberFailed && ad != "":
-			name = ad
-		default:
-			return Shard{}, false
-		}
-	}
-	return Shard{}, false
 }
 
 // setMigrating marks or clears a batch of sessions as mid-handoff.
@@ -193,7 +147,7 @@ func (ms *membership) migrate(ctx context.Context, donor peer, ids []string, fv 
 		groups := make(map[string][]string)
 		ms.mu.Lock()
 		for id := range files {
-			if sh, ok := ms.finalTargetLocked(fv, id); ok {
+			if sh, st := ms.placeLocked(id, fv); st == routeOK {
 				groups[sh.Name] = append(groups[sh.Name], id)
 			}
 		}
@@ -252,39 +206,21 @@ func (ms *membership) migrate(ctx context.Context, donor peer, ids []string, fv 
 
 // repointsLocked computes new adopter pointers for failed members whose
 // adopter chains currently terminate at avoid (their sessions live on the
-// member about to drain out): each is re-pointed at the first fully-up
-// member after it in order, skipping avoid. The drain migration then moves
-// those sessions to exactly that member, keeping the single-pointer model
-// consistent.
+// member about to drain out): each is re-pointed at its successor, skipping
+// avoid. The drain migration then moves those sessions to exactly that
+// member, keeping the single-pointer model consistent.
 func (ms *membership) repointsLocked(avoid string) (map[string]string, error) {
 	rp := make(map[string]string)
 	for name, m := range ms.members {
 		if m.state != memberFailed {
 			continue
 		}
-		if sh, st := ms.followLocked(name); st != routeOK || sh.Name != avoid {
+		if sh, st := ms.followLocked(name, nil); st != routeOK || sh.Name != avoid {
 			continue
 		}
-		idx := -1
-		for i, n := range ms.order {
-			if n == name {
-				idx = i
-				break
-			}
-		}
-		if idx == -1 {
-			return nil, fmt.Errorf("cluster: failed shard %q is not in the membership order", name)
-		}
-		target := ""
-		for off := 1; off <= len(ms.order); off++ {
-			cand := ms.order[(idx+off)%len(ms.order)]
-			if cand == name || cand == avoid {
-				continue
-			}
-			if cm := ms.members[cand]; cm != nil && cm.state == memberUp {
-				target = cand
-				break
-			}
+		target, err := ms.successorLocked(name, avoid)
+		if err != nil {
+			return nil, err
 		}
 		if target == "" {
 			return nil, fmt.Errorf("cluster: no live peer to re-point failed shard %q away from %q", name, avoid)
@@ -327,13 +263,143 @@ func (ms *membership) shouldRetry404(id, askedShard string) bool {
 	if ms.inGrace() {
 		return true
 	}
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	if ms.migrating[id] {
-		return true
-	}
-	sh, st := ms.resolveSessionLocked(id)
+	sh, st := ms.resolveSession(id)
 	return st != routeOK || sh.Name != askedShard
+}
+
+// topoOp is one topology change as its admission planned it: the parts of a
+// drain or a join that differ. runOp is everything they share.
+type topoOp struct {
+	verb    string // "drain" or "join", for errors and logs
+	subject string
+	// names is the ring membership after the op; view.ring is built from it.
+	names   []string
+	view    finalView
+	donors  []peer
+	counter *atomic.Int64
+	// enter moves the subject to its transitional state; commit installs its
+	// final state after a full rebalance. Both run under ms.mu.
+	enter  func()
+	commit func()
+	// revert runs after a failed rebalance and undoes enter when the op's
+	// rule says the cluster is as it was before.
+	revert func(moved int, err error)
+}
+
+// runOp runs one topology change (see the file comment for its steps):
+// admit runs under the table lock and refuses the op or plans it.
+func (ms *membership) runOp(ctx context.Context, admit func() (*topoOp, error)) (epoch int64, moved int, err error) {
+	if !ms.opMu.TryLock() {
+		return 0, 0, opErrorf(http.StatusConflict, "another topology operation is in progress; retry")
+	}
+	defer ms.opMu.Unlock()
+	ms.opActive.Store(true)
+	defer ms.opActive.Store(false)
+
+	ms.mu.Lock()
+	op, err := admit()
+	if err != nil {
+		ms.mu.Unlock()
+		return 0, 0, err
+	}
+	if op.view.ring, err = NewRing(op.names, ms.cfg.VNodes); err != nil {
+		ms.mu.Unlock()
+		return 0, 0, opErrorf(http.StatusInternalServerError, "%s %s: rebuilding ring: %v", op.verb, op.subject, err)
+	}
+	op.enter()
+	ms.epoch++
+	epoch = ms.epoch
+	ms.mu.Unlock()
+
+	if _, moved, err = ms.rebalance(ctx, op.verb, op.donors, &op.view, epoch); err != nil {
+		op.revert(moved, err)
+		return 0, 0, opErrorf(http.StatusBadGateway, "%s %s: %v", op.verb, op.subject, err)
+	}
+
+	ms.mu.Lock()
+	op.commit()
+	ms.ring = op.view.ring
+	ms.ringNames = op.names
+	ms.compactOverridesLocked()
+	ms.mu.Unlock()
+	op.counter.Add(1)
+	ms.beginGrace()
+
+	if n, rerr := ms.repair(ctx, epoch); rerr != nil {
+		ms.cfg.Logf("wire-serve route: post-%s repair: %v", op.verb, rerr)
+	} else {
+		moved += n
+	}
+	ms.beginGrace()
+	ms.cfg.Logf("wire-serve route: %s %s done: %d session(s) moved, ring now %v (epoch %d)", op.verb, op.subject, moved, op.names, epoch)
+	return epoch, moved, nil
+}
+
+// errUnlisted marks a leaving donor the op could not list: nothing moved.
+var errUnlisted = errors.New("cluster: donor could not be listed")
+
+// rebalance lists each donor's sessions and migrates the ones that must move
+// at epoch. A donor leaving under fv moves every session it lists, and one
+// that cannot be listed fails the op. Any other donor moves only the
+// sessions whose target under fv (the current table when fv is nil)
+// resolves to another member, leaves those already mid-migration alone, and
+// is skipped when it cannot be listed — if it died, its sessions resurface
+// on an adopter for the repair pass or a retried op. It returns how many
+// sessions it picked and how many moved.
+func (ms *membership) rebalance(ctx context.Context, verb string, donors []peer, fv *finalView, epoch int64) (picked, moved int, err error) {
+	for _, d := range donors {
+		moveAll := fv != nil && fv.leaving == d.Name
+		ids, err := withTimeout(ctx, ms.cfg.AdoptTimeout, d.api.ListSessions)
+		if err != nil {
+			if moveAll {
+				return picked, moved, fmt.Errorf("listing sessions on %s: %v: %w", d.Name, err, errUnlisted)
+			}
+			ms.cfg.Logf("wire-serve route: %s: listing %s: %v; skipping donor", verb, d.Name, err)
+			continue
+		}
+		move := ids
+		if !moveAll {
+			move = nil
+			ms.mu.Lock()
+			for _, id := range ids {
+				if ms.migrating[id] {
+					continue
+				}
+				if t, st := ms.placeLocked(id, fv); st == routeOK && t.Name != d.Name {
+					move = append(move, id)
+				}
+			}
+			ms.mu.Unlock()
+		}
+		picked += len(move)
+		n, err := ms.migrate(ctx, d, move, fv, epoch)
+		moved += n
+		if err != nil {
+			return picked, moved, err
+		}
+	}
+	return picked, moved, nil
+}
+
+// repair rebalances every serving member against the current table: any
+// session hosted away from its resolution is a stray from the op's racing
+// window. It repeats until a pass finds none (at most five passes).
+func (ms *membership) repair(ctx context.Context, epoch int64) (int, error) {
+	total := 0
+	for pass := 0; pass < 5; pass++ {
+		ms.mu.Lock()
+		hosts := ms.peersLocked(memberState.serving, "")
+		ms.mu.Unlock()
+		strays, n, err := ms.rebalance(ctx, "repair", hosts, nil, epoch)
+		total += n
+		ms.mu.Lock()
+		ms.compactOverridesLocked()
+		ms.mu.Unlock()
+		if err != nil || strays == 0 {
+			return total, err
+		}
+	}
+	return total, nil
 }
 
 // drain gracefully decommissions a shard: new sessions stop landing on it,
@@ -341,110 +407,62 @@ func (ms *membership) shouldRetry404(id, askedShard string) bool {
 // leaves the ring. The shard process itself stays up throughout — it is the
 // donor — and can be stopped once drain returns.
 func (ms *membership) drain(ctx context.Context, name string) (*DrainResult, error) {
-	if !ms.opMu.TryLock() {
-		return nil, opErrorf(http.StatusConflict, "another topology operation is in progress; retry")
-	}
-	defer ms.opMu.Unlock()
-	ms.opActive.Store(true)
-	defer ms.opActive.Store(false)
-
-	ms.mu.Lock()
-	m := ms.members[name]
-	if m == nil {
-		ms.mu.Unlock()
-		return nil, opErrorf(http.StatusNotFound, "unknown shard %q", name)
-	}
-	if m.state != memberUp {
-		st := m.state
-		ms.mu.Unlock()
-		return nil, opErrorf(http.StatusConflict, "shard %s is %s; only an up shard can drain", name, st)
-	}
-	liveOthers := 0
-	for n2, m2 := range ms.members {
-		if n2 != name && m2.state == memberUp {
-			liveOthers++
+	admit := func() (*topoOp, error) {
+		m := ms.members[name]
+		if m == nil {
+			return nil, opErrorf(http.StatusNotFound, "unknown shard %q", name)
 		}
-	}
-	if liveOthers == 0 {
-		ms.mu.Unlock()
-		return nil, opErrorf(http.StatusConflict, "cannot drain %s: it is the last live shard", name)
-	}
-	m.state = memberDraining
-	ms.epoch++
-	epoch := ms.epoch
-	donor := m.peer()
-	names := make([]string, 0, len(ms.ringNames))
-	for _, n2 := range ms.ringNames {
-		if n2 != name {
-			names = append(names, n2)
+		// A drain that failed mid-rebalance left its member draining; running
+		// it again finishes the job.
+		if m.state != memberUp && m.state != memberDraining {
+			return nil, opErrorf(http.StatusConflict, "shard %s is %s; only an up or draining shard can drain", name, m.state)
 		}
-	}
-	rp, rpErr := ms.repointsLocked(name)
-	ms.mu.Unlock()
-
-	revert := func() {
-		ms.mu.Lock()
-		if mm := ms.members[name]; mm != nil && mm.state == memberDraining {
-			mm.state = memberUp
+		if len(ms.peersLocked(memberState.up, name)) == 0 {
+			return nil, opErrorf(http.StatusConflict, "cannot drain %s: it is the last live shard", name)
 		}
-		ms.mu.Unlock()
+		rp, err := ms.repointsLocked(name)
+		if err != nil {
+			return nil, opErrorf(http.StatusConflict, "drain %s: %v", name, err)
+		}
+		names := slices.DeleteFunc(slices.Clone(ms.ringNames), func(n string) bool { return n == name })
+		return &topoOp{
+			verb: "drain", subject: name, names: names,
+			view:    finalView{leaving: name, adopters: rp},
+			donors:  []peer{m.peer()},
+			counter: &ms.drains,
+			enter:   func() { m.state = memberDraining },
+			commit: func() {
+				if m.state == memberDraining {
+					m.state = memberLeft
+					m.adopter = ""
+					m.misses = 0
+				}
+				for f, a := range rp {
+					ms.members[f].adopter = a
+				}
+			},
+			revert: func(_ int, err error) {
+				// Everything un-moved is hosted by the donor again (or never
+				// left it): return it to full service; moved sessions stay with
+				// their adopters via overrides. After any other failure (export
+				// lost, donor died) it stays draining: the prober owns it like
+				// any serving member, so a death falls back to failover, and a
+				// retried drain moves what is left.
+				if !errors.Is(err, errMigrateRolledBack) && !errors.Is(err, errUnlisted) {
+					return
+				}
+				ms.mu.Lock()
+				if m.state == memberDraining {
+					m.state = memberUp
+				}
+				ms.mu.Unlock()
+			},
+		}, nil
 	}
-	if rpErr != nil {
-		revert()
-		return nil, opErrorf(http.StatusConflict, "drain %s: %v", name, rpErr)
-	}
-	ring2, err := NewRing(names, ms.cfg.VNodes)
+	epoch, moved, err := ms.runOp(ctx, admit)
 	if err != nil {
-		revert()
-		return nil, opErrorf(http.StatusInternalServerError, "drain %s: rebuilding ring: %v", name, err)
+		return nil, err
 	}
-	fv := &finalView{ring: ring2, states: map[string]memberState{name: memberLeft}, adopters: rp}
-
-	ids, err := withTimeout(ctx, ms.cfg.AdoptTimeout, donor.api.ListSessions)
-	if err != nil {
-		revert()
-		return nil, opErrorf(http.StatusBadGateway, "drain %s: listing sessions: %v", name, err)
-	}
-	ms.cfg.Logf("wire-serve route: draining %s: migrating %d session(s) (epoch %d)", name, len(ids), epoch)
-	moved, err := ms.migrate(ctx, donor, ids, fv, epoch)
-	if err != nil {
-		if errors.Is(err, errMigrateRolledBack) {
-			// Everything un-moved is hosted by the donor again: return it
-			// to full service. Already-moved sessions stay with their
-			// adopters via overrides.
-			revert()
-			return nil, opErrorf(http.StatusBadGateway, "drain %s: %v", name, err)
-		}
-		// Donor died or export failed mid-drain: leave the member state
-		// as-is — the heartbeat prober owns a draining member like any
-		// other, so an unplanned death mid-drain falls back to failover.
-		// Moved sessions answer via overrides; the op is retryable.
-		return nil, opErrorf(http.StatusBadGateway, "drain %s: %v", name, err)
-	}
-
-	ms.mu.Lock()
-	if mm := ms.members[name]; mm != nil && mm.state == memberDraining {
-		mm.state = memberLeft
-		mm.adopter = ""
-		mm.misses = 0
-	}
-	ms.ring = ring2
-	ms.ringNames = names
-	for f, a := range rp {
-		ms.members[f].adopter = a
-	}
-	ms.compactOverridesLocked()
-	ms.mu.Unlock()
-	ms.drains.Add(1)
-	ms.beginGrace()
-
-	if n, rerr := ms.repair(ctx, epoch); rerr != nil {
-		ms.cfg.Logf("wire-serve route: post-drain repair: %v", rerr)
-	} else {
-		moved += n
-	}
-	ms.beginGrace()
-	ms.cfg.Logf("wire-serve route: drained %s: %d session(s) moved, ring now %v (epoch %d)", name, moved, names, epoch)
 	return &DrainResult{Shard: name, Epoch: epoch, SessionsMoved: moved}, nil
 }
 
@@ -458,17 +476,10 @@ func (ms *membership) join(ctx context.Context, sh Shard) (*JoinResult, error) {
 	if sh.Name == "" || sh.URL == "" || sh.JournalDir == "" {
 		return nil, opErrorf(http.StatusBadRequest, "join: name, url, and journal_dir are all required")
 	}
-	if !ms.opMu.TryLock() {
-		return nil, opErrorf(http.StatusConflict, "another topology operation is in progress; retry")
-	}
-	defer ms.opMu.Unlock()
-	ms.opActive.Store(true)
-	defer ms.opActive.Store(false)
-
 	// The newcomer must be reachable before anything moves toward it. A
 	// member rejoining at its recorded URL keeps its client.
-	ms.mu.Lock()
 	var api *service.Client
+	ms.mu.Lock()
 	if m := ms.members[sh.Name]; m != nil && m.shard.URL == sh.URL {
 		api = m.api
 	}
@@ -479,243 +490,114 @@ func (ms *membership) join(ctx context.Context, sh Shard) (*JoinResult, error) {
 	if _, err := withTimeout(ctx, ms.cfg.HeartbeatTimeout, api.Ready); err != nil {
 		return nil, opErrorf(http.StatusBadGateway, "join %s: shard not healthy: %v", sh.Name, err)
 	}
-
-	ms.mu.Lock()
-	onRing := false
-	for _, n2 := range ms.ringNames {
-		if n2 == sh.Name {
-			onRing = true
-			break
-		}
-	}
-	// A partitioned member (or one mid-confirmation) cannot be enumerated
-	// as a migration donor, yet it may host sessions whose routing depends
-	// on the adopter chain or ring assignment this join is about to change
-	// — flipping a rejoiner to serving would orphan them (routed to a shard
-	// that fenced them away, answered with 404s). Partitions are transient:
-	// defer the join and let the auto-rejoin retry after the link heals. A
-	// partition that never heals escalates to a real failover, which also
-	// unblocks this path.
-	for n2, m := range ms.members {
-		if m.state == memberPartitioned || m.confirming {
-			ms.mu.Unlock()
-			return nil, opErrorf(http.StatusServiceUnavailable,
-				"join %s deferred: shard %s is partitioned from the router; its hosted sessions cannot be rebalanced until the link heals", sh.Name, n2)
-		}
-	}
-	existing := ms.members[sh.Name]
 	rejoined := false
-	var prevState memberState
-	switch {
-	case existing == nil:
-		ms.members[sh.Name] = &member{shard: sh, api: api, state: memberJoining}
-		ms.order = append(ms.order, sh.Name)
-	case existing.state == memberLeft || existing.state == memberFailed:
-		prevState = existing.state
-		existing.shard, existing.api = sh, api
-		existing.state = memberJoining
-		existing.misses = 0
-		// A failed member's adopter pointer survives until commit: its
-		// sessions still live on the adopter and must stay routable while
-		// they migrate back.
-		rejoined = true
-	case existing.state == memberUp && !onRing:
-		// Up but absent from the ring: a spurious death declaration revived
-		// the member after an interrupted drain or join already swapped (or
-		// never committed) the ring without it. Joining it again is pure
-		// repair — the same minimal-migration path puts it back on the ring.
-		prevState = existing.state
-		existing.shard, existing.api = sh, api
-		existing.state = memberJoining
-		existing.misses = 0
-		rejoined = true
-	case existing.state == memberRecovering && !ms.anyUpLocked():
-		// Cluster-down bootstrap: every member is dead or dying, so the
-		// failover engine has no adopter to hand this member's sessions to
-		// and would otherwise hold it in recovering forever. A restarted
-		// process rejoining by name is the only way back; the member's
-		// failover goroutine observes the state change and stands down.
-		prevState = existing.state
-		existing.shard, existing.api = sh, api
-		existing.state = memberJoining
-		existing.misses = 0
-		rejoined = true
-	default:
-		st := existing.state
-		ms.mu.Unlock()
-		return nil, opErrorf(http.StatusConflict, "shard %s is %s; only an unknown, left, or failed shard can join", sh.Name, st)
-	}
-	ms.epoch++
-	epoch := ms.epoch
-	names := ms.ringNames
-	if !onRing {
-		names = append(append([]string(nil), ms.ringNames...), sh.Name)
-	}
-	curRing := ms.ring
-	ms.mu.Unlock()
-
-	revert := func() {
-		ms.mu.Lock()
-		respawn := false
-		if mm := ms.members[sh.Name]; mm != nil && mm.state == memberJoining {
-			if existing == nil {
-				delete(ms.members, sh.Name)
-				for i, n2 := range ms.order {
-					if n2 == sh.Name {
-						ms.order = append(ms.order[:i], ms.order[i+1:]...)
-						break
+	admit := func() (*topoOp, error) {
+		// A partitioned member (or one mid-confirmation) cannot be enumerated
+		// as a migration donor, yet it may host sessions whose routing depends
+		// on the adopter chain or ring assignment this join is about to change
+		// — flipping a rejoiner to serving would orphan them (routed to a shard
+		// that fenced them away, answered with 404s). Partitions are transient:
+		// defer the join and let the auto-rejoin retry after the link heals. A
+		// partition that never heals escalates to a real failover, which also
+		// unblocks this path.
+		for n2, m := range ms.members {
+			if m.state == memberPartitioned || m.confirming {
+				return nil, opErrorf(http.StatusServiceUnavailable,
+					"join %s deferred: shard %s is partitioned from the router; its hosted sessions cannot be rebalanced until the link heals", sh.Name, n2)
+			}
+		}
+		onRing := slices.Contains(ms.ringNames, sh.Name)
+		existing := ms.members[sh.Name]
+		var prevState memberState
+		if existing != nil {
+			prevState = existing.state
+			switch {
+			case prevState == memberLeft || prevState == memberFailed:
+				// A failed member's adopter pointer survives until commit: its
+				// sessions still live on the adopter and must stay routable
+				// while they migrate back.
+			case prevState == memberUp && !onRing:
+				// Up but absent from the ring: a spurious death declaration
+				// revived the member after an interrupted drain or join already
+				// swapped (or never committed) the ring without it. Joining it
+				// again is pure repair — the same minimal-migration path puts it
+				// back on the ring.
+			case prevState == memberRecovering && len(ms.peersLocked(memberState.up, "")) == 0:
+				// Cluster-down bootstrap: every member is dead or dying, so the
+				// failover engine has no adopter to hand this member's sessions
+				// to and would otherwise hold it in recovering forever. A
+				// restarted process rejoining by name is the only way back; the
+				// member's failover goroutine observes the state change and
+				// stands down.
+			case prevState == memberJoining && existing.shard.URL == sh.URL:
+				// A join that failed mid-rebalance left the member joining;
+				// running it again finishes the job.
+			default:
+				return nil, opErrorf(http.StatusConflict, "shard %s is %s; only an unknown, left, or failed shard (or one whose join failed) can join", sh.Name, prevState)
+			}
+		}
+		rejoined = existing != nil
+		names := ms.ringNames
+		if !onRing {
+			names = append(slices.Clone(ms.ringNames), sh.Name)
+		}
+		return &topoOp{
+			verb: "join", subject: sh.Name, names: names,
+			view: finalView{adopters: map[string]string{sh.Name: ""}},
+			// Every serving member is a potential donor; which sessions
+			// move is decided per session against the final view.
+			donors:  ms.peersLocked(memberState.serving, sh.Name),
+			counter: &ms.joins,
+			enter: func() {
+				if existing == nil {
+					ms.members[sh.Name] = &member{shard: sh, api: api, state: memberJoining}
+					ms.order = append(ms.order, sh.Name)
+					return
+				}
+				existing.shard, existing.api = sh, api
+				existing.state = memberJoining
+				existing.misses = 0
+			},
+			commit: func() {
+				if m := ms.members[sh.Name]; m != nil && m.state == memberJoining {
+					m.state = memberUp
+					m.adopter = ""
+					m.misses = 0
+				}
+			},
+			revert: func(moved int, err error) {
+				// Only when nothing landed anywhere and the donors hold
+				// everything again is the join a clean no-op: undo the state
+				// flip and let a retry start fresh.
+				if moved > 0 || !errors.Is(err, errMigrateRolledBack) {
+					return
+				}
+				ms.mu.Lock()
+				respawn := false
+				if m := ms.members[sh.Name]; m != nil && m.state == memberJoining {
+					if existing == nil {
+						delete(ms.members, sh.Name)
+						ms.order = slices.DeleteFunc(ms.order, func(n string) bool { return n == sh.Name })
+					} else {
+						m.state = prevState
+						// A member returned to recovering must again have a
+						// failover goroutine owning it — the previous one stood
+						// down when the join flipped the state.
+						respawn = prevState == memberRecovering
 					}
 				}
-			} else {
-				mm.state = prevState
-				// A member returned to recovering must again have a
-				// failover goroutine owning it — the previous one stood
-				// down when the join flipped the state.
-				respawn = prevState == memberRecovering
-			}
-		}
-		ms.mu.Unlock()
-		if respawn {
-			go ms.failover(ms.opCtx(), sh.Name)
-		}
+				ms.mu.Unlock()
+				if respawn {
+					go ms.failover(ms.opCtx(), sh.Name)
+				}
+			},
+		}, nil
 	}
-
-	ring2 := curRing
-	if !onRing {
-		var err error
-		if ring2, err = NewRing(names, ms.cfg.VNodes); err != nil {
-			revert()
-			return nil, opErrorf(http.StatusInternalServerError, "join %s: rebuilding ring: %v", sh.Name, err)
-		}
+	epoch, moved, err := ms.runOp(ctx, admit)
+	if err != nil {
+		return nil, err
 	}
-	fv := &finalView{
-		ring:     ring2,
-		states:   map[string]memberState{sh.Name: memberUp},
-		adopters: map[string]string{sh.Name: ""},
-	}
-
-	// Every serving member is a potential donor; which sessions move is
-	// decided per session against the final view.
-	ms.mu.Lock()
-	donors := make([]peer, 0, len(ms.order))
-	for _, n2 := range ms.order {
-		if n2 == sh.Name {
-			continue
-		}
-		if m := ms.members[n2]; m != nil && m.state.serving() {
-			donors = append(donors, m.peer())
-		}
-	}
-	ms.mu.Unlock()
-
-	moved := 0
-	for _, d := range donors {
-		ids, err := withTimeout(ctx, ms.cfg.AdoptTimeout, d.api.ListSessions)
-		if err != nil {
-			// A donor dying mid-join is the failover path's problem; its
-			// sessions will resurface on an adopter and the repair pass (or
-			// a retried join) moves them then.
-			ms.cfg.Logf("wire-serve route: join %s: listing %s: %v; skipping donor", sh.Name, d.Name, err)
-			continue
-		}
-		var move []string
-		ms.mu.Lock()
-		for _, id := range ids {
-			if ms.migrating[id] {
-				continue
-			}
-			if t, ok := ms.finalTargetLocked(fv, id); ok && t.Name != d.Name {
-				move = append(move, id)
-			}
-		}
-		ms.mu.Unlock()
-		n, err := ms.migrate(ctx, d, move, fv, epoch)
-		moved += n
-		if err != nil {
-			if moved == 0 && errors.Is(err, errMigrateRolledBack) {
-				// Nothing landed anywhere and the donor holds everything
-				// again: the join is a clean no-op, so undo the state flip
-				// and let a retry start fresh.
-				revert()
-			}
-			return nil, opErrorf(http.StatusBadGateway, "join %s: %v", sh.Name, err)
-		}
-	}
-
-	ms.mu.Lock()
-	if mm := ms.members[sh.Name]; mm != nil && mm.state == memberJoining {
-		mm.state = memberUp
-		mm.adopter = ""
-		mm.misses = 0
-	}
-	ms.ring = ring2
-	ms.ringNames = names
-	ms.compactOverridesLocked()
-	ms.mu.Unlock()
-	ms.joins.Add(1)
-	ms.beginGrace()
-
-	if n, rerr := ms.repair(ctx, epoch); rerr != nil {
-		ms.cfg.Logf("wire-serve route: post-join repair: %v", rerr)
-	} else {
-		moved += n
-	}
-	ms.beginGrace()
-	ms.cfg.Logf("wire-serve route: joined %s (rejoin=%v): %d session(s) moved, ring now %v (epoch %d)", sh.Name, rejoined, moved, names, epoch)
 	return &JoinResult{Shard: sh.Name, Epoch: epoch, Rejoined: rejoined, SessionsMoved: moved}, nil
-}
-
-// repair re-lists every serving member and migrates any session hosted away
-// from its current resolution — strays from the op's racing window (creates
-// placed under the old ring, failover adoptions that landed mid-op). It
-// loops until a pass finds none (bounded).
-func (ms *membership) repair(ctx context.Context, epoch int64) (int, error) {
-	total := 0
-	for pass := 0; pass < 5; pass++ {
-		ms.mu.Lock()
-		hosts := make([]peer, 0, len(ms.order))
-		for _, name := range ms.order {
-			if m := ms.members[name]; m != nil && m.state.serving() {
-				hosts = append(hosts, m.peer())
-			}
-		}
-		ms.mu.Unlock()
-		strays := 0
-		for _, h := range hosts {
-			ids, err := withTimeout(ctx, ms.cfg.AdoptTimeout, h.api.ListSessions)
-			if err != nil {
-				ms.cfg.Logf("wire-serve route: repair: listing %s: %v; skipping", h.Name, err)
-				continue
-			}
-			var move []string
-			ms.mu.Lock()
-			for _, id := range ids {
-				if ms.migrating[id] {
-					continue
-				}
-				if sh, st := ms.resolveSessionLocked(id); st == routeOK && sh.Name != h.Name {
-					move = append(move, id)
-				}
-			}
-			ms.mu.Unlock()
-			if len(move) == 0 {
-				continue
-			}
-			strays += len(move)
-			n, err := ms.migrate(ctx, h, move, nil, epoch)
-			total += n
-			if err != nil {
-				return total, err
-			}
-			ms.mu.Lock()
-			ms.compactOverridesLocked()
-			ms.mu.Unlock()
-		}
-		if strays == 0 {
-			return total, nil
-		}
-	}
-	return total, nil
 }
 
 // compactOverridesLocked drops override entries the ring resolution now
@@ -723,20 +605,10 @@ func (ms *membership) repair(ctx context.Context, epoch int64) (int, error) {
 // their override targets, so the overrides are redundant).
 func (ms *membership) compactOverridesLocked() {
 	for id, name := range ms.overrides {
-		osh, ost := ms.followLocked(name)
-		rsh, rst := ms.followLocked(ms.ring.Owner(id))
+		osh, ost := ms.followLocked(name, nil)
+		rsh, rst := ms.followLocked(ms.ring.Owner(id), nil)
 		if ost == routeOK && rst == routeOK && osh.Name == rsh.Name {
 			delete(ms.overrides, id)
 		}
 	}
-}
-
-// anyUpLocked reports whether any member is fully up. Caller holds ms.mu.
-func (ms *membership) anyUpLocked() bool {
-	for _, m := range ms.members {
-		if m.state == memberUp {
-			return true
-		}
-	}
-	return false
 }

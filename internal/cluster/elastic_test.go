@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -348,11 +352,288 @@ func TestFailoverRetryPicksNewAdopter(t *testing.T) {
 
 // TestPickAdopterUnknownDead pins the explicit error for a dead shard that is
 // missing from the membership order — a table-corruption-class bug must not
-// silently adopt from position zero.
+// silently adopt its successor from position zero.
 func TestPickAdopterUnknownDead(t *testing.T) {
 	rt, _, _ := startFleet(t, 2, RouterConfig{})
-	_, _, err := rt.members.pickAdopter("ghost")
+	rt.members.mu.Lock()
+	_, err := rt.members.successorLocked("ghost", "")
+	rt.members.mu.Unlock()
 	if err == nil || !strings.Contains(err.Error(), "not in the membership order") {
-		t.Fatalf("pickAdopter(ghost) = %v, want a membership-order error", err)
+		t.Fatalf("successorLocked(ghost) = %v, want a membership-order error", err)
 	}
+}
+
+// loseFirst is a shard transport that drops the first request to path before
+// it reaches the shard, as a lost packet would, and passes every other one.
+func loseFirst(path string) *http.Client {
+	var lost atomic.Bool
+	return &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		if r.URL.Path == path && lost.CompareAndSwap(false, true) {
+			return nil, errors.New("request lost")
+		}
+		return http.DefaultTransport.RoundTrip(r)
+	})}
+}
+
+// hostingShard returns a fleet member that hosts at least one session.
+func hostingShard(t *testing.T, fleet []*testShard) *testShard {
+	t.Helper()
+	for _, f := range fleet {
+		if f.srv.Store().Len() > 0 {
+			return f
+		}
+	}
+	t.Fatal("no shard hosts a session")
+	return nil
+}
+
+// stateOf reads one member's state under the table lock.
+func stateOf(rt *Router, name string) memberState {
+	rt.members.mu.Lock()
+	defer rt.members.mu.Unlock()
+	return rt.members.members[name].state
+}
+
+// waitState polls until the named members are all in state st.
+func waitState(t *testing.T, rt *Router, st memberState, names ...string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for _, name := range names {
+		for stateOf(rt, name) != st {
+			if time.Now().After(deadline) {
+				t.Fatalf("shard %s is %s, want %s", name, stateOf(rt, name), st)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
+
+// TestDrainRetriesAfterLostExport pins that a drain whose export was lost
+// (502, nothing rolled back, the member left draining) can be run again: the
+// retry is admitted at a fresh epoch and completes the drain.
+func TestDrainRetriesAfterLostExport(t *testing.T) {
+	rt, rts, fleet := startFleet(t, 3, RouterConfig{Client: loseFirst("/v1/admin/export")})
+	client := service.NewClient(rts.URL)
+	decisions := planAll(t, client, createSessions(t, client, 24), 1)
+	donor := hostingShard(t, fleet)
+
+	resp := postAdminT(t, rts.URL+"/v1/admin/drain", map[string]string{"shard": donor.shard.Name}, nil)
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("drain with a lost export answered %d, want 502", resp.StatusCode)
+	}
+	if st := stateOf(rt, donor.shard.Name); st != memberDraining {
+		t.Fatalf("after the failed drain the donor is %s, want draining", st)
+	}
+	var dr DrainResult
+	if resp = postAdminT(t, rts.URL+"/v1/admin/drain", map[string]string{"shard": donor.shard.Name}, &dr); resp.StatusCode != http.StatusOK {
+		t.Fatalf("retried drain answered %d, want 200", resp.StatusCode)
+	}
+	if dr.Epoch != 2 {
+		t.Errorf("retried drain ran at epoch %d, want a fresh epoch 2", dr.Epoch)
+	}
+	if st := stateOf(rt, donor.shard.Name); st != memberLeft {
+		t.Errorf("after the retried drain the donor is %s, want left", st)
+	}
+	if got := donor.srv.Store().Len(); got != 0 {
+		t.Errorf("drained shard still hosts %d sessions", got)
+	}
+	requireCachedDecisions(t, client, decisions, 1)
+}
+
+// TestJoinRetriesAfterLostExport pins that a join whose first export was lost
+// (502 with nothing moved and nothing rolled back, the member left joining)
+// can be run again at the same URL and commits.
+func TestJoinRetriesAfterLostExport(t *testing.T) {
+	rt, rts, _ := startFleet(t, 2, RouterConfig{Client: loseFirst("/v1/admin/export")})
+	client := service.NewClient(rts.URL)
+	decisions := planAll(t, client, createSessions(t, client, 24), 1)
+
+	jdir := filepath.Join(t.TempDir(), "s9")
+	newSrv := service.New(service.Config{ShardMode: true, JournalDir: jdir})
+	ts := httptest.NewServer(newSrv.Handler())
+	t.Cleanup(ts.Close)
+	body := map[string]string{"name": "s9", "url": ts.URL, "journal_dir": jdir}
+
+	if resp := postAdminT(t, rts.URL+"/v1/admin/join", body, nil); resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("join with a lost export answered %d, want 502", resp.StatusCode)
+	}
+	if st := stateOf(rt, "s9"); st != memberJoining {
+		t.Fatalf("after the failed join s9 is %s, want joining", st)
+	}
+	var jr JoinResult
+	if resp := postAdminT(t, rts.URL+"/v1/admin/join", body, &jr); resp.StatusCode != http.StatusOK {
+		t.Fatalf("retried join answered %d, want 200", resp.StatusCode)
+	}
+	if jr.Epoch != 2 {
+		t.Errorf("retried join ran at epoch %d, want a fresh epoch 2", jr.Epoch)
+	}
+	if c := rt.Counters(); c.JoinsTotal != 1 || c.ShardsUp != 3 {
+		t.Errorf("counters after the retried join: joins=%d shards_up=%d, want 1 and 3", c.JoinsTotal, c.ShardsUp)
+	}
+	if got := newSrv.Store().Len(); got == 0 || got != jr.SessionsMoved {
+		t.Errorf("joined shard hosts %d sessions, retried join reported %d moved", got, jr.SessionsMoved)
+	}
+	requireCachedDecisions(t, client, decisions, 1)
+}
+
+// TestDrainRollsBackWhenNoTargetAdopts pins the stalled-migration rollback:
+// every target refuses the drain's adopts, so after migrateStallRounds the
+// exported WALs go back to the donor, the drain answers 502, and the donor
+// is up again serving every session it hosted with its cached decision.
+func TestDrainRollsBackWhenNoTargetAdopts(t *testing.T) {
+	var donorHost atomic.Value
+	donorHost.Store("")
+	refuse := roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		if r.URL.Path == "/v1/admin/adopt" && r.URL.Host != donorHost.Load().(string) {
+			return nil, errors.New("adopt refused")
+		}
+		return http.DefaultTransport.RoundTrip(r)
+	})
+	rt, rts, fleet := startFleet(t, 3, RouterConfig{
+		Client: &http.Client{Transport: refuse},
+		// Forty stall rounds of one interval each; a threshold no refusal
+		// reaches keeps the refusing targets from being confirmed down.
+		HeartbeatInterval: time.Millisecond,
+		FailThreshold:     1 << 20,
+	})
+	client := service.NewClient(rts.URL)
+	decisions := planAll(t, client, createSessions(t, client, 24), 1)
+	donor := hostingShard(t, fleet)
+	hosted := donor.srv.Store().Len()
+	donorHost.Store(strings.TrimPrefix(donor.shard.URL, "http://"))
+
+	start := time.Now()
+	resp := postAdminT(t, rts.URL+"/v1/admin/drain", map[string]string{"shard": donor.shard.Name}, nil)
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("drain with no adopting target answered %d, want 502", resp.StatusCode)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("rolled-back drain took %v", d)
+	}
+	if st := stateOf(rt, donor.shard.Name); st != memberUp {
+		t.Errorf("after the rolled-back drain the donor is %s, want up", st)
+	}
+	if got := donor.srv.Store().Len(); got != hosted {
+		t.Errorf("donor hosts %d sessions after the rollback, want %d", got, hosted)
+	}
+	if c := rt.Counters(); c.DrainsTotal != 0 || c.MigratedSessionsTotal != 0 {
+		t.Errorf("counters after the rollback: drains=%d migrated=%d, want 0 and 0", c.DrainsTotal, c.MigratedSessionsTotal)
+	}
+	requireCachedDecisions(t, client, decisions, 1)
+}
+
+// TestDrainRepointsFailedMembers pins the drain-time re-point: s0 dies and
+// fails over to s1, then s1 drains. s0's adopter pointer must move to the
+// next up member after s0 skipping s1 — s2 — and s0's sessions must keep
+// answering there.
+func TestDrainRepointsFailedMembers(t *testing.T) {
+	rt, rts, fleet := startFleet(t, 3, RouterConfig{
+		HeartbeatInterval: 10 * time.Millisecond,
+		FailThreshold:     2,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	client := service.NewClient(rts.URL)
+	decisions := planAll(t, client, createSessions(t, client, 24), 1)
+	if fleet[0].srv.Store().Len() == 0 {
+		t.Fatal("s0 hosts no session")
+	}
+
+	go rt.Run(ctx)
+	fleet[0].ts.CloseClientConnections()
+	fleet[0].ts.Close()
+	waitState(t, rt, memberFailed, "s0")
+	if sh, st := rt.members.follow("s0"); st != routeOK || sh.Name != "s1" {
+		t.Fatalf("s0 failed over to %q (state %v), want s1", sh.Name, st)
+	}
+
+	if resp := postAdminT(t, rts.URL+"/v1/admin/drain", map[string]string{"shard": "s1"}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("draining s0's adopter answered %d", resp.StatusCode)
+	}
+	if sh, st := rt.members.follow("s0"); st != routeOK || sh.Name != "s2" {
+		t.Fatalf("after draining s1, s0 routes to %q (state %v), want s2", sh.Name, st)
+	}
+	retryClient := service.NewClient(rts.URL, service.WithRetry(service.DefaultChaosRetry()))
+	requireCachedDecisions(t, retryClient, decisions, 1)
+}
+
+// logLines records a router's log lines for a test to search.
+type logLines struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *logLines) logf(format string, args ...any) {
+	l.mu.Lock()
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+	l.mu.Unlock()
+}
+
+func (l *logLines) has(sub string) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, s := range l.lines {
+		if strings.Contains(s, sub) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestJoinRecoveringWhenClusterDown pins the cluster-down bootstrap: with
+// every member dead there is no adopter, so each stays recovering. A
+// restarted s0 joining by name is admitted anyway, comes back up, and its
+// failover goroutine stands down; s1's failover then lands on s0 and every
+// session answers with its cached decision.
+func TestJoinRecoveringWhenClusterDown(t *testing.T) {
+	logs := &logLines{}
+	rt, rts, fleet := startFleet(t, 2, RouterConfig{
+		HeartbeatInterval: 10 * time.Millisecond,
+		FailThreshold:     2,
+		Logf:              logs.logf,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	client := service.NewClient(rts.URL)
+	decisions := planAll(t, client, createSessions(t, client, 18), 1)
+
+	go rt.Run(ctx)
+	for _, f := range fleet {
+		f.ts.CloseClientConnections()
+		f.ts.Close()
+	}
+	waitState(t, rt, memberRecovering, "s0", "s1")
+
+	freshSrv := service.New(service.Config{ShardMode: true, JournalDir: fleet[0].shard.JournalDir})
+	fts := httptest.NewServer(freshSrv.Handler())
+	t.Cleanup(fts.Close)
+	var jr JoinResult
+	var resp *http.Response
+	for i := 0; i < 100; i++ { // a confirmation may still be in flight
+		resp = postAdminT(t, rts.URL+"/v1/admin/join", map[string]string{
+			"name": "s0", "url": fts.URL, "journal_dir": fleet[0].shard.JournalDir,
+		}, &jr)
+		if resp.StatusCode == http.StatusOK {
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("joining recovering s0 with the cluster down answered %d", resp.StatusCode)
+	}
+	if !jr.Rejoined {
+		t.Error("the bootstrap join reported rejoined=false")
+	}
+	if st := stateOf(rt, "s0"); st != memberUp {
+		t.Errorf("after the bootstrap join s0 is %s, want up", st)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !logs.has("failover of s0 stood down") {
+		if time.Now().After(deadline) {
+			t.Fatal("s0's failover goroutine never stood down")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	retryClient := service.NewClient(rts.URL, service.WithRetry(service.DefaultChaosRetry()))
+	requireCachedDecisions(t, retryClient, decisions, 1)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,11 +14,10 @@ import (
 	"repro/internal/service"
 )
 
-// memberState is the lifecycle of one shard in the membership table. PR 7's
-// one-way up → recovering → failed lifecycle is now a full elastic state
-// machine: shards drain out gracefully (up → draining → left), join or
-// rejoin by name (unknown/left/failed → joining → up), and still fail over
-// on unplanned death (any serving state → recovering → failed).
+// memberState is the lifecycle of one shard in the membership table: shards
+// drain out gracefully (up → draining → left), join or rejoin by name
+// (unknown/left/failed → joining → up), and fail over on unplanned death
+// (any serving state → recovering → failed).
 type memberState int
 
 const (
@@ -73,6 +73,10 @@ func (s memberState) serving() bool {
 	return s == memberUp || s == memberDraining || s == memberJoining
 }
 
+// up reports whether a member in this state is fully up: it takes creates,
+// adopts, and relays peer probes.
+func (s memberState) up() bool { return s == memberUp }
+
 type member struct {
 	shard Shard
 	// api speaks the shard API at shard.URL. It is built with the member and
@@ -117,12 +121,12 @@ func withTimeout[T any](ctx context.Context, d time.Duration, fn func(context.Co
 	return fn(ctx)
 }
 
-// fanOut calls fn on every client concurrently, each under the heartbeat
-// timeout, and returns the results in client order; a failed call leaves its
+// fanOut calls fn on every peer concurrently, each under the heartbeat
+// timeout, and returns the results in peer order; a failed call leaves its
 // slot zero. One worker per shard: a slow shard must not queue another.
-func fanOut[T any](ctx context.Context, d time.Duration, clients []*service.Client, fn func(*service.Client, context.Context) (T, error)) []T {
-	return parallel.Collect(len(clients), parallel.Config{Workers: len(clients)}, func(i int) T {
-		v, _ := withTimeout(ctx, d, func(ctx context.Context) (T, error) { return fn(clients[i], ctx) })
+func fanOut[T any](ctx context.Context, d time.Duration, peers []peer, fn func(*service.Client, context.Context) (T, error)) []T {
+	return parallel.Collect(len(peers), parallel.Config{Workers: len(peers)}, func(i int) T {
+		v, _ := withTimeout(ctx, d, func(ctx context.Context) (T, error) { return fn(peers[i].api, ctx) })
 		return v
 	})
 }
@@ -217,21 +221,35 @@ func (ms *membership) nextEpoch() int64 {
 func (ms *membership) follow(name string) (Shard, routeState) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	return ms.followLocked(name)
+	return ms.followLocked(name, nil)
 }
 
-func (ms *membership) followLocked(name string) (Shard, routeState) {
+// followLocked is the one adopter-chain walk, for routing and migration
+// targets alike. Under an op's final view fv (nil: the current table) its
+// leaving member counts as left and its re-points replace the live adopters.
+// Every other state stays live: a member declared dead since the view was
+// built resolves through its adopter chain.
+func (ms *membership) followLocked(name string, fv *finalView) (Shard, routeState) {
 	for hops := 0; hops <= len(ms.order); hops++ {
 		m := ms.members[name]
 		if m == nil {
 			return Shard{}, routeRecovering
 		}
+		st, adopter := m.state, m.adopter
+		if fv != nil {
+			if name == fv.leaving {
+				st = memberLeft
+			}
+			if a, ok := fv.adopters[name]; ok {
+				adopter = a
+			}
+		}
 		switch {
-		case m.state.serving():
+		case st.serving():
 			return m.shard, routeOK
-		case m.state == memberFailed && m.adopter != "":
-			name = m.adopter
-		case m.state == memberPartitioned:
+		case st == memberFailed && adopter != "":
+			name = adopter
+		case st == memberPartitioned:
 			return m.shard, routePartitioned
 		default:
 			return m.shard, routeRecovering
@@ -247,18 +265,24 @@ func (ms *membership) followLocked(name string) (Shard, routeState) {
 func (ms *membership) resolveSession(id string) (Shard, routeState) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	return ms.resolveSessionLocked(id)
-}
-
-func (ms *membership) resolveSessionLocked(id string) (Shard, routeState) {
 	if ms.migrating[id] {
 		return Shard{}, routeRecovering
+	}
+	return ms.placeLocked(id, nil)
+}
+
+// placeLocked resolves where session id lives, whether or not it is
+// mid-migration: under a final view, from its post-op ring owner; under the
+// current table, from its migration override, else its ring owner.
+func (ms *membership) placeLocked(id string, fv *finalView) (Shard, routeState) {
+	if fv != nil {
+		return ms.followLocked(fv.ring.Owner(id), fv)
 	}
 	name, ok := ms.overrides[id]
 	if !ok {
 		name = ms.ring.Owner(id)
 	}
-	return ms.followLocked(name)
+	return ms.followLocked(name, nil)
 }
 
 // resolveCreate places a NEW session: the ring owner followed across
@@ -268,7 +292,7 @@ func (ms *membership) resolveSessionLocked(id string) (Shard, routeState) {
 func (ms *membership) resolveCreate(id string) (Shard, routeState) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	sh, st := ms.followLocked(ms.ring.Owner(id))
+	sh, st := ms.followLocked(ms.ring.Owner(id), nil)
 	if st != routeOK {
 		return Shard{}, routeRecovering
 	}
@@ -334,12 +358,9 @@ func (ms *membership) opCtx() context.Context {
 // earns an automatic rejoin after FailThreshold consecutive answers.
 func (ms *membership) probeAll(ctx context.Context) {
 	ms.mu.Lock()
-	targets := make([]peer, 0, len(ms.order))
-	for _, name := range ms.order {
-		if m := ms.members[name]; m.state.serving() || m.state == memberFailed || m.state == memberPartitioned {
-			targets = append(targets, m.peer())
-		}
-	}
+	targets := ms.peersLocked(func(st memberState) bool {
+		return st.serving() || st == memberFailed || st == memberPartitioned
+	}, "")
 	ms.mu.Unlock()
 	_ = parallel.ForEach(len(targets), parallel.Config{Workers: len(targets)}, func(i int) error {
 		ms.probe(ctx, targets[i])
@@ -407,7 +428,9 @@ func (ms *membership) noteSuccess(name string) {
 // autoRejoin puts a recovered failed member back on the ring via the normal
 // join path (minimal migration, fresh fencing epoch). Errors are expected —
 // another topology op may hold the lock, or an operator may have joined it
-// first — and simply leave the member eligible for the next probe round.
+// first. A join refused before it started leaves the member failed, so it
+// earns comebacks again; one that failed mid-rebalance leaves it joining,
+// which earns none, and an admin join at the same URL retries it.
 func (ms *membership) autoRejoin(sh Shard) {
 	res, err := ms.join(ms.opCtx(), sh)
 	ms.mu.Lock()
@@ -417,7 +440,7 @@ func (ms *membership) autoRejoin(sh Shard) {
 	}
 	ms.mu.Unlock()
 	if err != nil {
-		ms.cfg.Logf("wire-serve route: auto-rejoin of %s failed: %v; will retry while it keeps answering", sh.Name, err)
+		ms.cfg.Logf("wire-serve route: auto-rejoin of %s failed: %v; retried after %d more answers if it is still failed, else by an admin join", sh.Name, err, ms.cfg.FailThreshold)
 		return
 	}
 	ms.cfg.Logf("wire-serve route: auto-rejoined %s: %d session(s) moved back (epoch %d)", sh.Name, res.SessionsMoved, res.Epoch)
@@ -524,19 +547,11 @@ func (ms *membership) peerConfirm(ctx context.Context, suspect string) bool {
 		return false
 	}
 	target := sm.shard.URL
-	peers := make([]*service.Client, 0, len(ms.order))
-	for _, n := range ms.order {
-		if n == suspect {
-			continue
-		}
-		if m := ms.members[n]; m != nil && m.state == memberUp {
-			peers = append(peers, m.api)
-		}
-	}
+	peers := ms.peersLocked(memberState.up, suspect)
 	ms.mu.Unlock()
-	for _, api := range peers {
+	for _, p := range peers {
 		pr, err := withTimeout(ctx, ms.cfg.HeartbeatTimeout, func(ctx context.Context) (*service.ProbeResponse, error) {
-			return api.RelayProbe(ctx, target)
+			return p.api.RelayProbe(ctx, target)
 		})
 		if err == nil && pr.Reachable {
 			return true
@@ -545,39 +560,24 @@ func (ms *membership) peerConfirm(ctx context.Context, suspect string) bool {
 	return false
 }
 
-// pickAdopter chooses the surviving peer that inherits a dead shard's
-// journal directory: the first live shard after the dead one in membership
-// order (wrapping), so the choice is deterministic and spreads consecutive
-// deaths across the fleet. The dead shard missing from the order is a
-// table-corruption-class bug, reported as an explicit error rather than
-// silently adopting from position zero.
-func (ms *membership) pickAdopter(dead string) (adopter string, dirs []string, err error) {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	idx := -1
-	for i, n := range ms.order {
-		if n == dead {
-			idx = i
-			break
-		}
-	}
+// successorLocked is the one successor rule, for a failover's adopter and a
+// drain's re-points alike: the first fully-up member after from in
+// membership order (wrapping), skipping skip, or "" if there is none — so the
+// choice is deterministic and spreads consecutive deaths across the fleet.
+// from missing from the order is a table-corruption-class bug, reported as
+// an explicit error rather than silently starting from position zero.
+func (ms *membership) successorLocked(from, skip string) (string, error) {
+	idx := slices.Index(ms.order, from)
 	if idx == -1 {
-		return "", nil, fmt.Errorf("cluster: dead shard %q is not in the membership order %v", dead, ms.order)
+		return "", fmt.Errorf("cluster: shard %q is not in the membership order %v", from, ms.order)
 	}
-	deadM := ms.members[dead]
-	if deadM == nil {
-		return "", nil, fmt.Errorf("cluster: dead shard %q has no membership entry", dead)
-	}
-	for off := 1; off <= len(ms.order); off++ {
+	for off := 1; off < len(ms.order); off++ {
 		name := ms.order[(idx+off)%len(ms.order)]
-		if name == dead {
-			continue
-		}
-		if m := ms.members[name]; m != nil && m.state == memberUp {
-			return name, []string{deadM.shard.JournalDir}, nil
+		if name != skip && ms.members[name].state == memberUp {
+			return name, nil
 		}
 	}
-	return "", nil, nil
+	return "", nil
 }
 
 // failover hands the dead shard's journal directory to a surviving peer and
@@ -614,7 +614,10 @@ func (ms *membership) failover(ctx context.Context, dead string) {
 		if !attempted && ms.reviveIfHealthy(ctx, dead) {
 			return
 		}
-		adopter, dirs, err := ms.pickAdopter(dead)
+		ms.mu.Lock()
+		adopter, err := ms.successorLocked(dead, "")
+		dirs := []string{dm.shard.JournalDir}
+		ms.mu.Unlock()
 		if err != nil {
 			ms.cfg.Logf("wire-serve route: failover of %s aborted: %v", dead, err)
 			return
@@ -702,13 +705,7 @@ func (ms *membership) adopt(ctx context.Context, adopter string, areq service.Ad
 func (ms *membership) shardsUp() int {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	n := 0
-	for _, m := range ms.members {
-		if m.state == memberUp {
-			n++
-		}
-	}
-	return n
+	return len(ms.peersLocked(memberState.up, ""))
 }
 
 // status snapshots the membership table for /metrics and /healthz.
@@ -731,17 +728,23 @@ func (ms *membership) status() map[string]ShardStatus {
 	return out
 }
 
-// upClients snapshots the serving members' API clients (fan-outs).
-func (ms *membership) upClients() []*service.Client {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	out := make([]*service.Client, 0, len(ms.order))
+// peersLocked is the one member snapshot: the members whose state keep
+// admits, except the one named except, in membership order.
+func (ms *membership) peersLocked(keep func(memberState) bool, except string) []peer {
+	out := make([]peer, 0, len(ms.order))
 	for _, name := range ms.order {
-		if m := ms.members[name]; m.state.serving() {
-			out = append(out, m.api)
+		if m := ms.members[name]; name != except && keep(m.state) {
+			out = append(out, m.peer())
 		}
 	}
 	return out
+}
+
+// servingPeers snapshots the serving members (fan-outs).
+func (ms *membership) servingPeers() []peer {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	return ms.peersLocked(memberState.serving, "")
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) {

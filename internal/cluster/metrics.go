@@ -88,7 +88,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // A shard that fails to answer is skipped — the membership table shows which
 // rows are missing from the aggregate.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	dumps := fanOut(r.Context(), rt.cfg.HeartbeatTimeout, rt.members.upClients(), (*service.Client).RawMetrics)
+	dumps := fanOut(r.Context(), rt.cfg.HeartbeatTimeout, rt.members.servingPeers(), (*service.Client).RawMetrics)
 	var agg service.MetricsDump
 	first := true
 	for _, d := range dumps {

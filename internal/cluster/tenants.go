@@ -28,12 +28,12 @@ func (rt *Router) handleTenantCreate(w http.ResponseWriter, r *http.Request) {
 		rt.writeError(w, http.StatusBadRequest, "bad_request", `tenant wants {"name", ...}`)
 		return
 	}
-	clients := rt.members.upClients()
-	if len(clients) == 0 {
+	peers := rt.members.servingPeers()
+	if len(peers) == 0 {
 		rt.writeError(w, http.StatusServiceUnavailable, "no_shards", "no live shards")
 		return
 	}
-	merged := mergeTenantInfos(fanOut(r.Context(), rt.cfg.HeartbeatTimeout, clients,
+	merged := mergeTenantInfos(fanOut(r.Context(), rt.cfg.HeartbeatTimeout, peers,
 		func(c *service.Client, ctx context.Context) (*service.TenantInfo, error) {
 			return c.CreateTenant(ctx, spec)
 		}))
@@ -79,7 +79,7 @@ func mergeTenantLists(lists [][]service.TenantInfo) []service.TenantInfo {
 // tenant yields 404, anything else merges into one fleet-wide row.
 func (rt *Router) handleTenantGet(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	merged := mergeTenantInfos(fanOut(r.Context(), rt.cfg.HeartbeatTimeout, rt.members.upClients(),
+	merged := mergeTenantInfos(fanOut(r.Context(), rt.cfg.HeartbeatTimeout, rt.members.servingPeers(),
 		func(c *service.Client, ctx context.Context) (*service.TenantInfo, error) { return c.Tenant(ctx, name) }))
 	if merged == nil {
 		rt.writeError(w, http.StatusNotFound, "not_found", "tenant %q not found", name)
@@ -91,7 +91,7 @@ func (rt *Router) handleTenantGet(w http.ResponseWriter, r *http.Request) {
 
 // tenantLists fetches every up shard's tenant list.
 func (rt *Router) tenantLists(r *http.Request) [][]service.TenantInfo {
-	return fanOut(r.Context(), rt.cfg.HeartbeatTimeout, rt.members.upClients(), (*service.Client).Tenants)
+	return fanOut(r.Context(), rt.cfg.HeartbeatTimeout, rt.members.servingPeers(), (*service.Client).Tenants)
 }
 
 // mergeTenantInfos folds per-shard rows for one tenant into a fleet-wide

@@ -805,9 +805,9 @@ type AdoptRequest struct {
 	JournalFiles []string `json:"journal_files,omitempty"`
 	// From names the shard the sessions come from (log + fence context).
 	From string `json:"from,omitempty"`
-	// Epoch is the router-issued fencing epoch of this handoff. Zero means
-	// unfenced (single-handoff legacy); a positive epoch below the highest
-	// this shard has seen is rejected with 409 stale_epoch.
+	// Epoch is the router-issued fencing epoch of this handoff, required
+	// positive; one below the highest this shard has seen is rejected with
+	// 409 stale_epoch.
 	Epoch int64 `json:"epoch,omitempty"`
 }
 
@@ -831,9 +831,7 @@ func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "bad_request", "journal_dirs or journal_files is required")
 		return
 	}
-	if !s.advanceEpoch(req.Epoch) {
-		s.writeError(w, http.StatusConflict, "stale_epoch",
-			"adopt at epoch %d rejected: this shard has seen epoch %d", req.Epoch, s.Epoch())
+	if !s.advanceEpoch(w, "adopt", req.Epoch) {
 		return
 	}
 	total, fresh := 0, 0
@@ -898,9 +896,7 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "bad_request", "session_ids is required")
 		return
 	}
-	if !s.advanceEpoch(req.Epoch) {
-		s.writeError(w, http.StatusConflict, "stale_epoch",
-			"export at epoch %d rejected: this shard has seen epoch %d", req.Epoch, s.Epoch())
+	if !s.advanceEpoch(w, "export", req.Epoch) {
 		return
 	}
 	var resp ExportResponse

@@ -137,6 +137,22 @@ func TestExportAdoptFileMigration(t *testing.T) {
 		}
 	}
 
+	// Both refuse a handoff without a positive epoch: every router handoff
+	// is fenced.
+	for _, tc := range []struct {
+		url  string
+		body any
+	}{
+		{ats.URL + "/v1/admin/export", ExportRequest{SessionIDs: []string{"x"}}},
+		{bts.URL + "/v1/admin/adopt", AdoptRequest{JournalFiles: []string{filepath.Join(dirA, "x.wal")}, Epoch: -1}},
+	} {
+		resp, body = postShardAdmin(t, tc.url, tc.body)
+		var eb ErrorBody
+		if err := json.Unmarshal(body, &eb); resp.StatusCode != http.StatusBadRequest || err != nil || eb.Code != "bad_request" {
+			t.Fatalf("%s without an epoch: HTTP %d: %s, want 400 bad_request", tc.url, resp.StatusCode, body)
+		}
+	}
+
 	// A retried adopt of the same (now consumed) file set is idempotent.
 	resp, body = postShardAdmin(t, bts.URL+"/v1/admin/adopt", AdoptRequest{
 		JournalFiles: er.JournalFiles, From: "a", Epoch: 5,

@@ -234,17 +234,21 @@ func (s *Server) Tenants() *TenantRegistry { return s.tenants }
 // Epoch returns the highest cluster fencing epoch this shard has seen.
 func (s *Server) Epoch() int64 { return s.epoch.Load() }
 
-// advanceEpoch ratchets the shard's fencing epoch up to e. It reports false
-// when e is positive but BELOW an epoch already witnessed — the request
-// comes from a stale router view and must be rejected. e == 0 (legacy
-// unfenced handoff) is always accepted and never moves the ratchet.
-func (s *Server) advanceEpoch(e int64) bool {
+// advanceEpoch admits one handoff's fencing epoch e and ratchets the
+// shard's epoch up to it. It answers the request and reports false when e is
+// missing (400: every router handoff carries a positive epoch) or BELOW an
+// epoch already witnessed (409 stale_epoch: the request comes from a stale
+// router view).
+func (s *Server) advanceEpoch(w http.ResponseWriter, verb string, e int64) bool {
 	if e <= 0 {
-		return true
+		s.writeError(w, http.StatusBadRequest, "bad_request", "%s needs a positive epoch", verb)
+		return false
 	}
 	for {
 		cur := s.epoch.Load()
 		if e < cur {
+			s.writeError(w, http.StatusConflict, "stale_epoch",
+				"%s at epoch %d rejected: this shard has seen epoch %d", verb, e, cur)
 			return false
 		}
 		if e == cur || s.epoch.CompareAndSwap(cur, e) {

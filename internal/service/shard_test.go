@@ -135,7 +135,7 @@ func TestAdoptReplaysJournals(t *testing.T) {
 	bts := httptest.NewServer(b.Handler())
 	defer bts.Close()
 
-	body, _ := json.Marshal(AdoptRequest{JournalDirs: []string{dirA}, From: "a"})
+	body, _ := json.Marshal(AdoptRequest{JournalDirs: []string{dirA}, From: "a", Epoch: 1})
 	resp, err := http.Post(bts.URL+"/v1/admin/adopt", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
