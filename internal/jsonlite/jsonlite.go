@@ -17,6 +17,7 @@ package jsonlite
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -32,6 +33,11 @@ type Parser struct {
 	// value will be embedded in a larger document may start at the enclosing
 	// depth, so what it accepts stays within MaxDepth there as well.
 	Depth int
+
+	// escaped records whether the last string Key scanned — the key an
+	// Object callback was handed, or a string value — held an escape
+	// sequence.
+	escaped bool
 }
 
 // MaxDepth is encoding/json's nesting limit: a document with more objects and
@@ -90,13 +96,13 @@ func (p *Parser) Key() ([]byte, error) {
 		return nil, err
 	}
 	begin := p.Pos
-	escaped := false
+	p.escaped = false
 	for p.Pos < len(p.Data) {
 		switch p.Data[p.Pos] {
 		case '"':
 			raw := p.Data[begin:p.Pos]
 			p.Pos++
-			if !escaped {
+			if !p.escaped {
 				return raw, nil
 			}
 			// Rare: a key written with escape sequences can still name a
@@ -107,7 +113,7 @@ func (p *Parser) Key() ([]byte, error) {
 			}
 			return []byte(k), nil
 		case '\\':
-			escaped = true
+			p.escaped = true
 			p.Pos += 2
 		default:
 			if p.Data[p.Pos] < 0x20 {
@@ -117,6 +123,47 @@ func (p *Parser) Key() ([]byte, error) {
 		}
 	}
 	return nil, p.Errorf("unterminated string")
+}
+
+// ErrInexact is a verbatim decoder's answer for well-formed input it leaves
+// to encoding/json, because encoding/json would read it differently than its
+// bytes say: an escaped or non-UTF-8 string, a case-folded or repeated key.
+var ErrInexact = errors.New("jsonlite: input is not verbatim")
+
+// VerbatimString parses a string value that decodes to its own bytes — no
+// escape sequence, valid UTF-8 — and returns them as a sub-slice of Data. Any
+// other string is ErrInexact: encoding/json unescapes it, or replaces its
+// invalid bytes with U+FFFD.
+func (p *Parser) VerbatimString() ([]byte, error) {
+	raw, err := p.Key()
+	if err != nil {
+		return nil, err
+	}
+	if p.escaped || !utf8.Valid(raw) {
+		return nil, ErrInexact
+	}
+	return raw, nil
+}
+
+// ExactField is the verbatim decoders' key rule. It returns key's index among
+// names — a struct's JSON field names, at most 32 — and marks it in seen, the
+// set of fields one object has named so far. A key that is escaped, repeated,
+// or not exactly one of names is ErrInexact: encoding/json would match it by
+// folding case, or merge a repeated key's value into the first one's.
+func (p *Parser) ExactField(key []byte, seen *uint32, names ...string) (int, error) {
+	if p.escaped {
+		return 0, ErrInexact
+	}
+	for i, name := range names {
+		if string(key) == name {
+			if *seen&(1<<i) != 0 {
+				return 0, ErrInexact
+			}
+			*seen |= 1 << i
+			return i, nil
+		}
+	}
+	return 0, ErrInexact
 }
 
 // String parses a JSON string value.

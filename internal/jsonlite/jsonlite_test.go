@@ -143,3 +143,57 @@ func FuzzSkipValue(f *testing.F) {
 		}
 	})
 }
+
+// TestVerbatimReads pins the verbatim decoders' two rules: a string is read
+// only when it decodes to its own bytes, and an object key only when it is
+// exactly one of the field names, unescaped, and not repeated.
+func TestVerbatimReads(t *testing.T) {
+	for in, want := range map[string]bool{
+		`"plain"`: true, `""`: true, `"日本"`: true, `"<&>"`: true,
+		`"esc\"aped"`: false, `"\u0041"`: false, "\"bad\xff\"": false, `null`: false, `5`: false,
+	} {
+		p := Parser{Data: []byte(in)}
+		raw, err := p.VerbatimString()
+		if got := err == nil; got != want {
+			t.Errorf("VerbatimString(%s): err %v, want verbatim %v", in, err, want)
+		}
+		if err == nil && `"`+string(raw)+`"` != in {
+			t.Errorf("VerbatimString(%s) = %q", in, raw)
+		}
+	}
+
+	names := []string{"type", "seq"}
+	for in, want := range map[string][]int{
+		`{"type":1,"seq":2}`: {0, 1}, `{"seq":1}`: {1},
+		`{"Type":1}`: nil, `{"typ\u0065":1}`: nil, `{"type":1,"type":2}`: {0, -1}, `{"x":1}`: nil,
+	} {
+		p := Parser{Data: []byte(in)}
+		var seen uint32
+		var got []int
+		err := p.Object(func(key []byte) error {
+			i, err := p.ExactField(key, &seen, names...)
+			if err != nil {
+				if err != ErrInexact {
+					t.Errorf("%s: ExactField error %v, want ErrInexact", in, err)
+				}
+				got = append(got, -1)
+				return err
+			}
+			got = append(got, i)
+			_, err = p.SkipValue()
+			return err
+		})
+		if want == nil {
+			want = []int{-1}
+		}
+		if (err == nil) != (want[len(want)-1] >= 0) || len(got) != len(want) {
+			t.Errorf("%s: fields %v, error %v; want %v", in, got, err, want)
+			continue
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("%s: fields %v, want %v", in, got, want)
+			}
+		}
+	}
+}

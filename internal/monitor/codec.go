@@ -249,7 +249,7 @@ func (s *Snapshot) UnmarshalJSON(data []byte) error {
 // that record must stay valid JSON too.
 func UnmarshalSnapshot(data []byte, s *Snapshot) error {
 	p := jsonlite.Parser{Data: data, Depth: 1}
-	if err := parseSnapshot(&p, s); err != nil {
+	if err := ParseSnapshot(&p, s); err != nil {
 		return err
 	}
 	if !p.AtEnd() {
@@ -258,7 +258,11 @@ func UnmarshalSnapshot(data []byte, s *Snapshot) error {
 	return nil
 }
 
-func parseSnapshot(p *jsonlite.Parser, s *Snapshot) error {
+// ParseSnapshot is UnmarshalSnapshot at the parser level: it decodes the value
+// at p.Pos into s and leaves p just past it, so a snapshot embedded in a
+// larger document — a journal record — is decoded in place. p.Depth must count
+// the enclosing objects and arrays.
+func ParseSnapshot(p *jsonlite.Parser, s *Snapshot) error {
 	return p.Object(func(key []byte) error {
 		var err error
 		switch string(key) {

@@ -382,21 +382,19 @@ func (s *Server) adoptWAL(src string, epoch int64, from string) (total, fresh in
 // walLastSeq scans a WAL and returns the highest plan sequence it records —
 // 0 for a create-only, missing, or unreadable file. Conservative on errors:
 // an unreadable migrated copy must never displace a live session, and a
-// missing local slot never blocks an adoption. It decodes type and seq only:
-// the snapshots and responses are syntax-checked but never materialized.
+// missing local slot never blocks an adoption. It decodes type and seq only
+// (readHead): the workflow, snapshots and responses are syntax-checked but
+// never materialized.
 func walLastSeq(path string) int64 {
 	var last int64
 	// Whatever stops the scan, what it saw so far stands.
 	_, _, _ = wal.Replay(path, func(line []byte) error {
-		var rec struct {
-			Type string `json:"type"`
-			Seq  int64  `json:"seq"`
-		}
-		if err := json.Unmarshal(line, &rec); err != nil {
+		typ, seq, err := readHead(line)
+		if err != nil {
 			return err
 		}
-		if rec.Type == "plan" && rec.Seq > last {
-			last = rec.Seq
+		if typ == "plan" && seq > last {
+			last = seq
 		}
 		return nil
 	})

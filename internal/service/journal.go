@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/dagio"
-	"repro/internal/jsonlite"
 	"repro/internal/monitor"
 	"repro/internal/sim"
 	"repro/internal/wal"
@@ -25,32 +23,6 @@ import (
 // each WAL through a fresh controller of the same policy. Deleting or
 // evicting a session removes its WAL; sessions alive at shutdown are
 // recovered on the next start.
-
-// walRecord is one journal line. Type "create" opens the log and carries
-// everything needed to rebuild the controller; each "plan" carries the
-// snapshot as it was posted — in full, or as the delta against the interval
-// before (monitor.Snapshot.Delta) — and the response that was (about to be)
-// served.
-// Replay decodes both kinds into it, but only the create record is written by
-// marshalling it: plan records are framed by appendPlanRecord around the body
-// as posted — for a Go client's body, this struct's encoding byte for byte.
-type walRecord struct {
-	Type string `json:"type"`
-
-	// create
-	ID         string          `json:"id,omitempty"`
-	Policy     string          `json:"policy,omitempty"`
-	Workflow   *dagio.Document `json:"workflow,omitempty"`
-	Controller *ControllerSpec `json:"controller,omitempty"`
-	Tenant     string          `json:"tenant,omitempty"`
-	DeadlineS  float64         `json:"deadline_s,omitempty"`
-	CreatedAt  time.Time       `json:"created_at"`
-
-	// plan
-	Seq      int64             `json:"seq,omitempty"`
-	Snapshot *monitor.Snapshot `json:"snapshot,omitempty"`
-	Response *PlanResponse     `json:"response,omitempty"`
-}
 
 // Fsync modes (Config.FsyncMode): when a journal append reaches stable
 // storage. They are internal/wal's policy modes under the names the flag and
@@ -97,13 +69,17 @@ func (s *Server) fsyncPolicy() wal.Policy {
 	return wal.Policy{Mode: s.cfg.FsyncMode, Every: s.cfg.FsyncInterval}
 }
 
-// appendCreate journals the record that opens a WAL.
-func (j *journal) appendCreate(rec walRecord) error {
-	b, err := json.Marshal(rec)
+// appendCreate journals the record that opens a WAL, framed in a pooled
+// buffer; nothing is written when rec cannot be encoded.
+func (j *journal) appendCreate(rec *walRecord) error {
+	buf := getBuf()
+	defer putBuf(buf)
+	line, err := appendCreateRecord(buf.AvailableBuffer(), rec)
+	*buf = *bytes.NewBuffer(line)
 	if err != nil {
 		return err
 	}
-	return j.Append(append(b, '\n'))
+	return j.Append(line)
 }
 
 // appendPlan journals one plan interval: the record is framed in a pooled
@@ -121,37 +97,6 @@ func (j *journal) appendPlan(seq int64, snapJSON, respJSON []byte) error {
 	rec := appendPlanRecord(buf.AvailableBuffer(), seq, snapJSON, respJSON)
 	*buf = *bytes.NewBuffer(rec)
 	return j.Append(rec)
-}
-
-// planRecordOverhead bounds what appendPlanRecord adds around the snapshot
-// and the response.
-const planRecordOverhead = 128
-
-// appendPlanRecord appends one plan record line to dst around snapJSON, a body
-// the parser accepted, and respJSON, a response's encoding. A newline in the
-// body can only be JSON whitespace; it is written as a space to keep the
-// record one line. For monitor.AppendSnapshotJSON's encoding of snap — what
-// every Go client posts — the line is byte for byte what
-// json.Encoder.Encode(walRecord{Type: "plan", Seq: seq, Snapshot: snap,
-// Response: r}) writes: that equality is the WAL format contract (DESIGN.md)
-// and what the differential and fuzz tests pin. Create-only fields are
-// omitempty and vanish; created_at is not, so plan records carry the zero time.
-func appendPlanRecord(dst []byte, seq int64, snapJSON, respJSON []byte) []byte {
-	dst = append(dst, `{"type":"plan","created_at":"0001-01-01T00:00:00Z"`...)
-	if seq != 0 {
-		dst = append(dst, `,"seq":`...)
-		dst = jsonlite.AppendInt(dst, seq)
-	}
-	dst = append(dst, `,"snapshot":`...)
-	dst = append(dst, snapJSON...)
-	body := dst[len(dst)-len(snapJSON):]
-	for i := bytes.IndexByte(body, '\n'); i >= 0; i = bytes.IndexByte(body, '\n') {
-		body[i] = ' '
-		body = body[i+1:]
-	}
-	dst = append(dst, `,"response":`...)
-	dst = append(dst, respJSON...)
-	return append(dst, '}', '\n')
 }
 
 // close closes the log, removing the file when remove is set (deleted
@@ -186,7 +131,7 @@ func (s *Server) openSessionJournal(sess *Session, req *CreateSessionRequest) {
 	if doc == nil {
 		doc = dagio.Encode(sess.Workflow)
 	}
-	rec := walRecord{
+	rec := &walRecord{
 		Type:       "create",
 		ID:         sess.ID,
 		Policy:     sess.Policy,
@@ -248,11 +193,15 @@ func (s *Server) ReplayJournalDir(dir string) (total, fresh int, err error) {
 	return total, fresh, nil
 }
 
-// recoverSession replays one WAL and counts the ones that cannot be: a
-// session the daemon accepted and can no longer serve is an operator's
-// business even when the rest of the directory recovers.
+// recoverSession replays one WAL — at startup, on adoption after a failover
+// and on a drain's target — and counts what it read and how long it took,
+// and the WALs that cannot be replayed: a session the daemon accepted and can
+// no longer serve is an operator's business even when the rest of the
+// directory recovers.
 func (s *Server) recoverSession(path string, claimEpoch int64) error {
-	err := s.replaySession(path, claimEpoch)
+	start := time.Now()
+	n, err := s.replaySession(path, claimEpoch)
+	s.metrics.JournalReplayRead(n, time.Since(start))
 	if err != nil && !errors.Is(err, ErrDuplicateID) {
 		s.metrics.JournalReplayFailed()
 	}
@@ -271,19 +220,20 @@ func (s *Server) recoverSession(path string, claimEpoch int64) error {
 // rather than be folded into a stale base. A torn trailing record is
 // truncated away. The session is replayed fully detached and only inserted
 // into the store at the end, so adoption while the daemon serves traffic can
-// never expose a half-replayed controller.
-func (s *Server) replaySession(path string, claimEpoch int64) error {
+// never expose a half-replayed controller. It returns how many bytes of the
+// WAL were replayed: up to the end of the last record accepted.
+func (s *Server) replaySession(path string, claimEpoch int64) (int64, error) {
 	var sess *Session
 	var broken error // a whole record that must not be replayed: not a torn tail
 	var resp PlanResponse
 	end, torn, err := wal.Replay(path, func(line []byte) error {
-		// The response is kept as the bytes the client was sent; the shallower
-		// field shadows walRecord's.
-		var rec struct {
-			walRecord
-			Response json.RawMessage `json:"response"`
+		var rec walLine
+		var body *monitor.Snapshot
+		if sess != nil {
+			// Decoded where handlePlan decodes a posted body.
+			body = sess.resetBodyScratch()
 		}
-		if err := json.Unmarshal(line, &rec); err != nil {
+		if err := readRecord(line, &rec, body); err != nil {
 			return err
 		}
 		if sess == nil {
@@ -343,21 +293,21 @@ func (s *Server) replaySession(path string, claimEpoch int64) error {
 		return nil
 	})
 	if err != nil {
-		return err
+		return end, err
 	}
 	if broken != nil {
-		return broken
+		return end, broken
 	}
 	if sess == nil {
 		if torn == nil {
 			torn = io.ErrUnexpectedEOF
 		}
-		return fmt.Errorf("create record: %w", torn)
+		return end, fmt.Errorf("create record: %w", torn)
 	}
 	if torn != nil {
 		s.cfg.Logf("wire-serve: journal %s: torn record after offset %d: %v; truncating", filepath.Base(path), end, torn)
 		if err := wal.Cut(path, end); err != nil {
-			return fmt.Errorf("truncate torn tail: %w", err)
+			return end, fmt.Errorf("truncate torn tail: %w", err)
 		}
 	}
 
@@ -369,7 +319,7 @@ func (s *Server) replaySession(path string, claimEpoch int64) error {
 	}
 	if err := s.store.Insert(sess); err != nil {
 		sess.takeWAL().close(false)
-		return err
+		return end, err
 	}
 	if sess.Tenant != "" {
 		// Recovery bypasses the admission gate: the daemon already accepted
@@ -379,7 +329,7 @@ func (s *Server) replaySession(path string, claimEpoch int64) error {
 	}
 	s.metrics.JournalReplayed()
 	s.cfg.Logf("wire-serve: recovered session %s (%s, %d plan(s)) from journal", sess.ID, sess.Policy, sess.lastSeq)
-	return nil
+	return end, nil
 }
 
 // sameDecision compares two decisions structurally.

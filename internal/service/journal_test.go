@@ -129,6 +129,52 @@ func TestJournalRecoveryAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestJournalReplayCountsBytes restarts a journaling daemon and reads replay
+// throughput from /metrics: journal_replay_bytes_total is the size of the WALs
+// it replayed, journal_replay_seconds_total the time that took, and the
+// router's merge sums both across shards.
+func TestJournalReplayCountsBytes(t *testing.T) {
+	dir := t.TempDir()
+	_, client := newTestServer(t, Config{JournalDir: dir})
+	ctx := context.Background()
+	wf := smallWorkflow(4)
+	for i := 0; i < 2; i++ {
+		info, err := client.CreateSession(ctx, CreateSessionRequest{Workflow: dagio.Encode(wf)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seq := int64(1); seq <= int64(i+2); seq++ {
+			if _, err := client.Plan(ctx, info.ID, seq, readySnapshot(wf)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var walBytes int64
+	wals, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if err != nil || len(wals) != 2 {
+		t.Fatalf("%d WALs (%v), want 2", len(wals), err)
+	}
+	for _, path := range wals {
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walBytes += st.Size()
+	}
+
+	srv2 := New(Config{JournalDir: dir})
+	ft := srv2.Metrics().Dump(srv2.now(), srv2.Store().Len()).FaultTolerance
+	if ft.JournalReplaysTotal != 2 || ft.JournalReplayBytesTotal != walBytes || ft.JournalReplaySecondsTotal <= 0 {
+		t.Fatalf("after restart: %d replays, %d bytes in %g s; want 2 replays of the %d WAL bytes in some time",
+			ft.JournalReplaysTotal, ft.JournalReplayBytesTotal, ft.JournalReplaySecondsTotal, walBytes)
+	}
+	fleet := srv2.Metrics().Dump(srv2.now(), 0)
+	fleet.Merge(srv2.Metrics().Dump(srv2.now(), 0))
+	if got := fleet.FaultTolerance; got.JournalReplayBytesTotal != 2*walBytes || got.JournalReplaySecondsTotal != 2*ft.JournalReplaySecondsTotal {
+		t.Errorf("merged dump: %d bytes in %g s, want both summed", got.JournalReplayBytesTotal, got.JournalReplaySecondsTotal)
+	}
+}
+
 // TestJournalTornTailTruncated crashes "mid-append": a half-written trailing
 // record must be truncated away on recovery, keeping every complete interval.
 func TestJournalTornTailTruncated(t *testing.T) {

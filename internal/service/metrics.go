@@ -30,6 +30,8 @@ type Metrics struct {
 	degradedPlans    atomic.Int64
 	journalReplays   atomic.Int64
 	replayFailures   atomic.Int64
+	replayBytes      atomic.Int64
+	replayNanos      atomic.Int64
 	sessionsAdopted  atomic.Int64
 	sessionsExported atomic.Int64
 	fencedRejects    atomic.Int64
@@ -88,6 +90,14 @@ func (m *Metrics) PlanDegraded() { m.degradedPlans.Add(1) }
 // JournalReplayed counts sessions rebuilt from their write-ahead logs at
 // startup.
 func (m *Metrics) JournalReplayed() { m.journalReplays.Add(1) }
+
+// JournalReplayRead adds one WAL replay's n bytes and duration d — at
+// startup, on adoption or on a drain's target, whatever its outcome — so that
+// replay throughput can be read from outside the process.
+func (m *Metrics) JournalReplayRead(n int64, d time.Duration) {
+	m.replayBytes.Add(n)
+	m.replayNanos.Add(int64(d))
+}
 
 // JournalReplayFailed counts write-ahead logs that could not be replayed into
 // a session (at startup or on adoption): unreadable, malformed, or holding a
@@ -207,6 +217,12 @@ type FaultToleranceCounters struct {
 	// JournalReplayFailuresTotal counts WALs that could not be replayed into
 	// a session; each one is a session this daemon does not serve.
 	JournalReplayFailuresTotal int64 `json:"journal_replay_failures_total,omitempty"`
+	// JournalReplayBytesTotal and JournalReplaySecondsTotal sum every WAL
+	// replay (startup, adoption, drains): the bytes replayed, up to the end
+	// of each WAL's last accepted record, and the time it took. Their ratio is
+	// the replay throughput.
+	JournalReplayBytesTotal   int64   `json:"journal_replay_bytes_total"`
+	JournalReplaySecondsTotal float64 `json:"journal_replay_seconds_total"`
 	// SessionsAdoptedTotal counts sessions resurrected from a dead peer's
 	// journal directory via the cluster handoff endpoint.
 	SessionsAdoptedTotal int64 `json:"sessions_adopted_total,omitempty"`
@@ -280,6 +296,8 @@ func (m *Metrics) dump(now time.Time, activeSessions int, raw bool) MetricsDump 
 			DegradedPlansTotal:         m.degradedPlans.Load(),
 			JournalReplaysTotal:        m.journalReplays.Load(),
 			JournalReplayFailuresTotal: m.replayFailures.Load(),
+			JournalReplayBytesTotal:    m.replayBytes.Load(),
+			JournalReplaySecondsTotal:  time.Duration(m.replayNanos.Load()).Seconds(),
 			SessionsAdoptedTotal:       m.sessionsAdopted.Load(),
 			SessionsExportedTotal:      m.sessionsExported.Load(),
 			FencedRejectsTotal:         m.fencedRejects.Load(),
@@ -325,6 +343,8 @@ func (d *MetricsDump) Merge(o MetricsDump) {
 	d.FaultTolerance.DegradedPlansTotal += o.FaultTolerance.DegradedPlansTotal
 	d.FaultTolerance.JournalReplaysTotal += o.FaultTolerance.JournalReplaysTotal
 	d.FaultTolerance.JournalReplayFailuresTotal += o.FaultTolerance.JournalReplayFailuresTotal
+	d.FaultTolerance.JournalReplayBytesTotal += o.FaultTolerance.JournalReplayBytesTotal
+	d.FaultTolerance.JournalReplaySecondsTotal += o.FaultTolerance.JournalReplaySecondsTotal
 	d.FaultTolerance.SessionsAdoptedTotal += o.FaultTolerance.SessionsAdoptedTotal
 	d.FaultTolerance.SessionsExportedTotal += o.FaultTolerance.SessionsExportedTotal
 	d.FaultTolerance.FencedRejectsTotal += o.FaultTolerance.FencedRejectsTotal
