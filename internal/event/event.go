@@ -8,7 +8,6 @@
 package event
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/simtime"
@@ -39,8 +38,6 @@ const (
 // pending events.
 type Event struct {
 	time     simtime.Time
-	priority Priority
-	seq      uint64
 	handler  Handler
 	index    int // heap index, -1 once removed
 	canceled bool
@@ -60,7 +57,7 @@ func (ev *Event) Canceled() bool { return ev.canceled }
 // usable; call New.
 type Engine struct {
 	now     simtime.Time
-	queue   eventHeap
+	queue   []entry // binary min-heap under (time, priority, seq)
 	nextSeq uint64
 	fired   uint64
 	// MaxEvents bounds the number of events processed by Run as a guard
@@ -97,9 +94,7 @@ func (e *Engine) alloc() *Event {
 // the engine owns that memory and will recycle it, so callers must drop
 // retained handles (Cancel on one after Reset corrupts the queue).
 func (e *Engine) Reset() {
-	for i := range e.queue {
-		e.queue[i] = nil
-	}
+	clear(e.queue)
 	e.queue = e.queue[:0]
 	e.now = 0
 	e.nextSeq = 0
@@ -118,8 +113,8 @@ func (e *Engine) Now() simtime.Time { return e.now }
 // Len returns the number of pending (non-canceled) events.
 func (e *Engine) Len() int {
 	n := 0
-	for _, ev := range e.queue {
-		if !ev.canceled {
+	for _, en := range e.queue {
+		if !en.ev.canceled {
 			n++
 		}
 	}
@@ -140,9 +135,9 @@ func (e *Engine) At(t simtime.Time, pri Priority, name string, h Handler) *Event
 		t = e.now // within tolerance: clamp to now
 	}
 	ev := e.alloc()
-	ev.time, ev.priority, ev.seq, ev.handler, ev.name = t, pri, e.nextSeq, h, name
+	ev.time, ev.handler, ev.name = t, h, name
+	e.push(entry{time: t, priority: pri, seq: e.nextSeq, ev: ev})
 	e.nextSeq++
-	heap.Push(&e.queue, ev)
 	return ev
 }
 
@@ -161,14 +156,14 @@ func (e *Engine) Cancel(ev *Event) {
 		return
 	}
 	ev.canceled = true
-	heap.Remove(&e.queue, ev.index)
+	e.remove(ev.index)
 }
 
 // Step fires the next pending event. It reports false when the queue is
 // empty.
 func (e *Engine) Step() bool {
-	for e.queue.Len() > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
+	for len(e.queue) > 0 {
+		ev := e.remove(0)
 		if ev.canceled {
 			continue
 		}
@@ -194,13 +189,13 @@ func (e *Engine) Run() error {
 // horizon means run to completion. The clock ends at the later of its
 // current value and the last fired event (it does not jump to the horizon).
 func (e *Engine) RunUntil(horizon simtime.Time) error {
-	for e.queue.Len() > 0 {
+	for len(e.queue) > 0 {
+		next := e.queue[0].ev
 		if e.MaxEvents > 0 && e.fired >= e.MaxEvents {
-			return fmt.Errorf("event: exceeded MaxEvents=%d at t=%v (next %q)", e.MaxEvents, e.now, e.queue[0].name)
+			return fmt.Errorf("event: exceeded MaxEvents=%d at t=%v (next %q)", e.MaxEvents, e.now, next.name)
 		}
-		next := e.queue[0]
 		if next.canceled {
-			heap.Pop(&e.queue)
+			e.remove(0)
 			continue
 		}
 		if horizon >= 0 && simtime.After(next.time, horizon) {
@@ -213,9 +208,9 @@ func (e *Engine) RunUntil(horizon simtime.Time) error {
 
 // Peek returns the time of the next pending event, or ok=false when none.
 func (e *Engine) Peek() (t simtime.Time, ok bool) {
-	for e.queue.Len() > 0 {
-		if e.queue[0].canceled {
-			heap.Pop(&e.queue)
+	for len(e.queue) > 0 {
+		if e.queue[0].ev.canceled {
+			e.remove(0)
 			continue
 		}
 		return e.queue[0].time, true
@@ -223,13 +218,18 @@ func (e *Engine) Peek() (t simtime.Time, ok bool) {
 	return 0, false
 }
 
-// eventHeap implements container/heap ordered by (time, priority, seq).
-type eventHeap []*Event
+// entry is one heap slot: the event's sort key held inline, so sifting
+// compares without chasing the pointer, and the event it orders.
+type entry struct {
+	time     simtime.Time
+	priority Priority
+	seq      uint64
+	ev       *Event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
+// less orders by (time, priority, seq). seq is unique per event, so the
+// order is total and every correct heap fires the same sequence.
+func (a *entry) less(b *entry) bool {
 	if a.time != b.time {
 		return a.time < b.time
 	}
@@ -239,24 +239,70 @@ func (h eventHeap) Less(i, j int) bool {
 	return a.seq < b.seq
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+// set stores en at heap index i and records the index in its event.
+func (e *Engine) set(i int, en entry) {
+	e.queue[i] = en
+	en.ev.index = i
 }
 
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
+func (e *Engine) push(en entry) {
+	e.queue = append(e.queue, en)
+	e.up(len(e.queue) - 1)
 }
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+// remove takes the entry at heap index i out of the queue and returns its
+// event, marked as no longer queued.
+func (e *Engine) remove(i int) *Event {
+	ev := e.queue[i].ev
+	n := len(e.queue) - 1
+	last := e.queue[n]
+	e.queue[n] = entry{}
+	e.queue = e.queue[:n]
+	if i < n {
+		e.set(i, last)
+		if !e.down(i) {
+			e.up(i)
+		}
+	}
 	ev.index = -1
-	*h = old[:n-1]
 	return ev
+}
+
+// up sifts the entry at index j toward the root.
+func (e *Engine) up(j int) {
+	en := e.queue[j]
+	for j > 0 {
+		i := (j - 1) / 2
+		if !en.less(&e.queue[i]) {
+			break
+		}
+		e.set(j, e.queue[i])
+		j = i
+	}
+	e.set(j, en)
+}
+
+// down sifts the entry at index i toward the leaves and reports whether it
+// moved.
+func (e *Engine) down(i0 int) bool {
+	n := len(e.queue)
+	en := e.queue[i0]
+	i := i0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		j := l
+		if r := l + 1; r < n && e.queue[r].less(&e.queue[l]) {
+			j = r
+		}
+		if !e.queue[j].less(&en) {
+			break
+		}
+		e.set(i, e.queue[j])
+		i = j
+	}
+	e.set(i, en)
+	return i > i0
 }

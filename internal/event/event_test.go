@@ -197,3 +197,96 @@ func TestFiringOrderProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCancelMidHeapMatchesReferenceOrder cancels events wherever they sit in
+// the heap — before the run and from inside handlers — and checks the fired
+// sequence against a reference: every event sorted by (time, priority,
+// insertion), walked in order, skipping the canceled ones.
+func TestCancelMidHeapMatchesReferenceOrder(t *testing.T) {
+	type spec struct {
+		time     simtime.Time
+		pri      Priority
+		cancelBy int // index of the event whose handler cancels this one, or -1
+		canceled bool
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(60) + 1
+		specs := make([]spec, n)
+		for i := range specs {
+			specs[i] = spec{time: simtime.Time(rng.Intn(10)), pri: Priority(rng.Intn(3)), cancelBy: -1}
+		}
+		for i := range specs {
+			switch rng.Intn(4) {
+			case 0:
+				specs[i].canceled = true
+			case 1:
+				specs[i].cancelBy = rng.Intn(n)
+			}
+		}
+
+		e := New()
+		evs := make([]*Event, n)
+		var fired []int
+		for i := range specs {
+			i := i
+			evs[i] = e.At(specs[i].time, specs[i].pri, "x", func(*Engine, simtime.Time) {
+				fired = append(fired, i)
+				for j := range specs {
+					if specs[j].cancelBy == i {
+						e.Cancel(evs[j])
+					}
+				}
+			})
+		}
+		pending := n
+		for i := range specs {
+			if specs[i].canceled {
+				e.Cancel(evs[i])
+				pending--
+			}
+		}
+		if e.Len() != pending {
+			t.Fatalf("seed %d: Len = %d after cancels, want %d", seed, e.Len(), pending)
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+
+		order := make([]int, n)
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(a, b int) bool {
+			x, y := specs[order[a]], specs[order[b]]
+			if x.time != y.time {
+				return x.time < y.time
+			}
+			return x.pri < y.pri
+		})
+		dead := make([]bool, n)
+		for i := range specs {
+			dead[i] = specs[i].canceled
+		}
+		var want []int
+		for _, i := range order {
+			if dead[i] {
+				continue
+			}
+			want = append(want, i)
+			for j := range specs {
+				if specs[j].cancelBy == i {
+					dead[j] = true
+				}
+			}
+		}
+		if len(fired) != len(want) {
+			t.Fatalf("seed %d: fired %v, want %v", seed, fired, want)
+		}
+		for k := range want {
+			if fired[k] != want[k] {
+				t.Fatalf("seed %d: fired %v, want %v", seed, fired, want)
+			}
+		}
+	}
+}

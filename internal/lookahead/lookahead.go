@@ -84,7 +84,6 @@ type projTask struct {
 	startedAt simtime.Time
 	inst      cloud.InstanceID
 	readyAt   simtime.Time
-	order     int
 }
 
 // projInst is the projection's per-instance state. running is backed by a

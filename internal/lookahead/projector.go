@@ -1,7 +1,7 @@
 package lookahead
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/cloud"
 	"repro/internal/dag"
@@ -36,6 +36,10 @@ const stateUnseen = monitor.TaskState(-1)
 //     interval instead of O(edges));
 //   - per-task occupancy estimates are memoized and recomputed only when the
 //     task's state or its stage's predictor epochs changed (EpochEstimator);
+//   - the snapshot's Ready tasks are kept in FIFO order across calls: each
+//     call drops the tasks that left and merges in the sorted arrivals, and
+//     the projection reads the backlog front to back, with a small heap
+//     holding only the tasks it readies itself;
 //   - every simulation buffer — task scratch, instance table, ready queue,
 //     event queue, the Load output itself — is reused across calls.
 //
@@ -62,13 +66,26 @@ type Projector struct {
 	estAgg   []uint64
 	estModel []uint64
 
+	// The Ready backlog: the last snapshot's Ready tasks in (readyAt, id)
+	// order, carried across calls, so a task is a member exactly when its
+	// lastState is Ready. backAt holds the ReadyAt each member was filed
+	// under; fresh collects the delta pass's arrivals (newly Ready, or
+	// requeued under a new ReadyAt) and stale records that some member left
+	// or was refiled. spare is the merge buffer.
+	backlog []dag.TaskID
+	spare   []dag.TaskID
+	backAt  []simtime.Time
+	fresh   []dag.TaskID
+	stale   bool
+
 	// Per-call scratch, reused.
 	tasks      []projTask
 	instArena  []projInst
 	insts      []*projInst
 	runArena   []dag.TaskID
 	instByID   map[cloud.InstanceID]*projInst
-	ready      readyQueue
+	head       int        // backlog cursor: entries before it are dispatched
+	ready      readyQueue // tasks readied inside the projection
 	evq        eventQueue
 	stageAgg   []uint64
 	stageModel []uint64
@@ -94,6 +111,8 @@ func (p *Projector) reset(wf *dag.Workflow) {
 	p.estAgg = resize(p.estAgg, n)
 	p.estModel = resize(p.estModel, n)
 	p.tasks = resize(p.tasks, n)
+	p.backAt = resize(p.backAt, n)
+	p.backlog, p.fresh, p.stale = p.backlog[:0], p.fresh[:0], false
 	for _, t := range wf.Tasks {
 		p.waiting[t.ID] = int32(len(t.Deps))
 		p.lastState[t.ID] = stateUnseen
@@ -142,6 +161,9 @@ func (p *Projector) Project(snap *monitor.Snapshot, est Estimator) *Load {
 		}
 		p.reset(wf)
 	}
+	p.ready.reset(p.tasks)
+	p.refile()
+	p.head = 0
 
 	// Capacity: non-draining instances, including pending ones that
 	// activate within the interval. Instance scratch is rebuilt per call
@@ -202,7 +224,6 @@ func (p *Projector) Project(snap *monitor.Snapshot, est Estimator) *Load {
 		return d
 	}
 	p.evq.reset()
-	p.ready.reset(p.tasks)
 
 	completions := 0
 
@@ -233,12 +254,6 @@ func (p *Projector) Project(snap *monitor.Snapshot, est Estimator) *Load {
 			if simtime.AtOrBefore(end, horizon) {
 				p.evq.push(projEvent{time: shift(end), pri: priComplete, id: tid})
 			}
-		}
-	}
-	// Ready tasks form the initial backlog.
-	for _, t := range wf.Tasks {
-		if p.tasks[t.ID].state == monitor.Ready {
-			p.ready.push(t.ID)
 		}
 	}
 	// Pending instances activating within the interval trigger dispatch.
@@ -294,7 +309,7 @@ func (p *Projector) Project(snap *monitor.Snapshot, est Estimator) *Load {
 	// Running tasks first, in instance order.
 	for _, pi := range p.insts {
 		ids := append(p.harvestIDs[:0], pi.running...)
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		slices.Sort(ids)
 		for _, id := range ids {
 			pt := &p.tasks[id]
 			var consumed, rem float64
@@ -320,9 +335,12 @@ func (p *Projector) Project(snap *monitor.Snapshot, est Estimator) *Load {
 		}
 		p.harvestIDs = ids[:0]
 	}
-	// Then the queued backlog in FIFO order.
-	for p.ready.len() > 0 {
-		id := p.ready.pop()
+	// Then the undispatched backlog in FIFO order.
+	for {
+		id, ok := p.popReady()
+		if !ok {
+			break
+		}
 		out.Tasks = append(out.Tasks, TaskLoad{Task: id, Remaining: p.tasks[id].est})
 	}
 	if len(out.Tasks) == 0 {
@@ -355,9 +373,17 @@ func (p *Projector) deltaPass(snap *monitor.Snapshot, est Estimator, hasEpochs, 
 		}
 		p.lastState[i] = cur
 
+		if cur == monitor.Ready {
+			if prev != monitor.Ready || p.backAt[i] != rec.ReadyAt {
+				p.stale = p.stale || prev == monitor.Ready
+				p.fresh = append(p.fresh, i)
+			}
+		} else if prev == monitor.Ready {
+			p.stale = true
+		}
+
 		pt := &p.tasks[i]
 		pt.state = cur
-		pt.order = int(i)
 		pt.readyAt = rec.ReadyAt
 		pt.startedAt = 0
 		pt.inst = 0
@@ -386,6 +412,67 @@ func (p *Projector) deltaPass(snap *monitor.Snapshot, est Estimator, hasEpochs, 
 		pt.pol = p.estPol[i]
 	}
 	return true
+}
+
+// refile brings the backlog up to the snapshot the delta pass just read:
+// members no longer Ready, or Ready under a new ReadyAt, leave, and the
+// fresh arrivals are sorted and merged in.
+func (p *Projector) refile() {
+	if p.stale {
+		kept := p.backlog[:0]
+		for _, id := range p.backlog {
+			if pt := &p.tasks[id]; pt.state == monitor.Ready && pt.readyAt == p.backAt[id] {
+				kept = append(kept, id)
+			}
+		}
+		p.backlog, p.stale = kept, false
+	}
+	if len(p.fresh) == 0 {
+		return
+	}
+	slices.SortFunc(p.fresh, p.ready.cmp)
+	for _, id := range p.fresh {
+		p.backAt[id] = p.tasks[id].readyAt
+	}
+	if n := len(p.backlog); n == 0 || p.ready.less(p.backlog[n-1], p.fresh[0]) {
+		// Arrivals usually all sort after the backlog: no merge needed.
+		p.backlog = append(p.backlog, p.fresh...)
+	} else {
+		merged := p.spare[:0]
+		b, f := p.backlog, p.fresh
+		for len(b) > 0 && len(f) > 0 {
+			if p.ready.less(f[0], b[0]) {
+				merged, f = append(merged, f[0]), f[1:]
+			} else {
+				merged, b = append(merged, b[0]), b[1:]
+			}
+		}
+		merged = append(append(merged, b...), f...)
+		p.spare, p.backlog = p.backlog[:0], merged
+	}
+	p.fresh = p.fresh[:0]
+}
+
+// popReady dequeues the next task to dispatch: the earlier, in (readyAt,
+// id) order, of the backlog's head and the in-projection heap's head. A
+// backlog member that is no longer Ready (listed running by an instance
+// although its record says Ready) is passed over, as the one-heap
+// projection never queued it.
+func (p *Projector) popReady() (dag.TaskID, bool) {
+	for p.head < len(p.backlog) && p.tasks[p.backlog[p.head]].state != monitor.Ready {
+		p.head++
+	}
+	if p.head < len(p.backlog) {
+		id := p.backlog[p.head]
+		if p.ready.len() == 0 || p.ready.less(id, p.ready.ids[0]) {
+			p.head++
+			return id, true
+		}
+	}
+	if p.ready.len() == 0 {
+		return 0, false
+	}
+	return p.ready.pop(), true
 }
 
 // complete marks a task finished at `at`, releases its slot, readies
@@ -419,7 +506,7 @@ func (p *Projector) complete(id dag.TaskID, at simtime.Time, horizon simtime.Tim
 // dispatch starts queued tasks on free active slots, FIFO, first instance
 // in ID order.
 func (p *Projector) dispatch(at simtime.Time, horizon simtime.Time, shift func(simtime.Time) simtime.Time) {
-	for p.ready.len() > 0 {
+	for {
 		var pick *projInst
 		for _, pi := range p.insts {
 			if pi.free > 0 && simtime.AtOrBefore(pi.activeAt, at) {
@@ -430,7 +517,10 @@ func (p *Projector) dispatch(at simtime.Time, horizon simtime.Time, shift func(s
 		if pick == nil {
 			return
 		}
-		id := p.ready.pop()
+		id, ok := p.popReady()
+		if !ok {
+			return
+		}
 		pt := &p.tasks[id]
 		pt.state = monitor.Running
 		pt.startedAt = at
@@ -528,8 +618,8 @@ func (q *eventQueue) pop() projEvent {
 	return top
 }
 
-// readyQueue is a binary min-heap of task IDs ordered by (readyAt, order) —
-// the FIFO backlog. Task order values are unique, so the order is total.
+// readyQueue is a binary min-heap of task IDs ordered by (readyAt, id), the
+// FIFO order. IDs are unique, so the order is total.
 type readyQueue struct {
 	tasks []projTask
 	ids   []dag.TaskID
@@ -547,7 +637,18 @@ func (q *readyQueue) less(a, b dag.TaskID) bool {
 	if x.readyAt != y.readyAt {
 		return x.readyAt < y.readyAt
 	}
-	return x.order < y.order
+	return a < b
+}
+
+// cmp is less as a three-way comparison, for sorting.
+func (q *readyQueue) cmp(a, b dag.TaskID) int {
+	switch {
+	case q.less(a, b):
+		return -1
+	case q.less(b, a):
+		return 1
+	}
+	return 0
 }
 
 func (q *readyQueue) push(id dag.TaskID) {

@@ -297,3 +297,173 @@ func TestProjectorDoubleBufferContract(t *testing.T) {
 		}
 	}
 }
+
+// TestProjectorBacklogEdges drives trajectories through the three moves the
+// carried Ready backlog has to get right, each step checked byte for byte
+// against a from-scratch Project:
+//   - requeue: a Ready task goes Running and back to Ready within one
+//     interval, so it is Ready in consecutive snapshots under a new ReadyAt
+//     and must leave its old place in the backlog;
+//   - tie: tasks turn Ready with ReadyAt == Now, tying with the successors
+//     the projection readies at Now when an overdue running task completes;
+//   - merge: tasks turn Ready under a ReadyAt older than backlog members,
+//     so the arrivals interleave with the backlog instead of following it;
+//   - reset: a Completed task is reverted while the backlog is non-empty, so
+//     the projector resets with members filed.
+//
+// Each case counts the steps that really produced its move.
+func TestProjectorBacklogEdges(t *testing.T) {
+	type prior struct {
+		state   monitor.TaskState
+		readyAt simtime.Time
+	}
+	cases := []struct {
+		name string
+		// tweak edits the fresh snapshot given the previous one's records
+		// and reports whether the step produced the case's move.
+		tweak func(rng *rand.Rand, s *monitor.Snapshot, prev []prior) bool
+	}{
+		{"requeue", func(rng *rand.Rand, s *monitor.Snapshot, prev []prior) bool {
+			hit := false
+			for i := range s.Tasks {
+				rec := &s.Tasks[i]
+				if rec.State == monitor.Ready && prev[i].state == monitor.Ready && rng.Intn(3) == 0 {
+					rec.ReadyAt = s.Now - simtime.Time(rng.Intn(int(s.Interval)))
+					hit = hit || rec.ReadyAt != prev[i].readyAt
+				}
+			}
+			return hit
+		}},
+		{"tie", func(rng *rand.Rand, s *monitor.Snapshot, prev []prior) bool {
+			fresh, overdue := false, false
+			for i := range s.Tasks {
+				rec := &s.Tasks[i]
+				if rec.State == monitor.Ready && prev[i].state != monitor.Ready {
+					rec.ReadyAt = s.Now
+					fresh = true
+				}
+				// The estimator never answers above 9.5 s: a task running
+				// that long completes at Now in the projection.
+				overdue = overdue || (rec.State == monitor.Running && rec.Elapsed >= 10)
+			}
+			return fresh && overdue
+		}},
+		{"merge", func(rng *rand.Rand, s *monitor.Snapshot, prev []prior) bool {
+			// Arrivals filed under a ReadyAt older than backlog members
+			// (a client's snapshot may say anything) must be merged in,
+			// not appended.
+			latest, hit := simtime.Time(-1), false
+			for i := range s.Tasks {
+				if prev[i].state == monitor.Ready && s.Tasks[i].State == monitor.Ready && s.Tasks[i].ReadyAt > latest {
+					latest = s.Tasks[i].ReadyAt
+				}
+			}
+			for i := range s.Tasks {
+				rec := &s.Tasks[i]
+				if rec.State == monitor.Ready && prev[i].state != monitor.Ready && rng.Intn(2) == 0 {
+					rec.ReadyAt = s.Now - simtime.Time(rng.Intn(4*int(s.Interval)))
+					hit = hit || rec.ReadyAt < latest
+				}
+			}
+			return hit
+		}},
+		{"reset", func(rng *rand.Rand, s *monitor.Snapshot, prev []prior) bool {
+			backlog := false
+			for i := range prev {
+				backlog = backlog || (prev[i].state == monitor.Ready && s.Tasks[i].State == monitor.Ready)
+			}
+			if !backlog || rng.Intn(3) != 0 {
+				return false
+			}
+			for i := range s.Tasks {
+				if rec := &s.Tasks[i]; rec.State == monitor.Completed {
+					rec.State = monitor.Ready
+					rec.ReadyAt = s.Now
+					rec.CompletedAt, rec.ExecTime = 0, 0
+					return true
+				}
+			}
+			return false
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			hits := 0
+			for seed := int64(0); seed < 30; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				wf := randWorkflow(rng)
+				est := &epochEst{agg: make([]uint64, wf.NumStages()), model: make([]uint64, wf.NumStages())}
+				var proj Projector
+				tr := newTrajectory(rng, wf)
+				prev := make([]prior, wf.NumTasks())
+				for i := range prev {
+					prev[i].state = monitor.Blocked
+				}
+				for step := 0; step < 50; step++ {
+					s := tr.step()
+					if tc.tweak(rng, s, prev) {
+						hits++
+					}
+					for i := range s.Tasks {
+						prev[i] = prior{s.Tasks[i].State, s.Tasks[i].ReadyAt}
+					}
+					ji, _ := json.Marshal(proj.Project(s, est))
+					jr, _ := json.Marshal(Project(s, est))
+					if !bytes.Equal(ji, jr) {
+						t.Fatalf("seed %d step %d: projection diverged\nincremental: %s\nfrom-scratch: %s", seed, step, ji, jr)
+					}
+				}
+			}
+			if hits == 0 {
+				t.Fatal("no step produced the move under test")
+			}
+		})
+	}
+}
+
+// TestProjectReadyTieBreaksByID pins the tie between a snapshot-Ready task
+// with ReadyAt == Now and a successor the projection readies at Now: the
+// lower task ID dispatches first, whichever queue it sits in, and a carried
+// backlog answers as a fresh projection does.
+func TestProjectReadyTieBreaksByID(t *testing.T) {
+	// Task 0 runs overdue on the only slot and completes at Now; its
+	// successor and a root that turned Ready at Now then compete for the
+	// slot.
+	build := func(successorFirst bool) (*dag.Workflow, dag.TaskID, dag.TaskID) {
+		b := dag.NewBuilder("tie")
+		st := b.AddStage("s")
+		a := b.AddTask(st, "a", 10, 0, 1)
+		if successorFirst {
+			succ := b.AddTask(st, "succ", 10, 0, 1, a)
+			root := b.AddTask(st, "root", 10, 0, 1)
+			return b.MustBuild(), succ, root
+		}
+		root := b.AddTask(st, "root", 10, 0, 1)
+		succ := b.AddTask(st, "succ", 10, 0, 1, a)
+		return b.MustBuild(), succ, root
+	}
+	for _, successorFirst := range []bool{true, false} {
+		wf, succ, root := build(successorFirst)
+		s := snap(wf, 100, 10)
+		s.Tasks[0].State = monitor.Running
+		s.Tasks[0].StartedAt, s.Tasks[0].Elapsed = 0, 100
+		s.Tasks[root].State, s.Tasks[root].ReadyAt = monitor.Ready, 100
+		addInstance(s, 0, 1, 0, 0)
+		est := &fixedEst{def: 1000, per: map[dag.TaskID]float64{0: 50}}
+
+		first, second := root, succ
+		if successorFirst {
+			first, second = succ, root
+		}
+		want := []TaskLoad{{Task: first, Remaining: 990, Running: true}, {Task: second, Remaining: 1000}}
+		var proj Projector
+		// The first call files the root in the backlog; the second reads
+		// the carried backlog.
+		for call := 0; call < 2; call++ {
+			load := proj.Project(s, est)
+			if len(load.Tasks) != 2 || load.Tasks[0] != want[0] || load.Tasks[1] != want[1] {
+				t.Fatalf("successorFirst=%v call %d: Q_task = %+v, want %+v", successorFirst, call, load.Tasks, want)
+			}
+		}
+	}
+}

@@ -9,8 +9,8 @@
 package sched
 
 import (
-	"container/heap"
 	"fmt"
+	"slices"
 
 	"repro/internal/dag"
 	"repro/internal/simtime"
@@ -29,13 +29,12 @@ type Item struct {
 	Priority bool
 	// order is the FIFO tie-break rank (submission-order index).
 	order int
-	index int
 }
 
 // Queue is a ready queue with the first-five-per-stage boost. The zero
 // value is not usable; call NewQueue.
 type Queue struct {
-	h          itemHeap
+	h          []Item // binary min-heap under less
 	stageCount map[dag.StageID]int
 	orderOf    func(dag.TaskID) int
 	boost      int
@@ -81,67 +80,99 @@ func NewQueue(opts ...Option) *Queue {
 func (q *Queue) Push(task dag.TaskID, stage dag.StageID, readyAt simtime.Time) {
 	n := q.stageCount[stage]
 	q.stageCount[stage] = n + 1
-	it := &Item{
+	q.push(Item{
 		Task:     task,
 		Stage:    stage,
 		ReadyAt:  readyAt,
 		Priority: n < q.boost,
 		order:    q.orderOf(task),
-	}
-	heap.Push(&q.h, it)
+	})
 }
 
 // Requeue re-enqueues a task whose execution was killed by an instance
 // release. It keeps its original priority flag (the stage counter is not
 // re-incremented) and re-enters the FIFO order at its new ready time.
 func (q *Queue) Requeue(task dag.TaskID, stage dag.StageID, readyAt simtime.Time, priority bool) {
-	it := &Item{Task: task, Stage: stage, ReadyAt: readyAt, Priority: priority, order: q.orderOf(task)}
-	heap.Push(&q.h, it)
+	q.push(Item{Task: task, Stage: stage, ReadyAt: readyAt, Priority: priority, order: q.orderOf(task)})
 }
 
 // Pop dequeues the next task, or ok=false when empty.
 func (q *Queue) Pop() (Item, bool) {
-	if q.h.Len() == 0 {
+	n := len(q.h) - 1
+	if n < 0 {
 		return Item{}, false
 	}
-	it := heap.Pop(&q.h).(*Item)
-	return *it, true
+	top, last := q.h[0], q.h[n]
+	q.h = q.h[:n]
+	// Sift the hole left at the root down to where the last item fits.
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		j := l
+		if r := l + 1; r < n && less(&q.h[r], &q.h[l]) {
+			j = r
+		}
+		if !less(&q.h[j], &last) {
+			break
+		}
+		q.h[i] = q.h[j]
+		i = j
+	}
+	if i < n {
+		q.h[i] = last
+	}
+	return top, true
 }
 
 // Peek returns the next task without removing it.
 func (q *Queue) Peek() (Item, bool) {
-	if q.h.Len() == 0 {
+	if len(q.h) == 0 {
 		return Item{}, false
 	}
-	return *q.h[0], true
+	return q.h[0], true
 }
 
 // Len returns the number of queued tasks.
-func (q *Queue) Len() int { return q.h.Len() }
+func (q *Queue) Len() int { return len(q.h) }
 
 // Snapshot returns the queued items in dequeue order without disturbing the
-// queue; the lookahead simulator uses it to replicate dispatch order.
+// queue; the lookahead simulator uses it to replicate dispatch order. The
+// order is total, so sorting a copy yields exactly the Pop sequence.
 func (q *Queue) Snapshot() []Item {
-	tmp := make(itemHeap, len(q.h))
-	for i, it := range q.h {
-		cp := *it
-		tmp[i] = &cp
-		tmp[i].index = i
-	}
-	out := make([]Item, 0, len(tmp))
-	for tmp.Len() > 0 {
-		out = append(out, *heap.Pop(&tmp).(*Item))
-	}
+	out := slices.Clone(q.h)
+	slices.SortFunc(out, func(a, b Item) int {
+		switch {
+		case less(&a, &b):
+			return -1
+		case less(&b, &a):
+			return 1
+		}
+		return 0
+	})
 	return out
 }
 
-// itemHeap orders by (priority desc, readyAt, order, task).
-type itemHeap []*Item
+func (q *Queue) push(it Item) {
+	q.h = append(q.h, it)
+	// Sift the hole at the end up to where it fits.
+	j := len(q.h) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !less(&it, &q.h[i]) {
+			break
+		}
+		q.h[j] = q.h[i]
+		j = i
+	}
+	q.h[j] = it
+}
 
-func (h itemHeap) Len() int { return len(h) }
-
-func (h itemHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
+// less orders by (priority desc, readyAt, order, task): a total order, so
+// every correct heap pops the same sequence.
+func less(a, b *Item) bool {
 	if a.Priority != b.Priority {
 		return a.Priority
 	}
@@ -152,25 +183,4 @@ func (h itemHeap) Less(i, j int) bool {
 		return a.order < b.order
 	}
 	return a.Task < b.Task
-}
-
-func (h itemHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *itemHeap) Push(x any) {
-	it := x.(*Item)
-	it.index = len(*h)
-	*h = append(*h, it)
-}
-
-func (h *itemHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return it
 }

@@ -11,6 +11,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/cloud"
@@ -28,9 +29,10 @@ type Controller interface {
 	Name() string
 	// Plan inspects the snapshot and returns pool-change orders that the
 	// simulator applies with the cloud's lag semantics. The snapshot is
-	// valid only for the duration of the call: the simulator refills the
-	// same one, slices included, at every tick, so a controller that keeps
-	// it must keep a copy (monitor.Snapshot.Clone).
+	// read-only and valid only for the duration of the call: the simulator
+	// refills the same one, slices included, at every tick, rewriting only
+	// the records that changed, so a controller that keeps it must keep a
+	// copy (monitor.Snapshot.Clone).
 	Plan(snap *monitor.Snapshot) Decision
 }
 
@@ -299,8 +301,19 @@ type run struct {
 	queue *sched.Queue
 	rng   *rand.Rand
 
-	tasks     []taskState
-	instances map[cloud.InstanceID]*instState
+	tasks []taskState
+	// byID holds every instance ever launched, indexed by ID (the site
+	// numbers launches 0, 1, 2, ...); live holds the ones not yet
+	// terminated, in ID order. Dispatch, pool sampling and observe walk
+	// live, so their cost follows the pool, not its history.
+	byID []*instState
+	live []*instState
+
+	// dirty lists the tasks readied, started, completed or killed since the
+	// last control tick, each once (touched marks membership): together
+	// with the running tasks, the only records observe has to refill.
+	dirty   []dag.TaskID
+	touched []bool
 
 	completed int
 	lastTick  simtime.Time
@@ -325,7 +338,6 @@ type taskState struct {
 	// Fields of the current/last attempt.
 	startedAt      simtime.Time
 	inst           *instState
-	slot           int
 	attemptDur     simtime.Duration // sampled total occupancy
 	actualTransfer simtime.Duration
 	actualExec     simtime.Duration
@@ -336,8 +348,10 @@ type taskState struct {
 }
 
 type instState struct {
-	inst     *cloud.Instance
-	running  map[dag.TaskID]struct{}
+	inst *cloud.Instance
+	// running lists the tasks occupying the instance's slots in task-ID
+	// order, the order the snapshot publishes and a kill requeues them in.
+	running  []dag.TaskID
 	draining bool
 	termEv   *event.Event
 	speed    float64
@@ -353,6 +367,16 @@ func Run(wf *dag.Workflow, ctrl Controller, cfg Config) (*Result, error) {
 }
 
 func runWithBudget(wf *dag.Workflow, ctrl Controller, cfg Config, maxEvents uint64) (*Result, error) {
+	r, err := newRun(wf, ctrl, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return r.execute(maxEvents)
+}
+
+// newRun validates the configuration and builds the run at t=0: roots
+// ready, bootstrap pool launched, first control tick scheduled.
+func newRun(wf *dag.Workflow, ctrl Controller, cfg Config) (*run, error) {
 	if err := cfg.Cloud.Validate(); err != nil {
 		return nil, err
 	}
@@ -386,22 +410,21 @@ func runWithBudget(wf *dag.Workflow, ctrl Controller, cfg Config, maxEvents uint
 		return nil, err
 	}
 	r := &run{
-		wf:        wf,
-		ctrl:      ctrl,
-		cfg:       cfg,
-		eng:       event.New(),
-		site:      site,
-		queue:     sched.NewQueue(sched.WithOrder(orderOf), sched.WithBoost(boost)),
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		tasks:     make([]taskState, wf.NumTasks()),
-		instances: make(map[cloud.InstanceID]*instState),
+		wf:      wf,
+		ctrl:    ctrl,
+		cfg:     cfg,
+		eng:     event.New(),
+		site:    site,
+		queue:   sched.NewQueue(sched.WithOrder(orderOf), sched.WithBoost(boost)),
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		tasks:   make([]taskState, wf.NumTasks()),
+		touched: make([]bool, wf.NumTasks()),
 		res: &Result{
 			Workflow: wf.Name,
 			Policy:   ctrl.Name(),
 			TaskRuns: make([]TaskRun, 0, wf.NumTasks()),
 		},
 	}
-	r.eng.MaxEvents = maxEvents
 
 	// Initial dependency counts and root readiness.
 	for _, t := range wf.Tasks {
@@ -424,7 +447,14 @@ func runWithBudget(wf *dag.Workflow, ctrl Controller, cfg Config, maxEvents uint
 	// effective at the start of the following interval (§III-A).
 	iv := cfg.interval()
 	r.nextTick = r.eng.At(iv, event.PriControl, "control", r.controlTick)
+	return r, nil
+}
 
+// execute runs the simulation to completion, firing at most maxEvents
+// events.
+func (r *run) execute(maxEvents uint64) (*Result, error) {
+	wf, cfg, site := r.wf, r.cfg, r.site
+	r.eng.MaxEvents = maxEvents
 	if err := r.eng.RunUntil(cfg.MaxSimTime); err != nil {
 		return nil, err
 	}
@@ -433,7 +463,7 @@ func runWithBudget(wf *dag.Workflow, ctrl Controller, cfg Config, maxEvents uint
 	}
 	if !r.done {
 		return nil, fmt.Errorf("sim: %s/%s exceeded horizon %v with %d/%d tasks done",
-			wf.Name, ctrl.Name(), cfg.MaxSimTime, r.completed, wf.NumTasks())
+			wf.Name, r.ctrl.Name(), cfg.MaxSimTime, r.completed, wf.NumTasks())
 	}
 
 	r.res.Makespan = r.doneAt
@@ -481,7 +511,7 @@ func (r *run) launchFated(now simtime.Time, doa, elastic bool) (*instState, erro
 		}
 	}
 	r.emit(Event{Time: now, Kind: EvInstanceLaunch, Task: -1, Instance: in.ID})
-	is := &instState{inst: in, running: make(map[dag.TaskID]struct{}), speed: 1}
+	is := &instState{inst: in, running: make([]dag.TaskID, 0, in.Slots), speed: 1}
 	if r.cfg.InstanceSpeed != nil {
 		if s := r.cfg.InstanceSpeed.Sample(r.rng); s > 0.01 {
 			is.speed = s
@@ -489,7 +519,8 @@ func (r *run) launchFated(now simtime.Time, doa, elastic bool) (*instState, erro
 			is.speed = 0.01
 		}
 	}
-	r.instances[in.ID] = is
+	r.byID = append(r.byID, is)
+	r.live = append(r.live, is)
 	r.res.Launches++
 	if held := r.site.Held(); held > r.res.PeakPool {
 		r.res.PeakPool = held
@@ -505,7 +536,7 @@ func (r *run) launchFated(now simtime.Time, doa, elastic bool) (*instState, erro
 			}
 			r.res.DeadOnArrival++
 			r.emit(Event{Time: t, Kind: EvInstanceDOA, Task: -1, Instance: is.inst.ID})
-			if err := r.site.Terminate(is.inst, t); err != nil {
+			if err := r.retire(is, t); err != nil {
 				r.fail(err)
 				return
 			}
@@ -540,7 +571,26 @@ func (r *run) launchFated(now simtime.Time, doa, elastic bool) (*instState, erro
 	return is, nil
 }
 
+// retire terminates is at the site and drops it from the live table.
+func (r *run) retire(is *instState, now simtime.Time) error {
+	if err := r.site.Terminate(is.inst, now); err != nil {
+		return err
+	}
+	i := slices.Index(r.live, is)
+	r.live = slices.Delete(r.live, i, i+1)
+	return nil
+}
+
+// touch adds a task whose record changed to the dirty set.
+func (r *run) touch(id dag.TaskID) {
+	if !r.touched[id] {
+		r.touched[id] = true
+		r.dirty = append(r.dirty, id)
+	}
+}
+
 func (r *run) markReady(id dag.TaskID, now simtime.Time) {
+	r.touch(id)
 	ts := &r.tasks[id]
 	ts.state = monitor.Ready
 	ts.readyAt = now
@@ -564,24 +614,30 @@ func (r *run) dispatch(now simtime.Time) {
 	}
 }
 
+// pickInstance returns the lowest-ID usable, non-draining instance with a
+// free slot, or nil.
 func (r *run) pickInstance(now simtime.Time) *instState {
-	var best *instState
-	for _, in := range r.site.Instances() {
-		is := r.instances[in.ID]
-		if is.draining || in.State != cloud.Active || !in.UsableAt(now) {
-			continue
-		}
-		if is.freeSlots() <= 0 {
-			continue
-		}
-		if best == nil || in.ID < best.inst.ID {
-			best = is
+	for _, is := range r.live {
+		if !is.draining && is.freeSlots() > 0 && is.inst.State == cloud.Active && is.inst.UsableAt(now) {
+			return is
 		}
 	}
-	return best
+	return nil
+}
+
+// usable counts the active instances usable at now.
+func (r *run) usable(now simtime.Time) int {
+	n := 0
+	for _, is := range r.live {
+		if is.inst.State == cloud.Active && is.inst.UsableAt(now) {
+			n++
+		}
+	}
+	return n
 }
 
 func (r *run) start(id dag.TaskID, is *instState, now simtime.Time, priority bool) {
+	r.touch(id)
 	ts := &r.tasks[id]
 	t := r.wf.Task(id)
 
@@ -595,7 +651,7 @@ func (r *run) start(id dag.TaskID, is *instState, now simtime.Time, priority boo
 	factor /= is.speed
 	congestion := 1.0
 	if r.cfg.TransferCongestion > 0 {
-		if usable := len(r.site.UsableInstances(now)); usable > 1 {
+		if usable := r.usable(now); usable > 1 {
 			congestion += r.cfg.TransferCongestion * float64(usable-1)
 		}
 	}
@@ -606,7 +662,8 @@ func (r *run) start(id dag.TaskID, is *instState, now simtime.Time, priority boo
 	ts.actualTransfer = t.TransferTime * factor * congestion
 	ts.actualExec = t.ExecTime * factor
 	ts.attemptDur = ts.actualTransfer + ts.actualExec
-	is.running[id] = struct{}{}
+	i, _ := slices.BinarySearch(is.running, id)
+	is.running = slices.Insert(is.running, i, id)
 
 	r.emit(Event{Time: now, Kind: EvTaskStart, Task: id, Instance: is.inst.ID})
 
@@ -616,11 +673,13 @@ func (r *run) start(id dag.TaskID, is *instState, now simtime.Time, priority boo
 }
 
 func (r *run) complete(id dag.TaskID, now simtime.Time) {
+	r.touch(id)
 	ts := &r.tasks[id]
 	is := ts.inst
 	ts.state = monitor.Completed
 	ts.completedAt = now
-	delete(is.running, id)
+	i, _ := slices.BinarySearch(is.running, id)
+	is.running = slices.Delete(is.running, i, i+1)
 	is.inst.BusySlotSeconds += ts.attemptDur
 	r.completed++
 	r.emit(Event{Time: now, Kind: EvTaskComplete, Task: id, Instance: is.inst.ID})
@@ -659,27 +718,29 @@ func (r *run) finish(now simtime.Time) {
 	if r.nextTick != nil {
 		r.eng.Cancel(r.nextTick)
 	}
-	for _, in := range r.site.Instances() {
-		is := r.instances[in.ID]
+	for _, is := range r.byID {
 		if is.termEv != nil {
 			r.eng.Cancel(is.termEv)
 		}
-		if in.State != cloud.Terminated {
-			if err := r.site.Terminate(in, now); err != nil {
-				r.fail(err)
-			}
-			r.emit(Event{Time: now, Kind: EvInstanceTerminated, Task: -1, Instance: in.ID})
-		}
 	}
+	for _, is := range r.live {
+		if err := r.site.Terminate(is.inst, now); err != nil {
+			r.fail(err)
+		}
+		r.emit(Event{Time: now, Kind: EvInstanceTerminated, Task: -1, Instance: is.inst.ID})
+	}
+	r.live = r.live[:0]
 	r.samplePool(now)
 }
 
-// terminate kills an instance, requeueing its running tasks.
+// terminate kills an instance, requeueing its running tasks in task-ID
+// order.
 func (r *run) terminate(is *instState, now simtime.Time) {
 	if is.inst.State == cloud.Terminated {
 		return
 	}
-	for id := range is.running {
+	for _, id := range is.running {
+		r.touch(id)
 		ts := &r.tasks[id]
 		r.eng.Cancel(ts.completeEv)
 		is.inst.BusySlotSeconds += now - ts.startedAt
@@ -692,8 +753,8 @@ func (r *run) terminate(is *instState, now simtime.Time) {
 		r.queue.Requeue(id, t.Stage, now, ts.priority)
 		r.emit(Event{Time: now, Kind: EvTaskKilled, Task: id, Instance: is.inst.ID})
 	}
-	is.running = make(map[dag.TaskID]struct{})
-	if err := r.site.Terminate(is.inst, now); err != nil {
+	is.running = is.running[:0]
+	if err := r.retire(is, now); err != nil {
 		r.fail(err)
 		return
 	}
@@ -706,7 +767,7 @@ func (r *run) samplePool(now simtime.Time) {
 	s := PoolSample{
 		Time:   now,
 		Held:   r.site.Held(),
-		Usable: len(r.site.UsableInstances(now)),
+		Usable: r.usable(now),
 	}
 	// Record only changes (plus the first sample) — long runs tick many
 	// thousands of times with a steady pool.
@@ -776,10 +837,10 @@ func (r *run) apply(dec Decision, now simtime.Time) error {
 		}
 	}
 	for _, ro := range dec.Releases {
-		is, ok := r.instances[ro.Instance]
-		if !ok {
+		if ro.Instance < 0 || int(ro.Instance) >= len(r.byID) {
 			return fmt.Errorf("sim: controller %s released unknown instance %d", r.ctrl.Name(), ro.Instance)
 		}
+		is := r.byID[ro.Instance]
 		if is.inst.State == cloud.Terminated {
 			return fmt.Errorf("sim: controller %s released terminated instance %d", r.ctrl.Name(), ro.Instance)
 		}
@@ -806,9 +867,11 @@ func (r *run) apply(dec Decision, now simtime.Time) error {
 	return nil
 }
 
-// observe refills the run's snapshot with the monitoring view at time now,
-// reusing its task records, instance records and their running lists. An
-// empty list is published nil, as a freshly built snapshot had it.
+// observe refills the run's snapshot with the monitoring view at time now.
+// The first tick fills every task record; later ticks refill only the
+// dirty set and the running tasks, the only records that can have changed.
+// Instance records and their running lists are reused. An empty list is
+// published nil, as a freshly built snapshot had it.
 func (r *run) observe(now simtime.Time) *monitor.Snapshot {
 	snap := &r.snap
 	snap.Now = now
@@ -820,37 +883,25 @@ func (r *run) observe(now simtime.Time) *monitor.Snapshot {
 	snap.Workflow = r.wf
 	if len(snap.Tasks) != r.wf.NumTasks() {
 		snap.Tasks = make([]monitor.TaskRecord, r.wf.NumTasks())
-	}
-	snap.RecentTransfers = snap.RecentTransfers[:0]
-	for _, t := range r.wf.Tasks {
-		ts := &r.tasks[t.ID]
-		// Zeroed and filled in place: a record built in a temporary costs a
-		// copy of the whole record per task per tick.
-		rec := &snap.Tasks[t.ID]
-		*rec = monitor.TaskRecord{}
-		rec.ID, rec.Stage, rec.State = t.ID, t.Stage, ts.state
-		rec.InputSize, rec.ReadyAt = t.InputSize, ts.readyAt
-		switch ts.state {
-		case monitor.Running:
-			rec.StartedAt = ts.startedAt
-			rec.Instance = ts.inst.inst.ID
-			rec.Elapsed = now - ts.startedAt
-			if simtime.AtOrAfter(now, ts.startedAt+ts.actualTransfer) {
-				rec.TransferObserved = true
-				rec.TransferTime = ts.actualTransfer
-			}
-		case monitor.Completed:
-			rec.StartedAt = ts.startedAt
-			if ts.inst != nil {
-				rec.Instance = ts.inst.inst.ID
-			}
-			rec.CompletedAt = ts.completedAt
-			rec.ExecTime = ts.actualExec
-			rec.TransferObserved = true
-			rec.TransferTime = ts.actualTransfer
+		for _, t := range r.wf.Tasks {
+			r.fillRecord(t.ID, now)
 		}
-
-		// Transfers whose completion fell inside the last interval.
+	}
+	for _, is := range r.live {
+		for _, id := range is.running {
+			r.touch(id)
+		}
+	}
+	// Task-ID order, the order RecentTransfers is published in.
+	slices.Sort(r.dirty)
+	snap.RecentTransfers = snap.RecentTransfers[:0]
+	for _, id := range r.dirty {
+		r.touched[id] = false
+		r.fillRecord(id, now)
+		// Transfers whose completion fell inside the last interval. A
+		// task untouched since the last tick completed before it, so its
+		// transfer did too.
+		ts := &r.tasks[id]
 		if ts.state == monitor.Running || ts.state == monitor.Completed {
 			obsAt := ts.startedAt + ts.actualTransfer
 			if simtime.After(obsAt, r.lastTick) && simtime.AtOrBefore(obsAt, now) {
@@ -858,23 +909,18 @@ func (r *run) observe(now simtime.Time) *monitor.Snapshot {
 			}
 		}
 	}
+	r.dirty = r.dirty[:0]
 	held := snap.Instances[:0]
-	for _, in := range r.site.Instances() {
-		if in.State == cloud.Terminated {
-			continue
-		}
-		is := r.instances[in.ID]
+	for _, is := range r.live {
+		in := is.inst
 		var running []dag.TaskID
 		if k := len(held); k < cap(held) {
 			running = held[:k+1][k].Running[:0]
 		}
-		for id := range is.running {
-			running = append(running, id)
-		}
+		running = append(running, is.running...)
 		if len(running) == 0 {
 			running = nil
 		}
-		sortTaskIDs(running)
 		held = append(held, monitor.InstanceRecord{
 			ID:               in.ID,
 			State:            in.State,
@@ -893,10 +939,33 @@ func (r *run) observe(now simtime.Time) *monitor.Snapshot {
 	return snap
 }
 
-func sortTaskIDs(ids []dag.TaskID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
+// fillRecord rewrites task id's snapshot record from its state at now.
+func (r *run) fillRecord(id dag.TaskID, now simtime.Time) {
+	t := r.wf.Task(id)
+	ts := &r.tasks[id]
+	// Zeroed and filled in place: a record built in a temporary costs a
+	// copy of the whole record.
+	rec := &r.snap.Tasks[id]
+	*rec = monitor.TaskRecord{}
+	rec.ID, rec.Stage, rec.State = t.ID, t.Stage, ts.state
+	rec.InputSize, rec.ReadyAt = t.InputSize, ts.readyAt
+	switch ts.state {
+	case monitor.Running:
+		rec.StartedAt = ts.startedAt
+		rec.Instance = ts.inst.inst.ID
+		rec.Elapsed = now - ts.startedAt
+		if simtime.AtOrAfter(now, ts.startedAt+ts.actualTransfer) {
+			rec.TransferObserved = true
+			rec.TransferTime = ts.actualTransfer
 		}
+	case monitor.Completed:
+		rec.StartedAt = ts.startedAt
+		if ts.inst != nil {
+			rec.Instance = ts.inst.inst.ID
+		}
+		rec.CompletedAt = ts.completedAt
+		rec.ExecTime = ts.actualExec
+		rec.TransferObserved = true
+		rec.TransferTime = ts.actualTransfer
 	}
 }
