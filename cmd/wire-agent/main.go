@@ -14,7 +14,8 @@
 // heartbeat lapses, and its leased tasks are reclaimed and re-executed
 // elsewhere — -chaos-task-crash makes leased attempts die mid-execution
 // (poison-task/quarantine testing), and -chaos-slow turns the agent into a
-// deterministic straggler (speculative re-execution testing).
+// deterministic straggler (speculative re-execution testing). Every chaos
+// draw comes from fault-schedule seed 1, stream 0.
 package main
 
 import (
@@ -39,10 +40,7 @@ func main() {
 	run := fs.String("run", "", "live run ID to serve (required)")
 	name := fs.String("name", "", "agent display name (default: hostname-pid)")
 	slots := fs.Int("slots", 4, "concurrent task slots to advertise")
-	pollWait := fs.Duration("poll-wait", 5*time.Second, "long-poll duration cap")
 	chaosDrop := fs.Float64("chaos-drop", 0, "probability of dropping each request (unreliable-agent mode)")
-	chaosSeed := fs.Int64("chaos-seed", 1, "fault-schedule seed for the chaos flags")
-	chaosStream := fs.Int64("chaos-stream", 0, "fault-schedule stream id (distinguishes agents sharing a seed)")
 	chaosTaskCrash := fs.Float64("chaos-task-crash", 0, "probability each (task, attempt) crashes mid-execution (poison-task mode)")
 	chaosSlow := fs.Float64("chaos-slow", 0, "probability this agent is a straggler, stretching every task")
 	chaosSlowFactor := fs.Float64("chaos-slow-factor", 8, "duration multiplier applied when -chaos-slow selects this agent")
@@ -67,7 +65,7 @@ func main() {
 	}
 
 	plan := chaos.Plan{
-		Seed:        *chaosSeed,
+		Seed:        1,
 		DropRequest: *chaosDrop,
 		TaskCrash:   *chaosTaskCrash,
 		SlowAgent:   *chaosSlow,
@@ -79,7 +77,7 @@ func main() {
 	}
 	var transport http.RoundTripper = http.DefaultTransport
 	if *chaosDrop > 0 {
-		transport = plan.Transport(*chaosStream, transport)
+		transport = plan.Transport(0, transport)
 	}
 	pt := &partitionTransport{next: transport}
 	if *partitionAfter > 0 {
@@ -94,17 +92,14 @@ func main() {
 		RunID:      *run,
 		Name:       *name,
 		Slots:      *slots,
-		PollWait:   *pollWait,
 		HTTPClient: &http.Client{Transport: pt},
 		Logf:       logf,
-		// The stream id keeps agents sharing a chaos seed on distinct
-		// jitter streams, mirroring plan.Transport's stream handling.
-		JitterSeed: *chaosSeed ^ (*chaosStream << 32),
+		JitterSeed: plan.Seed,
 	}
 	if *chaosTaskCrash > 0 {
 		acfg.CrashTask = plan.TaskCrashes
 	}
-	if stretch := plan.AgentSlowdown(*chaosStream); stretch > 1 {
+	if stretch := plan.AgentSlowdown(0); stretch > 1 {
 		logf("chaos: straggler mode, stretching tasks %.1fx", stretch)
 		acfg.Stretch = stretch
 	}

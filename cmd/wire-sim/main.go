@@ -1,14 +1,12 @@
-// Command wire-sim executes one workflow under one resource-management
-// policy on the simulated cloud site and prints the run report.
+// Command wire-sim executes one catalogued workflow under WIRE on the
+// simulated cloud site (15-minute charging unit, 3-minute instantiation lag,
+// at most 12 instances) and prints the run report.
 //
 // Usage:
 //
-//	wire-sim -workflow genome-s -policy wire -unit 15m
-//	wire-sim -dag flow.json -policy pure-reactive -unit 1m -seed 7
+//	wire-sim -workflow genome-s -slots 4 -seed 7
+//	wire-sim -workflow genome-s -mtbf 10m
 //	wire-sim -workflow genome-s -server http://127.0.0.1:8080
-//
-// The workflow comes either from the Table I catalogue (-workflow) or from
-// a JSON file produced by wire-workflows -export / dagio (-dag).
 //
 // With -server, planning is delegated to a running wire-serve daemon: the
 // simulator executes locally but every MAPE iteration becomes a POST to
@@ -23,9 +21,9 @@ import (
 	"time"
 
 	"repro/internal/cloud"
+	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/dagio"
-	"repro/internal/dax"
 	"repro/internal/dist"
 	"repro/internal/report"
 	"repro/internal/service"
@@ -36,34 +34,22 @@ import (
 
 func main() {
 	workflow := flag.String("workflow", "genome-s", "catalogued run key (see wire-workflows)")
-	dagFile := flag.String("dag", "", "JSON workflow file (overrides -workflow)")
-	daxFile := flag.String("dax", "", "Pegasus DAX XML file (overrides -workflow)")
-	policy := flag.String("policy", "wire", "wire | deadline | full-site | pure-reactive | reactive-conserving")
-	deadline := flag.Duration("deadline", 0, "completion target for -policy deadline")
 	server := flag.String("server", "", "wire-serve base URL; delegates planning to the daemon")
-	unit := flag.Duration("unit", 15*time.Minute, "charging unit")
-	lag := flag.Duration("lag", 3*time.Minute, "instantiation lag = MAPE interval")
 	slots := flag.Int("slots", 4, "task slots per worker instance")
-	maxInst := flag.Int("max-instances", 12, "site instance cap")
 	seed := flag.Int64("seed", 1, "generation/interference seed")
-	noise := flag.Float64("noise", 0.08, "lognormal sigma of per-attempt occupancy noise (0 = none)")
 	mtbf := flag.Duration("mtbf", 0, "mean time between instance failures (0 = no failures)")
 	flag.Parse()
 
-	wf, err := loadWorkflow(*dagFile, *daxFile, *workflow, *seed)
-	if err != nil {
-		fail(err)
+	run, ok := workloads.ByKey(*workflow)
+	if !ok {
+		fail(fmt.Errorf("unknown workflow %q; known keys: %v", *workflow, workloads.Keys()))
 	}
-	var spec *service.ControllerSpec
-	if *deadline > 0 {
-		spec = &service.ControllerSpec{Deadline: deadline.Seconds()}
-	}
+	wf := run.Generate(*seed)
 	var ctrl sim.Controller
 	if *server != "" {
 		rc, err := service.NewRemoteController(context.Background(), service.NewClient(*server), service.CreateSessionRequest{
-			Workflow:   dagio.Encode(wf),
-			Policy:     *policy,
-			Controller: spec,
+			Workflow: dagio.Encode(wf),
+			Policy:   "wire",
 		})
 		if err != nil {
 			fail(err)
@@ -76,26 +62,18 @@ func main() {
 			}
 		}()
 	} else {
-		ctrl, err = service.NewPolicyController(*policy, spec)
-		if err != nil {
-			fail(err)
-		}
+		ctrl = core.New(core.Config{})
 	}
 	cfg := sim.Config{
 		Cloud: cloud.Config{
 			SlotsPerInstance: *slots,
-			LagTime:          lag.Seconds(),
-			ChargingUnit:     unit.Seconds(),
-			MaxInstances:     *maxInst,
+			LagTime:          3 * simtime.Minute,
+			ChargingUnit:     15 * simtime.Minute,
+			MaxInstances:     12,
 		},
-		Seed: *seed,
-		MTBF: mtbf.Seconds(),
-	}
-	if *noise > 0 {
-		cfg.Interference = dist.NewLognormalFromMean(1, *noise)
-	}
-	if *policy == "full-site" {
-		cfg.InitialInstances = *maxInst
+		Seed:         *seed,
+		MTBF:         mtbf.Seconds(),
+		Interference: dist.NewLognormalFromMean(1, 0.08),
 	}
 
 	res, err := sim.Run(wf, ctrl, cfg)
@@ -103,30 +81,6 @@ func main() {
 		fail(err)
 	}
 	printResult(wf, res)
-}
-
-func loadWorkflow(dagFile, daxFile, key string, seed int64) (*dag.Workflow, error) {
-	switch {
-	case dagFile != "":
-		f, err := os.Open(dagFile)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return dagio.Read(f)
-	case daxFile != "":
-		f, err := os.Open(daxFile)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return dax.Read(f, dax.Options{})
-	}
-	run, ok := workloads.ByKey(key)
-	if !ok {
-		return nil, fmt.Errorf("unknown workflow %q; known keys: %v", key, workloads.Keys())
-	}
-	return run.Generate(seed), nil
 }
 
 func printResult(wf *dag.Workflow, res *sim.Result) {

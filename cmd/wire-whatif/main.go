@@ -1,24 +1,23 @@
 // Command wire-whatif answers capacity-planning questions before renting
 // anything: for a given workflow it sweeps charging units × policies on the
 // simulator and prints the cost/time frontier, plus the cheapest setting
-// that stays within a chosen slowdown budget.
+// that stays within a chosen slowdown budget. The site has a 3-minute
+// instantiation lag and at most 12 instances; the units swept are 1m, 5m,
+// 15m, 30m and 1h.
 //
 // Usage:
 //
 //	wire-whatif -workflow genome-l
-//	wire-whatif -dax flow.xml -budget 2.0 -units 1m,5m,15m,1h
+//	wire-whatif -workflow tpch6-s -budget 1.5
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
-	"time"
 
 	"repro/internal/cloud"
 	"repro/internal/dag"
-	"repro/internal/dax"
 	"repro/internal/dist"
 	"repro/internal/report"
 	"repro/internal/service"
@@ -29,23 +28,17 @@ import (
 
 func main() {
 	workflow := flag.String("workflow", "genome-s", "catalogued run key (see wire-workflows)")
-	daxFile := flag.String("dax", "", "Pegasus DAX XML file (overrides -workflow)")
-	unitsFlag := flag.String("units", "1m,5m,15m,30m,1h", "comma-separated charging units to sweep")
 	budget := flag.Float64("budget", 2.0, "acceptable slowdown vs the fastest observed setting")
-	lag := flag.Duration("lag", 3*time.Minute, "instantiation lag = MAPE interval")
 	slots := flag.Int("slots", 4, "task slots per worker instance")
-	maxInst := flag.Int("max-instances", 12, "site instance cap")
 	seed := flag.Int64("seed", 1, "generation/interference seed")
 	flag.Parse()
 
-	wf, err := load(*daxFile, *workflow, *seed)
+	wf, err := load(*workflow, *seed)
 	if err != nil {
 		fail(err)
 	}
-	units, err := parseUnits(*unitsFlag)
-	if err != nil {
-		fail(err)
-	}
+	const maxInst = 12
+	units := []simtime.Duration{simtime.Minute, 5 * simtime.Minute, 15 * simtime.Minute, 30 * simtime.Minute, simtime.Hour}
 
 	type cell struct {
 		policy string
@@ -60,9 +53,9 @@ func main() {
 			cfg := sim.Config{
 				Cloud: cloud.Config{
 					SlotsPerInstance: *slots,
-					LagTime:          lag.Seconds(),
+					LagTime:          3 * simtime.Minute,
 					ChargingUnit:     unit,
-					MaxInstances:     *maxInst,
+					MaxInstances:     maxInst,
 				},
 				Seed:         *seed,
 				Interference: dist.NewLognormalFromMean(1, 0.05),
@@ -72,7 +65,7 @@ func main() {
 				fail(err)
 			}
 			if policy == "full-site" {
-				cfg.InitialInstances = *maxInst
+				cfg.InitialInstances = maxInst
 			}
 			res, err := sim.Run(wf, ctrl, cfg)
 			if err != nil {
@@ -119,38 +112,12 @@ func main() {
 	}
 }
 
-func load(daxFile, key string, seed int64) (*dag.Workflow, error) {
-	if daxFile != "" {
-		f, err := os.Open(daxFile)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return dax.Read(f, dax.Options{})
-	}
+func load(key string, seed int64) (*dag.Workflow, error) {
 	run, ok := workloads.ByKey(key)
 	if !ok {
 		return nil, fmt.Errorf("unknown workflow %q; known keys: %v", key, workloads.Keys())
 	}
 	return run.Generate(seed), nil
-}
-
-func parseUnits(s string) ([]simtime.Duration, error) {
-	var out []simtime.Duration
-	for _, part := range strings.Split(s, ",") {
-		d, err := time.ParseDuration(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad unit %q: %w", part, err)
-		}
-		if d <= 0 {
-			return nil, fmt.Errorf("non-positive unit %q", part)
-		}
-		out = append(out, d.Seconds())
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no units given")
-	}
-	return out, nil
 }
 
 func fail(err error) {

@@ -2,42 +2,15 @@ package main
 
 import "testing"
 
-func TestParseUnits(t *testing.T) {
-	units, err := parseUnits("1m, 15m,1h")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{60, 900, 3600}
-	if len(units) != len(want) {
-		t.Fatalf("units = %v", units)
-	}
-	for i := range want {
-		if units[i] != want[i] {
-			t.Fatalf("units = %v, want %v", units, want)
-		}
-	}
-}
-
-func TestParseUnitsErrors(t *testing.T) {
-	for _, bad := range []string{"", "fast", "-1m", "0s", "1m,,2m"} {
-		if _, err := parseUnits(bad); err == nil {
-			t.Errorf("parseUnits(%q) accepted", bad)
-		}
-	}
-}
-
 func TestLoadWorkflowCatalogue(t *testing.T) {
-	wf, err := load("", "tpch6-s", 1)
+	wf, err := load("tpch6-s", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wf.NumTasks() != 33 {
 		t.Fatalf("tasks = %d", wf.NumTasks())
 	}
-	if _, err := load("", "bogus", 1); err == nil {
+	if _, err := load("bogus", 1); err == nil {
 		t.Fatal("unknown key accepted")
-	}
-	if _, err := load("/nonexistent.xml", "", 1); err == nil {
-		t.Fatal("missing file accepted")
 	}
 }

@@ -1,17 +1,18 @@
 // Command wire-workflows prints the Table I workload characterization
-// (generated vs paper), exports catalogued workflows, and drives the
-// multi-tenant arrival-stream subsystem (internal/tenancy).
+// (generated vs paper) and drives the multi-tenant arrival-stream subsystem
+// (internal/tenancy).
 //
 // Usage:
 //
-//	wire-workflows [-seed N] [-csv]     # Table I, generated vs paper
-//	wire-workflows -stages KEY          # per-stage breakdown of one run
-//	wire-workflows -export KEY          # workflow as JSON to stdout
-//	wire-workflows -dot KEY             # workflow as Graphviz DOT to stdout
+//	wire-workflows [-seed N]            # Table I, generated vs paper
 //	wire-workflows -stream              # generate an arrival stream as CSV
 //	wire-workflows -replay FILE         # replay a stream CSV through the
 //	                                    # multi-run simulator per policy
 //	wire-workflows -sweep               # arrival-rate x policy sweep table
+//
+// Streams draw tpch6-s, tpch1-s and pagerank-s at 24 arrivals per tenant per
+// hour; replays and sweeps share a 6-instance site under every arbiter
+// policy.
 package main
 
 import (
@@ -19,82 +20,34 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/cloud"
-	"repro/internal/dagio"
-	"repro/internal/dot"
 	"repro/internal/experiments"
 	"repro/internal/report"
 	"repro/internal/simtime"
 	"repro/internal/tenancy"
-	"repro/internal/workloads"
 )
 
 func main() {
 	seed := flag.Int64("seed", 1, "workload generation seed")
-	csv := flag.Bool("csv", false, "emit CSV instead of an aligned table")
-	export := flag.String("export", "", "export one catalogued workflow (by key, e.g. genome-s) as JSON to stdout")
-	stages := flag.String("stages", "", "print the per-stage breakdown of one catalogued workflow")
-	dotKey := flag.String("dot", "", "render one catalogued workflow as Graphviz DOT to stdout")
 	stream := flag.Bool("stream", false, "generate a multi-tenant arrival stream and emit it as a trace CSV")
 	replay := flag.String("replay", "", "replay a stream CSV (path, or - for stdin) through the multi-run simulator")
 	sweep := flag.Bool("sweep", false, "run the arrival-rate x arbiter-policy sweep")
 	n := flag.Int("n", 51, "arrivals per stream (-stream/-sweep)")
 	tenants := flag.Int("tenants", 3, "tenants per stream (-stream/-sweep)")
 	arrivals := flag.String("arrivals", tenancy.Poisson, "arrival process: "+strings.Join(tenancy.Processes(), "|"))
-	rate := flag.Float64("rate", 24, "per-tenant arrival rate per hour (-stream)")
 	rates := flag.String("rates", "12,24,48", "comma-separated per-tenant rates (-sweep)")
-	keys := flag.String("keys", "tpch6-s,tpch1-s,pagerank-s", "comma-separated workflow keys drawn by the stream")
-	policies := flag.String("policies", "", "comma-separated arbiter policies (default "+strings.Join(tenancy.Policies(), ",")+")")
-	capN := flag.Int("cap", 6, "shared site cap in instances (-replay/-sweep)")
 	budget := flag.Int("budget", 0, "shared budget in charging units; 0 derives it from the stream's draws")
 	workers := flag.Int("workers", 0, "sweep worker pool (0 = GOMAXPROCS)")
 	flag.Parse()
 
-	if *dotKey != "" {
-		run, ok := workloads.ByKey(*dotKey)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "wire-workflows: unknown run %q; known keys: %v\n", *dotKey, workloads.Keys())
-			os.Exit(1)
-		}
-		if err := dot.Write(os.Stdout, run.Generate(*seed), dot.Options{}); err != nil {
-			fmt.Fprintln(os.Stderr, "wire-workflows:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *stages != "" {
-		if err := printStages(*stages, *seed, *csv); err != nil {
-			fmt.Fprintln(os.Stderr, "wire-workflows:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *export != "" {
-		run, ok := workloads.ByKey(*export)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "wire-workflows: unknown run %q; known keys: %v\n", *export, workloads.Keys())
-			os.Exit(1)
-		}
-		if err := dagio.Write(os.Stdout, run.Generate(*seed)); err != nil {
-			fmt.Fprintln(os.Stderr, "wire-workflows:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *stream || *replay != "" || *sweep {
 		err := runStreamMode(streamOpts{
-			stream: *stream, replay: *replay, sweep: *sweep, csv: *csv,
+			stream: *stream, replay: *replay, sweep: *sweep,
 			seed: *seed, n: *n, tenants: *tenants, process: *arrivals,
-			rate: *rate, rates: *rates, keys: splitList(*keys),
-			policies: splitList(*policies), cap_: *capN, budget: *budget,
-			workers: *workers,
+			rates: *rates, budget: *budget, workers: *workers,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "wire-workflows:", err)
@@ -105,14 +58,7 @@ func main() {
 
 	cfg := experiments.Defaults()
 	cfg.Seed = *seed
-	tbl := experiments.Table1Report(experiments.Table1(cfg))
-	var err error
-	if *csv {
-		err = tbl.WriteCSV(os.Stdout)
-	} else {
-		err = tbl.Render(os.Stdout)
-	}
-	if err != nil {
+	if err := experiments.Table1Report(experiments.Table1(cfg)).Render(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "wire-workflows:", err)
 		os.Exit(1)
 	}
@@ -120,22 +66,26 @@ func main() {
 
 // streamOpts carries the tenancy-mode flag values.
 type streamOpts struct {
-	stream   bool
-	replay   string
-	sweep    bool
-	csv      bool
-	seed     int64
-	n        int
-	tenants  int
-	process  string
-	rate     float64
-	rates    string
-	keys     []string
-	policies []string
-	cap_     int
-	budget   int
-	workers  int
+	stream  bool
+	replay  string
+	sweep   bool
+	seed    int64
+	n       int
+	tenants int
+	process string
+	rates   string
+	budget  int
+	workers int
 }
+
+// The stream modes' fixed workload: the keys a stream draws, the per-tenant
+// arrival rate of -stream, and the shared site cap of -replay and -sweep.
+var streamKeys = []string{"tpch6-s", "tpch1-s", "pagerank-s"}
+
+const (
+	streamRatePerHour = 24
+	streamCap         = 6
+)
 
 // streamSite is the shared-site template the stream modes simulate against:
 // small instances and a tight cap, so the cross-run arbiter has something to
@@ -160,8 +110,8 @@ func runStreamMode(o streamOpts) error {
 			Process:       o.process,
 			N:             o.n,
 			Tenants:       o.tenants,
-			RatePerHour:   o.rate,
-			Keys:          o.keys,
+			RatePerHour:   streamRatePerHour,
+			Keys:          streamKeys,
 			Slots:         site.SlotsPerInstance,
 			LagS:          float64(site.LagTime),
 			ChargingUnitS: float64(site.ChargingUnit),
@@ -200,20 +150,16 @@ func runStreamMode(o streamOpts) error {
 			Seed:         o.seed,
 			Process:      o.process,
 			RatesPerHour: rateList,
-			Policies:     o.policies,
 			N:            o.n,
 			Tenants:      o.tenants,
-			Keys:         o.keys,
+			Keys:         streamKeys,
 			Cloud:        site,
-			Cap:          o.cap_,
+			Cap:          streamCap,
 			BudgetUnits:  o.budget,
 			Workers:      o.workers,
 		})
 		if err != nil {
 			return err
-		}
-		if o.csv {
-			return tbl.WriteCSV(os.Stdout)
 		}
 		return tbl.Render(os.Stdout)
 	}
@@ -222,17 +168,13 @@ func runStreamMode(o streamOpts) error {
 // replayStream runs an imported trace under each requested arbiter policy
 // and renders the per-policy comparison — the paired design on one stream.
 func replayStream(s *tenancy.Stream, o streamOpts, site cloud.Config) error {
-	policies := o.policies
-	if len(policies) == 0 {
-		policies = tenancy.Policies()
-	}
 	tbl := &report.Table{
 		Title: fmt.Sprintf("Trace replay: %d arrivals x %d tenants, cap %d (sim seed %d)",
-			len(s.Arrivals), len(s.Tenants()), o.cap_, o.seed),
+			len(s.Arrivals), len(s.Tenants()), streamCap, o.seed),
 		Headers: []string{"policy", "budget_u", "misses", "miss_rate", "units",
 			"peak_held", "throttled", "q_delay_s", "makespan_s"},
 	}
-	for _, policy := range policies {
+	for _, policy := range tenancy.Policies() {
 		budget := o.budget
 		if budget <= 0 {
 			budget = s.TotalBudget()
@@ -244,7 +186,7 @@ func replayStream(s *tenancy.Stream, o streamOpts, site cloud.Config) error {
 			Cloud: site,
 			Arbiter: tenancy.ArbiterConfig{
 				Policy:      policy,
-				Cap:         o.cap_,
+				Cap:         streamCap,
 				BudgetUnits: budget,
 			},
 			SimSeed: o.seed,
@@ -255,9 +197,6 @@ func replayStream(s *tenancy.Stream, o streamOpts, site cloud.Config) error {
 		tbl.AddRow(policy, budget, res.Misses, report.F(res.MissRate(), 3),
 			res.TotalUnits, res.PeakHeld, res.ThrottledAdmissions,
 			report.F(res.QueueDelayMeanS, 1), report.F(res.MakespanS, 0))
-	}
-	if o.csv {
-		return tbl.WriteCSV(os.Stdout)
 	}
 	return tbl.Render(os.Stdout)
 }
@@ -271,43 +210,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// printStages renders the per-stage breakdown of one catalogued run.
-func printStages(key string, seed int64, csv bool) error {
-	run, ok := workloads.ByKey(key)
-	if !ok {
-		return fmt.Errorf("unknown run %q; known keys: %v", key, workloads.Keys())
-	}
-	wf := run.Generate(seed)
-	t := &report.Table{
-		Title:   fmt.Sprintf("Stages of %s (seed %d)", run.Display, seed),
-		Headers: []string{"stage", "name", "tasks", "mean exec (s)", "fan-in", "input sizes (MB)"},
-	}
-	for _, st := range wf.Stages {
-		sizes := map[float64]bool{}
-		maxFanIn := 0
-		for _, tid := range st.Tasks {
-			task := wf.Task(tid)
-			sizes[task.InputSize] = true
-			if len(task.Deps) > maxFanIn {
-				maxFanIn = len(task.Deps)
-			}
-		}
-		var sizeList []float64
-		for s := range sizes {
-			sizeList = append(sizeList, s)
-		}
-		sort.Float64s(sizeList)
-		var sizeStrs []string
-		for _, s := range sizeList {
-			sizeStrs = append(sizeStrs, report.F(s, 2))
-		}
-		t.AddRow(int(st.ID), st.Name, len(st.Tasks),
-			report.F(wf.StageMeanExecTime(st.ID), 2), maxFanIn, strings.Join(sizeStrs, " "))
-	}
-	if csv {
-		return t.WriteCSV(os.Stdout)
-	}
-	return t.Render(os.Stdout)
 }

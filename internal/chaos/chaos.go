@@ -20,8 +20,7 @@
 // (Plan.Seed, stream label, stream id) and consumes a fixed number of draws
 // per decision, so the k-th HTTP attempt (or k-th launch order) of a stream
 // always meets the same fate, independent of wall-clock timing or goroutine
-// interleaving. Schedule and ScheduleCloud expose the schedules directly so
-// tests can assert repeat-run equality.
+// interleaving.
 package chaos
 
 import (
@@ -337,24 +336,6 @@ func (d *netDecider) next() NetFault {
 	return f
 }
 
-// Schedule returns the first n entries of stream's network fault schedule —
-// exactly what a Transport for the same (plan, stream) will inject.
-func (p Plan) Schedule(stream int64, n int) []NetFault {
-	d := &netDecider{plan: p, rng: p.rng(streamNetwork, uint64(stream))}
-	out := make([]NetFault, n)
-	for i := range out {
-		out[i] = d.next()
-	}
-	return out
-}
-
-// CloudFault is one launch order's entry in a cloud fault schedule.
-type CloudFault struct {
-	Fate sim.LaunchFate
-	// StragglerDelay is consulted separately, per materialized launch.
-	StragglerDelay simtime.Duration
-}
-
 // cloudDecider draws the cloud fault schedule of one stream.
 type cloudDecider struct {
 	plan     Plan
@@ -392,16 +373,4 @@ func (d *cloudDecider) stragglerDelay() simtime.Duration {
 		return 0
 	}
 	return (1 - d.stragRng.Float64()) * d.plan.MaxStragglerDelay
-}
-
-// ScheduleCloud returns the first n launch-order fates of stream's cloud
-// schedule — exactly what a CloudFaults for the same (plan, stream) returns
-// from its first n LaunchFate calls.
-func (p Plan) ScheduleCloud(stream int64, n int) []sim.LaunchFate {
-	d := newCloudDecider(p, stream)
-	out := make([]sim.LaunchFate, n)
-	for i := range out {
-		out[i] = d.fate()
-	}
-	return out
 }

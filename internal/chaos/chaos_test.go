@@ -28,29 +28,52 @@ func testPlan() Plan {
 	}
 }
 
+// netSchedule returns the first n entries of stream's network fault schedule:
+// exactly what a Transport for the same (plan, stream) will inject.
+func netSchedule(p Plan, stream int64, n int) []NetFault {
+	d := &netDecider{plan: p, rng: p.rng(streamNetwork, uint64(stream))}
+	out := make([]NetFault, n)
+	for i := range out {
+		out[i] = d.next()
+	}
+	return out
+}
+
+// cloudSchedule returns the first n launch-order fates of stream's cloud
+// schedule: exactly what a CloudFaults for the same (plan, stream) returns
+// from its first n LaunchFate calls.
+func cloudSchedule(p Plan, stream int64, n int) []sim.LaunchFate {
+	d := newCloudDecider(p, stream)
+	out := make([]sim.LaunchFate, n)
+	for i := range out {
+		out[i] = d.fate()
+	}
+	return out
+}
+
 // TestScheduleRepeatRunEquality is the determinism acceptance test: the same
 // chaos seed and fault plan must reproduce the same fault schedule, run
 // after run, for both the network and the cloud schedules.
 func TestScheduleRepeatRunEquality(t *testing.T) {
 	p := testPlan()
 	for stream := int64(0); stream < 5; stream++ {
-		a, b := p.Schedule(stream, 500), p.Schedule(stream, 500)
+		a, b := netSchedule(p, stream, 500), netSchedule(p, stream, 500)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("network schedule of stream %d differs between runs", stream)
 		}
-		ca, cb := p.ScheduleCloud(stream, 500), p.ScheduleCloud(stream, 500)
+		ca, cb := cloudSchedule(p, stream, 500), cloudSchedule(p, stream, 500)
 		if !reflect.DeepEqual(ca, cb) {
 			t.Fatalf("cloud schedule of stream %d differs between runs", stream)
 		}
 	}
 
 	// Distinct streams and distinct seeds get distinct schedules.
-	if reflect.DeepEqual(p.Schedule(0, 500), p.Schedule(1, 500)) {
+	if reflect.DeepEqual(netSchedule(p, 0, 500), netSchedule(p, 1, 500)) {
 		t.Error("streams 0 and 1 share a network schedule")
 	}
 	p2 := p
 	p2.Seed = 43
-	if reflect.DeepEqual(p.Schedule(0, 500), p2.Schedule(0, 500)) {
+	if reflect.DeepEqual(netSchedule(p, 0, 500), netSchedule(p2, 0, 500)) {
 		t.Error("seeds 42 and 43 share a network schedule")
 	}
 }
@@ -69,7 +92,7 @@ func TestTransportFollowsSchedule(t *testing.T) {
 	p := testPlan()
 	p.DelayProb, p.MaxDelay = 0, 0 // keep the test fast
 	const n = 200
-	sched := p.Schedule(7, n)
+	sched := netSchedule(p, 7, n)
 	tr := p.Transport(7, http.DefaultTransport)
 	hc := &http.Client{Transport: tr}
 
@@ -114,11 +137,8 @@ func TestTransportFollowsSchedule(t *testing.T) {
 	if c.Attempts != n {
 		t.Errorf("counted %d attempts, want %d", c.Attempts, n)
 	}
-	if c.Total() == 0 {
+	if c.DroppedRequests+c.Injected5xx+c.DroppedResponses == 0 {
 		t.Error("no faults injected at 30% fault probability over 200 attempts")
-	}
-	if got := c.DroppedRequests + c.Injected5xx + c.DroppedResponses; got != c.Total() {
-		t.Errorf("Total() = %d, sum of parts = %d", c.Total(), got)
 	}
 }
 
@@ -127,7 +147,7 @@ func TestTransportFollowsSchedule(t *testing.T) {
 func TestCloudFaultsFollowSchedule(t *testing.T) {
 	p := testPlan()
 	const n = 300
-	sched := p.ScheduleCloud(3, n)
+	sched := cloudSchedule(p, 3, n)
 	cf := p.CloudFaults(3)
 	var want CloudCounts
 	for i := 0; i < n; i++ {

@@ -271,22 +271,6 @@ func (n *Network) Heal() {
 	n.mu.Unlock()
 }
 
-// Log snapshots the ordered fault log.
-func (n *Network) Log() []LinkFault {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]LinkFault, len(n.log))
-	copy(out, n.log)
-	return out
-}
-
-// Counts snapshots the aggregate fault counters.
-func (n *Network) Counts() LinkCounts {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.counts
-}
-
 func (n *Network) decider(k linkKey) *rand.Rand {
 	if rng, ok := n.deciders[k]; ok {
 		return rng

@@ -94,7 +94,9 @@ func drive(t *testing.T, n *Network, senders []string, target string, reqs int) 
 			}
 		}
 	}
-	b, err := json.Marshal(n.Log())
+	n.mu.Lock()
+	b, err := json.Marshal(n.log)
+	n.mu.Unlock()
 	if err != nil {
 		t.Fatalf("marshal log: %v", err)
 	}
@@ -193,7 +195,9 @@ func TestNetworkLinkSemantics(t *testing.T) {
 	if err := get("router"); err != nil {
 		t.Fatalf("healed link failed: %v", err)
 	}
-	c := n.Counts()
+	n.mu.Lock()
+	c := n.counts
+	n.mu.Unlock()
 	if c.Cut == 0 || c.Attempts == 0 {
 		t.Errorf("counters not recording: %+v", c)
 	}

@@ -16,11 +16,11 @@ func seedPin() string {
 	p.TaskCrash = 0.3
 	p.SlowAgent, p.SlowFactor = 0.5, 4
 	var b strings.Builder
-	for _, f := range p.Schedule(7, 16) {
+	for _, f := range netSchedule(p, 7, 16) {
 		fmt.Fprintf(&b, "%d/%d ", f.Kind, f.Delay)
 	}
 	b.WriteString("| ")
-	for _, f := range p.ScheduleCloud(3, 16) {
+	for _, f := range cloudSchedule(p, 3, 16) {
 		fmt.Fprintf(&b, "%d", f)
 	}
 	b.WriteString(" | ")

@@ -40,19 +40,13 @@ func (c *Counts) Add(o Counts) {
 	c.Delayed += o.Delayed
 }
 
-// Total returns the number of injected faults (delays excluded: a delayed
-// attempt still succeeds).
-func (c Counts) Total() int64 {
-	return c.DroppedRequests + c.Injected5xx + c.DroppedResponses
-}
-
 // Transport injects the plan's network faults into one stream of HTTP
 // attempts. Wrap it around a client's base transport:
 //
 //	hc := &http.Client{Transport: plan.Transport(sessionIdx, http.DefaultTransport)}
 //
-// Fault decisions are drawn per attempt from the stream's private schedule
-// (see Schedule), so the k-th attempt always meets the same fate. The
+// Fault decisions are drawn per attempt from the stream's private schedule,
+// so the k-th attempt always meets the same fate. The
 // transport is safe for concurrent use, but concurrent attempts race for
 // schedule positions; give each logically independent request stream its
 // own Transport (one per session) to keep schedules reproducible.

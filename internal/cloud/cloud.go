@@ -179,9 +179,6 @@ func NewSite(cfg Config) (*Site, error) {
 	return &Site{cfg: cfg}, nil
 }
 
-// Config returns the site configuration.
-func (s *Site) Config() Config { return s.cfg }
-
 // ErrSiteFull is returned by Launch when the site cap is reached.
 var ErrSiteFull = errors.New("cloud: site capacity reached")
 
@@ -274,28 +271,6 @@ func (s *Site) Full() bool {
 // Held returns the number of instances currently held (pending + active):
 // the committed pool size m the steering policy compares against.
 func (s *Site) Held() int { return s.held }
-
-// UsableInstances returns the instances usable at time t, in launch order.
-func (s *Site) UsableInstances(t simtime.Time) []*Instance {
-	var out []*Instance
-	for _, in := range s.instances {
-		if in.State == Active && in.UsableAt(t) {
-			out = append(out, in)
-		}
-	}
-	return out
-}
-
-// PendingInstances returns instances requested but not yet active.
-func (s *Site) PendingInstances() []*Instance {
-	var out []*Instance
-	for _, in := range s.instances {
-		if in.State == Pending {
-			out = append(out, in)
-		}
-	}
-	return out
-}
 
 // TotalUnitsCharged returns the total charging units billed across all
 // instances, counting live instances as held until end. This is the paper's

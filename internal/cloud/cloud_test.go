@@ -183,17 +183,17 @@ func TestPoolQueries(t *testing.T) {
 	s := newSite(t, defaultCfg())
 	a, _ := s.Launch(0)
 	b, _ := s.Launch(0)
-	if got := len(s.PendingInstances()); got != 2 {
-		t.Fatalf("pending = %d", got)
+	if a.State != Pending || b.State != Pending {
+		t.Fatalf("states after launch = %v, %v, want pending", a.State, b.State)
 	}
 	if err := s.Activate(a, 180); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(s.UsableInstances(180)); got != 1 {
-		t.Fatalf("usable = %d", got)
+	if a.State != Active || !a.UsableAt(180) {
+		t.Fatalf("activated instance: state %v, usable at 180 = %v", a.State, a.UsableAt(180))
 	}
-	if got := len(s.PendingInstances()); got != 1 {
-		t.Fatalf("pending after activation = %d", got)
+	if b.State != Pending {
+		t.Fatalf("other instance after activation = %v, want pending", b.State)
 	}
 	if err := s.Activate(b, 180); err != nil {
 		t.Fatal(err)

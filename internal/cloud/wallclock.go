@@ -38,9 +38,6 @@ func NewScaledClock(scale float64, now func() time.Time) (*ScaledClock, error) {
 	return &ScaledClock{scale: scale, now: now}, nil
 }
 
-// Scale returns the simulated seconds per wall second.
-func (c *ScaledClock) Scale() float64 { return c.scale }
-
 // Start anchors simulated time zero at the current wall instant. Starting an
 // already started clock is a no-op.
 func (c *ScaledClock) Start() {
@@ -50,13 +47,6 @@ func (c *ScaledClock) Start() {
 		c.origin = c.now()
 		c.started = true
 	}
-}
-
-// Started reports whether Start has been called.
-func (c *ScaledClock) Started() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.started
 }
 
 // ResumeAt restarts the clock so the current wall instant reads as simulated

@@ -110,7 +110,7 @@ func TestDrainMovesSessions(t *testing.T) {
 	if c := rt.Counters(); c.DrainsTotal != 1 || c.ShardsUp != 2 {
 		t.Errorf("counters after drain: drains=%d shards_up=%d, want 1 and 2", c.DrainsTotal, c.ShardsUp)
 	}
-	for _, name := range rt.Ring().Shards() {
+	for _, name := range rt.Ring().shards {
 		if name == donor.shard.Name {
 			t.Errorf("drained shard %s still on the ring", name)
 		}
@@ -174,7 +174,7 @@ func TestJoinRebalances(t *testing.T) {
 	// The ring now includes the newcomer, and the minimally-remapped
 	// sessions actually moved there.
 	onRing := false
-	for _, name := range rt.Ring().Shards() {
+	for _, name := range rt.Ring().shards {
 		onRing = onRing || name == "s9"
 	}
 	if !onRing {

@@ -96,9 +96,6 @@ func (r *Ring) Owner(key string) string {
 	return r.shards[r.points[i].shard]
 }
 
-// Shards returns the ring's shard names in construction order.
-func (r *Ring) Shards() []string { return append([]string(nil), r.shards...) }
-
 // Spread counts how many of n synthetic keys land on each shard — the
 // balance diagnostic behind the ring tests and `wire-serve route` startup
 // logging.

@@ -83,14 +83,8 @@ func New(cfg Config) *Controller {
 // Name implements sim.Controller.
 func (c *Controller) Name() string { return "wire" }
 
-// Predictor exposes the online models for diagnostics and tests.
-func (c *Controller) Predictor() *predict.Predictor { return c.pred }
-
 // Iterations returns the number of MAPE iterations executed.
 func (c *Controller) Iterations() int { return c.iters }
-
-// LastLoad returns the most recent projected upcoming load (diagnostics).
-func (c *Controller) LastLoad() *lookahead.Load { return c.lastLoad }
 
 // PreStartPredictions returns the prediction log, indexed by task id: each
 // task's last execution-time prediction made before it started — the inputs

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -119,7 +118,7 @@ func TestWirePredictionLogPopulated(t *testing.T) {
 	if accurate < p4/2 {
 		t.Fatalf("only %d/%d Policy-4 predictions accurate", accurate, p4)
 	}
-	if ctrl.Iterations() == 0 || ctrl.LastLoad() == nil {
+	if ctrl.Iterations() == 0 || ctrl.lastLoad == nil {
 		t.Fatal("controller diagnostics empty")
 	}
 }
@@ -226,7 +225,7 @@ func TestDeadlineControllerInfeasibleGoesWide(t *testing.T) {
 	if res.PeakPool < 8 {
 		t.Fatalf("infeasible deadline should max the pool, peak = %d", res.PeakPool)
 	}
-	if ctrl.Deadline() != 1 || ctrl.Name() != "deadline" {
+	if ctrl.cfg.Deadline != 1 || ctrl.Name() != "deadline" {
 		t.Fatal("accessors wrong")
 	}
 }
@@ -267,12 +266,12 @@ func TestStateDump(t *testing.T) {
 	if len(dump.Stages) == 0 {
 		t.Fatal("no stage models in state")
 	}
-	var buf bytes.Buffer
-	if err := ctrl.DumpState(&buf); err != nil {
+	b, err := json.Marshal(ctrl.State())
+	if err != nil {
 		t.Fatal(err)
 	}
 	var back StateDump
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatalf("dump not valid JSON: %v", err)
 	}
 	if back.Iterations != dump.Iterations || len(back.Predictions) != len(dump.Predictions) {
@@ -298,7 +297,7 @@ func (m *mapLogged) Plan(snap *monitor.Snapshot) sim.Decision {
 		if rec.State != monitor.Blocked && rec.State != monitor.Ready {
 			continue
 		}
-		exec, pol := m.Predictor().EstimateExec(snap, rec.ID)
+		exec, pol := m.pred.EstimateExec(snap, rec.ID)
 		pr := Prediction{Time: snap.Now, Task: rec.ID, Stage: rec.Stage, EstimatedExec: exec, Policy: pol}
 		m.log[rec.ID] = pr
 		pending = append(pending, pr)

@@ -52,9 +52,6 @@ func NewDeadline(cfg DeadlineConfig) *DeadlineController {
 // Name implements sim.Controller.
 func (d *DeadlineController) Name() string { return "deadline" }
 
-// Deadline returns the configured target.
-func (d *DeadlineController) Deadline() simtime.Time { return d.cfg.Deadline }
-
 // State captures the shared WIRE run state (prediction wavefront, per-stage
 // models, last projected load) of the underlying controller.
 func (d *DeadlineController) State() StateDump { return d.base.State() }

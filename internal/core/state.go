@@ -1,9 +1,6 @@
 package core
 
 import (
-	"encoding/json"
-	"io"
-
 	"repro/internal/dag"
 	"repro/internal/predict"
 	"repro/internal/simtime"
@@ -88,11 +85,4 @@ func (c *Controller) State() StateDump {
 		}
 	}
 	return dump
-}
-
-// DumpState writes the run state as indented JSON.
-func (c *Controller) DumpState(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(c.State())
 }

@@ -100,16 +100,6 @@ func (w *Workflow) AggregateExecTime() float64 {
 	return s
 }
 
-// AggregateOccupancy returns the sum of ground-truth slot occupancies
-// (execution + transfer) over all tasks, in seconds.
-func (w *Workflow) AggregateOccupancy() float64 {
-	s := 0.0
-	for _, t := range w.Tasks {
-		s += t.Occupancy()
-	}
-	return s
-}
-
 // StageMeanExecTime returns the mean ground-truth execution time of a stage.
 func (w *Workflow) StageMeanExecTime(id StageID) float64 {
 	st := w.Stages[id]

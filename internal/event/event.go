@@ -31,7 +31,6 @@ const (
 	PriTask      Priority = 1 // task completions
 	PriTerminate Priority = 2 // instance terminations
 	PriControl   Priority = 3 // MAPE control ticks
-	PriDefault   Priority = 4
 )
 
 // Event is a scheduled occurrence. It is exposed so callers can cancel
@@ -43,15 +42,6 @@ type Event struct {
 	canceled bool
 	name     string
 }
-
-// Time returns the instant the event is scheduled to fire.
-func (ev *Event) Time() simtime.Time { return ev.time }
-
-// Name returns the diagnostic label given at scheduling time.
-func (ev *Event) Name() string { return ev.name }
-
-// Canceled reports whether the event was canceled before firing.
-func (ev *Event) Canceled() bool { return ev.canceled }
 
 // Engine is a discrete-event simulation driver. The zero value is not
 // usable; call New.
@@ -65,18 +55,16 @@ type Engine struct {
 	MaxEvents uint64
 
 	// Events are allocated from chunked slabs so a simulation costs one
-	// allocation per arenaChunk events instead of one per event, and a
-	// Reset() lets a long-lived engine recycle the slabs wholesale.
+	// allocation per arenaChunk events instead of one per event.
 	chunks [][]Event
-	inUse  int // events handed out since the last Reset
+	inUse  int // events handed out
 }
 
 // arenaChunk is the slab granularity of the event arena.
 const arenaChunk = 256
 
 // alloc hands out the next event slot from the arena, growing it by one
-// chunk when exhausted. Slots are cleared on reuse so recycled events carry
-// no stale handler references.
+// chunk when exhausted.
 func (e *Engine) alloc() *Event {
 	ci := e.inUse / arenaChunk
 	if ci == len(e.chunks) {
@@ -84,45 +72,13 @@ func (e *Engine) alloc() *Event {
 	}
 	ev := &e.chunks[ci][e.inUse%arenaChunk]
 	e.inUse++
-	*ev = Event{}
 	return ev
-}
-
-// Reset returns the engine to its initial state — clock at zero, empty
-// queue, zero fired count — while keeping the event slabs and heap capacity
-// for reuse. Every *Event handle obtained before the call is invalidated:
-// the engine owns that memory and will recycle it, so callers must drop
-// retained handles (Cancel on one after Reset corrupts the queue).
-func (e *Engine) Reset() {
-	clear(e.queue)
-	e.queue = e.queue[:0]
-	e.now = 0
-	e.nextSeq = 0
-	e.fired = 0
-	e.inUse = 0
 }
 
 // New returns an engine whose clock starts at zero.
 func New() *Engine {
 	return &Engine{}
 }
-
-// Now returns the current simulated time.
-func (e *Engine) Now() simtime.Time { return e.now }
-
-// Len returns the number of pending (non-canceled) events.
-func (e *Engine) Len() int {
-	n := 0
-	for _, en := range e.queue {
-		if !en.ev.canceled {
-			n++
-		}
-	}
-	return n
-}
-
-// Fired returns the number of events executed so far.
-func (e *Engine) Fired() uint64 { return e.fired }
 
 // At schedules h to run at absolute time t with the given priority and a
 // diagnostic name. Scheduling in the past panics: it always indicates a
@@ -139,11 +95,6 @@ func (e *Engine) At(t simtime.Time, pri Priority, name string, h Handler) *Event
 	e.push(entry{time: t, priority: pri, seq: e.nextSeq, ev: ev})
 	e.nextSeq++
 	return ev
-}
-
-// After schedules h to run d seconds from now.
-func (e *Engine) After(d simtime.Duration, pri Priority, name string, h Handler) *Event {
-	return e.At(e.now+d, pri, name, h)
 }
 
 // Cancel marks a pending event so it will not fire. Canceling an already
@@ -177,14 +128,6 @@ func (e *Engine) Step() bool {
 	return false
 }
 
-// Run fires events until the queue drains or until (when set) the horizon
-// is reached; events scheduled at or before the horizon still fire. It
-// returns an error when MaxEvents is exceeded, which indicates a
-// non-terminating simulation.
-func (e *Engine) Run() error {
-	return e.RunUntil(-1)
-}
-
 // RunUntil fires events whose time is at or before horizon. A negative
 // horizon means run to completion. The clock ends at the later of its
 // current value and the last fired event (it does not jump to the horizon).
@@ -204,18 +147,6 @@ func (e *Engine) RunUntil(horizon simtime.Time) error {
 		e.Step()
 	}
 	return nil
-}
-
-// Peek returns the time of the next pending event, or ok=false when none.
-func (e *Engine) Peek() (t simtime.Time, ok bool) {
-	for len(e.queue) > 0 {
-		if e.queue[0].ev.canceled {
-			e.remove(0)
-			continue
-		}
-		return e.queue[0].time, true
-	}
-	return 0, false
 }
 
 // entry is one heap slot: the event's sort key held inline, so sifting

@@ -9,13 +9,16 @@ import (
 	"repro/internal/simtime"
 )
 
+// priDefault is a priority below every standard one.
+const priDefault Priority = 4
+
 func TestOrderByTime(t *testing.T) {
 	e := New()
 	var got []int
-	e.At(3, PriDefault, "c", func(*Engine, simtime.Time) { got = append(got, 3) })
-	e.At(1, PriDefault, "a", func(*Engine, simtime.Time) { got = append(got, 1) })
-	e.At(2, PriDefault, "b", func(*Engine, simtime.Time) { got = append(got, 2) })
-	if err := e.Run(); err != nil {
+	e.At(3, priDefault, "c", func(*Engine, simtime.Time) { got = append(got, 3) })
+	e.At(1, priDefault, "a", func(*Engine, simtime.Time) { got = append(got, 1) })
+	e.At(2, priDefault, "b", func(*Engine, simtime.Time) { got = append(got, 2) })
+	if err := e.RunUntil(-1); err != nil {
 		t.Fatal(err)
 	}
 	want := []int{1, 2, 3}
@@ -24,8 +27,8 @@ func TestOrderByTime(t *testing.T) {
 			t.Fatalf("order = %v, want %v", got, want)
 		}
 	}
-	if e.Now() != 3 {
-		t.Fatalf("Now = %v, want 3", e.Now())
+	if e.now != 3 {
+		t.Fatalf("Now = %v, want 3", e.now)
 	}
 }
 
@@ -36,7 +39,7 @@ func TestTieBreakByPriorityThenSeq(t *testing.T) {
 	e.At(5, PriTask, "task2", func(*Engine, simtime.Time) { got = append(got, "task2") })
 	e.At(5, PriInstance, "inst", func(*Engine, simtime.Time) { got = append(got, "inst") })
 	e.At(5, PriTask, "task3", func(*Engine, simtime.Time) { got = append(got, "task3") })
-	if err := e.Run(); err != nil {
+	if err := e.RunUntil(-1); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"inst", "task2", "task3", "control"}
@@ -57,35 +60,35 @@ func TestHandlersScheduleMore(t *testing.T) {
 	tick = func(en *Engine, now simtime.Time) {
 		count++
 		if count < 10 {
-			en.After(1, PriDefault, "tick", tick)
+			en.At(now+1, priDefault, "tick", tick)
 		}
 	}
-	e.At(0, PriDefault, "tick", tick)
-	if err := e.Run(); err != nil {
+	e.At(0, priDefault, "tick", tick)
+	if err := e.RunUntil(-1); err != nil {
 		t.Fatal(err)
 	}
 	if count != 10 {
 		t.Fatalf("count = %d, want 10", count)
 	}
-	if e.Now() != 9 {
-		t.Fatalf("Now = %v, want 9", e.Now())
+	if e.now != 9 {
+		t.Fatalf("Now = %v, want 9", e.now)
 	}
 }
 
 func TestCancel(t *testing.T) {
 	e := New()
 	fired := false
-	ev := e.At(1, PriDefault, "x", func(*Engine, simtime.Time) { fired = true })
+	ev := e.At(1, priDefault, "x", func(*Engine, simtime.Time) { fired = true })
 	e.Cancel(ev)
 	e.Cancel(ev) // double cancel is a no-op
 	e.Cancel(nil)
-	if err := e.Run(); err != nil {
+	if err := e.RunUntil(-1); err != nil {
 		t.Fatal(err)
 	}
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if !ev.Canceled() {
+	if !ev.canceled {
 		t.Fatal("event not marked canceled")
 	}
 }
@@ -93,9 +96,9 @@ func TestCancel(t *testing.T) {
 func TestCancelFromHandler(t *testing.T) {
 	e := New()
 	fired := false
-	victim := e.At(2, PriDefault, "victim", func(*Engine, simtime.Time) { fired = true })
-	e.At(1, PriDefault, "killer", func(en *Engine, now simtime.Time) { en.Cancel(victim) })
-	if err := e.Run(); err != nil {
+	victim := e.At(2, priDefault, "victim", func(*Engine, simtime.Time) { fired = true })
+	e.At(1, priDefault, "killer", func(en *Engine, now simtime.Time) { en.Cancel(victim) })
+	if err := e.RunUntil(-1); err != nil {
 		t.Fatal(err)
 	}
 	if fired {
@@ -105,7 +108,7 @@ func TestCancelFromHandler(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	e := New()
-	e.At(5, PriDefault, "x", func(*Engine, simtime.Time) {})
+	e.At(5, priDefault, "x", func(*Engine, simtime.Time) {})
 	if !e.Step() {
 		t.Fatal("no event")
 	}
@@ -114,7 +117,7 @@ func TestSchedulePastPanics(t *testing.T) {
 			t.Fatal("expected panic scheduling in the past")
 		}
 	}()
-	e.At(1, PriDefault, "past", func(*Engine, simtime.Time) {})
+	e.At(1, priDefault, "past", func(*Engine, simtime.Time) {})
 }
 
 func TestRunUntilHorizon(t *testing.T) {
@@ -122,7 +125,7 @@ func TestRunUntilHorizon(t *testing.T) {
 	var got []simtime.Time
 	for _, tm := range []simtime.Time{1, 2, 3, 4, 5} {
 		tm := tm
-		e.At(tm, PriDefault, "x", func(*Engine, simtime.Time) { got = append(got, tm) })
+		e.At(tm, priDefault, "x", func(*Engine, simtime.Time) { got = append(got, tm) })
 	}
 	if err := e.RunUntil(3); err != nil {
 		t.Fatal(err)
@@ -130,10 +133,10 @@ func TestRunUntilHorizon(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("fired %v, want first 3", got)
 	}
-	if next, ok := e.Peek(); !ok || next != 4 {
-		t.Fatalf("Peek = %v,%v want 4,true", next, ok)
+	if len(e.queue) == 0 || e.queue[0].time != 4 {
+		t.Fatalf("next pending event after the horizon is not at 4")
 	}
-	if err := e.Run(); err != nil {
+	if err := e.RunUntil(-1); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 5 {
@@ -145,29 +148,29 @@ func TestMaxEventsGuard(t *testing.T) {
 	e := New()
 	e.MaxEvents = 100
 	var tick func(*Engine, simtime.Time)
-	tick = func(en *Engine, now simtime.Time) { en.After(1, PriDefault, "tick", tick) }
-	e.At(0, PriDefault, "tick", tick)
-	if err := e.Run(); err == nil {
+	tick = func(en *Engine, now simtime.Time) { en.At(now+1, priDefault, "tick", tick) }
+	e.At(0, priDefault, "tick", tick)
+	if err := e.RunUntil(-1); err == nil {
 		t.Fatal("expected MaxEvents error")
 	}
 }
 
 func TestLenAndFired(t *testing.T) {
 	e := New()
-	a := e.At(1, PriDefault, "a", func(*Engine, simtime.Time) {})
-	e.At(2, PriDefault, "b", func(*Engine, simtime.Time) {})
-	if e.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", e.Len())
+	a := e.At(1, priDefault, "a", func(*Engine, simtime.Time) {})
+	e.At(2, priDefault, "b", func(*Engine, simtime.Time) {})
+	if len(e.queue) != 2 {
+		t.Fatalf("Len = %d, want 2", len(e.queue))
 	}
 	e.Cancel(a)
-	if e.Len() != 1 {
-		t.Fatalf("Len after cancel = %d, want 1", e.Len())
+	if len(e.queue) != 1 {
+		t.Fatalf("Len after cancel = %d, want 1", len(e.queue))
 	}
-	if err := e.Run(); err != nil {
+	if err := e.RunUntil(-1); err != nil {
 		t.Fatal(err)
 	}
-	if e.Fired() != 1 {
-		t.Fatalf("Fired = %d, want 1", e.Fired())
+	if e.fired != 1 {
+		t.Fatalf("Fired = %d, want 1", e.fired)
 	}
 }
 
@@ -183,9 +186,9 @@ func TestFiringOrderProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			times[i] = float64(rng.Intn(100))
 			tm := times[i]
-			e.At(tm, PriDefault, "x", func(*Engine, simtime.Time) { fired = append(fired, tm) })
+			e.At(tm, priDefault, "x", func(*Engine, simtime.Time) { fired = append(fired, tm) })
 		}
-		if err := e.Run(); err != nil {
+		if err := e.RunUntil(-1); err != nil {
 			return false
 		}
 		if !sort.Float64sAreSorted(fired) {
@@ -246,10 +249,10 @@ func TestCancelMidHeapMatchesReferenceOrder(t *testing.T) {
 				pending--
 			}
 		}
-		if e.Len() != pending {
-			t.Fatalf("seed %d: Len = %d after cancels, want %d", seed, e.Len(), pending)
+		if len(e.queue) != pending {
+			t.Fatalf("seed %d: Len = %d after cancels, want %d", seed, len(e.queue), pending)
 		}
-		if err := e.Run(); err != nil {
+		if err := e.RunUntil(-1); err != nil {
 			t.Fatal(err)
 		}
 

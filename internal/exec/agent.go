@@ -132,11 +132,6 @@ func (c *LiveClient) PlanStream(ctx context.Context, runID string) ([]PlanRecord
 	return out.Records, err
 }
 
-// DeleteRun aborts and removes a run.
-func (c *LiveClient) DeleteRun(ctx context.Context, runID string) error {
-	return c.do(ctx, http.MethodDelete, "/v1/live/runs/"+runID, nil, nil)
-}
-
 // Register adds this process as a worker on a run.
 func (c *LiveClient) Register(ctx context.Context, runID, name string, slots int) (RegisterResponse, error) {
 	var out RegisterResponse

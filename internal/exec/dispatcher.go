@@ -26,8 +26,6 @@ var (
 	ErrUnknownAgent = errors.New("exec: unknown agent")
 	// ErrRunOver: the run already finished; no new registrations.
 	ErrRunOver = errors.New("exec: run is over")
-	// ErrNotStarted: the operation needs a started run.
-	ErrNotStarted = errors.New("exec: run not started")
 )
 
 // leaseState tracks one lease through its lifecycle.
@@ -299,22 +297,6 @@ func (d *Dispatcher) Workflow() *dag.Workflow { return d.wf }
 // Config returns the effective (defaulted) configuration.
 func (d *Dispatcher) Config() Config { return d.cfg }
 
-// Done is closed when the run reaches Done or Failed.
-func (d *Dispatcher) Done() <-chan struct{} { return d.done }
-
-// Wait blocks until the run finishes or ctx is canceled, then returns the
-// result (nil on Failed) and the run error.
-func (d *Dispatcher) Wait(ctx context.Context) (*LiveResult, error) {
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-d.done:
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.result, d.runErr
-}
-
 // emitLocked forwards an event to the observer. Called under the lock; the
 // observer must not call back into the dispatcher.
 func (d *Dispatcher) emitLocked(ev sim.Event) {
@@ -411,6 +393,13 @@ func (d *Dispatcher) tickAt() simtime.Time {
 	return simtime.Time(d.tickSeq) * simtime.Time(d.cfg.Interval)
 }
 
+// nextTickSeq is the sequence number of the first control tick due strictly
+// after simulated instant now. A late wake and a resumed run both plan once,
+// on the current state, and skip the periods they missed (DESIGN §6 row 2).
+func (d *Dispatcher) nextTickSeq(now simtime.Time) int {
+	return int(float64(now)/float64(d.cfg.Interval)) + 1
+}
+
 // simDue reports whether a simulated instant has come.
 func (d *Dispatcher) simDue(at simtime.Time) bool { return d.clock.WallUntil(at) == 0 }
 
@@ -420,7 +409,8 @@ func (d *Dispatcher) simDue(at simtime.Time) bool { return d.clock.WallUntil(at)
 // for the earliest instant that remains:
 //
 //  1. the wall horizon (horizon);
-//  2. control ticks (tickSeq × Interval), caught up one at a time;
+//  2. the control tick (tickSeq × Interval): one per wake, however many
+//     intervals have passed;
 //  3. activations (ActiveAt of a bound pending instance), then DOA
 //     write-offs (ActiveAt + DOAGrace of a pending instance no agent bound);
 //  4. releases (releaseAt of a draining instance);
@@ -436,7 +426,7 @@ func (d *Dispatcher) wakeLocked() {
 			d.cfg.MaxWall, d.completed, d.wf.NumTasks()))
 		return
 	}
-	for d.state == Running && d.simDue(d.tickAt()) {
+	if d.simDue(d.tickAt()) {
 		d.tickLocked()
 	}
 	// Activations, then DOA write-offs: a write-off is for a launch that
@@ -1140,9 +1130,11 @@ func (d *Dispatcher) releaseLocked(ir *instRec, now simtime.Time) {
 // consult the controller, record the pair for the parity twin, apply the
 // decision with lag semantics.
 func (d *Dispatcher) tickLocked() {
-	d.tickSeq++
-
 	now := d.clock.Now()
+	// At least one past the tick that just ran, whatever now/Interval
+	// rounds to.
+	d.tickSeq = max(d.tickSeq+1, d.nextTickSeq(now))
+
 	snap := d.snapshotLocked(now)
 	snapJSON, err := json.Marshal(snap)
 	if err != nil {
@@ -1449,20 +1441,6 @@ func (d *Dispatcher) State() RunState {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.state
-}
-
-// Err returns the run error (nil unless Failed).
-func (d *Dispatcher) Err() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.runErr
-}
-
-// Result returns the final result (nil until Done).
-func (d *Dispatcher) Result() *LiveResult {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.result
 }
 
 // Counters returns a copy of the live counters.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -158,7 +159,7 @@ func TestLeaseReclaimExactlyOnce(t *testing.T) {
 		}
 	}
 
-	res, err := d.Wait(ctx)
+	res, err := wait(ctx, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,6 +281,78 @@ func TestDOANeverWritesOffABoundInstance(t *testing.T) {
 	assertReplayParity(t, d, sink.Records)
 }
 
+// slowController holds a pool of one instance, and each of its plans costs
+// two control intervals (one second each) of wall time: it moves the run's
+// clock on while the dispatcher waits for the decision.
+type slowController struct {
+	keepPool
+	clk   *fakeClock
+	plans int
+	until float64 // the clock the last plan left, in seconds
+}
+
+func (c *slowController) Plan(snap *monitor.Snapshot) sim.Decision {
+	c.plans++
+	c.until = float64(snap.Now) + 2
+	c.clk.set(c.until)
+	return c.keepPool.Plan(snap)
+}
+
+// TestSlowTickRunsOncePerWake: when a tick costs more than the interval, the
+// ticks its own cost made due must not be run back to back inside one wake,
+// or the wake never returns. Each wake plans once, on the current state, and
+// the run completes and replays.
+func TestSlowTickRunsOncePerWake(t *testing.T) {
+	sink := &MemorySink{}
+	ctrl := &slowController{keepPool: keepPool{1}}
+	cfg, clk := fakeClockConfig(Config{
+		Journal:      sink,
+		Workflow:     flatWorkflow(2, 1),
+		Controller:   ctrl,
+		Cloud:        cloud.Config{SlotsPerInstance: 2, LagTime: 1, ChargingUnit: 10, MaxInstances: 1},
+		Interval:     1,
+		Timescale:    1,
+		HeartbeatTTL: time.Hour,
+	})
+	ctrl.clk = clk
+	d, err := NewDispatcher(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Abort("test cleanup")
+	reg, err := d.Register("w", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	at := 1.0 // the first tick
+	for wake := 1; d.State() == Running; wake++ {
+		if wake > 10 {
+			t.Fatalf("run still going after %d wakes: %+v", wake-1, d.Status())
+		}
+		wakeAt(d, clk, at)
+		if ctrl.plans != wake {
+			t.Fatalf("wake %d at t=%v: %d plans in all, want one per wake", wake, at, ctrl.plans)
+		}
+		at = ctrl.until // a tick is due again: the last one took two intervals
+		resp, err := d.Poll(context.Background(), reg.AgentID, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range resp.Leases {
+			if _, err := d.Complete(reg.AgentID, l.ID, CompleteReport{ExecS: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if st := d.State(); st != Done {
+		t.Fatalf("run ended %v: %v", st, runErr(d))
+	}
+	assertReplayParity(t, d, sink.Records)
+}
+
 // TestWallHorizon: a run still going at its wall horizon fails there.
 func TestWallHorizon(t *testing.T) {
 	sink := &MemorySink{}
@@ -302,10 +375,10 @@ func TestWallHorizon(t *testing.T) {
 	}
 	wakeAt(d, clk, 59.9)
 	if st := d.State(); st != Running {
-		t.Fatalf("run %v before its horizon: %v", st, d.Err())
+		t.Fatalf("run %v before its horizon: %v", st, runErr(d))
 	}
 	wakeAt(d, clk, 60)
-	if st, err := d.State(), d.Err(); st != Failed || err == nil || !strings.Contains(err.Error(), "wall horizon") {
+	if st, err := d.State(), runErr(d); st != Failed || err == nil || !strings.Contains(err.Error(), "wall horizon") {
 		t.Fatalf("run %v at its horizon: %v", st, err)
 	}
 	if _, err := d.Register("late", 1); err != ErrRunOver {
@@ -413,4 +486,47 @@ func TestPollUnknownAgent(t *testing.T) {
 	if _, err := d.Complete("nope", 1, CompleteReport{}); err != ErrUnknownAgent {
 		t.Fatalf("err = %v, want ErrUnknownAgent", err)
 	}
+}
+
+// MemorySink accumulates a run's journal records in memory.
+type MemorySink struct {
+	mu   sync.Mutex
+	recs []Record
+}
+
+// Append implements RecordSink.
+func (m *MemorySink) Append(r Record) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.recs = append(m.recs, r)
+	return nil
+}
+
+// Records returns a copy of the accumulated records.
+func (m *MemorySink) Records() []Record {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]Record, len(m.recs))
+	copy(out, m.recs)
+	return out
+}
+
+// wait blocks until the run finishes or ctx is canceled, then returns the
+// result (nil on Failed) and the run error.
+func wait(ctx context.Context, d *Dispatcher) (*LiveResult, error) {
+	select {
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	case <-d.done:
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.result, d.runErr
+}
+
+// runErr returns the run error (nil unless Failed).
+func runErr(d *Dispatcher) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.runErr
 }

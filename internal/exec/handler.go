@@ -172,14 +172,6 @@ func (g *Registry) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/live/runs/{id}/agents/{agent}/leases/{lease}/complete", g.handleComplete)
 }
 
-// Handler returns a standalone handler serving only the live-run routes
-// (tests and the in-process driver).
-func (g *Registry) Handler() http.Handler {
-	mux := http.NewServeMux()
-	g.Mount(mux)
-	return mux
-}
-
 // maxLiveBody caps request bodies; lease reports are tiny, run creation
 // with an inline workflow dominates.
 const maxLiveBody = 16 << 20

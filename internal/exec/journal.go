@@ -86,29 +86,6 @@ type RecordSink interface {
 	Append(Record) error
 }
 
-// MemorySink accumulates records in memory (tests, replay verification).
-type MemorySink struct {
-	mu   sync.Mutex
-	recs []Record
-}
-
-// Append implements RecordSink.
-func (m *MemorySink) Append(r Record) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.recs = append(m.recs, r)
-	return nil
-}
-
-// Records returns a copy of the accumulated records.
-func (m *MemorySink) Records() []Record {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Record, len(m.recs))
-	copy(out, m.recs)
-	return out
-}
-
 // FileSink is a run's journal file: one JSON line per record in a wal.Log,
 // which brings the single-write framing, the fsync policy, failed-write repair
 // and torn-tail recovery the session WAL has.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"sync"
@@ -54,7 +55,7 @@ func fanoutDoc() *dagio.Document {
 func TestLiveRunOverHTTP(t *testing.T) {
 	dir := t.TempDir()
 	reg := newTestRegistry(t, RegistryConfig{JournalDir: dir})
-	ts := httptest.NewServer(reg.Handler())
+	ts := httptest.NewServer(liveHandler(reg))
 	defer ts.Close()
 	client := NewLiveClient(ts.URL, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -162,7 +163,7 @@ func TestLiveRunOverHTTP(t *testing.T) {
 // mid-task — Drain blocks (bounded by its context) until the lease completes.
 func TestDrainWaitsForOutstandingLeases(t *testing.T) {
 	reg := newTestRegistry(t, RegistryConfig{})
-	ts := httptest.NewServer(reg.Handler())
+	ts := httptest.NewServer(liveHandler(reg))
 	defer ts.Close()
 	client := NewLiveClient(ts.URL, nil)
 	ctx := context.Background()
@@ -222,7 +223,7 @@ func TestDrainWaitsForOutstandingLeases(t *testing.T) {
 
 func TestRegistryLimitsAndErrors(t *testing.T) {
 	reg := newTestRegistry(t, RegistryConfig{MaxRuns: 1})
-	ts := httptest.NewServer(reg.Handler())
+	ts := httptest.NewServer(liveHandler(reg))
 	defer ts.Close()
 	client := NewLiveClient(ts.URL, nil)
 	ctx := context.Background()
@@ -250,7 +251,7 @@ func TestRegistryLimitsAndErrors(t *testing.T) {
 	}
 
 	// DELETE frees the slot and aborts the run.
-	if err := client.DeleteRun(ctx, info.ID); err != nil {
+	if err := deleteRun(ctx, client, info.ID); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mk(); err != nil {
@@ -259,4 +260,16 @@ func TestRegistryLimitsAndErrors(t *testing.T) {
 	if m := reg.Metrics(); m.Runs != 1 {
 		t.Fatalf("metrics after delete: %+v", m)
 	}
+}
+
+// liveHandler serves only the live-run routes.
+func liveHandler(g *Registry) http.Handler {
+	mux := http.NewServeMux()
+	g.Mount(mux)
+	return mux
+}
+
+// deleteRun aborts and removes a run.
+func deleteRun(ctx context.Context, c *LiveClient, runID string) error {
+	return c.do(ctx, http.MethodDelete, "/v1/live/runs/"+runID, nil, nil)
 }

@@ -235,7 +235,7 @@ func (d *Dispatcher) resume(replayed int) {
 	for i := range d.tasks {
 		d.tasks[i].requeueAt = wallNow
 	}
-	d.tickSeq = int(float64(now)/float64(d.cfg.Interval)) + 1
+	d.tickSeq = d.nextTickSeq(now)
 	d.horizon = wallNow.Add(max(d.cfg.MaxWall-wallNow.Sub(d.startWall), 5*time.Second))
 	d.nextReap = wallNow.Add(d.reapEvery())
 	d.wakeLocked()

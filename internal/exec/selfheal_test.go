@@ -82,7 +82,7 @@ func poisonDoc() (*dagio.Document, dag.TaskID) {
 func TestPoisonTaskQuarantine(t *testing.T) {
 	dir := t.TempDir()
 	reg := newTestRegistry(t, RegistryConfig{JournalDir: dir})
-	ts := httptest.NewServer(reg.Handler())
+	ts := httptest.NewServer(liveHandler(reg))
 	defer ts.Close()
 	client := NewLiveClient(ts.URL, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -261,7 +261,7 @@ func TestStragglerSpeculation(t *testing.T) {
 		}
 	}()
 
-	res, err := d.Wait(ctx)
+	res, err := wait(ctx, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestDispatcherCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := ln.Addr().String()
-	srv1 := &http.Server{Handler: reg1.Handler()}
+	srv1 := &http.Server{Handler: liveHandler(reg1)}
 	go srv1.Serve(ln)
 	base := "http://" + addr
 	client := NewLiveClient(base, nil)
@@ -406,7 +406,7 @@ func TestDispatcherCrashRecovery(t *testing.T) {
 		ln2, err = net.Listen("tcp", addr)
 		return err == nil
 	})
-	srv2 := &http.Server{Handler: reg2.Handler()}
+	srv2 := &http.Server{Handler: liveHandler(reg2)}
 	go srv2.Serve(ln2)
 	defer srv2.Close()
 
@@ -475,7 +475,7 @@ func TestDeleteVsCompleteRace(t *testing.T) {
 
 	for round := 0; round < 6; round++ {
 		reg := newTestRegistry(t, RegistryConfig{})
-		ts := httptest.NewServer(reg.Handler())
+		ts := httptest.NewServer(liveHandler(reg))
 		client := NewLiveClient(ts.URL, nil)
 		info, err := client.CreateRun(ctx, &CreateRunRequest{
 			Workflow:         doc,
@@ -508,7 +508,7 @@ func TestDeleteVsCompleteRace(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			if err := client.DeleteRun(ctx, info.ID); err != nil {
+			if err := deleteRun(ctx, client, info.ID); err != nil {
 				t.Errorf("delete: %v", err)
 			}
 		}()
@@ -614,7 +614,7 @@ func TestAgentBlacklistAndCooldown(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := d.Wait(ctx)
+	res, err := wait(ctx, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -632,7 +632,7 @@ func TestAgentBlacklistAndCooldown(t *testing.T) {
 // retrying forever.
 func TestAgentTypedRegisterError(t *testing.T) {
 	reg := newTestRegistry(t, RegistryConfig{})
-	ts := httptest.NewServer(reg.Handler())
+	ts := httptest.NewServer(liveHandler(reg))
 	defer ts.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

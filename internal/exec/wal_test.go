@@ -283,7 +283,7 @@ func TestLiveJournalFailedWrite(t *testing.T) {
 func TestRecoverReadsJournalOnce(t *testing.T) {
 	dir1, dir2 := t.TempDir(), t.TempDir()
 	reg1 := newTestRegistry(t, RegistryConfig{JournalDir: dir1})
-	ts := httptest.NewServer(reg1.Handler())
+	ts := httptest.NewServer(liveHandler(reg1))
 	defer ts.Close()
 	client := NewLiveClient(ts.URL, nil)
 	ctx := context.Background()
@@ -293,7 +293,7 @@ func TestRecoverReadsJournalOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.DeleteRun(ctx, info.ID)
+	defer deleteRun(ctx, client, info.ID)
 	if _, err := client.Register(ctx, info.ID, "w", 2); err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ package integration
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/baseline"
@@ -81,7 +82,7 @@ func checkInvariants(t *testing.T, wf *dag.Workflow, res *sim.Result, maxInstanc
 			}
 		}
 		// The successful attempt's span equals its observed occupancy.
-		if got, want := tr.End-tr.Start, tr.ObservedExec+tr.ObservedTransfer; !simtime.Equal(got, want) {
+		if got, want := tr.End-tr.Start, tr.ObservedExec+tr.ObservedTransfer; math.Abs(got-want) > simtime.Eps {
 			t.Fatalf("task %d span %v != occupancy %v", tr.Task, got, want)
 		}
 		// Nothing runs before the first instance can exist.

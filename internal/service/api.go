@@ -135,7 +135,7 @@ type SessionInfo struct {
 // PlanResponse is the POST /v1/sessions/{id}/plan response: the decision for
 // the next interval plus the controller's current pre-start predictions for
 // the tasks that have not started yet (the Figure 1 wavefront), one record per
-// distinct estimate (PredictionGroup; ExpandPredictions lists them per task).
+// distinct estimate (PredictionGroup).
 // Predictions are only present for the wire policy: it alone annotates tasks.
 type PlanResponse struct {
 	SessionID string `json:"session_id"`

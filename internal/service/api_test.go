@@ -152,7 +152,7 @@ func TestSessionLifecycleHTTP(t *testing.T) {
 		t.Errorf("controller state missing or stale: %+v", state.Controller)
 	}
 
-	health, err := client.Health(context.Background())
+	health, err := call[HealthResponse](context.Background(), client, http.MethodGet, "/healthz", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestPlanPanicsDegrade(t *testing.T) {
 	if resp.Degraded {
 		t.Error("recovered controller still flagged degraded")
 	}
-	if _, err := client.Health(context.Background()); err != nil {
+	if _, err := call[HealthResponse](context.Background(), client, http.MethodGet, "/healthz", nil); err != nil {
 		t.Fatalf("daemon unhealthy after degraded plan: %v", err)
 	}
 	md := srv.Metrics().Dump(srv.now(), srv.Store().Len())

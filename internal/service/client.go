@@ -179,12 +179,6 @@ func WithRetry(p RetryPolicy) ClientOption {
 	return func(c *Client) { c.retry = p.withDefaults() }
 }
 
-// WithLogf routes the client's operational log lines (today: clipped
-// Retry-After hints) somewhere visible. Default: discarded.
-func WithLogf(logf func(format string, args ...any)) ClientOption {
-	return func(c *Client) { c.logf = logf }
-}
-
 // Client talks to a wire-serve daemon. It is safe for concurrent use; the
 // load generator shares one client across every session. By default it does
 // not retry; see WithRetry.
@@ -194,7 +188,6 @@ type Client struct {
 	timeout   time.Duration
 	transport http.RoundTripper
 	retry     RetryPolicy
-	logf      func(format string, args ...any)
 
 	retries atomic.Int64
 
@@ -247,9 +240,6 @@ func NewClient(base string, opts ...ClientOption) *Client {
 	}
 	if c.jitter == nil {
 		c.jitter = rand.New(rand.NewSource(time.Now().UnixNano()))
-	}
-	if c.logf == nil {
-		c.logf = func(string, ...any) {}
 	}
 	return c
 }
@@ -375,10 +365,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, seq int64, bo
 				if max <= 0 {
 					max = defaultMaxRetryAfter
 				}
-				if hint > max {
-					c.logf("wire-serve client: %s %s: Retry-After %v clipped to %v", method, path, hint, max)
-					hint = max
-				}
+				hint = min(hint, max)
 				apiErr.RetryAfter = hint
 			}
 		}
@@ -511,11 +498,6 @@ func (c *Client) State(ctx context.Context, id string) (*SessionStateResponse, e
 func (c *Client) DeleteSession(ctx context.Context, id string) error {
 	c.takeBase(id)
 	return c.do(ctx, http.MethodDelete, "/v1/sessions/"+id, 0, nil, nil)
-}
-
-// Health fetches the liveness document.
-func (c *Client) Health(ctx context.Context) (*HealthResponse, error) {
-	return call[HealthResponse](ctx, c, http.MethodGet, "/healthz", nil)
 }
 
 // Ready fetches the readiness document. A draining daemon, or a shard still

@@ -161,8 +161,7 @@ func TestClientHonorsCallerContext(t *testing.T) {
 
 // TestClientClampsRetryAfter pins the Retry-After cap: a pathological server
 // hint (hours) must not park the retry loop — the sleep floor is clipped to
-// MaxRetryAfter, the clip is logged through WithLogf, and the capped value is
-// what APIError reports.
+// MaxRetryAfter, and the capped value is what APIError reports.
 func TestClientClampsRetryAfter(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "7200") // two hours
@@ -172,16 +171,9 @@ func TestClientClampsRetryAfter(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	var mu sync.Mutex
-	var logged []string
 	client := NewClient(ts.URL,
 		WithRetry(RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond,
-			MaxDelay: 5 * time.Millisecond, MaxRetryAfter: 20 * time.Millisecond}),
-		WithLogf(func(format string, args ...any) {
-			mu.Lock()
-			logged = append(logged, fmt.Sprintf(format, args...))
-			mu.Unlock()
-		}))
+			MaxDelay: 5 * time.Millisecond, MaxRetryAfter: 20 * time.Millisecond}))
 
 	start := time.Now()
 	_, err := client.State(context.Background(), "some-session")
@@ -198,10 +190,5 @@ func TestClientClampsRetryAfter(t *testing.T) {
 	}
 	if elapsed > 5*time.Second {
 		t.Fatalf("retry loop slept %v; the 2h hint was honored, not clipped", elapsed)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(logged) == 0 || !strings.Contains(logged[0], "clipped") {
-		t.Errorf("clip not logged: %q", logged)
 	}
 }

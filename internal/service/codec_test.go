@@ -250,7 +250,7 @@ func TestWavefrontGrouping(t *testing.T) {
 					}
 				}
 			}
-			if got := ExpandPredictions(resp.Predictions); !samePredictions(got, perTask(tc.wave)) {
+			if got := expandPredictions(resp.Predictions); !samePredictions(got, perTask(tc.wave)) {
 				t.Fatalf("expansion differs from the per-task list\ngot:  %+v\nwant: %+v", got, perTask(tc.wave))
 			}
 			body, err := resp.AppendJSON(nil)
@@ -267,7 +267,7 @@ func TestWavefrontGrouping(t *testing.T) {
 			if err := back.UnmarshalJSON(body); err != nil {
 				t.Fatal(err)
 			}
-			if got := ExpandPredictions(back.Predictions); !samePredictions(got, perTask(tc.wave)) {
+			if got := expandPredictions(back.Predictions); !samePredictions(got, perTask(tc.wave)) {
 				t.Fatalf("expansion after the codec differs from the per-task list\ngot:  %+v\nwant: %+v", got, perTask(tc.wave))
 			}
 		})
@@ -318,7 +318,7 @@ func TestPlanResponseDecodesPerTaskShape(t *testing.T) {
 			t.Errorf("record %d decoded as tasks %v, want [%d]", i, g.Tasks, old.Predictions[i].Task)
 		}
 	}
-	if exp := ExpandPredictions(got.Predictions); !reflect.DeepEqual(exp, old.Predictions) {
+	if exp := expandPredictions(got.Predictions); !reflect.DeepEqual(exp, old.Predictions) {
 		t.Fatalf("expansion differs from the list that was written\ngot:  %+v\nwant: %+v", exp, old.Predictions)
 	}
 	// A literal from a parent daemon, key order and all.
@@ -328,7 +328,7 @@ func TestPlanResponseDecodesPerTaskShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []core.PredictionState{{Task: 1, Stage: 1, Estimated: 0, Policy: "p1-zero", At: 60}}
-	if exp := ExpandPredictions(got.Predictions); !reflect.DeepEqual(exp, want) {
+	if exp := expandPredictions(got.Predictions); !reflect.DeepEqual(exp, want) {
 		t.Fatalf("literal expands to %+v, want %+v", exp, want)
 	}
 }

@@ -234,7 +234,7 @@ func replayGolden(t *testing.T, golden []byte, wantDelta []bool, reframes bool) 
 		t.Fatal(err)
 	}
 	if retried.Iteration != last.Iteration || !sameDecision(retried.Decision, last.Decision) ||
-		!reflect.DeepEqual(ExpandPredictions(retried.Predictions), ExpandPredictions(last.Predictions)) {
+		!reflect.DeepEqual(expandPredictions(retried.Predictions), expandPredictions(last.Predictions)) {
 		t.Errorf("replayed cache answers seq 3 with %+v, the log recorded %+v", retried, last)
 	}
 	// "Verbatim" is literal: the retry is served the journaled bytes.

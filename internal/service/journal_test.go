@@ -376,13 +376,16 @@ func sessionCrashAndReopen(t *testing.T, cfg func(dir string) Config) {
 func liveCrashAndReopen(t *testing.T, cfg func(dir string) Config) {
 	dir1, dir2 := t.TempDir(), t.TempDir()
 	ctx := context.Background()
+	deleteRun := func(srv *Server, id string) {
+		srv.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodDelete, "/v1/live/runs/"+id, nil))
+	}
 	liveClient := func(dir string) (*Server, *exec.LiveClient) {
 		srv := New(cfg(dir))
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
 		return srv, exec.NewLiveClient(ts.URL, nil)
 	}
-	_, c1 := liveClient(dir1)
+	srv1, c1 := liveClient(dir1)
 	info, err := c1.CreateRun(ctx, &exec.CreateRunRequest{
 		Workflow:         dagio.Encode(smallWorkflow(3)), // 2 slots: the last task is leased when the first completes
 		SlotsPerInstance: 2,
@@ -395,7 +398,7 @@ func liveCrashAndReopen(t *testing.T, cfg func(dir string) Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c1.DeleteRun(ctx, info.ID)
+	defer deleteRun(srv1, info.ID)
 	reg, err := c1.Register(ctx, info.ID, "w", 2)
 	if err != nil {
 		t.Fatal(err)
@@ -441,8 +444,8 @@ func liveCrashAndReopen(t *testing.T, cfg func(dir string) Config) {
 	}
 
 	srv2, c2 := liveClient(dir2)
-	defer c2.DeleteRun(ctx, info.ID)
-	if m := srv2.Live().Metrics(); m.RunsRecovered != 1 || m.Counters.JournalErrors != 0 {
+	defer deleteRun(srv2, info.ID)
+	if m := srv2.live.Metrics(); m.RunsRecovered != 1 || m.Counters.JournalErrors != 0 {
 		t.Fatalf("recovered %d run(s) with %d journal error(s), want 1 and 0", m.RunsRecovered, m.Counters.JournalErrors)
 	}
 	st, err := c2.RunStatus(ctx, info.ID)

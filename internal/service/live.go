@@ -3,7 +3,6 @@ package service
 import (
 	"encoding/json"
 
-	"repro/internal/exec"
 	"repro/internal/sim"
 )
 
@@ -20,6 +19,3 @@ func LiveControllerFactory(policy string, spec json.RawMessage) (sim.Controller,
 	}
 	return NewPolicyController(policy, cs)
 }
-
-// Live exposes the server's live-run registry (nil when disabled).
-func (s *Server) Live() *exec.Registry { return s.live }

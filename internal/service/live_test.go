@@ -35,10 +35,10 @@ func TestLiveControllerFactoryResolvesEveryPolicy(t *testing.T) {
 }
 
 func TestLivePlaneToggle(t *testing.T) {
-	if srv := New(Config{}); srv.Live() == nil {
+	if srv := New(Config{}); srv.live == nil {
 		t.Fatal("live plane missing under default config")
 	}
-	if srv := New(Config{LiveMaxRuns: -1}); srv.Live() != nil {
+	if srv := New(Config{LiveMaxRuns: -1}); srv.live != nil {
 		t.Fatal("live plane present with LiveMaxRuns < 0")
 	}
 }
@@ -111,7 +111,7 @@ func TestServeDrainsLiveLeasesOnShutdown(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Serve did not return after drain")
 	}
-	if got := srv.Live().Metrics().Counters.LeasesLost; got != 0 {
+	if got := srv.live.Metrics().Counters.LeasesLost; got != 0 {
 		t.Fatalf("%d leases lost across shutdown", got)
 	}
 }

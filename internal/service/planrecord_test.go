@@ -315,7 +315,7 @@ func requireOldShapeDecodes(t testing.TB, resp *PlanResponse) {
 		return
 	}
 	perTask, err := json.Marshal(legacyPlanResponse{SessionID: resp.SessionID, Iteration: resp.Iteration, Seq: resp.Seq,
-		Decision: resp.Decision, Degraded: resp.Degraded, Predictions: ExpandPredictions(resp.Predictions)})
+		Decision: resp.Decision, Degraded: resp.Degraded, Predictions: expandPredictions(resp.Predictions)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func requireOldShapeDecodes(t testing.TB, resp *PlanResponse) {
 	if err := fromPerTask.UnmarshalJSON(perTask); err != nil {
 		t.Fatalf("per-task body does not decode: %v: %s", err, perTask)
 	}
-	if got, want := ExpandPredictions(fromPerTask.Predictions), ExpandPredictions(fromGrouped.Predictions); !samePredictions(got, want) {
+	if got, want := expandPredictions(fromPerTask.Predictions), expandPredictions(fromGrouped.Predictions); !samePredictions(got, want) {
 		t.Fatalf("the per-task body decodes to a different wavefront than the grouped one\nper-task: %+v\ngrouped:  %+v", got, want)
 	}
 	if fromPerTask.Seq != fromGrouped.Seq || fromPerTask.Degraded != fromGrouped.Degraded || !sameDecision(fromPerTask.Decision, fromGrouped.Decision) {

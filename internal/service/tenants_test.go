@@ -247,7 +247,7 @@ func TestTenantJournalRecovery(t *testing.T) {
 	if n := srv2.Store().Len(); n != 1 {
 		t.Fatalf("recovered store has %d sessions, want 1", n)
 	}
-	info, ok := srv2.Tenants().Tenant("acme")
+	info, ok := srv2.tenants.Tenant("acme")
 	if !ok || info.ActiveSessions != 1 {
 		t.Fatalf("recovered tenant = %+v (ok=%v), want 1 active session", info, ok)
 	}

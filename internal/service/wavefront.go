@@ -2,7 +2,6 @@ package service
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/dag"
@@ -14,8 +13,7 @@ import (
 // WIRE predicts per stage (and, for a ready task, per input-size group), so
 // the pending tasks of one interval share a handful of distinct estimates:
 // the response carries each estimate once with the ids of the tasks it covers
-// instead of repeating it per task. ExpandPredictions recovers the per-task
-// list.
+// instead of repeating it per task.
 type PredictionGroup struct {
 	Stage     dag.StageID      `json:"stage"`
 	Estimated simtime.Duration `json:"estimated_exec_s"`
@@ -87,26 +85,4 @@ func (w *wavefrontGrouper) fold(wave []core.Prediction) []PredictionGroup {
 	}
 	w.groups = groups
 	return groups
-}
-
-// ExpandPredictions returns the per-task wavefront a plan response's groups
-// stand for, in task-id order: the controller's latest pre-start estimate for
-// every task that had not started as of the posted snapshot.
-func ExpandPredictions(groups []PredictionGroup) []core.PredictionState {
-	n := 0
-	for i := range groups {
-		n += len(groups[i].Tasks)
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]core.PredictionState, 0, n)
-	for i := range groups {
-		g := &groups[i]
-		for _, id := range g.Tasks {
-			out = append(out, core.PredictionState{Task: id, Stage: g.Stage, Estimated: g.Estimated, Policy: g.Policy, At: g.At})
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Task < out[j].Task })
-	return out
 }

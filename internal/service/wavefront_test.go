@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -79,7 +80,7 @@ func (r *remoteAgainstTwin) Plan(snap *monitor.Snapshot) sim.Decision {
 		t.Fatalf("%s seq %d: served %+v (seq %d, degraded %v), the twin decided %+v", r.key, r.seq, resp.Decision, resp.Seq, resp.Degraded, want)
 	}
 	ref := pendingPredictions(r.twin.State(), snap)
-	if got := ExpandPredictions(resp.Predictions); !reflect.DeepEqual(got, ref) {
+	if got := expandPredictions(resp.Predictions); !reflect.DeepEqual(got, ref) {
 		t.Fatalf("%s seq %d: the response expands to %d prediction(s), the twin's per-task wavefront has %d, or they differ", r.key, r.seq, len(got), len(ref))
 	}
 	// The point of the format: one record per distinct estimate, not per task.
@@ -147,4 +148,26 @@ func TestGroupedWavefrontEqualsPerTaskTwin(t *testing.T) {
 			t.Logf("%-10s %2d plans: %5d per-task predictions in %3d group(s)", key, len(r.bodies), r.tasks, r.groups)
 		})
 	}
+}
+
+// expandPredictions returns the per-task wavefront a plan response's groups
+// stand for, in task-id order: the controller's latest pre-start estimate for
+// every task that had not started as of the posted snapshot.
+func expandPredictions(groups []PredictionGroup) []core.PredictionState {
+	n := 0
+	for i := range groups {
+		n += len(groups[i].Tasks)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]core.PredictionState, 0, n)
+	for i := range groups {
+		g := &groups[i]
+		for _, id := range g.Tasks {
+			out = append(out, core.PredictionState{Task: id, Stage: g.Stage, Estimated: g.Estimated, Policy: g.Policy, At: g.At})
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Task < out[j].Task })
+	return out
 }

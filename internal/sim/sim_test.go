@@ -70,7 +70,7 @@ func TestSingleTaskMakespan(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Instance active at lag=10, task occupies 35 s -> makespan 45.
-	if !simtime.Equal(res.Makespan, 45) {
+	if !sameInstant(res.Makespan, 45) {
 		t.Fatalf("makespan = %v, want 45", res.Makespan)
 	}
 	if len(res.TaskRuns) != 1 {
@@ -91,7 +91,7 @@ func TestChainRespectsDependencies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !simtime.Equal(res.Makespan, 10+30) {
+	if !sameInstant(res.Makespan, 10+30) {
 		t.Fatalf("makespan = %v, want 40", res.Makespan)
 	}
 	for i := 1; i < len(res.TaskRuns); i++ {
@@ -110,7 +110,7 @@ func TestSlotsLimitParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 4 tasks, 2 slots, 10s each: two waves -> 10+20 = 30.
-	if !simtime.Equal(res.Makespan, 30) {
+	if !sameInstant(res.Makespan, 30) {
 		t.Fatalf("makespan = %v, want 30", res.Makespan)
 	}
 }
@@ -122,7 +122,7 @@ func TestLaunchSpeedsUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !simtime.Equal(res1.Makespan, 410) {
+	if !sameInstant(res1.Makespan, 410) {
 		t.Fatalf("baseline makespan = %v, want 410", res1.Makespan)
 	}
 	// Launch 3 more at the first tick (t=10): active at t=20.
@@ -132,7 +132,7 @@ func TestLaunchSpeedsUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Task0 on inst0 (10..110); tasks 1-3 start at 20, done at 120.
-	if !simtime.Equal(res2.Makespan, 120) {
+	if !sameInstant(res2.Makespan, 120) {
 		t.Fatalf("scaled makespan = %v, want 120", res2.Makespan)
 	}
 	if res2.PeakPool != 4 || res2.Launches != 4 {
@@ -156,7 +156,7 @@ func TestReleaseKillsAndRequeues(t *testing.T) {
 		t.Fatalf("restarts = %d, want 1", res.Restarts)
 	}
 	// Killed at 20, replacement active at 30, runs 100 -> 130.
-	if !simtime.Equal(res.Makespan, 130) {
+	if !sameInstant(res.Makespan, 130) {
 		t.Fatalf("makespan = %v, want 130", res.Makespan)
 	}
 	if res.TaskRuns[0].Restarts != 1 {
@@ -180,7 +180,7 @@ func TestReleaseAtBoundary(t *testing.T) {
 	}
 	// Task killed at boundary t=60 having run 50s; replacement active at
 	// 30; restart at 60 on inst 1, runs 200 -> 260.
-	if !simtime.Equal(res.Makespan, 260) {
+	if !sameInstant(res.Makespan, 260) {
 		t.Fatalf("makespan = %v, want 260", res.Makespan)
 	}
 	// Instance 0 held 10..60 = exactly one 50s unit; instance 1 held
@@ -206,7 +206,10 @@ func TestSnapshotContents(t *testing.T) {
 	if s0.Now != 10 || s0.Interval != 10 {
 		t.Fatalf("snapshot header: %+v", s0)
 	}
-	counts := s0.CountByState()
+	counts := map[monitor.TaskState]int{}
+	for i := range s0.Tasks {
+		counts[s0.Tasks[i].State]++
+	}
 	if counts[monitor.Running] != 2 || counts[monitor.Ready] != 1 {
 		t.Fatalf("state counts = %v", counts)
 	}
@@ -517,7 +520,7 @@ func TestTransferCongestion(t *testing.T) {
 			hi = tr.ObservedTransfer
 		}
 	}
-	if !simtime.Equal(lo, 10) || !simtime.Equal(hi, 25) {
+	if !sameInstant(lo, 10) || !sameInstant(hi, 25) {
 		t.Fatalf("congested transfers span [%v,%v], want [10,25]", lo, hi)
 	}
 }
@@ -621,7 +624,7 @@ func TestLostOrderNeverMaterializes(t *testing.T) {
 	}
 	// 4 tasks on 3 instances: task0 at 10..110, tasks 1-2 at 20..120,
 	// task3 queued behind -> 110..210.
-	if !simtime.Equal(res.Makespan, 210) {
+	if !sameInstant(res.Makespan, 210) {
 		t.Errorf("makespan = %v, want 210", res.Makespan)
 	}
 }
@@ -657,7 +660,7 @@ func TestDeadOnArrivalWrittenOffUnbilled(t *testing.T) {
 			doaEvents++
 			// Ordered at t=10, nominal activation 20, default grace = one
 			// interval -> written off at 30.
-			if !simtime.Equal(ev.Time, 30) {
+			if !sameInstant(ev.Time, 30) {
 				t.Errorf("DOA write-off at %v, want 30", ev.Time)
 			}
 		}
@@ -674,7 +677,7 @@ func TestDeadOnArrivalWrittenOffUnbilled(t *testing.T) {
 	if res.UnitsCharged != base.UnitsCharged {
 		t.Errorf("units = %d, fault-free run paid %d", res.UnitsCharged, base.UnitsCharged)
 	}
-	if !simtime.Equal(res.Makespan, base.Makespan) {
+	if !sameInstant(res.Makespan, base.Makespan) {
 		t.Errorf("makespan = %v, fault-free %v", res.Makespan, base.Makespan)
 	}
 	// While pending, the DOA instance held a cap slot.
@@ -722,7 +725,7 @@ func TestStragglerDelaysActivation(t *testing.T) {
 	}
 	// Ordered at 10, nominal activation 20, straggles to 35; its task runs
 	// 35..135 while the bootstrap instance finishes task0 at 110.
-	if !simtime.Equal(res.Makespan, 135) {
+	if !sameInstant(res.Makespan, 135) {
 		t.Errorf("makespan = %v, want 135", res.Makespan)
 	}
 	// Billing follows the delayed activation: the straggler is charged from
@@ -744,7 +747,7 @@ func TestBootstrapExemptFromStragglers(t *testing.T) {
 	if sf.di != 0 {
 		t.Errorf("bootstrap launch consulted the straggler injector %d times", sf.di)
 	}
-	if !simtime.Equal(res.Makespan, 40) {
+	if !sameInstant(res.Makespan, 40) {
 		t.Errorf("makespan = %v, want 40 (undelayed bootstrap)", res.Makespan)
 	}
 }
@@ -760,3 +763,7 @@ func (c targetController) Plan(snap *monitor.Snapshot) Decision {
 	}
 	return Decision{}
 }
+
+// sameInstant reports whether a and b denote the same instant within
+// simtime.Eps.
+func sameInstant(a, b simtime.Time) bool { return math.Abs(a-b) <= simtime.Eps }

@@ -21,7 +21,6 @@ type Duration = float64
 
 // Common durations, in seconds.
 const (
-	Second Duration = 1
 	Minute Duration = 60
 	Hour   Duration = 3600
 )
@@ -36,9 +35,6 @@ func Before(a, b Time) bool { return a < b-Eps }
 
 // After reports whether a is strictly after b beyond tolerance.
 func After(a, b Time) bool { return a > b+Eps }
-
-// Equal reports whether a and b denote the same instant within tolerance.
-func Equal(a, b Time) bool { return math.Abs(a-b) <= Eps }
 
 // AtOrBefore reports whether a is at or before b within tolerance.
 func AtOrBefore(a, b Time) bool { return a <= b+Eps }

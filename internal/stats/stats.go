@@ -151,12 +151,6 @@ func (m *MovingMedian) Push(v float64) {
 // Median returns the current median, ok=false when empty.
 func (m *MovingMedian) Median() (float64, bool) { return Median(m.values) }
 
-// Len returns the number of retained observations.
-func (m *MovingMedian) Len() int { return len(m.values) }
-
-// Reset discards all observations.
-func (m *MovingMedian) Reset() { m.values = m.values[:0] }
-
 // CDF is an empirical cumulative distribution built from a sample.
 type CDF struct {
 	sorted []float64
@@ -184,28 +178,6 @@ func (c *CDF) P(x float64) float64 {
 
 // Len returns the sample count.
 func (c *CDF) Len() int { return len(c.sorted) }
-
-// Values returns the sorted sample; callers must not modify it.
-func (c *CDF) Values() []float64 { return c.sorted }
-
-// At returns the x value at the given cumulative probability (inverse CDF).
-func (c *CDF) At(p float64) (float64, bool) {
-	return Quantile(c.sorted, p)
-}
-
-// FractionWithin returns the fraction of the sample within [lo, hi].
-func (c *CDF) FractionWithin(lo, hi float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range c.sorted {
-		if v >= lo && v <= hi {
-			n++
-		}
-	}
-	return float64(n) / float64(len(c.sorted))
-}
 
 // Histogram buckets vals into n equal-width bins over [min, max] and is used
 // by the report package to sketch distributions in text output.

@@ -117,12 +117,8 @@ func TestMovingMedianWindow(t *testing.T) {
 	if got, _ := m.Median(); got != 3 {
 		t.Fatalf("median after eviction = %v, want 3", got)
 	}
-	if m.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", m.Len())
-	}
-	m.Reset()
-	if m.Len() != 0 {
-		t.Fatal("Reset did not clear")
+	if len(m.values) != 3 {
+		t.Fatalf("window holds %d values, want 3", len(m.values))
 	}
 }
 
@@ -131,8 +127,8 @@ func TestMovingMedianUnbounded(t *testing.T) {
 	for i := 1; i <= 101; i++ {
 		m.Push(float64(i))
 	}
-	if m.Len() != 101 {
-		t.Fatalf("unbounded window evicted: len=%d", m.Len())
+	if len(m.values) != 101 {
+		t.Fatalf("unbounded window evicted: len=%d", len(m.values))
 	}
 	if got, _ := m.Median(); got != 51 {
 		t.Fatalf("median = %v, want 51", got)
@@ -161,17 +157,11 @@ func TestCDF(t *testing.T) {
 	if c.Len() != 5 {
 		t.Fatalf("Len = %d", c.Len())
 	}
-	if f := c.FractionWithin(2, 3); math.Abs(f-0.6) > 1e-12 {
-		t.Fatalf("FractionWithin = %v, want 0.6", f)
-	}
-	if v, ok := c.At(0.5); !ok || v != 2 {
-		t.Fatalf("At(0.5) = %v,%v", v, ok)
-	}
 }
 
 func TestCDFEmpty(t *testing.T) {
 	c := NewCDF(nil)
-	if c.P(5) != 0 || c.Len() != 0 || c.FractionWithin(0, 1) != 0 {
+	if c.P(5) != 0 || c.Len() != 0 {
 		t.Fatal("empty CDF misbehaves")
 	}
 }

@@ -92,17 +92,6 @@ func (s *Stream) TotalBudget() int {
 	return total
 }
 
-// TenantBudget sums the budgets of one tenant's arrivals.
-func (s *Stream) TenantBudget(tenant string) int {
-	total := 0
-	for _, a := range s.Arrivals {
-		if a.Tenant == tenant {
-			total += a.BudgetUnits
-		}
-	}
-	return total
-}
-
 // sortArrivals establishes the canonical stream order and reassigns indices.
 func sortArrivals(arrivals []Arrival) {
 	sort.Slice(arrivals, func(i, j int) bool {
