@@ -45,7 +45,6 @@ func main() {
 	chaosSlow := fs.Float64("chaos-slow", 0, "probability this agent is a straggler, stretching every task")
 	chaosSlowFactor := fs.Float64("chaos-slow-factor", 8, "duration multiplier applied when -chaos-slow selects this agent")
 	partitionAfter := fs.Duration("partition-after", 0, "sever the agent from the dispatcher after this wall delay (0 = never)")
-	quiet := fs.Bool("quiet", false, "suppress log lines")
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
 	}
@@ -55,9 +54,6 @@ func main() {
 	}
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "wire-agent: "+format+"\n", args...)
-	}
-	if *quiet {
-		logf = func(string, ...any) {}
 	}
 	if *name == "" {
 		host, _ := os.Hostname()

@@ -1,5 +1,6 @@
 // Command wire-bench regenerates every table and figure of the paper's
-// evaluation (§IV) on the simulated substrate.
+// evaluation (§IV) on the simulated substrate, and the multi-tenant arrival
+// sweep (section tenancy) beyond it.
 //
 // Usage:
 //
@@ -8,6 +9,7 @@
 //	wire-bench -workers 8      # size the shared experiment worker pool
 //	wire-bench -only fig5,fig6 # subset; sectionKeys below (and the -only
 //	                           # flag help) list the valid keys
+//	wire-bench -only tenancy -seed 42 # the arrival sweep of EXPERIMENTS.md
 //
 // Result tables go to stdout and are byte-identical at any -workers
 // setting; progress and per-section timing lines go to stderr.
@@ -20,13 +22,16 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cloud"
 	"repro/internal/experiments"
 	"repro/internal/report"
+	"repro/internal/simtime"
+	"repro/internal/tenancy"
 )
 
 // sectionKeys is the single source of truth for -only: the flag help, the
 // key validation, and the package documentation all refer to it.
-var sectionKeys = []string{"table1", "fig2", "fig3", "fig4", "fig5", "fig6", "overhead", "ablation", "history"}
+var sectionKeys = []string{"table1", "fig2", "fig3", "fig4", "fig5", "fig6", "overhead", "ablation", "history", "tenancy"}
 
 func main() {
 	quick := flag.Bool("quick", false, "reduced grid (fewer reps/units/workloads)")
@@ -161,6 +166,14 @@ func main() {
 		})
 		section(experiments.HistoryReport(rows))
 	}
+	if selected("tenancy") {
+		var tbl *report.Table
+		timed("tenancy", func() (err error) {
+			tbl, err = tenancySweep(cfg.Seed, cfg.Workers)
+			return err
+		})
+		section(tbl)
+	}
 
 	if *svgDir != "" {
 		var files []string
@@ -172,6 +185,31 @@ func main() {
 	}
 
 	fmt.Fprintf(os.Stderr, "wire-bench: done in %v\n", time.Since(start).Round(time.Millisecond))
+}
+
+// tenancySweep runs the arrival-rate × arbiter-policy sweep: per rate, one
+// seeded Poisson stream of 51 arrivals from 3 tenants, drawing TPC-H Q6, Q1
+// and PageRank S-size workflows, replayed under every arbiter policy on a
+// shared site of at most 6 small instances, so the arbiter has something to
+// arbitrate. -quick does not shrink it.
+func tenancySweep(seed int64, workers int) (*report.Table, error) {
+	_, tbl, err := tenancy.Sweep(tenancy.SweepConfig{
+		Seed:         seed,
+		Process:      tenancy.Poisson,
+		RatesPerHour: []float64{12, 24, 48},
+		N:            51,
+		Tenants:      3,
+		Keys:         []string{"tpch6-s", "tpch1-s", "pagerank-s"},
+		Cloud: cloud.Config{
+			SlotsPerInstance: 2,
+			LagTime:          3 * simtime.Minute,
+			ChargingUnit:     15 * simtime.Minute,
+			MaxInstances:     6,
+		},
+		Cap:     6,
+		Workers: workers,
+	})
+	return tbl, err
 }
 
 func section(t *report.Table) {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/service"
 	"repro/internal/tenancy"
+	"repro/internal/workloads"
 )
 
 type loadgenFlags struct {
@@ -31,7 +32,7 @@ func newLoadgenFlags() *loadgenFlags {
 		server:          fs.String("server", "http://127.0.0.1:8080", "daemon or router base URL"),
 		sessions:        fs.Int("sessions", 100, "number of workflows to run"),
 		concurrency:     fs.Int("concurrency", 0, "simultaneously running sessions (0 = all)"),
-		workflow:        fs.String("workflow", "genome-s", "catalogued run key (see wire-workflows)"),
+		workflow:        fs.String("workflow", "genome-s", "catalogued run key: "+strings.Join(workloads.Keys(), ", ")),
 		seed:            fs.Int64("seed", 1, "seed base; session i uses seed+i"),
 		retry:           fs.Bool("retry", false, "retrying shared client (required to ride out a live failover)"),
 		retain:          fs.Bool("retain", false, "skip the session DELETE on completion so journals survive for wire-serve audit"),
@@ -42,7 +43,7 @@ func newLoadgenFlags() *loadgenFlags {
 		tenantMaxActive: fs.Int("tenant-max-active", 0, "per-tenant concurrent-session cap (0 = unlimited)"),
 		streamKeys:      fs.String("stream-keys", "", "comma-separated workflow keys drawn per arrival (default: -workflow)"),
 		compress:        fs.Float64("compress", 3600, "time compression for arrival dispatch (simulated seconds per wall second)"),
-		traceIn:         fs.String("trace-in", "", "replay an arrival-stream CSV (see wire-workflows -stream) instead of generating one"),
+		traceIn:         fs.String("trace-in", "", "replay an arrival-stream CSV (internal/tenancy/testdata/stream_poisson_s42.csv is one) instead of generating one"),
 	}
 }
 

@@ -1,23 +1,28 @@
 // Command wire-sim executes one catalogued workflow under WIRE on the
-// simulated cloud site (15-minute charging unit, 3-minute instantiation lag,
-// at most 12 instances) and prints the run report.
+// simulated cloud site (4 slots per instance, 15-minute charging unit,
+// 3-minute instantiation lag, at most 12 instances, seed 1) and prints the
+// run report, the pool timeline, a per-instance slot-occupancy Gantt chart
+// and a pool-size sparkline.
 //
 // Usage:
 //
-//	wire-sim -workflow genome-s -slots 4 -seed 7
+//	wire-sim -workflow genome-s
 //	wire-sim -workflow genome-s -mtbf 10m
 //	wire-sim -workflow genome-s -server http://127.0.0.1:8080
 //
 // With -server, planning is delegated to a running wire-serve daemon: the
 // simulator executes locally but every MAPE iteration becomes a POST to
 // /v1/sessions/{id}/plan, exercising the same client code as the loadgen.
+// The session is deleted when the run ends, whether or not it succeeded.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/cloud"
@@ -29,61 +34,74 @@ import (
 	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/simtime"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
+// chartWidth is the column count of the Gantt chart and the sparkline.
+const chartWidth = 100
+
 func main() {
-	workflow := flag.String("workflow", "genome-s", "catalogued run key (see wire-workflows)")
+	workflow := flag.String("workflow", "genome-s", "catalogued run key: "+strings.Join(workloads.Keys(), ", "))
 	server := flag.String("server", "", "wire-serve base URL; delegates planning to the daemon")
-	slots := flag.Int("slots", 4, "task slots per worker instance")
-	seed := flag.Int64("seed", 1, "generation/interference seed")
 	mtbf := flag.Duration("mtbf", 0, "mean time between instance failures (0 = no failures)")
 	flag.Parse()
-
-	run, ok := workloads.ByKey(*workflow)
-	if !ok {
-		fail(fmt.Errorf("unknown workflow %q; known keys: %v", *workflow, workloads.Keys()))
+	if err := run(os.Stdout, *workflow, *server, *mtbf); err != nil {
+		fmt.Fprintln(os.Stderr, "wire-sim:", err)
+		os.Exit(1)
 	}
-	wf := run.Generate(*seed)
-	var ctrl sim.Controller
-	if *server != "" {
-		rc, err := service.NewRemoteController(context.Background(), service.NewClient(*server), service.CreateSessionRequest{
+}
+
+// run simulates the catalogued workflow key, planning through the daemon at
+// server when it is set, and writes the report to out.
+func run(out io.Writer, key, server string, mtbf time.Duration) (err error) {
+	const seed = 1
+	entry, ok := workloads.ByKey(key)
+	if !ok {
+		return fmt.Errorf("unknown workflow %q; known keys: %v", key, workloads.Keys())
+	}
+	wf := entry.Generate(seed)
+	var ctrl sim.Controller = core.New(core.Config{})
+	var remote *service.RemoteController
+	if server != "" {
+		remote, err = service.NewRemoteController(context.Background(), service.NewClient(server), service.CreateSessionRequest{
 			Workflow: dagio.Encode(wf),
 			Policy:   "wire",
 		})
 		if err != nil {
-			fail(err)
+			return err
 		}
-		defer rc.Close()
-		ctrl = rc
 		defer func() {
-			if err := rc.Err(); err != nil {
-				fail(fmt.Errorf("remote planning: %w", err))
+			if cerr := remote.Close(); cerr != nil && err == nil {
+				err = fmt.Errorf("delete session: %w", cerr)
 			}
 		}()
-	} else {
-		ctrl = core.New(core.Config{})
+		ctrl = remote
 	}
+	rec := trace.NewRecorder()
 	cfg := sim.Config{
 		Cloud: cloud.Config{
-			SlotsPerInstance: *slots,
+			SlotsPerInstance: 4,
 			LagTime:          3 * simtime.Minute,
 			ChargingUnit:     15 * simtime.Minute,
 			MaxInstances:     12,
 		},
-		Seed:         *seed,
+		Seed:         seed,
 		MTBF:         mtbf.Seconds(),
 		Interference: dist.NewLognormalFromMean(1, 0.08),
+		Observer:     rec.Hook(),
 	}
-
 	res, err := sim.Run(wf, ctrl, cfg)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	printResult(wf, res)
+	if remote != nil && remote.Err() != nil {
+		return fmt.Errorf("remote planning: %w", remote.Err())
+	}
+	return printResult(out, wf, res, rec)
 }
 
-func printResult(wf *dag.Workflow, res *sim.Result) {
+func printResult(out io.Writer, wf *dag.Workflow, res *sim.Result, rec *trace.Recorder) error {
 	t := &report.Table{Title: fmt.Sprintf("Run report — %s under %s", res.Workflow, res.Policy),
 		Headers: []string{"metric", "value"}}
 	t.AddRow("tasks", len(res.TaskRuns))
@@ -103,21 +121,24 @@ func printResult(wf *dag.Workflow, res *sim.Result) {
 	}
 	t.AddRow("MAPE iterations", res.Decisions)
 	t.AddRow("controller wall", res.ControllerWall.Round(time.Microsecond))
-	if err := t.Render(os.Stdout); err != nil {
-		fail(err)
+	if err := t.Render(out); err != nil {
+		return err
 	}
 
-	fmt.Println()
+	fmt.Fprintln(out)
 	pool := &report.Table{Title: "Pool timeline (changes only)", Headers: []string{"t", "held", "usable"}}
 	for _, s := range res.Pool {
 		pool.AddRow(simtime.FormatDuration(s.Time), s.Held, s.Usable)
 	}
-	if err := pool.Render(os.Stdout); err != nil {
-		fail(err)
+	if err := pool.Render(out); err != nil {
+		return err
 	}
-}
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "wire-sim:", err)
-	os.Exit(1)
+	fmt.Fprintf(out, "\n%s", trace.Gantt(res, chartWidth))
+	fmt.Fprintf(out, "\npool |%s| peak %d\n", trace.PoolSparkline(res, chartWidth), res.PeakPool)
+	counts := rec.CountByKind()
+	_, err := fmt.Fprintf(out, "\nevents: %d starts, %d completions, %d kills, %d launches, %d terminations, %d decisions\n",
+		counts[sim.EvTaskStart], counts[sim.EvTaskComplete], counts[sim.EvTaskKilled],
+		counts[sim.EvInstanceLaunch], counts[sim.EvInstanceTerminated], counts[sim.EvDecision])
+	return err
 }

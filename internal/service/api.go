@@ -98,8 +98,7 @@ func NewPolicyController(policy string, spec *ControllerSpec) (sim.Controller, e
 // CreateSessionRequest is the POST /v1/sessions body. Exactly one workflow
 // source must be set: an inline dagio document or a catalogue key.
 type CreateSessionRequest struct {
-	// Workflow is an inline workflow document (the wire-workflows -export
-	// / dagio format).
+	// Workflow is an inline workflow document in the dagio format.
 	Workflow *dagio.Document `json:"workflow,omitempty"`
 	// WorkflowKey names a Table I catalogue run ("genome-s", ...);
 	// WorkflowSeed drives its generator (default 1).

@@ -156,12 +156,6 @@ func (p RetryPolicy) backoff(attempt int, u float64) time.Duration {
 // ClientOption customizes a Client.
 type ClientOption func(*Client)
 
-// WithTimeout replaces the default 60s whole-request timeout. It is ignored
-// when WithHTTPClient supplies a fully built client.
-func WithTimeout(d time.Duration) ClientOption {
-	return func(c *Client) { c.timeout = d }
-}
-
 // WithTransport wraps the HTTP transport — how the chaos harness injects
 // network faults between client and daemon.
 func WithTransport(rt http.RoundTripper) ClientOption {
@@ -169,7 +163,7 @@ func WithTransport(rt http.RoundTripper) ClientOption {
 }
 
 // WithHTTPClient substitutes the entire http.Client (connection pools,
-// redirect policy). Overrides WithTimeout and WithTransport.
+// redirect policy). Overrides WithTransport and the whole-request timeout.
 func WithHTTPClient(hc *http.Client) ClientOption {
 	return func(c *Client) { c.hc = hc }
 }
@@ -185,7 +179,6 @@ func WithRetry(p RetryPolicy) ClientOption {
 type Client struct {
 	base      string
 	hc        *http.Client
-	timeout   time.Duration
 	transport http.RoundTripper
 	retry     RetryPolicy
 
@@ -210,14 +203,17 @@ type planBase struct {
 	changed []monitor.TaskRecord
 }
 
+// requestTimeout bounds one whole request of a client that WithHTTPClient
+// did not build.
+const requestTimeout = 60 * time.Second
+
 // NewClient returns a client for a daemon base URL such as
 // "http://127.0.0.1:8080".
 func NewClient(base string, opts ...ClientOption) *Client {
 	c := &Client{
-		base:    strings.TrimRight(base, "/"),
-		timeout: 60 * time.Second,
-		retry:   RetryPolicy{MaxAttempts: 1},
-		bases:   make(map[string]*planBase),
+		base:  strings.TrimRight(base, "/"),
+		retry: RetryPolicy{MaxAttempts: 1},
+		bases: make(map[string]*planBase),
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -236,7 +232,7 @@ func NewClient(base string, opts ...ClientOption) *Client {
 			t.MaxIdleConnsPerHost = 256
 			rt = t
 		}
-		c.hc = &http.Client{Timeout: c.timeout, Transport: rt}
+		c.hc = &http.Client{Timeout: requestTimeout, Transport: rt}
 	}
 	if c.jitter == nil {
 		c.jitter = rand.New(rand.NewSource(time.Now().UnixNano()))

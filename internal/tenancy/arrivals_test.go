@@ -50,7 +50,10 @@ func TestGenerateShape(t *testing.T) {
 		if len(s.Arrivals) != 51 {
 			t.Fatalf("%s: got %d arrivals, want 51", process, len(s.Arrivals))
 		}
-		tenants := s.Tenants()
+		tenants := map[string]bool{}
+		for _, a := range s.Arrivals {
+			tenants[a.Tenant] = true
+		}
 		if len(tenants) != 3 {
 			t.Errorf("%s: got tenants %v, want 3", process, tenants)
 		}

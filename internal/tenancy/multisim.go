@@ -26,10 +26,8 @@ import (
 // loop observes the world. Runs never interact below interval granularity.
 type MultiConfig struct {
 	// Cloud is the per-run site template; MaxInstances is overridden with
-	// the arbiter cap (the shared physical site).
+	// the arbiter cap (the shared physical site). Runs plan once per lag.
 	Cloud cloud.Config
-	// Interval is the MAPE period (default: the cloud lag time).
-	Interval simtime.Duration
 	// Arbiter configures the cross-run policy, cap, and budget.
 	Arbiter ArbiterConfig
 	// SimSeed drives per-run simulation seeds, derived per arrival index.
@@ -41,10 +39,6 @@ type MultiConfig struct {
 	// run buys whatever meeting its deadline takes, and the cross-run
 	// arbiter is what reins the aggregate back into cap and budget.
 	NewController func(arr Arrival, admittedAt simtime.Time) sim.Controller
-	// Observer, when set, receives every run's sim events tagged with run
-	// and tenant. Calls are serialized by the grant protocol; event times
-	// are run-local (add the outcome's AdmittedAt for the global clock).
-	Observer func(runID int, tenant string, ev sim.Event)
 }
 
 // Outcome is one arrival's fate.
@@ -163,10 +157,19 @@ func RunStream(stream *Stream, cfg MultiConfig) (*MultiResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := 1; i < len(stream.Arrivals); i++ {
-		if stream.Arrivals[i].Time < stream.Arrivals[i-1].Time {
+	// Every arrival is checked before the first run starts: a run, once
+	// admitted, is parked on its grant channel until the coordinator
+	// releases it, so a later error return would leave it blocked.
+	catalog := make(map[string]workloads.Run)
+	for i, arr := range stream.Arrivals {
+		if i > 0 && arr.Time < stream.Arrivals[i-1].Time {
 			return nil, fmt.Errorf("tenancy: stream not sorted at arrival %d", i)
 		}
+		run, ok := workloads.ByKey(arr.WorkflowKey)
+		if !ok {
+			return nil, fmt.Errorf("tenancy: arrival %d has unknown workload %q", arr.Index, arr.WorkflowKey)
+		}
+		catalog[arr.WorkflowKey] = run
 	}
 	newCtrl := cfg.NewController
 	if newCtrl == nil {
@@ -225,11 +228,8 @@ func RunStream(stream *Stream, cfg MultiConfig) (*MultiResult, error) {
 		}
 		return true
 	}
-	admit := func(arr Arrival, at simtime.Time) error {
-		run, ok := workloads.ByKey(arr.WorkflowKey)
-		if !ok {
-			return fmt.Errorf("tenancy: arrival %d has unknown workload %q", arr.Index, arr.WorkflowKey)
-		}
+	admit := func(arr Arrival, at simtime.Time) {
+		run := catalog[arr.WorkflowKey]
 		wf := run.Generate(arr.WorkflowSeed)
 		h := &runHandle{
 			id:     arr.Index,
@@ -242,14 +242,8 @@ func RunStream(stream *Stream, cfg MultiConfig) (*MultiResult, error) {
 		ctrl := &arbCtrl{h: h, inner: newCtrl(arr, at), priorExec: run.Spec.MeanExecTime()}
 		simCfg := sim.Config{
 			Cloud:    cloudCfg,
-			Interval: cfg.Interval,
 			Seed:     dist.DeriveSeed(cfg.SimSeed, "multisim", uint64(arr.Index)),
-			Observer: func(ev sim.Event) {
-				h.acct.Observe(ev)
-				if cfg.Observer != nil {
-					cfg.Observer(h.id, h.arr.Tenant, ev)
-				}
-			},
+			Observer: h.acct.Observe,
 		}
 		active[h.id] = h
 		go func() {
@@ -267,7 +261,6 @@ func RunStream(stream *Stream, cfg MultiConfig) (*MultiResult, error) {
 		if ht := heldTotal(); ht > res.PeakHeld {
 			res.PeakHeld = ht
 		}
-		return nil
 	}
 
 	for next < len(stream.Arrivals) || len(waitq) > 0 || len(active) > 0 {
@@ -373,17 +366,13 @@ func RunStream(stream *Stream, cfg MultiConfig) (*MultiResult, error) {
 			arr := waitq[waitIdx]
 			waitq = append(waitq[:waitIdx], waitq[waitIdx+1:]...)
 			now = waitAt
-			if err := admit(arr, waitAt); err != nil {
-				return nil, err
-			}
+			admit(arr, waitAt)
 		case haveArr:
 			arr := stream.Arrivals[next]
 			next++
 			now = arrAt
 			if admissible(arrAt) {
-				if err := admit(arr, arrAt); err != nil {
-					return nil, err
-				}
+				admit(arr, arrAt)
 			} else {
 				if !deferred[arr.Index] {
 					deferred[arr.Index] = true

@@ -2,7 +2,10 @@ package tenancy
 
 import (
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cloud"
 )
@@ -156,5 +159,29 @@ func TestRunStreamCompletesOverloaded(t *testing.T) {
 	}
 	if res.ThrottledAdmissions == 0 {
 		t.Error("no throttled admissions under a brutal overload; admission gate inert")
+	}
+}
+
+// An arrival naming no catalogued workflow fails the whole stream before any
+// run starts. Checked only at admission, it once returned the error while the
+// runs admitted before it stayed parked on their grant channels for good.
+func TestRunStreamRejectsUnknownKeyBeforeAnyRun(t *testing.T) {
+	s := &Stream{Arrivals: []Arrival{
+		{Index: 0, Tenant: "t0", Time: 0, WorkflowKey: "genome-s", WorkflowSeed: 1, DeadlineS: 3600, BudgetUnits: 4},
+		{Index: 1, Tenant: "t0", Time: 60, WorkflowKey: "bogus", WorkflowSeed: 2, DeadlineS: 3600, BudgetUnits: 4},
+	}}
+	before := runtime.NumGoroutine()
+	_, err := RunStream(s, MultiConfig{
+		Cloud:   acceptanceCloud(),
+		Arbiter: ArbiterConfig{Policy: FCFS, Cap: 6},
+		SimSeed: 1,
+	})
+	if err == nil || !strings.Contains(err.Error(), `unknown workload "bogus"`) {
+		t.Fatalf("got %v, want the unknown-workload error", err)
+	}
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before RunStream, %d after it returned", before, runtime.NumGoroutine())
+		}
 	}
 }

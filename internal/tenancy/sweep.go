@@ -6,12 +6,12 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/parallel"
 	"repro/internal/report"
-	"repro/internal/simtime"
 )
 
 // SweepConfig parameterizes the arrival sweep: one stream per arrival rate,
 // each stream replayed under every arbiter policy (the paired design — all
-// policies of a rate compete on the identical stream).
+// policies of a rate compete on the identical stream). Runs plan once per
+// cloud lag.
 type SweepConfig struct {
 	// Seed drives both stream generation and the per-run simulators.
 	Seed int64
@@ -19,17 +19,13 @@ type SweepConfig struct {
 	Process string
 	// RatesPerHour are the per-tenant arrival rates swept.
 	RatesPerHour []float64
-	// Policies are the arbiter policies compared (default all).
-	Policies []string
 	// N, Tenants, and Keys shape each stream (see StreamConfig).
 	N       int
 	Tenants int
 	Keys    []string
 	// Cloud is the per-run site template; Cap the shared physical cap.
 	Cloud cloud.Config
-	// Interval is the MAPE period (default: cloud lag).
-	Interval simtime.Duration
-	Cap      int
+	Cap   int
 	// BudgetUnits is the shared budget for budget-aware policies; 0
 	// derives it from the stream's per-arrival budget draws.
 	BudgetUnits int
@@ -51,9 +47,7 @@ func Sweep(cfg SweepConfig) ([]SweepCell, *report.Table, error) {
 	if len(cfg.RatesPerHour) == 0 {
 		return nil, nil, fmt.Errorf("tenancy: sweep needs at least one rate")
 	}
-	if len(cfg.Policies) == 0 {
-		cfg.Policies = Policies()
-	}
+	policies := Policies()
 
 	// Streams are generated once per rate and shared across policies.
 	streams := make([]*Stream, len(cfg.RatesPerHour))
@@ -80,22 +74,20 @@ func Sweep(cfg SweepConfig) ([]SweepCell, *report.Table, error) {
 		}
 	}
 
-	cells := make([]SweepCell, len(cfg.RatesPerHour)*len(cfg.Policies))
+	cells := make([]SweepCell, len(cfg.RatesPerHour)*len(policies))
 	err := parallel.ForEach(len(cells), parallel.Config{Workers: cfg.Workers}, func(i int) error {
-		ri, pi := i/len(cfg.Policies), i%len(cfg.Policies)
-		policy := cfg.Policies[pi]
+		ri, pi := i/len(policies), i%len(policies)
+		policy := policies[pi]
 		budget := budgets[ri]
 		if policy == FCFS {
 			budget = 0 // the no-arbiter baseline ignores the budget
 		}
 		res, err := RunStream(streams[ri], MultiConfig{
-			Cloud:    cfg.Cloud,
-			Interval: cfg.Interval,
+			Cloud: cfg.Cloud,
 			Arbiter: ArbiterConfig{
 				Policy:      policy,
 				Cap:         cfg.Cap,
 				BudgetUnits: budget,
-				Interval:    cfg.Interval,
 			},
 			SimSeed: cfg.Seed,
 		})

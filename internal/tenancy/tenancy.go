@@ -68,20 +68,6 @@ type Stream struct {
 	Arrivals []Arrival
 }
 
-// Tenants returns the sorted distinct tenant names in the stream.
-func (s *Stream) Tenants() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, a := range s.Arrivals {
-		if !seen[a.Tenant] {
-			seen[a.Tenant] = true
-			out = append(out, a.Tenant)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // TotalBudget sums the per-arrival budgets — the natural stream-wide budget
 // when the arbiter is not given an explicit one.
 func (s *Stream) TotalBudget() int {

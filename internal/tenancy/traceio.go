@@ -15,33 +15,9 @@ import (
 const TraceProcess = "trace"
 
 // traceHeader is the stable column layout of a stream trace CSV: one row
-// per arrival, times in seconds from stream start.
+// per arrival, times in seconds from stream start. Floats are in strconv's
+// shortest exact form, so a stream round-trips bit for bit.
 var traceHeader = []string{"arrival_s", "tenant", "workflow", "seed", "deadline_s", "budget_units"}
-
-// WriteStreamCSV exports a stream as a trace CSV. Floats are written with
-// strconv's shortest exact representation, so a write/read round trip
-// reproduces the stream bit-for-bit.
-func WriteStreamCSV(w io.Writer, s *Stream) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(traceHeader); err != nil {
-		return err
-	}
-	for _, a := range s.Arrivals {
-		rec := []string{
-			strconv.FormatFloat(float64(a.Time), 'f', -1, 64),
-			a.Tenant,
-			a.WorkflowKey,
-			strconv.FormatInt(a.WorkflowSeed, 10),
-			strconv.FormatFloat(a.DeadlineS, 'f', -1, 64),
-			strconv.Itoa(a.BudgetUnits),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
 
 // ReadStreamCSV imports a trace CSV (external cluster traces use the same
 // layout: arrival time, size class, deadline, budget). Workflow keys must

@@ -2,9 +2,12 @@ package tenancy
 
 import (
 	"bytes"
+	"encoding/csv"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -18,7 +21,7 @@ func TestTraceRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := WriteStreamCSV(&buf, s); err != nil {
+		if err := writeStreamCSV(&buf, s); err != nil {
 			t.Fatal(err)
 		}
 		back, err := ReadStreamCSV(&buf)
@@ -52,7 +55,7 @@ func TestTraceFixtureReplay(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gen.Arrivals, fixture.Arrivals) {
 		t.Fatal("generated stream no longer matches the checked-in fixture; " +
-			"if the generator changed intentionally, regenerate testdata with wire-workflows stream")
+			"if the generator changed intentionally, regenerate testdata with writeStreamCSV")
 	}
 
 	a := runAcceptance(t, fixture, Urgency, 70)
@@ -80,4 +83,28 @@ func TestReadStreamCSVRejects(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+}
+
+// writeStreamCSV exports a stream as a trace CSV, floats in strconv's
+// shortest exact form, as the fixture in testdata was written.
+func writeStreamCSV(w io.Writer, s *Stream) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(traceHeader); err != nil {
+		return err
+	}
+	for _, a := range s.Arrivals {
+		rec := []string{
+			strconv.FormatFloat(float64(a.Time), 'f', -1, 64),
+			a.Tenant,
+			a.WorkflowKey,
+			strconv.FormatInt(a.WorkflowSeed, 10),
+			strconv.FormatFloat(a.DeadlineS, 'f', -1, 64),
+			strconv.Itoa(a.BudgetUnits),
+		}
+		if err := cw.Write(rec); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
 }

@@ -98,24 +98,30 @@ type (
 
 func TestEveryExportedIdentifierHasACaller(t *testing.T) {
 	prog := repoProgram(t)
-	for _, msg := range uncalled(prog, oracles) {
+	for _, msg := range uncalled(prog, oracles, readDocs(t, "README.md")[0]) {
 		t.Error(msg)
 	}
 }
 
 func TestEveryFlagHasACaller(t *testing.T) {
 	prog := repoProgram(t)
-	var docs []byte
-	for _, name := range []string{"README.md", ".github/workflows/ci.yml"} {
+	for _, msg := range unsetFlags(prog, readDocs(t, "README.md", ".github/workflows/ci.yml")) {
+		t.Error(msg)
+	}
+}
+
+// readDocs reads files relative to the module root.
+func readDocs(t *testing.T, names ...string) []string {
+	t.Helper()
+	var docs []string
+	for _, name := range names {
 		b, err := os.ReadFile("../" + name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		docs = append(docs, b...)
+		docs = append(docs, string(b))
 	}
-	for _, msg := range unsetFlags(prog, string(docs)) {
-		t.Error(msg)
-	}
+	return docs
 }
 
 // TestCallerChecks runs both checks over a small module held in memory.
@@ -160,6 +166,10 @@ func (Square) Area() int   { return 4 }
 func (Square) Corners() int { return 4 }
 
 func Sum(s Shape) int { return s.Area() }
+
+func ViaReadme() int { return 3 }
+
+func Hidden() int { return 5 }
 `
 	const tool = `package main
 
@@ -177,30 +187,75 @@ func main() {
 	fs.Bool("in-ci", false, "set by a CI step")
 	fs.Int("by-go", 0, "set by Go code that starts the binary")
 	fs.Duration("nobody", 0, "set by nobody")
+	fs.Int("elsewhere", 0, "named only on another binary's line")
+	fs.Int("continued", 0, "on a continuation line of a tool command")
+	fs.Int("in-table", 0, "in a table under a heading that names the tool")
+	fs.Int("go-other", 0, "passed by Go code that does not name the tool")
 	b, _ := json.Marshal(lib.Doc{})
 	fmt.Println(b, lib.Used(), lib.Wrap(lib.ErrKept), lib.Sum(lib.Square{}))
 }
 `
 	const runner = `package main
 
+import (
+	"os/exec"
+
+	"fix/wire"
+)
+
+func main() {
+	_ = exec.Command("tool", "-by-go=3").Run()
+	_ = wire.Kept()
+}
+`
+	const other = `package main
+
 import "os/exec"
 
-func main() { _ = exec.Command("tool", "-by-go=3").Run() }
+func main() { _ = exec.Command("something", "-go-other").Run() }
+`
+	// The facade re-exports lib: Kept is called by an example, Named by the
+	// README, and Doc only appears in Kept's signature. Dropped has no
+	// caller, so it is reported and keeps lib.Hidden from counting as called.
+	const facade = `package wire
+
+import "fix/internal/lib"
+
+type Doc = lib.Doc
+
+type Spare = lib.Orphan
+
+func Kept() Doc { return Doc{} }
+
+func Named() int { return lib.ViaReadme() }
+
+var (
+	Dropped = lib.Hidden
+	Grouped = lib.Used
+)
 `
 	fsys := fstest.MapFS{
 		"internal/lib/lib.go":        {Data: []byte(lib)},
 		"internal/lib/lib_test.go":   {Data: []byte("package lib\n\nvar _ = Unused() + Oracle()\n")},
 		"cmd/tool/main.go":           {Data: []byte(tool)},
 		"examples/runner/main.go":    {Data: []byte(runner)},
+		"examples/other/main.go":     {Data: []byte(other)},
+		"wire/wire.go":               {Data: []byte(facade)},
 		"internal/lib/testdata/x.go": {Data: []byte("not go")},
 	}
 	prog, err := loadProgram(fsys, "fix")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := uncalled(prog, map[string]string{"internal/lib.Oracle": "test oracle"})
-	flags := unsetFlags(prog, "run `tool -named x`\n  run: tool -in-ci\n")
-	stale := uncalled(prog, map[string]string{"internal/lib.Used": "has a caller", "internal/lib.Gone": "deleted"})
+	const readme = "Call `wire.Named` for the count.\n"
+	ids := uncalled(prog, map[string]string{"internal/lib.Oracle": "test oracle"}, readme)
+	flags := unsetFlags(prog, []string{
+		"run `tool -named x`\nthen `other -elsewhere`\n\n" +
+			"```\ntool -named y \\\n  -continued\n# tool, in a comment that is no heading\n-nobody\n```\n\n" +
+			"## `tool` flags\n\n| `-in-table` |\n",
+		"  run: tool -in-ci\n",
+	})
+	stale := uncalled(prog, map[string]string{"internal/lib.Used": "has a caller", "internal/lib.Gone": "deleted"}, readme)
 	for _, tc := range []struct {
 		name   string
 		got    []string
@@ -219,10 +274,21 @@ func main() { _ = exec.Command("tool", "-by-go=3").Run() }
 		{"called func", ids, "lib.Used ", false},
 		{"allowlist entry with a caller", stale, "internal/lib.Used is allowlisted but has a non-test caller", true},
 		{"allowlist entry for a deleted identifier", stale, "internal/lib.Gone is allowlisted but not declared", true},
+		{"facade export an example calls", ids, "wire.Kept ", false},
+		{"facade export the README names", ids, "wire.Named ", false},
+		{"facade alias a called signature needs", ids, "wire.Doc ", false},
+		{"facade alias nothing needs", ids, "wire.Spare has no non-test caller", true},
+		{"facade export nothing calls", ids, "wire.Dropped has no non-test caller", true},
+		{"re-exported only by an uncalled facade export", ids, "lib.Hidden has no non-test caller", true},
+		{"facade neighbour in a group", ids, "wire.Grouped has no non-test caller", true},
 		{"flag named nowhere", flags, "cmd/tool: flag -nobody is set by no README command, CI step or Go caller", true},
 		{"flag named in the README", flags, "-named", false},
 		{"flag set by CI", flags, "-in-ci", false},
 		{"flag set by Go code starting the binary", flags, "-by-go", false},
+		{"flag named only on another binary's line", flags, "flag -elsewhere", true},
+		{"flag on a continuation line", flags, "-continued", false},
+		{"flag in a table under a heading naming the binary", flags, "-in-table", false},
+		{"flag passed by Go code that does not name the binary", flags, "flag -go-other", true},
 	} {
 		found := false
 		for _, msg := range tc.got {
@@ -232,8 +298,8 @@ func main() { _ = exec.Command("tool", "-by-go=3").Run() }
 			t.Errorf("%s: reported %v, want %v; reports:\n%s", tc.name, found, tc.report, strings.Join(tc.got, "\n"))
 		}
 	}
-	if len(ids) != 4 || len(flags) != 1 {
-		t.Errorf("got %d identifier and %d flag reports, want 4 and 1:\n%s", len(ids), len(flags), strings.Join(append(ids, flags...), "\n"))
+	if len(ids) != 8 || len(flags) != 3 {
+		t.Errorf("got %d identifier and %d flag reports, want 8 and 3:\n%s", len(ids), len(flags), strings.Join(append(ids, flags...), "\n"))
 	}
 }
 
@@ -374,8 +440,12 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// decl is an exported identifier declared at package level in internal/, or
-// an exported method of a type declared there.
+// facade is the directory of the public API package, which re-exports
+// internal identifiers under its own names.
+const facade = "wire"
+
+// decl is an exported identifier declared at package level in internal/ or
+// in the facade, or an exported method of a type declared there.
 type decl struct {
 	dir  string // "internal/dag"
 	name string // "Workflow.Validate"
@@ -397,16 +467,21 @@ func recvType(fn *types.Func) *types.Named {
 	return t.(*types.Named)
 }
 
-// uncalled reports every exported identifier in non-test internal/ code that
-// no non-test code refers to, outside its own declaration and, for a type,
-// outside its own methods. A method also counts as called when its type
-// implements an interface, holding that method, that the program's code
-// uses or that the standard library reaches by itself (reflected). Entries
-// of allow are kept; an entry that has a caller or names nothing is
-// reported.
-func uncalled(prog *program, allow map[string]string) []string {
+// uncalled reports every exported identifier in non-test internal/ and facade
+// code that no non-test code refers to, outside its own declaration and, for
+// a type, outside its own methods. A method also counts as called when its
+// type implements an interface, holding that method, that the program's code
+// uses or that the standard library reaches by itself (reflected). The
+// facade is a caller only for what it re-exports that is itself called: by
+// code outside the facade, by readme as "wire.Name", or, for a type alias,
+// by standing in the signature of a called facade identifier. Entries of
+// allow are kept; an entry that has a caller or names nothing is reported.
+func uncalled(prog *program, allow map[string]string, readme string) []string {
 	decls := map[types.Object]decl{}
 	used := map[types.Object]bool{}
+	// facadeUses holds, for each facade object, what its own declaration
+	// refers to; it counts only once the object is called.
+	facadeUses := map[types.Object][]types.Object{}
 	var ifaces []*types.Interface
 	seen := map[*types.Interface]bool{}
 	addIface := func(t types.Type) {
@@ -416,47 +491,71 @@ func uncalled(prog *program, allow map[string]string) []string {
 		}
 	}
 	for _, p := range prog.order {
-		internal := strings.HasPrefix(p.dir, "internal/")
+		inFacade := p.dir == facade
+		declared := strings.HasPrefix(p.dir, "internal/") || inFacade
 		for _, f := range p.files {
+			// Uses are attributed per declaration, and in the facade per
+			// spec, so one re-export of a group keeps no neighbour alive.
+			var units []ast.Node
 			for _, d := range f.Decls {
-				// self holds what a use inside d does not keep alive: d's own
-				// objects, and for a method its receiver's type.
+				if g, ok := d.(*ast.GenDecl); ok && inFacade {
+					for _, spec := range g.Specs {
+						units = append(units, spec)
+					}
+				} else {
+					units = append(units, d)
+				}
+			}
+			for _, unit := range units {
+				// self holds what a use inside unit does not keep alive:
+				// unit's own objects, and for a method its receiver's type.
 				self := map[types.Object]bool{}
-				switch d := d.(type) {
+				var owners []types.Object
+				var names []*ast.Ident
+				switch u := unit.(type) {
 				case *ast.FuncDecl:
-					obj := p.info.Defs[d.Name].(*types.Func)
+					obj := p.info.Defs[u.Name].(*types.Func)
 					self[obj] = true
-					name := d.Name.Name
+					owners = append(owners, obj)
+					name := u.Name.Name
 					if recv := recvType(obj); recv != nil {
 						self[recv.Obj()] = true
 						name = recv.Obj().Name() + "." + name
 					}
-					if internal && d.Name.IsExported() {
-						decls[obj] = decl{p.dir, name, prog.fset.Position(d.Name.Pos())}
+					if declared && u.Name.IsExported() {
+						decls[obj] = decl{p.dir, name, prog.fset.Position(u.Name.Pos())}
 					}
 				case *ast.GenDecl:
-					for _, spec := range d.Specs {
-						var names []*ast.Ident
-						switch s := spec.(type) {
-						case *ast.TypeSpec:
-							names = []*ast.Ident{s.Name}
-						case *ast.ValueSpec:
-							names = s.Names
-						}
-						for _, id := range names {
-							if obj := p.info.Defs[id]; obj != nil {
-								self[obj] = true
-								if internal && id.IsExported() {
-									decls[obj] = decl{p.dir, id.Name, prog.fset.Position(id.Pos())}
-								}
-							}
+					for _, spec := range u.Specs {
+						names = append(names, specNames(spec)...)
+					}
+				case ast.Spec:
+					names = specNames(u)
+				}
+				for _, id := range names {
+					if obj := p.info.Defs[id]; obj != nil {
+						self[obj] = true
+						owners = append(owners, obj)
+						if declared && id.IsExported() {
+							decls[obj] = decl{p.dir, id.Name, prog.fset.Position(id.Pos())}
 						}
 					}
 				}
-				ast.Inspect(d, func(n ast.Node) bool {
+				if inFacade {
+					for _, o := range owners {
+						facadeUses[o] = nil
+					}
+				}
+				ast.Inspect(unit, func(n ast.Node) bool {
 					if id, ok := n.(*ast.Ident); ok {
 						if obj := origin(p.info.Uses[id]); obj != nil && !self[obj] {
-							used[obj] = true
+							if !inFacade {
+								used[obj] = true
+								return true
+							}
+							for _, o := range owners {
+								facadeUses[o] = append(facadeUses[o], obj)
+							}
 						}
 					}
 					return true
@@ -474,6 +573,7 @@ func uncalled(prog *program, allow map[string]string) []string {
 			}
 		}
 	}
+	markFacadeCalls(facadeUses, used, readme)
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "reflected.go", reflected, 0)
 	if err != nil {
@@ -538,35 +638,160 @@ func origin(obj types.Object) types.Object {
 	return obj
 }
 
-// unsetFlags reports every flag a cmd/ binary defines that no caller sets.
-// A flag is found statically, as a call to a flag package function or
-// FlagSet method that takes a name and a usage, with a constant name. Its
-// callers are docs (README and CI text, where -name must stand as a word) and
-// string literals "-name" or "-name=…" in non-test Go code outside the
-// binary, such as a program that starts it.
-func unsetFlags(prog *program, docs string) []string {
-	literals := map[string]map[string]bool{} // flag argument → dirs using it
+// specNames returns the identifiers a type or value spec declares.
+func specNames(spec ast.Spec) []*ast.Ident {
+	switch s := spec.(type) {
+	case *ast.TypeSpec:
+		return []*ast.Ident{s.Name}
+	case *ast.ValueSpec:
+		return s.Names
+	}
+	return nil
+}
+
+// markFacadeCalls marks as used every facade object that is called, and what
+// the declarations of those objects refer to. The roots are the facade
+// objects that code outside the facade uses and the exported ones readme
+// names as "wire.Name". A called function's or variable's signature, and a
+// called interface type's method signatures, call the facade aliases of the
+// types they mention, so a re-exported constructor keeps the alias of its
+// result type.
+func markFacadeCalls(facadeUses map[types.Object][]types.Object, used map[types.Object]bool, readme string) {
+	aliases := map[types.Type][]types.Object{} // aliased type → facade aliases of it
+	var queue []types.Object
+	reach := func(obj types.Object) {
+		_, inFacade := facadeUses[obj]
+		if inFacade && !used[obj] {
+			queue = append(queue, obj)
+		}
+		used[obj] = true
+	}
+	named := map[string]bool{}
+	for _, m := range regexp.MustCompile(`\b`+facade+`\.(\w+)`).FindAllStringSubmatch(readme, -1) {
+		named[m[1]] = true
+	}
+	for obj := range facadeUses {
+		if tn, ok := obj.(*types.TypeName); ok && tn.IsAlias() {
+			target := types.Unalias(tn.Type())
+			aliases[target] = append(aliases[target], obj)
+		}
+		if used[obj] || obj.Exported() && named[obj.Name()] {
+			queue = append(queue, obj)
+			used[obj] = true
+		}
+	}
+	walked := map[types.Type]bool{}
+	var walk func(t types.Type)
+	walk = func(t types.Type) {
+		if t == nil || walked[t] {
+			return
+		}
+		walked[t] = true
+		switch t := t.(type) {
+		case *types.Alias:
+			reach(t.Obj())
+			walk(types.Unalias(t))
+		case *types.Named:
+			for _, a := range aliases[t] {
+				reach(a)
+			}
+		case *types.Pointer:
+			walk(t.Elem())
+		case *types.Slice:
+			walk(t.Elem())
+		case *types.Array:
+			walk(t.Elem())
+		case *types.Map:
+			walk(t.Key())
+			walk(t.Elem())
+		case *types.Chan:
+			walk(t.Elem())
+		case *types.Signature:
+			for _, tuple := range []*types.Tuple{t.Params(), t.Results()} {
+				for i := 0; i < tuple.Len(); i++ {
+					walk(tuple.At(i).Type())
+				}
+			}
+		}
+	}
+	for len(queue) > 0 {
+		obj := queue[0]
+		queue = queue[1:]
+		for _, u := range facadeUses[obj] {
+			reach(u)
+		}
+		switch obj.(type) {
+		case *types.Func, *types.Var:
+			walk(obj.Type())
+		case *types.TypeName:
+			if it, ok := obj.Type().Underlying().(*types.Interface); ok {
+				for i := 0; i < it.NumMethods(); i++ {
+					walk(it.Method(i).Type())
+				}
+			}
+		}
+	}
+}
+
+// unsetFlags reports every flag a cmd/ binary defines that no caller of that
+// binary sets. A flag is found statically, as a call to a flag package
+// function or FlagSet method that takes a name and a usage, with a constant
+// name. Its callers are the lines of docs (README and CI text) that name the
+// binary, where -name must stand as a word, and the packages of non-test Go
+// code outside the binary that name it in one string literal and hold "-name"
+// or "-name=…" in another, as a program that starts it does.
+func unsetFlags(prog *program, docs []string) []string {
+	type literals struct {
+		dir   string
+		all   []string
+		flags map[string]bool
+	}
+	var pkgLits []literals
 	for _, p := range prog.order {
+		lits := literals{dir: p.dir, flags: map[string]bool{}}
 		for _, f := range p.files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-					if s := constant.StringVal(constant.MakeFromLiteral(lit.Value, lit.Kind, 0)); strings.HasPrefix(s, "-") {
+					s := constant.StringVal(constant.MakeFromLiteral(lit.Value, lit.Kind, 0))
+					lits.all = append(lits.all, s)
+					if strings.HasPrefix(s, "-") {
 						s, _, _ = strings.Cut(strings.TrimPrefix(s, "-"), "=")
-						if literals[s] == nil {
-							literals[s] = map[string]bool{}
-						}
-						literals[s][p.dir] = true
+						lits.flags[s] = true
 					}
 				}
 				return true
 			})
 		}
+		pkgLits = append(pkgLits, lits)
 	}
+	lines := docLines(docs)
 	var msgs []string
 	for _, p := range prog.order {
 		if !strings.HasPrefix(p.dir, "cmd/") {
 			continue
 		}
+		bin := regexp.MustCompile(`(^|[^\w-])` + regexp.QuoteMeta(path.Base(p.dir)) + `($|[^\w-])`)
+		var callers []string // doc lines that name the binary
+		for _, l := range lines {
+			if bin.MatchString(l.text) || bin.MatchString(l.heading) {
+				callers = append(callers, l.text)
+			}
+		}
+		goFlags := map[string]bool{} // flag arguments of Go code naming the binary
+		for _, lits := range pkgLits {
+			if lits.dir == p.dir {
+				continue
+			}
+			for _, s := range lits.all {
+				if bin.MatchString(s) {
+					for name := range lits.flags {
+						goFlags[name] = true
+					}
+					break
+				}
+			}
+		}
+		docText := strings.Join(callers, "\n")
 		for _, f := range p.files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
@@ -598,11 +823,7 @@ func unsetFlags(prog *program, docs string) []string {
 				}
 				name := constant.StringVal(val)
 				named := regexp.MustCompile(`(^|[^\w-])--?` + regexp.QuoteMeta(name) + `($|[^\w-])`)
-				setByGo := false
-				for dir := range literals[name] {
-					setByGo = setByGo || dir != p.dir
-				}
-				if !setByGo && !named.MatchString(docs) {
+				if !goFlags[name] && !named.MatchString(docText) {
 					msgs = append(msgs, fmt.Sprintf("%s: %s: flag -%s is set by no README command, CI step or Go caller", pos, p.dir, name))
 				}
 				return true
@@ -611,4 +832,33 @@ func unsetFlags(prog *program, docs string) []string {
 	}
 	sort.Strings(msgs)
 	return msgs
+}
+
+// docLine is one logical line of a document: physical lines ending in a
+// backslash are joined to the next, and heading is the markdown heading of
+// the section the line stands in.
+type docLine struct{ text, heading string }
+
+// docLines splits documents into logical lines. A line that starts with "#"
+// inside a fenced code block is a shell comment, not a heading.
+func docLines(docs []string) []docLine {
+	var out []docLine
+	for _, doc := range docs {
+		heading, fenced, cont := "", false, ""
+		for _, line := range strings.Split(doc, "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+			}
+			if !fenced && strings.HasPrefix(line, "#") {
+				heading = line
+			}
+			if strings.HasSuffix(line, "\\") {
+				cont += strings.TrimSuffix(line, "\\") + " "
+				continue
+			}
+			out = append(out, docLine{cont + line, heading})
+			cont = ""
+		}
+	}
+	return out
 }

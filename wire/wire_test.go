@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/dag"
 	"repro/wire"
 )
 
@@ -46,8 +47,8 @@ func TestRunUnderEveryBundledPolicy(t *testing.T) {
 }
 
 func TestCatalog(t *testing.T) {
-	if got := len(wire.Catalog()); got != 8 {
-		t.Fatalf("catalog size = %d", got)
+	if _, ok := wire.CatalogByKey("bogus"); ok {
+		t.Fatal("unknown key found")
 	}
 	run, ok := wire.CatalogByKey("pagerank-l")
 	if !ok {
@@ -136,8 +137,8 @@ func TestExtensionSurface(t *testing.T) {
 		t.Fatal("deadline run incomplete")
 	}
 
-	// History-based controller from a recorded profile.
-	profile := wire.ProfileFromResult(dres)
+	// History-based controller from a hand-written stage profile.
+	profile := wire.StageProfile{ExecMedian: map[dag.StageID]float64{0: 10, 1: 60}, TransferMedian: 1}
 	hres, err := wire.Run(smallWorkflow(), wire.NewHistoryBased(profile),
 		wire.RunConfig{Cloud: cloudCfg()})
 	if err != nil {
@@ -145,36 +146,5 @@ func TestExtensionSurface(t *testing.T) {
 	}
 	if len(hres.TaskRuns) != 7 {
 		t.Fatal("history run incomplete")
-	}
-
-	// Tracing and charts.
-	rec := wire.NewTraceRecorder()
-	cfg := wire.RunConfig{Cloud: cloudCfg()}
-	cfg.Observer = rec.Hook()
-	tres, err := wire.Run(smallWorkflow(), wire.NewController(wire.ControllerConfig{}), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Events) == 0 {
-		t.Fatal("trace recorder empty")
-	}
-	if g := wire.Gantt(tres, 40); g == "" {
-		t.Fatal("gantt empty")
-	}
-
-	// DOT and DAX exports.
-	var dotBuf, daxBuf bytes.Buffer
-	if err := wire.WriteDOT(&dotBuf, wf, wire.DOTOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.WriteDAX(&daxBuf, wf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := wire.ReadDAX(&daxBuf, wire.DAXOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumTasks() != wf.NumTasks() {
-		t.Fatal("DAX round trip lost tasks")
 	}
 }
