@@ -415,6 +415,13 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 func (s *Server) getSession(w http.ResponseWriter, r *http.Request) *Session {
 	id := r.PathValue("id")
 	sess, err := s.store.Get(id)
+	if errors.Is(err, errFenced) {
+		// Claimed here, but a newer claim took the WAL while it replayed.
+		w.Header().Set("Retry-After", "1")
+		s.writeError(w, http.StatusServiceUnavailable, CodeSessionFenced,
+			"session %s was adopted by another shard; retry", id)
+		return nil
+	}
 	if err != nil {
 		s.writeError(w, http.StatusNotFound, "not_found", "session %q not found", id)
 		return nil
@@ -591,7 +598,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		tenant := sess.Tenant
 		sess.mu.Unlock()
 		wal.close(false)
-		s.store.Detach(sess.ID)
+		s.store.drop(sess)
 		if tenant != "" {
 			s.tenants.Release(tenant)
 		}
@@ -710,16 +717,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // handleReadyz is the readiness probe: unlike /healthz (pure liveness — the
 // process answers), it returns 503 while the shard should not take traffic:
-// draining on shutdown, or replaying adopted journals. The router probes
-// this, so a shard mid-replay is never routed to (and never mistaken for
-// healed before its sessions are live).
+// draining on shutdown. Adopted sessions still replaying do not count: a
+// request for one waits for its replay, so the shard takes traffic
+// throughout; /metrics counts them (sessions_awaiting_replay).
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	status, code := "ready", http.StatusOK
-	switch {
-	case s.draining.Load():
+	if s.draining.Load() {
 		status, code = "draining", http.StatusServiceUnavailable
-	case s.replaying.Load() > 0:
-		status, code = "replaying", http.StatusServiceUnavailable
 	}
 	s.writeJSON(w, code, HealthResponse{
 		Status:   status,
@@ -782,6 +786,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	} else {
 		dump = s.metrics.Dump(s.now(), s.store.Len())
 	}
+	dump.FaultTolerance.SessionsAwaitingReplay = s.replays.awaiting()
 	dump.Tenancy = s.tenants.Counters(dump.UptimeS)
 	if s.live != nil {
 		lm := s.live.Metrics()
@@ -818,10 +823,6 @@ type AdoptResponse struct {
 }
 
 func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request) {
-	// Replay flips readiness off: until the adopted sessions are live this
-	// shard must not be routed to or counted as healed.
-	s.replaying.Add(1)
-	defer s.replaying.Add(-1)
 	var req AdoptRequest
 	if !s.readJSON(w, r, &req) {
 		return

@@ -297,8 +297,8 @@ func (c *Client) do(ctx context.Context, method, path string, seq int64, in, out
 			c.retries.Add(1)
 			sleep := c.retry.backoff(attempt, c.jitterU())
 			// A Retry-After hint (shard failover in progress) overrides a
-			// shorter backoff: retrying sooner only burns attempts while the
-			// surviving peer is still replaying journals.
+			// shorter backoff: retrying sooner only burns attempts before
+			// the surviving peer has claimed the journals.
 			var ae *APIError
 			if errors.As(lastErr, &ae) && ae.RetryAfter > sleep {
 				sleep = ae.RetryAfter
@@ -496,8 +496,8 @@ func (c *Client) DeleteSession(ctx context.Context, id string) error {
 	return c.do(ctx, http.MethodDelete, "/v1/sessions/"+id, 0, nil, nil)
 }
 
-// Ready fetches the readiness document. A draining daemon, or a shard still
-// replaying an adoption, answers 503, returned as an *APIError.
+// Ready fetches the readiness document. A draining daemon answers 503,
+// returned as an *APIError.
 func (c *Client) Ready(ctx context.Context) (*HealthResponse, error) {
 	return call[HealthResponse](ctx, c, http.MethodGet, "/readyz", nil)
 }

@@ -15,8 +15,15 @@ package service
 //
 //   1. write <wal>.fence beside the source, recording the handoff epoch;
 //   2. copy the source WAL into the adopter's own JournalDir;
-//   3. replay the copy into a detached session and insert it;
+//   3. insert the session latched and replay the copy on the pool;
 //   4. leave the fenced source in place.
+//
+// The adoption is acknowledged after step 3's insert, not after the replay:
+// a request for a claimed session waits for its replay (and runs it at once
+// if the pool has not reached it), so the handoff costs the claim and each
+// session's first request at most one replay. A replay that fails takes the
+// session out again — it answers 404, as if the adoption had skipped it —
+// and one whose WAL a newer claim fenced while it replayed is never served.
 //
 // Fencing closes the double-serve race with a process that still holds the
 // source WAL (a shard wrongly declared dead, or a drained shard that was
@@ -128,7 +135,7 @@ func sessionIDFromWAL(path string) string {
 // journal directory). total counts every session in the directory this
 // server now hosts — including ones already adopted by an earlier, partially
 // acknowledged attempt — so a retried handoff reports the full count; fresh
-// counts only sessions newly replayed by this call. The returned error
+// counts only sessions newly claimed by this call. The returned error
 // covers only an unreadable directory.
 func (s *Server) AdoptJournalDir(dir string, epoch int64, from string) (total, fresh int, err error) {
 	entries, err := os.ReadDir(dir)
@@ -198,12 +205,11 @@ func (s *Server) AdoptJournalFiles(paths []string, epoch int64, from string) (to
 type adoptCount struct{ total, fresh int }
 
 // adoptWALs claims every WAL in paths and returns the verdicts in input
-// order. Sessions are independent — each claim fences, copies and replays its
-// own files and only meets the others in the store — so the claims run on the
-// bounded pool: a failover's time to serve is the adopter re-reading journals,
-// and that parallelises by session. Paths naming the same session (one file
-// name in several directories) would race for one local slot; they are claimed
-// by one worker, in input order, as a serial walk would.
+// order. Sessions are independent — each claim fences and copies its own files
+// and only meets the others in the store — so the claims run on the bounded
+// pool, the fsync of each copy included. Paths naming the same session (one
+// file name in several directories) would race for one local slot; they are
+// claimed by one worker, in input order, as a serial walk would.
 func (s *Server) adoptWALs(paths []string, epoch int64, from string) []adoptCount {
 	out := make([]adoptCount, len(paths))
 	var groups [][]int
@@ -227,9 +233,10 @@ func (s *Server) adoptWALs(paths []string, epoch int64, from string) []adoptCoun
 }
 
 // adoptWAL claims one session WAL via the fenced-copy protocol. It returns
-// (1, 1) for a newly adopted session, (1, 0) for one this server already
+// (1, 1) for a newly claimed session, (1, 0) for one this server already
 // hosts, and (0, 0) when the WAL is not adoptable (claimed by a later epoch,
-// invalid, or unreadable — all logged, none fatal: the cluster retries).
+// invalid, or unreadable — all logged, none fatal: the cluster retries). The
+// replay of a new claim is still to come when it returns.
 func (s *Server) adoptWAL(src string, epoch int64, from string) (total, fresh int) {
 	id := sessionIDFromWAL(src)
 	if id == "" {
@@ -274,18 +281,19 @@ func (s *Server) adoptWAL(src string, epoch int64, from string) (total, fresh in
 			return 1, 0
 		}
 		s.cfg.Logf("wire-serve: adopt: session %s held from a stale claim (epoch %d < %d); replacing with the migrated copy", id, held, epoch)
-		if st := s.store.Detach(id); st != nil {
-			st.mu.Lock()
-			st.gone = true
-			j := st.wal
-			st.wal = nil
-			tenant := st.Tenant
-			st.mu.Unlock()
+		if s.store.drop(sess) {
+			sess.mu.Lock()
+			sess.gone = true
+			j := sess.wal
+			sess.wal = nil
+			tenant := sess.Tenant
+			sess.mu.Unlock()
 			if j != nil {
 				j.close(false)
 			}
 			if tenant != "" {
-				// The replay below reattaches the migrated copy's slot.
+				// The replay of the claim below reattaches the migrated
+				// copy's slot.
 				s.tenants.Release(tenant)
 			}
 		}
@@ -304,14 +312,7 @@ func (s *Server) adoptWAL(src string, epoch int64, from string) (total, fresh in
 				return 0, 0
 			}
 		}
-		if err := s.recoverSession(src, epoch); err != nil {
-			if errors.Is(err, ErrDuplicateID) {
-				return 1, 0
-			}
-			s.cfg.Logf("wire-serve: adopt: session %s: %v", id, err)
-			return 0, 0
-		}
-		return 1, 1
+		return s.adoptClaim(id, src, epoch, false)
 	}
 	if ep, fenced := readFence(src); fenced && ep > epoch {
 		s.cfg.Logf("wire-serve: adopt: session %s claimed at epoch %d > %d; not ours", id, ep, epoch)
@@ -340,14 +341,7 @@ func (s *Server) adoptWAL(src string, epoch int64, from string) (total, fresh in
 				return 0, 0
 			}
 		}
-		if err := s.recoverSession(dst, epoch); err != nil {
-			if errors.Is(err, ErrDuplicateID) {
-				return 1, 0
-			}
-			s.cfg.Logf("wire-serve: adopt: session %s: %v", id, err)
-			return 0, 0
-		}
-		return 1, 1
+		return s.adoptClaim(id, dst, epoch, false)
 	}
 	// Fence FIRST, copy SECOND — the ordering the stale-writer check in
 	// journal.fenced relies on.
@@ -368,15 +362,25 @@ func (s *Server) adoptWAL(src string, epoch int64, from string) (total, fresh in
 			return 0, 0
 		}
 	}
-	if err := s.recoverSession(dst, epoch); err != nil {
-		if errors.Is(err, ErrDuplicateID) {
-			return 1, 0
-		}
-		s.cfg.Logf("wire-serve: adopt: session %s: %v", id, err)
-		_ = os.Remove(dst)
-		return 0, 0
+	return s.adoptClaim(id, dst, epoch, true)
+}
+
+// adoptClaim ends adoptWAL with the claim of the WAL at path, counting as
+// adoptWAL does. removeCopy says path is the copy this adoption made: a claim
+// that cannot be made, or whose replay fails, deletes it.
+func (s *Server) adoptClaim(id, path string, epoch int64, removeCopy bool) (total, fresh int) {
+	err := s.claimWAL(id, path, epoch, removeCopy)
+	switch {
+	case err == nil:
+		return 1, 1
+	case errors.Is(err, ErrDuplicateID):
+		return 1, 0
 	}
-	return 1, 1
+	s.cfg.Logf("wire-serve: adopt: session %s: %v", id, err)
+	if removeCopy {
+		_ = os.Remove(path) // nothing hosts it; the source stays fenced
+	}
+	return 0, 0
 }
 
 // walLastSeq scans a WAL and returns the highest plan sequence it records —

@@ -7,6 +7,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dagio"
@@ -150,97 +153,260 @@ func (s *Server) openSessionJournal(sess *Session, req *CreateSessionRequest) {
 }
 
 // recoverJournals rebuilds the session store from JournalDir. Called once
-// from New, before the daemon serves traffic.
+// from New, before the daemon serves traffic: it claims every WAL and waits
+// for the replays. Fenced WALs — sessions a peer adopted at some epoch while
+// this process was down — are skipped, so a restarted shard cannot resurrect
+// sessions that now live elsewhere (it re-enters the cluster empty and is
+// rehydrated by a join). Per-WAL failures are logged and skipped.
 func (s *Server) recoverJournals() {
-	if _, _, err := s.ReplayJournalDir(s.cfg.JournalDir); err != nil {
-		s.cfg.Logf("wire-serve: journal recovery: %v", err)
-	}
-}
-
-// ReplayJournalDir replays every session WAL in dir into the live store.
-// It backs startup recovery (dir = the server's own JournalDir): fenced WALs
-// — sessions a peer adopted at some epoch while this process was down — are
-// skipped, so a restarted shard cannot resurrect sessions that now live
-// elsewhere (it re-enters the cluster empty and is rehydrated by a join).
-// Per-WAL failures are logged and skipped — a session whose ID is already
-// hosted counts in total but not in fresh. The returned error covers only an
-// unreadable directory.
-func (s *Server) ReplayJournalDir(dir string) (total, fresh int, err error) {
-	entries, err := os.ReadDir(dir)
+	entries, err := os.ReadDir(s.cfg.JournalDir)
 	if err != nil {
-		return 0, 0, err
+		s.cfg.Logf("wire-serve: journal recovery: %v", err)
+		return
 	}
 	for _, e := range entries {
 		if e.IsDir() || filepath.Ext(e.Name()) != ".wal" {
 			continue
 		}
-		path := filepath.Join(dir, e.Name())
+		path := filepath.Join(s.cfg.JournalDir, e.Name())
 		if ep, fenced := readFence(path); fenced {
 			s.cfg.Logf("wire-serve: journal recovery: %s fenced at epoch %d (adopted by a peer); skipping", e.Name(), ep)
 			continue
 		}
-		if err := s.recoverSession(path, s.Epoch()); err != nil {
-			if errors.Is(err, ErrDuplicateID) {
-				total++
-				continue
-			}
-			s.cfg.Logf("wire-serve: journal recovery: %s: %v", e.Name(), err)
+		id := sessionIDFromWAL(path)
+		if id == "" {
+			s.cfg.Logf("wire-serve: journal recovery: %s: not a session WAL; skipping", e.Name())
 			continue
 		}
-		total++
-		fresh++
+		if err := s.claimWAL(id, path, s.Epoch(), false); err != nil {
+			s.cfg.Logf("wire-serve: journal recovery: %s: %v", e.Name(), err)
+		}
 	}
-	return total, fresh, nil
+	s.replays.wait()
 }
 
-// recoverSession replays one WAL — at startup, on adoption after a failover
-// and on a drain's target — and counts what it read and how long it took,
-// and the WALs that cannot be replayed: a session the daemon accepted and can
-// no longer serve is an operator's business even when the rest of the
-// directory recovers.
-func (s *Server) recoverSession(path string, claimEpoch int64) error {
+// claim is a session put in the store before its WAL is replayed. Startup
+// recovery and both adoption paths end in one: the WAL is in place (fenced
+// and copied where it came from a peer), the session is routable, and every
+// request for it waits on done. The replay runs once, started by a worker of
+// the server's replay pool in claim order or, sooner, by the first request
+// that finds it not started yet.
+type claim struct {
+	srv  *Server
+	sess *Session
+	path string
+	// epoch is the fencing epoch the claim was made at (see handoff.go).
+	epoch int64
+	// removeCopy says path is a copy this claim made: a replay that fails
+	// deletes it rather than leave a WAL the next restart would retry.
+	removeCopy bool
+
+	started atomic.Bool
+	done    chan struct{}
+	// err is why the session is not served; read only after done closes.
+	err error
+}
+
+// wait returns once the claim's replay has ended, running it here when no
+// one has started it, and reports why the session is not served.
+func (c *claim) wait() error {
+	c.srv.endClaim(c)
+	<-c.done
+	return c.err
+}
+
+// claimWAL puts a session whose WAL is at path into the store, latched, and
+// queues its replay. It fails with ErrDuplicateID when the ID is already
+// hosted and ErrMaxSessions at capacity; everything the WAL itself holds is
+// found by the replay.
+func (s *Server) claimWAL(id, path string, epoch int64, removeCopy bool) error {
+	sess := &Session{ID: id}
+	sess.lastUsed.Store(s.now().UnixNano())
+	c := &claim{srv: s, sess: sess, path: path, epoch: epoch, removeCopy: removeCopy, done: make(chan struct{})}
+	sess.replay.Store(c)
+	// Counted before the insert: a request may end the claim as soon as the
+	// session is in the store.
+	s.replays.add()
+	if err := s.store.Insert(sess); err != nil {
+		s.replays.ended()
+		if !errors.Is(err, ErrDuplicateID) {
+			s.metrics.JournalReplayFailed()
+		}
+		return err
+	}
+	s.replays.push(c)
+	return nil
+}
+
+// endClaim ends a claim — at startup, on adoption after a failover and on a
+// drain's target — unless it was started already: it replays the WAL, counts
+// what it read and how long it took, and opens the latch. A WAL that cannot be
+// replayed takes its session out of the store (a session the daemon accepted
+// and can no longer serve is an operator's business even when the rest of the
+// directory recovers), and so does a fence a newer claim laid on the WAL while
+// it replayed: the session lives elsewhere now.
+func (s *Server) endClaim(c *claim) {
+	if !c.started.CompareAndSwap(false, true) {
+		return
+	}
 	start := time.Now()
-	n, err := s.replaySession(path, claimEpoch)
+	n, err := s.replaySession(c.sess, c.path, c.epoch)
 	s.metrics.JournalReplayRead(n, time.Since(start))
-	if err != nil && !errors.Is(err, ErrDuplicateID) {
-		s.metrics.JournalReplayFailed()
+	if err == nil && fencedPast(c.path, c.epoch) {
+		c.sess.takeWAL().close(false)
+		s.cfg.Logf("wire-serve: journal %s: fenced by a newer claim while it replayed; not serving session %s", filepath.Base(c.path), c.sess.ID)
+		err = errFenced
 	}
-	return err
+	switch {
+	case err == nil:
+		if c.sess.Tenant != "" {
+			// Recovery bypasses the admission gate: the daemon already
+			// accepted this session, so replay must never drop it — but its
+			// slot must count against the tenant again.
+			s.tenants.Reattach(c.sess.Tenant)
+		}
+		s.metrics.JournalReplayed()
+		s.cfg.Logf("wire-serve: recovered session %s (%s, %d plan(s)) from journal", c.sess.ID, c.sess.Policy, c.sess.lastSeq)
+		c.sess.replay.Store(nil)
+	case errors.Is(err, errFenced):
+		s.store.drop(c.sess)
+	default:
+		s.store.drop(c.sess)
+		s.metrics.JournalReplayFailed()
+		s.cfg.Logf("wire-serve: journal %s: %v", filepath.Base(c.path), err)
+		if c.removeCopy {
+			_ = os.Remove(c.path) // what is left of a failed claim; the source stays fenced
+		}
+		err = ErrNotFound
+	}
+	c.err = err
+	s.replays.ended()
+	close(c.done)
 }
 
-// replaySession rebuilds the controller from the create record, replays
-// every journaled interval through it in sequence order (skipping duplicate
-// sequence numbers — a crash mid-append can leave the same interval twice),
-// restores the exactly-once cache from the last record, and re-attaches the
-// journal for appends at claimEpoch (the fencing epoch this server's claim on
-// the WAL was established at). Each plan record's snapshot is what was posted:
-// it is materialised onto the session's snapshot exactly as handlePlan did
-// before the controller sees it, so a delta record must directly follow the
-// record it is a delta against — one that does not fails the whole recovery
-// rather than be folded into a stale base. A torn trailing record is
-// truncated away. The session is replayed fully detached and only inserted
-// into the store at the end, so adoption while the daemon serves traffic can
-// never expose a half-replayed controller. It returns how many bytes of the
-// WAL were replayed: up to the end of the last record accepted.
-func (s *Server) replaySession(path string, claimEpoch int64) (int64, error) {
-	var sess *Session
+// replayQueue runs the replays of claimed sessions on a bounded pool, in
+// claim order. Workers are started as claims arrive and exit when the queue is
+// empty, so an idle server holds none. The pool takes half the CPUs (at least
+// one): replays are background work, and the rest stay for what answers now —
+// claims still in flight, plans, and requests that replay their own session
+// rather than wait for the pool.
+type replayQueue struct {
+	mu      sync.Mutex
+	idle    *sync.Cond // on mu; broadcast when pending drops to zero
+	queue   []*claim
+	workers int
+	// pending counts claims whose replay has not ended, queued or running.
+	pending int
+}
+
+func newReplayQueue() *replayQueue {
+	q := &replayQueue{}
+	q.idle = sync.NewCond(&q.mu)
+	return q
+}
+
+// replayWorkers is the pool's size.
+func replayWorkers() int { return max(1, runtime.GOMAXPROCS(0)/2) }
+
+// add counts a claim about to be made; every add is matched by one ended.
+func (q *replayQueue) add() {
+	q.mu.Lock()
+	q.pending++
+	q.mu.Unlock()
+}
+
+// ended counts a claim whose replay ended (or that was never inserted).
+func (q *replayQueue) ended() {
+	q.mu.Lock()
+	q.pending--
+	if q.pending == 0 {
+		q.idle.Broadcast()
+	}
+	q.mu.Unlock()
+}
+
+// push queues c's replay and starts a worker when the pool is not full.
+func (q *replayQueue) push(c *claim) {
+	q.mu.Lock()
+	q.queue = append(q.queue, c)
+	spawn := q.workers < replayWorkers()
+	if spawn {
+		q.workers++
+	}
+	q.mu.Unlock()
+	if spawn {
+		go q.work()
+	}
+}
+
+func (q *replayQueue) work() {
+	for {
+		q.mu.Lock()
+		if len(q.queue) == 0 {
+			q.workers--
+			q.mu.Unlock()
+			return
+		}
+		c := q.queue[0]
+		q.queue[0] = nil
+		q.queue = q.queue[1:]
+		q.mu.Unlock()
+		c.srv.endClaim(c)
+	}
+}
+
+// wait returns once no claim is pending.
+func (q *replayQueue) wait() {
+	q.mu.Lock()
+	for q.pending > 0 {
+		q.idle.Wait()
+	}
+	q.mu.Unlock()
+}
+
+// awaiting is the number of claimed sessions whose replay has not ended.
+func (q *replayQueue) awaiting() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.pending
+}
+
+// replaySession rebuilds a claimed session from its WAL: the controller from
+// the create record, then every journaled interval through it in sequence
+// order (skipping duplicate sequence numbers — a crash mid-append can leave
+// the same interval twice). It restores the exactly-once cache from the last
+// record and re-attaches the journal for appends at claimEpoch (the fencing
+// epoch this server's claim on the WAL was established at). Each plan record's
+// snapshot is what was posted: it is materialised onto the session's snapshot
+// exactly as handlePlan did before the controller sees it, so a delta record
+// must directly follow the record it is a delta against — one that does not
+// fails the whole recovery rather than be folded into a stale base. A torn
+// trailing record is truncated away. sess is in the store but latched, so no
+// request reads it before the replay has ended. It returns how many bytes of
+// the WAL were replayed: up to the end of the last record accepted.
+func (s *Server) replaySession(sess *Session, path string, claimEpoch int64) (int64, error) {
+	var created bool
 	var broken error // a whole record that must not be replayed: not a torn tail
 	var resp PlanResponse
 	end, torn, err := wal.Replay(path, func(line []byte) error {
 		var rec walLine
 		var body *monitor.Snapshot
-		if sess != nil {
+		if created {
 			// Decoded where handlePlan decodes a posted body.
 			body = sess.resetBodyScratch()
 		}
 		if err := readRecord(line, &rec, body); err != nil {
 			return err
 		}
-		if sess == nil {
+		if !created {
 			// The create record: rebuild the workflow and a fresh controller
 			// of the journaled policy.
 			if rec.Type != "create" || rec.ID == "" || rec.Workflow == nil {
 				return errors.New("malformed")
+			}
+			if rec.ID != sess.ID {
+				broken = fmt.Errorf("create record names session %q", rec.ID)
+				return broken
 			}
 			wf, err := dagio.Decode(rec.Workflow)
 			if err != nil {
@@ -253,9 +419,10 @@ func (s *Server) replaySession(path string, claimEpoch int64) (int64, error) {
 			if rec.CreatedAt.IsZero() {
 				rec.CreatedAt = s.now()
 			}
-			sess = s.store.NewDetached(rec.ID, rec.Policy, wf, ctrl, rec.CreatedAt)
+			sess.Policy, sess.Workflow, sess.ctrl, sess.createdAt = rec.Policy, wf, ctrl, rec.CreatedAt
 			sess.Tenant = rec.Tenant
 			sess.DeadlineS = rec.DeadlineS
+			created = true
 			return nil
 		}
 		// Skipped: anything but a complete plan record, and a duplicate
@@ -298,7 +465,7 @@ func (s *Server) replaySession(path string, claimEpoch int64) (int64, error) {
 	if broken != nil {
 		return end, broken
 	}
-	if sess == nil {
+	if !created {
 		if torn == nil {
 			torn = io.ErrUnexpectedEOF
 		}
@@ -315,20 +482,8 @@ func (s *Server) replaySession(path string, claimEpoch int64) (int64, error) {
 	if err != nil {
 		s.cfg.Logf("wire-serve: journal disabled for recovered session %s: %v", sess.ID, err)
 	} else {
-		sess.wal = j
+		sess.setWAL(j)
 	}
-	if err := s.store.Insert(sess); err != nil {
-		sess.takeWAL().close(false)
-		return end, err
-	}
-	if sess.Tenant != "" {
-		// Recovery bypasses the admission gate: the daemon already accepted
-		// this session, so replay must never drop it — but its slot must
-		// count against the tenant again.
-		s.tenants.Reattach(sess.Tenant)
-	}
-	s.metrics.JournalReplayed()
-	s.cfg.Logf("wire-serve: recovered session %s (%s, %d plan(s)) from journal", sess.ID, sess.Policy, sess.lastSeq)
 	return end, nil
 }
 

@@ -87,8 +87,8 @@ func (m *Metrics) PlanRetried() { m.planRetries.Add(1) }
 // its controller panicked.
 func (m *Metrics) PlanDegraded() { m.degradedPlans.Add(1) }
 
-// JournalReplayed counts sessions rebuilt from their write-ahead logs at
-// startup.
+// JournalReplayed counts sessions rebuilt from their write-ahead logs: at
+// startup, on adoption, on a drain's target.
 func (m *Metrics) JournalReplayed() { m.journalReplays.Add(1) }
 
 // JournalReplayRead adds one WAL replay's n bytes and duration d — at
@@ -232,6 +232,9 @@ type FaultToleranceCounters struct {
 	// FencedRejectsTotal counts plan decisions withheld because the session
 	// was adopted by a peer at a higher fencing epoch mid-plan.
 	FencedRejectsTotal int64 `json:"fenced_rejects_total,omitempty"`
+	// SessionsAwaitingReplay is a gauge: sessions claimed (at startup or by
+	// an adoption) whose WAL replay has not ended. Requests for them wait.
+	SessionsAwaitingReplay int `json:"sessions_awaiting_replay"`
 }
 
 // TenancyCounters is the tenancy block of the metrics document: the
@@ -348,6 +351,7 @@ func (d *MetricsDump) Merge(o MetricsDump) {
 	d.FaultTolerance.SessionsAdoptedTotal += o.FaultTolerance.SessionsAdoptedTotal
 	d.FaultTolerance.SessionsExportedTotal += o.FaultTolerance.SessionsExportedTotal
 	d.FaultTolerance.FencedRejectsTotal += o.FaultTolerance.FencedRejectsTotal
+	d.FaultTolerance.SessionsAwaitingReplay += o.FaultTolerance.SessionsAwaitingReplay
 	d.Tenancy.ArrivalsTotal += o.Tenancy.ArrivalsTotal
 	d.Tenancy.AdmissionsThrottledTotal += o.Tenancy.AdmissionsThrottledTotal
 	d.Tenancy.BudgetSpendRate += o.Tenancy.BudgetSpendRate

@@ -153,10 +153,8 @@ type Server struct {
 	// so a router's membership probe steers traffic away before the
 	// listener closes.
 	draining atomic.Bool
-	// replaying counts in-flight journal adoptions; /readyz answers 503
-	// while any replay runs, so a probe can't rejoin a shard that is still
-	// rebuilding sessions.
-	replaying atomic.Int32
+	// replays runs the journal replays of claimed sessions (see claim).
+	replays *replayQueue
 }
 
 // New assembles a server from the configuration.
@@ -168,6 +166,7 @@ func New(cfg Config) *Server {
 		metrics: NewMetrics(cfg.Clock()),
 		tenants: NewTenantRegistry(),
 		start:   cfg.Clock(),
+		replays: newReplayQueue(),
 	}
 	if cfg.JournalDir != "" {
 		if err := os.MkdirAll(cfg.JournalDir, 0o755); err != nil {
@@ -320,9 +319,11 @@ func (s *Server) janitor(ctx context.Context) {
 }
 
 // Serve runs the daemon on the listener until ctx is canceled, then drains
-// in-flight requests (bounded by ShutdownGrace) and returns. The janitor
-// goroutine runs for the lifetime of the call.
+// in-flight requests (bounded by ShutdownGrace), waits for the replays of
+// sessions it claimed, and returns. The janitor goroutine runs for the
+// lifetime of the call.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
+	defer s.replays.wait()
 	hs := &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,

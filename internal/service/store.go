@@ -70,6 +70,10 @@ type Session struct {
 	// reference must answer 503 instead of releasing a decision this
 	// shard can no longer journal authoritatively.
 	gone bool
+	// replay is the session's claim while its WAL replay has not ended well
+	// (nil for a created session, and once the replay succeeded): the store
+	// hands the session out only after the claim's latch opens.
+	replay atomic.Pointer[claim]
 	// snapScratch is the materialised snapshot of interval lastSeq — what the
 	// controller last planned from and what the next delta body is folded
 	// into — whenever baseOK is set. bodyScratch is the plan handler's decode
@@ -241,17 +245,9 @@ func (st *Store) Create(policy string, wf *dag.Workflow, ctrl sim.Controller) (*
 	return s, nil
 }
 
-// NewDetached builds a session that is NOT yet visible in the store: journal
-// recovery and adoption replay the WAL into a detached session first, then
-// Insert it, so a half-replayed controller can never answer live requests.
-func (st *Store) NewDetached(id, policy string, wf *dag.Workflow, ctrl sim.Controller, createdAt time.Time) *Session {
-	s := &Session{ID: id, Policy: policy, Workflow: wf, ctrl: ctrl, createdAt: createdAt}
-	s.lastUsed.Store(st.now().UnixNano())
-	return s
-}
-
-// Insert makes a detached session routable. It fails with ErrMaxSessions at
-// capacity and ErrDuplicateID when the ID is already hosted.
+// Insert makes a session routable: one exported and then kept, or a claimed
+// one whose replay is still to come. It fails with ErrMaxSessions at capacity
+// and ErrDuplicateID when the ID is already hosted.
 func (st *Store) Insert(s *Session) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -270,35 +266,61 @@ func (st *Store) Insert(s *Session) error {
 // when the ID is already hosted — the caller decides whether that is an
 // idempotent retry or a protocol violation.
 func (st *Store) CreateWithID(id, policy string, wf *dag.Workflow, ctrl sim.Controller) (*Session, error) {
-	s := st.NewDetached(id, policy, wf, ctrl, st.now())
+	now := st.now()
+	s := &Session{ID: id, Policy: policy, Workflow: wf, ctrl: ctrl, createdAt: now}
+	s.lastUsed.Store(now.UnixNano())
 	if err := st.Insert(s); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// Get returns the session and refreshes its idle timer.
+// Get returns the session and refreshes its idle timer. A claimed session is
+// returned once its replay has ended: Get waits for it, running it here if
+// no one has started it yet. A replay that failed answers ErrNotFound, one
+// whose WAL a newer claim fenced meanwhile errFenced.
 func (st *Store) Get(id string) (*Session, error) {
+	s, err := st.lookup(id)
+	if err != nil {
+		return nil, err
+	}
+	s.lastUsed.Store(st.now().UnixNano())
+	return s, nil
+}
+
+// lookup finds a hosted session and waits out its replay.
+func (st *Store) lookup(id string) (*Session, error) {
 	st.mu.Lock()
 	s, ok := st.sessions[id]
 	st.mu.Unlock()
 	if !ok {
 		return nil, ErrNotFound
 	}
-	s.lastUsed.Store(st.now().UnixNano())
+	if c := s.replay.Load(); c != nil {
+		if err := c.wait(); err != nil {
+			return nil, err
+		}
+	}
 	return s, nil
+}
+
+// drop removes s from the table if it is still the session hosted under its
+// ID, and reports whether it was.
+func (st *Store) drop(s *Session) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.sessions[s.ID] != s {
+		return false
+	}
+	delete(st.sessions, s.ID)
+	return true
 }
 
 // Delete removes the session and its journal. An in-flight plan holding the
 // session mutex finishes normally; the session is simply no longer routable.
 func (st *Store) Delete(id string) error {
-	st.mu.Lock()
-	s, ok := st.sessions[id]
-	if ok {
-		delete(st.sessions, id)
-	}
-	st.mu.Unlock()
-	if !ok {
+	s, err := st.lookup(id)
+	if err != nil || !st.drop(s) {
 		return ErrNotFound
 	}
 	s.takeWAL().close(true)
@@ -309,10 +331,10 @@ func (st *Store) Delete(id string) error {
 // and returns it (nil when absent). The cluster export path uses it: the
 // caller takes over the session's WAL file so a peer can adopt it.
 func (st *Store) Detach(id string) *Session {
-	st.mu.Lock()
-	s := st.sessions[id]
-	delete(st.sessions, id)
-	st.mu.Unlock()
+	s, err := st.lookup(id)
+	if err != nil || !st.drop(s) {
+		return nil
+	}
 	return s
 }
 
@@ -346,7 +368,8 @@ func (st *Store) EvictIdleSessions(ttl time.Duration) []*Session {
 	st.mu.Lock()
 	var evicted []*Session
 	for id, s := range st.sessions {
-		if s.lastUsed.Load() < cutoff {
+		// A session still replaying is not idle, and it is not whole yet.
+		if s.lastUsed.Load() < cutoff && s.replay.Load() == nil {
 			delete(st.sessions, id)
 			evicted = append(evicted, s)
 		}

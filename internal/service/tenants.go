@@ -8,14 +8,22 @@ import (
 	"repro/internal/monitor"
 )
 
-// The live-plane half of internal/tenancy: sessions carry a tenant identity,
-// and a per-daemon tenant registry arbitrates admissions the same way the
-// multi-run simulator's arbiter does — a tenant whose projected spend reaches
-// its budget (or whose active-session cap is full) has new sessions answered
-// 429 tenant_throttled with a Retry-After hint, and the pressure releases as
-// its sessions finish and stop accruing. Spend is metered from the posted
-// monitoring snapshots: every planned interval charges the tenant
-// instances x interval seconds against the charging unit.
+// The live-plane tenant gate: sessions carry a tenant identity, and a
+// per-daemon registry decides each tenant-tagged create by that tenant's own
+// limits alone. A create is refused when the tenant's active-session cap is
+// full, or when its projected spend (accrued units plus one per active
+// session) would pass its budget with one more session — except that a tenant
+// with no active session is always admitted, so a budget throttles but never
+// starves. A refused create is answered 429 tenant_throttled with a
+// Retry-After hint; nothing is queued and no running session's pool is
+// clamped, and the pressure releases as the tenant's sessions finish. Spend is
+// metered from the posted monitoring snapshots: every planned interval charges
+// the tenant instances x interval seconds against the charging unit.
+//
+// This is not the rule internal/tenancy's RunStream simulates, and so not the
+// rule EXPERIMENTS.md's E10 scores: there one site-wide cap and budget are
+// shared by every run, refused arrivals wait in a queue, and the arbiter
+// clamps every run's pool each interval.
 
 // TenantSpec is the POST /v1/tenants body: create or update a tenant.
 type TenantSpec struct {

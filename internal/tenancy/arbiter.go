@@ -35,7 +35,8 @@ type ArbiterConfig struct {
 	BudgetUnits int
 	// Interval is the MAPE period, the floor on time-to-deadline in the
 	// urgency weight (a run past its deadline is maximally urgent, not
-	// infinitely so).
+	// infinitely so). RunStream defaults it to the site's lag, the period
+	// its runs plan at; Apportion alone to one second.
 	Interval simtime.Duration
 	// LookaheadUnits is the budget-feedback horizon: the arbiter keeps
 	// enough budget headroom to run the granted pool for this many more

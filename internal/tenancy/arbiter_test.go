@@ -2,6 +2,9 @@ package tenancy
 
 import (
 	"testing"
+
+	"repro/internal/cloud"
+	"repro/internal/simtime"
 )
 
 func baseArbiterConfig(policy string, budget int) ArbiterConfig {
@@ -138,5 +141,38 @@ func TestRunStatusNeed(t *testing.T) {
 	}
 	if got := (RunStatus{Remaining: 0, Slots: 2}).need(); got != 1 {
 		t.Errorf("need(0 tasks) = %d, want floor 1", got)
+	}
+}
+
+// The urgency floor under RunStream is one MAPE period — the site's lag, the
+// period every run plans at — when the arbiter sets none. Run 0 is ten seconds
+// past its deadline with little work left; run 1 has nine times the work due
+// in thirty seconds. Over one lag run 1 is the more urgent and takes the one
+// instance; over one second run 0 would.
+func TestRunStreamUrgencyFloorIsOneLag(t *testing.T) {
+	cfg := MultiConfig{
+		Cloud:   cloud.Config{SlotsPerInstance: 2, LagTime: 180, ChargingUnit: 900},
+		Arbiter: ArbiterConfig{Policy: Urgency, Cap: 1},
+	}
+	acfg, err := cfg.arbiter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acfg.Interval != 180 {
+		t.Errorf("interval %v, want the lag 180", acfg.Interval)
+	}
+	now := simtime.Time(1000)
+	statuses := []RunStatus{
+		{ID: 0, Remaining: 2, Slots: 2, Deadline: 990, EstWorkS: 100},
+		{ID: 1, Remaining: 2, Slots: 2, Deadline: 1030, EstWorkS: 900},
+	}
+	grants := Apportion(acfg, statuses, 0, 0, now)
+	if grants[0].Target != 0 || grants[1].Target != 1 {
+		t.Errorf("targets %d and %d, want 0 and 1", grants[0].Target, grants[1].Target)
+	}
+	// An interval the arbiter does set is kept.
+	cfg.Arbiter.Interval = 1
+	if acfg, _ := cfg.arbiter(); acfg.Interval != 1 {
+		t.Errorf("interval %v, want the configured 1", acfg.Interval)
 	}
 }

@@ -147,13 +147,23 @@ func (c *arbCtrl) status(snap *monitor.Snapshot) RunStatus {
 	}
 }
 
+// arbiter is the stream's arbiter configuration with its defaults. The urgency
+// floor defaults to one MAPE period: every run plans once per lag.
+func (c MultiConfig) arbiter() (ArbiterConfig, error) {
+	a := c.Arbiter
+	if a.Interval <= 0 {
+		a.Interval = c.Cloud.LagTime
+	}
+	return a.withDefaults()
+}
+
 // RunStream drives a whole arrival stream through the shared pool and
 // returns per-run outcomes plus aggregate spend/miss metrics. The run is
 // deterministic in (stream, MultiConfig): the coordinator is fully
 // serialized — at most one run's simulator executes at any instant, and all
 // cross-run reads happen while every run is parked.
 func RunStream(stream *Stream, cfg MultiConfig) (*MultiResult, error) {
-	acfg, err := cfg.Arbiter.withDefaults()
+	acfg, err := cfg.arbiter()
 	if err != nil {
 		return nil, err
 	}
