@@ -1,15 +1,16 @@
 // Command wire-serve hosts WIRE controllers as a long-running HTTP daemon and
-// ships the tools that operate and load it:
+// ships the tools that operate it:
 //
 //	wire-serve [serve] [flags]                     controller daemon (the default)
 //	wire-serve route   [flags]                     routing front end of a shard fleet
 //	wire-serve admin   [flags]                     drain or join a shard via the router
 //	wire-serve audit   [flags] [journal-dir ...]   check a set of journals
-//	wire-serve loadgen [flags]                     drive twin-verified sessions
 //
 // README.md ("wire-serve command line") lists every flag; each subcommand's
 // file builds its own flag set. The fault certificates (daemon kill, shard
-// kill, rolling restart, churn, partition) are tests of internal/scenario.
+// kill, rolling restart, churn, partition) are tests of internal/scenario,
+// and process_test.go drives the built binary through a real SIGKILL, drain
+// and rejoin.
 package main
 
 import (
@@ -51,10 +52,8 @@ func run(args []string) error {
 		return runAdmin(args)
 	case "audit":
 		return runAudit(args)
-	case "loadgen":
-		return runLoadgen(args)
 	}
-	fmt.Fprintf(os.Stderr, "wire-serve: unknown subcommand %q (want serve, route, admin, audit or loadgen)\n", cmd)
+	fmt.Fprintf(os.Stderr, "wire-serve: unknown subcommand %q (want serve, route, admin or audit)\n", cmd)
 	return errUsage
 }
 

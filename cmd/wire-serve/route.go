@@ -64,7 +64,7 @@ func runRoute(args []string) error {
 	if err != nil {
 		return err
 	}
-	// The bound address goes to stdout so scripts (and the CI smoke test)
+	// The bound address goes to stdout so scripts (and process_test.go)
 	// can start on port 0 and discover the URL.
 	fmt.Printf("wire-serve: routing on http://%s\n", ln.Addr())
 	stderrf("wire-serve route: %d shard(s), 10k-key spread %v", len(shards), rt.Ring().Spread(10000))

@@ -5,12 +5,9 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/service"
@@ -23,7 +20,6 @@ type serveFlags struct {
 	*flag.FlagSet
 	addr, journal, fsyncMode, name, router *string
 	shard, quiet                           *bool
-	partAfter, partFor                     *time.Duration
 }
 
 func newServeFlags() *serveFlags {
@@ -36,8 +32,6 @@ func newServeFlags() *serveFlags {
 		shard:     fs.Bool("shard", false, "session-shard mode: honor router-assigned session IDs and serve the /v1/admin handoff endpoints"),
 		name:      fs.String("name", "", "this shard's name on the router's ring (enables SIGTERM self-drain with -router)"),
 		router:    fs.String("router", "", "router base URL; with -name, SIGTERM drains this shard out of the ring before shutdown"),
-		partAfter: fs.Duration("chaos-partition-after", 0, "partition nemesis: this long after startup, start dropping router-tagged requests (0 = off)"),
-		partFor:   fs.Duration("chaos-partition-for", 3*time.Second, "partition nemesis: how long the one-way drop window lasts"),
 		quiet:     fs.Bool("quiet", false, "suppress operational log lines"),
 	}
 }
@@ -63,22 +57,18 @@ func runServe(args []string) error {
 	if *f.quiet {
 		logf = func(string, ...any) {}
 	}
-	scfg := service.Config{
+	srv := service.New(service.Config{
 		JournalDir: *f.journal,
 		FsyncMode:  *f.fsyncMode,
 		ShardMode:  *f.shard,
 		Logf:       logf,
-	}
-	if *f.partAfter > 0 {
-		scfg.Middleware = dropRouterTagged(*f.partAfter, *f.partFor, logf)
-	}
-	srv := service.New(scfg)
+	})
 
 	ln, err := net.Listen("tcp", *f.addr)
 	if err != nil {
 		return err
 	}
-	// The bound address goes to stdout so scripts (and the CI smoke test)
+	// The bound address goes to stdout so scripts (and process_test.go)
 	// can start on port 0 and discover the URL.
 	fmt.Printf("wire-serve: listening on http://%s\n", ln.Addr())
 
@@ -109,28 +99,4 @@ func runServe(args []string) error {
 	}
 	logf("wire-serve: shutdown complete")
 	return nil
-}
-
-// dropRouterTagged realizes a one-way link cut in-process: from after past
-// startup, for dur, any request tagged with the router's identity header is
-// dropped with a connection reset (no HTTP response), exactly what a severed
-// router→shard link looks like from the router's side. Untagged traffic —
-// including the peer-relayed confirmation probes — still lands, so the router
-// can prove this shard alive-but-partitioned.
-func dropRouterTagged(after, dur time.Duration, logf func(string, ...any)) func(http.Handler) http.Handler {
-	return func(next http.Handler) http.Handler {
-		start := time.Now()
-		var once sync.Once
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.Header.Get(service.RouterIdentityHeader) != "" {
-				if el := time.Since(start); el >= after && el < after+dur {
-					once.Do(func() {
-						logf("wire-serve: chaos: dropping router-tagged requests for %v", dur)
-					})
-					panic(http.ErrAbortHandler)
-				}
-			}
-			next.ServeHTTP(w, r)
-		})
-	}
 }

@@ -12,7 +12,8 @@
 //
 // With -server, planning is delegated to a running wire-serve daemon: the
 // simulator executes locally but every MAPE iteration becomes a POST to
-// /v1/sessions/{id}/plan, exercising the same client code as the loadgen.
+// /v1/sessions/{id}/plan, exercising the same client code as the scenario
+// runner that the certificates drive.
 // The session is deleted when the run ends, whether or not it succeeded.
 package main
 

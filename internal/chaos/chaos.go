@@ -68,20 +68,6 @@ type Plan struct {
 	// uniform draw from (0, MaxStragglerDelay] on top of the lag.
 	StragglerProb     float64          `json:"straggler_prob,omitempty"`
 	MaxStragglerDelay simtime.Duration `json:"max_straggler_delay_s,omitempty"`
-
-	// Live execution plane faults (wire-agent). TaskCrash is the per-attempt
-	// probability that an agent crashes a task partway through and reports it
-	// failed — the poison-task generator: at TaskCrash=1 gated to one task,
-	// every attempt fails and the dispatcher's quarantine budget decides the
-	// run's fate. The schedule is keyed by (task, attempt), so attempt k of
-	// task t meets the same fate on every agent and every run.
-	TaskCrash float64 `json:"task_crash,omitempty"`
-	// SlowAgent is the probability that a given agent stream is a straggler
-	// worker: all its emulated task durations are stretched by SlowFactor
-	// (> 1). This is the fault the dispatcher's speculative re-execution
-	// exists to beat.
-	SlowAgent  float64 `json:"slow_agent,omitempty"`
-	SlowFactor float64 `json:"slow_factor,omitempty"`
 }
 
 // Validate reports configuration errors.
@@ -94,7 +80,6 @@ func (p Plan) Validate() error {
 		{"DelayProb", p.DelayProb},
 		{"LostOrder", p.LostOrder}, {"DuplicateOrder", p.DuplicateOrder}, {"DeadOnArrival", p.DeadOnArrival},
 		{"StragglerProb", p.StragglerProb},
-		{"TaskCrash", p.TaskCrash}, {"SlowAgent", p.SlowAgent},
 	}
 	for _, pr := range probs {
 		if pr.v < 0 || pr.v > 1 {
@@ -113,17 +98,13 @@ func (p Plan) Validate() error {
 	if p.StragglerProb > 0 && p.MaxStragglerDelay <= 0 {
 		return fmt.Errorf("chaos: StragglerProb set without a positive MaxStragglerDelay")
 	}
-	if p.SlowAgent > 0 && p.SlowFactor <= 1 {
-		return fmt.Errorf("chaos: SlowAgent set without a SlowFactor > 1")
-	}
 	return nil
 }
 
 // Active reports whether the plan injects anything at all.
 func (p Plan) Active() bool {
 	return p.DropRequest > 0 || p.Err5xx > 0 || p.DropResponse > 0 || p.DelayProb > 0 ||
-		p.LostOrder > 0 || p.DuplicateOrder > 0 || p.DeadOnArrival > 0 || p.StragglerProb > 0 ||
-		p.TaskCrash > 0 || p.SlowAgent > 0
+		p.LostOrder > 0 || p.DuplicateOrder > 0 || p.DeadOnArrival > 0 || p.StragglerProb > 0
 }
 
 // Stream labels keep the schedules of one stream id from ever coinciding.
@@ -133,8 +114,6 @@ const (
 	streamNetwork   = "chaos/network"
 	streamCloud     = "chaos/cloud"
 	streamStraggler = "chaos/cloud/straggler"
-	streamTask      = "chaos/task"
-	streamAgent     = "chaos/agent"
 	streamShard     = "chaos/shard-kill"
 	streamChurn     = "chaos/churn"
 )
@@ -143,17 +122,6 @@ const (
 // coordinates) — a stream id, or two-dimensional ones like (task, attempt).
 func (p Plan) rng(label string, coords ...uint64) *rand.Rand {
 	return rand.New(rand.NewSource(dist.DeriveSeed(p.Seed, label, coords...)))
-}
-
-// TaskCrashes reports whether attempt (1-based) of the given task crashes
-// under this plan. The fate is a pure function of (Seed, task, attempt):
-// every agent that draws the same attempt injects the same crash, so the
-// quarantine certificate ("poisoned after exactly N attempts") is exact.
-func (p Plan) TaskCrashes(task int64, attempt int) bool {
-	if p.TaskCrash <= 0 {
-		return false
-	}
-	return p.rng(streamTask, uint64(task), uint64(attempt)).Float64() < p.TaskCrash
 }
 
 // ShardKillSchedule is the shard-kill fault stream of the sharded control
@@ -250,19 +218,6 @@ func (p Plan) ChurnSchedule(n, events int, minGap, maxGap time.Duration) []Churn
 		out[i] = ChurnEvent{At: at, Action: action, Shard: int(rng.Int63n(int64(n)))}
 	}
 	return out
-}
-
-// AgentSlowdown returns the duration stretch factor of one agent stream: 1
-// for a healthy worker, SlowFactor for a straggler. Deterministic per
-// (Seed, stream), so a test can pin which worker is the turtle.
-func (p Plan) AgentSlowdown(stream int64) float64 {
-	if p.SlowAgent <= 0 {
-		return 1
-	}
-	if p.rng(streamAgent, uint64(stream)).Float64() < p.SlowAgent {
-		return p.SlowFactor
-	}
-	return 1
 }
 
 // FaultKind labels one injected fault.

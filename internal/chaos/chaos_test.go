@@ -223,106 +223,6 @@ func TestPlanValidate(t *testing.T) {
 	}
 }
 
-// TestTaskCrashesDeterministic pins the task-crash fault stream: repeatable
-// for the same (seed, task, attempt), mixed at intermediate probabilities, and
-// total/absent at the extremes — the contract the poison-quarantine tests and
-// the wire-agent -chaos-task-crash flag rely on.
-func TestTaskCrashesDeterministic(t *testing.T) {
-	p := Plan{Seed: 42, TaskCrash: 0.5}
-	crashed, survived := 0, 0
-	for task := int64(0); task < 10; task++ {
-		for attempt := 1; attempt <= 4; attempt++ {
-			a := p.TaskCrashes(task, attempt)
-			if b := p.TaskCrashes(task, attempt); a != b {
-				t.Fatalf("TaskCrashes(%d, %d) not repeatable", task, attempt)
-			}
-			if a {
-				crashed++
-			} else {
-				survived++
-			}
-		}
-	}
-	if crashed == 0 || survived == 0 {
-		t.Fatalf("0.5 crash stream not mixed: %d crashed, %d survived", crashed, survived)
-	}
-	// A different seed reshuffles the stream.
-	q := Plan{Seed: 43, TaskCrash: 0.5}
-	same := true
-	for task := int64(0); task < 10 && same; task++ {
-		for attempt := 1; attempt <= 4; attempt++ {
-			if p.TaskCrashes(task, attempt) != q.TaskCrashes(task, attempt) {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
-		t.Fatal("seed does not influence the crash stream")
-	}
-	// Extremes: certain crash and no crash.
-	always := Plan{Seed: 1, TaskCrash: 1}
-	never := Plan{Seed: 1}
-	for task := int64(0); task < 5; task++ {
-		if !always.TaskCrashes(task, 1) {
-			t.Fatalf("TaskCrash=1 spared task %d", task)
-		}
-		if never.TaskCrashes(task, 1) {
-			t.Fatalf("TaskCrash=0 crashed task %d", task)
-		}
-	}
-}
-
-// TestAgentSlowdownDeterministic pins the slow-agent fault stream: per-stream
-// repeatable straggler selection returning either exactly SlowFactor or
-// exactly 1, with the probability extremes honoured.
-func TestAgentSlowdownDeterministic(t *testing.T) {
-	p := Plan{Seed: 7, SlowAgent: 0.5, SlowFactor: 8}
-	slowed, normal := 0, 0
-	for stream := int64(0); stream < 40; stream++ {
-		f := p.AgentSlowdown(stream)
-		if g := p.AgentSlowdown(stream); f != g {
-			t.Fatalf("AgentSlowdown(%d) not repeatable: %v then %v", stream, f, g)
-		}
-		switch f {
-		case 8:
-			slowed++
-		case 1:
-			normal++
-		default:
-			t.Fatalf("AgentSlowdown(%d) = %v, want 8 or 1", stream, f)
-		}
-	}
-	if slowed == 0 || normal == 0 {
-		t.Fatalf("0.5 slowdown stream not mixed: %d slowed, %d normal", slowed, normal)
-	}
-	if f := (Plan{Seed: 7, SlowAgent: 1, SlowFactor: 3}).AgentSlowdown(0); f != 3 {
-		t.Fatalf("certain straggler = %v, want 3", f)
-	}
-	if f := (Plan{Seed: 7}).AgentSlowdown(0); f != 1 {
-		t.Fatalf("inactive slowdown = %v, want 1", f)
-	}
-}
-
-// TestSelfHealingPlanValidate pins the new fault knobs' configuration errors.
-func TestSelfHealingPlanValidate(t *testing.T) {
-	if err := (Plan{TaskCrash: 1.5}).Validate(); err == nil {
-		t.Error("TaskCrash out of range validated")
-	}
-	if err := (Plan{SlowAgent: 0.5}).Validate(); err == nil {
-		t.Error("SlowAgent without SlowFactor validated")
-	}
-	if err := (Plan{SlowAgent: 0.5, SlowFactor: 1}).Validate(); err == nil {
-		t.Error("SlowFactor = 1 validated (must exceed 1)")
-	}
-	if err := (Plan{SlowAgent: 0.5, SlowFactor: 8, TaskCrash: 0.2}).Validate(); err != nil {
-		t.Errorf("valid self-healing plan rejected: %v", err)
-	}
-	if !(Plan{TaskCrash: 0.1}).Active() || !(Plan{SlowAgent: 0.1, SlowFactor: 2}).Active() {
-		t.Error("self-healing faults not reported active")
-	}
-}
-
 // TestChurnScheduleDeterministic pins the topology-churn schedule: the same
 // seed reproduces the same event sequence, a different seed reshuffles it,
 // gaps stay within the configured bounds, and the guard rails on degenerate

@@ -8,13 +8,10 @@ import (
 )
 
 // seedPin renders a fixed set of fault draws as one string: the network and
-// cloud schedules, task-crash fates, the shard-kill and churn streams, agent
-// slowdowns and the per-link decider of a Network. Every one of them is a
-// pure function of the plan seed.
+// cloud schedules, the shard-kill and churn streams and the per-link decider
+// of a Network. Every one of them is a pure function of the plan seed.
 func seedPin() string {
 	p := testPlan()
-	p.TaskCrash = 0.3
-	p.SlowAgent, p.SlowFactor = 0.5, 4
 	var b strings.Builder
 	for _, f := range netSchedule(p, 7, 16) {
 		fmt.Fprintf(&b, "%d/%d ", f.Kind, f.Delay)
@@ -23,24 +20,10 @@ func seedPin() string {
 	for _, f := range cloudSchedule(p, 3, 16) {
 		fmt.Fprintf(&b, "%d", f)
 	}
-	b.WriteString(" | ")
-	for task := int64(0); task < 16; task++ {
-		for attempt := 1; attempt <= 2; attempt++ {
-			if p.TaskCrashes(task, attempt) {
-				b.WriteByte('x')
-			} else {
-				b.WriteByte('.')
-			}
-		}
-	}
 	victim, jitter := p.ShardKillSchedule(5, 50)
 	fmt.Fprintf(&b, " | %d %d |", victim, jitter)
 	for _, e := range p.ChurnSchedule(4, 4, time.Second, 3*time.Second) {
 		fmt.Fprintf(&b, " %v/%v/%d", e.At, e.Action, e.Shard)
-	}
-	b.WriteString(" |")
-	for s := int64(0); s < 6; s++ {
-		fmt.Fprintf(&b, " %g", p.AgentSlowdown(s))
 	}
 	n := NewNetwork(p)
 	fmt.Fprintf(&b, " | %d", n.decider(linkKey{"router", "s1"}).Int63())
@@ -52,9 +35,9 @@ func seedPin() string {
 // derivation would silently reshuffle every chaos certificate's schedule.
 func TestSeedDerivationPinned(t *testing.T) {
 	const want = "0/0 0/0 0/0 3/0 0/0 0/0 0/0 1/0 0/0 0/389930 3/31761 2/214598 0/0 2/0 0/0 0/55903 | " +
-		"0300000003000001 | .......xxx.x.x..xx...xxxx.x..xx. | 3 38 | " +
+		"0300000003000001 | 3 38 | " +
 		"1.468253988s/join/3 3.8282145s/kill/2 6.075458289s/kill/2 8.667008676s/join/3 | " +
-		"4 1 1 4 1 4 | 3864181127617723427"
+		"3864181127617723427"
 	if got := seedPin(); got != want {
 		t.Fatalf("fault draws changed:\n got %s\nwant %s", got, want)
 	}

@@ -10,7 +10,10 @@ package cluster
 //     or a failed join left joining at the same URL, is admitted again: that
 //     is the retry.
 //  2. Move the subject to its transitional state (draining, joining) and take
-//     a fresh fencing epoch, on a retry too.
+//     a fresh fencing epoch, on a retry too. A draining member takes no
+//     creates, so this changes placement: it waits for the creates placed
+//     before it to reach their shards (membership.creates), and the listing
+//     in step 4 sees them.
 //  3. Build the FINAL view: the ring as it will be after the op, the member
 //     that is leaving it and the adopter re-points the op will commit.
 //  4. Rebalance: list each donor (the drain subject; for a join, every other
@@ -19,7 +22,9 @@ package cluster
 //     WAL), adopt on the final-view target (fenced copy + replay), and record
 //     a routing override so each is servable before the ring swap.
 //  5. Commit under the lock: the subject's final state, the final ring and
-//     re-points; compact overrides the new ring now agrees with.
+//     re-points; compact overrides the new ring now agrees with. The ring
+//     swap waits for creates as step 2 does, so a session created under the
+//     old ring is on its shard when step 6 lists it.
 //  6. Repair: rebalance every serving member against the current table to
 //     move any stray the racing window let through (creates placed under the
 //     old ring, failover adoptions landing mid-op), until a pass finds none.
@@ -296,32 +301,38 @@ func (ms *membership) runOp(ctx context.Context, admit func() (*topoOp, error)) 
 	ms.opActive.Store(true)
 	defer ms.opActive.Store(false)
 
+	ms.creates.Lock()
 	ms.mu.Lock()
 	op, err := admit()
+	if err == nil {
+		if op.view.ring, err = NewRing(op.names, ms.cfg.VNodes); err != nil {
+			err = opErrorf(http.StatusInternalServerError, "%s %s: rebuilding ring: %v", op.verb, op.subject, err)
+		}
+	}
+	if err == nil {
+		op.enter()
+		ms.epoch++
+		epoch = ms.epoch
+	}
+	ms.mu.Unlock()
+	ms.creates.Unlock()
 	if err != nil {
-		ms.mu.Unlock()
 		return 0, 0, err
 	}
-	if op.view.ring, err = NewRing(op.names, ms.cfg.VNodes); err != nil {
-		ms.mu.Unlock()
-		return 0, 0, opErrorf(http.StatusInternalServerError, "%s %s: rebuilding ring: %v", op.verb, op.subject, err)
-	}
-	op.enter()
-	ms.epoch++
-	epoch = ms.epoch
-	ms.mu.Unlock()
 
 	if _, moved, err = ms.rebalance(ctx, op.verb, op.donors, &op.view, epoch); err != nil {
 		op.revert(moved, err)
 		return 0, 0, opErrorf(http.StatusBadGateway, "%s %s: %v", op.verb, op.subject, err)
 	}
 
+	ms.creates.Lock()
 	ms.mu.Lock()
 	op.commit()
 	ms.ring = op.view.ring
 	ms.ringNames = op.names
 	ms.compactOverridesLocked()
 	ms.mu.Unlock()
+	ms.creates.Unlock()
 	op.counter.Add(1)
 	ms.beginGrace()
 

@@ -9,12 +9,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/dagio"
 	"repro/internal/monitor"
 	"repro/internal/service"
 )
@@ -636,4 +638,164 @@ func TestJoinRecoveringWhenClusterDown(t *testing.T) {
 	}
 	retryClient := service.NewClient(rts.URL, service.WithRetry(service.DefaultChaosRetry()))
 	requireCachedDecisions(t, retryClient, decisions, 1)
+}
+
+// gate holds, while armed, every POST a shard receives on path, before the
+// shard sees it.
+type gate struct {
+	path    string
+	armed   atomic.Bool
+	held    chan string // the router-assigned session ID of each held request
+	release chan struct{}
+}
+
+func newGate(path string) *gate {
+	return &gate{path: path, held: make(chan string), release: make(chan struct{})}
+}
+
+func (g *gate) wrap(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == g.path && g.armed.Load() {
+			g.held <- r.Header.Get(service.SessionIDHeader)
+			<-g.release
+		}
+		next.ServeHTTP(w, r)
+	})
+}
+
+// TestTopologyOpsWaitForCreatesInFlight: a create the router placed before a
+// drain or join changed placement, but that reaches its shard only after the
+// op listed that shard, lands where no rebalance or repair pass looks — on
+// the drained member, or off its new ring owner after a join — and its
+// session answers 404 from then on. Each op must wait for such creates, both
+// those placed before it started and those placed while it rebalanced, so
+// the session ends up where the router sends its requests.
+func TestTopologyOpsWaitForCreatesInFlight(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		join bool
+		// midOp places the create while the join's first adoption on the
+		// newcomer is held, after the op has listed its donors.
+		midOp bool
+	}{
+		{name: "drain"},
+		{name: "join", join: true},
+		{name: "join, create placed mid-rebalance", join: true, midOp: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			creates, adopts := newGate("/v1/sessions"), newGate("/v1/admin/adopt")
+			var fleet []*testShard
+			var shards []Shard
+			for _, name := range []string{"s0", "s1", "s2"} {
+				jdir := filepath.Join(t.TempDir(), name)
+				wrap := creates.wrap
+				if name == "s2" {
+					wrap = adopts.wrap
+				}
+				srv := service.New(service.Config{ShardMode: true, JournalDir: jdir, Middleware: wrap})
+				ts := httptest.NewServer(srv.Handler())
+				t.Cleanup(ts.Close)
+				sh := Shard{Name: name, URL: ts.URL, JournalDir: jdir}
+				fleet = append(fleet, &testShard{shard: sh, srv: srv, ts: ts})
+				shards = append(shards, sh)
+			}
+			newcomer := fleet[2]
+			rt, err := NewRouter(RouterConfig{Shards: shards[:2]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rts := httptest.NewServer(rt.Handler())
+			t.Cleanup(rts.Close)
+			joined, err := NewRing([]string{"s0", "s1", "s2"}, DefaultVNodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			client := service.NewClient(rts.URL)
+			if tc.midOp {
+				// Sessions for the join to move, so it adopts on s2.
+				createSessions(t, client, 24)
+			}
+
+			opDone := make(chan error, 1)
+			startOp := func(owner string) {
+				go func() {
+					var err error
+					if tc.join {
+						_, err = Join(ctx, rts.URL, newcomer.shard)
+					} else {
+						_, err = Drain(ctx, rts.URL, owner)
+					}
+					opDone <- err
+				}()
+			}
+			if tc.midOp {
+				adopts.armed.Store(true)
+				startOp("")
+				select {
+				case <-adopts.held:
+				case err := <-opDone:
+					t.Fatalf("the join moved nothing to s2: %v", err)
+				}
+				adopts.armed.Store(false)
+			}
+
+			// Hold a create whose placement the op changes: any create for a
+			// drain of its owner, one the newcomer will own for a join.
+			wf := dagio.Encode(smallWorkflow(3))
+			created := make(chan error, 1)
+			creates.armed.Store(true)
+			var id string
+			for {
+				go func() {
+					_, err := client.CreateSession(ctx, service.CreateSessionRequest{Workflow: wf, Policy: "wire"})
+					created <- err
+				}()
+				select {
+				case id = <-creates.held:
+				case err := <-created:
+					t.Fatalf("create never reached a shard: %v", err)
+				}
+				if !tc.join || joined.Owner(id) == "s2" {
+					break
+				}
+				creates.release <- struct{}{}
+				if err := <-created; err != nil {
+					t.Fatal(err)
+				}
+			}
+			creates.armed.Store(false)
+
+			if tc.midOp {
+				adopts.release <- struct{}{}
+			} else {
+				startOp(rt.members.ownerName(id))
+			}
+			// An op that does not wait for the create is done well within
+			// this; one that waits is released by the create landing.
+			select {
+			case err := <-opDone:
+				opDone <- err
+			case <-time.After(500 * time.Millisecond):
+			}
+			creates.release <- struct{}{}
+			if err := <-created; err != nil {
+				t.Fatal(err)
+			}
+			if err := <-opDone; err != nil {
+				t.Fatal(err)
+			}
+
+			want, st := rt.members.resolveSession(id)
+			var hosts []string
+			for _, s := range fleet {
+				if slices.Contains(s.srv.Store().IDs(), id) {
+					hosts = append(hosts, s.shard.Name)
+				}
+			}
+			if st != routeOK || len(hosts) != 1 || hosts[0] != want.Name {
+				t.Fatalf("session %s is hosted on %v but the router sends its requests to %q", id, hosts, want.Name)
+			}
+		})
+	}
 }

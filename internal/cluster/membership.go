@@ -167,6 +167,12 @@ type membership struct {
 	graceUntil time.Time
 	ctx        context.Context
 
+	// creates is held for reading by each create from its placement until
+	// its shard answers, and for writing by a topology operation while it
+	// changes placement (runOp), so the op lists every shard only after the
+	// creates placed under the old placement have landed. Taken before mu.
+	creates sync.RWMutex
+
 	// opMu serializes drain/join operations; concurrent admin requests get
 	// 409 rather than interleaved migrations.
 	opMu     sync.Mutex
@@ -369,10 +375,10 @@ func (ms *membership) probeAll(ctx context.Context) {
 }
 
 // probe heartbeats one shard's readiness endpoint. /readyz rather than
-// /healthz: a shard mid-replay or draining answers 503 there, which counts as
+// /healthz: a shard that is shutting down answers 503 there, which counts as
 // alive-but-not-ready (noteBusy) — it neither accrues death misses nor earns
-// comeback credit, so a replaying shard is never routed to nor rejoined
-// early. Only a transport error or a non-ready non-503 answer is a miss.
+// comeback credit, so a shard on its way out is never rejoined. Only a
+// transport error or a non-ready non-503 answer is a miss.
 func (ms *membership) probe(ctx context.Context, p peer) {
 	_, err := withTimeout(ctx, ms.cfg.HeartbeatTimeout, p.api.Ready)
 	var ae *service.APIError
@@ -447,9 +453,9 @@ func (ms *membership) autoRejoin(sh Shard) {
 }
 
 // noteBusy records an alive-but-not-ready answer (503 from /readyz: the
-// shard is draining or replaying an adopt). It clears death misses — the
-// process is demonstrably up — but earns no comeback credit: auto-rejoining
-// a failed member mid-replay would route traffic into its 503s.
+// shard is shutting down). It clears death misses — the process is
+// demonstrably up — but earns no comeback credit: auto-rejoining a failed
+// member that is shutting down would route traffic into its 503s.
 func (ms *membership) noteBusy(name string) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
@@ -537,7 +543,7 @@ func (ms *membership) confirmDown(ctx context.Context, name string, was memberSt
 
 // peerConfirm relays a reachability probe for the suspect through each up
 // peer in membership order, stopping at the first peer that reports the
-// suspect answered HTTP at all (any status — a replaying shard is alive).
+// suspect answered HTTP at all (any status — a shard answering 503 is alive).
 // No up peers, or no peer able to reach it, means unconfirmed: false.
 func (ms *membership) peerConfirm(ctx context.Context, suspect string) bool {
 	ms.mu.Lock()

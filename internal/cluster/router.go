@@ -212,6 +212,10 @@ func (rt *Router) writePartitioned(w http.ResponseWriter, shard string) {
 // land on fully-up shards rather than wait out a transition they have no
 // stake in.
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
+	// A topology operation waits for this create to land before it lists
+	// the shards (see membership.creates).
+	rt.members.creates.RLock()
+	defer rt.members.creates.RUnlock()
 	var (
 		id    string
 		shard Shard

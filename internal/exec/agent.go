@@ -17,21 +17,17 @@ import (
 )
 
 // LiveClient is the HTTP client for the live-run API, shared by wire-agent,
-// the examples/live-run driver, and the tests. Its transport is injectable,
-// so a chaos.Transport can partition an agent from the dispatcher.
+// the examples/live-run driver, and the tests.
 type LiveClient struct {
 	base string
 	hc   *http.Client
 }
 
 // NewLiveClient returns a client for a wire-serve base URL
-// (e.g. "http://127.0.0.1:8080"). hc nil uses a default client with no
-// overall timeout (long-polls are bounded server-side).
-func NewLiveClient(base string, hc *http.Client) *LiveClient {
-	if hc == nil {
-		hc = &http.Client{}
-	}
-	return &LiveClient{base: strings.TrimRight(base, "/"), hc: hc}
+// (e.g. "http://127.0.0.1:8080") with no overall timeout: long-polls are
+// bounded server-side.
+func NewLiveClient(base string) *LiveClient {
+	return &LiveClient{base: strings.TrimRight(base, "/"), hc: &http.Client{}}
 }
 
 // APIError is a non-2xx response from the live API.
@@ -176,32 +172,14 @@ type AgentConfig struct {
 	Name  string
 	Slots int
 
-	// HTTPClient overrides the transport (chaos injection); nil uses a
-	// default client.
-	HTTPClient *http.Client
-
 	// PollWait caps the long-poll duration; the effective wait also stays
 	// under half the server's heartbeat TTL. Default 5 s.
 	PollWait time.Duration
 
-	// Stretch, when > 1, multiplies the emulated phase durations: the chaos
-	// slow-agent fault (chaos.Plan.AgentSlowdown). The agent reports its
-	// real (stretched) measurements, which is exactly what a straggler
-	// looks like to the dispatcher's speculation threshold.
-	Stretch float64
-
 	// CrashTask, when set, is consulted once per lease; true means the
-	// attempt dies partway through execution and is reported Failed (the
-	// chaos task-crash fault, chaos.Plan.TaskCrashes, keyed by task and
-	// attempt so a poison task fails every retry deterministically).
+	// attempt dies partway through execution and is reported Failed, so a
+	// test can make a poison task fail every retry.
 	CrashTask func(task int64, attempt int) bool
-
-	// JitterSeed seeds the retry-jitter RNG shared by the register,
-	// poll, and completion-report backoff loops. 0 derives a seed from
-	// the wall clock. wire-agent threads the chaos plan's seed (and
-	// stream) here so a fault-injection run reproduces its retry timing
-	// exactly.
-	JitterSeed int64
 
 	// Logf, when set, receives operational log lines.
 	Logf func(format string, args ...any)
@@ -227,8 +205,9 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	client := NewLiveClient(cfg.BaseURL, cfg.HTTPClient)
-	jitter := newJitterSeq(cfg.JitterSeed)
+	client := NewLiveClient(cfg.BaseURL)
+	// Seed 0: every agent process draws its own retry jitter.
+	jitter := newJitterSeq(0)
 
 	var wg sync.WaitGroup
 	defer wg.Wait()
@@ -327,10 +306,6 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 func runLease(ctx context.Context, client *LiveClient, cfg AgentConfig, agentID string, l Lease, logf func(string, ...any), jitterRNG *rand.Rand) {
 	runID := cfg.RunID
 	spec := l.Spec
-	if cfg.Stretch > 1 {
-		spec.ExecS *= cfg.Stretch
-		spec.TransferS *= cfg.Stretch
-	}
 	crash := cfg.CrashTask != nil && cfg.CrashTask(int64(l.Task), l.Attempt)
 	if crash {
 		// A poison attempt dies about a quarter of the way into execution:
@@ -355,7 +330,7 @@ func runLease(ctx context.Context, client *LiveClient, cfg AgentConfig, agentID 
 		return
 	}
 	if crash {
-		logf("agent %s: lease %d (task %d attempt %d) crashing by chaos plan", agentID, l.ID, l.Task, l.Attempt)
+		logf("agent %s: lease %d (task %d attempt %d) crashing by CrashTask", agentID, l.ID, l.Task, l.Attempt)
 		rep = CompleteReport{Failed: true, Error: fmt.Sprintf("chaos: injected crash on attempt %d", l.Attempt)}
 	}
 	// The measurement must not be lost to a transient blip: retry with the

@@ -57,7 +57,7 @@ func TestLiveRunOverHTTP(t *testing.T) {
 	reg := newTestRegistry(t, RegistryConfig{JournalDir: dir})
 	ts := httptest.NewServer(liveHandler(reg))
 	defer ts.Close()
-	client := NewLiveClient(ts.URL, nil)
+	client := NewLiveClient(ts.URL)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -165,7 +165,7 @@ func TestDrainWaitsForOutstandingLeases(t *testing.T) {
 	reg := newTestRegistry(t, RegistryConfig{})
 	ts := httptest.NewServer(liveHandler(reg))
 	defer ts.Close()
-	client := NewLiveClient(ts.URL, nil)
+	client := NewLiveClient(ts.URL)
 	ctx := context.Background()
 
 	info, err := client.CreateRun(ctx, &CreateRunRequest{
@@ -225,7 +225,7 @@ func TestRegistryLimitsAndErrors(t *testing.T) {
 	reg := newTestRegistry(t, RegistryConfig{MaxRuns: 1})
 	ts := httptest.NewServer(liveHandler(reg))
 	defer ts.Close()
-	client := NewLiveClient(ts.URL, nil)
+	client := NewLiveClient(ts.URL)
 	ctx := context.Background()
 
 	mk := func() (RunInfo, error) {

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/cloud"
 	"repro/internal/dag"
 	"repro/internal/dagio"
@@ -64,7 +63,7 @@ func TestRegisterReconnectSameName(t *testing.T) {
 }
 
 // poisonDoc is a flat stage where the first task is the designated poison
-// task: under the chaos task-crash fault it fails every attempt.
+// task: the agents crash every attempt of it.
 func poisonDoc() (*dagio.Document, dag.TaskID) {
 	b := dag.NewBuilder("poison")
 	s := b.AddStage("work")
@@ -76,7 +75,7 @@ func poisonDoc() (*dagio.Document, dag.TaskID) {
 }
 
 // TestPoisonTaskQuarantine is the poison-task chaos certificate: a task whose
-// every attempt crashes (deterministic chaos.Plan.TaskCrashes stream) must be
+// every attempt crashes (the agents' CrashTask hook) must be
 // retried exactly its attempt budget with backoff, then quarantined, and the
 // run must complete in an explicit degraded state instead of hanging.
 func TestPoisonTaskQuarantine(t *testing.T) {
@@ -84,7 +83,7 @@ func TestPoisonTaskQuarantine(t *testing.T) {
 	reg := newTestRegistry(t, RegistryConfig{JournalDir: dir})
 	ts := httptest.NewServer(liveHandler(reg))
 	defer ts.Close()
-	client := NewLiveClient(ts.URL, nil)
+	client := NewLiveClient(ts.URL)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -104,7 +103,6 @@ func TestPoisonTaskQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plan := chaos.Plan{Seed: 11, TaskCrash: 1}
 	var agents sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		agents.Add(1)
@@ -117,7 +115,7 @@ func TestPoisonTaskQuarantine(t *testing.T) {
 				Slots:    2,
 				PollWait: 200 * time.Millisecond,
 				CrashTask: func(task int64, attempt int) bool {
-					return task == int64(poison) && plan.TaskCrashes(task, attempt)
+					return task == int64(poison)
 				},
 			})
 			if err != nil && ctx.Err() == nil {
@@ -328,7 +326,7 @@ func TestDispatcherCrashRecovery(t *testing.T) {
 	srv1 := &http.Server{Handler: liveHandler(reg1)}
 	go srv1.Serve(ln)
 	base := "http://" + addr
-	client := NewLiveClient(base, nil)
+	client := NewLiveClient(base)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -476,7 +474,7 @@ func TestDeleteVsCompleteRace(t *testing.T) {
 	for round := 0; round < 6; round++ {
 		reg := newTestRegistry(t, RegistryConfig{})
 		ts := httptest.NewServer(liveHandler(reg))
-		client := NewLiveClient(ts.URL, nil)
+		client := NewLiveClient(ts.URL)
 		info, err := client.CreateRun(ctx, &CreateRunRequest{
 			Workflow:         doc,
 			SlotsPerInstance: 2,
@@ -645,7 +643,7 @@ func TestAgentTypedRegisterError(t *testing.T) {
 
 	// A run that already failed rejects registration as run_over. (Failing
 	// at the wall horizon is TestWallHorizon's, on virtual time.)
-	client := NewLiveClient(ts.URL, nil)
+	client := NewLiveClient(ts.URL)
 	info, err := client.CreateRun(ctx, &CreateRunRequest{
 		Workflow:         fanoutDoc(),
 		SlotsPerInstance: 2,

@@ -285,7 +285,7 @@ func TestRecoverReadsJournalOnce(t *testing.T) {
 	reg1 := newTestRegistry(t, RegistryConfig{JournalDir: dir1})
 	ts := httptest.NewServer(liveHandler(reg1))
 	defer ts.Close()
-	client := NewLiveClient(ts.URL, nil)
+	client := NewLiveClient(ts.URL)
 	ctx := context.Background()
 	info, err := client.CreateRun(ctx, &CreateRunRequest{
 		Workflow: dagio.Encode(flatWorkflow(2, 10)), SlotsPerInstance: 2, LagTimeS: 2, ChargingUnitS: 30,

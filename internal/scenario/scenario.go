@@ -1,12 +1,14 @@
-// Package scenario is the repository's one scenario runner: it drives a fleet
-// of simulated workflow sessions against wire-serve — an external daemon, or
-// an in-process fleet it hosts and injects faults into — re-runs every session
-// against an in-process twin, and states the verdict. It is the harness behind
-// `wire-serve loadgen`, which drives an external daemon or router, and behind
-// every certificate, each a test here: `go test -race ./internal/scenario -run
-// '^TestX$'` for TestChaosCertifyKillRestart, TestShardCertifyKill,
+// Package scenario is the repository's one scenario runner, a test harness
+// that only tests import: it drives a fleet of simulated workflow sessions
+// against wire-serve — an external daemon, or an in-process fleet it hosts
+// and injects faults into — re-runs every session against an in-process twin,
+// and states the verdict. It is the harness behind every certificate, each a
+// test here: `go test -race ./internal/scenario -run '^TestX$'` for
+// TestChaosCertifyKillRestart, TestShardCertifyKill,
 // TestShardCertifyRollingRestart, TestShardCertifyChurn and
-// TestShardCertifyPartition. Nothing in the serving packages depends on it.
+// TestShardCertifyPartition. cmd/wire-serve's TestProcesses drives real
+// wire-serve processes through it as an external router. Nothing in the
+// serving packages or the binaries depends on it.
 //
 // Four things live here and nowhere else:
 //
@@ -49,9 +51,8 @@ type Config struct {
 	// Concurrency bounds simultaneously running sessions (default: all).
 	Concurrency int
 
-	// Policy and Controller configure every session (default "wire").
-	Policy     string
-	Controller *service.ControllerSpec
+	// Policy is every session's controller (default "wire").
+	Policy string
 
 	// WorkflowKey picks a Table I catalogue run; Workflow overrides it with
 	// an arbitrary per-seed generator. One of the two is required outside
@@ -96,8 +97,8 @@ type Config struct {
 	// deadline, so the daemon sees overlapping lifetimes, per-tenant
 	// admission pressure, and budget throttling.
 	Arrivals string
-	// Stream replays an explicit arrival stream (a trace import) instead of
-	// generating one; it implies stream mode.
+	// Stream replays an explicit arrival stream instead of generating one;
+	// it implies stream mode.
 	Stream *tenancy.Stream
 	// Tenants is the number of tenant streams (default 3).
 	Tenants int
@@ -172,9 +173,6 @@ type Result struct {
 
 	Plans     int64
 	Decisions int64
-	Wall      time.Duration
-	// PlansPerSec is the sustained plan-request throughput.
-	PlansPerSec float64
 	// Latency summarizes client-observed plan round trips.
 	Latency service.LatencySummary
 
@@ -192,9 +190,8 @@ type Result struct {
 	// and retried; every one was eventually admitted (a throttled session
 	// that never got in is counted in Failed instead).
 	Throttled int64
-	// DeadlineMisses and TenantSpendUnits sum the daemon's per-tenant ledger
-	// after the run (stream mode).
-	DeadlineMisses   int64
+	// TenantSpendUnits sums the daemon's per-tenant ledger after the run
+	// (stream mode).
 	TenantSpendUnits float64
 
 	// Errors holds the first few failure messages.
@@ -285,7 +282,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 	// Validate the policy spec once up front, not N times concurrently.
-	if _, err := service.NewPolicyController(cfg.Policy, cfg.Controller); err != nil {
+	if _, err := service.NewPolicyController(cfg.Policy, nil); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
 	arrs, err := cfg.arrivals()

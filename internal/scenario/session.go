@@ -205,38 +205,27 @@ dispatch:
 		// Chaos sessions plan through private clients and count their own.
 		res.Retries += client.Retries()
 	}
-	res.Wall = time.Since(start)
-	if sec := res.Wall.Seconds(); sec > 0 {
-		res.PlansPerSec = float64(res.Plans) / sec
-	}
 	res.Latency = service.SummarizeLatencies(s.latencies)
 
-	// The daemon's ledger is authoritative for misses and spend.
+	// The daemon's ledger is authoritative for spend.
 	for _, name := range tenants {
 		info, err := client.Tenant(ctx, name)
 		if err != nil {
 			continue
 		}
-		res.DeadlineMisses += info.DeadlineMisses
 		res.TenantSpendUnits += info.SpendUnits
 	}
 	return nil
 }
 
 // sessionSpec is the controller spec for one arrival: the deadline policy
-// races each arrival's own deadline unless the caller pinned one.
+// races each arrival's own deadline; every other session runs the policy's
+// defaults.
 func (cfg *Config) sessionSpec(arr arrival) *service.ControllerSpec {
 	if cfg.Policy != "deadline" || arr.deadline <= 0 {
-		return cfg.Controller
+		return nil
 	}
-	spec := service.ControllerSpec{}
-	if cfg.Controller != nil {
-		spec = *cfg.Controller
-	}
-	if spec.Deadline <= 0 {
-		spec.Deadline = arr.deadline
-	}
-	return &spec
+	return &service.ControllerSpec{Deadline: arr.deadline}
 }
 
 // create opens the arrival's session, retrying tenant-throttled creates until

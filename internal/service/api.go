@@ -745,7 +745,7 @@ type ProbeRequest struct {
 // ProbeResponse reports what the relay saw.
 type ProbeResponse struct {
 	// Reachable is true when the target answered HTTP at all — any status
-	// counts; a 503 replaying shard is alive, just not ready.
+	// counts; a shard answering 503 is alive, just not ready.
 	Reachable bool `json:"reachable"`
 	// Status is the HTTP status the target returned (0 when unreachable).
 	Status int `json:"status,omitempty"`

@@ -383,7 +383,7 @@ func liveCrashAndReopen(t *testing.T, cfg func(dir string) Config) {
 		srv := New(cfg(dir))
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
-		return srv, exec.NewLiveClient(ts.URL, nil)
+		return srv, exec.NewLiveClient(ts.URL)
 	}
 	srv1, c1 := liveClient(dir1)
 	info, err := c1.CreateRun(ctx, &exec.CreateRunRequest{

@@ -59,7 +59,7 @@ func TestServeDrainsLiveLeasesOnShutdown(t *testing.T) {
 	b := dag.NewBuilder("one")
 	s := b.AddStage("work")
 	b.AddTask(s, "t", 10000, 0, 1)
-	client := exec.NewLiveClient("http://"+ln.Addr().String(), nil)
+	client := exec.NewLiveClient("http://" + ln.Addr().String())
 	info, err := client.CreateRun(ctx, &exec.CreateRunRequest{
 		Workflow:         dagio.Encode(b.MustBuild()),
 		SlotsPerInstance: 1,

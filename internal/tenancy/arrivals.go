@@ -17,9 +17,6 @@ const (
 	Diurnal = "diurnal"
 )
 
-// Processes lists the supported arrival processes.
-func Processes() []string { return []string{Poisson, Burst, Diurnal} }
-
 // StreamConfig parameterizes stream generation. The zero value is invalid;
 // withDefaults fills everything but Seed, N, and RatePerHour.
 type StreamConfig struct {

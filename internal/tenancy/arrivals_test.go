@@ -7,6 +7,9 @@ import (
 	"repro/internal/workloads"
 )
 
+// processes are the arrival processes Generate supports.
+var processes = []string{Poisson, Burst, Diurnal}
+
 func testStreamConfig(process string, rate float64) StreamConfig {
 	return StreamConfig{
 		Seed:          42,
@@ -26,7 +29,7 @@ func testStreamConfig(process string, rate float64) StreamConfig {
 // with splitmix64 from (seed, process, tenant), so generation order cannot
 // leak in).
 func TestGenerateDeterministic(t *testing.T) {
-	for _, process := range Processes() {
+	for _, process := range processes {
 		a, err := Generate(testStreamConfig(process, 24))
 		if err != nil {
 			t.Fatalf("%s: %v", process, err)
@@ -42,7 +45,7 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestGenerateShape(t *testing.T) {
-	for _, process := range Processes() {
+	for _, process := range processes {
 		s, err := Generate(testStreamConfig(process, 24))
 		if err != nil {
 			t.Fatalf("%s: %v", process, err)

@@ -60,8 +60,7 @@ func (a Arrival) Deadline() simtime.Time { return a.Time + simtime.Time(a.Deadli
 
 // Stream is a merged multi-tenant arrival sequence, sorted by time.
 type Stream struct {
-	// Seed and Process record how the stream was generated ("trace" for
-	// imported streams).
+	// Seed and Process record how the stream was generated.
 	Seed    int64
 	Process string
 	// Arrivals is sorted by (Time, Tenant, Index).

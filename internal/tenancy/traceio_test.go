@@ -3,6 +3,7 @@ package tenancy
 import (
 	"bytes"
 	"encoding/csv"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -10,12 +11,15 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/simtime"
+	"repro/internal/workloads"
 )
 
 // A write/read round trip must reproduce the stream's arrivals bit for bit
 // (floats use strconv's shortest exact form).
 func TestTraceRoundTrip(t *testing.T) {
-	for _, process := range Processes() {
+	for _, process := range processes {
 		s, err := Generate(testStreamConfig(process, 24))
 		if err != nil {
 			t.Fatal(err)
@@ -24,12 +28,12 @@ func TestTraceRoundTrip(t *testing.T) {
 		if err := writeStreamCSV(&buf, s); err != nil {
 			t.Fatal(err)
 		}
-		back, err := ReadStreamCSV(&buf)
+		back, err := readStreamCSV(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if back.Process != TraceProcess {
-			t.Errorf("imported process %q, want %q", back.Process, TraceProcess)
+		if back.Process != traceProcess {
+			t.Errorf("imported process %q, want %q", back.Process, traceProcess)
 		}
 		if !reflect.DeepEqual(s.Arrivals, back.Arrivals) {
 			t.Errorf("%s: arrivals changed across the CSV round trip", process)
@@ -45,7 +49,7 @@ func TestTraceFixtureReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixture, err := ReadStreamCSV(bytes.NewReader(raw))
+	fixture, err := readStreamCSV(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +83,7 @@ func TestReadStreamCSVRejects(t *testing.T) {
 		"bad float": "arrival_s,tenant,workflow,seed,deadline_s,budget_units\nxyz,t0,tpch6-s,7,100,1\n",
 	}
 	for name, csvText := range cases {
-		if _, err := ReadStreamCSV(strings.NewReader(csvText)); err == nil {
+		if _, err := readStreamCSV(strings.NewReader(csvText)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -107,4 +111,78 @@ func writeStreamCSV(w io.Writer, s *Stream) error {
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// traceProcess names streams that came from an imported trace rather than a
+// generated arrival process.
+const traceProcess = "trace"
+
+// traceHeader is the stable column layout of a stream trace CSV: one row
+// per arrival, times in seconds from stream start. Floats are in strconv's
+// shortest exact form, so a stream round-trips bit for bit.
+var traceHeader = []string{"arrival_s", "tenant", "workflow", "seed", "deadline_s", "budget_units"}
+
+// readStreamCSV imports a trace CSV, as the fixture in testdata is read.
+// Workflow keys must exist in the workloads catalog; arrivals must be sorted
+// by time.
+func readStreamCSV(r io.Reader) (*Stream, error) {
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = len(traceHeader)
+	header, err := cr.Read()
+	if err != nil {
+		return nil, fmt.Errorf("tenancy: trace header: %w", err)
+	}
+	for i, want := range traceHeader {
+		if header[i] != want {
+			return nil, fmt.Errorf("tenancy: trace column %d is %q, want %q", i, header[i], want)
+		}
+	}
+	s := &Stream{Process: traceProcess}
+	for line := 2; ; line++ {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("tenancy: trace line %d: %w", line, err)
+		}
+		at, err := strconv.ParseFloat(rec[0], 64)
+		if err != nil {
+			return nil, fmt.Errorf("tenancy: trace line %d: arrival_s: %w", line, err)
+		}
+		if rec[1] == "" {
+			return nil, fmt.Errorf("tenancy: trace line %d: empty tenant", line)
+		}
+		if _, ok := workloads.ByKey(rec[2]); !ok {
+			return nil, fmt.Errorf("tenancy: trace line %d: unknown workflow %q", line, rec[2])
+		}
+		seed, err := strconv.ParseInt(rec[3], 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("tenancy: trace line %d: seed: %w", line, err)
+		}
+		deadline, err := strconv.ParseFloat(rec[4], 64)
+		if err != nil {
+			return nil, fmt.Errorf("tenancy: trace line %d: deadline_s: %w", line, err)
+		}
+		budget, err := strconv.Atoi(rec[5])
+		if err != nil {
+			return nil, fmt.Errorf("tenancy: trace line %d: budget_units: %w", line, err)
+		}
+		if n := len(s.Arrivals); n > 0 && simtime.Time(at) < s.Arrivals[n-1].Time {
+			return nil, fmt.Errorf("tenancy: trace line %d: arrivals not sorted by time", line)
+		}
+		s.Arrivals = append(s.Arrivals, Arrival{
+			Index:        len(s.Arrivals),
+			Tenant:       rec[1],
+			Time:         simtime.Time(at),
+			WorkflowKey:  rec[2],
+			WorkflowSeed: seed,
+			DeadlineS:    deadline,
+			BudgetUnits:  budget,
+		})
+	}
+	if len(s.Arrivals) == 0 {
+		return nil, fmt.Errorf("tenancy: trace has no arrivals")
+	}
+	return s, nil
 }

@@ -1,9 +1,11 @@
 package wire_test
 
-// The module keeps no API that only its own tests call and no command-line
-// flag that nobody sets. Both rules are checked here over the type-checked
-// non-test code of the whole module and of the benchmark module in bench/,
-// with the standard library's go/types and its source importer.
+// The module keeps no API that only its own tests call, no command-line flag
+// that nobody sets, and no documented command line that passes a flag its
+// binary lacks. The rules are checked here, and the import boundaries in
+// boundary_test.go, over the type-checked non-test code of the whole module
+// and of the benchmark module in bench/, with the standard library's go/types
+// and its source importer.
 
 import (
 	"fmt"
@@ -34,6 +36,7 @@ import (
 // ".Type.Method".
 var oracles = map[string]string{
 	"internal/leakcheck":   "goroutine-leak check that test mains call",
+	"internal/scenario":    "session runner, fleet host and fault drivers that the certificates and cmd/wire-serve's process test call",
 	"internal/wal/waltest": "fault-injecting journal files for the wal, service and exec tests",
 
 	"internal/lookahead.Project":           "from-scratch projection that TestProjectorMatchesFromScratch holds the incremental Projector to",
@@ -108,6 +111,9 @@ func TestEveryFlagHasACaller(t *testing.T) {
 	for _, msg := range unsetFlags(prog, readDocs(t, "README.md", ".github/workflows/ci.yml")) {
 		t.Error(msg)
 	}
+	for _, msg := range undefinedFlags(prog, readDocs(t, "README.md", "EXPERIMENTS.md", ".github/workflows/ci.yml")) {
+		t.Error(msg)
+	}
 }
 
 // readDocs reads files relative to the module root.
@@ -124,7 +130,7 @@ func readDocs(t *testing.T, names ...string) []string {
 	return docs
 }
 
-// TestCallerChecks runs both checks over a small module held in memory.
+// TestCallerChecks runs the checks over a small module held in memory.
 func TestCallerChecks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the standard library from source")
@@ -249,13 +255,19 @@ var (
 	}
 	const readme = "Call `wire.Named` for the count.\n"
 	ids := uncalled(prog, map[string]string{"internal/lib.Oracle": "test oracle"}, readme)
-	flags := unsetFlags(prog, []string{
+	docs := []string{
 		"run `tool -named x`\nthen `other -elsewhere`\n\n" +
 			"```\ntool -named y \\\n  -continued\n# tool, in a comment that is no heading\n-nobody\n```\n\n" +
-			"## `tool` flags\n\n| `-in-table` |\n",
+			"## `tool` flags\n\n| `-in-table` |\n\n" +
+			"A deleted flag: `tool -named -gone`.\n\n" +
+			"```\ngo run ./cmd/tool -named -stale 1 2>&1 -redirected # -commented\n" +
+			"echo x | tool -piped && tool -h\nlauncher -bin ./tool -launcher-flag\n```\n",
 		"  run: tool -in-ci\n",
-	})
+	}
+	flags := unsetFlags(prog, docs)
+	undefined := undefinedFlags(prog, docs)
 	stale := uncalled(prog, map[string]string{"internal/lib.Used": "has a caller", "internal/lib.Gone": "deleted"}, readme)
+	crossed := crossings(prog, []boundary{{from: []string{"cmd", "examples"}, to: []string{"internal/lib"}, why: "test rule"}})
 	for _, tc := range []struct {
 		name   string
 		got    []string
@@ -289,6 +301,17 @@ var (
 		{"flag on a continuation line", flags, "-continued", false},
 		{"flag in a table under a heading naming the binary", flags, "-in-table", false},
 		{"flag passed by Go code that does not name the binary", flags, "flag -go-other", true},
+		{"direct import across a boundary", crossed, "cmd/tool reaches internal/lib (cmd/tool → internal/lib)", true},
+		{"import across a boundary through another package", crossed, "examples/runner reaches internal/lib (examples/runner → wire → internal/lib)", true},
+		{"package under from that imports nothing", crossed, "examples/other", false},
+		{"undefined flag in inline code", undefined, "tool passes -gone", true},
+		{"undefined flag after go run", undefined, "tool passes -stale", true},
+		{"undefined flag after a pipe", undefined, "tool passes -piped", true},
+		{"defined flag on a command line", undefined, "passes -named", false},
+		{"help flag", undefined, "passes -h", false},
+		{"word after a redirection", undefined, "passes -redirected", false},
+		{"word in a shell comment", undefined, "passes -commented", false},
+		{"flag of a program that takes the binary as an argument", undefined, "passes -launcher-flag", false},
 	} {
 		found := false
 		for _, msg := range tc.got {
@@ -298,8 +321,9 @@ var (
 			t.Errorf("%s: reported %v, want %v; reports:\n%s", tc.name, found, tc.report, strings.Join(tc.got, "\n"))
 		}
 	}
-	if len(ids) != 8 || len(flags) != 3 {
-		t.Errorf("got %d identifier and %d flag reports, want 8 and 3:\n%s", len(ids), len(flags), strings.Join(append(ids, flags...), "\n"))
+	if len(ids) != 8 || len(flags) != 3 || len(undefined) != 3 || len(crossed) != 2 {
+		t.Errorf("got %d identifier, %d unset flag, %d undefined flag and %d boundary reports, want 8, 3, 3 and 2:\n%s",
+			len(ids), len(flags), len(undefined), len(crossed), strings.Join(append(append(append(ids, flags...), undefined...), crossed...), "\n"))
 	}
 }
 
@@ -733,13 +757,68 @@ func markFacadeCalls(facadeUses map[types.Object][]types.Object, used map[types.
 	}
 }
 
+// flagDef is a flag that a cmd/ binary defines.
+type flagDef struct {
+	name string
+	pos  token.Position
+}
+
+// definedFlags returns the flags the package of a cmd/ binary defines, found
+// statically as calls to a flag package function or FlagSet method that
+// takes a name and a usage. A name that is not a constant is reported.
+func definedFlags(prog *program, p *pkg) (defs []flagDef, msgs []string) {
+	for _, f := range p.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			fn, ok := p.info.Uses[sel.Sel].(*types.Func)
+			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "flag" {
+				return true
+			}
+			params, nameAt := fn.Type().(*types.Signature).Params(), -1
+			for i := 0; i < params.Len(); i++ {
+				if params.At(i).Name() == "name" {
+					nameAt = i
+				}
+			}
+			if nameAt < 0 || params.At(params.Len()-1).Name() != "usage" {
+				return true
+			}
+			pos := prog.fset.Position(call.Pos())
+			val := p.info.Types[call.Args[nameAt]].Value
+			if val == nil || val.Kind() != constant.String {
+				msgs = append(msgs, fmt.Sprintf("%s: %s: flag name is not a constant", pos, p.dir))
+				return true
+			}
+			defs = append(defs, flagDef{constant.StringVal(val), pos})
+			return true
+		})
+	}
+	return defs, msgs
+}
+
+// binaries returns the cmd/ packages by binary name.
+func binaries(prog *program) map[string]*pkg {
+	bins := map[string]*pkg{}
+	for _, p := range prog.order {
+		if strings.HasPrefix(p.dir, "cmd/") {
+			bins[path.Base(p.dir)] = p
+		}
+	}
+	return bins
+}
+
 // unsetFlags reports every flag a cmd/ binary defines that no caller of that
-// binary sets. A flag is found statically, as a call to a flag package
-// function or FlagSet method that takes a name and a usage, with a constant
-// name. Its callers are the lines of docs (README and CI text) that name the
-// binary, where -name must stand as a word, and the packages of non-test Go
-// code outside the binary that name it in one string literal and hold "-name"
-// or "-name=…" in another, as a program that starts it does.
+// binary sets. Its callers are the lines of docs (README and CI text) that
+// name the binary, where -name must stand as a word, and the packages of
+// non-test Go code outside the binary that name it in one string literal and
+// hold "-name" or "-name=…" in another, as a program that starts it does.
 func unsetFlags(prog *program, docs []string) []string {
 	type literals struct {
 		dir   string
@@ -766,11 +845,8 @@ func unsetFlags(prog *program, docs []string) []string {
 	}
 	lines := docLines(docs)
 	var msgs []string
-	for _, p := range prog.order {
-		if !strings.HasPrefix(p.dir, "cmd/") {
-			continue
-		}
-		bin := regexp.MustCompile(`(^|[^\w-])` + regexp.QuoteMeta(path.Base(p.dir)) + `($|[^\w-])`)
+	for name, p := range binaries(prog) {
+		bin := regexp.MustCompile(`(^|[^\w-])` + regexp.QuoteMeta(name) + `($|[^\w-])`)
 		var callers []string // doc lines that name the binary
 		for _, l := range lines {
 			if bin.MatchString(l.text) || bin.MatchString(l.heading) {
@@ -792,42 +868,67 @@ func unsetFlags(prog *program, docs []string) []string {
 			}
 		}
 		docText := strings.Join(callers, "\n")
-		for _, f := range p.files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
+		defs, bad := definedFlags(prog, p)
+		msgs = append(msgs, bad...)
+		for _, d := range defs {
+			named := regexp.MustCompile(`(^|[^\w-])--?` + regexp.QuoteMeta(d.name) + `($|[^\w-])`)
+			if !goFlags[d.name] && !named.MatchString(docText) {
+				msgs = append(msgs, fmt.Sprintf("%s: %s: flag -%s is set by no README command, CI step or Go caller", d.pos, p.dir, d.name))
+			}
+		}
+	}
+	sort.Strings(msgs)
+	return msgs
+}
+
+// undefinedFlags reports every flag that a command line in docs passes to a
+// cmd/ binary that defines no flag of that name, so a deleted flag cannot
+// live on in a document. A command line is a binary's name standing as the
+// command — bare, as ./name or as "go run ./cmd/name" — at the start of a
+// line (after an optional "run:"), of inline code, or of a shell segment. Its
+// flags are the words after the name that start with "-", up to the end of
+// the command: a backtick, a shell operator, a comment or a redirection.
+func undefinedFlags(prog *program, docs []string) []string {
+	bins := binaries(prog)
+	defined := map[string]map[string]bool{}
+	var names []string
+	for name, p := range bins {
+		defined[name] = map[string]bool{"h": true, "help": true}
+		defs, _ := definedFlags(prog, p)
+		for _, d := range defs {
+			defined[name][d.name] = true
+		}
+		names = append(names, regexp.QuoteMeta(name))
+	}
+	sort.Strings(names)
+	cmd := regexp.MustCompile(`(?:^\s*(?:-\s+)?(?:run:\s*)?|` + "`" + `|[|;&(]\s*)(?:go run \./cmd/|\./)?(` + strings.Join(names, "|") + `)(\s[^\n]*)?$`)
+	flagWord := regexp.MustCompile(`^--?([A-Za-z][\w-]*)`)
+	redirect := regexp.MustCompile(`^\d*[<>]`)
+	var msgs []string
+	for _, l := range docLines(docs) {
+		text := l.text
+		for {
+			m := cmd.FindStringSubmatchIndex(text)
+			if m == nil {
+				break
+			}
+			bin, rest := text[m[2]:m[3]], ""
+			if m[4] >= 0 {
+				rest = text[m[4]:m[5]]
+			}
+			// The next command on the line starts where this one ends.
+			text = rest
+			if end := strings.IndexAny(rest, "`|;&()"); end >= 0 {
+				rest = rest[:end]
+			}
+			for _, word := range strings.Fields(rest) {
+				if strings.HasPrefix(word, "#") || redirect.MatchString(word) {
+					break
 				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
+				if f := flagWord.FindStringSubmatch(word); f != nil && !defined[bin][f[1]] {
+					msgs = append(msgs, fmt.Sprintf("%s passes -%s, which cmd/%s does not define: %s", bin, f[1], bin, strings.TrimSpace(l.text)))
 				}
-				fn, ok := p.info.Uses[sel.Sel].(*types.Func)
-				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "flag" {
-					return true
-				}
-				params, nameAt := fn.Type().(*types.Signature).Params(), -1
-				for i := 0; i < params.Len(); i++ {
-					if params.At(i).Name() == "name" {
-						nameAt = i
-					}
-				}
-				if nameAt < 0 || params.At(params.Len()-1).Name() != "usage" {
-					return true
-				}
-				pos := prog.fset.Position(call.Pos())
-				val := p.info.Types[call.Args[nameAt]].Value
-				if val == nil || val.Kind() != constant.String {
-					msgs = append(msgs, fmt.Sprintf("%s: %s: flag name is not a constant", pos, p.dir))
-					return true
-				}
-				name := constant.StringVal(val)
-				named := regexp.MustCompile(`(^|[^\w-])--?` + regexp.QuoteMeta(name) + `($|[^\w-])`)
-				if !goFlags[name] && !named.MatchString(docText) {
-					msgs = append(msgs, fmt.Sprintf("%s: %s: flag -%s is set by no README command, CI step or Go caller", pos, p.dir, name))
-				}
-				return true
-			})
+			}
 		}
 	}
 	sort.Strings(msgs)

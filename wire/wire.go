@@ -198,7 +198,7 @@ type (
 )
 
 // NewLiveClient returns a live-plane client for the daemon at baseURL.
-func NewLiveClient(baseURL string) *LiveClient { return exec.NewLiveClient(baseURL, nil) }
+func NewLiveClient(baseURL string) *LiveClient { return exec.NewLiveClient(baseURL) }
 
 // RunLiveAgent runs a worker agent against a live run until the run
 // completes or ctx is canceled — the library form of cmd/wire-agent.
