@@ -15,7 +15,7 @@ import (
 // splits, one-way link drops, slow links) realized by a link-aware Network
 // wrapper over Transport. Where Transport injects per-attempt faults on ONE
 // request stream, Network models the topology between named endpoints — the
-// router, each shard, the loadgen client, an agent fleet — and applies
+// router, each shard, the session client, an agent fleet — and applies
 // directed per-link rules, so a shard can be alive yet unreachable from the
 // router while a peer still sees it: the asymmetric failure mode that
 // separates "dead" from "partitioned-from-me".
@@ -134,16 +134,6 @@ func (p Plan) partitionSchedule(kinds []PartitionKind, n, events int, minGap, ma
 		out[i] = PartitionEvent{At: at, Duration: dur, Kind: kind, Shard: shard}
 	}
 	return out
-}
-
-// PartitionSpec is a nemesis spec: an explicit sequence of partition kinds, or
-// a count of events whose kinds are drawn from the seed.
-type PartitionSpec struct {
-	// Kinds is the explicit event sequence, one event per kind in order; nil
-	// when the kinds are drawn from the seed.
-	Kinds []PartitionKind
-	// Events is the seeded event count; ignored when Kinds is set.
-	Events int
 }
 
 // LinkError is the injected transport error of a cut link.

@@ -30,7 +30,7 @@ type Counts struct {
 	Delayed          int64 `json:"delayed"`
 }
 
-// Add accumulates another transport's counts (loadgen aggregates across
+// Add accumulates another transport's counts (the scenario runner aggregates across
 // per-session transports).
 func (c *Counts) Add(o Counts) {
 	c.Attempts += o.Attempts

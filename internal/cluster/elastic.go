@@ -123,7 +123,7 @@ func (ms *membership) migrate(ctx context.Context, donor peer, ids []string, fv 
 		return 0, nil
 	}
 	ms.setMigrating(ids, true)
-	exp, err := withTimeout(ctx, ms.cfg.AdoptTimeout, func(ctx context.Context) (*service.ExportResponse, error) {
+	exp, err := withTimeout(ctx, adoptTimeout, func(ctx context.Context) (*service.ExportResponse, error) {
 		return donor.api.Export(ctx, service.ExportRequest{SessionIDs: ids, Epoch: epoch})
 	})
 	if err != nil {
@@ -242,7 +242,7 @@ func (ms *membership) beginGrace() {
 		d = 2 * time.Second
 	}
 	ms.mu.Lock()
-	ms.graceUntil = ms.cfg.Clock().Add(d)
+	ms.graceUntil = time.Now().Add(d)
 	ms.mu.Unlock()
 }
 
@@ -256,7 +256,7 @@ func (ms *membership) inGrace() bool {
 	}
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	return ms.cfg.Clock().Before(ms.graceUntil)
+	return time.Now().Before(ms.graceUntil)
 }
 
 // shouldRetry404 reports whether a 404 a shard returned for session id ought
@@ -305,7 +305,7 @@ func (ms *membership) runOp(ctx context.Context, admit func() (*topoOp, error)) 
 	ms.mu.Lock()
 	op, err := admit()
 	if err == nil {
-		if op.view.ring, err = NewRing(op.names, ms.cfg.VNodes); err != nil {
+		if op.view.ring, err = NewRing(op.names, DefaultVNodes); err != nil {
 			err = opErrorf(http.StatusInternalServerError, "%s %s: rebuilding ring: %v", op.verb, op.subject, err)
 		}
 	}
@@ -360,7 +360,7 @@ var errUnlisted = errors.New("cluster: donor could not be listed")
 func (ms *membership) rebalance(ctx context.Context, verb string, donors []peer, fv *finalView, epoch int64) (picked, moved int, err error) {
 	for _, d := range donors {
 		moveAll := fv != nil && fv.leaving == d.Name
-		ids, err := withTimeout(ctx, ms.cfg.AdoptTimeout, d.api.ListSessions)
+		ids, err := withTimeout(ctx, adoptTimeout, d.api.ListSessions)
 		if err != nil {
 			if moveAll {
 				return picked, moved, fmt.Errorf("listing sessions on %s: %v: %w", d.Name, err, errUnlisted)

@@ -696,7 +696,7 @@ func (ms *membership) adopt(ctx context.Context, adopter string, areq service.Ad
 	}
 	api := m.api
 	ms.mu.Unlock()
-	ar, err := withTimeout(ctx, ms.cfg.AdoptTimeout, func(ctx context.Context) (*service.AdoptResponse, error) {
+	ar, err := withTimeout(ctx, adoptTimeout, func(ctx context.Context) (*service.AdoptResponse, error) {
 		return api.Adopt(ctx, areq)
 	})
 	if err != nil {

@@ -69,7 +69,7 @@ func (rt *Router) Counters() RouterCounters {
 		PartitionsSuspectedTotal: rt.members.partitionsSuspected.Load(),
 		PartitionsHealedTotal:    rt.members.partitionsHealed.Load(),
 		Partitioned503Total:      rt.partitioned503.Load(),
-		UptimeS:                  int64(rt.cfg.Clock().Sub(rt.start) / time.Second),
+		UptimeS:                  int64(time.Now().Sub(rt.start) / time.Second),
 	}
 }
 

@@ -19,8 +19,6 @@ type RouterConfig struct {
 	// Shards is the initial shard map. Required, but no longer immutable:
 	// POST /v1/admin/drain and /v1/admin/join reshape the fleet at runtime.
 	Shards []Shard
-	// VNodes is the ring's virtual-node count per shard (DefaultVNodes).
-	VNodes int
 
 	// HeartbeatInterval is the membership probe period (default 1s).
 	HeartbeatInterval time.Duration
@@ -30,28 +28,25 @@ type RouterConfig struct {
 	// or proxy transport errors) declare a shard dead (default 3).
 	FailThreshold int
 
-	// RetryAfter is the Retry-After hint on 503 shard_recovering responses
-	// (default 1s, rounded up to whole seconds on the wire).
-	RetryAfter time.Duration
-	// AdoptTimeout bounds one journal-handoff request to a surviving peer;
-	// replay of a big shard takes real time (default 60s).
-	AdoptTimeout time.Duration
-
 	// Client carries every request the router sends a shard: proxied
 	// traffic, heartbeats, handoffs and fan-outs (default: a pooled
 	// transport sized for the fleet). The router stamps each one with
 	// service.RouterIdentityHeader on its way through.
 	Client *http.Client
-	// Clock overrides the wall clock (tests).
-	Clock func() time.Time
 	// Logf receives operational log lines.
 	Logf func(format string, args ...any)
 }
 
+const (
+	// retryAfterSecs is the Retry-After hint, in seconds, on 503
+	// shard_recovering and shard_partitioned responses.
+	retryAfterSecs = 1
+	// adoptTimeout bounds one journal-handoff request to a surviving peer;
+	// replay of a big shard takes real time.
+	adoptTimeout = 60 * time.Second
+)
+
 func (c RouterConfig) withDefaults() RouterConfig {
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
-	}
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = time.Second
 	}
@@ -61,20 +56,11 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	if c.FailThreshold <= 0 {
 		c.FailThreshold = 3
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.AdoptTimeout <= 0 {
-		c.AdoptTimeout = 60 * time.Second
-	}
 	if c.Client == nil {
 		t := http.DefaultTransport.(*http.Transport).Clone()
 		t.MaxIdleConns = 256
 		t.MaxIdleConnsPerHost = 256
 		c.Client = &http.Client{Transport: t}
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -115,14 +101,14 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	for i, sh := range cfg.Shards {
 		names[i] = sh.Name
 	}
-	ring, err := NewRing(names, cfg.VNodes)
+	ring, err := NewRing(names, DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
 	rt := &Router{
 		cfg:     cfg,
 		members: newMembership(cfg, ring, names),
-		start:   cfg.Clock(),
+		start:   time.Now(),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sessions", rt.handleCreate)
@@ -181,11 +167,7 @@ func (rt *Router) writeError(w http.ResponseWriter, status int, code, format str
 // half-recovered peer.
 func (rt *Router) writeRecovering(w http.ResponseWriter, shard string) {
 	rt.recovering503.Add(1)
-	secs := int(rt.cfg.RetryAfter.Round(time.Second) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs))
 	rt.writeError(w, http.StatusServiceUnavailable, service.CodeShardRecovering,
 		"shard %s is failing over; its sessions are being recovered on a peer", shard)
 }
@@ -197,11 +179,7 @@ func (rt *Router) writeRecovering(w http.ResponseWriter, shard string) {
 // escalates to a real failover.
 func (rt *Router) writePartitioned(w http.ResponseWriter, shard string) {
 	rt.partitioned503.Add(1)
-	secs := int(rt.cfg.RetryAfter.Round(time.Second) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs))
 	rt.writeError(w, http.StatusServiceUnavailable, service.CodeShardPartitioned,
 		"shard %s is partitioned from the router but alive; retry until the link heals", shard)
 }

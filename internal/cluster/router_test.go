@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -155,7 +156,7 @@ func TestRouterPlacement(t *testing.T) {
 // hint and the distinct shard_recovering code, and new sessions keep landing
 // on live shards.
 func TestRouterRecovering503(t *testing.T) {
-	rt, rts, fleet := startFleet(t, 3, RouterConfig{RetryAfter: 2 * time.Second})
+	rt, rts, fleet := startFleet(t, 3, RouterConfig{})
 	client := service.NewClient(rts.URL)
 	ids := createSessions(t, client, 12)
 
@@ -183,8 +184,8 @@ func TestRouterRecovering503(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("recovering shard answered %d, want 503", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "2" {
-		t.Errorf("Retry-After = %q, want 2", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != strconv.Itoa(retryAfterSecs) {
+		t.Errorf("Retry-After = %q, want %d", ra, retryAfterSecs)
 	}
 	var eb service.ErrorBody
 	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
@@ -198,7 +199,7 @@ func TestRouterRecovering503(t *testing.T) {
 	one := service.NewClient(rts.URL, service.WithRetry(service.RetryPolicy{MaxAttempts: 1}))
 	_, err = one.State(context.Background(), onDead)
 	var ae *service.APIError
-	if !errors.As(err, &ae) || ae.RetryAfter != 2*time.Second {
+	if !errors.As(err, &ae) || ae.RetryAfter != retryAfterSecs*time.Second {
 		t.Errorf("client did not parse Retry-After: %v", err)
 	}
 

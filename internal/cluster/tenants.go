@@ -15,13 +15,13 @@ import (
 // tenant on every live shard (each shard enforces the budget/cap gate for
 // the sessions it hosts — the global limit is therefore enforced per shard,
 // a deliberately looser bound than the single-daemon gate). GET fans out
-// like /metrics and sums the counters, so operators and the stream loadgen
+// like /metrics and sums the counters, so operators and the scenario runner
 // see fleet-wide arrivals, throttles, spend, and deadline misses.
 
 // handleTenantCreate broadcasts the spec to every up shard and relays one
 // successful response. A shard that fails the broadcast simply misses the
 // spec (its gate stays unlimited) — the same soft-state contract as a shard
-// restart, where specs are re-registered by the operator or loadgen.
+// restart, where specs are re-registered by the operator or the scenario runner.
 func (rt *Router) handleTenantCreate(w http.ResponseWriter, r *http.Request) {
 	var spec service.TenantSpec
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&spec); err != nil || spec.Name == "" {

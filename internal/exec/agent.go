@@ -176,11 +176,6 @@ type AgentConfig struct {
 	// under half the server's heartbeat TTL. Default 5 s.
 	PollWait time.Duration
 
-	// CrashTask, when set, is consulted once per lease; true means the
-	// attempt dies partway through execution and is reported Failed, so a
-	// test can make a poison task fail every retry.
-	CrashTask func(task int64, attempt int) bool
-
 	// Logf, when set, receives operational log lines.
 	Logf func(format string, args ...any)
 }
@@ -305,33 +300,15 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 // runLease emulates one leased task and reports its measurements.
 func runLease(ctx context.Context, client *LiveClient, cfg AgentConfig, agentID string, l Lease, logf func(string, ...any), jitterRNG *rand.Rand) {
 	runID := cfg.RunID
-	spec := l.Spec
-	crash := cfg.CrashTask != nil && cfg.CrashTask(int64(l.Task), l.Attempt)
-	if crash {
-		// A poison attempt dies about a quarter of the way into execution:
-		// burn real wall time, never reach the transfer report, and tell
-		// the dispatcher the attempt Failed so it can requeue with backoff
-		// or quarantine once the attempt budget is spent.
-		spec.TransferS = 0
-		spec.ExecS /= 4
-	}
-	em := &Emulator{Spec: spec}
-	var onTransfer func(simtime.Duration)
-	if !crash {
-		onTransfer = func(transfer simtime.Duration) {
-			// Mid-task kickstart record: measured transfer duration. Best
-			// effort — the completion report carries it too.
-			_, _ = client.ReportTransfer(ctx, runID, agentID, l.ID, TransferReport{TransferS: transfer})
-		}
-	}
-	rep, err := em.Run(ctx, onTransfer)
+	em := &Emulator{Spec: l.Spec}
+	rep, err := em.Run(ctx, func(transfer simtime.Duration) {
+		// Mid-task kickstart record: measured transfer duration. Best
+		// effort — the completion report carries it too.
+		_, _ = client.ReportTransfer(ctx, runID, agentID, l.ID, TransferReport{TransferS: transfer})
+	})
 	if err != nil {
 		logf("agent %s: lease %d interrupted: %v", agentID, l.ID, err)
 		return
-	}
-	if crash {
-		logf("agent %s: lease %d (task %d attempt %d) crashing by CrashTask", agentID, l.ID, l.Task, l.Attempt)
-		rep = CompleteReport{Failed: true, Error: fmt.Sprintf("chaos: injected crash on attempt %d", l.Attempt)}
 	}
 	// The measurement must not be lost to a transient blip: retry with the
 	// shared jittered backoff, long enough to ride out a dispatcher restart.

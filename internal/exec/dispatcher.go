@@ -297,19 +297,11 @@ func (d *Dispatcher) Workflow() *dag.Workflow { return d.wf }
 // Config returns the effective (defaulted) configuration.
 func (d *Dispatcher) Config() Config { return d.cfg }
 
-// emitLocked forwards an event to the observer. Called under the lock; the
-// observer must not call back into the dispatcher.
-func (d *Dispatcher) emitLocked(ev sim.Event) {
-	if d.cfg.Observer != nil {
-		d.cfg.Observer(ev)
-	}
-}
-
 // commitLocked is the one way a live call changes journaled state: stamp the
 // record, fold it into the run with apply, append it to the journal. The
 // caller has already decided what happens (which agent, which task, which
-// instant) and afterwards adds what no record carries: timers, wake-ups, log
-// lines, observer events. A record apply rejects means the decision was made
+// instant) and afterwards adds what no record carries: timers, wake-ups and
+// log lines. A record apply rejects means the decision was made
 // against state the dispatcher does not hold — a bug; the run fails, nothing
 // is journaled, and commitLocked reports false.
 func (d *Dispatcher) commitLocked(r Record) bool {
@@ -412,7 +404,7 @@ func (d *Dispatcher) simDue(at simtime.Time) bool { return d.clock.WallUntil(at)
 //  2. the control tick (tickSeq × Interval): one per wake, however many
 //     intervals have passed;
 //  3. activations (ActiveAt of a bound pending instance), then DOA
-//     write-offs (ActiveAt + DOAGrace of a pending instance no agent bound);
+//     write-offs (ActiveAt + doaGrace of a pending instance no agent bound);
 //  4. releases (releaseAt of a draining instance);
 //  5. lease expiries (lease.deadline);
 //  6. backoff requeues (taskState.requeueAt);
@@ -445,11 +437,9 @@ func (d *Dispatcher) wakeLocked() {
 		}
 	}
 	for _, in := range insts {
-		if awaiting(in, false) && d.simDue(in.ActiveAt+d.cfg.DOAGrace) {
+		if awaiting(in, false) && d.simDue(in.ActiveAt+d.cfg.doaGrace) {
 			now := d.clock.Now()
-			if d.commitLocked(Record{Kind: RecInstanceDOA, NowS: now, Instance: intPtr(int(in.ID))}) {
-				d.emitLocked(sim.Event{Time: now, Kind: sim.EvInstanceDOA, Task: -1, Instance: in.ID})
-			}
+			d.commitLocked(Record{Kind: RecInstanceDOA, NowS: now, Instance: intPtr(int(in.ID))})
 		}
 	}
 	for _, in := range insts {
@@ -497,7 +487,7 @@ func (d *Dispatcher) nextDueLocked() time.Duration {
 		case ir.inst.State == cloud.Pending && ir.agent != nil:
 			soon(d.clock.WallUntil(ir.inst.ActiveAt))
 		case ir.inst.State == cloud.Pending:
-			soon(d.clock.WallUntil(ir.inst.ActiveAt + d.cfg.DOAGrace))
+			soon(d.clock.WallUntil(ir.inst.ActiveAt + d.cfg.doaGrace))
 		}
 	}
 	for _, l := range d.leases {
@@ -550,7 +540,6 @@ func (d *Dispatcher) launchLocked(now simtime.Time) error {
 	if !d.commitLocked(Record{Kind: RecInstanceLaunch, NowS: now, Instance: intPtr(int(id))}) {
 		return d.runErr
 	}
-	d.emitLocked(sim.Event{Time: now, Kind: sim.EvInstanceLaunch, Task: -1, Instance: id})
 	return nil
 }
 
@@ -560,9 +549,7 @@ func (d *Dispatcher) activateLocked(ir *instRec) {
 	if simtime.Before(now, ir.inst.ActiveAt) {
 		now = ir.inst.ActiveAt // the wake fired a hair early
 	}
-	if d.commitLocked(Record{Kind: RecInstanceActive, NowS: now, Instance: intPtr(int(ir.inst.ID)), Agent: ir.agent.id}) {
-		d.emitLocked(sim.Event{Time: now, Kind: sim.EvInstanceActive, Task: -1, Instance: ir.inst.ID})
-	}
+	d.commitLocked(Record{Kind: RecInstanceActive, NowS: now, Instance: intPtr(int(ir.inst.ID)), Agent: ir.agent.id})
 }
 
 // bindAgentsLocked pairs unbound, non-terminated instances with parked
@@ -729,7 +716,6 @@ func (d *Dispatcher) grantLocked(task dag.TaskID, a *agentState, now simtime.Tim
 		Lease: int64Ptr(id), Task: intPtr(int(task)), Instance: intPtr(int(a.inst.inst.ID))}) {
 		return
 	}
-	d.emitLocked(sim.Event{Time: now, Kind: sim.EvTaskStart, Task: task, Instance: a.inst.inst.ID})
 	d.leaseDeadlineLocked(d.leases[id])
 }
 
@@ -783,15 +769,14 @@ func (d *Dispatcher) checkBlacklistLocked(name string, now simtime.Time) {
 		return // the retirement ended the run, or a cooldown is being served
 	}
 	total := h.completions + h.failures
-	if h.failures < int64(d.cfg.HealthMinEvents) || float64(h.failures)/float64(total) < d.cfg.HealthFailureRatio {
+	if h.failures < healthMinEvents || float64(h.failures)/float64(total) < healthFailureRatio {
 		return
 	}
-	detail := fmt.Sprintf("failures=%d completions=%d cooldown=%v", h.failures, h.completions, d.cfg.HealthCooldown)
+	detail := fmt.Sprintf("failures=%d completions=%d cooldown=%v", h.failures, h.completions, d.cfg.healthCooldown)
 	if !d.commitLocked(Record{Kind: RecAgentBlacklisted, NowS: now, Agent: name, Detail: detail}) {
 		return
 	}
-	h.blacklistedUntil = wall.Add(d.cfg.HealthCooldown)
-	d.emitLocked(sim.Event{Time: now, Kind: sim.EvAgentBlacklisted, Task: -1, Instance: -1})
+	h.blacklistedUntil = wall.Add(d.cfg.healthCooldown)
 	d.cfg.Logf("exec: agent %q blacklisted: %s", name, detail)
 }
 
@@ -922,7 +907,6 @@ func (d *Dispatcher) Complete(agentID string, leaseID int64, rep CompleteReport)
 		Lease: int64Ptr(l.id), Task: intPtr(int(l.task)), ExecS: rep.ExecS, TransferS: rep.TransferS}) {
 		return Ack{}, nil
 	}
-	d.emitLocked(sim.Event{Time: now, Kind: sim.EvTaskComplete, Task: l.task, Instance: l.inst.inst.ID})
 	if d.finishableLocked() {
 		d.finishLocked(now)
 		return Ack{}, nil
@@ -991,7 +975,6 @@ func (d *Dispatcher) failAgentLocked(a *agentState, reason string) {
 	}
 	d.checkBlacklistLocked(a.name, now)
 	if ir != nil {
-		d.emitLocked(sim.Event{Time: now, Kind: sim.EvInstanceFailed, Task: -1, Instance: ir.inst.ID})
 		d.terminateInstLocked(ir, now)
 		// A parked agent may take over the vacated logical capacity only
 		// via a fresh controller launch; the instance is gone, as in the
@@ -1041,7 +1024,6 @@ func (d *Dispatcher) reclaimLocked(l *lease, now simtime.Time, failure bool, rea
 		Lease: int64Ptr(l.id), Task: intPtr(int(l.task)), Attempt: attempts, Detail: reason}) {
 		return
 	}
-	d.emitLocked(sim.Event{Time: now, Kind: sim.EvTaskKilled, Task: l.task, Instance: l.inst.inst.ID})
 
 	switch {
 	case !failure:
@@ -1078,7 +1060,6 @@ func (d *Dispatcher) quarantineLocked(id dag.TaskID, now simtime.Time) {
 	if !d.commitLocked(Record{Kind: RecTaskQuarantined, NowS: now, Task: intPtr(int(id)), Attempt: attempts}) {
 		return
 	}
-	d.emitLocked(sim.Event{Time: now, Kind: sim.EvTaskQuarantined, Task: id, Instance: -1})
 	d.cfg.Logf("exec: task %d quarantined after %d failed attempts", id, attempts)
 	if d.finishableLocked() {
 		d.finishLocked(now)
@@ -1101,9 +1082,7 @@ func (d *Dispatcher) terminateInstLocked(ir *instRec, now simtime.Time) {
 	if ir.inst.State == cloud.Terminated {
 		return
 	}
-	if d.commitLocked(Record{Kind: RecInstanceEnd, NowS: now, Instance: intPtr(int(ir.inst.ID))}) {
-		d.emitLocked(sim.Event{Time: now, Kind: sim.EvInstanceTerminated, Task: -1, Instance: ir.inst.ID})
-	}
+	d.commitLocked(Record{Kind: RecInstanceEnd, NowS: now, Instance: intPtr(int(ir.inst.ID))})
 }
 
 // releaseLocked executes a controller release order at time now: running
@@ -1160,8 +1139,6 @@ func (d *Dispatcher) tickLocked() {
 		Snapshot: snapJSON, Decision: decJSON}) {
 		return
 	}
-	d.emitLocked(sim.Event{Time: now, Kind: sim.EvDecision, Task: -1, Instance: -1,
-		Launch: dec.Launch, Released: len(dec.Releases)})
 
 	if err := d.applyLocked(dec, now); err != nil {
 		d.failLocked(err)
@@ -1211,7 +1188,6 @@ func (d *Dispatcher) speculateLocked(snap *monitor.Snapshot, now simtime.Time) {
 			Lease: int64Ptr(lid), Task: intPtr(int(id)), Instance: intPtr(int(a.inst.inst.ID)), Attempt: primary.attempt}) {
 			return
 		}
-		d.emitLocked(sim.Event{Time: now, Kind: sim.EvTaskSpeculated, Task: id, Instance: a.inst.inst.ID})
 		d.cfg.Logf("exec: speculating task %d (elapsed %.1fs > %.1f×%.1fs) on agent %s",
 			id, now-ts.startedAt, d.cfg.SpeculationFactor, est, a.id)
 		d.leaseDeadlineLocked(d.leases[lid])

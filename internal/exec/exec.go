@@ -144,12 +144,6 @@ type Config struct {
 	// 2 s)).
 	HeartbeatTTL time.Duration
 
-	// DOAGrace is how long past its nominal activation a launch order may
-	// stay unbound to an agent before being written off dead-on-arrival
-	// and canceled unbilled, in simulated seconds (default: one
-	// interval).
-	DOAGrace simtime.Duration
-
 	// MaxWall aborts runs exceeding this wall-clock horizon (default
 	// 15 min) — the live counterpart of sim.Config.MaxSimTime.
 	MaxWall time.Duration
@@ -174,16 +168,6 @@ type Config struct {
 	// and the loser is superseded. Zero disables speculation.
 	SpeculationFactor float64
 
-	// HealthMinEvents, HealthFailureRatio, and HealthCooldown govern agent
-	// health scoring: an agent whose failure events (failed reports,
-	// deadline lapses, reclaims) reach HealthMinEvents with a failure
-	// ratio ≥ HealthFailureRatio is blacklisted by name — no new leases —
-	// until HealthCooldown elapses. Defaults: 3 events, ratio 0.5,
-	// 15 s cooldown.
-	HealthMinEvents    int
-	HealthFailureRatio float64
-	HealthCooldown     time.Duration
-
 	// Journal, when set, receives every agent/lease lifecycle record (see
 	// Record). Appends happen under the dispatcher lock, in order.
 	Journal RecordSink
@@ -194,11 +178,6 @@ type Config struct {
 	// alone.
 	Spec []byte
 
-	// Observer, when set, receives the run's lifecycle events using the
-	// simulator's event vocabulary (task starts/completions/kills,
-	// instance lifecycle including failed/DOA, decisions).
-	Observer func(sim.Event)
-
 	// Logf, when set, receives operational log lines.
 	Logf func(format string, args ...any)
 
@@ -206,7 +185,24 @@ type Config struct {
 	// run arms on it (tests; the defaults are the real clock and a real timer).
 	now   func() time.Time
 	after func(time.Duration, func()) (stop func() bool)
+
+	// doaGrace is how long past its nominal activation a launch order may
+	// stay unbound to an agent before being written off dead-on-arrival
+	// and canceled unbilled, in simulated seconds (default: one interval).
+	doaGrace simtime.Duration
+	// healthCooldown is how long an agent blacklisted by health scoring
+	// gets no new leases (default 15 s).
+	healthCooldown time.Duration
 }
+
+// Agent health scoring: an agent whose failure events (failed reports,
+// deadline lapses, reclaims) reach healthMinEvents with a failure ratio of at
+// least healthFailureRatio is blacklisted by name — no new leases — until its
+// healthCooldown elapses.
+const (
+	healthMinEvents    = 3
+	healthFailureRatio = 0.5
+)
 
 func (c Config) withDefaults() (Config, error) {
 	if c.Workflow == nil {
@@ -253,8 +249,8 @@ func (c Config) withDefaults() (Config, error) {
 			c.HeartbeatTTL = 2 * time.Second
 		}
 	}
-	if c.DOAGrace <= 0 {
-		c.DOAGrace = c.Interval
+	if c.doaGrace <= 0 {
+		c.doaGrace = c.Interval
 	}
 	if c.MaxWall <= 0 {
 		c.MaxWall = 15 * time.Minute
@@ -268,14 +264,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.SpeculationFactor < 0 {
 		return c, fmt.Errorf("exec: negative SpeculationFactor %v", c.SpeculationFactor)
 	}
-	if c.HealthMinEvents <= 0 {
-		c.HealthMinEvents = 3
-	}
-	if c.HealthFailureRatio <= 0 || c.HealthFailureRatio > 1 {
-		c.HealthFailureRatio = 0.5
-	}
-	if c.HealthCooldown <= 0 {
-		c.HealthCooldown = 15 * time.Second
+	if c.healthCooldown <= 0 {
+		c.healthCooldown = 15 * time.Second
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}

@@ -110,10 +110,10 @@ func firstDiff(got, want string) string {
 }
 
 // foldConfig is d's configuration for a second dispatcher folded from d's
-// journal: same run, no journal or observer of its own.
+// journal: same run, no journal of its own.
 func foldConfig(d *Dispatcher) Config {
 	cfg := d.cfg
-	cfg.Journal, cfg.Observer = nil, nil
+	cfg.Journal = nil
 	return cfg
 }
 

@@ -141,7 +141,7 @@ type Lease struct {
 	// it are declared failed and the task is reclaimed.
 	DeadlineMs int64 `json:"deadline_ms"`
 	// Attempt is the task's execution attempt number (1 for the first
-	// try); an agent's CrashTask hook keys off it.
+	// try).
 	Attempt int `json:"attempt,omitempty"`
 	// Speculative marks a straggler re-execution duplicate.
 	Speculative bool `json:"speculative,omitempty"`

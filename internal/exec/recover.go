@@ -205,7 +205,7 @@ func (d *Dispatcher) resume(replayed int) {
 	// conservative since the original window may have nearly elapsed.
 	for _, h := range d.health {
 		if h.benched {
-			h.blacklistedUntil = wallNow.Add(d.cfg.HealthCooldown)
+			h.blacklistedUntil = wallNow.Add(d.cfg.healthCooldown)
 		}
 	}
 	// Outstanding leases count as delivered and get fresh full-TTL deadlines:

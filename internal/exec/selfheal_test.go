@@ -74,8 +74,54 @@ func poisonDoc() (*dagio.Document, dag.TaskID) {
 	return dagio.Encode(b.MustBuild()), poison
 }
 
+// poisonAgent is a worker that crashes every attempt of task poison, told
+// through the agent protocol: the attempt dies a quarter of the way into
+// execution, before its transfer report, and is reported Failed. Every other
+// lease it emulates and reports whole.
+func poisonAgent(ctx context.Context, t *testing.T, client *LiveClient, runID, name string, poison dag.TaskID) {
+	reg, err := client.Register(ctx, runID, name, 2)
+	if err != nil {
+		t.Errorf("agent %s: %v", name, err)
+		return
+	}
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	for {
+		resp, err := client.Poll(ctx, runID, reg.AgentID, 200*time.Millisecond)
+		if err != nil {
+			if ctx.Err() == nil {
+				t.Errorf("agent %s: %v", name, err)
+			}
+			return
+		}
+		for _, l := range resp.Leases {
+			wg.Add(1)
+			go func(l Lease) {
+				defer wg.Done()
+				spec := l.Spec
+				if l.Task == poison {
+					spec.TransferS, spec.ExecS = 0, spec.ExecS/4
+				}
+				rep, err := (&Emulator{Spec: spec}).Run(ctx, nil)
+				if err != nil {
+					return
+				}
+				if l.Task == poison {
+					rep = CompleteReport{Failed: true, Error: fmt.Sprintf("poison task crashed on attempt %d", l.Attempt)}
+				}
+				if _, err := client.Complete(ctx, runID, reg.AgentID, l.ID, rep); err != nil && ctx.Err() == nil {
+					t.Errorf("agent %s: %v", name, err)
+				}
+			}(l)
+		}
+		if resp.Done {
+			return
+		}
+	}
+}
+
 // TestPoisonTaskQuarantine is the poison-task chaos certificate: a task whose
-// every attempt crashes (the agents' CrashTask hook) must be
+// every attempt crashes (poisonAgent reports each one Failed) must be
 // retried exactly its attempt budget with backoff, then quarantined, and the
 // run must complete in an explicit degraded state instead of hanging.
 func TestPoisonTaskQuarantine(t *testing.T) {
@@ -108,19 +154,7 @@ func TestPoisonTaskQuarantine(t *testing.T) {
 		agents.Add(1)
 		go func(i int) {
 			defer agents.Done()
-			err := RunAgent(ctx, AgentConfig{
-				BaseURL:  ts.URL,
-				RunID:    info.ID,
-				Name:     fmt.Sprintf("worker-%d", i),
-				Slots:    2,
-				PollWait: 200 * time.Millisecond,
-				CrashTask: func(task int64, attempt int) bool {
-					return task == int64(poison)
-				},
-			})
-			if err != nil && ctx.Err() == nil {
-				t.Errorf("agent %d: %v", i, err)
-			}
+			poisonAgent(ctx, t, client, info.ID, fmt.Sprintf("worker-%d", i), poison)
 		}(i)
 	}
 	if _, err := client.StartRun(ctx, info.ID); err != nil {
@@ -531,28 +565,27 @@ func TestDeleteVsCompleteRace(t *testing.T) {
 	}
 }
 
-// TestAgentBlacklistAndCooldown: enough failures trip the health score and the
-// agent is drained of new leases by name; after the cooldown it is quietly
-// reactivated and finishes the run. On virtual time: the cooldown ends at
-// t=4, one tick after the failed tasks return from their backoff.
+// TestAgentBlacklistAndCooldown: enough failures (healthMinEvents, three)
+// trip the health score and the agent is drained of new leases by name; after
+// the cooldown it is quietly reactivated and finishes the run. On virtual
+// time: the cooldown ends at t=4, one tick after the failed tasks return from
+// their backoff.
 func TestAgentBlacklistAndCooldown(t *testing.T) {
 	sink := &MemorySink{}
 	cfg, clk := fakeClockConfig(Config{
 		Journal:    sink,
-		Workflow:   flatWorkflow(2, 5),
+		Workflow:   flatWorkflow(healthMinEvents, 5),
 		Controller: keepPool{1},
 		Cloud: cloud.Config{
-			SlotsPerInstance: 2,
+			SlotsPerInstance: healthMinEvents,
 			LagTime:          1,
 			ChargingUnit:     10,
 			MaxInstances:     2,
 		},
-		Interval:           1,
-		Timescale:          1,
-		RequeueBase:        time.Second,
-		HealthMinEvents:    2,
-		HealthFailureRatio: 0.5,
-		HealthCooldown:     3 * time.Second,
+		Interval:       1,
+		Timescale:      1,
+		RequeueBase:    time.Second,
+		healthCooldown: 3 * time.Second,
 	})
 	d, err := NewDispatcher(cfg)
 	if err != nil {
@@ -560,7 +593,7 @@ func TestAgentBlacklistAndCooldown(t *testing.T) {
 	}
 	defer d.Abort("test cleanup")
 
-	reg, err := d.Register("flaky", 2)
+	reg, err := d.Register("flaky", healthMinEvents)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,8 +612,8 @@ func TestAgentBlacklistAndCooldown(t *testing.T) {
 
 	wakeAt(d, clk, 1)
 	held := poll()
-	if len(held) != 2 {
-		t.Fatalf("agent holds %d leases, want 2", len(held))
+	if len(held) != healthMinEvents {
+		t.Fatalf("agent holds %d leases, want %d", len(held), healthMinEvents)
 	}
 	for _, l := range held {
 		if _, err := d.Complete(reg.AgentID, l.ID, CompleteReport{Failed: true, Error: "boom"}); err != nil {
@@ -597,15 +630,15 @@ func TestAgentBlacklistAndCooldown(t *testing.T) {
 
 	// The tasks are requeued at t=2, but nothing flows to the benched agent.
 	wakeAt(d, clk, 2)
-	if c := d.Counters(); c.LeasesGranted != 2 || d.queue.Len() != 2 {
+	if c := d.Counters(); c.LeasesGranted != healthMinEvents || d.queue.Len() != healthMinEvents {
 		t.Fatalf("tasks not waiting out the cooldown in the queue (%d queued): %+v", d.queue.Len(), c)
 	}
 	// Cooldown elapses; the next tick hands the requeued tasks back to the
 	// reactivated agent and the run completes clean.
 	wakeAt(d, clk, 4)
 	held = poll()
-	if len(held) != 2 {
-		t.Fatalf("reactivated agent holds %d leases, want 2", len(held))
+	if len(held) != healthMinEvents {
+		t.Fatalf("reactivated agent holds %d leases, want %d", len(held), healthMinEvents)
 	}
 	for _, l := range held {
 		if _, err := d.Complete(reg.AgentID, l.ID, CompleteReport{ExecS: 5, InputMB: 1}); err != nil {

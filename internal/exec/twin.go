@@ -30,7 +30,7 @@ type PlanRecord struct {
 // transported as JSON), so identical decisions prove (a) the dispatcher's
 // snapshot assembly carries everything the policy reads, (b) the JSON wire
 // format round-trips losslessly, and (c) the controller is deterministic in
-// its observable inputs — the same properties the service loadgen twin
+// its observable inputs — the same properties the scenario runner's twin
 // certifies for the remote-controller path.
 func TwinVerify(records []PlanRecord, twin sim.Controller) error {
 	if len(records) == 0 {

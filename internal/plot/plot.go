@@ -30,31 +30,20 @@ type Chart struct {
 	Series []Series
 	LogX   bool
 	LogY   bool
-	Width  int
-	Height int
 }
 
+// Every chart is width × height pixels.
 const (
+	width   = 640
+	height  = 400
 	marginL = 70
 	marginR = 20
 	marginT = 40
 	marginB = 50
 )
 
-func (c *Chart) size() (w, h int) {
-	w, h = c.Width, c.Height
-	if w <= 0 {
-		w = 640
-	}
-	if h <= 0 {
-		h = 400
-	}
-	return w, h
-}
-
 // WriteSVG renders the chart.
 func (c *Chart) WriteSVG(w io.Writer) error {
-	width, height := c.size()
 	var minX, maxX, minY, maxY float64
 	first := true
 	tx := func(v float64) float64 {
@@ -104,8 +93,8 @@ func (c *Chart) WriteSVG(w io.Writer) error {
 	py := func(v float64) float64 { return float64(height-marginB) - (ty(v)-minY)/(maxY-minY)*plotH }
 
 	var b strings.Builder
-	header(&b, width, height, c.Title)
-	axes(&b, width, height, c.XLabel, c.YLabel)
+	header(&b, c.Title)
+	axes(&b, c.XLabel, c.YLabel)
 
 	// Ticks: 5 per axis in transformed space, labelled in data space.
 	for i := 0; i <= 4; i++ {
@@ -178,13 +167,10 @@ type BarChart struct {
 	SeriesNames []string
 	Groups      []BarGroup
 	LogY        bool
-	Width       int
-	Height      int
 }
 
 // WriteSVG renders the bar chart.
 func (c *BarChart) WriteSVG(w io.Writer) error {
-	width, height := (&Chart{Width: c.Width, Height: c.Height}).size()
 	if len(c.Groups) == 0 || len(c.SeriesNames) == 0 {
 		return fmt.Errorf("plot: bar chart %q is empty", c.Title)
 	}
@@ -212,8 +198,8 @@ func (c *BarChart) WriteSVG(w io.Writer) error {
 	plotH := float64(height - marginT - marginB)
 
 	var b strings.Builder
-	header(&b, width, height, c.Title)
-	axes(&b, width, height, "", c.YLabel)
+	header(&b, c.Title)
+	axes(&b, "", c.YLabel)
 
 	groupW := plotW / float64(len(c.Groups))
 	barW := groupW * 0.8 / float64(len(c.SeriesNames))
@@ -244,7 +230,7 @@ func (c *BarChart) WriteSVG(w io.Writer) error {
 	return err
 }
 
-func header(b *strings.Builder, width, height int, title string) {
+func header(b *strings.Builder, title string) {
 	fmt.Fprintf(b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n",
 		width, height, width, height)
 	fmt.Fprintf(b, `<rect width="%d" height="%d" fill="white"/>`+"\n", width, height)
@@ -252,7 +238,7 @@ func header(b *strings.Builder, width, height int, title string) {
 		marginL, escape(title))
 }
 
-func axes(b *strings.Builder, width, height int, xlabel, ylabel string) {
+func axes(b *strings.Builder, xlabel, ylabel string) {
 	fmt.Fprintf(b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>`+"\n",
 		marginL, height-marginB, width-marginR, height-marginB)
 	fmt.Fprintf(b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>`+"\n",

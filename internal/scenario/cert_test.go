@@ -215,7 +215,7 @@ func TestShardCertifyPartition(t *testing.T) {
 		Verify:   true,
 		Shards:   3,
 		Seed:     23,
-		Partition: &chaos.PartitionSpec{
+		Partition: &PartitionSpec{
 			Kinds: []chaos.PartitionKind{chaos.PartitionSplit, chaos.PartitionOneWay, chaos.PartitionSlow},
 		},
 		Logf: t.Logf,
@@ -256,7 +256,7 @@ func TestShardCertifyPartitionOneWay(t *testing.T) {
 		Verify:   true,
 		Shards:   3,
 		Seed:     7,
-		Partition: &chaos.PartitionSpec{
+		Partition: &PartitionSpec{
 			Kinds: []chaos.PartitionKind{chaos.PartitionOneWay},
 		},
 		Logf: t.Logf,
@@ -287,7 +287,7 @@ func TestPartitionRejectsTenantCaps(t *testing.T) {
 		Cloud:        cloud.Config{SlotsPerInstance: 2, LagTime: 60, ChargingUnit: 300, MaxInstances: 2},
 		TenantBudget: 10,
 		Shards:       3,
-		Partition:    &chaos.PartitionSpec{Events: 1},
+		Partition:    &PartitionSpec{Events: 1},
 	})
 	if err == nil {
 		t.Fatal("partition nemesis accepted a tenant budget despite RetainSessions")

@@ -136,7 +136,7 @@ func waitShardsUp(ctx context.Context, f *fleet, timeout time.Duration) error {
 }
 
 // partitionEvents is how many nemesis events a spec schedules.
-func partitionEvents(spec *chaos.PartitionSpec) int {
+func partitionEvents(spec *PartitionSpec) int {
 	if n := len(spec.Kinds); n > 0 {
 		return n
 	}

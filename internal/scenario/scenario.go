@@ -39,6 +39,16 @@ import (
 	"repro/internal/tenancy"
 )
 
+// PartitionSpec is a nemesis spec: an explicit sequence of partition kinds, or
+// a count of events whose kinds are drawn from the seed.
+type PartitionSpec struct {
+	// Kinds is the explicit event sequence, one event per kind in order; nil
+	// when the kinds are drawn from the seed.
+	Kinds []chaos.PartitionKind
+	// Events is the seeded event count; ignored when Kinds is set.
+	Events int
+}
+
 // Config describes one scenario: the sessions to run, what to run them
 // against, and the faults to inject meanwhile.
 type Config struct {
@@ -154,7 +164,7 @@ type Config struct {
 	// heals before the next; sessions are retained and the merged journals
 	// audited after the run. Incompatible with TenantBudget/TenantMaxActive,
 	// as RetainSessions is.
-	Partition *chaos.PartitionSpec
+	Partition *PartitionSpec
 
 	// Logf receives harness and router log lines.
 	Logf func(format string, args ...any)
@@ -178,8 +188,6 @@ type Result struct {
 
 	// Retries counts HTTP retry attempts across all sessions.
 	Retries int64
-	// DegradedPlans counts responses served by the daemon's fallback.
-	DegradedPlans int64
 	// NetFaults and CloudFaults aggregate the injected faults (chaos mode).
 	NetFaults   chaos.Counts
 	CloudFaults chaos.CloudCounts

@@ -359,7 +359,6 @@ func (s *sessions) runSession(ctx context.Context, arr arrival) {
 	}
 	res.Plans += int64(remote.Decisions)
 	res.Decisions += int64(remote.Decisions)
-	res.DegradedPlans += rc.Degraded()
 	if chaotic {
 		res.Retries += client.Retries()
 		res.NetFaults.Add(tr.Counts())

@@ -47,7 +47,7 @@ func requirePass(t *testing.T, res *Result) {
 // routed to the wrong session; the -race run doubles as the race
 // certificate.
 func TestLoadgenHundredConcurrentSessions(t *testing.T) {
-	srv := service.New(service.Config{MaxSessions: 256})
+	srv := service.New(service.Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -120,7 +120,7 @@ func TestLoadgenConfigValidation(t *testing.T) {
 // — and every throttled create retried until admitted, so no session drops.
 // Each run is twin-verified against an in-process controller.
 func TestLoadgenStream(t *testing.T) {
-	srv := service.New(service.Config{MaxSessions: 256})
+	srv := service.New(service.Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -277,7 +277,7 @@ func TestLoadgenStreamCancelCountsEverySession(t *testing.T) {
 // produces: a run that lost sessions without failing any, and faults that
 // were asked for but never happened or never recovered.
 func TestVerdictCountsEverySession(t *testing.T) {
-	three := &chaos.PartitionSpec{Kinds: []chaos.PartitionKind{chaos.PartitionSplit, chaos.PartitionOneWay, chaos.PartitionSlow}}
+	three := &PartitionSpec{Kinds: []chaos.PartitionKind{chaos.PartitionSplit, chaos.PartitionOneWay, chaos.PartitionSlow}}
 	up := func(n int) cluster.RouterCounters { return cluster.RouterCounters{ShardsUp: n} }
 	for name, r := range map[string]*Result{
 		"incomplete":            {Sessions: 5, Completed: 4, cfg: &Config{}},
@@ -438,7 +438,7 @@ func TestFixedEqualsStreamAtT0(t *testing.T) {
 // carries clock, billing parameters and instances in full for exactly this.
 func TestLoadgenStreamAuditBillsDeltaJournals(t *testing.T) {
 	jdir := t.TempDir()
-	srv := service.New(service.Config{MaxSessions: 256, JournalDir: jdir})
+	srv := service.New(service.Config{JournalDir: jdir})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

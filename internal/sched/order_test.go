@@ -10,7 +10,7 @@ import (
 )
 
 // refSort orders items the way the queue promises to dequeue them:
-// priority first, then ready time, then submission rank, then task ID.
+// priority first, then ready time, then task ID.
 func refSort(items []Item) {
 	sort.SliceStable(items, func(i, j int) bool {
 		a, b := items[i], items[j]
@@ -20,25 +20,21 @@ func refSort(items []Item) {
 		if a.ReadyAt != b.ReadyAt {
 			return a.ReadyAt < b.ReadyAt
 		}
-		if a.order != b.order {
-			return a.order < b.order
-		}
 		return a.Task < b.Task
 	})
 }
 
 // FuzzQueueOrder drives a queue with an operation string (Push, Requeue,
 // Pop, Peek, Snapshot) and checks every answer against a model: an unsorted
-// list whose dequeue order is refSort's. Ready times and submission ranks
-// are drawn from small ranges so ties reach every tie-break; a Snapshot must
-// list the model's order and leave the queue as it was.
+// list whose dequeue order is refSort's. Ready times are drawn from a small
+// range so ties reach every tie-break; a Snapshot must list the model's order
+// and leave the queue as it was.
 func FuzzQueueOrder(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 3, 4, 1, 5, 2, 2, 0, 7, 4, 2})
 	f.Add([]byte{1, 9, 1, 8, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3, 2, 2, 2, 2})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 4, 1, 3, 2, 4, 2, 2, 2})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		rank := func(id dag.TaskID) int { return int(id*7) % 5 }
-		q := NewQueue(WithBoost(2), WithOrder(rank))
+		q := NewQueue(WithBoost(2))
 		var model []Item
 		stageCount := map[dag.StageID]int{}
 		next := dag.TaskID(0)
@@ -52,14 +48,14 @@ func FuzzQueueOrder(f *testing.F) {
 			switch ops[i] % 5 {
 			case 0:
 				q.Push(next, stage, readyAt)
-				model = append(model, Item{Task: next, Stage: stage, ReadyAt: readyAt, Priority: stageCount[stage] < 2, order: rank(next)})
+				model = append(model, Item{Task: next, Stage: stage, ReadyAt: readyAt, Priority: stageCount[stage] < 2})
 				stageCount[stage]++
 				next++
 				i++
 			case 1:
 				prio := arg&0x80 != 0
 				q.Requeue(next, stage, readyAt, prio)
-				model = append(model, Item{Task: next, Stage: stage, ReadyAt: readyAt, Priority: prio, order: rank(next)})
+				model = append(model, Item{Task: next, Stage: stage, ReadyAt: readyAt, Priority: prio})
 				next++
 				i++
 			case 2:

@@ -4,8 +4,7 @@
 // scheduling algorithm is FIFO). On top of that, WIRE's Condor patch gives
 // the first five ready-to-run tasks of every stage high priority (§III-C),
 // so each stage yields early completions for the online predictor as soon
-// as possible. Both behaviours live here, plus an optional submission-order
-// permutation used by the Figure 4 task-order study (§IV-D).
+// as possible. Both behaviours live here.
 package sched
 
 import (
@@ -27,8 +26,6 @@ type Item struct {
 	ReadyAt simtime.Time
 	// Priority marks one of the first-five ready tasks of its stage.
 	Priority bool
-	// order is the FIFO tie-break rank (submission-order index).
-	order int
 }
 
 // Queue is a ready queue with the first-five-per-stage boost. The zero
@@ -36,20 +33,11 @@ type Item struct {
 type Queue struct {
 	h          []Item // binary min-heap under less
 	stageCount map[dag.StageID]int
-	orderOf    func(dag.TaskID) int
 	boost      int
 }
 
 // Option configures a Queue.
 type Option func(*Queue)
-
-// WithOrder supplies a submission-order permutation: orderOf(task) is the
-// task's rank. Tasks becoming ready at the same instant are dequeued in
-// rank order, which is how the Figure 4 experiments realize their five
-// random task orders per stage.
-func WithOrder(orderOf func(dag.TaskID) int) Option {
-	return func(q *Queue) { q.orderOf = orderOf }
-}
 
 // WithBoost overrides how many early tasks per stage are prioritized.
 // Zero disables the first-five rule (pure FIFO).
@@ -66,7 +54,6 @@ func WithBoost(n int) Option {
 func NewQueue(opts ...Option) *Queue {
 	q := &Queue{
 		stageCount: make(map[dag.StageID]int),
-		orderOf:    func(t dag.TaskID) int { return int(t) },
 		boost:      PriorityTasksPerStage,
 	}
 	for _, o := range opts {
@@ -85,7 +72,6 @@ func (q *Queue) Push(task dag.TaskID, stage dag.StageID, readyAt simtime.Time) {
 		Stage:    stage,
 		ReadyAt:  readyAt,
 		Priority: n < q.boost,
-		order:    q.orderOf(task),
 	})
 }
 
@@ -93,7 +79,7 @@ func (q *Queue) Push(task dag.TaskID, stage dag.StageID, readyAt simtime.Time) {
 // release. It keeps its original priority flag (the stage counter is not
 // re-incremented) and re-enters the FIFO order at its new ready time.
 func (q *Queue) Requeue(task dag.TaskID, stage dag.StageID, readyAt simtime.Time, priority bool) {
-	q.push(Item{Task: task, Stage: stage, ReadyAt: readyAt, Priority: priority, order: q.orderOf(task)})
+	q.push(Item{Task: task, Stage: stage, ReadyAt: readyAt, Priority: priority})
 }
 
 // Pop dequeues the next task, or ok=false when empty.
@@ -170,17 +156,14 @@ func (q *Queue) push(it Item) {
 	q.h[j] = it
 }
 
-// less orders by (priority desc, readyAt, order, task): a total order, so
-// every correct heap pops the same sequence.
+// less orders by (priority desc, readyAt, task): a total order, so every
+// correct heap pops the same sequence.
 func less(a, b *Item) bool {
 	if a.Priority != b.Priority {
 		return a.Priority
 	}
 	if a.ReadyAt != b.ReadyAt {
 		return a.ReadyAt < b.ReadyAt
-	}
-	if a.order != b.order {
-		return a.order < b.order
 	}
 	return a.Task < b.Task
 }

@@ -78,22 +78,6 @@ func TestBoostCountsPerStage(t *testing.T) {
 	}
 }
 
-func TestWithOrderPermutation(t *testing.T) {
-	// Reverse submission order: higher task ID dequeues first.
-	rank := map[dag.TaskID]int{0: 3, 1: 2, 2: 1, 3: 0}
-	q := NewQueue(WithBoost(0), WithOrder(func(t dag.TaskID) int { return rank[t] }))
-	for i := 0; i < 4; i++ {
-		q.Push(dag.TaskID(i), 0, 0)
-	}
-	want := []dag.TaskID{3, 2, 1, 0}
-	for _, w := range want {
-		it, ok := q.Pop()
-		if !ok || it.Task != w {
-			t.Fatalf("got %v, want %v", it.Task, w)
-		}
-	}
-}
-
 func TestRequeueKeepsPriority(t *testing.T) {
 	q := NewQueue(WithBoost(1))
 	q.Push(0, 0, 0) // boosted

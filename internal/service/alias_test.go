@@ -19,7 +19,7 @@ import (
 // mutated SessionID or a seq/iteration that jumped sessions. Run under
 // -race this also certifies the pools themselves.
 func TestConcurrentSessionsNoBufferAliasing(t *testing.T) {
-	_, client := newTestServer(t, Config{MaxSessions: 64})
+	_, client := newTestServer(t, Config{})
 
 	const sessions = 8
 	const plans = 25

@@ -70,7 +70,7 @@ func PolicyNames() []string {
 }
 
 // NewPolicyController builds a fresh controller for a policy name. It is the
-// single policy registry shared by the daemon, wire-sim, and loadgen.
+// single policy registry shared by the daemon, wire-sim, and the scenario runner.
 func NewPolicyController(policy string, spec *ControllerSpec) (sim.Controller, error) {
 	switch policy {
 	case "", "wire":
@@ -393,7 +393,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		releaseTenant()
 		s.metrics.SessionRejected()
 		s.writeError(w, http.StatusTooManyRequests, "max_sessions",
-			"session limit %d reached; delete a session or retry later", s.cfg.MaxSessions)
+			"session limit %d reached; delete a session or retry later", s.cfg.maxSessions)
 		return
 	}
 	if err != nil {
@@ -788,10 +788,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	dump.FaultTolerance.SessionsAwaitingReplay = s.replays.awaiting()
 	dump.Tenancy = s.tenants.Counters(dump.UptimeS)
-	if s.live != nil {
-		lm := s.live.Metrics()
-		dump.Live = &lm
-	}
+	lm := s.live.Metrics()
+	dump.Live = &lm
 	s.writeJSON(w, http.StatusOK, dump)
 }
 

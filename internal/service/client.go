@@ -106,11 +106,6 @@ type RetryPolicy struct {
 	// PerAttemptTimeout bounds each individual attempt (default: the
 	// client timeout). The caller's context still bounds the whole call.
 	PerAttemptTimeout time.Duration
-	// MaxRetryAfter caps how far a server Retry-After hint can stretch one
-	// backoff sleep (default 15s). The hint is advisory: a buggy or
-	// malicious server must not be able to park a client for hours. A clip
-	// is logged through the client's Logf.
-	MaxRetryAfter time.Duration
 }
 
 // DefaultChaosRetry is the retry policy for riding out injected faults, a
@@ -125,9 +120,10 @@ func DefaultChaosRetry() RetryPolicy {
 	}
 }
 
-// defaultMaxRetryAfter bounds honored Retry-After hints when the policy does
-// not set its own cap.
-const defaultMaxRetryAfter = 15 * time.Second
+// maxRetryAfter caps how far a server Retry-After hint can stretch one
+// backoff sleep. The hint is advisory: a buggy or malicious server must not
+// be able to park a client for hours.
+const maxRetryAfter = 15 * time.Second
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
@@ -138,9 +134,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 2 * time.Second
-	}
-	if p.MaxRetryAfter <= 0 {
-		p.MaxRetryAfter = defaultMaxRetryAfter
 	}
 	return p
 }
@@ -357,12 +350,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, seq int64, bo
 				hint := time.Duration(secs) * time.Second
 				// The hint is a backoff floor, so cap it: a pathological
 				// Retry-After must not stall the retry loop for hours.
-				max := c.retry.MaxRetryAfter
-				if max <= 0 {
-					max = defaultMaxRetryAfter
-				}
-				hint = min(hint, max)
-				apiErr.RetryAfter = hint
+				apiErr.RetryAfter = min(hint, maxRetryAfter)
 			}
 		}
 		var eb ErrorBody
@@ -575,8 +563,7 @@ type RemoteController struct {
 	// observe, when set, receives each plan round-trip latency.
 	observe func(time.Duration)
 
-	seq      atomic.Int64
-	degraded atomic.Int64
+	seq atomic.Int64
 
 	mu  sync.Mutex
 	err error
@@ -597,16 +584,12 @@ func NewRemoteController(ctx context.Context, c *Client, req CreateSessionReques
 	return &RemoteController{client: c, info: info, ctx: ctx}, nil
 }
 
-// SetLatencyObserver registers a per-plan latency callback (loadgen). Call
+// SetLatencyObserver registers a per-plan latency callback. Call
 // it before the run starts.
 func (rc *RemoteController) SetLatencyObserver(fn func(time.Duration)) { rc.observe = fn }
 
 // Session returns the wrapped session's info.
 func (rc *RemoteController) Session() SessionInfo { return *rc.info }
-
-// Degraded returns how many plan responses were served by the daemon's
-// fallback policy after a controller panic.
-func (rc *RemoteController) Degraded() int64 { return rc.degraded.Load() }
 
 // Name implements sim.Controller; it reports the server-side policy so a
 // remote run is labelled identically to its in-process twin.
@@ -636,9 +619,6 @@ func (rc *RemoteController) Plan(snap *monitor.Snapshot) sim.Decision {
 		}
 		rc.mu.Unlock()
 		return sim.Decision{}
-	}
-	if resp.Degraded {
-		rc.degraded.Add(1)
 	}
 	return resp.Decision
 }

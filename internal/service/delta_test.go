@@ -65,7 +65,7 @@ type journaledShard struct {
 func newJournaledShard(t testing.TB, dir string) *journaledShard {
 	t.Helper()
 	clock := func() time.Time { return time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC) }
-	srv := New(Config{ShardMode: true, JournalDir: dir, Clock: clock})
+	srv := New(Config{ShardMode: true, JournalDir: dir, clock: clock})
 	return &journaledShard{srv: srv, h: srv.Handler(), dir: dir}
 }
 
@@ -684,9 +684,9 @@ func FuzzDeltaApply(f *testing.F) {
 		f.Add(append([]byte("{"+members), third[1:]...))
 	}
 
-	// No journal and no live plane: nothing runs but the request, so the
+	// No journal and no live run: nothing runs but the request, so the
 	// fuzzer's coverage signal is the input's own.
-	srv := New(Config{ShardMode: true, LiveMaxRuns: -1})
+	srv := New(Config{ShardMode: true})
 	d := &journaledShard{srv: srv, h: srv.Handler()}
 	create, err := json.Marshal(CreateSessionRequest{Workflow: dagio.Encode(wf)})
 	if err != nil {

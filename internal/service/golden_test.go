@@ -94,7 +94,7 @@ func goldenSnapshots(wf *dag.Workflow) []*monitor.Snapshot {
 func writeGoldenSession(t *testing.T, dir string) []byte {
 	t.Helper()
 	clock := func() time.Time { return time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC) }
-	srv := New(Config{JournalDir: dir, ShardMode: true, Clock: clock})
+	srv := New(Config{JournalDir: dir, ShardMode: true, clock: clock})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	wf := fanWorkflow()

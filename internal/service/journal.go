@@ -69,7 +69,7 @@ func (s *Server) openJournalAt(path string, claimEpoch int64) (*journal, error) 
 }
 
 func (s *Server) fsyncPolicy() wal.Policy {
-	return wal.Policy{Mode: s.cfg.FsyncMode, Every: s.cfg.FsyncInterval}
+	return wal.Policy{Mode: s.cfg.FsyncMode, Every: s.cfg.fsyncInterval}
 }
 
 // appendCreate journals the record that opens a WAL, framed in a pooled

@@ -295,7 +295,7 @@ func TestJournalRemovedOnDelete(t *testing.T) {
 func TestJournalFsyncModes(t *testing.T) {
 	for _, mode := range []string{FsyncRecord, FsyncPerInterval, FsyncOff} {
 		cfg := func(dir string) Config {
-			return Config{JournalDir: dir, FsyncMode: mode, FsyncInterval: 20 * time.Millisecond}
+			return Config{JournalDir: dir, FsyncMode: mode, fsyncInterval: 20 * time.Millisecond}
 		}
 		t.Run("session/"+mode, func(t *testing.T) { sessionCrashAndReopen(t, cfg) })
 		t.Run("live/"+mode, func(t *testing.T) { liveCrashAndReopen(t, cfg) })

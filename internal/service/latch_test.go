@@ -114,7 +114,7 @@ func walCopies(t *testing.T, dir string, ids []string, torn bool) (copies string
 func latchAdopter(t *testing.T, logf func(string, ...any)) *journaledShard {
 	dir := t.TempDir()
 	clock := func() time.Time { return time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC) }
-	srv := New(Config{ShardMode: true, JournalDir: dir, Clock: clock, Logf: logf})
+	srv := New(Config{ShardMode: true, JournalDir: dir, clock: clock, Logf: logf})
 	return &journaledShard{srv: srv, h: srv.Handler(), dir: dir}
 }
 

@@ -38,16 +38,13 @@ func TestLivePlaneToggle(t *testing.T) {
 	if srv := New(Config{}); srv.live == nil {
 		t.Fatal("live plane missing under default config")
 	}
-	if srv := New(Config{LiveMaxRuns: -1}); srv.live != nil {
-		t.Fatal("live plane present with LiveMaxRuns < 0")
-	}
 }
 
 // TestServeDrainsLiveLeasesOnShutdown: shutdown must hold the HTTP plane open
-// until in-flight agent leases report, bounded by DrainTimeout — connection
+// until in-flight agent leases report, bounded by drainTimeout — connection
 // draining alone would abandon the agent mid-task and lose its measurement.
 func TestServeDrainsLiveLeasesOnShutdown(t *testing.T) {
-	srv := New(Config{DrainTimeout: 5 * time.Second})
+	srv := New(Config{drainTimeout: 5 * time.Second})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -113,5 +110,43 @@ func TestServeDrainsLiveLeasesOnShutdown(t *testing.T) {
 	}
 	if got := srv.live.Metrics().Counters.LeasesLost; got != 0 {
 		t.Fatalf("%d leases lost across shutdown", got)
+	}
+}
+
+// TestServeClosesUnusedConnsOnShutdown: a connection that was dialled and
+// never sent a request (a pooled transport opens them ahead) must not hold
+// shutdown; net/http alone waits until such a connection is five seconds old.
+func TestServeClosesUnusedConnsOnShutdown(t *testing.T) {
+	srv := New(Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ctx, ln) }()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// A request round trip on another connection guarantees the server has
+	// accepted the idle one before the shutdown starts.
+	if _, err := NewClient("http://" + ln.Addr().String()).Ready(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	cancel()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("Serve took %v to return", d)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve did not return")
 	}
 }

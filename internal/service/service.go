@@ -15,9 +15,8 @@
 //	GET    /healthz                liveness
 //	GET    /metrics                counters and latency quantiles
 //
-// The same package ships the HTTP client, a RemoteController adapter that
-// lets internal/sim execute against a remote daemon, and the load generator
-// behind wire-serve's loadgen mode.
+// The same package ships the HTTP client and a RemoteController adapter that
+// lets internal/sim execute against a remote daemon.
 package service
 
 import (
@@ -25,6 +24,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -33,47 +33,26 @@ import (
 
 // Config tunes the daemon.
 type Config struct {
-	// MaxSessions caps concurrently hosted sessions (default 1024;
-	// negative = unbounded).
-	MaxSessions int
-	// IdleTTL evicts sessions untouched for this long (default 30m;
-	// negative disables eviction).
-	IdleTTL time.Duration
-	// JanitorInterval is the eviction sweep period (default 1m).
-	JanitorInterval time.Duration
-	// ShutdownGrace bounds the drain of in-flight requests on shutdown
-	// (default 10s).
-	ShutdownGrace time.Duration
 	// JournalDir, when set, enables the crash-recovery journal: every
 	// session appends its lifecycle to <dir>/<id>.wal and a restarted
 	// daemon rebuilds its session store by replay (see journal.go). Live
 	// runs journal their agent events to <dir>/live-*.jsonl. Empty
 	// disables journaling.
 	JournalDir string
-	// LiveMaxRuns caps concurrently tracked live execution runs
-	// (default 8; negative disables the live plane entirely).
-	LiveMaxRuns int
 	// ShardMode runs this daemon as one session shard of a cluster behind a
 	// wire-serve router: create requests may carry a router-assigned session
 	// ID (SessionIDHeader, idempotent on retry) and the journal-adoption
 	// endpoint POST /v1/admin/adopt is mounted so the router can hand this
 	// shard a dead peer's journal directory for failover.
 	ShardMode bool
-	// DrainTimeout bounds how long shutdown waits for in-flight agent
-	// leases to complete or be reclaimed before the HTTP server is torn
-	// down (default 30s). HTTP connection draining alone would abandon
-	// agents mid-task; this flag is the lease-level counterpart.
-	DrainTimeout time.Duration
 	// FsyncMode controls when journal appends — session WALs and live-run
 	// journals alike — reach stable storage: FsyncRecord syncs every
 	// append, FsyncPerInterval syncs each journal at most once per
-	// FsyncInterval (plus on close), FsyncOff never syncs (the OS
+	// fsyncInterval (100ms, plus on close), FsyncOff never syncs (the OS
 	// decides). Default FsyncPerInterval: the fenced-copy handoff protocol
 	// is unaffected (in-process reads see unsynced writes), only the
 	// power-loss window changes. An unknown value falls back to the default.
 	FsyncMode string
-	// FsyncInterval is the per-interval sync period (default 100ms).
-	FsyncInterval time.Duration
 	// ProbeClient issues the outbound relay probes of POST /v1/admin/probe
 	// (shard mode): a router suspecting a shard dead asks its peers to
 	// confirm through their own network paths. Default: a plain client.
@@ -81,54 +60,62 @@ type Config struct {
 	// partition also severs the peer->suspect edges.
 	ProbeClient *http.Client
 	// Middleware, when set, wraps the HTTP handler returned by Handler()
-	// (and therefore everything Serve serves). The real-process partition
-	// harness uses it to drop router-tagged requests for a window,
-	// realizing a one-way link cut without touching the network stack.
+	// (and therefore everything Serve serves). The benchmark tags request
+	// spans with it, and the scenario tests gate requests through it to
+	// inject faults at the shard's front door.
 	Middleware func(http.Handler) http.Handler
-	// Clock overrides the wall clock (tests).
-	Clock func() time.Time
 	// Logf, when set, receives operational log lines.
 	Logf func(format string, args ...any)
+
+	// maxSessions, drainTimeout, fsyncInterval and clock stand in for the
+	// session cap, the lease drain bound, the per-interval sync period and
+	// the wall clock (tests; zero takes the defaults below and time.Now).
+	maxSessions   int
+	drainTimeout  time.Duration
+	fsyncInterval time.Duration
+	clock         func() time.Time
 }
 
+const (
+	// defaultMaxSessions caps concurrently hosted sessions.
+	defaultMaxSessions = 1024
+	// idleTTL evicts sessions untouched for this long.
+	idleTTL = 30 * time.Minute
+	// janitorInterval is the eviction sweep period.
+	janitorInterval = time.Minute
+	// shutdownGrace bounds the drain of in-flight requests on shutdown.
+	shutdownGrace = 10 * time.Second
+	// liveMaxRuns caps concurrently tracked live execution runs.
+	liveMaxRuns = 8
+	// defaultDrainTimeout bounds how long shutdown waits for in-flight
+	// agent leases to complete or be reclaimed before the HTTP server is
+	// torn down. HTTP connection draining alone would abandon agents
+	// mid-task; this is the lease-level counterpart.
+	defaultDrainTimeout = 30 * time.Second
+	// defaultFsyncInterval is the FsyncPerInterval sync period.
+	defaultFsyncInterval = 100 * time.Millisecond
+)
+
 func (c Config) withDefaults() Config {
-	if c.MaxSessions == 0 {
-		c.MaxSessions = 1024
+	if c.maxSessions <= 0 {
+		c.maxSessions = defaultMaxSessions
 	}
-	if c.MaxSessions < 0 {
-		c.MaxSessions = 0 // unbounded store
-	}
-	if c.IdleTTL == 0 {
-		c.IdleTTL = 30 * time.Minute
-	}
-	if c.IdleTTL < 0 {
-		c.IdleTTL = 0 // disables eviction
-	}
-	if c.JanitorInterval <= 0 {
-		c.JanitorInterval = time.Minute
-	}
-	if c.ShutdownGrace <= 0 {
-		c.ShutdownGrace = 10 * time.Second
-	}
-	if c.LiveMaxRuns == 0 {
-		c.LiveMaxRuns = 8
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 30 * time.Second
+	if c.drainTimeout <= 0 {
+		c.drainTimeout = defaultDrainTimeout
 	}
 	switch c.FsyncMode {
 	case FsyncRecord, FsyncPerInterval, FsyncOff:
 	default:
 		c.FsyncMode = FsyncPerInterval
 	}
-	if c.FsyncInterval <= 0 {
-		c.FsyncInterval = 100 * time.Millisecond
+	if c.fsyncInterval <= 0 {
+		c.fsyncInterval = defaultFsyncInterval
 	}
 	if c.ProbeClient == nil {
 		c.ProbeClient = &http.Client{}
 	}
-	if c.Clock == nil {
-		c.Clock = time.Now
+	if c.clock == nil {
+		c.clock = time.Now
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -162,10 +149,10 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		store:   NewStore(cfg.MaxSessions, cfg.Clock),
-		metrics: NewMetrics(cfg.Clock()),
+		store:   NewStore(cfg.maxSessions, cfg.clock),
+		metrics: NewMetrics(cfg.clock()),
 		tenants: NewTenantRegistry(),
-		start:   cfg.Clock(),
+		start:   cfg.clock(),
 		replays: newReplayQueue(),
 	}
 	if cfg.JournalDir != "" {
@@ -193,33 +180,31 @@ func New(cfg Config) *Server {
 		mux.Handle("GET /v1/admin/sessions", s.instrument("session_list", s.handleListSessions))
 		mux.Handle("POST /v1/admin/probe", s.instrument("probe", s.handleProbe))
 	}
-	if cfg.LiveMaxRuns > 0 {
-		live, err := exec.NewRegistry(exec.RegistryConfig{
-			Factory:    LiveControllerFactory,
-			MaxRuns:    cfg.LiveMaxRuns,
-			JournalDir: s.cfg.JournalDir,
-			Sync:       s.fsyncPolicy(),
-			Logf:       cfg.Logf,
-		})
-		if err != nil {
-			// Only reachable with a nil factory; keep New's signature.
-			panic(err)
-		}
-		live.Mount(mux)
-		s.live = live
-		if s.cfg.JournalDir != "" {
-			if n, err := live.Recover(); err != nil {
-				s.cfg.Logf("wire-serve: live run recovery: %v", err)
-			} else if n > 0 {
-				s.cfg.Logf("wire-serve: recovered %d live run(s) from journal", n)
-			}
+	live, err := exec.NewRegistry(exec.RegistryConfig{
+		Factory:    LiveControllerFactory,
+		MaxRuns:    liveMaxRuns,
+		JournalDir: s.cfg.JournalDir,
+		Sync:       s.fsyncPolicy(),
+		Logf:       cfg.Logf,
+	})
+	if err != nil {
+		// Only reachable with a nil factory; keep New's signature.
+		panic(err)
+	}
+	live.Mount(mux)
+	s.live = live
+	if s.cfg.JournalDir != "" {
+		if n, err := live.Recover(); err != nil {
+			s.cfg.Logf("wire-serve: live run recovery: %v", err)
+		} else if n > 0 {
+			s.cfg.Logf("wire-serve: recovered %d live run(s) from journal", n)
 		}
 	}
 	s.mux = mux
 	return s
 }
 
-func (s *Server) now() time.Time { return s.cfg.Clock() }
+func (s *Server) now() time.Time { return s.cfg.clock() }
 
 // Store exposes the session store (tests and embedding callers).
 func (s *Server) Store() *Store { return s.store }
@@ -287,7 +272,7 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.Handler {
 // EvictIdleNow runs one eviction sweep and returns the number of sessions
 // dropped. The janitor calls it on every tick; tests call it directly.
 func (s *Server) EvictIdleNow() int {
-	evicted := s.store.EvictIdleSessions(s.cfg.IdleTTL)
+	evicted := s.store.EvictIdleSessions(idleTTL)
 	for _, sess := range evicted {
 		if sess.Tenant != "" {
 			s.tenants.Release(sess.Tenant)
@@ -303,10 +288,7 @@ func (s *Server) EvictIdleNow() int {
 
 // janitor sweeps idle sessions until ctx is canceled.
 func (s *Server) janitor(ctx context.Context) {
-	if s.cfg.IdleTTL <= 0 {
-		return
-	}
-	t := time.NewTicker(s.cfg.JanitorInterval)
+	t := time.NewTicker(janitorInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -319,14 +301,16 @@ func (s *Server) janitor(ctx context.Context) {
 }
 
 // Serve runs the daemon on the listener until ctx is canceled, then drains
-// in-flight requests (bounded by ShutdownGrace), waits for the replays of
+// in-flight requests (bounded by shutdownGrace), waits for the replays of
 // sessions it claimed, and returns. The janitor goroutine runs for the
 // lifetime of the call.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	defer s.replays.wait()
+	fresh := &freshConns{conns: map[net.Conn]struct{}{}}
 	hs := &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
+		ConnState:         fresh.track,
 	}
 	janCtx, janCancel := context.WithCancel(ctx)
 	defer janCancel()
@@ -345,21 +329,53 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		// Drain live agent leases first, while the API is still up: agents
 		// must be able to report (or time out and be reclaimed) before the
 		// HTTP server stops accepting their requests.
-		if s.live != nil {
-			s.cfg.Logf("wire-serve: shutting down, draining in-flight agent leases (timeout %v)", s.cfg.DrainTimeout)
-			drainCtx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
-			if err := s.live.Drain(drainCtx); err != nil {
-				s.cfg.Logf("wire-serve: %v", err)
-			}
-			cancel()
+		s.cfg.Logf("wire-serve: shutting down, draining in-flight agent leases (timeout %v)", s.cfg.drainTimeout)
+		drainCtx, cancel := context.WithTimeout(context.Background(), s.cfg.drainTimeout)
+		if err := s.live.Drain(drainCtx); err != nil {
+			s.cfg.Logf("wire-serve: %v", err)
 		}
+		cancel()
 		s.cfg.Logf("wire-serve: draining in-flight requests")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownGrace)
+		fresh.close()
+		shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 		defer cancel()
 		if err := hs.Shutdown(shutdownCtx); err != nil {
 			return err
 		}
 		<-errc // Serve has returned http.ErrServerClosed
 		return nil
+	}
+}
+
+// freshConns tracks the connections that have not sent a request yet.
+// http.Server.Shutdown counts such a connection as idle only once it is five
+// seconds old, so one that a client dialled ahead and never used (a router's
+// pooled transport does) would hold shutdown that long. close closes them,
+// and every connection that arrives after it.
+type freshConns struct {
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
+	closed bool
+}
+
+func (f *freshConns) track(c net.Conn, state http.ConnState) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	switch {
+	case state != http.StateNew:
+		delete(f.conns, c)
+	case f.closed:
+		c.Close()
+	default:
+		f.conns[c] = struct{}{}
+	}
+}
+
+func (f *freshConns) close() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.closed = true
+	for c := range f.conns {
+		c.Close()
 	}
 }

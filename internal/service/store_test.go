@@ -133,7 +133,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 // clock: untouched sessions die at the TTL, touched ones survive.
 func TestTTLEvictionFakeClock(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(1_000_000, 0)}
-	srv := New(Config{IdleTTL: 10 * time.Minute, Clock: clock.Now})
+	srv := New(Config{clock: clock.Now})
 	wf := smallWorkflow(2)
 
 	var ids []string
@@ -145,7 +145,7 @@ func TestTTLEvictionFakeClock(t *testing.T) {
 		ids = append(ids, sess.ID)
 	}
 
-	clock.Advance(9 * time.Minute)
+	clock.Advance(idleTTL - time.Minute)
 	if n := srv.EvictIdleNow(); n != 0 {
 		t.Fatalf("evicted %d sessions before TTL", n)
 	}
@@ -154,7 +154,7 @@ func TestTTLEvictionFakeClock(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	clock.Advance(2 * time.Minute) // 11m idle for [1] and [2], 2m for [0]
+	clock.Advance(2 * time.Minute) // idleTTL+1m idle for [1] and [2], 2m for [0]
 	if n := srv.EvictIdleNow(); n != 2 {
 		t.Fatalf("evicted %d sessions at TTL, want 2", n)
 	}
@@ -174,7 +174,7 @@ func TestTTLEvictionFakeClock(t *testing.T) {
 // TestMaxSessionsRejection fills the store to its cap over HTTP and checks
 // the clear 429 error body.
 func TestMaxSessionsRejection(t *testing.T) {
-	srv := New(Config{MaxSessions: 2})
+	srv := New(Config{maxSessions: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	client := NewClient(ts.URL)

@@ -87,11 +87,6 @@ type Config struct {
 	// disables it.
 	TransferCongestion float64
 
-	// Order optionally permutes FIFO tie-breaking among simultaneously
-	// ready tasks (the Figure 4 task orders). Entry i is the rank of task
-	// i; unlisted tasks keep their ID as rank.
-	Order map[dag.TaskID]int
-
 	// DisableFirstFive turns off the per-stage priority boost.
 	DisableFirstFive bool
 
@@ -115,13 +110,6 @@ type Config struct {
 	// MTBF/interference stream of Seed is untouched.
 	Faults FaultInjector
 
-	// DOAGrace is how long after the nominal activation time a pending
-	// order is given before being written off as dead on arrival and
-	// canceled (default: the cloud lag time, i.e. one extra interval).
-	// The controller observes the shrunken pool at the next snapshot and
-	// re-orders.
-	DOAGrace simtime.Duration
-
 	// Observer, when set, receives every lifecycle event of the run
 	// (task starts/completions/kills, instance lifecycle, decisions) on
 	// the simulation goroutine. Used by the trace tooling.
@@ -141,8 +129,10 @@ const (
 	// LaunchDuplicated materializes the order twice (at-least-once
 	// provider semantics); the second launch still respects the site cap.
 	LaunchDuplicated
-	// LaunchDOA creates the instance but it never activates; after
-	// DOAGrace the simulator writes it off and cancels it unbilled.
+	// LaunchDOA creates the instance but it never activates; one interval
+	// after its nominal activation the simulator writes it off and cancels
+	// it unbilled, and the controller observes the shrunken pool at the
+	// next snapshot.
 	LaunchDOA
 )
 
@@ -176,10 +166,6 @@ const (
 	EvOrderLost
 	EvOrderDuplicated
 	EvInstanceDOA
-	// Self-healing events (live execution plane).
-	EvTaskQuarantined
-	EvTaskSpeculated
-	EvAgentBlacklisted
 )
 
 // String implements fmt.Stringer.
@@ -207,12 +193,6 @@ func (k EventKind) String() string {
 		return "order-duplicated"
 	case EvInstanceDOA:
 		return "instance-doa"
-	case EvTaskQuarantined:
-		return "task-quarantined"
-	case EvTaskSpeculated:
-		return "task-speculated"
-	case EvAgentBlacklisted:
-		return "agent-blacklisted"
 	default:
 		return fmt.Sprintf("event(%d)", int(k))
 	}
@@ -390,16 +370,6 @@ func newRun(wf *dag.Workflow, ctrl Controller, cfg Config) (*run, error) {
 		cfg.MaxSimTime = 1e8
 	}
 
-	orderOf := func(t dag.TaskID) int { return int(t) }
-	if cfg.Order != nil {
-		order := cfg.Order
-		orderOf = func(t dag.TaskID) int {
-			if r, ok := order[t]; ok {
-				return r
-			}
-			return int(t)
-		}
-	}
 	boost := sched.PriorityTasksPerStage
 	if cfg.DisableFirstFive {
 		boost = 0
@@ -415,7 +385,7 @@ func newRun(wf *dag.Workflow, ctrl Controller, cfg Config) (*run, error) {
 		cfg:     cfg,
 		eng:     event.New(),
 		site:    site,
-		queue:   sched.NewQueue(sched.WithOrder(orderOf), sched.WithBoost(boost)),
+		queue:   sched.NewQueue(sched.WithBoost(boost)),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		tasks:   make([]taskState, wf.NumTasks()),
 		touched: make([]bool, wf.NumTasks()),
@@ -496,7 +466,7 @@ func (r *run) launch(now simtime.Time) (*instState, error) {
 
 // launchFated materializes one launch. A dead-on-arrival launch holds a
 // pending slot, never activates, and is written off (canceled unbilled)
-// DOAGrace after its nominal activation time. Only elastic (controller-
+// one interval after its nominal activation time. Only elastic (controller-
 // ordered) launches consult the straggler injector.
 func (r *run) launchFated(now simtime.Time, doa, elastic bool) (*instState, error) {
 	in, err := r.site.Launch(now)
@@ -526,11 +496,7 @@ func (r *run) launchFated(now simtime.Time, doa, elastic bool) (*instState, erro
 		r.res.PeakPool = held
 	}
 	if doa {
-		grace := r.cfg.DOAGrace
-		if grace <= 0 {
-			grace = r.cfg.interval()
-		}
-		r.eng.At(in.ActiveAt+grace, event.PriInstance, "doa-writeoff", func(_ *event.Engine, t simtime.Time) {
+		r.eng.At(in.ActiveAt+r.cfg.interval(), event.PriInstance, "doa-writeoff", func(_ *event.Engine, t simtime.Time) {
 			if is.inst.State != cloud.Pending {
 				return // run finished first; finish() already canceled it
 			}

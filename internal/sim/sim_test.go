@@ -277,21 +277,6 @@ func TestInterferencePerturbsTimes(t *testing.T) {
 	}
 }
 
-func TestOrderPermutation(t *testing.T) {
-	wf := fan(3, 10, 0)
-	order := map[dag.TaskID]int{0: 2, 1: 1, 2: 0}
-	res, err := Run(wf, holdController{}, Config{Cloud: testCloud(), Order: order})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []dag.TaskID{2, 1, 0}
-	for i, tr := range res.TaskRuns {
-		if tr.Task != want[i] {
-			t.Fatalf("run order = %v at %d, want %v", tr.Task, i, want[i])
-		}
-	}
-}
-
 func TestUtilizationAccounting(t *testing.T) {
 	cc := testCloud()
 	cc.ChargingUnit = 100

@@ -38,11 +38,12 @@ type ArbiterConfig struct {
 	// infinitely so). RunStream defaults it to the site's lag, the period
 	// its runs plan at; Apportion alone to one second.
 	Interval simtime.Duration
-	// LookaheadUnits is the budget-feedback horizon: the arbiter keeps
-	// enough budget headroom to run the granted pool for this many more
-	// charging units (default 2). Larger values throttle earlier.
-	LookaheadUnits int
 }
+
+// lookaheadUnits is the budget-feedback horizon: the arbiter keeps enough
+// budget headroom to run the granted pool for this many more charging units.
+// Larger values throttle earlier.
+const lookaheadUnits = 2
 
 func (c ArbiterConfig) withDefaults() (ArbiterConfig, error) {
 	switch c.Policy {
@@ -57,9 +58,6 @@ func (c ArbiterConfig) withDefaults() (ArbiterConfig, error) {
 	}
 	if c.Interval <= 0 {
 		c.Interval = 1
-	}
-	if c.LookaheadUnits <= 0 {
-		c.LookaheadUnits = 2
 	}
 	return c, nil
 }
@@ -115,7 +113,7 @@ type Grant struct {
 //
 // Budget feedback (fair/urgency with BudgetUnits > 0): the total granted
 // pool shrinks to the size the remaining budget can sustain for
-// LookaheadUnits more charging units — throttling every run's effective cap
+// lookaheadUnits more charging units — throttling every run's effective cap
 // as aggregate spend projects over budget, and releasing the pressure as
 // runs finish and stop accruing. One instance is always granted to the most
 // urgent run so the system can never stall below the budget line.
@@ -148,7 +146,7 @@ func Apportion(cfg ArbiterConfig, statuses []RunStatus, committed, heldTotal int
 		headroom := cfg.BudgetUnits - committed
 		allowed := 0
 		if headroom > 0 {
-			allowed = headroom / cfg.LookaheadUnits
+			allowed = headroom / lookaheadUnits
 		}
 		if allowed < 1 {
 			// Austerity floor: one instance for the most urgent run keeps

@@ -22,8 +22,8 @@ func TestArbiterConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Policy != FairShare || c.LookaheadUnits != 2 {
-		t.Errorf("defaults: got policy %q lookahead %d", c.Policy, c.LookaheadUnits)
+	if c.Policy != FairShare {
+		t.Errorf("defaults: got policy %q", c.Policy)
 	}
 }
 
@@ -90,7 +90,7 @@ func TestApportionUrgencyEDF(t *testing.T) {
 }
 
 // Budget feedback shrinks the total grant to what the remaining budget can
-// sustain for LookaheadUnits more charging units, with an austerity floor of
+// sustain for lookaheadUnits more charging units, with an austerity floor of
 // one instance.
 func TestApportionBudgetFeedback(t *testing.T) {
 	statuses := []RunStatus{

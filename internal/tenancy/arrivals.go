@@ -36,26 +36,26 @@ type StreamConfig struct {
 	// full catalog).
 	Keys []string
 
-	// SlackLo/SlackHi bound the uniform deadline-slack multiplier over the
-	// nominal span (defaults 1.5 and 4).
-	SlackLo, SlackHi float64
-	// BudgetLo/BudgetHi bound the uniform budget factor over the estimated
-	// cost (defaults 1 and 2).
-	BudgetLo, BudgetHi float64
-
 	// Site reference for deadline/cost estimates: slots per instance, the
-	// reference pool size, the pool-change lag, and the charging unit
-	// (defaults 4, 4, 180s, 900s — the paper's site).
+	// pool-change lag, and the charging unit (defaults 4, 180s, 900s — the
+	// paper's site).
 	Slots         int
-	RefInstances  int
 	LagS          float64
 	ChargingUnitS float64
-
-	// BurstMean is the mean burst size of the burst process (default 4).
-	BurstMean float64
-	// DiurnalPeriodS is the diurnal modulation period (default 21600s).
-	DiurnalPeriodS float64
 }
+
+// The shape of every stream: a deadline is the nominal span on refInstances
+// instances times a slack drawn uniformly from [slackLo, slackHi), a budget
+// the estimated cost times a factor drawn uniformly from [budgetLo, budgetHi);
+// the burst process draws bursts of mean size burstMean, and the diurnal
+// process modulates its rate over diurnalPeriodS seconds.
+const (
+	slackLo, slackHi   = 1.5, 4.0
+	budgetLo, budgetHi = 1.0, 2.0
+	refInstances       = 4
+	burstMean          = 4.0
+	diurnalPeriodS     = 21600.0
+)
 
 func (c StreamConfig) withDefaults() StreamConfig {
 	if c.Process == "" {
@@ -67,35 +67,14 @@ func (c StreamConfig) withDefaults() StreamConfig {
 	if len(c.Keys) == 0 {
 		c.Keys = workloads.Keys()
 	}
-	if c.SlackLo <= 0 {
-		c.SlackLo = 1.5
-	}
-	if c.SlackHi <= c.SlackLo {
-		c.SlackHi = c.SlackLo + 2.5
-	}
-	if c.BudgetLo <= 0 {
-		c.BudgetLo = 1
-	}
-	if c.BudgetHi <= c.BudgetLo {
-		c.BudgetHi = c.BudgetLo + 1
-	}
 	if c.Slots <= 0 {
 		c.Slots = 4
-	}
-	if c.RefInstances <= 0 {
-		c.RefInstances = 4
 	}
 	if c.LagS <= 0 {
 		c.LagS = 180
 	}
 	if c.ChargingUnitS <= 0 {
 		c.ChargingUnitS = 900
-	}
-	if c.BurstMean < 1 {
-		c.BurstMean = 4
-	}
-	if c.DiurnalPeriodS <= 0 {
-		c.DiurnalPeriodS = 21600
 	}
 	return c
 }
@@ -139,9 +118,9 @@ func Generate(cfg StreamConfig) (*Stream, error) {
 		times := arrivalTimes(rng, cfg, n)
 		for _, at := range times {
 			run := runs[rng.Intn(len(runs))]
-			slack := cfg.SlackLo + rng.Float64()*(cfg.SlackHi-cfg.SlackLo)
-			span := NominalSpanS(run.Spec, cfg.RefInstances, cfg.Slots) + 2*cfg.LagS
-			factor := cfg.BudgetLo + rng.Float64()*(cfg.BudgetHi-cfg.BudgetLo)
+			slack := slackLo + rng.Float64()*(slackHi-slackLo)
+			span := NominalSpanS(run.Spec, refInstances, cfg.Slots) + 2*cfg.LagS
+			factor := budgetLo + rng.Float64()*(budgetHi-budgetLo)
 			cost := estCostUnits(run.Spec, cfg.Slots, simtime.Duration(cfg.ChargingUnitS))
 			arrivals = append(arrivals, Arrival{
 				Tenant:       tenant,
@@ -169,13 +148,13 @@ func arrivalTimes(rng *rand.Rand, cfg StreamConfig, n int) []float64 {
 			out = append(out, t)
 		}
 	case Burst:
-		// Bursts of mean size BurstMean separated by exponential gaps whose
+		// Bursts of mean size burstMean separated by exponential gaps whose
 		// rate keeps the long-run arrival rate at cfg.RatePerHour; arrivals
 		// inside a burst are seconds apart.
-		gapRate := rate / cfg.BurstMean
+		gapRate := rate / burstMean
 		for len(out) < n {
 			t += rng.ExpFloat64() / gapRate
-			size := 1 + rng.Intn(2*int(cfg.BurstMean)-1)
+			size := 1 + rng.Intn(2*int(burstMean)-1)
 			bt := t
 			for i := 0; i < size && len(out) < n; i++ {
 				if i > 0 {
@@ -193,7 +172,7 @@ func arrivalTimes(rng *rand.Rand, cfg StreamConfig, n int) []float64 {
 		peak := rate * 1.9
 		for len(out) < n {
 			t += rng.ExpFloat64() / peak
-			lambda := rate * (1 + 0.9*math.Sin(2*math.Pi*t/cfg.DiurnalPeriodS))
+			lambda := rate * (1 + 0.9*math.Sin(2*math.Pi*t/diurnalPeriodS))
 			if rng.Float64()*peak < lambda {
 				out = append(out, t)
 			}

@@ -11,7 +11,8 @@ import (
 // SweepConfig parameterizes the arrival sweep: one stream per arrival rate,
 // each stream replayed under every arbiter policy (the paired design — all
 // policies of a rate compete on the identical stream). Runs plan once per
-// cloud lag.
+// cloud lag, and the budget-aware policies share the stream's total budget,
+// the sum of its per-arrival budget draws.
 type SweepConfig struct {
 	// Seed drives both stream generation and the per-run simulators.
 	Seed int64
@@ -26,9 +27,6 @@ type SweepConfig struct {
 	// Cloud is the per-run site template; Cap the shared physical cap.
 	Cloud cloud.Config
 	Cap   int
-	// BudgetUnits is the shared budget for budget-aware policies; 0
-	// derives it from the stream's per-arrival budget draws.
-	BudgetUnits int
 	// Workers bounds sweep parallelism (0 = GOMAXPROCS).
 	Workers int
 }
@@ -68,10 +66,7 @@ func Sweep(cfg SweepConfig) ([]SweepCell, *report.Table, error) {
 			return nil, nil, err
 		}
 		streams[i] = s
-		budgets[i] = cfg.BudgetUnits
-		if budgets[i] <= 0 {
-			budgets[i] = s.TotalBudget()
-		}
+		budgets[i] = s.TotalBudget()
 	}
 
 	cells := make([]SweepCell, len(cfg.RatesPerHour)*len(policies))

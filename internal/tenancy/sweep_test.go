@@ -23,7 +23,6 @@ func TestSweepWorkerCountInvariant(t *testing.T) {
 			Keys:         []string{"tpch6-s", "tpch1-s", "pagerank-s"},
 			Cloud:        acceptanceCloud(),
 			Cap:          6,
-			BudgetUnits:  70,
 			Workers:      workers,
 		})
 		if err != nil {
@@ -46,10 +45,10 @@ func TestSweepValidation(t *testing.T) {
 	}
 }
 
-// FCFS cells ignore the configured budget (budget column 0), arbiter cells
-// inherit it.
+// FCFS cells ignore the budget (budget column 0), arbiter cells share the
+// stream's total budget.
 func TestSweepBudgetColumns(t *testing.T) {
-	cells, _, err := Sweep(SweepConfig{
+	cfg := SweepConfig{
 		Seed:         42,
 		Process:      Poisson,
 		RatesPerHour: []float64{24},
@@ -58,14 +57,28 @@ func TestSweepBudgetColumns(t *testing.T) {
 		Keys:         []string{"tpch6-s"},
 		Cloud:        acceptanceCloud(),
 		Cap:          6,
-		BudgetUnits:  70,
 		Workers:      2,
+	}
+	cells, _, err := Sweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := Generate(StreamConfig{
+		Seed:          cfg.Seed,
+		Process:       cfg.Process,
+		N:             cfg.N,
+		Tenants:       cfg.Tenants,
+		RatePerHour:   cfg.RatesPerHour[0],
+		Keys:          cfg.Keys,
+		Slots:         cfg.Cloud.SlotsPerInstance,
+		LagS:          float64(cfg.Cloud.LagTime),
+		ChargingUnitS: float64(cfg.Cloud.ChargingUnit),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range cells {
-		want := 70
+		want := stream.TotalBudget()
 		if c.Policy == FCFS {
 			want = 0
 		}

@@ -19,13 +19,8 @@ import (
 )
 
 // Recorder accumulates simulator events. Install with Hook().
-//
-// Tenant, when set, labels every CSV row with the tenant whose run produced
-// the events — multi-tenant harnesses record one run per recorder and
-// concatenate, so the label rides on the recorder, not the event.
 type Recorder struct {
 	Events []sim.Event
-	Tenant string
 }
 
 // NewRecorder returns an empty recorder.
@@ -48,12 +43,8 @@ func (r *Recorder) CountByKind() map[sim.EventKind]int {
 // WriteCSV dumps the raw event stream.
 func (r *Recorder) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"time_s", "kind", "task", "instance", "launch", "released", "tenant"}); err != nil {
+	if err := cw.Write([]string{"time_s", "kind", "task", "instance", "launch", "released"}); err != nil {
 		return err
-	}
-	tenant := r.Tenant
-	if tenant == "" {
-		tenant = "-"
 	}
 	for _, ev := range r.Events {
 		rec := []string{
@@ -63,7 +54,6 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 			itoaOrDash(int(ev.Instance)),
 			strconv.Itoa(ev.Launch),
 			strconv.Itoa(ev.Released),
-			tenant,
 		}
 		if err := cw.Write(rec); err != nil {
 			return err

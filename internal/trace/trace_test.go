@@ -66,7 +66,7 @@ func TestRecorderCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.HasPrefix(out, "time_s,kind,task,instance,launch,released,tenant\n") {
+	if !strings.HasPrefix(out, "time_s,kind,task,instance,launch,released\n") {
 		t.Fatalf("csv header wrong: %q", out[:60])
 	}
 	if !strings.Contains(out, "task-complete") || !strings.Contains(out, "instance-launch") {
@@ -75,24 +75,6 @@ func TestRecorderCSV(t *testing.T) {
 	// Decision rows carry a dash for task/instance.
 	if !strings.Contains(out, "decision,-,-") {
 		t.Fatalf("decision row malformed:\n%s", out)
-	}
-	// Untenanted recorders label every row with a dash...
-	if !strings.Contains(out, ",-\n") {
-		t.Fatalf("tenant column missing dash placeholder:\n%s", out)
-	}
-	// ...and a tenant label rides on every row.
-	rec.Tenant = "acme"
-	buf.Reset()
-	if err := rec.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for i, line := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
-		if i == 0 {
-			continue
-		}
-		if !strings.HasSuffix(line, ",acme") {
-			t.Fatalf("row %d missing tenant label: %q", i, line)
-		}
 	}
 }
 
@@ -135,7 +117,6 @@ func TestEventKindStrings(t *testing.T) {
 		sim.EvTaskStart, sim.EvTaskComplete, sim.EvTaskKilled,
 		sim.EvInstanceLaunch, sim.EvInstanceActive, sim.EvInstanceTerminated, sim.EvDecision,
 		sim.EvInstanceFailed, sim.EvOrderLost, sim.EvOrderDuplicated, sim.EvInstanceDOA,
-		sim.EvTaskQuarantined, sim.EvTaskSpeculated, sim.EvAgentBlacklisted,
 	}
 	seen := map[string]bool{}
 	for _, k := range kinds {

@@ -20,6 +20,7 @@ import (
 	"io/fs"
 	"os"
 	"path"
+	"reflect"
 	"regexp"
 	"sort"
 	"strings"
@@ -64,10 +65,18 @@ var oracles = map[string]string{
 	"internal/predict.Predictor.Updates":     "number of snapshots a predictor has consumed",
 	"internal/report.Table.WriteCSV":         "CSV form of a report table",
 	"internal/stats.Histogram":               "equal-width binning of a sample",
-	"internal/trace.Recorder.WriteCSV":       "raw event stream as CSV, tenant-labelled",
+	"internal/trace.Recorder.WriteCSV":       "raw event stream as CSV",
 	"internal/workloads.Extras":              "Pegasus gallery families beyond Table I that the integration test runs under WIRE",
 	"internal/workloads.Spec.TotalTasks":     "declared task count that generation is checked against",
 	"internal/workloads.LinearStages":        "the multi-stage linear workflow of §III-E",
+}
+
+// settable are exported struct fields that no non-test code sets outside
+// their type's withDefaults, each kept on purpose with the tests that pin it.
+// A key is a package path relative to the module followed by ".Type.Field".
+var settable = map[string]string{
+	"internal/sim.Config.InstanceSpeed":      "per-instance speed draws, §II-B's variability across instances of one type, for a testbed profile to set; TestInstanceSpeedHeterogeneity and TestInstanceSpeedDeterministic pin it",
+	"internal/sim.Config.TransferCongestion": "transfer slowdown with pool size, §II-B's shared-network variability, for a testbed profile to set; TestTransferCongestion pins it",
 }
 
 // reflected lists the interfaces the standard library reaches through
@@ -102,6 +111,12 @@ type (
 func TestEveryExportedIdentifierHasACaller(t *testing.T) {
 	prog := repoProgram(t)
 	for _, msg := range uncalled(prog, oracles, readDocs(t, "README.md")[0]) {
+		t.Error(msg)
+	}
+}
+
+func TestEveryFieldHasASetter(t *testing.T) {
+	for _, msg := range unsetFields(repoProgram(t), oracles, settable) {
 		t.Error(msg)
 	}
 }
@@ -176,6 +191,35 @@ func Sum(s Shape) int { return s.Area() }
 func ViaReadme() int { return 3 }
 
 func Hidden() int { return 5 }
+
+// Knobs is a config: each exported field is set one way, or by nothing.
+type Knobs struct {
+	Keyed, Assigned, OpAssigned, Incremented, Addressed int
+	FromOther, Defaulted, TestOnly, Unset, Allowed, Stale  int
+	hidden                                                 int
+}
+
+func (k Knobs) withDefaults() Knobs {
+	if k.Defaulted == 0 {
+		k.Defaulted, k.hidden = 1, 1
+	}
+	return k
+}
+
+// Pair is set by a positional literal.
+type Pair struct{ A, B int }
+
+// withDefaults of another type is a setter of Knobs' fields.
+func (p Pair) withDefaults(k *Knobs) { k.FromOther = p.A }
+
+// Decoded carries json tags: the decoder sets Extra.
+type Decoded struct {
+	Name  string ` + "`json:\"name\"`" + `
+	Extra int
+}
+
+// Fixture is an allowlisted type; nothing sets its field.
+type Fixture struct{ Rows int }
 `
 	const tool = `package main
 
@@ -199,6 +243,15 @@ func main() {
 	fs.Int("go-other", 0, "passed by Go code that does not name the tool")
 	b, _ := json.Marshal(lib.Doc{})
 	fmt.Println(b, lib.Used(), lib.Wrap(lib.ErrKept), lib.Sum(lib.Square{}))
+	k := lib.Knobs{Keyed: 1}
+	k.Assigned = 2
+	k.OpAssigned += 3
+	k.Incremented++
+	p := &k.Addressed
+	k.Stale = *p
+	var d lib.Decoded
+	_ = json.Unmarshal(b, &d)
+	fmt.Println(k, lib.Pair{1, 2}, d)
 }
 `
 	const runner = `package main
@@ -241,20 +294,27 @@ var (
 )
 `
 	fsys := fstest.MapFS{
-		"internal/lib/lib.go":        {Data: []byte(lib)},
-		"internal/lib/lib_test.go":   {Data: []byte("package lib\n\nvar _ = Unused() + Oracle()\n")},
-		"cmd/tool/main.go":           {Data: []byte(tool)},
-		"examples/runner/main.go":    {Data: []byte(runner)},
-		"examples/other/main.go":     {Data: []byte(other)},
-		"wire/wire.go":               {Data: []byte(facade)},
-		"internal/lib/testdata/x.go": {Data: []byte("not go")},
+		"internal/lib/lib.go":         {Data: []byte(lib)},
+		"internal/lib/lib_test.go":    {Data: []byte("package lib\n\nvar _ = Unused() + Oracle() + Knobs{TestOnly: 1}.TestOnly\n")},
+		"internal/harness/harness.go": {Data: []byte("package harness\n\n// Spec is in a package the oracles name whole.\ntype Spec struct{ N int }\n")},
+		"cmd/tool/main.go":            {Data: []byte(tool)},
+		"examples/runner/main.go":     {Data: []byte(runner)},
+		"examples/other/main.go":      {Data: []byte(other)},
+		"wire/wire.go":                {Data: []byte(facade)},
+		"internal/lib/testdata/x.go":  {Data: []byte("not go")},
 	}
 	prog, err := loadProgram(fsys, "fix")
 	if err != nil {
 		t.Fatal(err)
 	}
 	const readme = "Call `wire.Named` for the count.\n"
-	ids := uncalled(prog, map[string]string{"internal/lib.Oracle": "test oracle"}, readme)
+	fixOracles := map[string]string{"internal/lib.Oracle": "test oracle", "internal/lib.Fixture": "test fixture", "internal/harness": "test harness"}
+	ids := uncalled(prog, fixOracles, readme)
+	fields := unsetFields(prog, fixOracles, map[string]string{
+		"internal/lib.Knobs.Allowed": "kept",
+		"internal/lib.Knobs.Stale":   "has a setter",
+		"internal/lib.Knobs.Gone":    "deleted",
+	})
 	docs := []string{
 		"run `tool -named x`\nthen `other -elsewhere`\n\n" +
 			"```\ntool -named y \\\n  -continued\n# tool, in a comment that is no heading\n-nobody\n```\n\n" +
@@ -267,7 +327,10 @@ var (
 	flags := unsetFlags(prog, docs)
 	undefined := undefinedFlags(prog, docs)
 	stale := uncalled(prog, map[string]string{"internal/lib.Used": "has a caller", "internal/lib.Gone": "deleted"}, readme)
-	crossed := crossings(prog, []boundary{{from: []string{"cmd", "examples"}, to: []string{"internal/lib"}, why: "test rule"}})
+	crossed := crossings(prog, []boundary{
+		{from: []string{"cmd", "examples"}, to: []string{"internal/lib"}, why: "test rule"},
+		{from: []string{"internal/lib", "cmd"}, to: []string{"errors"}, why: "std rule"},
+	})
 	for _, tc := range []struct {
 		name   string
 		got    []string
@@ -304,6 +367,8 @@ var (
 		{"direct import across a boundary", crossed, "cmd/tool reaches internal/lib (cmd/tool → internal/lib)", true},
 		{"import across a boundary through another package", crossed, "examples/runner reaches internal/lib (examples/runner → wire → internal/lib)", true},
 		{"package under from that imports nothing", crossed, "examples/other", false},
+		{"direct standard library import", crossed, "internal/lib reaches errors (internal/lib → errors): std rule", true},
+		{"standard library import through a module package", crossed, "cmd/tool reaches errors", false},
 		{"undefined flag in inline code", undefined, "tool passes -gone", true},
 		{"undefined flag after go run", undefined, "tool passes -stale", true},
 		{"undefined flag after a pipe", undefined, "tool passes -piped", true},
@@ -312,6 +377,23 @@ var (
 		{"word after a redirection", undefined, "passes -redirected", false},
 		{"word in a shell comment", undefined, "passes -commented", false},
 		{"flag of a program that takes the binary as an argument", undefined, "passes -launcher-flag", false},
+		{"field set by a keyed literal", fields, "Knobs.Keyed ", false},
+		{"field set by an assignment", fields, "Knobs.Assigned ", false},
+		{"field set by an op-assignment", fields, "Knobs.OpAssigned ", false},
+		{"field set by an increment", fields, "Knobs.Incremented ", false},
+		{"field whose address is taken", fields, "Knobs.Addressed ", false},
+		{"field set by another type's withDefaults", fields, "Knobs.FromOther ", false},
+		{"fields set by a positional literal", fields, "lib.Pair", false},
+		{"field only its own withDefaults sets", fields, "lib.Knobs.Defaulted is set by no non-test code outside withDefaults", true},
+		{"field only a test sets", fields, "lib.Knobs.TestOnly is set by no non-test code outside withDefaults", true},
+		{"field nothing sets", fields, "lib.Knobs.Unset is set by no non-test code outside withDefaults", true},
+		{"unexported field", fields, "hidden", false},
+		{"field of a json-tagged struct", fields, "Decoded.Extra", false},
+		{"field of an allowlisted type", fields, "Fixture.Rows", false},
+		{"field in a package the oracles name whole", fields, "Spec.N", false},
+		{"allowlisted field", fields, "Knobs.Allowed ", false},
+		{"allowlist entry for a field with a setter", fields, "internal/lib.Knobs.Stale is allowlisted but has a setter", true},
+		{"allowlist entry for a deleted field", fields, "internal/lib.Knobs.Gone is allowlisted but not a checked field", true},
 	} {
 		found := false
 		for _, msg := range tc.got {
@@ -321,9 +403,9 @@ var (
 			t.Errorf("%s: reported %v, want %v; reports:\n%s", tc.name, found, tc.report, strings.Join(tc.got, "\n"))
 		}
 	}
-	if len(ids) != 8 || len(flags) != 3 || len(undefined) != 3 || len(crossed) != 2 {
-		t.Errorf("got %d identifier, %d unset flag, %d undefined flag and %d boundary reports, want 8, 3, 3 and 2:\n%s",
-			len(ids), len(flags), len(undefined), len(crossed), strings.Join(append(append(append(ids, flags...), undefined...), crossed...), "\n"))
+	if len(ids) != 8 || len(fields) != 5 || len(flags) != 3 || len(undefined) != 3 || len(crossed) != 3 {
+		t.Errorf("got %d identifier, %d field, %d unset flag, %d undefined flag and %d boundary reports, want 8, 5, 3, 3 and 3:\n%s",
+			len(ids), len(fields), len(flags), len(undefined), len(crossed), strings.Join(append(append(append(append(ids, fields...), flags...), undefined...), crossed...), "\n"))
 	}
 }
 
@@ -755,6 +837,124 @@ func markFacadeCalls(facadeUses map[types.Object][]types.Object, used map[types.
 			}
 		}
 	}
+}
+
+// unsetFields reports every exported field of a struct type declared at
+// package level in non-test internal/ code that no non-test code sets, other
+// than its own type's withDefaults method. A field is set by a keyed or
+// positional composite literal, by an assignment or increment, or by taking
+// its address (as flag.DurationVar(&c.X, …) does). Exempt are the fields of a
+// struct that carries json tags, which the decoder sets, and of a package or
+// type that oracles names. Entries of allow are kept; an entry that has a
+// setter or names no field is reported.
+func unsetFields(prog *program, oracles, allow map[string]string) []string {
+	fields := map[*types.Var]decl{}
+	owner := map[*types.Var]*types.TypeName{}
+	for _, p := range prog.order {
+		if !strings.HasPrefix(p.dir, "internal/") || oracles[p.dir] != "" {
+			continue
+		}
+		for _, name := range p.types.Scope().Names() {
+			tn, ok := p.types.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || oracles[p.dir+"."+name] != "" {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok || jsonTagged(st) {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					fields[f] = decl{p.dir, name + "." + f.Name(), prog.fset.Position(f.Pos())}
+					owner[f] = tn
+				}
+			}
+		}
+	}
+	set := map[*types.Var]bool{}
+	for _, p := range prog.order {
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				// A type's withDefaults fills in its own fields; that is
+				// not a setter.
+				var defaults *types.TypeName
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == "withDefaults" {
+					if recv := recvType(p.info.Defs[fd.Name].(*types.Func)); recv != nil {
+						defaults = recv.Obj()
+					}
+				}
+				mark := func(obj types.Object) {
+					if v, ok := origin(obj).(*types.Var); ok && v.IsField() && (defaults == nil || owner[v] != defaults) {
+						set[v] = true
+					}
+				}
+				markSel := func(e ast.Expr) {
+					if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+						mark(p.info.Uses[sel.Sel])
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						t := p.info.Types[n].Type
+						if ptr, ok := t.Underlying().(*types.Pointer); ok {
+							t = ptr.Elem()
+						}
+						st, ok := t.Underlying().(*types.Struct)
+						if !ok {
+							break
+						}
+						for i, elt := range n.Elts {
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								mark(p.info.Uses[kv.Key.(*ast.Ident)])
+							} else {
+								mark(st.Field(i))
+							}
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							markSel(lhs)
+						}
+					case *ast.IncDecStmt:
+						markSel(n.X)
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							markSel(n.X)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	var msgs []string
+	declared := map[string]bool{}
+	for v, d := range fields {
+		declared[d.key()] = true
+		switch {
+		case allow[d.key()] != "" && set[v]:
+			msgs = append(msgs, fmt.Sprintf("%s is allowlisted but has a setter", d.key()))
+		case !set[v] && allow[d.key()] == "":
+			msgs = append(msgs, fmt.Sprintf("%s: %s.%s is set by no non-test code outside withDefaults", d.pos, path.Base(d.dir), d.name))
+		}
+	}
+	for key := range allow {
+		if !declared[key] {
+			msgs = append(msgs, fmt.Sprintf("%s is allowlisted but not a checked field", key))
+		}
+	}
+	sort.Strings(msgs)
+	return msgs
+}
+
+// jsonTagged reports whether any field of st carries a json tag.
+func jsonTagged(st *types.Struct) bool {
+	for i := 0; i < st.NumFields(); i++ {
+		if _, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // flagDef is a flag that a cmd/ binary defines.
