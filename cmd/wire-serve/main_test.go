@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"os"
+	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -69,5 +72,35 @@ func TestStrayWordsAreUsageErrors(t *testing.T) {
 func TestAuditTakesPositionalDirs(t *testing.T) {
 	if err := run([]string{"audit", t.TempDir(), t.TempDir()}); err != nil {
 		t.Fatalf("audit over two empty journal dirs: %v", err)
+	}
+}
+
+// TestAuditChecksWorkflowDigests runs the audit subcommand over the keyed
+// golden session log as written and with its workflow digest doctored: a
+// journal this build would refuse to replay fails the audit, so it can be run
+// over the journal directories before a rollout.
+func TestAuditChecksWorkflowDigests(t *testing.T) {
+	golden, err := os.ReadFile("../../internal/service/testdata/golden_keyed.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "golden-keyed-01.wal")
+	if err := os.WriteFile(path, golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"audit", dir}); err != nil {
+		t.Fatalf("audit of the keyed golden log: %v", err)
+	}
+	digest := regexp.MustCompile(`"workflow_digest":"[0-9a-f]{64}"`)
+	doctored := digest.ReplaceAll(golden, []byte(`"workflow_digest":"`+strings.Repeat("0", 64)+`"`))
+	if bytes.Equal(doctored, golden) {
+		t.Fatal("the keyed golden log has no workflow digest")
+	}
+	if err := os.WriteFile(path, doctored, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"audit", dir}); err == nil || !strings.Contains(err.Error(), "1 violation") {
+		t.Fatalf("audit of a log with a doctored workflow digest: %v, want one violation", err)
 	}
 }

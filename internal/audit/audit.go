@@ -46,6 +46,11 @@
 //     configured slack. Admission control lets an idle tenant start one
 //     session past its budget by design, so a slack of one session's worth
 //     of units is legitimate; anything beyond is double-charging.
+//   - workflow_digest: a create record that names a catalogue workflow by
+//     key and seed (a session's, or a live run's run-created record) must
+//     regenerate, under this binary's generator, to the digest it recorded.
+//     Replay refuses a journal that does not, so running this before a
+//     rollout finds the sessions and runs the new build would not recover.
 package audit
 
 import (
@@ -59,6 +64,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/monitor"
+	"repro/internal/workloads"
 )
 
 // Config selects what to audit.
@@ -113,13 +119,27 @@ type Report struct {
 // Clean reports whether the audit found no violations.
 func (r *Report) Clean() bool { return len(r.Violations) == 0 }
 
+// checkDigest is the workflow_digest check on one create record that names
+// a catalogue workflow by key and seed.
+func (r *Report) checkDigest(session, dir, key string, seed int64, digest string) {
+	if _, err := workloads.Regenerate(key, seed, digest); err != nil {
+		r.Violations = append(r.Violations, Violation{
+			Check: "workflow_digest", Session: session, Dir: dir, Detail: err.Error(),
+		})
+	}
+}
+
 // walRec mirrors the service WAL line shape, decoded independently.
 // Response and Snapshot stay raw: the exactly-once check compares bytes, not
 // any interpretation of them.
 type walRec struct {
-	Type     string          `json:"type"`
-	ID       string          `json:"id,omitempty"`
-	Tenant   string          `json:"tenant,omitempty"`
+	Type           string `json:"type"`
+	ID             string `json:"id,omitempty"`
+	Tenant         string `json:"tenant,omitempty"`
+	WorkflowKey    string `json:"workflow_key,omitempty"`
+	WorkflowSeed   int64  `json:"workflow_seed,omitempty"`
+	WorkflowDigest string `json:"workflow_digest,omitempty"`
+
 	Seq      int64           `json:"seq,omitempty"`
 	Snapshot json.RawMessage `json:"snapshot,omitempty"`
 	Response json.RawMessage `json:"response,omitempty"`
@@ -252,6 +272,9 @@ func parseWAL(dir, path string, rep *Report) (*walCopy, error) {
 		switch rec.Type {
 		case "create":
 			c.tenant = rec.Tenant
+			if rec.WorkflowKey != "" {
+				rep.checkDigest(c.session, dir, rec.WorkflowKey, rec.WorkflowSeed, rec.WorkflowDigest)
+			}
 		case "plan":
 			resp := compact(rec.Response)
 			if prev, dup := seen[rec.Seq]; dup {
@@ -420,6 +443,14 @@ func auditLeases(rep *Report, files []string) error {
 		}
 		rep.LiveRecords += len(recs)
 		for _, rec := range recs {
+			if rec.Kind == exec.RecRunCreated && rec.WorkflowDigest != "" {
+				// A spec that does not decode names no workflow and fails
+				// the check.
+				var spec exec.CreateRunRequest
+				_ = json.Unmarshal(rec.Spec, &spec)
+				rep.checkDigest(strings.TrimSuffix(filepath.Base(path), ".jsonl"), filepath.Dir(path),
+					spec.WorkflowKey, spec.WorkflowSeed, rec.WorkflowDigest)
+			}
 			if rec.Lease == nil {
 				continue
 			}

@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -242,5 +243,60 @@ func TestGoldenLiveJournal(t *testing.T) {
 	}
 	if len(rep.Violations) != 1 || rep.Violations[0].Check != "lease_identity" {
 		t.Fatalf("a doubled lease grant was reported as %+v", rep.Violations)
+	}
+}
+
+// TestWorkflowDigestCheck audits the keyed golden session log checked in
+// beside the service package, and a live run created by catalogue key, as
+// written and with the digest doctored: the written ones audit clean, and
+// each doctored record is one workflow_digest violation naming its session or
+// run, the key and the seed.
+func TestWorkflowDigestCheck(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("..", "service", "testdata", "golden_keyed.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	create := struct {
+		Key    string `json:"workflow_key"`
+		Seed   int64  `json:"workflow_seed"`
+		Digest string `json:"workflow_digest"`
+	}{}
+	if err := json.Unmarshal([]byte(strings.SplitN(string(golden), "\n", 2)[0]), &create); err != nil || create.Digest == "" {
+		t.Fatalf("the keyed golden log's create record: %+v, %v", create, err)
+	}
+	live := fmt.Sprintf(`{"seq":1,"wall_ms":0,"now_s":0,"kind":"run-created","detail":"tpch6","run_spec":{"workflow_key":%q,"workflow_seed":%d,"slots_per_instance":2,"lag_time_s":2,"charging_unit_s":30},"workflow_digest":%q}`+"\n",
+		create.Key, create.Seed, create.Digest)
+	audited := func(doctor bool) *Report {
+		t.Helper()
+		wal, run := string(golden), live
+		if doctor {
+			zeros := strings.Repeat("0", len(create.Digest))
+			wal, run = strings.Replace(wal, create.Digest, zeros, 1), strings.Replace(run, create.Digest, zeros, 1)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "golden-keyed-01.wal"), []byte(wal), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "live-keyed.jsonl"), []byte(run), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Run(Config{Dirs: []string{dir}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	if rep := audited(false); !rep.Clean() || rep.Plans != 2 || rep.LiveRecords != 1 {
+		t.Fatalf("audit of the keyed golden log and run: %d plan(s), %d live record(s), violations %+v", rep.Plans, rep.LiveRecords, rep.Violations)
+	}
+	rep := audited(true)
+	if len(rep.Violations) != 2 {
+		t.Fatalf("doctored digests were reported as %+v", rep.Violations)
+	}
+	for i, session := range []string{"golden-keyed-01", "live-keyed"} {
+		v := rep.Violations[i]
+		if v.Check != "workflow_digest" || v.Session != session || !strings.Contains(v.Detail, fmt.Sprintf("%q seed %d", create.Key, create.Seed)) {
+			t.Errorf("violation %d: %+v, want workflow_digest for %s naming key %q and seed %d", i, v, session, create.Key, create.Seed)
+		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"repro/internal/workloads"
 )
 
 // SelfTestResult is the mutation-coverage verdict: every seeded corruption
@@ -44,6 +46,22 @@ func stCreate(id, tenant string) string {
 	return fmt.Sprintf(`{"type":"create","id":%q,"policy":"wire","tenant":%q,"created_at":"2026-01-01T00:00:00Z"}`, id, tenant)
 }
 
+// stKeyedCreate is a create record for a catalogue workflow: key, seed and
+// the digest its generation must hash to.
+func stKeyedCreate(id, tenant, key string, seed int64, digest string) string {
+	return fmt.Sprintf(`{"type":"create","id":%q,"policy":"wire","workflow_key":%q,"workflow_seed":%d,"workflow_digest":%q,"tenant":%q,"created_at":"2026-01-01T00:00:00Z"}`,
+		id, key, seed, digest, tenant)
+}
+
+// tpch6Digest is the digest of the tpch6-s workflow at seed 2.
+func tpch6Digest() string {
+	wf, _, err := workloads.Resolve(nil, "tpch6-s", 2)
+	if err != nil {
+		panic(err)
+	}
+	return workloads.Digest(wf)
+}
+
 // stPlan builds a plan record with n instances on a 30s interval and a
 // 3600s charging unit; marker differentiates response bytes.
 func stPlan(seq int64, n int, marker string) string {
@@ -69,8 +87,8 @@ func stLease(seq int64, kind string, lease int64) string {
 }
 
 // cleanCorpus writes an invariant-respecting baseline: two sessions (one
-// handed off with a benign crash-window duplicate), one healthy lease
-// history, and a tenant inside budget.
+// handed off with a benign crash-window duplicate, one created by catalogue
+// key), one healthy lease history, and a tenant inside budget.
 func cleanCorpus(a, b string) error {
 	if err := stWAL(a, "s-handed",
 		stCreate("s-handed", "acme"),
@@ -92,7 +110,7 @@ func cleanCorpus(a, b string) error {
 		return err
 	}
 	if err := stWAL(b, "s-solo",
-		stCreate("s-solo", "acme"),
+		stKeyedCreate("s-solo", "acme", "tpch6-s", 2, tpch6Digest()),
 		stPlan(1, 1, "v"),
 	); err != nil {
 		return err
@@ -234,6 +252,15 @@ func SelfTest() (*SelfTestResult, error) {
 			name: "orphan lease terminal", check: "lease_identity",
 			seed: func(b string) error {
 				return stLive(b, stLease(1, "lease-reclaimed", 202))
+			},
+		},
+		{
+			name: "generator drift (doctored digest)", check: "workflow_digest",
+			seed: func(b string) error {
+				return stWAL(b, "s-solo",
+					stKeyedCreate("s-solo", "acme", "tpch6-s", 2, strings.Repeat("0", 64)),
+					stPlan(1, 1, "v"),
+				)
 			},
 		},
 		{

@@ -285,7 +285,7 @@ func NewDispatcher(cfg Config) (*Dispatcher, error) {
 		d.pred = predict.New(predict.Config{})
 	}
 	if cfg.Journal != nil && len(cfg.Spec) > 0 {
-		d.commitLocked(Record{Kind: RecRunCreated, Detail: cfg.Workflow.Name, Spec: cfg.Spec})
+		d.commitLocked(Record{Kind: RecRunCreated, Detail: cfg.Workflow.Name, Spec: cfg.Spec, WorkflowDigest: cfg.workflowDigest})
 	}
 	d.initTasks()
 	return d, nil

@@ -177,6 +177,10 @@ type Config struct {
 	// daemon can rebuild the dispatcher configuration from the journal
 	// alone.
 	Spec []byte
+	// workflowDigest, for a run created by workflow_key, is the generated
+	// workflow's workloads.Digest, journaled beside Spec: recovery
+	// regenerates the workflow and refuses the run if it no longer matches.
+	workflowDigest string
 
 	// Logf, when set, receives operational log lines.
 	Logf func(format string, args ...any)

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/dag"
-	"repro/internal/dagio"
 	"repro/internal/sim"
 	"repro/internal/wal"
 	"repro/internal/workloads"
@@ -208,37 +207,19 @@ func newRunID() string {
 	return "live-" + hex.EncodeToString(b[:])
 }
 
-// resolveWorkflow materializes the request's workflow source (the same rules
-// as the service's session endpoint).
-func resolveWorkflow(req *CreateRunRequest) (*dag.Workflow, error) {
-	switch {
-	case req.Workflow != nil && req.WorkflowKey != "":
-		return nil, fmt.Errorf("workflow and workflow_key are mutually exclusive")
-	case req.Workflow != nil:
-		return dagio.Decode(req.Workflow)
-	case req.WorkflowKey != "":
-		run, ok := workloads.ByKey(req.WorkflowKey)
-		if !ok {
-			return nil, fmt.Errorf("unknown workflow_key %q (known: %v)", req.WorkflowKey, workloads.Keys())
-		}
-		seed := req.WorkflowSeed
-		if seed == 0 {
-			seed = 1
-		}
-		return run.Generate(seed), nil
-	default:
-		return nil, fmt.Errorf("one of workflow or workflow_key is required")
-	}
-}
-
 // ConfigFromRequest translates a create request into a dispatcher Config,
 // consulting the factory for the controller. Exported for the in-process
 // driver, which builds dispatchers without HTTP.
 func ConfigFromRequest(req *CreateRunRequest, factory ControllerFactory) (Config, error) {
-	wf, err := resolveWorkflow(req)
+	wf, _, err := workloads.Resolve(req.Workflow, req.WorkflowKey, req.WorkflowSeed)
 	if err != nil {
 		return Config{}, fmt.Errorf("workflow: %w", err)
 	}
+	return configFor(req, wf, factory)
+}
+
+// configFor is ConfigFromRequest for the workflow the request resolved to.
+func configFor(req *CreateRunRequest, wf *dag.Workflow, factory ControllerFactory) (Config, error) {
 	policy := req.Policy
 	if policy == "" {
 		policy = "wire"
@@ -310,6 +291,9 @@ func (g *Registry) handleCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		cfg.Journal = sink
+		if req.WorkflowKey != "" {
+			cfg.workflowDigest = workloads.Digest(cfg.Workflow)
+		}
 	}
 	d, err := NewDispatcher(cfg)
 	if err != nil {

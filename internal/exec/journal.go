@@ -70,6 +70,9 @@ type Record struct {
 	// Spec holds the marshaled CreateRunRequest on run-created records —
 	// everything a restarted daemon needs to rebuild the dispatcher.
 	Spec json.RawMessage `json:"run_spec,omitempty"`
+	// WorkflowDigest, on the run-created record of a run created by
+	// workflow_key, is the generated workflow's workloads.Digest.
+	WorkflowDigest string `json:"workflow_digest,omitempty"`
 
 	// Snapshot/Decision hold the full plan record on decision records, so
 	// the TwinVerify parity certificate survives a daemon restart.

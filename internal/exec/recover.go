@@ -9,8 +9,10 @@ import (
 	"time"
 
 	"repro/internal/cloud"
+	"repro/internal/dag"
 	"repro/internal/monitor"
 	"repro/internal/wal"
+	"repro/internal/workloads"
 )
 
 // This file is the dispatcher's crash-recovery path: a restarted wire-serve
@@ -97,7 +99,19 @@ func (g *Registry) recoverOne(id, path string, recs []Record, end int64) (*Dispa
 	if err := json.Unmarshal(recs[0].Spec, &req); err != nil {
 		return nil, nil, fmt.Errorf("run spec: %w", err)
 	}
-	cfg, err := ConfigFromRequest(&req, g.cfg.Factory)
+	var wf *dag.Workflow
+	var err error
+	if digest := recs[0].WorkflowDigest; digest != "" {
+		// A catalogue workflow is held to the digest it was journaled with:
+		// a generator that changed since would resume the run on another DAG.
+		wf, err = workloads.Regenerate(req.WorkflowKey, req.WorkflowSeed, digest)
+	} else {
+		wf, _, err = workloads.Resolve(req.Workflow, req.WorkflowKey, req.WorkflowSeed)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("workflow: %w", err)
+	}
+	cfg, err := configFor(&req, wf, g.cfg.Factory)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -21,6 +21,7 @@ import (
 	"repro/internal/simtime"
 	"repro/internal/wal"
 	"repro/internal/wal/waltest"
+	"repro/internal/workloads"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.jsonl from the current write path")
@@ -343,5 +344,86 @@ func TestRecoverReadsJournalOnce(t *testing.T) {
 	after, _, err := ReadJournal(path)
 	if err != nil || len(after) != 3 || after[2].Kind != RecAgentRegistered || after[2].Seq != 3 {
 		t.Fatalf("journal after the recovered run's next record: %+v, err %v", after, err)
+	}
+}
+
+// TestRecoverHoldsKeyedRunToDigest: a run created by workflow_key journals the
+// generated workflow's digest on its run-created record, and recovery
+// regenerates the workflow and holds it to that digest. The intact journal
+// recovers; one whose digest no longer matches — what a generator changed
+// since the journal was written looks like — is refused, and the refusal
+// names the run, the key and the seed; a run-created record without a digest
+// recovers as before.
+func TestRecoverHoldsKeyedRunToDigest(t *testing.T) {
+	dir := t.TempDir()
+	reg := newTestRegistry(t, RegistryConfig{JournalDir: dir})
+	ts := httptest.NewServer(liveHandler(reg))
+	defer ts.Close()
+	client := NewLiveClient(ts.URL)
+	ctx := context.Background()
+	info, err := client.CreateRun(ctx, &CreateRunRequest{
+		WorkflowKey: "tpch6-s", SlotsPerInstance: 2, LagTimeS: 2, ChargingUnitS: 30,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer deleteRun(ctx, client, info.ID)
+	image, err := os.ReadFile(filepath.Join(dir, info.ID+".jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := ReadJournal(filepath.Join(dir, info.ID+".jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wf, _, err := workloads.Resolve(nil, "tpch6-s", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := workloads.Digest(wf)
+	if len(recs) == 0 || recs[0].Kind != RecRunCreated || recs[0].WorkflowDigest != digest {
+		t.Fatalf("run-created record %+v, want workflow digest %s", recs[0], digest)
+	}
+
+	recoverImage := func(image []byte) (int, string) {
+		t.Helper()
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, info.ID+".jsonl"), image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		logs := &logLines{}
+		reg := newTestRegistry(t, RegistryConfig{JournalDir: dir, Logf: logs.logf})
+		n, err := reg.Recover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg.mu.Lock()
+		e := reg.runs[info.ID]
+		reg.mu.Unlock()
+		if e != nil {
+			e.d.Abort("test cleanup")
+			e.sink.Close()
+		}
+		logs.mu.Lock()
+		defer logs.mu.Unlock()
+		return n, strings.Join(logs.lines, "\n")
+	}
+	if n, logged := recoverImage(image); n != 1 {
+		t.Fatalf("the intact keyed journal recovered %d run(s):\n%s", n, logged)
+	}
+	doctored := bytes.Replace(image, []byte(digest), []byte(strings.Repeat("0", len(digest))), 1)
+	n, logged := recoverImage(doctored)
+	if n != 0 {
+		t.Fatalf("a journal whose workflow digest does not match recovered %d run(s)", n)
+	}
+	if !strings.Contains(logged, info.ID) || !strings.Contains(logged, `"tpch6-s" seed 1`) {
+		t.Errorf("the refusal does not name run %s, key tpch6-s and seed 1:\n%s", info.ID, logged)
+	}
+	undigested := bytes.Replace(image, []byte(`,"workflow_digest":"`+digest+`"`), nil, 1)
+	if bytes.Equal(undigested, image) {
+		t.Fatal("the run-created record's digest was not found to strip")
+	}
+	if n, logged := recoverImage(undigested); n != 1 {
+		t.Fatalf("a run-created record without a digest recovered %d run(s):\n%s", n, logged)
 	}
 }

@@ -293,28 +293,6 @@ func (s *Server) sessionInfo(sess *Session) SessionInfo {
 	}
 }
 
-// resolveWorkflow materializes the request's workflow source.
-func resolveWorkflow(req *CreateSessionRequest) (*dag.Workflow, error) {
-	switch {
-	case req.Workflow != nil && req.WorkflowKey != "":
-		return nil, fmt.Errorf("workflow and workflow_key are mutually exclusive")
-	case req.Workflow != nil:
-		return dagio.Decode(req.Workflow)
-	case req.WorkflowKey != "":
-		run, ok := workloads.ByKey(req.WorkflowKey)
-		if !ok {
-			return nil, fmt.Errorf("unknown workflow_key %q (known: %v)", req.WorkflowKey, workloads.Keys())
-		}
-		seed := req.WorkflowSeed
-		if seed == 0 {
-			seed = 1
-		}
-		return run.Generate(seed), nil
-	default:
-		return nil, fmt.Errorf("one of workflow or workflow_key is required")
-	}
-}
-
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var assigned string
 	if s.cfg.ShardMode {
@@ -339,7 +317,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	if !s.readJSON(w, r, &req) {
 		return
 	}
-	wf, err := resolveWorkflow(&req)
+	wf, seed, err := workloads.Resolve(req.Workflow, req.WorkflowKey, req.WorkflowSeed)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad_request", "workflow: %v", err)
 		return
@@ -408,7 +386,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		sess.mu.Unlock()
 	}
 	s.metrics.SessionCreated()
-	s.openSessionJournal(sess, &req)
+	s.openSessionJournal(sess, &req, seed)
 	s.writeJSON(w, http.StatusCreated, s.sessionInfo(sess))
 }
 

@@ -12,10 +12,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/dag"
 	"repro/internal/dagio"
 	"repro/internal/monitor"
 	"repro/internal/sim"
 	"repro/internal/wal"
+	"repro/internal/workloads"
 )
 
 // The crash-recovery journal: with Config.JournalDir set, every session
@@ -119,9 +121,14 @@ func (s *Server) journalPath(id string) string {
 }
 
 // openSessionJournal attaches a WAL to a freshly created session and writes
-// its create record. Journal trouble is logged, never fatal: the daemon
-// degrades to memory-only sessions rather than refusing service.
-func (s *Server) openSessionJournal(sess *Session, req *CreateSessionRequest) {
+// its create record. A catalogue workflow is journaled as its key, seed (the
+// effective one, as workloads.Resolve applied it) and digest: the three
+// regenerate the workflow on replay for a fraction of what parsing it costs,
+// and the digest turns a generator that changed in between into a refused
+// replay rather than a session planned on another workflow. Journal trouble is
+// logged, never fatal: the daemon degrades to memory-only sessions rather than
+// refusing service.
+func (s *Server) openSessionJournal(sess *Session, req *CreateSessionRequest, seed int64) {
 	if s.cfg.JournalDir == "" {
 		return
 	}
@@ -130,19 +137,18 @@ func (s *Server) openSessionJournal(sess *Session, req *CreateSessionRequest) {
 		s.cfg.Logf("wire-serve: journal disabled for session %s: %v", sess.ID, err)
 		return
 	}
-	doc := req.Workflow
-	if doc == nil {
-		doc = dagio.Encode(sess.Workflow)
-	}
 	rec := &walRecord{
 		Type:       "create",
 		ID:         sess.ID,
 		Policy:     sess.Policy,
-		Workflow:   doc,
+		Workflow:   req.Workflow,
 		Controller: req.Controller,
 		Tenant:     req.Tenant,
 		DeadlineS:  req.DeadlineS,
 		CreatedAt:  sess.CreatedAt(),
+	}
+	if req.Workflow == nil {
+		rec.WorkflowKey, rec.WorkflowSeed, rec.WorkflowDigest = req.WorkflowKey, seed, workloads.Digest(sess.Workflow)
 	}
 	if err := j.appendCreate(rec); err != nil {
 		s.cfg.Logf("wire-serve: journal disabled for session %s: %v", sess.ID, err)
@@ -399,17 +405,25 @@ func (s *Server) replaySession(sess *Session, path string, claimEpoch int64) (in
 			return err
 		}
 		if !created {
-			// The create record: rebuild the workflow and a fresh controller
-			// of the journaled policy.
-			if rec.Type != "create" || rec.ID == "" || rec.Workflow == nil {
+			// The create record: rebuild the workflow — decoded, or
+			// regenerated from the catalogue and held to its digest — and a
+			// fresh controller of the journaled policy.
+			keyed := rec.WorkflowKey != ""
+			if rec.Type != "create" || rec.ID == "" || keyed == (rec.Workflow != nil) || keyed && rec.WorkflowDigest == "" {
 				return errors.New("malformed")
 			}
 			if rec.ID != sess.ID {
 				broken = fmt.Errorf("create record names session %q", rec.ID)
 				return broken
 			}
-			wf, err := dagio.Decode(rec.Workflow)
-			if err != nil {
+			var wf *dag.Workflow
+			var err error
+			if keyed {
+				if wf, err = workloads.Regenerate(rec.WorkflowKey, rec.WorkflowSeed, rec.WorkflowDigest); err != nil {
+					broken = fmt.Errorf("session %s: %w", sess.ID, err)
+					return broken
+				}
+			} else if wf, err = dagio.Decode(rec.Workflow); err != nil {
 				return fmt.Errorf("workflow: %w", err)
 			}
 			ctrl, err := NewPolicyController(rec.Policy, rec.Controller)

@@ -356,7 +356,7 @@ func TestPlanUnencodableResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.openSessionJournal(sess, &CreateSessionRequest{Workflow: dagio.Encode(wf)})
+	srv.openSessionJournal(sess, &CreateSessionRequest{Workflow: dagio.Encode(wf)}, 0)
 	walPath := filepath.Join(dir, sess.ID+".wal")
 	before, err := os.ReadFile(walPath)
 	if err != nil {

@@ -17,7 +17,9 @@ import (
 // would to json.Unmarshal itself.
 
 // walRecord is one journal line. Type "create" opens the log and carries
-// everything needed to rebuild the controller; each "plan" carries the
+// everything needed to rebuild the controller: the workflow as a document, or,
+// for a catalogue workflow, the key, the effective seed and the digest that
+// regenerate and check it (workloads.Regenerate); each "plan" carries the
 // snapshot as it was posted — in full, or as the delta against the interval
 // before (monitor.Snapshot.Delta) — and the response that was (about to be)
 // served. Neither kind is written by marshalling it: appendCreateRecord and
@@ -26,13 +28,16 @@ type walRecord struct {
 	Type string `json:"type"`
 
 	// create
-	ID         string          `json:"id,omitempty"`
-	Policy     string          `json:"policy,omitempty"`
-	Workflow   *dagio.Document `json:"workflow,omitempty"`
-	Controller *ControllerSpec `json:"controller,omitempty"`
-	Tenant     string          `json:"tenant,omitempty"`
-	DeadlineS  float64         `json:"deadline_s,omitempty"`
-	CreatedAt  time.Time       `json:"created_at"`
+	ID             string          `json:"id,omitempty"`
+	Policy         string          `json:"policy,omitempty"`
+	Workflow       *dagio.Document `json:"workflow,omitempty"`
+	WorkflowKey    string          `json:"workflow_key,omitempty"`
+	WorkflowSeed   int64           `json:"workflow_seed,omitempty"`
+	WorkflowDigest string          `json:"workflow_digest,omitempty"`
+	Controller     *ControllerSpec `json:"controller,omitempty"`
+	Tenant         string          `json:"tenant,omitempty"`
+	DeadlineS      float64         `json:"deadline_s,omitempty"`
+	CreatedAt      time.Time       `json:"created_at"`
 
 	// plan
 	Seq      int64             `json:"seq,omitempty"`
@@ -62,6 +67,18 @@ func appendCreateRecord(dst []byte, rec *walRecord) ([]byte, error) {
 	if rec.Workflow != nil {
 		dst = append(dst, `,"workflow":`...)
 		dst, err = dagio.AppendDocument(dst, rec.Workflow)
+	}
+	if rec.WorkflowKey != "" {
+		dst = append(dst, `,"workflow_key":`...)
+		dst = jsonlite.AppendString(dst, rec.WorkflowKey)
+	}
+	if rec.WorkflowSeed != 0 {
+		dst = append(dst, `,"workflow_seed":`...)
+		dst = jsonlite.AppendInt(dst, rec.WorkflowSeed)
+	}
+	if rec.WorkflowDigest != "" {
+		dst = append(dst, `,"workflow_digest":`...)
+		dst = jsonlite.AppendString(dst, rec.WorkflowDigest)
 	}
 	if rec.Controller != nil {
 		// A handful of numbers, once per session.
@@ -131,14 +148,17 @@ type walLine struct {
 
 // walFields are the keys the verbatim reader decodes, indexed by the field
 // constants below: walRecord's JSON names, exactly.
-var walFields = [...]string{"type", "id", "policy", "workflow", "controller", "tenant",
-	"deadline_s", "created_at", "seq", "snapshot", "response"}
+var walFields = [...]string{"type", "id", "policy", "workflow", "workflow_key", "workflow_seed",
+	"workflow_digest", "controller", "tenant", "deadline_s", "created_at", "seq", "snapshot", "response"}
 
 const (
 	fieldType = iota
 	fieldID
 	fieldPolicy
 	fieldWorkflow
+	fieldWorkflowKey
+	fieldWorkflowSeed
+	fieldWorkflowDigest
 	fieldController
 	fieldTenant
 	fieldDeadline
@@ -187,6 +207,12 @@ func readVerbatim(line []byte, rec *walLine, body *monitor.Snapshot) bool {
 				rec.Workflow = new(dagio.Document)
 				err = dagio.ParseDocument(p, rec.Workflow)
 			}
+		case fieldWorkflowKey:
+			rec.WorkflowKey, err = verbatimString(p)
+		case fieldWorkflowSeed:
+			rec.WorkflowSeed, err = p.Int()
+		case fieldWorkflowDigest:
+			rec.WorkflowDigest, err = verbatimString(p)
 		case fieldController:
 			var span []byte
 			if span, err = p.SkipValue(); err == nil {

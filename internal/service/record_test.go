@@ -38,7 +38,7 @@ func requireSameCreateRecord(t testing.TB, name string, rec *walRecord) {
 }
 
 // catalogueCreateRecord is the create record a daemon journals for key's
-// workflow at seed.
+// workflow at seed posted inline, as a document.
 func catalogueCreateRecord(t testing.TB, key string, seed int64) *walRecord {
 	t.Helper()
 	run, ok := workloads.ByKey(key)
@@ -47,6 +47,19 @@ func catalogueCreateRecord(t testing.TB, key string, seed int64) *walRecord {
 	}
 	return &walRecord{Type: "create", ID: "0123456789abcdef0123456789abcdef", Policy: "wire",
 		Workflow: dagio.Encode(run.Generate(seed)), CreatedAt: time.Date(2026, 3, 1, 12, 30, 45, 123456789, time.UTC)}
+}
+
+// keyedCreateRecord is the create record a daemon journals for a session
+// created by key and seed: the two and the workflow's digest, no document.
+func keyedCreateRecord(t testing.TB, key string, seed int64) *walRecord {
+	t.Helper()
+	wf, seed, err := workloads.Resolve(nil, key, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &walRecord{Type: "create", ID: "0123456789abcdef0123456789abcdef", Policy: "wire",
+		WorkflowKey: key, WorkflowSeed: seed, WorkflowDigest: workloads.Digest(wf),
+		CreatedAt: time.Date(2026, 3, 1, 12, 30, 45, 123456789, time.UTC)}
 }
 
 // edgeDocument is a small document with one of every optional field.
@@ -60,14 +73,25 @@ func edgeDocument() *dagio.Document {
 }
 
 // TestCreateRecordMatchesMarshal is the differential test behind the framed
-// create record: for every catalogue workflow at two seeds and the edge
-// shapes, appendCreateRecord writes json.Marshal's bytes, or both refuse —
-// and a refused record writes nothing to the journal.
+// create record: for every catalogue workflow at two seeds, inline and keyed,
+// and the edge shapes, appendCreateRecord writes json.Marshal's bytes, or both
+// refuse — and a refused record writes nothing to the journal.
 func TestCreateRecordMatchesMarshal(t *testing.T) {
 	for _, key := range workloads.Keys() {
 		for _, seed := range []int64{1, 2} {
 			requireSameCreateRecord(t, key, catalogueCreateRecord(t, key, seed))
+			requireSameCreateRecord(t, key+" keyed", keyedCreateRecord(t, key, seed))
 		}
+	}
+	for _, seed := range []int64{-1, math.MinInt64, math.MaxInt64} {
+		rec := keyedCreateRecord(t, "tpch6-s", 1)
+		rec.WorkflowSeed = seed
+		requireSameCreateRecord(t, "keyed seed", rec)
+	}
+	for _, name := range []string{"<&>", "a\u2028b\u2029", "bad\xffutf8", "quote\"back\\slash\ttab\x01", "é"} {
+		rec := keyedCreateRecord(t, "tpch6-s", 1)
+		rec.WorkflowKey, rec.WorkflowDigest = name, name
+		requireSameCreateRecord(t, "keyed strings "+name, rec)
 	}
 
 	withDoc := func(edit func(*dagio.Document)) *walRecord {
@@ -99,9 +123,10 @@ func TestCreateRecordMatchesMarshal(t *testing.T) {
 		{"controller", &ControllerSpec{RestartFrac: 0.25, MinPool: 2, LearningRate: 1e-9, Deadline: 3600, Slack: 0.1}}} {
 		for _, tenant := range []string{"", "acme"} {
 			for _, deadline := range []float64{0, 7200.5, 1e21} {
-				rec := catalogueCreateRecord(t, "genome-s", 1)
-				rec.Controller, rec.Tenant, rec.DeadlineS = c.spec, tenant, deadline
-				requireSameCreateRecord(t, c.name+"/"+tenant, rec)
+				for _, rec := range []*walRecord{catalogueCreateRecord(t, "genome-s", 1), keyedCreateRecord(t, "genome-s", 1)} {
+					rec.Controller, rec.Tenant, rec.DeadlineS = c.spec, tenant, deadline
+					requireSameCreateRecord(t, c.name+"/"+tenant, rec)
+				}
 			}
 		}
 	}
@@ -145,11 +170,12 @@ func TestCreateRecordMatchesMarshal(t *testing.T) {
 }
 
 // writtenWALLines are the lines the verbatim reader exists for: every line
-// of the three golden WALs, then each catalogue workflow's create record and
-// plan records as a Go client's session journals them.
+// of the four golden WALs, then each catalogue workflow's create records —
+// keyed, and posted inline — and plan records as a Go client's session
+// journals them.
 func writtenWALLines(t testing.TB) (golden, catalogue [][]byte) {
 	t.Helper()
-	for _, path := range []string{goldenWAL, goldenV1WAL, goldenV2WAL} {
+	for _, path := range []string{goldenWAL, goldenV1WAL, goldenV2WAL, goldenKeyedWAL} {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -157,11 +183,13 @@ func writtenWALLines(t testing.TB) (golden, catalogue [][]byte) {
 		golden = append(golden, splitLines(data)...)
 	}
 	for _, key := range workloads.Keys() {
-		create, err := appendCreateRecord(nil, catalogueCreateRecord(t, key, 1))
-		if err != nil {
-			t.Fatal(err)
+		for _, rec := range []*walRecord{keyedCreateRecord(t, key, 1), catalogueCreateRecord(t, key, 1)} {
+			create, err := appendCreateRecord(nil, rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			catalogue = append(catalogue, bytes.TrimSuffix(create, []byte{'\n'}))
 		}
-		catalogue = append(catalogue, bytes.TrimSuffix(create, []byte{'\n'}))
 		for _, p := range recordedPlans(t, key) {
 			respJSON, err := p.resp.AppendJSON(nil)
 			if err != nil {
@@ -211,6 +239,13 @@ func lineMutations(line []byte) [][]byte {
 	replace(`{"type":"create"`, `{"workflow":{"meta":1},"type":"create"`)
 	replace(`"exec_time_s":`, `"exec_time_s":1e999,"input_size_mb":`)
 	replace(`"seq":`, `"seq":1e999,"deadline_s":`)
+	seed := regexp.MustCompile(`"workflow_seed":-?[0-9]+`)
+	for _, v := range []string{"null", `"3"`, "3.0", "1e999", "-0", "-9223372036854775809", "9223372036854775807"} {
+		add(seed.ReplaceAll(line, []byte(`"workflow_seed":`+v)))
+	}
+	replace(`"workflow_key":"`, `"workflow_key":"\u0041`)
+	add(regexp.MustCompile(`"workflow_digest":"[^"]*"`).ReplaceAll(line, []byte(`"workflow_digest":null`)))
+	replace(`"workflow_key":`, `"workflow":{"name":"w","stages":[],"tasks":[]},"workflow_key":`)
 	replace(`"created_at":"0001-01-01T00:00:00Z"`, `"created_at":"2026-01-02T03:04:05.6+01:00"`)
 	replace(`"created_at":"0001-01-01T00:00:00Z"`, `"created_at":5`)
 	replace(`"created_at":"0001-01-01T00:00:00Z"`, `"created_at":null`)
