@@ -156,19 +156,22 @@ func runOnce(cfg Config, wf *dag.Workflow, runKey, policy string, unit simtime.D
 	return sim.Run(wf, ctrl, simCfg)
 }
 
-// cellsFor returns the cells of one run in (unit, policy) order.
-func (r *CostResult) cellsFor(runKey string) []CostCell {
-	var out []CostCell
+// cellsFor returns the cells of one run in (unit, policy) order, and each
+// cell's mean makespan relative to the run's fastest setting (§IV-E).
+func (r *CostResult) cellsFor(runKey string) ([]CostCell, []float64) {
+	var cells []CostCell
+	var sums []metrics.CostSummary
 	for _, c := range r.Cells {
 		if c.RunKey == runKey {
-			out = append(out, c)
+			cells = append(cells, c)
+			sums = append(sums, c.Summary)
 		}
 	}
-	return out
+	return cells, metrics.RelativeTimes(sums)
 }
 
-// RunKeys lists the run keys present in the result, in insertion order.
-func (r *CostResult) RunKeys() []string {
+// runKeys lists the run keys present in the result, in insertion order.
+func (r *CostResult) runKeys() []string {
 	seen := map[string]bool{}
 	var out []string
 	for _, c := range r.Cells {
@@ -196,10 +199,9 @@ func (r *CostResult) Figure5Report() *report.Table {
 		Title:   "Figure 5 — resource cost (charging units, mean ± std)",
 		Headers: []string{"run", "unit", "full-site", "pure-reactive", "reactive-conserving", "wire"},
 	}
-	for _, key := range r.RunKeys() {
-		cells := r.cellsFor(key)
-		units := uniqueUnits(cells)
-		for _, u := range units {
+	for _, key := range r.runKeys() {
+		cells, _ := r.cellsFor(key)
+		for _, u := range uniqueUnits(cells) {
 			row := []any{cells[0].Display, simtime.FormatDuration(u)}
 			for _, p := range PolicyNames {
 				if c, ok := r.Cell(key, p, u); ok {
@@ -221,22 +223,18 @@ func (r *CostResult) Figure6Report() *report.Table {
 		Title:   "Figure 6 — relative execution time (vs best setting of the run)",
 		Headers: []string{"run", "unit", "full-site", "pure-reactive", "reactive-conserving", "wire"},
 	}
-	for _, key := range r.RunKeys() {
-		cells := r.cellsFor(key)
-		best := 0.0
-		for _, c := range cells {
-			if best == 0 || c.Summary.MakespanMean < best {
-				best = c.Summary.MakespanMean
-			}
-		}
+	for _, key := range r.runKeys() {
+		cells, rel := r.cellsFor(key)
 		for _, u := range uniqueUnits(cells) {
 			row := []any{cells[0].Display, simtime.FormatDuration(u)}
 			for _, p := range PolicyNames {
-				if c, ok := r.Cell(key, p, u); ok && best > 0 {
-					row = append(row, report.Ratio(c.Summary.MakespanMean/best))
-				} else {
-					row = append(row, "-")
+				cell := "-"
+				for i, c := range cells {
+					if c.Policy == p && c.Unit == u && rel[i] > 0 {
+						cell = report.Ratio(rel[i])
+					}
 				}
+				row = append(row, cell)
 			}
 			t.AddRow(row...)
 		}
@@ -259,76 +257,64 @@ type Headline struct {
 	WireCheapestShare   float64 // fraction of (run, unit) cells where wire is cheapest
 }
 
+// span is the range of the values added to it.
+type span struct {
+	lo, hi float64
+	ok     bool
+}
+
+func (s *span) add(v float64) {
+	if !s.ok || v < s.lo {
+		s.lo = v
+	}
+	if !s.ok || v > s.hi {
+		s.hi = v
+	}
+	s.ok = true
+}
+
 // Headline computes the summary statistics.
 func (r *CostResult) Headline() Headline {
-	h := Headline{}
-	first := true
-	firstFS := true
-	firstSlow := true
+	var other, fullSite, slowdown span
 	wireCells, wireWithin := 0, 0
 	cheapCells, cheapWire := 0, 0
-	for _, key := range r.RunKeys() {
-		cells := r.cellsFor(key)
-		best := 0.0
-		for _, c := range cells {
-			if best == 0 || c.Summary.MakespanMean < best {
-				best = c.Summary.MakespanMean
-			}
-		}
-		for _, u := range uniqueUnits(cells) {
-			wire, ok := r.Cell(key, "wire", u)
-			if !ok || wire.Summary.CostMean == 0 {
+	for _, key := range r.runKeys() {
+		cells, rel := r.cellsFor(key)
+		for i, wire := range cells {
+			if wire.Policy != "wire" || wire.Summary.CostMean == 0 {
 				continue
 			}
 			cheapCells++
 			cheapest := true
-			for _, p := range PolicyNames {
-				c, ok := r.Cell(key, p, u)
-				if !ok {
+			for _, c := range cells {
+				if c.Unit != wire.Unit || c.Policy == "wire" {
 					continue
 				}
-				if p != "wire" {
-					ratio := c.Summary.CostMean / wire.Summary.CostMean
-					if first || ratio < h.OtherOverWireCostLo {
-						h.OtherOverWireCostLo = ratio
-					}
-					if first || ratio > h.OtherOverWireCostHi {
-						h.OtherOverWireCostHi = ratio
-					}
-					first = false
-					if c.Summary.CostMean < wire.Summary.CostMean {
-						cheapest = false
-					}
+				ratio := c.Summary.CostMean / wire.Summary.CostMean
+				other.add(ratio)
+				if c.Policy == "full-site" {
+					fullSite.add(ratio)
 				}
-				if p == "full-site" {
-					ratio := c.Summary.CostMean / wire.Summary.CostMean
-					if firstFS || ratio < h.FullSiteOverWireLo {
-						h.FullSiteOverWireLo = ratio
-					}
-					if firstFS || ratio > h.FullSiteOverWireHi {
-						h.FullSiteOverWireHi = ratio
-					}
-					firstFS = false
+				if c.Summary.CostMean < wire.Summary.CostMean {
+					cheapest = false
 				}
 			}
 			if cheapest {
 				cheapWire++
 			}
-			if best > 0 {
-				slow := wire.Summary.MakespanMean / best
-				if firstSlow || slow < h.WireSlowdownLo {
-					h.WireSlowdownLo = slow
-				}
-				if firstSlow || slow > h.WireSlowdownHi {
-					h.WireSlowdownHi = slow
-				}
-				firstSlow = false
+			if rel[i] > 0 {
+				slowdown.add(rel[i])
 				wireCells++
-				if slow <= 2 {
+				if rel[i] <= 2 {
 					wireWithin++
 				}
 			}
 		}
+	}
+	h := Headline{
+		OtherOverWireCostLo: other.lo, OtherOverWireCostHi: other.hi,
+		FullSiteOverWireLo: fullSite.lo, FullSiteOverWireHi: fullSite.hi,
+		WireSlowdownLo: slowdown.lo, WireSlowdownHi: slowdown.hi,
 	}
 	if wireCells > 0 {
 		h.WireWithin2x = float64(wireWithin) / float64(wireCells)

@@ -396,78 +396,6 @@ func TestCostExperimentParallelDeterministic(t *testing.T) {
 	}
 }
 
-func TestLinearCharts(t *testing.T) {
-	pts, err := LinearSweep(tiny(), RGreaterU)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cost, tm := LinearCharts(pts)
-	var sb strings.Builder
-	if err := cost.WriteSVG(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "resource usage") {
-		t.Fatal("cost chart title wrong")
-	}
-	sb.Reset()
-	if err := tm.WriteSVG(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "completion time") {
-		t.Fatal("time chart title wrong")
-	}
-}
-
-func TestPredictionCharts(t *testing.T) {
-	runs, err := PredictionExperiment(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	charts := PredictionCharts(runs)
-	if len(charts) == 0 {
-		t.Fatal("no prediction charts")
-	}
-	var sb strings.Builder
-	if err := charts[0].WriteSVG(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "Figure 4") {
-		t.Fatal("chart title wrong")
-	}
-}
-
-func TestCostCharts(t *testing.T) {
-	res, err := CostExperiment(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c5, c6 := CostCharts(res, "tpch6-s")
-	if c5 == nil || c6 == nil {
-		t.Fatal("nil charts")
-	}
-	var sb strings.Builder
-	if err := c5.WriteSVG(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "TPCH-6 S") {
-		t.Fatal("bar chart missing run name")
-	}
-	if a, b := CostCharts(res, "bogus"); a != nil || b != nil {
-		t.Fatal("unknown run should give nil charts")
-	}
-}
-
-func TestWriteFigureSVGs(t *testing.T) {
-	dir := t.TempDir()
-	files, err := WriteFigureSVGs(tiny(), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) < 6 {
-		t.Fatalf("files = %v", files)
-	}
-}
-
 func TestHistoryExperiment(t *testing.T) {
 	cfg := tiny()
 	cfg.RunKeys = []string{"pagerank-s"}

@@ -1,6 +1,6 @@
 // Package report renders experiment output as aligned text tables, CSV, and
-// small ASCII CDF sketches — the textual equivalents of the paper's tables
-// and figures.
+// small ASCII CDF sketches. The text tables are the repository's one
+// rendering of the paper's tables and figures.
 package report
 
 import (
