@@ -9,7 +9,8 @@
 //
 // The agent injects no faults; the dispatcher's reclaim, quarantine and
 // speculation paths are certified by internal/exec tests that drive agents
-// in-process, and examples/live-run SIGKILLs real agent processes.
+// in-process, and cmd/wire-serve's TestProcesses SIGKILLs a real agent
+// process (LiveAgentKill) and a real daemon (LiveServerKill) mid-run.
 package main
 
 import (

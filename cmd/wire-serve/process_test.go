@@ -23,19 +23,34 @@ import (
 	"repro/internal/service"
 )
 
-// TestProcesses builds wire-serve once and drives it as real processes, for
-// what no in-process certificate can show: exit statuses, a real SIGKILL, and
-// the admin and audit subcommands against a live fleet.
+// TestProcesses builds wire-serve and wire-agent once and drives them as real
+// processes, for what no in-process certificate can show: exit statuses, a
+// real SIGKILL, the admin and audit subcommands against a live fleet, and
+// live runs worked by agent processes while an agent or the daemon dies.
 func TestProcesses(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds wire-serve and runs a fleet of its processes")
+		t.Skip("builds wire-serve and wire-agent and runs fleets of their processes")
 	}
-	bin := filepath.Join(t.TempDir(), "wire-serve")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+	dir := t.TempDir()
+	bin, agentBin := filepath.Join(dir, "wire-serve"), filepath.Join(dir, "wire-agent")
+	for out, pkg := range map[string]string{bin: ".", agentBin: "../wire-agent"} {
+		if b, err := exec.Command("go", "build", "-o", out, pkg).CombinedOutput(); err != nil {
+			t.Fatalf("go build %s: %v\n%s", pkg, err, b)
+		}
+		if b, err := exec.Command(out, "-h").CombinedOutput(); err != nil {
+			t.Fatalf("%s -h: %v\n%s", filepath.Base(out), err, b)
+		}
 	}
 	t.Run("SIGTERM", func(t *testing.T) { testSIGTERM(t, bin) })
 	t.Run("ClusterFaults", func(t *testing.T) { testClusterFaults(t, bin) })
+	t.Run("LiveAgentKill", func(t *testing.T) {
+		t.Parallel()
+		testLiveAgentKill(t, bin, agentBin)
+	})
+	t.Run("LiveServerKill", func(t *testing.T) {
+		t.Parallel()
+		testLiveServerKill(t, bin, agentBin)
+	})
 }
 
 // testSIGTERM plans one session over HTTP, then requires SIGTERM to end the
@@ -269,7 +284,8 @@ func shardArg(i int, url, dir string) string {
 	return fmt.Sprintf("s%d=%s=%s", i, url, dir)
 }
 
-// daemon is one wire-serve process that announced its address.
+// daemon is one wire-serve or wire-agent process, its output in a log file.
+// A wire-serve daemon's url is the address it announced.
 type daemon struct {
 	name    string
 	cmd     *exec.Cmd
@@ -292,16 +308,40 @@ func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 	return d
 }
 
-// spawn starts `wire-serve args...` with stdout and stderr in a log file and
-// waits for it to print its address. The test's cleanup kills it if it is
-// still running and waits for it.
+// spawn starts `wire-serve args...` and waits for it to print its address.
 func spawn(t *testing.T, bin string, args ...string) (*daemon, error) {
-	logf, err := os.CreateTemp(t.TempDir(), args[0]+"-*.log")
+	d, err := start(t, bin, args...)
+	if err != nil {
+		return nil, err
+	}
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		if m := announced.FindStringSubmatch(d.log()); m != nil {
+			d.url = m[1]
+			return d, nil
+		}
+		select {
+		case <-d.exited:
+			return nil, fmt.Errorf("%s exited before announcing its address: %v\n%s", d.name, d.err, d.log())
+		default:
+		}
+	}
+	return nil, fmt.Errorf("%s never announced its address:\n%s", d.name, d.log())
+}
+
+// start runs `bin args...` with stdout and stderr in a log file. The test's
+// cleanup kills the process if it is still running and waits for it.
+func start(t *testing.T, bin string, args ...string) (*daemon, error) {
+	logf, err := os.CreateTemp(t.TempDir(), filepath.Base(bin)+"-*.log")
 	if err != nil {
 		return nil, err
 	}
 	defer logf.Close()
-	d := &daemon{name: strings.Join(args, " "), cmd: exec.Command(bin, args...), logPath: logf.Name(), exited: make(chan struct{})}
+	d := &daemon{
+		name:    filepath.Base(bin) + " " + strings.Join(args, " "),
+		cmd:     exec.Command(bin, args...),
+		logPath: logf.Name(),
+		exited:  make(chan struct{}),
+	}
 	d.cmd.Stdout, d.cmd.Stderr = logf, logf
 	if err := d.cmd.Start(); err != nil {
 		return nil, err
@@ -314,22 +354,27 @@ func spawn(t *testing.T, bin string, args ...string) (*daemon, error) {
 		d.cmd.Process.Kill()
 		<-d.exited
 	})
-	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
-		if m := announced.FindStringSubmatch(d.log()); m != nil {
-			d.url = m[1]
-			return d, nil
-		}
-		select {
-		case <-d.exited:
-			return nil, fmt.Errorf("wire-serve %s exited before announcing its address: %v\n%s", d.name, d.err, d.log())
-		default:
-		}
-	}
-	return nil, fmt.Errorf("wire-serve %s never announced its address:\n%s", d.name, d.log())
+	return d, nil
 }
 
+// logTail bounds how much of a process's log the test reads: a daemon that
+// logs in a loop writes megabytes a second, more than a failing test should
+// hold or print.
+const logTail = 256 << 10
+
+// log returns the process's output, or its last logTail bytes.
 func (d *daemon) log() string {
-	b, _ := os.ReadFile(d.logPath)
+	f, err := os.Open(d.logPath)
+	if err != nil {
+		return ""
+	}
+	defer f.Close()
+	if fi, err := f.Stat(); err == nil && fi.Size() > logTail {
+		if _, err := f.Seek(fi.Size()-logTail, io.SeekStart); err != nil {
+			return ""
+		}
+	}
+	b, _ := io.ReadAll(f)
 	return string(b)
 }
 
@@ -341,13 +386,13 @@ func (d *daemon) stop() error {
 	select {
 	case <-d.exited:
 	case <-time.After(30 * time.Second):
-		return fmt.Errorf("wire-serve %s: no exit within 30s of SIGTERM", d.name)
+		return fmt.Errorf("%s: no exit within 30s of SIGTERM", d.name)
 	}
 	if d.err != nil {
-		return fmt.Errorf("wire-serve %s: SIGTERM ended it with %v:\n%s", d.name, d.err, d.log())
+		return fmt.Errorf("%s: SIGTERM ended it with %v:\n%s", d.name, d.err, d.log())
 	}
 	if !strings.Contains(d.log(), "shutdown complete") {
-		return fmt.Errorf("wire-serve %s: exited without a clean shutdown:\n%s", d.name, d.log())
+		return fmt.Errorf("%s: exited without a clean shutdown:\n%s", d.name, d.log())
 	}
 	return nil
 }

@@ -1,7 +1,7 @@
 // Live run: close the MAPE loop outside the simulator. The program drives a
 // live execution run of an Epigenomics-class workflow at high timescale
-// through real worker agents: each agent leases tasks, emulates them on the
-// wall clock, and reports measured execution and transfer times, so the WIRE
+// through worker agents: each agent leases tasks, emulates them on the wall
+// clock, and reports measured execution and transfer times, so the WIRE
 // controller plans from genuine monitoring snapshots assembled out of agent
 // telemetry.
 //
@@ -13,41 +13,19 @@
 //
 //	go run ./examples/live-run
 //
-// By default the daemon is hosted in-process and the agents are goroutines.
-// Flags turn the program into the CI certificate driver:
-//
-//	-server URL      drive an external wire-serve daemon instead
-//	-agent-bin PATH  spawn real wire-agent processes instead of goroutines
-//	-kill-agent      agent-kill chaos certificate: SIGKILL the first worker
-//	                 while it holds leases; the run must still complete with
-//	                 every leased task reclaimed and re-executed (needs
-//	                 -agent-bin)
-//	-server-bin PATH spawn a real wire-serve daemon process
-//	-kill-server     server-kill chaos certificate: SIGKILL the daemon once
-//	                 the run has made progress, restart it on the same
-//	                 address against the same journal directory, and require
-//	                 the run to finish with lease identity intact and the
-//	                 decision stream byte-identical under TwinVerify (needs
-//	                 -server-bin)
-//	-journal DIR     journal directory for the spawned daemon (default: a
-//	                 fresh temp dir)
+// The daemon is hosted in-process unless -server names a running one, and
+// the agents are goroutines running the loop cmd/wire-agent runs. The same
+// run through real wire-serve and wire-agent processes, with an agent or the
+// daemon SIGKILLed mid-run, is cmd/wire-serve's TestProcesses.
 package main
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
-	"net/http"
-	"os"
-	"os/exec"
-	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"repro/wire"
@@ -55,49 +33,21 @@ import (
 
 func main() {
 	server := flag.String("server", "", "external wire-serve base URL (default: host the daemon in-process)")
-	agentBin := flag.String("agent-bin", "", "wire-agent binary to spawn as real worker processes (default: in-process goroutines)")
 	agentN := flag.Int("agents", 2, "number of worker agents")
 	slots := flag.Int("slots", 4, "task slots per agent and per instance")
 	workflow := flag.String("workflow", "genome-s", "catalogued run key")
 	policy := flag.String("policy", "wire", "controller policy")
 	timescale := flag.Float64("timescale", 100, "simulated seconds per wall second")
-	killAgent := flag.Bool("kill-agent", false, "kill the first worker mid-task and require reclaim (needs -agent-bin)")
-	serverBin := flag.String("server-bin", "", "wire-serve binary to spawn as a real daemon process")
-	killServer := flag.Bool("kill-server", false, "SIGKILL the daemon mid-run and restart it from its journal (needs -server-bin)")
-	journalDir := flag.String("journal", "", "journal directory for the spawned daemon (default: temp dir)")
 	timeout := flag.Duration("timeout", 5*time.Minute, "overall run deadline")
 	flag.Parse()
-	if *killAgent && *agentBin == "" {
-		log.Fatal("-kill-agent needs -agent-bin (only a real process can be killed)")
-	}
-	if *killServer && *serverBin == "" {
-		log.Fatal("-kill-server needs -server-bin (only a real process can be killed)")
-	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	// 1. A daemon to talk to: external (-server), a spawned wire-serve
-	//    process (-server-bin), or hosted in-process on an ephemeral port, as
-	//    `wire-serve serve -addr 127.0.0.1:0` would.
+	// 1. A daemon to talk to: external (-server), or hosted in-process on an
+	//    ephemeral port, as `wire-serve serve -addr 127.0.0.1:0` would.
 	base := *server
-	var serverCmd *exec.Cmd
-	if base == "" && *serverBin != "" {
-		if *journalDir == "" {
-			dir, err := os.MkdirTemp("", "live-run-journal-")
-			if err != nil {
-				log.Fatal(err)
-			}
-			*journalDir = dir
-		}
-		var err error
-		serverCmd, base, err = spawnServe(ctx, *serverBin, "127.0.0.1:0", *journalDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wire-serve daemon process up at %s (pid %d, journal %s)\n",
-			base, serverCmd.Process.Pid, *journalDir)
-	} else if base == "" {
+	if base == "" {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			log.Fatal(err)
@@ -131,40 +81,13 @@ func main() {
 	fmt.Printf("created %s: %s (%d tasks / %d stages) under %s at %g× timescale\n",
 		info.ID, info.Workflow, info.Tasks, info.Stages, info.Policy, info.Timescale)
 
-	status := func() wire.LiveRunStatus {
-		st, err := client.RunStatus(ctx, info.ID)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return st
-	}
-
-	// 3. The workers. With -agent-bin they are separate wire-agent
-	//    processes; otherwise goroutines running the identical loop.
-	var (
-		goAgents sync.WaitGroup
-		procs    []*exec.Cmd
-		doomed   *exec.Cmd
-	)
-	spawn := func(name string) {
-		if *agentBin != "" {
-			cmd := exec.CommandContext(ctx, *agentBin,
-				"-server", base, "-run", info.ID, "-name", name,
-				"-slots", fmt.Sprint(*slots))
-			cmd.Stderr = os.Stderr
-			if err := cmd.Start(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("spawned agent process %s (pid %d)\n", name, cmd.Process.Pid)
-			procs = append(procs, cmd)
-			if name == "doomed" {
-				doomed = cmd
-			}
-			return
-		}
-		goAgents.Add(1)
+	// 3. The workers: goroutines running the wire-agent loop.
+	var agents sync.WaitGroup
+	for i := 1; i <= *agentN; i++ {
+		name := fmt.Sprintf("worker-%d", i)
+		agents.Add(1)
 		go func() {
-			defer goAgents.Done()
+			defer agents.Done()
 			err := wire.RunLiveAgent(ctx, wire.LiveAgentConfig{
 				BaseURL: base, RunID: info.ID, Name: name, Slots: *slots,
 			})
@@ -173,122 +96,22 @@ func main() {
 			}
 		}()
 	}
-	if *killAgent {
-		// The victim must register first so it binds the bootstrap
-		// instance and is guaranteed to be holding leases when killed.
-		// Spawn order alone does not guarantee that — the processes race
-		// to register over HTTP, and if a worker wins, the victim parks
-		// with zero leases forever and the kill loop below never fires.
-		// Hold the workers back until the dispatcher has seen the victim.
-		spawn("doomed")
-		for {
-			var seen bool
-			for _, a := range status().Agents {
-				if a.Name == "doomed" {
-					seen = true
-				}
-			}
-			if seen {
-				break
-			}
-			if ctx.Err() != nil {
-				log.Fatal("victim never registered")
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
-	}
-	for i := 1; i <= *agentN; i++ {
-		spawn(fmt.Sprintf("worker-%d", i))
-	}
 
-	// 4. Start the run clock.
+	// 4. Start the run clock and wait for the workflow to finish.
 	if _, err := client.StartRun(ctx, info.ID); err != nil {
 		log.Fatal(err)
 	}
-
-	// 5. Chaos: once the victim holds active leases, kill -9 it. Its
-	//    heartbeat lapses, the dispatcher declares the agent failed, and
-	//    every leased task must be reclaimed and re-executed elsewhere.
-	if *killAgent {
-		for {
-			st := status()
-			var active int
-			for _, a := range st.Agents {
-				if a.Name == "doomed" {
-					active = a.ActiveLeases
-				}
-			}
-			if active > 0 {
-				fmt.Printf("killing agent 'doomed' (pid %d) holding %d active leases\n",
-					doomed.Process.Pid, active)
-				if err := doomed.Process.Kill(); err != nil {
-					log.Fatal(err)
-				}
-				break
-			}
-			if ctx.Err() != nil {
-				log.Fatal("victim never received a lease")
-			}
-			time.Sleep(100 * time.Millisecond)
-		}
-	}
-
-	// 5b. Chaos: once the run has made real progress, SIGKILL the daemon
-	//     process, then restart it on the same address against the same
-	//     journal directory. The restarted dispatcher must rebuild the run —
-	//     queue, leases, agents, instances, controller state — from the
-	//     journal alone; the agents ride out the outage on their poll
-	//     backoff and keep their identities.
-	if *killServer {
-		for {
-			st := status()
-			if st.TasksCompleted >= 1 {
-				break
-			}
-			if ctx.Err() != nil {
-				log.Fatal("run made no progress before the server kill")
-			}
-			time.Sleep(100 * time.Millisecond)
-		}
-		addr := strings.TrimPrefix(base, "http://")
-		fmt.Printf("killing wire-serve daemon (pid %d) mid-run\n", serverCmd.Process.Pid)
-		if err := serverCmd.Process.Kill(); err != nil {
-			log.Fatal(err)
-		}
-		_ = serverCmd.Wait() // SIGKILL; non-zero by design
-		var err error
-		serverCmd, _, err = spawnServe(ctx, *serverBin, addr, *journalDir)
-		if err != nil {
-			log.Fatalf("daemon restart: %v", err)
-		}
-		fmt.Printf("wire-serve daemon restarted at %s (pid %d)\n", base, serverCmd.Process.Pid)
-		if n := liveRunsRecovered(ctx, base); n < 1 {
-			log.Fatalf("FAILED: restarted daemon reports %d runs recovered from journal", n)
-		}
-	}
-
-	// 6. Wait for the workflow to finish.
 	var st wire.LiveRunStatus
 	for {
-		st = status()
+		if st, err = client.RunStatus(ctx, info.ID); err != nil {
+			log.Fatal(err)
+		}
 		if st.State.String() == "done" || st.State.String() == "failed" {
 			break
 		}
-		if ctx.Err() != nil {
-			log.Fatalf("run still %s at deadline (%d/%d tasks)", st.State, st.TasksCompleted, st.Tasks)
-		}
 		time.Sleep(250 * time.Millisecond)
 	}
-	goAgents.Wait()
-	for _, cmd := range procs {
-		if cmd == doomed {
-			_ = cmd.Wait() // killed; non-zero by design
-			continue
-		}
-		if err := cmd.Wait(); err != nil && ctx.Err() == nil {
-			log.Fatalf("agent process: %v", err)
-		}
-	}
+	agents.Wait()
 	if st.Result == nil {
 		log.Fatalf("run %s: %s", st.State, st.Error)
 	}
@@ -309,16 +132,8 @@ func main() {
 		res.Counters.LeasesReclaimed - res.Counters.LeasesSuperseded; got != 0 {
 		log.Fatalf("FAILED: lease identity violated by %d", got)
 	}
-	if *killAgent {
-		if res.Counters.AgentsFailed == 0 || res.Counters.LeasesReclaimed == 0 {
-			log.Fatalf("FAILED: agent kill not observed (failed=%d reclaimed=%d)",
-				res.Counters.AgentsFailed, res.Counters.LeasesReclaimed)
-		}
-		fmt.Printf("\nchaos certificate PASSED: %d agent(s) failed, %d leased task(s) reclaimed and re-executed\n",
-			res.Counters.AgentsFailed, res.Counters.LeasesReclaimed)
-	}
 
-	// 7. Parity certificate: replay the recorded snapshots through a fresh
+	// 5. Parity certificate: replay the recorded snapshots through a fresh
 	//    controller and require a byte-identical decision stream.
 	records, err := client.PlanStream(ctx, info.ID)
 	if err != nil {
@@ -333,77 +148,4 @@ func main() {
 	}
 	fmt.Printf("\nparity certificate PASSED: %d live decisions byte-identical to the simulator twin\n",
 		len(records))
-	if *killServer {
-		fmt.Println("server-kill certificate PASSED: run survived a daemon SIGKILL + journal restart with lease identity intact")
-	}
-	if serverCmd != nil {
-		_ = serverCmd.Process.Signal(syscall.SIGTERM)
-		_ = serverCmd.Wait()
-	}
-}
-
-// spawnServe starts a wire-serve daemon process on addr with journaling into
-// dir, waits for it to print its bound URL and answer /healthz, and returns
-// the running command plus the base URL.
-func spawnServe(ctx context.Context, bin, addr, dir string) (*exec.Cmd, string, error) {
-	cmd := exec.CommandContext(ctx, bin, "serve", "-addr", addr, "-journal", dir)
-	cmd.Stderr = os.Stderr
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, "", err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, "", err
-	}
-	sc := bufio.NewScanner(stdout)
-	base := ""
-	for sc.Scan() {
-		line := sc.Text()
-		if i := strings.Index(line, "listening on "); i >= 0 {
-			base = strings.TrimSpace(line[i+len("listening on "):])
-			break
-		}
-	}
-	if base == "" {
-		_ = cmd.Process.Kill()
-		return nil, "", fmt.Errorf("wire-serve never reported its address")
-	}
-	go io.Copy(io.Discard, stdout) // keep draining so the daemon never blocks
-	for {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return cmd, base, nil
-			}
-		}
-		if ctx.Err() != nil {
-			_ = cmd.Process.Kill()
-			return nil, "", fmt.Errorf("wire-serve at %s never became healthy", base)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-// liveRunsRecovered reads the daemon's /metrics live block and returns how
-// many runs it resurrected from journals at startup.
-func liveRunsRecovered(ctx context.Context, base string) int {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var m struct {
-		Live struct {
-			RunsRecovered int `json:"runs_recovered"`
-		} `json:"live"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		log.Fatal(err)
-	}
-	return m.Live.RunsRecovered
 }

@@ -17,7 +17,7 @@ import (
 )
 
 // LiveClient is the HTTP client for the live-run API, shared by wire-agent,
-// the examples/live-run driver, and the tests.
+// the examples/live-run program, and the tests.
 type LiveClient struct {
 	base string
 	hc   *http.Client

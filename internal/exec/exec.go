@@ -20,8 +20,8 @@
 //     scaled by a timescale factor so tests finish in seconds while billing
 //     stays in paper units.
 //   - Agent / RunAgent: the worker loop (register, long-poll, execute,
-//     report) shared by cmd/wire-agent, the examples/live-run driver, and
-//     the in-process tests.
+//     report) shared by cmd/wire-agent, the examples/live-run program's
+//     goroutine agents, and the in-process tests.
 //   - Registry + Handler: the HTTP surface wire-serve mounts under
 //     /v1/live/.
 //   - Journal + apply: an append-only record of every transition. The

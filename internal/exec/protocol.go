@@ -10,7 +10,7 @@ import (
 )
 
 // The lease protocol's JSON wire types, shared by the dispatcher handlers,
-// the agent client, and the examples/live-run driver. All simulated
+// the agent client, and the examples/live-run program. All simulated
 // durations travel in seconds (snake_case `_s` suffix), wall durations in
 // milliseconds (`_ms`), matching the service package's conventions.
 

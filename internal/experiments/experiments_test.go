@@ -282,6 +282,15 @@ func TestOverheadExperiment(t *testing.T) {
 	}
 }
 
+// TestOverheadReportShowsTinyFractions: controller wall over aggregate task
+// time runs near 1e-7, which four decimals of a percentage print as "0%".
+func TestOverheadReportShowsTinyFractions(t *testing.T) {
+	tab := OverheadReport([]OverheadRow{{Display: "Genome S", Fraction: 1.234e-7}})
+	if got, want := tab.Rows[0][5], "1.23e-05%"; got != want {
+		t.Fatalf("wall/agg cell = %q, want %q", got, want)
+	}
+}
+
 func TestQuickAndDefaultConfigs(t *testing.T) {
 	d := Defaults()
 	if len(d.Units) != 4 || d.Reps != 3 || d.Orders != 5 {

@@ -86,7 +86,8 @@ func OverheadReport(rows []OverheadRow) *report.Table {
 			r.Display, simtime.FormatDuration(r.Unit), r.Iters,
 			r.Wall.Round(time.Microsecond).String(),
 			simtime.FormatDuration(r.AggExec),
-			report.F(r.Fraction*100, 4)+"%",
+			// Fractions run near 1e-7: significant digits, not decimals.
+			fmt.Sprintf("%.3g%%", r.Fraction*100),
 			fmt.Sprintf("%.1fKB", float64(r.StateBytes)/1024),
 		)
 	}

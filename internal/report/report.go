@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/stats"
 )
@@ -28,16 +29,17 @@ func (t *Table) AddRow(cells ...any) {
 	t.Rows = append(t.Rows, row)
 }
 
-// Render writes the table as aligned text.
+// Render writes the table as aligned text. Cells are padded by display width
+// (one column per rune), so a "±" or "µs" cell lines up like an ASCII one.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Headers))
 	for i, h := range t.Headers {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if n := utf8.RuneCountInString(c); i < len(widths) && n > widths[i] {
+				widths[i] = n
 			}
 		}
 	}
@@ -53,7 +55,7 @@ func (t *Table) Render(w io.Writer) error {
 			}
 			b.WriteString(c)
 			if i < len(widths) {
-				for p := len(c); p < widths[i]; p++ {
+				for p := utf8.RuneCountInString(c); p < widths[i]; p++ {
 					b.WriteByte(' ')
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/stats"
 )
@@ -31,6 +32,30 @@ func TestTableRender(t *testing.T) {
 	idx := strings.Index(lines[1], "value")
 	if strings.Index(lines[3], "1") < idx {
 		t.Fatalf("misaligned:\n%s", out)
+	}
+}
+
+// TestTableRenderPadsByDisplayWidth: a multi-byte cell ("±", "µs") in a
+// column that is not the last pads to the same display width as an ASCII
+// one, so the next column starts at the same rune offset on every line.
+func TestTableRenderPadsByDisplayWidth(t *testing.T) {
+	tab := &Table{Headers: []string{"wall", "cost", "run"}}
+	tab.AddRow("756µs", MeanStd(1.25, 0.5, 2), "a")
+	tab.AddRow("6.945ms", "12.5", "b")
+	var buf bytes.Buffer
+	if err := tab.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	col := func(line, cell string) int { return utf8.RuneCountInString(line[:strings.Index(line, cell)]) }
+	want := col(lines[0], "run")
+	for i, cell := range []string{"a", "b"} {
+		if got := col(lines[2+i], cell); got != want {
+			t.Errorf("row %d: last column starts at rune %d, header at %d:\n%s", i, got, want, buf.String())
+		}
+	}
+	if got, want := col(lines[2], "1.25"), col(lines[0], "cost"); got != want {
+		t.Errorf("cost column starts at rune %d after a µs cell, header at %d:\n%s", got, want, buf.String())
 	}
 }
 
